@@ -7,99 +7,43 @@ resource and payment shares, elicitation of piecewise-linear concave reports,
 the shrinking-subset bid computation, and the division of resource and payment
 at the realized price, plus validators and brute-force oracles for the
 incentive properties the construction is supposed to have.
+
+The package root exports the entry points; everything else lives in the
+submodules (``groupbuy.schedule``, ``groupbuy.analysis``, ...).
 """
 
-from .analysis import (
-    BudgetError,
-    ConsistencyViolation,
-    DeviationViolation,
-    FuzzResult,
-    PreferenceOutcome,
-    ScheduleComparison,
-    WelfareReport,
-    check_individual_consistency,
-    check_unilateral_truthfulness,
-    compare_schedules,
-    concave_report_grid,
-    efficiency_gap,
-    enumerate_coalition_deviations,
-    optimal_welfare,
-    outcome_for_buyer,
-    power_report_grid,
-)
-from .auction import (
-    GROUP_LOSES,
-    GROUP_WINS,
-    AuctionConfig,
-    AuctionResult,
-    run_group_participation,
-    run_second_price,
-)
-from .mechanism import (
-    AllocationOutcome,
-    BidStep,
-    BidTrace,
-    allocate,
-    compute_bid_trace,
-    fixed_price_outcome,
-    group_bid,
-    rerun_from,
-)
-from .numeric import EXACT, DEFAULT_EPSILON, NumericPolicy, approx, parse_number
+from .analysis import enumerate_coalition_deviations
+from .auction import AuctionConfig, run_group_participation
+from .mechanism import allocate, compute_bid_trace, fixed_price_outcome
+from .numeric import approx
+from .scenario import bundled_scenario_path, load_scenario_file
 from .schedule import (
     CrossMonotonicSchedule,
-    CrossMonotonicityWitness,
-    DegenerateScheduleError,
     EqualSplitSchedule,
-    MonotonicityWitness,
     RankedSchedule,
-    ScheduleError,
-    SharePair,
-    ShareSchedule,
-    SingleCrossingCounterexample,
     TableSchedule,
-    WeightFunction,
-    brute_force_monotonicity_check,
-    concave_weight,
-    full_mask,
-    identity_weight,
-    mask_of,
-    members,
-    power_weight,
-    rras_payment_shares,
-    rras_resource_shares,
-    rras_resource_table,
-    single_crossing_check,
-    sqrt_weight,
-    subset_key,
-    validate_cross_monotonic,
     validate_monotonicity,
 )
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    bundled_scenario_path,
-    load_scenario_file,
-    outcome_from_json,
-    outcome_to_json,
-    trace_to_json,
-    violations_to_csv,
-    violations_to_json,
-    welfare_report_to_csv,
-    welfare_report_to_json,
-)
-from .utility import (
-    ClosedFormUtility,
-    InvalidReportError,
-    ReportClass,
-    UtilityReport,
-    Violation,
-    concave_class,
-    evaluate,
-    power_class,
-    random_concave_utility,
-    sample_report,
-    validate_knots,
-)
+from .utility import ClosedFormUtility, UtilityReport, sample_report
+
+__all__ = [
+    "AuctionConfig",
+    "ClosedFormUtility",
+    "CrossMonotonicSchedule",
+    "EqualSplitSchedule",
+    "RankedSchedule",
+    "TableSchedule",
+    "UtilityReport",
+    "allocate",
+    "approx",
+    "bundled_scenario_path",
+    "compute_bid_trace",
+    "enumerate_coalition_deviations",
+    "fixed_price_outcome",
+    "load_scenario_file",
+    "run_group_participation",
+    "sample_report",
+    "validate_monotonicity",
+]
 
 __version__ = "0.1.0"

@@ -195,7 +195,7 @@ def _scan_coalitions(
     profiles = 0
     truncated = False
 
-    def evaluate(idxs, profile):
+    def try_profile(idxs, profile):
         nonlocal profiles
         profiles += 1
         reports = list(true_reports)
@@ -230,12 +230,12 @@ def _scan_coalitions(
         total = math.prod(len(m) for m in menus)
         if len(idxs) <= 2 or total <= budget - profiles:
             for profile in itertools.product(*menus):
-                evaluate(idxs, profile)
+                try_profile(idxs, profile)
         else:
             remaining = max(budget - profiles, 0)
             truncated = True
             for _ in range(remaining):
-                evaluate(idxs, tuple(rng.choice(menu) for menu in menus))
+                try_profile(idxs, tuple(rng.choice(menu) for menu in menus))
 
     violations.sort(key=lambda v: (v.coalition, tuple(r.knots for r in v.deviant_reports)))
     return FuzzResult(tuple(violations), profiles, truncated)

@@ -25,8 +25,8 @@ from .analysis import (
     enumerate_coalition_deviations,
     power_report_grid,
 )
-from .auction import AuctionConfig, run_second_price
-from .mechanism import AllocationOutcome, allocate, compute_bid_trace, fixed_price_outcome
+from .auction import AuctionConfig, run_group_participation
+from .mechanism import compute_bid_trace, fixed_price_outcome
 from .numeric import decimal_str
 from .schedule import (
     RankedSchedule,
@@ -80,21 +80,36 @@ def _print_trace(trace):
         )
 
 
-def cmd_run(args) -> int:
-    scenario = load_scenario_file(
+def _load(args):
+    return load_scenario_file(
         args.scenario, force_exact=args.exact, epsilon=args.epsilon, seed=args.seed
     )
-    policy = scenario.policy
-    trace = compute_bid_trace(scenario.reports, scenario.schedule, policy)
 
-    report = {"trace": trace_to_json(trace, policy)}
+
+def _power_family_exponent(schedule):
+    """Exponent q of a ranked schedule's power weight x**q when q != 1, else None.
+
+    Such a schedule is monotone only against power utilities c*x**k, k <= q,
+    so checks and fuzz menus stay inside that family.
+    """
+    if isinstance(schedule, RankedSchedule):
+        q = schedule.weight.power_exponent
+        if q is not None and q != 1:
+            return q
+    return None
+
+
+def cmd_run(args) -> int:
+    scenario = _load(args)
+    policy = scenario.policy
     if scenario.auction is not None:
-        result = run_second_price(trace.group_bid, scenario.auction, policy)
-        if result.group_won:
-            outcome = allocate(trace, scenario.schedule, result.clearing_price, policy)
-        else:
-            outcome = AllocationOutcome.not_purchased(scenario.n)
-        report["auction"] = auction_result_to_json(result, policy)
+        trace, result, outcome = run_group_participation(
+            scenario.reports, scenario.schedule, scenario.auction, policy
+        )
+        report = {
+            "trace": trace_to_json(trace, policy),
+            "auction": auction_result_to_json(result, policy),
+        }
         summary = (
             f"bid {_fmt(trace.group_bid)}; win at {_fmt(result.clearing_price)}; "
             f"payments {_vec(outcome.payments)}"
@@ -102,7 +117,9 @@ def cmd_run(args) -> int:
             else f"bid {_fmt(trace.group_bid)}; lost"
         )
     else:
+        trace = compute_bid_trace(scenario.reports, scenario.schedule, policy)
         outcome = fixed_price_outcome(scenario.reports, scenario.schedule, scenario.fixed_price, policy)
+        report = {"trace": trace_to_json(trace, policy)}
         summary = (
             f"fixed price {_fmt(scenario.fixed_price)}; winners {_braces(outcome.winning_set)}; "
             f"payments {_vec(outcome.payments)}; fractions {_vec(outcome.fractions)}"
@@ -135,9 +152,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate_schedule(args) -> int:
-    scenario = load_scenario_file(
-        args.scenario, force_exact=args.exact, epsilon=args.epsilon, seed=args.seed
-    )
+    scenario = _load(args)
     schedule = scenario.schedule
     policy = scenario.policy
     if schedule.n > 12:
@@ -157,10 +172,8 @@ def cmd_validate_schedule(args) -> int:
             f"({len(zero_share_members)} such pairs); legal, but such a buyer can win nothing"
         )
 
-    # A weight that only single-crosses a power family makes the schedule
-    # monotone against that family, not the whole concave class.
-    weight_q = schedule.weight.power_exponent if isinstance(schedule, RankedSchedule) else 1
-    if weight_q is not None and weight_q != 1:
+    weight_q = _power_family_exponent(schedule)
+    if weight_q is not None:
         report_class = power_class(weight_q / 4, weight_q)
         class_label = f"power family with exponents up to {_fmt(weight_q)}"
     else:
@@ -211,9 +224,7 @@ def cmd_validate_schedule(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    scenario = load_scenario_file(
-        args.scenario, force_exact=args.exact, epsilon=args.epsilon, seed=args.seed
-    )
+    scenario = _load(args)
     if scenario.n > 3:
         print("fuzzing is capped at 3 buyers", file=sys.stderr)
         return 2
@@ -222,10 +233,8 @@ def cmd_fuzz(args) -> int:
         return 0
 
     schedule = scenario.schedule
-    weight_q = schedule.weight.power_exponent if isinstance(schedule, RankedSchedule) else 1
-    if weight_q is not None and weight_q != 1:
-        # Truthfulness only holds against report families the weight single-crosses,
-        # so the menus stay inside the matching power family.
+    weight_q = _power_family_exponent(schedule)
+    if weight_q is not None:
         exponents = [weight_q * k for k in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)]
         grid = power_report_grid(schedule, exponents=exponents)
     else:
@@ -256,9 +265,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario = load_scenario_file(
-        args.scenario, force_exact=args.exact, epsilon=args.epsilon, seed=args.seed
-    )
+    scenario = _load(args)
     policy = scenario.policy
     if args.schedules:
         names = [s.strip() for s in args.schedules.split(",")]

@@ -1,20 +1,22 @@
 """The aggregation engine: bearable payments over shrinking subsets, then division.
 
-Starting from the whole group, each step computes the largest total payment
-the current subset could bear: the smallest ratio of a member's reported
-utility for its resource share to its payment share.  The members whose
-reports exactly meet that bound (the bottleneck buyers) are removed and the
-step repeats until nobody is left.  The largest bearable payment across steps
-is the group's bid; once a price is realized, the largest subset whose
-bearable payment covers it wins and divides resource and payment by its
-shares.
+Starting from the whole group (or any start subset), each step computes the
+largest total payment the current subset could bear: the smallest ratio of a
+member's reported utility for its resource share to its payment share.  The
+members whose reports exactly meet that bound (the bottleneck buyers) are
+removed and the step repeats until nobody is left.  :func:`compute_bid_trace`
+is that one loop.  The largest bearable payment across steps is the group's
+bid; once a price is realized, :func:`allocate` picks the largest traced
+subset whose bearable payment covers it, which divides resource and payment
+by its shares.  :func:`fixed_price_outcome` is the separate fixed-price sweep,
+kept as the reference the trace path is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .numeric import EXACT, Num, NumericPolicy
 from .schedule import (
@@ -43,6 +45,7 @@ class BidTrace:
 
     @property
     def group_bid(self) -> Num:
+        """The bid submitted to the external auction: the largest bearable payment."""
         return max(step.max_payment for step in self.steps)
 
 
@@ -77,12 +80,28 @@ def _is_bottleneck(ratio, value, y, bound, policy: NumericPolicy) -> bool:
     return abs(bound * y - value) <= policy.epsilon * max(1, bound)
 
 
-def _trace_from(
+def compute_bid_trace(
     reports: Sequence[UtilityReport],
     schedule: ShareSchedule,
-    start: int,
-    policy: NumericPolicy,
+    policy: NumericPolicy = EXACT,
+    start: Optional[int] = None,
 ) -> BidTrace:
+    """Run the shrinking-subset computation from ``start`` (default: the full group).
+
+    Reports are validated at construction; the engine assumes admissibility.
+    Terminates in at most n steps: the bottleneck set is never empty because
+    payment shares sum to one, so some member attains the minimum ratio.
+    Starting from a smaller set exercises winning-set stability: removing
+    non-winners up front must not change the winner, and removing one winner
+    shrinks it.
+    """
+    _check_inputs(reports, schedule)
+    if start is None:
+        start = full_mask(schedule.n)
+    elif start == 0:
+        raise ValueError("start subset must be non-empty")
+    elif not is_subset(start, full_mask(schedule.n)):
+        raise ValueError("start subset outside the buyer range")
     steps = []
     subset = start
     while subset:
@@ -107,26 +126,6 @@ def _trace_from(
         steps.append(BidStep(subset, bound, removed))
         subset &= ~removed
     return BidTrace(tuple(steps))
-
-
-def compute_bid_trace(
-    reports: Sequence[UtilityReport],
-    schedule: ShareSchedule,
-    policy: NumericPolicy = EXACT,
-) -> BidTrace:
-    """Run the shrinking-subset computation from the full group.
-
-    Reports are validated at construction; the engine assumes admissibility.
-    Terminates in at most n steps: the bottleneck set is never empty because
-    payment shares sum to one, so some member attains the minimum ratio.
-    """
-    _check_inputs(reports, schedule)
-    return _trace_from(reports, schedule, full_mask(schedule.n), policy)
-
-
-def group_bid(trace: BidTrace) -> Num:
-    """The bid submitted to the external auction: the largest bearable payment."""
-    return trace.group_bid
 
 
 def allocate(
@@ -181,24 +180,3 @@ def fixed_price_outcome(
             return AllocationOutcome(True, subset, pair.resource, payments, price)
         subset &= ~failing
     return AllocationOutcome.not_purchased(schedule.n)
-
-
-def rerun_from(
-    reports: Sequence[UtilityReport],
-    schedule: ShareSchedule,
-    start: int,
-    price: Num,
-    policy: NumericPolicy = EXACT,
-) -> AllocationOutcome:
-    """The same engine started from an arbitrary subset instead of the full group.
-
-    Exists to exercise winning-set stability: removing non-winners up front
-    must not change the winner, and removing one winner shrinks it.
-    """
-    _check_inputs(reports, schedule)
-    if start == 0:
-        raise ValueError("start subset must be non-empty")
-    if not is_subset(start, full_mask(schedule.n)):
-        raise ValueError("start subset outside the buyer range")
-    trace = _trace_from(reports, schedule, start, policy)
-    return allocate(trace, schedule, price, policy)

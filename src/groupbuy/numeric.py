@@ -57,9 +57,6 @@ class NumericPolicy:
     def ge(self, a: Num, b: Num) -> bool:
         return self.le(b, a)
 
-    def is_zero(self, v: Num) -> bool:
-        return self.eq(v, 0)
-
     def is_positive(self, v: Num) -> bool:
         return self.lt(0, v)
 
@@ -73,14 +70,9 @@ def approx(epsilon: float = DEFAULT_EPSILON) -> NumericPolicy:
     return NumericPolicy(epsilon)
 
 
-def is_exact_number(v: Num) -> bool:
-    """True for ints and Fractions, False for floats."""
-    return isinstance(v, Rational)
-
-
 def infer_policy(values) -> NumericPolicy:
     """Exact when every value is rational, otherwise the default tolerance."""
-    return EXACT if all(is_exact_number(v) for v in values) else approx()
+    return EXACT if all(isinstance(v, Rational) for v in values) else approx()
 
 
 def parse_number(value) -> Fraction:

@@ -18,9 +18,10 @@ Schedule stanzas::
     {"kind": "rras",  "order": [0, 1, 2], "base": ["1/2", "1/4", "1/4"], "f": "sqrt"}
     {"kind": "table", "entries": {"0,1": {"x": [...], "y": [...]}, ...}}
 
-Subset keys are sorted comma-joined buyer indices ("0,2").  Reports emit every
-number as a decimal string with 15 significant digits, plus an exact "p/q"
-string under the exact arithmetic policy.
+Subset keys are sorted comma-joined buyer indices ("0,2"); cmss and table
+stanzas must list every non-empty subset.  Reports emit every number as a
+decimal string with 15 significant digits, plus an exact "p/q" string under
+the exact arithmetic policy.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .auction import AuctionConfig, AuctionResult, GROUP_LOSES, GROUP_WINS
+from .auction import GROUP_WINS, AuctionConfig, AuctionResult
 from .mechanism import AllocationOutcome, BidTrace
 from .numeric import (
     EXACT,
@@ -73,7 +74,6 @@ class Scenario:
     """A parsed scenario: resolved reports, schedules, environment, policy."""
 
     n: int
-    buyers: list  # raw buyer stanzas
     reports: list  # UtilityReport per buyer
     schedule: ShareSchedule
     named_schedules: dict  # name -> ShareSchedule (includes the primary as "primary")
@@ -166,25 +166,24 @@ def parse_schedule(stanza, n: int) -> ShareSchedule:
 
 def _parse_auction(stanza) -> AuctionConfig:
     try:
-        tie = stanza.get("tie_policy", "group_wins")
-        if tie not in (GROUP_WINS, GROUP_LOSES):
-            raise ScenarioError(f"unknown tie policy {tie!r}")
         return AuctionConfig(
             reserve=parse_number(stanza.get("reserve", 0)),
             competing_bids=tuple(parse_number(b) for b in stanza.get("competing_bids", [])),
-            tie_policy=tie,
+            tie_policy=stanza.get("tie_policy", GROUP_WINS),
         )
-    except ScenarioError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"auction: {exc}") from exc
 
 
-def _needs_irrational_sampling(parsed_buyers) -> bool:
+def _irrational_input(parsed_buyers, named_schedules) -> Optional[str]:
+    """Why the scenario's numbers cannot all stay rational, or None if they can."""
     for kind, value in parsed_buyers:
         if kind == "form" and (value.kind == "log" or (value.kind == "power" and value.k != 1)):
-            return True
-    return False
+            return "a buyer needs irrational sampling (power k<1 or log)"
+    for name, sched in named_schedules.items():
+        if isinstance(sched, RankedSchedule) and sched.weight.power_exponent != 1:
+            return f"schedule {name!r} has irrational payment shares (weight exponent not 1)"
+    return None
 
 
 def load_scenario(
@@ -222,25 +221,17 @@ def load_scenario(
     if fixed_price is not None and fixed_price < 0:
         raise ScenarioError("fixed price must be non-negative")
 
-    irrational = _needs_irrational_sampling(parsed_buyers)
+    irrational = _irrational_input(parsed_buyers, named)
     stanza = data.get("policy", {})
     mode = stanza.get("mode")
     if mode not in (None, "exact", "approx"):
         raise ScenarioError(f"unknown policy mode {mode!r}")
-    if force_exact:
+    if force_exact or (epsilon is None and mode == "exact"):
         if irrational:
-            raise ScenarioError(
-                "exact arithmetic requested but a buyer needs irrational sampling (power k<1 or log)"
-            )
+            raise ScenarioError(f"exact arithmetic requested but {irrational}")
         policy = EXACT
     elif epsilon is not None:
         policy = approx(epsilon)
-    elif mode == "exact":
-        if irrational:
-            raise ScenarioError(
-                "exact arithmetic requested but a buyer needs irrational sampling (power k<1 or log)"
-            )
-        policy = EXACT
     elif mode == "approx" or irrational:
         policy = approx(float(stanza.get("epsilon", 1e-9)))
     else:
@@ -260,7 +251,6 @@ def load_scenario(
 
     return Scenario(
         n=n,
-        buyers=buyers,
         reports=reports,
         schedule=schedule,
         named_schedules=named,
@@ -383,28 +373,3 @@ def violations_to_csv(result) -> str:
                 f"{decimal_str(before.net)},{decimal_str(after.net)},{v.uses_tiebreak}"
             )
     return "\n".join(lines)
-
-
-def welfare_report_to_json(report, policy: NumericPolicy) -> dict:
-    return {
-        "mechanism_welfare": number_to_json(report.mechanism_welfare, policy),
-        "optimal_welfare": number_to_json(report.optimal_welfare, policy),
-        "optimal_division": [number_to_json(z, policy) for z in report.optimal_division],
-        "purchased_by_mechanism": report.purchased_by_mechanism,
-        "purchasable_optimally": report.purchasable_optimally,
-        "inefficiency_flagged": report.inefficiency_flagged,
-    }
-
-
-def welfare_report_to_csv(report) -> str:
-    header = (
-        "mechanism_welfare,optimal_welfare,purchased_by_mechanism,"
-        "purchasable_optimally,inefficiency_flagged,optimal_division"
-    )
-    division = "/".join(decimal_str(z) for z in report.optimal_division)
-    row = (
-        f"{decimal_str(report.mechanism_welfare)},{decimal_str(report.optimal_welfare)},"
-        f"{report.purchased_by_mechanism},{report.purchasable_optimally},"
-        f"{report.inefficiency_flagged},{division}"
-    )
-    return "\n".join((header, row))

@@ -2,7 +2,12 @@
 
 A schedule fixes, before any report is solicited, how the resource and the
 payment would be divided among every possible subset of buyers.  Subsets are
-plain int bitmasks over buyer indices 0..n-1 (n <= 32).
+plain int bitmasks over buyer indices 0..n-1 (n <= 32).  Two families matter:
+cross-monotonic tables whose payment shares equal their resource shares
+(:func:`CrossMonotonicSchedule` builds such a :class:`TableSchedule`, and
+:class:`EqualSplitSchedule` is the closed-form case), and
+:class:`RankedSchedule`, which pays by a concave :class:`WeightFunction` of the
+resource shares.
 
 The incentive properties of the mechanism rest on the schedule's monotonicity:
 a buyer who cannot cover its payment share of some price C with its utility
@@ -54,10 +59,6 @@ def members(mask: int) -> tuple:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def member_count(mask: int) -> int:
-    return mask.bit_count()
 
 
 def is_subset(a: int, b: int) -> bool:
@@ -165,7 +166,7 @@ class EqualSplitSchedule(ShareSchedule):
     """1/|A| resource and payment share for every member."""
 
     def _compute(self, subset: int) -> SharePair:
-        share = Fraction(1, member_count(subset))
+        share = Fraction(1, subset.bit_count())
         vec = tuple(share if subset >> i & 1 else Fraction(0) for i in range(self.n))
         return SharePair(vec, vec)
 
@@ -174,53 +175,34 @@ class EqualSplitSchedule(ShareSchedule):
 
 
 class TableSchedule(ShareSchedule):
-    """Explicit per-subset share pairs; only sensible for small n."""
+    """Explicit share pairs for every non-empty subset; only sensible for small n.
+
+    Validated at construction, where a missing subset is an error too.
+    """
 
     def __init__(self, n: int, entries: Mapping, policy: NumericPolicy = EXACT):
         super().__init__(n)
-        table = {}
         for key, value in entries.items():
             mask = parse_subset_key(key, n) if isinstance(key, str) else int(key)
-            if isinstance(value, SharePair):
-                pair = value
-            else:
-                xs, ys = value
-                pair = SharePair(tuple(xs), tuple(ys))
+            xs, ys = value
+            pair = SharePair(tuple(xs), tuple(ys))
             _check_share_vector(pair.resource, mask, n, "resource", policy)
-            _check_share_vector(pair.payment, mask, n, "payment", policy)
-            table[mask] = pair
-        self._table = table
-
-    def _compute(self, subset: int) -> SharePair:
-        try:
-            return self._table[subset]
-        except KeyError:
-            raise ScheduleError(f"no shares defined for subset {{{subset_key(subset)}}}") from None
+            if pair.payment is not pair.resource:  # payment = resource is checked once
+                _check_share_vector(pair.payment, mask, n, "payment", policy)
+            self._cache[mask] = pair
+        missing = next((m for m in range(1, full_mask(n) + 1) if m not in self._cache), None)
+        if missing is not None:
+            raise ScheduleError(f"no shares defined for subset {{{subset_key(missing)}}}")
 
 
-class CrossMonotonicSchedule(ShareSchedule):
-    """Payment shares equal to resource shares, from an explicit resource table.
+def CrossMonotonicSchedule(n: int, resource: Mapping, policy: NumericPolicy = EXACT) -> TableSchedule:
+    """Table schedule whose payment shares equal its resource shares.
 
     The table is declared cross-monotonic (shares never shrink as the set
     shrinks) but not verified here; run :func:`validate_cross_monotonic`.
     """
-
-    def __init__(self, n: int, resource: Mapping, policy: NumericPolicy = EXACT):
-        super().__init__(n)
-        table = {}
-        for key, xs in resource.items():
-            mask = parse_subset_key(key, n) if isinstance(key, str) else int(key)
-            vec = tuple(xs)
-            _check_share_vector(vec, mask, n, "resource", policy)
-            table[mask] = vec
-        self._table = table
-
-    def _compute(self, subset: int) -> SharePair:
-        try:
-            vec = self._table[subset]
-        except KeyError:
-            raise ScheduleError(f"no shares defined for subset {{{subset_key(subset)}}}") from None
-        return SharePair(vec, vec)
+    vectors = {key: tuple(xs) for key, xs in resource.items()}
+    return TableSchedule(n, {key: (vec, vec) for key, vec in vectors.items()}, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -229,50 +211,42 @@ class CrossMonotonicSchedule(ShareSchedule):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Concave non-negative weight f on [0, 1], used for payment shares."""
+    """Concave non-negative weight f on [0, 1], used for payment shares.
 
-    name: str  # identity | sqrt | power | concave-knots
-    exponent: Optional[Num] = None
+    A power x**power_exponent (identity is power 1, sqrt power 1/2), or with
+    power_exponent None the piecewise-linear function through ``knots``.
+    """
+
+    power_exponent: Optional[Num] = None
     knots: Optional[tuple] = None
 
     def __call__(self, x: Num) -> Num:
-        if self.name == "identity":
+        k = self.power_exponent
+        if k is None:
+            xs = tuple(p[0] for p in self.knots)
+            us = tuple(p[1] for p in self.knots)
+            return piecewise_value(xs, us, x)
+        if k == 1:
             return x
-        if self.name in ("sqrt", "power"):
-            k = Fraction(1, 2) if self.name == "sqrt" else self.exponent
-            if x == 0:
-                return 0 * x
-            if x == 1:
-                return 1 * x
-            return x ** k
-        xs = tuple(p[0] for p in self.knots)
-        us = tuple(p[1] for p in self.knots)
-        return piecewise_value(xs, us, x)
-
-    @property
-    def power_exponent(self) -> Optional[Num]:
-        """Exponent when the weight is a pure power of x, else None."""
-        if self.name == "identity":
-            return 1
-        if self.name == "sqrt":
-            return Fraction(1, 2)
-        if self.name == "power":
-            return self.exponent
-        return None
+        if x == 0:
+            return 0 * x
+        if x == 1:
+            return 1 * x
+        return x ** k
 
 
 def identity_weight() -> WeightFunction:
-    return WeightFunction("identity")
+    return WeightFunction(1)
 
 
 def sqrt_weight() -> WeightFunction:
-    return WeightFunction("sqrt")
+    return WeightFunction(Fraction(1, 2))
 
 
 def power_weight(k: Num) -> WeightFunction:
     if not 0 < k <= 1:
         raise ValueError("power weight exponent must lie in (0, 1] to stay concave")
-    return WeightFunction("power", exponent=k)
+    return WeightFunction(k)
 
 
 def concave_weight(knots: Sequence) -> WeightFunction:
@@ -291,7 +265,7 @@ def concave_weight(knots: Sequence) -> WeightFunction:
         if prev is not None and slope > prev:
             raise ValueError("weight must be concave")
         prev = slope
-    return WeightFunction("concave-knots", knots=pts)
+    return WeightFunction(knots=pts)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +371,7 @@ def validate_cross_monotonic(
     if n > max_n:
         raise ScheduleError(f"cross-monotonicity check capped at {max_n} buyers")
     for b_mask in nonempty_subsets(full_mask(n)):
-        if member_count(b_mask) < 2:
+        if b_mask.bit_count() < 2:
             continue
         x_b = schedule.shares_for(b_mask).resource
         for k in members(b_mask):
@@ -515,7 +489,7 @@ def validate_monotonicity(
     if n > max_n:
         raise ScheduleError(f"monotonicity check capped at {max_n} buyers")
     for b_mask in nonempty_subsets(full_mask(n)):
-        if member_count(b_mask) < 2:
+        if b_mask.bit_count() < 2:
             continue
         pair_b = schedule.shares_for(b_mask)
         for k in members(b_mask):
@@ -655,19 +629,14 @@ def single_crossing_check(
     if grid < 16:
         raise ValueError("grid must have at least 16 points")
     q = weight.power_exponent
-    if q is not None and report_class.kind == "power":
-        if q >= report_class.k_max:
+    if q is not None:
+        # The steepest class member decides: x**k_max, or x itself (k = 1) for
+        # the concave class.
+        k = report_class.k_max if report_class.kind == "power" else 1
+        if q >= k:
             return None
-        utility = ClosedFormUtility.power(1, report_class.k_max)
-        constant = Fraction(1, 2) ** (report_class.k_max - q)
-        candidate = SingleCrossingCounterexample(utility, constant, Fraction(1, 4), Fraction(1))
-        if _verify_crossing_failure(weight, utility, constant, candidate.x_above, 1):
-            return candidate
-    elif q is not None and report_class.kind == "concave":
-        if q == 1:
-            return None
-        utility = ClosedFormUtility.linear(1)
-        constant = Fraction(1, 2) ** (1 - q)
+        utility = ClosedFormUtility.power(1, k)
+        constant = Fraction(1, 2) ** (k - q)
         candidate = SingleCrossingCounterexample(utility, constant, Fraction(1, 4), Fraction(1))
         if _verify_crossing_failure(weight, utility, constant, candidate.x_above, 1):
             return candidate

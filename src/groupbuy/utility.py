@@ -98,11 +98,6 @@ class UtilityReport:
         return UtilityReport(tuple((x, u * factor) for x, u in self.knots))
 
 
-def evaluate(report: UtilityReport, x: Num) -> Num:
-    """Value of the report at x; exact interpolation, exact at knots."""
-    return report.value_at(x)
-
-
 @dataclass(frozen=True)
 class ClosedFormUtility:
     """Catalog generator: c*x, c*x**k, or c*ln(1+x).

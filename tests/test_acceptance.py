@@ -22,7 +22,6 @@ from groupbuy.mechanism import (
     allocate,
     compute_bid_trace,
     fixed_price_outcome,
-    rerun_from,
 )
 from groupbuy.numeric import approx
 from groupbuy.schedule import (
@@ -382,10 +381,12 @@ def test_criterion_7_winning_set_stability():
             start = full_mask(n) & ~removed
             if start == 0:
                 continue
-            if rerun_from(reports, sched, start, price).winning_set != winners:
+            rerun = compute_bid_trace(reports, sched, start=start)
+            if allocate(rerun, sched, price).winning_set != winners:
                 claim1_failures += 1
         for i in members(winners):
-            shrunk = rerun_from(reports, sched, full_mask(n) & ~(1 << i), price).winning_set
+            rerun = compute_bid_trace(reports, sched, start=full_mask(n) & ~(1 << i))
+            shrunk = allocate(rerun, sched, price).winning_set
             if shrunk & ~(winners & ~(1 << i)):
                 claim2_failures += 1
     ok = claim1_failures == 0 and claim2_failures == 0

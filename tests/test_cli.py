@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import groupbuy
 from groupbuy.cli import main
 from groupbuy.scenario import bundled_scenario_path
 
@@ -56,6 +57,43 @@ class TestRun:
 
     def test_missing_file_exit_2(self, capsys):
         assert run_cli("run", "nowhere.json") == 2
+
+    def test_incomplete_tables_exit_2(self, tmp_path, capsys):
+        # knot buyers are not sampled at load, and this trace never reaches {1}
+        buyers = [{"kind": "knots", "points": [["0", "0"], ["1", "1"]]}] * 2
+        schedules = [
+            {"kind": "table", "entries": {
+                "0,1": {"x": ["1/2", "1/2"], "y": ["1/2", "1/2"]},
+                "0": {"x": ["1", "0"], "y": ["1", "0"]},
+            }},
+            {"kind": "cmss", "shares": {"0,1": ["1/2", "1/2"], "0": ["1", "0"]}},
+        ]
+        for k, schedule in enumerate(schedules):
+            path = tmp_path / f"incomplete{k}.json"
+            path.write_text(json.dumps(
+                {"buyers": buyers, "schedule": schedule, "fixed_price": "1/2"}
+            ))
+            assert run_cli("run", str(path)) == 2
+            assert "no shares defined for subset {1}" in capsys.readouterr().err
+
+    def test_irrational_weight_runs_in_tolerance_lane(self, tmp_path, capsys):
+        path = tmp_path / "ranked_power.json"
+        scenario = {
+            "buyers": [{"kind": "linear", "c": c} for c in ("2", "3/2", "1")],
+            "schedule": {"kind": "rras", "order": [0, 1, 2], "base": ["1/3"] * 3,
+                         "f": "power:1/3"},
+            "fixed_price": "7/10",
+        }
+        path.write_text(json.dumps(scenario))
+        assert run_cli("run", str(path), "--format", "json") == 0
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert "exact" not in outcome["price"]
+        paid = sum(float(p["decimal"]) for p in outcome["payments"])
+        assert paid == pytest.approx(0.7, abs=1e-9)
+        assert run_cli("run", str(path), "--exact") == 2
+        assert "irrational payment shares" in capsys.readouterr().err
+        path.write_text(json.dumps(dict(scenario, policy={"mode": "exact"})))
+        assert run_cli("run", str(path)) == 2
 
 
 class TestValidateSchedule:
@@ -143,3 +181,10 @@ class TestCompare:
 
     def test_self_comparison_equal(self, capsys):
         assert run_cli("compare", scenario("section6-table"), "--schedules", "rras,rras") == 0
+
+
+def test_package_root_exports_resolve_and_readme_one_liner_runs(capsys):
+    for name in groupbuy.__all__:
+        assert getattr(groupbuy, name) is not None, name
+    assert main(["run", str(groupbuy.bundled_scenario_path("example2"))]) == 0
+    assert "bid 1; win at 0.6" in capsys.readouterr().out

@@ -9,8 +9,6 @@ from groupbuy.mechanism import (
     allocate,
     compute_bid_trace,
     fixed_price_outcome,
-    group_bid,
-    rerun_from,
 )
 from groupbuy.numeric import approx
 from groupbuy.schedule import (
@@ -60,7 +58,7 @@ class TestTrace:
         values = [s.max_payment for s in trace.steps]
         assert values[0] == pytest.approx(3 * math.log(4 / 3), abs=1e-12)
         assert values[1] == 1 and values[2] == 1
-        assert group_bid(trace) == 1
+        assert trace.group_bid == 1
 
     def test_singleton_linear(self):
         rep = [UtilityReport(((F(0), F(0)), (F(1), F(1))))]
@@ -244,28 +242,36 @@ class TestFixedPrice:
 
 
 class TestRerunFrom:
+    """The engine started from a subset instead of the full group."""
+
     def test_full_start_equals_standard_path(self):
         reps = worked_reports()
         trace = compute_bid_trace(reps, equal3(), APPROX)
+        rerun = compute_bid_trace(reps, equal3(), APPROX, start=0b111)
+        assert rerun == trace
         for price in (F(3, 5), F(9, 10), F(2)):
-            assert rerun_from(reps, equal3(), 0b111, price, APPROX) == allocate(
+            assert allocate(rerun, equal3(), price, APPROX) == allocate(
                 trace, equal3(), price, APPROX
             )
 
     def test_removing_the_loser_keeps_the_winners(self):
         reps = worked_reports()
-        out = rerun_from(reps, equal3(), mask_of([0, 1]), F(9, 10), APPROX)
+        trace = compute_bid_trace(reps, equal3(), APPROX, start=mask_of([0, 1]))
+        out = allocate(trace, equal3(), F(9, 10), APPROX)
         assert out.winning_set == 0b011
 
     def test_starting_at_the_winning_set_reproduces_it(self):
         reps = worked_reports()
         baseline = allocate(compute_bid_trace(reps, equal3(), APPROX), equal3(), F(9, 10), APPROX)
-        again = rerun_from(reps, equal3(), baseline.winning_set, F(9, 10), APPROX)
+        trace = compute_bid_trace(reps, equal3(), APPROX, start=baseline.winning_set)
+        again = allocate(trace, equal3(), F(9, 10), APPROX)
         assert again.winning_set == baseline.winning_set
 
     def test_empty_start_rejected(self):
         with pytest.raises(ValueError):
-            rerun_from(worked_reports(), equal3(), 0, 1, APPROX)
+            compute_bid_trace(worked_reports(), equal3(), APPROX, start=0)
+        with pytest.raises(ValueError):
+            compute_bid_trace(worked_reports(), equal3(), APPROX, start=0b1000)
 
     def test_winning_set_stable_under_nonwinner_removal(self):
         # removing any set of non-winners from the start leaves the winner alone
@@ -285,7 +291,7 @@ class TestRerunFrom:
                 start = full_mask(n) & ~removed
                 if start == 0:
                     continue
-                again = rerun_from(reps, sched, start, price)
+                again = allocate(compute_bid_trace(reps, sched, start=start), sched, price)
                 assert again.winning_set == baseline.winning_set
 
 

@@ -1,0 +1,112 @@
+"""Metamorphic properties of the engine in the exact lane.
+
+Random rational instances with 2 to 4 buyers over equal split, a
+cross-monotonic table and a ranked schedule with identity weight: relabelling
+buyers, scaling reports and price, and starting from the full group must all
+leave the engine's answer unchanged up to the obvious map.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupbuy.mechanism import allocate, compute_bid_trace
+from groupbuy.schedule import (
+    CrossMonotonicSchedule,
+    EqualSplitSchedule,
+    RankedSchedule,
+    full_mask,
+    identity_weight,
+    members,
+)
+from groupbuy.utility import random_concave_utility
+
+
+def build_schedule(kind, weights, order):
+    n = len(weights)
+    if kind == "equal-split":
+        return EqualSplitSchedule(n)
+    if kind == "ranked":
+        return RankedSchedule(order, [F(w, sum(weights)) for w in weights], identity_weight())
+    table = {}
+    for mask in range(1, 1 << n):
+        total = sum(weights[i] for i in members(mask))
+        table[mask] = tuple(F(w, total) if mask >> i & 1 else F(0) for i, w in enumerate(weights))
+    return CrossMonotonicSchedule(n, table)
+
+
+@st.composite
+def instances(draw):
+    """(kind, weights, rank order, schedule, reports, price as a fraction of the bid)."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("equal-split", "cmss", "ranked")))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    schedule = build_schedule(kind, weights, order)
+    reports = [
+        random_concave_utility(
+            draw(st.integers(0, 2**32 - 1)), [p for p in schedule.share_points(i) if p > 0], F(2)
+        )
+        for i in range(n)
+    ]
+    return kind, weights, order, schedule, reports, F(draw(st.integers(0, 150)), 100)
+
+
+def relabel(mask, perm):
+    return sum(1 << perm[i] for i in members(mask))
+
+
+@given(instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_relabelling_buyers_permutes_trace_and_outcome(instance, data):
+    kind, weights, order, schedule, reports, fraction = instance
+    n = len(weights)
+    perm = data.draw(st.permutations(range(n)))  # buyer i becomes buyer perm[i]
+    inverse = [perm.index(j) for j in range(n)]
+    moved = build_schedule(
+        kind, [weights[inverse[j]] for j in range(n)], [perm[i] for i in order]
+    )
+    moved_reports = [reports[inverse[j]] for j in range(n)]
+
+    trace = compute_bid_trace(reports, schedule)
+    moved_trace = compute_bid_trace(moved_reports, moved)
+    assert [s.subset for s in moved_trace.steps] == [relabel(s.subset, perm) for s in trace.steps]
+    assert [s.removed for s in moved_trace.steps] == [relabel(s.removed, perm) for s in trace.steps]
+    assert [s.max_payment for s in moved_trace.steps] == [s.max_payment for s in trace.steps]
+
+    price = trace.group_bid * fraction
+    outcome = allocate(trace, schedule, price)
+    moved_outcome = allocate(moved_trace, moved, price)
+    assert moved_outcome.purchased == outcome.purchased
+    assert moved_outcome.winning_set == relabel(outcome.winning_set, perm)
+    for i in range(n):
+        assert moved_outcome.fractions[perm[i]] == outcome.fractions[i]
+        assert moved_outcome.payments[perm[i]] == outcome.payments[i]
+
+
+@given(instances(), st.integers(1, 50), st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_scaling_reports_and_price_scales_bids_and_payments(instance, num, den):
+    _, _, _, schedule, reports, fraction = instance
+    c = F(num, den)
+    trace = compute_bid_trace(reports, schedule)
+    scaled = compute_bid_trace([r.scaled(c) for r in reports], schedule)
+    assert [s.subset for s in scaled.steps] == [s.subset for s in trace.steps]
+    assert [s.removed for s in scaled.steps] == [s.removed for s in trace.steps]
+    assert [s.max_payment for s in scaled.steps] == [c * s.max_payment for s in trace.steps]
+
+    price = trace.group_bid * fraction
+    outcome = allocate(trace, schedule, price)
+    scaled_outcome = allocate(scaled, schedule, c * price)
+    assert scaled_outcome.winning_set == outcome.winning_set
+    assert scaled_outcome.fractions == outcome.fractions
+    assert scaled_outcome.payments == tuple(c * p for p in outcome.payments)
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_full_start_gives_the_default_trace(instance):
+    _, weights, _, schedule, reports, _ = instance
+    default = compute_bid_trace(reports, schedule)
+    assert compute_bid_trace(reports, schedule, start=full_mask(len(weights))) == default

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from groupbuy.mechanism import allocate, compute_bid_trace
+from groupbuy.mechanism import allocate, compute_bid_trace, fixed_price_outcome
 from groupbuy.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -52,6 +52,30 @@ class TestLoading:
         data["buyers"][1] = {"kind": "log", "c": "1"}
         with pytest.raises(ScenarioError):
             load_scenario(data, force_exact=True)
+
+    def test_irrational_weight_forces_tolerance_policy(self):
+        # rational buyers, but x**(1/3) payment shares are floats: the payments
+        # only sum to the price within the tolerance
+        ranked = {"kind": "rras", "order": [0, 1, 2], "base": ["1/3"] * 3, "f": "power:1/3"}
+        data = {
+            "buyers": [{"kind": "linear", "c": c} for c in ("2", "3/2", "1")],
+            "schedule": ranked,
+            "fixed_price": "7/10",
+        }
+        sc = load_scenario(data)
+        assert not sc.policy.exact
+        outcome = fixed_price_outcome(sc.reports, sc.schedule, sc.fixed_price, sc.policy)
+        assert outcome.purchased and abs(sum(outcome.payments) - F(7, 10)) <= 1e-9
+        with pytest.raises(ScenarioError, match="schedule 'primary' has irrational payment"):
+            load_scenario(data, force_exact=True)
+        with pytest.raises(ScenarioError, match="schedule 'primary' has irrational payment"):
+            load_scenario(dict(data, policy={"mode": "exact"}))
+        named = dict(data, schedule={"kind": "equal-split"}, schedules={"ranked": ranked})
+        assert not load_scenario(named).policy.exact
+        with pytest.raises(ScenarioError, match="schedule 'ranked' has irrational payment"):
+            load_scenario(named, force_exact=True)
+        data["schedule"] = dict(ranked, f="power:1")
+        assert load_scenario(data).policy.exact
 
     def test_closed_forms_sampled_at_share_points(self):
         data = minimal()
@@ -158,19 +182,6 @@ class TestSerialization:
         csv = violations_to_csv(result).splitlines()
         assert csv[0].startswith("violation,coalition,member")
         assert csv[1].startswith('0,"0",0,0,')
-
-    def test_welfare_serializers(self):
-        from groupbuy.analysis import efficiency_gap
-        from groupbuy.scenario import welfare_report_to_csv, welfare_report_to_json
-
-        sc = load_scenario(minimal())
-        report = efficiency_gap(sc.reports, sc.schedule, sc.fixed_price, sc.policy)
-        doc = welfare_report_to_json(report, sc.policy)
-        assert doc["purchased_by_mechanism"] == report.purchased_by_mechanism
-        assert "exact" in doc["optimal_welfare"]
-        csv = welfare_report_to_csv(report).splitlines()
-        assert csv[0].startswith("mechanism_welfare,optimal_welfare")
-        assert len(csv) == 2
 
     def test_schedule_dimension_must_match_buyers(self):
         data = minimal(schedule={

@@ -145,9 +145,8 @@ class TestShareInvariants:
             TableSchedule(2, {"0,1": ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2)))})
         with pytest.raises(ScheduleError):
             TableSchedule(2, {"0": ((F(1, 2), F(1, 2)), (F(1), F(0)))})
-        sched = TableSchedule(2, {"0,1": ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))})
-        with pytest.raises(ScheduleError):
-            sched.shares_for(0b01)
+        with pytest.raises(ScheduleError, match=r"no shares defined for subset \{0\}"):
+            TableSchedule(2, {"0,1": ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))})
 
 
 class TestCrossMonotonic:

@@ -9,7 +9,6 @@ from groupbuy.utility import (
     ClosedFormUtility,
     InvalidReportError,
     UtilityReport,
-    evaluate,
     power_class,
     random_concave_utility,
     sample_report,
@@ -23,24 +22,24 @@ def linear_report():
 
 class TestEvaluate:
     def test_linear_identity(self):
-        assert evaluate(linear_report(), F(1, 3)) == F(1, 3)
+        assert linear_report().value_at(F(1, 3)) == F(1, 3)
 
     def test_knot_hit_returns_sampled_value_exactly(self):
         rep = UtilityReport(((F(0), F(0)), (F(1, 3), 0.577), (F(1), 1.0)))
-        assert evaluate(rep, F(1, 3)) == 0.577
+        assert rep.value_at(F(1, 3)) == 0.577
 
     def test_hand_interpolation(self):
         # midpoint of the second segment: (0.7 + 1) / 2
         rep = UtilityReport(((F(0), F(0)), (F(1, 2), F(7, 10)), (F(1), F(1))))
-        assert evaluate(rep, F(3, 4)) == F(17, 20)
+        assert rep.value_at(F(3, 4)) == F(17, 20)
 
     def test_zero_at_origin(self):
-        assert evaluate(linear_report(), 0) == 0
+        assert linear_report().value_at(0) == 0
 
     @pytest.mark.parametrize("x", [-0.1, F(-1, 2), 1.5])
     def test_domain_error(self, x):
         with pytest.raises(ValueError):
-            evaluate(linear_report(), x)
+            linear_report().value_at(x)
 
 
 class TestValidate:

@@ -224,6 +224,13 @@ def cmd_validate_schedule(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    """Coalition deviation scan over the scenario's truthful reports.
+
+    A ``fixed_price`` scenario is fuzzed on the auction path with reserve =
+    price and no rival bid, not through :func:`fixed_price_outcome`.  That the
+    two pick the same winners is what acceptance criterion 8 compares (it
+    archives counterexamples rather than failing); this command relies on it.
+    """
     scenario = _load(args)
     if scenario.n > 3:
         print("fuzzing is capped at 3 buyers", file=sys.stderr)

@@ -27,7 +27,7 @@ from .schedule import (
     members,
     subset_key,
 )
-from .utility import UtilityReport
+from .utility import ClosedFormUtility, UtilityReport
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ def _check_inputs(reports: Sequence[UtilityReport], schedule: ShareSchedule):
     if len(reports) != schedule.n:
         raise ValueError(f"{len(reports)} reports for a {schedule.n}-buyer schedule")
     for i, report in enumerate(reports):
-        if not isinstance(report, UtilityReport):
-            raise ValueError(f"report {i} is not a UtilityReport")
+        if not isinstance(report, (UtilityReport, ClosedFormUtility)):
+            raise ValueError(f"report {i} is neither a UtilityReport nor a ClosedFormUtility")
 
 
 def _is_bottleneck(ratio, value, y, bound, policy: NumericPolicy) -> bool:
@@ -88,7 +88,9 @@ def compute_bid_trace(
 ) -> BidTrace:
     """Run the shrinking-subset computation from ``start`` (default: the full group).
 
-    Reports are validated at construction; the engine assumes admissibility.
+    Reports are validated at construction (closed forms are admissible by
+    construction and evaluated at the queried share); the engine assumes
+    admissibility.
     Terminates in at most n steps: the bottleneck set is never empty because
     payment shares sum to one, so some member attains the minimum ratio.
     Starting from a smaller set exercises winning-set stability: removing

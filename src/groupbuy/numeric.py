@@ -2,7 +2,7 @@
 
 Quantities in this package are plain Python numbers: ``fractions.Fraction``
 (or ``int``) wherever a value is exactly representable, ``float`` where an
-irrational closed form (sqrt, log) has been sampled.  A ``NumericPolicy``
+irrational closed form (sqrt, log) has been evaluated.  A ``NumericPolicy``
 decides how two such numbers compare; it never changes how they are computed.
 """
 

@@ -56,13 +56,7 @@ from .schedule import (
     sqrt_weight,
     subset_key,
 )
-from .utility import (
-    ClosedFormUtility,
-    InvalidReportError,
-    UtilityReport,
-    sample_report,
-    validate_knots,
-)
+from .utility import ClosedFormUtility, UtilityReport
 
 
 class ScenarioError(ValueError):
@@ -74,7 +68,7 @@ class Scenario:
     """A parsed scenario: resolved reports, schedules, environment, policy."""
 
     n: int
-    reports: list  # UtilityReport per buyer
+    reports: list  # per buyer: UtilityReport (knots) or ClosedFormUtility, evaluated where queried
     schedule: ShareSchedule
     named_schedules: dict  # name -> ShareSchedule (includes the primary as "primary")
     auction: Optional[AuctionConfig]
@@ -91,30 +85,22 @@ class Scenario:
 
 
 def _parse_buyer(stanza, index: int):
-    """Returns ("knots", knot_tuple) or ("form", ClosedFormUtility)."""
+    """A ``knots`` buyer as a UtilityReport, a closed form as its ClosedFormUtility."""
     if not isinstance(stanza, dict) or "kind" not in stanza:
         raise ScenarioError(f"buyer {index}: expected an object with a \"kind\" field")
     kind = stanza["kind"]
     try:
         if kind == "knots":
-            knots = tuple(
-                (parse_number(x), parse_number(u)) for x, u in stanza["points"]
+            return UtilityReport(
+                tuple((parse_number(x), parse_number(u)) for x, u in stanza["points"])
             )
-            violation = validate_knots(knots)
-            if violation is not None:
-                raise ScenarioError(f"buyer {index}: {violation.describe()}")
-            return "knots", knots
         if kind == "linear":
-            return "form", ClosedFormUtility.linear(parse_number(stanza["c"]))
+            return ClosedFormUtility.linear(parse_number(stanza["c"]))
         if kind == "power":
-            return "form", ClosedFormUtility.power(
-                parse_number(stanza["c"]), parse_number(stanza["k"])
-            )
+            return ClosedFormUtility.power(parse_number(stanza["c"]), parse_number(stanza["k"]))
         if kind == "log":
-            return "form", ClosedFormUtility.log(parse_number(stanza["c"]))
+            return ClosedFormUtility.log(parse_number(stanza["c"]))
     except (KeyError, ValueError, TypeError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise ScenarioError(f"buyer {index}: {exc}") from exc
     raise ScenarioError(f"buyer {index}: unknown utility kind {kind!r}")
 
@@ -165,6 +151,8 @@ def parse_schedule(stanza, n: int) -> ShareSchedule:
 
 
 def _parse_auction(stanza) -> AuctionConfig:
+    if not isinstance(stanza, dict):
+        raise ScenarioError("auction stanza must be an object")
     try:
         return AuctionConfig(
             reserve=parse_number(stanza.get("reserve", 0)),
@@ -175,10 +163,12 @@ def _parse_auction(stanza) -> AuctionConfig:
         raise ScenarioError(f"auction: {exc}") from exc
 
 
-def _irrational_input(parsed_buyers, named_schedules) -> Optional[str]:
+def _irrational_input(reports, named_schedules) -> Optional[str]:
     """Why the scenario's numbers cannot all stay rational, or None if they can."""
-    for kind, value in parsed_buyers:
-        if kind == "form" and (value.kind == "log" or (value.kind == "power" and value.k != 1)):
+    for report in reports:
+        if isinstance(report, ClosedFormUtility) and (
+            report.kind == "log" or (report.kind == "power" and report.k != 1)
+        ):
             return "a buyer needs irrational sampling (power k<1 or log)"
     for name, sched in named_schedules.items():
         if isinstance(sched, RankedSchedule) and sched.weight.power_exponent != 1:
@@ -198,13 +188,16 @@ def load_scenario(
     if not isinstance(buyers, list) or not buyers:
         raise ScenarioError("scenario needs a non-empty \"buyers\" list")
     n = len(buyers)
-    parsed_buyers = [_parse_buyer(b, i) for i, b in enumerate(buyers)]
+    reports = [_parse_buyer(b, i) for i, b in enumerate(buyers)]
 
     if "schedule" not in data:
         raise ScenarioError("scenario needs a \"schedule\" stanza")
     schedule = parse_schedule(data["schedule"], n)
     named = {"primary": schedule}
-    for name, stanza in data.get("schedules", {}).items():
+    schedules = data.get("schedules", {})
+    if not isinstance(schedules, dict):
+        raise ScenarioError("\"schedules\" must be an object mapping names to schedule stanzas")
+    for name, stanza in schedules.items():
         named[name] = parse_schedule(stanza, n)
     for name, sched in named.items():
         if sched.n != n:
@@ -221,8 +214,10 @@ def load_scenario(
     if fixed_price is not None and fixed_price < 0:
         raise ScenarioError("fixed price must be non-negative")
 
-    irrational = _irrational_input(parsed_buyers, named)
+    irrational = _irrational_input(reports, named)
     stanza = data.get("policy", {})
+    if not isinstance(stanza, dict):
+        raise ScenarioError("policy stanza must be an object")
     mode = stanza.get("mode")
     if mode not in (None, "exact", "approx"):
         raise ScenarioError(f"unknown policy mode {mode!r}")
@@ -236,18 +231,6 @@ def load_scenario(
         policy = approx(float(stanza.get("epsilon", 1e-9)))
     else:
         policy = EXACT
-
-    # Closed forms are sampled at every share point any schedule in the file
-    # can hand the buyer, so all runs evaluate them exactly at knots.
-    reports = []
-    for i, (kind, value) in enumerate(parsed_buyers):
-        if kind == "knots":
-            reports.append(UtilityReport(value))
-        else:
-            points = set()
-            for sched in named.values():
-                points.update(sched.share_points(i))
-            reports.append(sample_report(value, {p for p in points if p > 0}))
 
     return Scenario(
         n=n,
@@ -271,8 +254,6 @@ def load_scenario_file(path, **kwargs) -> Scenario:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     try:
         return load_scenario(data, **kwargs)
-    except InvalidReportError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 

@@ -184,6 +184,8 @@ class TableSchedule(ShareSchedule):
         super().__init__(n)
         for key, value in entries.items():
             mask = parse_subset_key(key, n) if isinstance(key, str) else int(key)
+            if not 0 < mask <= full_mask(n):
+                raise ScheduleError(f"subset mask {mask} outside 1..{full_mask(n)}")
             xs, ys = value
             pair = SharePair(tuple(xs), tuple(ys))
             _check_share_vector(pair.resource, mask, n, "resource", policy)

@@ -2,10 +2,11 @@
 
 The message space of the group-bidding mechanism is the set of finite knot
 lists whose piecewise-linear extrapolation is concave, non-decreasing, zero at
-x=0 and defined up to x=1.  Closed forms (linear, power, log) act purely as
-generators: :func:`sample_report` turns them into knot lists at the share
-points a schedule can actually hand out, which keeps validation decidable and
-the engine's evaluations exact at every point it ever queries.
+x=0 and defined up to x=1.  Closed forms (linear, power, log) are admissible
+by construction, so the engine also takes a :class:`ClosedFormUtility` as a
+report and evaluates it at the share it queries.  :func:`sample_report` turns
+a closed form into a knot list at given share points, for menus and oracles
+that need knots; at those points both give the same value.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class UtilityReport:
 
 @dataclass(frozen=True)
 class ClosedFormUtility:
-    """Catalog generator: c*x, c*x**k, or c*ln(1+x).
+    """Closed-form utility c*x, c*x**k, or c*ln(1+x), usable directly as a report.
 
     The power exponent must lie in (0, 1]: a zero exponent with c > 0 would be
     worth c at x=0, which no admissible report can be.

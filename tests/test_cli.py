@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -94,6 +95,57 @@ class TestRun:
         assert "irrational payment shares" in capsys.readouterr().err
         path.write_text(json.dumps(dict(scenario, policy={"mode": "exact"})))
         assert run_cli("run", str(path)) == 2
+
+
+    def write(self, tmp_path, data):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def two_buyers(self, **overrides):
+        data = {
+            "buyers": [{"kind": "linear", "c": "1"}, {"kind": "linear", "c": "2"}],
+            "schedule": {"kind": "equal-split"},
+            "fixed_price": "1/2",
+        }
+        data.update(overrides)
+        return data
+
+    def test_non_object_auction_exit_2(self, tmp_path, capsys):
+        data = self.two_buyers(auction=5)
+        del data["fixed_price"]
+        assert run_cli("run", self.write(tmp_path, data)) == 2
+        assert "auction stanza must be an object" in capsys.readouterr().err
+
+    def test_non_object_policy_exit_2(self, tmp_path, capsys):
+        assert run_cli("run", self.write(tmp_path, self.two_buyers(policy=5))) == 2
+        assert "policy stanza must be an object" in capsys.readouterr().err
+
+    def test_non_object_schedules_exit_2(self, tmp_path, capsys):
+        assert run_cli("run", self.write(tmp_path, self.two_buyers(schedules=[]))) == 2
+        assert "\"schedules\" must be an object" in capsys.readouterr().err
+
+    def ranked_linear(self, n):
+        return {
+            "buyers": [{"kind": "linear", "c": str(F(i + 1, n))} for i in range(n)],
+            "schedule": {"kind": "rras", "order": list(range(n))[::-1],
+                         "base": [str(F(1, n))] * n, "f": "identity"},
+            "auction": {"reserve": "1/4", "competing_bids": ["1/10"]},
+        }
+
+    @pytest.mark.parametrize("n", [17, 32])
+    def test_closed_form_buyers_run_up_to_32(self, tmp_path, capsys, n):
+        # closed forms are evaluated where the trace queries them, so no
+        # subset enumeration caps the buyer count below the schedules' 32
+        assert run_cli("run", self.write(tmp_path, self.ranked_linear(n)), "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["auction"]["group_won"]
+        assert "exact" in report["outcome"]["price"]
+        assert sum(F(p["exact"]) for p in report["outcome"]["payments"]) == F(1, 4)
+
+    def test_33_buyers_rejected_at_load(self, tmp_path, capsys):
+        assert run_cli("run", self.write(tmp_path, self.ranked_linear(33))) == 2
+        assert "buyer count must lie in 1..32" in capsys.readouterr().err
 
 
 class TestValidateSchedule:

@@ -1,9 +1,14 @@
-"""Metamorphic properties of the engine in the exact lane.
+"""Properties of the engine on random instances.
 
-Random rational instances with 2 to 4 buyers over equal split, a
-cross-monotonic table and a ranked schedule with identity weight: relabelling
-buyers, scaling reports and price, and starting from the full group must all
-leave the engine's answer unchanged up to the obvious map.
+Metamorphic, in the exact lane: random rational instances with 2 to 4 buyers
+over equal split, a cross-monotonic table and a ranked schedule with identity
+weight; relabelling buyers, scaling reports and price, and starting from the
+full group must all leave the engine's answer unchanged up to the obvious map.
+
+Reference, in both lanes: a closed-form buyer passed to the engine as it is
+must give the same trace and outcomes as its knot list sampled at the share
+points with :func:`sample_report`, because the engine only queries share
+points.
 """
 
 from fractions import Fraction as F
@@ -11,7 +16,9 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupbuy.mechanism import allocate, compute_bid_trace
+from groupbuy.auction import AuctionConfig, run_group_participation
+from groupbuy.mechanism import allocate, compute_bid_trace, fixed_price_outcome
+from groupbuy.numeric import EXACT, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -19,16 +26,18 @@ from groupbuy.schedule import (
     full_mask,
     identity_weight,
     members,
+    sqrt_weight,
 )
-from groupbuy.utility import random_concave_utility
+from groupbuy.utility import ClosedFormUtility, random_concave_utility, sample_report
 
 
 def build_schedule(kind, weights, order):
     n = len(weights)
     if kind == "equal-split":
         return EqualSplitSchedule(n)
-    if kind == "ranked":
-        return RankedSchedule(order, [F(w, sum(weights)) for w in weights], identity_weight())
+    if kind in ("ranked", "ranked-sqrt"):
+        weight = identity_weight() if kind == "ranked" else sqrt_weight()
+        return RankedSchedule(order, [F(w, sum(weights)) for w in weights], weight)
     table = {}
     for mask in range(1, 1 << n):
         total = sum(weights[i] for i in members(mask))
@@ -110,3 +119,44 @@ def test_full_start_gives_the_default_trace(instance):
     _, weights, _, schedule, reports, _ = instance
     default = compute_bid_trace(reports, schedule)
     assert compute_bid_trace(reports, schedule, start=full_mask(len(weights))) == default
+
+
+coefficients = st.builds(F, st.integers(0, 40), st.just(10))
+closed_forms = st.one_of(
+    st.builds(ClosedFormUtility.linear, coefficients),
+    st.builds(
+        ClosedFormUtility.power, coefficients,
+        st.sampled_from((F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1))),
+    ),
+    st.builds(ClosedFormUtility.log, coefficients),
+)
+prices = st.builds(F, st.integers(0, 80), st.just(20))  # 0 to 4 in steps of 1/20
+
+
+@given(
+    st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.sampled_from(("equal-split", "cmss", "ranked", "ranked-sqrt")),
+        st.lists(st.integers(1, 9), min_size=n, max_size=n),
+        st.permutations(range(n)),
+        st.lists(closed_forms, min_size=n, max_size=n),
+    )),
+    prices,
+    st.lists(prices, max_size=2),
+)
+@settings(max_examples=80, deadline=None)
+def test_closed_forms_match_their_sampled_reports(instance, reserve, rivals):
+    kind, weights, order, forms = instance
+    schedule = build_schedule(kind, weights, order)
+    sampled = [
+        sample_report(form, [p for p in schedule.share_points(i) if p > 0])
+        for i, form in enumerate(forms)
+    ]
+    cfg = AuctionConfig(reserve, tuple(rivals))
+    for policy in (EXACT, approx()):
+        lazy = run_group_participation(forms, schedule, cfg, policy)
+        assert lazy == run_group_participation(sampled, schedule, cfg, policy)
+        for k in range(81):  # every price on the grid: a sweep only shows where it flips
+            price = F(k, 20)
+            assert fixed_price_outcome(forms, schedule, price, policy) == fixed_price_outcome(
+                sampled, schedule, price, policy
+            )

@@ -18,6 +18,7 @@ from groupbuy.scenario import (
 )
 from groupbuy.schedule import EqualSplitSchedule, RankedSchedule
 from groupbuy.numeric import EXACT, approx
+from groupbuy.utility import ClosedFormUtility
 
 
 def minimal(**overrides):
@@ -77,12 +78,13 @@ class TestLoading:
         data["schedule"] = dict(ranked, f="power:1")
         assert load_scenario(data).policy.exact
 
-    def test_closed_forms_sampled_at_share_points(self):
+    def test_closed_forms_evaluated_at_queried_share(self):
         data = minimal()
         data["buyers"][1] = {"kind": "power", "c": "1", "k": "1/2"}
         sc = load_scenario(data)
-        xs = [x for x, _ in sc.reports[1].knots]
-        assert F(1, 2) in xs and F(1) in xs
+        form = ClosedFormUtility.power(1, F(1, 2))
+        for x in (F(1, 2), F(1)):
+            assert sc.reports[1].value_at(x) == form.value_at(x)
 
     def test_needs_exactly_one_price_source(self):
         data = minimal()

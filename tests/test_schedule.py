@@ -147,6 +147,9 @@ class TestShareInvariants:
             TableSchedule(2, {"0": ((F(1, 2), F(1, 2)), (F(1), F(0)))})
         with pytest.raises(ScheduleError, match=r"no shares defined for subset \{0\}"):
             TableSchedule(2, {"0,1": ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))})
+        for stray in (3, -1):  # int masks outside 1..full_mask(1)
+            with pytest.raises(ScheduleError, match=r"outside 1\.\.1"):
+                TableSchedule(1, {1: ((1,), (1,)), stray: ((1,), (1,))})
 
 
 class TestCrossMonotonic:

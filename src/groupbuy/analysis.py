@@ -21,6 +21,9 @@ from .schedule import ShareSchedule, full_mask, members, nonempty_subsets
 from .utility import ClosedFormUtility, UtilityReport, sample_report, validate_knots
 
 
+FUZZ_MAX_BUYERS = 3  # buyer-count limit of the deviation scans
+
+
 # ---------------------------------------------------------------------------
 # Preferences over outcomes
 
@@ -67,7 +70,6 @@ def outcome_for_buyer(
 
 def concave_report_grid(
     schedule: ShareSchedule,
-    u_max: Num = 1,
     levels: Sequence[Num] = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1),
 ) -> list:
     """Per-buyer report menus: value tuples at the buyer's reachable share points.
@@ -76,7 +78,7 @@ def concave_report_grid(
     admissible becomes one report, so the menu spans the whole concave class
     at grid resolution.
     """
-    scaled = tuple(u_max * Fraction(l) for l in levels)
+    scaled = tuple(Fraction(l) for l in levels)
     grid = []
     for buyer in range(schedule.n):
         points = [p for p in schedule.share_points(buyer) if p > 0]
@@ -168,8 +170,8 @@ def _scan_coalitions(
     policy: NumericPolicy,
 ) -> FuzzResult:
     n = schedule.n
-    if n > 3:
-        raise ValueError("deviation enumeration is capped at 3 buyers")
+    if n > FUZZ_MAX_BUYERS:
+        raise ValueError(f"deviation enumeration is capped at {FUZZ_MAX_BUYERS} buyers")
     if len(report_grid) != n:
         raise ValueError("report grid must have one menu per buyer")
 
@@ -347,6 +349,8 @@ def optimal_welfare(reports: Sequence[UtilityReport]) -> Tuple[Num, tuple]:
     """
     segments = []
     for buyer, report in enumerate(reports):
+        if not isinstance(report, UtilityReport):
+            raise ValueError(f"buyer {buyer}: a knot report is needed (see sample_report)")
         knots = report.knots
         for (x0, u0), (x1, u1) in zip(knots, knots[1:]):
             slope = (u1 - u0) / (x1 - x0)

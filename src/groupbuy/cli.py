@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
+    FUZZ_MAX_BUYERS,
     BudgetError,
     compare_schedules,
     concave_report_grid,
@@ -29,6 +30,8 @@ from .auction import AuctionConfig, run_group_participation
 from .mechanism import compute_bid_trace, fixed_price_outcome
 from .numeric import decimal_str
 from .schedule import (
+    ORACLE_MAX_BUYERS,
+    VALIDATION_MAX_BUYERS,
     RankedSchedule,
     ScheduleError,
     brute_force_monotonicity_check,
@@ -69,15 +72,6 @@ def _write_or_print(text: str, out_path):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _print_trace(trace):
-    print("step  subset        max_payment     removed")
-    for j, step in enumerate(trace.steps, start=1):
-        print(
-            f"{j:<5} {_braces(step.subset):<13} {_fmt(step.max_payment):<15} "
-            f"{_braces(step.removed)}"
-        )
 
 
 def _load(args):
@@ -142,12 +136,15 @@ def cmd_run(args) -> int:
         _write_or_print("\n".join(lines), args.out)
         print(summary)
     else:
-        _print_trace(trace)
+        print("step  subset        max_payment     removed")
+        for j, step in enumerate(trace.steps, start=1):
+            print(
+                f"{j:<5} {_braces(step.subset):<13} {_fmt(step.max_payment):<15} "
+                f"{_braces(step.removed)}"
+            )
         print(summary)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
+            _write_or_print(json.dumps(report, indent=2), args.out)
     return 0
 
 
@@ -155,8 +152,8 @@ def cmd_validate_schedule(args) -> int:
     scenario = _load(args)
     schedule = scenario.schedule
     policy = scenario.policy
-    if schedule.n > 12:
-        print("validation is capped at 12 buyers", file=sys.stderr)
+    if schedule.n > VALIDATION_MAX_BUYERS:
+        print(f"validation is capped at {VALIDATION_MAX_BUYERS} buyers", file=sys.stderr)
         return 2
 
     zero_share_members = [
@@ -203,7 +200,7 @@ def cmd_validate_schedule(args) -> int:
             f"{[(str(x), _fmt(u)) for x, u in mono.utility.knots]} with C={_fmt(mono.constant)}"
         )
 
-    if schedule.n <= 8:
+    if schedule.n <= ORACLE_MAX_BUYERS:
         spot = brute_force_monotonicity_check(
             schedule, samples=min(args.budget, 5000), seed=args.seed or 0, policy=policy,
             report_class=report_class,
@@ -217,7 +214,7 @@ def cmd_validate_schedule(args) -> int:
                 f"{_braces(spot.subset_a)} within {_braces(spot.subset_b)} with C={_fmt(spot.constant)}"
             )
     else:
-        print("brute-force spot check skipped (more than 8 buyers)")
+        print(f"brute-force spot check skipped (more than {ORACLE_MAX_BUYERS} buyers)")
 
     print("Pass" if ok else "FAIL")
     return 0 if ok else 1
@@ -232,8 +229,8 @@ def cmd_fuzz(args) -> int:
     archives counterexamples rather than failing); this command relies on it.
     """
     scenario = _load(args)
-    if scenario.n > 3:
-        print("fuzzing is capped at 3 buyers", file=sys.stderr)
+    if scenario.n > FUZZ_MAX_BUYERS:
+        print(f"fuzzing is capped at {FUZZ_MAX_BUYERS} buyers", file=sys.stderr)
         return 2
     if args.budget == 0:
         print("warning: budget 0, nothing fuzzed")

@@ -3,8 +3,9 @@
 Starting from the whole group (or any start subset), each step computes the
 largest total payment the current subset could bear: the smallest ratio of a
 member's reported utility for its resource share to its payment share.  The
-members whose reports exactly meet that bound (the bottleneck buyers) are
-removed and the step repeats until nobody is left.  :func:`compute_bid_trace`
+members whose reports exactly meet that bound (the bottleneck buyers, those
+with ``policy.eq(ratio, bound)``: the one rule of :mod:`groupbuy.numeric`)
+are removed and the step repeats until nobody is left.  :func:`compute_bid_trace`
 is that one loop.  The largest bearable payment across steps is the group's
 bid; once a price is realized, :func:`allocate` picks the largest traced
 subset whose bearable payment covers it, which divides resource and payment
@@ -24,6 +25,7 @@ from .schedule import (
     ShareSchedule,
     full_mask,
     is_subset,
+    mask_of,
     members,
     subset_key,
 )
@@ -71,15 +73,6 @@ def _check_inputs(reports: Sequence[UtilityReport], schedule: ShareSchedule):
             raise ValueError(f"report {i} is neither a UtilityReport nor a ClosedFormUtility")
 
 
-def _is_bottleneck(ratio, value, y, bound, policy: NumericPolicy) -> bool:
-    # Exact mode compares the ratios themselves (identical to the product
-    # form on rationals, and safe if floats sneak in); tolerance mode uses a
-    # relative window so sampled irrational values stay detectable.
-    if policy.exact:
-        return ratio == bound
-    return abs(bound * y - value) <= policy.epsilon * max(1, bound)
-
-
 def compute_bid_trace(
     reports: Sequence[UtilityReport],
     schedule: ShareSchedule,
@@ -91,8 +84,8 @@ def compute_bid_trace(
     Reports are validated at construction (closed forms are admissible by
     construction and evaluated at the queried share); the engine assumes
     admissibility.
-    Terminates in at most n steps: the bottleneck set is never empty because
-    payment shares sum to one, so some member attains the minimum ratio.
+    Terminates in at most n steps: payment shares sum to one, so some member
+    has a ratio, and the one at the minimum passes ``policy.eq(ratio, bound)``.
     Starting from a smaller set exercises winning-set stability: removing
     non-winners up front must not change the winner, and removing one winner
     shrinks it.
@@ -109,22 +102,17 @@ def compute_bid_trace(
     while subset:
         pair = schedule.shares_for(subset)
         ratios = {}
-        values = {}
         for i in members(subset):
             y = pair.payment[i]
             if policy.is_positive(y):
-                values[i] = reports[i].value_at(pair.resource[i])
-                ratios[i] = values[i] / y
+                ratios[i] = reports[i].value_at(pair.resource[i]) / y
         if not ratios:
             raise DegenerateScheduleError(
                 f"no member of {{{subset_key(subset)}}} has a positive payment share",
                 subset,
             )
         bound = min(ratios.values())
-        removed = 0
-        for i, ratio in ratios.items():
-            if _is_bottleneck(ratio, values[i], pair.payment[i], bound, policy):
-                removed |= 1 << i
+        removed = mask_of(i for i, ratio in ratios.items() if policy.eq(ratio, bound))
         steps.append(BidStep(subset, bound, removed))
         subset &= ~removed
     return BidTrace(tuple(steps))

@@ -4,6 +4,11 @@ Quantities in this package are plain Python numbers: ``fractions.Fraction``
 (or ``int``) wherever a value is exactly representable, ``float`` where an
 irrational closed form (sqrt, log) has been evaluated.  A ``NumericPolicy``
 decides how two such numbers compare; it never changes how they are computed.
+
+The package has one tolerance rule and applies it only here: exact when
+``epsilon`` is None (meant for rational data), otherwise an absolute
+``epsilon`` in every comparison, the engine's bottleneck test
+``eq(ratio, bound)`` included.
 """
 
 from __future__ import annotations
@@ -22,12 +27,10 @@ DEFAULT_EPSILON = 1e-9
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    """Comparison rules for scalars.
+    """Comparison rules for scalars, exact or within the absolute ``epsilon``.
 
-    With ``epsilon=None`` comparisons are exact (meant for rational-valued
-    data).  Otherwise two values are equal when they differ by at most
-    ``epsilon``, and the strict orderings shrink accordingly: ``lt(a, b)``
-    means ``a < b - epsilon`` and ``le(a, b)`` means ``a <= b + epsilon``.
+    The strict orderings shrink by ``epsilon``: ``lt(a, b)`` means
+    ``a < b - epsilon`` and ``le(a, b)`` means ``a <= b + epsilon``.
     """
 
     epsilon: float | None = None
@@ -65,8 +68,8 @@ EXACT = NumericPolicy()
 
 
 def approx(epsilon: float = DEFAULT_EPSILON) -> NumericPolicy:
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
     return NumericPolicy(epsilon)
 
 
@@ -97,15 +100,14 @@ def parse_number(value) -> Fraction:
     raise ValueError(f"cannot parse number {value!r}")
 
 
-def decimal_str(v: Num, sig: int = 15) -> str:
-    """Decimal rendering with ``sig`` significant digits."""
-    return f"{float(v):.{sig}g}"
+def decimal_str(v: Num) -> str:
+    """Decimal rendering with 15 significant digits."""
+    return f"{float(v):.15g}"
 
 
 def exact_str(v: Num) -> str:
     """"p/q" rendering of a rational value."""
-    f = Fraction(v)
-    return str(f)
+    return str(Fraction(v))
 
 
 def piecewise_value(xs, us, x):

@@ -27,6 +27,7 @@ the exact arithmetic policy.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -35,6 +36,7 @@ from typing import Optional
 from .auction import GROUP_WINS, AuctionConfig, AuctionResult
 from .mechanism import AllocationOutcome, BidTrace
 from .numeric import (
+    DEFAULT_EPSILON,
     EXACT,
     Num,
     NumericPolicy,
@@ -84,12 +86,23 @@ class Scenario:
         return self.auction.threshold
 
 
+@contextmanager
+def _malformed(label: str):
+    """Re-raise a malformed value met inside the block as a ScenarioError naming ``label``."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ScenarioError(f"{label}: {exc}") from exc
+
+
 def _parse_buyer(stanza, index: int):
     """A ``knots`` buyer as a UtilityReport, a closed form as its ClosedFormUtility."""
     if not isinstance(stanza, dict) or "kind" not in stanza:
         raise ScenarioError(f"buyer {index}: expected an object with a \"kind\" field")
     kind = stanza["kind"]
-    try:
+    with _malformed(f"buyer {index}"):
         if kind == "knots":
             return UtilityReport(
                 tuple((parse_number(x), parse_number(u)) for x, u in stanza["points"])
@@ -100,8 +113,6 @@ def _parse_buyer(stanza, index: int):
             return ClosedFormUtility.power(parse_number(stanza["c"]), parse_number(stanza["k"]))
         if kind == "log":
             return ClosedFormUtility.log(parse_number(stanza["c"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"buyer {index}: {exc}") from exc
     raise ScenarioError(f"buyer {index}: unknown utility kind {kind!r}")
 
 
@@ -119,7 +130,7 @@ def parse_schedule(stanza, n: int) -> ShareSchedule:
     if not isinstance(stanza, dict) or "kind" not in stanza:
         raise ScenarioError("schedule stanza must be an object with a \"kind\" field")
     kind = stanza["kind"]
-    try:
+    with _malformed("schedule"):
         if kind == "equal-split":
             return EqualSplitSchedule(n)
         if kind == "cmss":
@@ -143,24 +154,18 @@ def parse_schedule(stanza, n: int) -> ShareSchedule:
                 for key, cell in stanza["entries"].items()
             }
             return TableSchedule(n, entries)
-    except ScenarioError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"schedule: {exc}") from exc
     raise ScenarioError(f"unknown schedule kind {kind!r}")
 
 
 def _parse_auction(stanza) -> AuctionConfig:
     if not isinstance(stanza, dict):
         raise ScenarioError("auction stanza must be an object")
-    try:
+    with _malformed("auction"):
         return AuctionConfig(
             reserve=parse_number(stanza.get("reserve", 0)),
             competing_bids=tuple(parse_number(b) for b in stanza.get("competing_bids", [])),
             tie_policy=stanza.get("tie_policy", GROUP_WINS),
         )
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"auction: {exc}") from exc
 
 
 def _irrational_input(reports, named_schedules) -> Optional[str]:
@@ -210,7 +215,8 @@ def load_scenario(
     if has_auction == has_fixed:
         raise ScenarioError("scenario needs exactly one of \"auction\" or \"fixed_price\"")
     auction = _parse_auction(data["auction"]) if has_auction else None
-    fixed_price = parse_number(data["fixed_price"]) if has_fixed else None
+    with _malformed("fixed_price"):
+        fixed_price = parse_number(data["fixed_price"]) if has_fixed else None
     if fixed_price is not None and fixed_price < 0:
         raise ScenarioError("fixed price must be non-negative")
 
@@ -221,16 +227,21 @@ def load_scenario(
     mode = stanza.get("mode")
     if mode not in (None, "exact", "approx"):
         raise ScenarioError(f"unknown policy mode {mode!r}")
+    policy = EXACT
     if force_exact or (epsilon is None and mode == "exact"):
         if irrational:
             raise ScenarioError(f"exact arithmetic requested but {irrational}")
-        policy = EXACT
-    elif epsilon is not None:
-        policy = approx(epsilon)
-    elif mode == "approx" or irrational:
-        policy = approx(float(stanza.get("epsilon", 1e-9)))
-    else:
-        policy = EXACT
+    elif epsilon is not None or mode == "approx" or irrational:
+        with _malformed("policy"):
+            if epsilon is None:
+                epsilon = float(parse_number(stanza.get("epsilon", DEFAULT_EPSILON)))
+            policy = approx(epsilon)
+
+    if seed is None and "seed" in data:
+        with _malformed("seed"):
+            seed = parse_number(data["seed"])
+        if seed.denominator != 1:
+            raise ScenarioError(f"seed must be an integer, not {data['seed']!r}")
 
     return Scenario(
         n=n,
@@ -240,7 +251,7 @@ def load_scenario(
         auction=auction,
         fixed_price=fixed_price,
         policy=policy,
-        seed=seed if seed is not None else int(data.get("seed", 0)),
+        seed=int(seed or 0),
     )
 
 

@@ -35,6 +35,11 @@ from .utility import (
 )
 
 
+ENUMERATION_MAX_BUYERS = 16  # buyer-count limit of share_points and rras_resource_table
+VALIDATION_MAX_BUYERS = 12  # of validate_cross_monotonic and validate_monotonicity
+ORACLE_MAX_BUYERS = 8  # of brute_force_monotonicity_check
+
+
 # ---------------------------------------------------------------------------
 # Buyer-set bitmasks
 
@@ -112,7 +117,7 @@ class SharePair:
     payment: tuple
 
 
-def _check_share_vector(values: Sequence, subset: int, n: int, label: str, policy: NumericPolicy):
+def _check_share_vector(values: Sequence, subset: int, n: int, label: str):
     if len(values) != n:
         raise ScheduleError(f"{label} shares for {{{subset_key(subset)}}} must have {n} entries")
     total = sum(values)
@@ -123,7 +128,7 @@ def _check_share_vector(values: Sequence, subset: int, n: int, label: str, polic
             raise ScheduleError(
                 f"positive {label} share for buyer {i} outside subset {{{subset_key(subset)}}}"
             )
-    if not policy.eq(total, 1):
+    if total != 1:
         raise ScheduleError(f"{label} shares for {{{subset_key(subset)}}} sum to {total}, not 1")
 
 
@@ -152,8 +157,8 @@ class ShareSchedule:
 
     def share_points(self, buyer: int) -> tuple:
         """All resource shares the buyer can receive, across every subset."""
-        if self.n > 16:
-            raise ScheduleError("share-point enumeration is capped at 16 buyers")
+        if self.n > ENUMERATION_MAX_BUYERS:
+            raise ScheduleError(f"share-point enumeration is capped at {ENUMERATION_MAX_BUYERS} buyers")
         points = set()
         bit = 1 << buyer
         for mask in nonempty_subsets(full_mask(self.n)):
@@ -177,10 +182,10 @@ class EqualSplitSchedule(ShareSchedule):
 class TableSchedule(ShareSchedule):
     """Explicit share pairs for every non-empty subset; only sensible for small n.
 
-    Validated at construction, where a missing subset is an error too.
+    Validated exactly at construction, where a missing subset is an error too.
     """
 
-    def __init__(self, n: int, entries: Mapping, policy: NumericPolicy = EXACT):
+    def __init__(self, n: int, entries: Mapping):
         super().__init__(n)
         for key, value in entries.items():
             mask = parse_subset_key(key, n) if isinstance(key, str) else int(key)
@@ -188,23 +193,23 @@ class TableSchedule(ShareSchedule):
                 raise ScheduleError(f"subset mask {mask} outside 1..{full_mask(n)}")
             xs, ys = value
             pair = SharePair(tuple(xs), tuple(ys))
-            _check_share_vector(pair.resource, mask, n, "resource", policy)
+            _check_share_vector(pair.resource, mask, n, "resource")
             if pair.payment is not pair.resource:  # payment = resource is checked once
-                _check_share_vector(pair.payment, mask, n, "payment", policy)
+                _check_share_vector(pair.payment, mask, n, "payment")
             self._cache[mask] = pair
         missing = next((m for m in range(1, full_mask(n) + 1) if m not in self._cache), None)
         if missing is not None:
             raise ScheduleError(f"no shares defined for subset {{{subset_key(missing)}}}")
 
 
-def CrossMonotonicSchedule(n: int, resource: Mapping, policy: NumericPolicy = EXACT) -> TableSchedule:
+def CrossMonotonicSchedule(n: int, resource: Mapping) -> TableSchedule:
     """Table schedule whose payment shares equal its resource shares.
 
     The table is declared cross-monotonic (shares never shrink as the set
     shrinks) but not verified here; run :func:`validate_cross_monotonic`.
     """
     vectors = {key: tuple(xs) for key, xs in resource.items()}
-    return TableSchedule(n, {key: (vec, vec) for key, vec in vectors.items()}, policy)
+    return TableSchedule(n, {key: (vec, vec) for key, vec in vectors.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +315,6 @@ class RankedSchedule(ShareSchedule):
         order: Sequence[int],
         base: Sequence,
         weight: WeightFunction = identity_weight(),
-        policy: NumericPolicy = EXACT,
     ):
         n = len(order)
         super().__init__(n)
@@ -320,7 +324,7 @@ class RankedSchedule(ShareSchedule):
             raise ScheduleError("base shares must have one entry per buyer")
         if any(b < 0 for b in base):
             raise ScheduleError("base shares must be non-negative")
-        if not policy.eq(sum(base), 1):
+        if sum(base) != 1:
             raise ScheduleError(f"base shares sum to {sum(base)}, not 1")
         self.order = tuple(order)
         self.base = tuple(base)
@@ -339,8 +343,8 @@ def rras_resource_table(order: Sequence[int], base: Sequence) -> dict:
     schedule; the ranked rule's resource shares are cross-monotonic.
     """
     n = len(order)
-    if n > 16:
-        raise ScheduleError("table expansion is capped at 16 buyers")
+    if n > ENUMERATION_MAX_BUYERS:
+        raise ScheduleError(f"table expansion is capped at {ENUMERATION_MAX_BUYERS} buyers")
     return {
         mask: rras_resource_shares(order, base, mask)
         for mask in nonempty_subsets(full_mask(n))
@@ -360,8 +364,23 @@ class CrossMonotonicityWitness:
     subset_b: int
 
 
+def _deletion_pairs(schedule: ShareSchedule, check: str) -> Iterator[tuple]:
+    """(buyer i, A, B, shares of A, shares of B) for every B and A = B minus one buyer, i in A."""
+    if schedule.n > VALIDATION_MAX_BUYERS:
+        raise ScheduleError(f"{check} capped at {VALIDATION_MAX_BUYERS} buyers")
+    for b_mask in nonempty_subsets(full_mask(schedule.n)):
+        if b_mask.bit_count() < 2:
+            continue
+        pair_b = schedule.shares_for(b_mask)
+        for k in members(b_mask):
+            a_mask = b_mask & ~(1 << k)
+            pair_a = schedule.shares_for(a_mask)
+            for i in members(a_mask):
+                yield i, a_mask, b_mask, pair_a, pair_b
+
+
 def validate_cross_monotonic(
-    schedule: ShareSchedule, max_n: int = 12, policy: NumericPolicy = EXACT
+    schedule: ShareSchedule, policy: NumericPolicy = EXACT
 ) -> Optional[CrossMonotonicityWitness]:
     """Exhaustive cross-monotonicity check via single-buyer deletions.
 
@@ -369,19 +388,9 @@ def validate_cross_monotonic(
     along nested subsets, so any violating pair implies a violating one-step
     pair.
     """
-    n = schedule.n
-    if n > max_n:
-        raise ScheduleError(f"cross-monotonicity check capped at {max_n} buyers")
-    for b_mask in nonempty_subsets(full_mask(n)):
-        if b_mask.bit_count() < 2:
-            continue
-        x_b = schedule.shares_for(b_mask).resource
-        for k in members(b_mask):
-            a_mask = b_mask & ~(1 << k)
-            x_a = schedule.shares_for(a_mask).resource
-            for i in members(a_mask):
-                if policy.lt(x_a[i], x_b[i]):
-                    return CrossMonotonicityWitness(i, a_mask, b_mask)
+    for i, a_mask, b_mask, pair_a, pair_b in _deletion_pairs(schedule, "cross-monotonicity check"):
+        if policy.lt(pair_a.resource[i], pair_b.resource[i]):
+            return CrossMonotonicityWitness(i, a_mask, b_mask)
     return None
 
 
@@ -473,7 +482,6 @@ def _pair_violation(x_a, x_b, y_a, y_b, policy: NumericPolicy, report_class: Rep
 
 def validate_monotonicity(
     schedule: ShareSchedule,
-    max_n: int = 12,
     policy: NumericPolicy = EXACT,
     report_class: Optional[ReportClass] = None,
 ) -> Optional[MonotonicityWitness]:
@@ -487,25 +495,15 @@ def validate_monotonicity(
     """
     if report_class is None:
         report_class = concave_class()
-    n = schedule.n
-    if n > max_n:
-        raise ScheduleError(f"monotonicity check capped at {max_n} buyers")
-    for b_mask in nonempty_subsets(full_mask(n)):
-        if b_mask.bit_count() < 2:
-            continue
-        pair_b = schedule.shares_for(b_mask)
-        for k in members(b_mask):
-            a_mask = b_mask & ~(1 << k)
-            pair_a = schedule.shares_for(a_mask)
-            for i in members(a_mask):
-                found = _pair_violation(
-                    pair_a.resource[i], pair_b.resource[i],
-                    pair_a.payment[i], pair_b.payment[i],
-                    policy, report_class,
-                )
-                if found is not None:
-                    utility, constant = found
-                    return MonotonicityWitness(i, a_mask, b_mask, utility, constant)
+    for i, a_mask, b_mask, pair_a, pair_b in _deletion_pairs(schedule, "monotonicity check"):
+        found = _pair_violation(
+            pair_a.resource[i], pair_b.resource[i],
+            pair_a.payment[i], pair_b.payment[i],
+            policy, report_class,
+        )
+        if found is not None:
+            utility, constant = found
+            return MonotonicityWitness(i, a_mask, b_mask, utility, constant)
     return None
 
 
@@ -524,7 +522,6 @@ def brute_force_monotonicity_check(
     samples: int,
     seed: int = 0,
     policy: NumericPolicy = EXACT,
-    u_max: Num = 2,
     report_class: Optional[ReportClass] = None,
 ) -> Optional[MonotonicityWitness]:
     """Sampling oracle: directly test the bound-carrying implication.
@@ -534,13 +531,15 @@ def brute_force_monotonicity_check(
     rotate through random class members (concave reports, linears, ramps and
     the zero report, or powers when the class is a power family); besides a
     uniform draw, C is also tried at the midpoint of the candidate violation
-    window so genuine violations are found quickly.
+    window so genuine violations are found quickly.  Sampled utilities are
+    worth at most 2 at x=1.
     """
     if report_class is None:
         report_class = concave_class()
     n = schedule.n
-    if n > 8:
-        raise ScheduleError("brute-force monotonicity oracle capped at 8 buyers")
+    if n > ORACLE_MAX_BUYERS:
+        raise ScheduleError(f"brute-force monotonicity oracle capped at {ORACLE_MAX_BUYERS} buyers")
+    u_max = 2
     rng = random.Random(seed)
     masks = list(nonempty_subsets(full_mask(n)))
     grain = 10 ** 6
@@ -616,7 +615,7 @@ def _verify_crossing_failure(weight, utility, constant, x_above, x_not_above) ->
 
 
 def single_crossing_check(
-    weight: WeightFunction, report_class: ReportClass, grid: int = 64, seed: int = 0
+    weight: WeightFunction, report_class: ReportClass
 ) -> Optional[SingleCrossingCounterexample]:
     """Does C*weight cross every class member at most once, from below?
 
@@ -625,11 +624,9 @@ def single_crossing_check(
     (C*x**q / (c*x**k) is non-decreasing iff q >= k).  The identity weight
     holds against the whole concave class since chords of a concave function
     through the origin only flatten.  Everything else falls back to a grid
-    search over sampled class members; a None result is then only
-    "holds at this resolution".
+    search over sampled class members at the 65 points j/64; a None result
+    is then only "holds at this resolution".
     """
-    if grid < 16:
-        raise ValueError("grid must have at least 16 points")
     q = weight.power_exponent
     if q is not None:
         # The steepest class member decides: x**k_max, or x itself (k = 1) for
@@ -643,8 +640,8 @@ def single_crossing_check(
         if _verify_crossing_failure(weight, utility, constant, candidate.x_above, 1):
             return candidate
 
-    xs = [Fraction(j, grid) for j in range(grid + 1)]
-    rng = random.Random(seed)
+    xs = [Fraction(j, 64) for j in range(65)]
+    rng = random.Random(0)
     samples: list = []
     if report_class.kind == "power":
         lo, hi = Fraction(report_class.k_min), Fraction(report_class.k_max)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .numeric import Num, NumericPolicy, infer_policy, piecewise_value
+from .numeric import Num, infer_policy, piecewise_value
 
 
 class InvalidReportError(ValueError):
@@ -45,16 +45,15 @@ class Violation:
         return messages[self.reason]
 
 
-def validate_knots(knots: Sequence, policy: Optional[NumericPolicy] = None) -> Optional[Violation]:
+def validate_knots(knots: Sequence) -> Optional[Violation]:
     """Check the report invariants; return the first violation or None.
 
-    With ``policy=None`` the comparison policy is inferred: exact when every
-    coordinate is rational, the default float tolerance otherwise.
+    Comparisons are exact when every coordinate is rational, under the
+    default float tolerance otherwise.
     """
     if len(knots) == 0:
         return Violation("empty", 0)
-    if policy is None:
-        policy = infer_policy(c for knot in knots for c in knot)
+    policy = infer_policy(c for knot in knots for c in knot)
     x0, u0 = knots[0]
     if not (policy.eq(x0, 0) and policy.eq(u0, 0)):
         return Violation("first-knot", 0)

@@ -18,6 +18,7 @@ from groupbuy.analysis import (
 )
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.numeric import EXACT, approx
+from groupbuy.scenario import bundled_scenario_path, load_scenario_file
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -334,6 +335,13 @@ class TestEfficiencyGap:
         report = efficiency_gap(worked_reports(sched), sched, 0, APPROX)
         assert report.purchased_by_mechanism
         assert not report.inefficiency_flagged
+
+    def test_closed_forms_need_a_knot_report(self):
+        reports = load_scenario_file(bundled_scenario_path("example1")).reports
+        with pytest.raises(ValueError, match=r"buyer 0: a knot report is needed \(see sample_report\)"):
+            optimal_welfare(reports)
+        with pytest.raises(ValueError, match="buyer 0: a knot report is needed"):
+            efficiency_gap(reports, EqualSplitSchedule(3), F(9, 10), APPROX)
 
 
 class TestCompareSchedules:

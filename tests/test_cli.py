@@ -125,6 +125,33 @@ class TestRun:
         assert run_cli("run", self.write(tmp_path, self.two_buyers(schedules=[]))) == 2
         assert "\"schedules\" must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides,flags,message", [
+        pytest.param({"fixed_price": "abc"}, (), "fixed_price: cannot parse number 'abc'",
+                     id="fixed_price-abc"),
+        pytest.param({"fixed_price": [1]}, (), "fixed_price: cannot parse number [1]",
+                     id="fixed_price-list"),
+        pytest.param({"seed": "abc"}, (), "seed: cannot parse number 'abc'", id="seed-abc"),
+        pytest.param({"seed": 1.5}, (), "seed must be an integer", id="seed-1.5"),
+        pytest.param({"policy": {"mode": "approx", "epsilon": "abc"}}, (),
+                     "policy: cannot parse number 'abc'", id="policy_epsilon-abc"),
+        pytest.param({"policy": {"mode": "approx", "epsilon": True}}, (),
+                     "policy: not a number: True", id="policy_epsilon-true"),
+        pytest.param({"policy": {"mode": "approx", "epsilon": 0}}, (),
+                     "epsilon must be positive", id="policy_epsilon-0"),
+        pytest.param({"policy": {"mode": "approx", "epsilon": -1e-9}}, (),
+                     "epsilon must be positive", id="policy_epsilon-negative"),
+        pytest.param({}, ("--epsilon", "0"), "epsilon must be positive", id="flag_epsilon-0"),
+        pytest.param({}, ("--epsilon", "-1"), "epsilon must be positive", id="flag_epsilon--1"),
+        pytest.param({}, ("--epsilon", "nan"), "epsilon must be positive and finite",
+                     id="flag_epsilon-nan"),
+        pytest.param({}, ("--epsilon", "inf"), "epsilon must be positive and finite",
+                     id="flag_epsilon-inf"),
+    ])
+    def test_malformed_numbers_exit_2(self, tmp_path, capsys, overrides, flags, message):
+        path = self.write(tmp_path, self.two_buyers(**overrides))
+        assert run_cli("run", path, *flags) == 2
+        assert message in capsys.readouterr().err
+
     def ranked_linear(self, n):
         return {
             "buyers": [{"kind": "linear", "c": str(F(i + 1, n))} for i in range(n)],

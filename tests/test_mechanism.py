@@ -94,6 +94,16 @@ class TestTrace:
                 seen &= ~step.removed
             assert seen == 0
 
+    @pytest.mark.parametrize("gap,trace", [
+        (1.5e-9, [(0b11, 0b01), (0b10, 0b10)]),
+        (0.5e-9, [(0b11, 0b11)]),
+    ])
+    def test_bottleneck_tie_is_absolute_epsilon_on_ratios(self, gap, trace):
+        # ratios 1 and 1 + gap: a tie only within epsilon = 1e-9 of the bound
+        reps = [ClosedFormUtility.linear(1), ClosedFormUtility.linear(1 + gap)]
+        got = compute_bid_trace(reps, EqualSplitSchedule(2), APPROX)
+        assert [(s.subset, s.removed) for s in got.steps] == trace
+
     def test_report_count_mismatch(self):
         with pytest.raises(ValueError):
             compute_bid_trace(worked_reports()[:2], equal3())

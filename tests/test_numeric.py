@@ -32,8 +32,9 @@ def test_approx_policy_tolerates_epsilon():
 
 
 def test_approx_requires_positive_epsilon():
-    with pytest.raises(ValueError):
-        approx(0)
+    for bad in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            approx(bad)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,12 @@ Reference, in both lanes: a closed-form buyer passed to the engine as it is
 must give the same trace and outcomes as its knot list sampled at the share
 points with :func:`sample_report`, because the engine only queries share
 points.
+
+Lane agreement: a rational instance run exactly, and again with its utility
+values lowered to floats under the default tolerance, must give the same step
+subsets, removed sets and winning sets, with bids within epsilon.  The values
+sit on coarse grids, so distinct ratios stay far more than epsilon apart and
+only exact ties may merge.
 """
 
 from fractions import Fraction as F
@@ -18,7 +24,7 @@ from hypothesis import strategies as st
 
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.mechanism import allocate, compute_bid_trace, fixed_price_outcome
-from groupbuy.numeric import EXACT, approx
+from groupbuy.numeric import DEFAULT_EPSILON, EXACT, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -28,7 +34,12 @@ from groupbuy.schedule import (
     members,
     sqrt_weight,
 )
-from groupbuy.utility import ClosedFormUtility, random_concave_utility, sample_report
+from groupbuy.utility import (
+    ClosedFormUtility,
+    UtilityReport,
+    random_concave_utility,
+    sample_report,
+)
 
 
 def build_schedule(kind, weights, order):
@@ -160,3 +171,56 @@ def test_closed_forms_match_their_sampled_reports(instance, reserve, rivals):
             assert fixed_price_outcome(forms, schedule, price, policy) == fixed_price_outcome(
                 sampled, schedule, price, policy
             )
+
+
+@st.composite
+def grid_knot_reports(draw):
+    """Concave knots at x = j/4 with slopes on the grid k/4."""
+    slopes = sorted(draw(st.lists(st.integers(0, 12), min_size=4, max_size=4)), reverse=True)
+    points, value = [(F(0), F(0))], F(0)
+    for j, slope in enumerate(slopes, start=1):
+        value += F(slope, 16)
+        points.append((F(j, 4), value))
+    return UtilityReport(tuple(points))
+
+
+rational_reports = st.one_of(
+    st.builds(ClosedFormUtility.linear, st.builds(F, st.integers(0, 16), st.just(4))),
+    grid_knot_reports(),
+)
+
+
+def lowered(report):
+    """The same report with float utility values (share points stay exact)."""
+    if isinstance(report, ClosedFormUtility):
+        return ClosedFormUtility.linear(float(report.c))
+    return UtilityReport(tuple((x, float(u)) for x, u in report.knots))
+
+
+@given(
+    st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.sampled_from(("equal-split", "cmss", "ranked")),
+        st.lists(st.integers(1, 9), min_size=n, max_size=n),
+        st.permutations(range(n)),
+        st.lists(rational_reports, min_size=n, max_size=n),
+    )),
+)
+@settings(max_examples=80, deadline=None)
+def test_exact_and_float_lanes_agree(instance):
+    kind, weights, order, reports = instance
+    schedule = build_schedule(kind, weights, order)
+    exact = compute_bid_trace(reports, schedule, EXACT)
+    floats = compute_bid_trace([lowered(r) for r in reports], schedule, approx())
+    assert [(s.subset, s.removed) for s in floats.steps] == [
+        (s.subset, s.removed) for s in exact.steps
+    ]
+    for f, e in zip(floats.steps, exact.steps):
+        assert abs(f.max_payment - e.max_payment) <= DEFAULT_EPSILON
+
+    # every step's bid, the midpoints between them, zero and above the bid
+    betas = sorted({s.max_payment for s in exact.steps})
+    prices = {F(0), betas[-1] + 1, *betas, *((a + b) / 2 for a, b in zip(betas, betas[1:]))}
+    for price in prices:
+        want = allocate(exact, schedule, price, EXACT)
+        got = allocate(floats, schedule, float(price), approx())
+        assert (got.purchased, got.winning_set) == (want.purchased, want.winning_set)

@@ -337,10 +337,6 @@ class TestSingleCrossing:
         tent = concave_weight([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
         assert single_crossing_check(tent, concave_class()) is not None
 
-    def test_grid_resolution_floor(self):
-        with pytest.raises(ValueError):
-            single_crossing_check(identity_weight(), concave_class(), grid=8)
-
 
 @given(st.integers(0, 200))
 @settings(max_examples=30, deadline=None)

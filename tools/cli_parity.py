@@ -1,0 +1,88 @@
+"""Exit code and output digests of a fixed set of CLI calls, for diffing two checkouts.
+
+Usage, from the root of a checkout::
+
+    python3 tools/cli_parity.py > calls.txt
+    python3 tools/cli_parity.py --cli-scale-seeds 1,9173,11 > calls.txt
+
+It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
+
+* ``run``, ``validate-schedule``, ``fuzz`` and ``compare``, each with
+  ``--format`` text, json and csv, on every bundled scenario;
+* ``run --format json`` on every cli-scale benchmark file of the given seeds
+  (default 1 and 9173), written into a temporary directory by
+  ``bench.workloads.CliScale().setup``.  ``bench/`` is only read.
+
+It prints one line per call: a label, the exit code, and the sha256 of stdout
+and of stderr.  The checkout root and the temporary directory are replaced by
+placeholders before hashing, so that the same call at two checkouts hashes
+alike.  Run it at both and diff the two files: identical files mean the CLI
+gave byte-identical output and exit codes on every call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import groupbuy  # noqa: E402
+import groupbuy.cli  # noqa: E402
+from bench.workloads import CliScale  # noqa: E402
+
+COMMANDS = ("run", "validate-schedule", "fuzz", "compare")
+FORMATS = ("text", "json", "csv")
+
+
+def bundled_scenarios():
+    folder = Path(str(groupbuy.bundled_scenario_path("example1"))).parent
+    return sorted(folder.glob("*.json"))
+
+
+def call(argv, placeholders):
+    """Run the CLI once; return the exit code and the digests of stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = groupbuy.cli.main(argv)
+    digests = []
+    for text in (out.getvalue(), err.getvalue()):
+        for path, name in placeholders:
+            text = text.replace(path, name)
+        digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return code, digests
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cli-scale-seeds", default="1,9173",
+                        help="comma-separated cli-scale seeds ('' for none)")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.cli_scale_seeds.split(",") if s.strip()]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        placeholders = [(tmp, "<workdir>"), (str(ROOT), "<root>")]
+        for path in bundled_scenarios():
+            for command in COMMANDS:
+                for fmt in FORMATS:
+                    code, (out, err) = call([command, str(path), "--format", fmt], placeholders)
+                    print(f"{path.stem} {command} {fmt} exit={code} stdout={out} stderr={err}")
+        for seed in seeds:
+            workdir = Path(tmp) / f"cli-scale-{seed}"
+            workdir.mkdir()
+            for item in CliScale().setup(groupbuy, seed, workdir):
+                path = Path(item["path"])
+                code, (out, err) = call(["run", str(path), "--format", "json"], placeholders)
+                label = f"cli-scale:{seed} {path.name} run json"
+                print(f"{label} exit={code} stdout={out} stderr={err}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -51,7 +51,7 @@ from .scenario import (
     violations_to_csv,
     violations_to_json,
 )
-from .utility import InvalidReportError, concave_class, power_class
+from .utility import InvalidReportError, ReportClass, concave_class, power_class
 
 
 def _fmt(v) -> str:
@@ -74,23 +74,30 @@ def _write_or_print(text: str, out_path):
         print(text)
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def _load(args):
     return load_scenario_file(
         args.scenario, force_exact=args.exact, epsilon=args.epsilon, seed=args.seed
     )
 
 
-def _power_family_exponent(schedule):
-    """Exponent q of a ranked schedule's power weight x**q when q != 1, else None.
+def _report_class(schedule) -> ReportClass:
+    """The utilities that a schedule's checks and fuzz menus range over.
 
-    Such a schedule is monotone only against power utilities c*x**k, k <= q,
-    so checks and fuzz menus stay inside that family.
+    A ranked schedule whose weight is x**q with q < 1 is monotone only against
+    power utilities c*x**k with k <= q, so it gets the family q/4 <= k <= q;
+    every other schedule gets the full concave class.
     """
-    if isinstance(schedule, RankedSchedule):
-        q = schedule.weight.power_exponent
-        if q is not None and q != 1:
-            return q
-    return None
+    if isinstance(schedule, RankedSchedule) and schedule.weight.k != 1:
+        q = schedule.weight.k
+        return power_class(q / 4, q)
+    return concave_class()
 
 
 def cmd_run(args) -> int:
@@ -169,12 +176,10 @@ def cmd_validate_schedule(args) -> int:
             f"({len(zero_share_members)} such pairs); legal, but such a buyer can win nothing"
         )
 
-    weight_q = _power_family_exponent(schedule)
-    if weight_q is not None:
-        report_class = power_class(weight_q / 4, weight_q)
-        class_label = f"power family with exponents up to {_fmt(weight_q)}"
+    report_class = _report_class(schedule)
+    if report_class.kind == "power":
+        class_label = f"power family with exponents up to {_fmt(report_class.k_max)}"
     else:
-        report_class = concave_class()
         class_label = "concave class"
 
     ok = True
@@ -237,9 +242,10 @@ def cmd_fuzz(args) -> int:
         return 0
 
     schedule = scenario.schedule
-    weight_q = _power_family_exponent(schedule)
-    if weight_q is not None:
-        exponents = [weight_q * k for k in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)]
+    report_class = _report_class(schedule)
+    if report_class.kind == "power":
+        lo, hi = report_class.k_min, report_class.k_max
+        exponents = [lo + (hi - lo) * Fraction(j, 3) for j in range(4)]
         grid = power_report_grid(schedule, exponents=exponents)
     else:
         grid = concave_report_grid(schedule)
@@ -354,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the machine-readable report here")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=200_000)
+        p.add_argument("--budget", type=non_negative_int, default=200_000)
         p.add_argument("--epsilon", type=float, default=None,
                        help="force tolerance-based comparisons with this epsilon")
         p.add_argument("--exact", action="store_true",

@@ -6,8 +6,10 @@ plain int bitmasks over buyer indices 0..n-1 (n <= 32).  Two families matter:
 cross-monotonic tables whose payment shares equal their resource shares
 (:func:`CrossMonotonicSchedule` builds such a :class:`TableSchedule`, and
 :class:`EqualSplitSchedule` is the closed-form case), and
-:class:`RankedSchedule`, which pays by a concave :class:`WeightFunction` of the
-resource shares.
+:class:`RankedSchedule`, which pays in proportion to a concave weight of the
+resource shares.  A weight is a power x**k, 0 < k <= 1, of the closed-form
+family that buyers' utilities use (:class:`~groupbuy.utility.ClosedFormUtility`;
+identity is k = 1, sqrt k = 1/2).
 
 The incentive properties of the mechanism rest on the schedule's monotonicity:
 a buyer who cannot cover its payment share of some price C with its utility
@@ -23,15 +25,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .numeric import EXACT, Num, NumericPolicy, piecewise_value
+from .numeric import EXACT, Num, NumericPolicy
 from .utility import (
     ClosedFormUtility,
     ReportClass,
     UtilityReport,
     concave_class,
     random_concave_utility,
+    sample_report,
 )
 
 
@@ -175,14 +178,12 @@ class EqualSplitSchedule(ShareSchedule):
         vec = tuple(share if subset >> i & 1 else Fraction(0) for i in range(self.n))
         return SharePair(vec, vec)
 
-    def share_points(self, buyer: int) -> tuple:
-        return tuple(Fraction(1, k) for k in range(self.n, 0, -1))
-
 
 class TableSchedule(ShareSchedule):
     """Explicit share pairs for every non-empty subset; only sensible for small n.
 
-    Validated exactly at construction, where a missing subset is an error too.
+    Validated exactly at construction, where a missing or twice-listed subset is
+    an error too.
     """
 
     def __init__(self, n: int, entries: Mapping):
@@ -191,6 +192,8 @@ class TableSchedule(ShareSchedule):
             mask = parse_subset_key(key, n) if isinstance(key, str) else int(key)
             if not 0 < mask <= full_mask(n):
                 raise ScheduleError(f"subset mask {mask} outside 1..{full_mask(n)}")
+            if mask in self._cache:  # "0,1" and "1,0" name the same subset
+                raise ScheduleError(f"subset {{{subset_key(mask)}}} listed twice")
             xs, ys = value
             pair = SharePair(tuple(xs), tuple(ys))
             _check_share_vector(pair.resource, mask, n, "resource")
@@ -213,66 +216,24 @@ def CrossMonotonicSchedule(n: int, resource: Mapping) -> TableSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Weight functions for ranked schedules
+# Weights for ranked schedules
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Concave non-negative weight f on [0, 1], used for payment shares.
-
-    A power x**power_exponent (identity is power 1, sqrt power 1/2), or with
-    power_exponent None the piecewise-linear function through ``knots``.
-    """
-
-    power_exponent: Optional[Num] = None
-    knots: Optional[tuple] = None
-
-    def __call__(self, x: Num) -> Num:
-        k = self.power_exponent
-        if k is None:
-            xs = tuple(p[0] for p in self.knots)
-            us = tuple(p[1] for p in self.knots)
-            return piecewise_value(xs, us, x)
-        if k == 1:
-            return x
-        if x == 0:
-            return 0 * x
-        if x == 1:
-            return 1 * x
-        return x ** k
+def identity_weight() -> ClosedFormUtility:
+    return ClosedFormUtility.linear(1)
 
 
-def identity_weight() -> WeightFunction:
-    return WeightFunction(1)
+def sqrt_weight() -> ClosedFormUtility:
+    return ClosedFormUtility.power(1, Fraction(1, 2))
 
 
-def sqrt_weight() -> WeightFunction:
-    return WeightFunction(Fraction(1, 2))
+def power_weight(k: Num) -> ClosedFormUtility:
+    return ClosedFormUtility.power(1, k)
 
 
-def power_weight(k: Num) -> WeightFunction:
-    if not 0 < k <= 1:
-        raise ValueError("power weight exponent must lie in (0, 1] to stay concave")
-    return WeightFunction(k)
-
-
-def concave_weight(knots: Sequence) -> WeightFunction:
-    """Explicit piecewise-linear weight; must be concave, non-negative, on [0, 1]."""
-    pts = tuple((x, u) for x, u in knots)
-    if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != 1:
-        raise ValueError("weight knots must run from x=0 to x=1")
-    for i in range(1, len(pts)):
-        if not pts[i - 1][0] < pts[i][0]:
-            raise ValueError("weight knot x values must be strictly increasing")
-    if any(u < 0 for _, u in pts):
-        raise ValueError("weight values must be non-negative")
-    prev = None
-    for i in range(1, len(pts)):
-        slope = (pts[i][1] - pts[i - 1][1]) / (pts[i][0] - pts[i - 1][0])
-        if prev is not None and slope > prev:
-            raise ValueError("weight must be concave")
-        prev = slope
-    return WeightFunction(knots=pts)
+def _check_weight(weight) -> None:
+    if not (isinstance(weight, ClosedFormUtility) and weight.kind == "power"):
+        raise ScheduleError(f"a weight must be a power ClosedFormUtility, not {weight!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +257,9 @@ def rras_resource_shares(order: Sequence[int], base: Sequence, subset: int) -> t
     )
 
 
-def rras_payment_shares(weight: WeightFunction, resource: Sequence, subset: int) -> tuple:
+def rras_payment_shares(weight: ClosedFormUtility, resource: Sequence, subset: int) -> tuple:
     """Payment shares proportional to the weight of each member's resource share."""
-    weights = [weight(resource[i]) if subset >> i & 1 else None for i in range(len(resource))]
+    weights = [weight.value_at(x) if subset >> i & 1 else None for i, x in enumerate(resource)]
     total = sum(w for w in weights if w is not None)
     if not total > 0:
         raise DegenerateScheduleError(
@@ -314,7 +275,7 @@ class RankedSchedule(ShareSchedule):
         self,
         order: Sequence[int],
         base: Sequence,
-        weight: WeightFunction = identity_weight(),
+        weight: ClosedFormUtility = identity_weight(),
     ):
         n = len(order)
         super().__init__(n)
@@ -326,6 +287,7 @@ class RankedSchedule(ShareSchedule):
             raise ScheduleError("base shares must be non-negative")
         if sum(base) != 1:
             raise ScheduleError(f"base shares sum to {sum(base)}, not 1")
+        _check_weight(weight)
         self.order = tuple(order)
         self.base = tuple(base)
         self.weight = weight
@@ -422,15 +384,7 @@ def _ramp_report(x: Num, value: Num) -> UtilityReport:
 
 
 def _power_witness_report(k: Num, x_a: Num, x_b: Num) -> UtilityReport:
-    points = {p for p in (x_a, x_b) if 0 < p <= 1}
-    return UtilityReport(
-        tuple(
-            sorted(
-                {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))}
-                | {(p, p ** k) for p in points}
-            )
-        )
-    )
+    return sample_report(ClosedFormUtility.power(1, k), [p for p in (x_a, x_b) if 0 < p <= 1])
 
 
 def _pair_violation(x_a, x_b, y_a, y_b, policy: NumericPolicy, report_class: ReportClass):
@@ -601,79 +555,30 @@ def brute_force_monotonicity_check(
 class SingleCrossingCounterexample:
     """C*weight exceeds the utility at x_above but not at the later x_not_above."""
 
-    utility: Union[UtilityReport, ClosedFormUtility]
+    utility: ClosedFormUtility
     constant: Num
     x_above: Num
     x_not_above: Num
 
 
-def _verify_crossing_failure(weight, utility, constant, x_above, x_not_above) -> bool:
-    return (
-        constant * weight(x_above) > utility.value_at(x_above)
-        and not constant * weight(x_not_above) > utility.value_at(x_not_above)
-    )
-
-
 def single_crossing_check(
-    weight: WeightFunction, report_class: ReportClass
+    weight: ClosedFormUtility, report_class: ReportClass
 ) -> Optional[SingleCrossingCounterexample]:
     """Does C*weight cross every class member at most once, from below?
 
-    Pure power weights against the power family c*x**k admit a closed form:
-    the property holds exactly when the weight exponent is at least k_max
-    (C*x**q / (c*x**k) is non-decreasing iff q >= k).  The identity weight
-    holds against the whole concave class since chords of a concave function
-    through the origin only flatten.  Everything else falls back to a grid
-    search over sampled class members at the 65 points j/64; a None result
-    is then only "holds at this resolution".
+    Decided in closed form.  The steepest class member x**k decides: k = k_max
+    for the power family c*x**k, and k = 1 (x itself) for the concave class,
+    whose chords through the origin only flatten.  A weight c*x**q passes
+    exactly when q >= k, since C*c*x**q / x**k is non-decreasing iff q >= k,
+    or when c = 0, since C*0 never rises above a utility.
+    Otherwise x**k is the witness, with C*weight above it at x = 1/4 and not
+    above it at x = 1.
     """
-    q = weight.power_exponent
-    if q is not None:
-        # The steepest class member decides: x**k_max, or x itself (k = 1) for
-        # the concave class.
-        k = report_class.k_max if report_class.kind == "power" else 1
-        if q >= k:
-            return None
-        utility = ClosedFormUtility.power(1, k)
-        constant = Fraction(1, 2) ** (k - q)
-        candidate = SingleCrossingCounterexample(utility, constant, Fraction(1, 4), Fraction(1))
-        if _verify_crossing_failure(weight, utility, constant, candidate.x_above, 1):
-            return candidate
-
-    xs = [Fraction(j, 64) for j in range(65)]
-    rng = random.Random(0)
-    samples: list = []
-    if report_class.kind == "power":
-        lo, hi = Fraction(report_class.k_min), Fraction(report_class.k_max)
-        for j in range(9):
-            k = lo + (hi - lo) * Fraction(j, 8)
-            samples.append(ClosedFormUtility.power(1, k))
-    else:
-        samples.append(ClosedFormUtility.linear(1))
-        samples.append(_zero_report())
-        for j in range(1, 8):
-            samples.append(_ramp_report(Fraction(j, 8), Fraction(1)))
-        for _ in range(4):
-            samples.append(random_concave_utility(rng.randrange(2 ** 32), xs[1:], 1))
-
-    for utility in samples:
-        fvals = [weight(x) for x in xs]
-        uvals = [utility.value_at(x) for x in xs]
-        ratios = sorted({u / f for f, u in zip(fvals, uvals) if f > 0})
-        constants = {Fraction(1, 2), Fraction(1), Fraction(2)}
-        for a, b in zip(ratios, ratios[1:]):
-            constants.add((a + b) / 2)
-        for r in ratios:
-            constants.add(r * Fraction(999, 1000))
-            constants.add(r * Fraction(1001, 1000))
-        for c in sorted(constants):
-            if not c > 0:
-                continue
-            above_at = None
-            for x, f, u in zip(xs, fvals, uvals):
-                if c * f > u:
-                    if above_at is None:
-                        above_at = x
-                elif above_at is not None:
-                    return SingleCrossingCounterexample(utility, c, above_at, x)
-    return None
+    _check_weight(weight)
+    k = report_class.k_max if report_class.kind == "power" else 1
+    if weight.k >= k or weight.c == 0:
+        return None
+    constant = Fraction(1, 2) ** (k - weight.k) / weight.c
+    return SingleCrossingCounterexample(
+        ClosedFormUtility.power(1, k), constant, Fraction(1, 4), Fraction(1)
+    )

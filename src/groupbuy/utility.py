@@ -2,11 +2,13 @@
 
 The message space of the group-bidding mechanism is the set of finite knot
 lists whose piecewise-linear extrapolation is concave, non-decreasing, zero at
-x=0 and defined up to x=1.  Closed forms (linear, power, log) are admissible
-by construction, so the engine also takes a :class:`ClosedFormUtility` as a
-report and evaluates it at the share it queries.  :func:`sample_report` turns
-a closed form into a knot list at given share points, for menus and oracles
-that need knots; at those points both give the same value.
+x=0 and defined up to x=1.  Closed forms c*x**k (0 < k <= 1; ``linear`` is
+k = 1) and c*ln(1+x) are admissible by construction, so the engine also takes
+a :class:`ClosedFormUtility` as a report and evaluates it at the share it
+queries.  The same family supplies the weights of ranked schedules (powers
+with c = 1).  :func:`sample_report` turns a closed form into a knot list at
+given share points, for menus and oracles that need knots; at those points
+both give the same value.
 """
 
 from __future__ import annotations
@@ -100,18 +102,19 @@ class UtilityReport:
 
 @dataclass(frozen=True)
 class ClosedFormUtility:
-    """Closed-form utility c*x, c*x**k, or c*ln(1+x), usable directly as a report.
+    """Closed-form utility c*x**k or c*ln(1+x), usable directly as a report.
 
-    The power exponent must lie in (0, 1]: a zero exponent with c > 0 would be
-    worth c at x=0, which no admissible report can be.
+    ``linear(c)`` is the power k = 1.  The power exponent must lie in (0, 1]:
+    a zero exponent with c > 0 would be worth c at x=0, which no admissible
+    report can be.
     """
 
-    kind: str  # linear | power | log
+    kind: str  # power | log
     c: Num
     k: Optional[Num] = None
 
     def __post_init__(self):
-        if self.kind not in ("linear", "power", "log"):
+        if self.kind not in ("power", "log"):
             raise ValueError(f"unknown utility kind {self.kind!r}")
         if self.c < 0:
             raise ValueError("coefficient must be non-negative")
@@ -123,7 +126,7 @@ class ClosedFormUtility:
 
     @classmethod
     def linear(cls, c: Num) -> "ClosedFormUtility":
-        return cls("linear", c)
+        return cls("power", c, 1)
 
     @classmethod
     def power(cls, c: Num, k: Num) -> "ClosedFormUtility":
@@ -136,15 +139,12 @@ class ClosedFormUtility:
     def value_at(self, x: Num) -> Num:
         if x < 0 or x > 1:
             raise ValueError(f"utility argument {x} outside [0, 1]")
-        if self.kind == "linear":
+        if self.kind == "log":
+            return self.c * math.log1p(x) if x != 0 else self.c * 0
+        if x == 0 or x == 1 or self.k == 1:
+            # c * x, not a bare c: rational x keeps the value rational
             return self.c * x
-        if self.kind == "power":
-            if x == 0:
-                return self.c * 0
-            if x == 1:
-                return self.c
-            return self.c * x ** self.k
-        return self.c * math.log1p(x) if x != 0 else self.c * 0
+        return self.c * x ** self.k
 
 
 def sample_report(form: ClosedFormUtility, points: Iterable[Num]) -> UtilityReport:

@@ -77,6 +77,22 @@ class TestRun:
             assert run_cli("run", str(path)) == 2
             assert "no shares defined for subset {1}" in capsys.readouterr().err
 
+    def test_subset_listed_twice_exit_2(self, tmp_path, capsys):
+        # "0,1" and "1,0" are one subset; the later row used to win silently
+        buyers = [{"kind": "linear", "c": "1"}] * 2
+        rows = {"0,1": ["1/2", "1/2"], "1,0": ["9/10", "1/10"], "0": ["1", "0"], "1": ["0", "1"]}
+        schedules = [
+            {"kind": "cmss", "shares": rows},
+            {"kind": "table", "entries": {k: {"x": v, "y": v} for k, v in rows.items()}},
+        ]
+        for k, schedule in enumerate(schedules):
+            path = tmp_path / f"twice{k}.json"
+            path.write_text(json.dumps(
+                {"buyers": buyers, "schedule": schedule, "fixed_price": "1/2"}
+            ))
+            assert run_cli("run", str(path)) == 2
+            assert "subset {0,1} listed twice" in capsys.readouterr().err
+
     def test_irrational_weight_runs_in_tolerance_lane(self, tmp_path, capsys):
         path = tmp_path / "ranked_power.json"
         scenario = {
@@ -183,6 +199,14 @@ class TestValidateSchedule:
         out = capsys.readouterr().out
         assert "power family" in out and "Pass" in out
 
+    def test_negative_budget_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            run_cli("validate-schedule", scenario("example1"), "--budget", "-3")
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --budget: must be non-negative, not -3" in captured.err
+        assert "Pass" not in captured.out
+
     def test_witness_table_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad_table.json"
         bad.write_text(json.dumps({
@@ -203,6 +227,14 @@ class TestFuzz:
     def test_zero_budget_warns_and_passes(self, capsys):
         assert run_cli("fuzz", scenario("example2"), "--budget", "0") == 0
         assert "warning" in capsys.readouterr().out
+
+    def test_negative_budget_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            run_cli("fuzz", scenario("example2"), "--budget", "-3")
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --budget: must be non-negative, not -3" in captured.err
+        assert "budget exceeded" not in captured.err
 
     def test_clean_run_exit_0(self, capsys):
         assert run_cli("fuzz", scenario("example2"), "--budget", "5000") == 0

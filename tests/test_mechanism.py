@@ -16,7 +16,6 @@ from groupbuy.schedule import (
     DegenerateScheduleError,
     EqualSplitSchedule,
     RankedSchedule,
-    concave_weight,
     full_mask,
     mask_of,
     members,
@@ -109,7 +108,7 @@ class TestTrace:
             compute_bid_trace(worked_reports()[:2], equal3())
 
     def test_degenerate_schedule_names_subset(self):
-        flat = concave_weight([(F(0), F(0)), (F(1), F(0))])
+        flat = ClosedFormUtility.linear(0)
         sched = RankedSchedule((0, 1), (F(1, 2), F(1, 2)), flat)
         reps = [
             sample_report(ClosedFormUtility.linear(1), [F(1, 2)]),

@@ -14,10 +14,12 @@ Lane agreement: a rational instance run exactly, and again with its utility
 values lowered to floats under the default tolerance, must give the same step
 subsets, removed sets and winning sets, with bids within epsilon.  The values
 sit on coarse grids, so distinct ratios stay far more than epsilon apart and
-only exact ties may merge.
+only exact ties may merge.  Every number the exact run puts out stays
+rational: a float there would mean the exact lane leaked rounding.
 """
 
 from fractions import Fraction as F
+from numbers import Rational
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,6 +212,7 @@ def test_exact_and_float_lanes_agree(instance):
     kind, weights, order, reports = instance
     schedule = build_schedule(kind, weights, order)
     exact = compute_bid_trace(reports, schedule, EXACT)
+    assert all(isinstance(s.max_payment, Rational) for s in exact.steps)
     floats = compute_bid_trace([lowered(r) for r in reports], schedule, approx())
     assert [(s.subset, s.removed) for s in floats.steps] == [
         (s.subset, s.removed) for s in exact.steps
@@ -222,5 +225,6 @@ def test_exact_and_float_lanes_agree(instance):
     prices = {F(0), betas[-1] + 1, *betas, *((a + b) / 2 for a, b in zip(betas, betas[1:]))}
     for price in prices:
         want = allocate(exact, schedule, price, EXACT)
+        assert all(isinstance(v, Rational) for v in (*want.fractions, *want.payments, want.price))
         got = allocate(floats, schedule, float(price), approx())
         assert (got.purchased, got.winning_set) == (want.purchased, want.winning_set)

@@ -107,7 +107,7 @@ class TestLoading:
         })
         sc = load_scenario(data)
         assert isinstance(sc.schedule, RankedSchedule)
-        assert sc.schedule.weight.power_exponent == F(1, 3)
+        assert sc.schedule.weight.k == F(1, 3)
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ScenarioError):

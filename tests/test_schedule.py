@@ -14,7 +14,6 @@ from groupbuy.schedule import (
     ScheduleError,
     TableSchedule,
     brute_force_monotonicity_check,
-    concave_weight,
     full_mask,
     identity_weight,
     mask_of,
@@ -31,7 +30,7 @@ from groupbuy.schedule import (
     validate_cross_monotonic,
     validate_monotonicity,
 )
-from groupbuy.utility import concave_class, power_class
+from groupbuy.utility import ClosedFormUtility, UtilityReport, concave_class, power_class
 
 APPROX = approx()
 ORDER = (0, 1, 2)
@@ -103,7 +102,7 @@ class TestRankedShares:
         assert pair.payment[2] == pytest.approx(1 / (1 + root3), abs=1e-12)
 
     def test_degenerate_weight_raises(self):
-        flat_zero = concave_weight([(F(0), F(0)), (F(1), F(0))])
+        flat_zero = ClosedFormUtility.linear(0)
         sched = RankedSchedule(ORDER, BASE, flat_zero)
         with pytest.raises(DegenerateScheduleError):
             sched.shares_for(0b111)
@@ -113,6 +112,15 @@ class TestRankedShares:
             RankedSchedule((0, 0, 2), BASE)
         with pytest.raises(ScheduleError):
             RankedSchedule(ORDER, (F(1, 2), F(1, 4), F(1, 3)))
+
+    @pytest.mark.parametrize("weight", [
+        ClosedFormUtility.log(1),
+        UtilityReport(((F(0), F(0)), (F(1), F(1)))),
+        math.sqrt,
+    ], ids=["log", "knots", "callable"])
+    def test_weight_must_be_a_power_closed_form(self, weight):
+        with pytest.raises(ScheduleError, match="weight must be a power ClosedFormUtility"):
+            RankedSchedule(ORDER, BASE, weight)
 
 
 class TestShareInvariants:
@@ -299,10 +307,10 @@ class TestWeightSumGrowth:
         order = (2, 0, 3, 1)
         for b_mask in nonempty_subsets(full_mask(4)):
             xb = rras_resource_shares(order, base, b_mask)
-            sum_b = sum(weight(xb[j]) for j in members(b_mask))
+            sum_b = sum(weight.value_at(xb[j]) for j in members(b_mask))
             for a_mask in nonempty_subsets(b_mask):
                 xa = rras_resource_shares(order, base, a_mask)
-                sum_a = sum(weight(xa[j]) for j in members(a_mask))
+                sum_a = sum(weight.value_at(xa[j]) for j in members(a_mask))
                 assert sum_b >= sum_a - 1e-12
 
 
@@ -318,8 +326,8 @@ class TestSingleCrossing:
         assert ce is not None
         # once above, it must stay above; this counterexample dips back
         w, u, c = sqrt_weight(), ce.utility, ce.constant
-        assert c * w(ce.x_above) > u.value_at(ce.x_above)
-        assert not c * w(ce.x_not_above) > u.value_at(ce.x_not_above)
+        assert c * w.value_at(ce.x_above) > u.value_at(ce.x_above)
+        assert not c * w.value_at(ce.x_not_above) > u.value_at(ce.x_not_above)
         assert ce.x_above < ce.x_not_above
 
     def test_power_family_closed_form_matches_grid_boundary(self):
@@ -328,14 +336,16 @@ class TestSingleCrossing:
         ce = single_crossing_check(power_weight(F(1, 4)), power_class(F(1, 4), F(1, 2)))
         assert ce is not None
         w = power_weight(F(1, 4))
-        assert ce.constant * w(ce.x_above) > ce.utility.value_at(ce.x_above)
-        assert not ce.constant * w(ce.x_not_above) > ce.utility.value_at(ce.x_not_above)
+        assert ce.constant * w.value_at(ce.x_above) > ce.utility.value_at(ce.x_above)
+        assert not ce.constant * w.value_at(ce.x_not_above) > ce.utility.value_at(ce.x_not_above)
 
-    def test_grid_search_catches_vanishing_tail(self):
-        # a tent-shaped weight is concave but worthless at x=1, so any utility
-        # that is still worth something there defeats single crossing
-        tent = concave_weight([(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(0))])
-        assert single_crossing_check(tent, concave_class()) is not None
+    def test_witness_scales_with_the_weight_coefficient(self):
+        family = power_class(F(1, 4), F(1, 2))
+        w = ClosedFormUtility.power(3, F(1, 4))
+        ce = single_crossing_check(w, family)
+        assert ce.constant * w.value_at(ce.x_above) > ce.utility.value_at(ce.x_above)
+        assert not ce.constant * w.value_at(ce.x_not_above) > ce.utility.value_at(ce.x_not_above)
+        assert single_crossing_check(ClosedFormUtility.power(0, F(1, 4)), family) is None
 
 
 @given(st.integers(0, 200))

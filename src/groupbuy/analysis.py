@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .auction import AuctionConfig, run_group_participation
-from .mechanism import AllocationOutcome, BidTrace, allocate, compute_bid_trace
+from .mechanism import BidTrace, CompiledSchedule, allocate, compute_bid_trace
 from .numeric import EXACT, Num, NumericPolicy
 from .schedule import ShareSchedule, full_mask, members, nonempty_subsets
 from .utility import ClosedFormUtility, UtilityReport, sample_report, validate_knots
@@ -51,17 +51,6 @@ def strictly_prefers(a: PreferenceOutcome, b: PreferenceOutcome, policy: Numeric
 
 def weakly_prefers(a: PreferenceOutcome, b: PreferenceOutcome, policy: NumericPolicy) -> bool:
     return not strictly_prefers(b, a, policy)
-
-
-def outcome_for_buyer(
-    buyer: int,
-    true_utility: UtilityReport,
-    outcome: AllocationOutcome,
-    policy: NumericPolicy,
-) -> PreferenceOutcome:
-    fraction = outcome.fractions[buyer]
-    net = true_utility.value_at(fraction) - outcome.payments[buyer]
-    return PreferenceOutcome(net, outcome.purchased and policy.is_positive(fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +164,30 @@ def _scan_coalitions(
     if len(report_grid) != n:
         raise ValueError("report grid must have one menu per buyer")
 
-    _, _, base_outcome = run_group_participation(true_reports, schedule, cfg, policy)
-    base_prefs = tuple(
-        outcome_for_buyer(i, true_reports[i], base_outcome, policy) for i in range(n)
-    )
+    # Compile once: every report becomes a ratio column, the price threshold
+    # a lane number, and each buyer's truthful value at its share in every
+    # subset is evaluated once (0 stands for buying nothing).
+    compiled = CompiledSchedule(schedule, policy)
+    lane_cfg = AuctionConfig(compiled.number(cfg.threshold), (), cfg.tie_policy)
+    true_columns = [compiled.column(i, report) for i, report in enumerate(true_reports)]
+    _, _, base_outcome = run_group_participation(true_columns, compiled, lane_cfg, policy)
+    menus = [[compiled.column(i, report) for report in report_grid[i]] for i in range(n)]
+    truth = []
+    for i, report in enumerate(true_reports):
+        values = {0: (compiled.number(report.value_at(Fraction(0))), False)}
+        for mask in nonempty_subsets(full_mask(n)):
+            x = schedule.shares_for(mask).resource[i]
+            values[mask] = (compiled.number(report.value_at(x)), policy.is_positive(x))
+        truth.append(values)
+
+    def prefs(outcome, idxs):
+        won = outcome.winning_set
+        return tuple(
+            PreferenceOutcome(truth[i][won][0] - outcome.payments[i], truth[i][won][1])
+            for i in idxs
+        )
+
+    base_prefs = prefs(base_outcome, range(n))
 
     coalitions = sorted(
         (mask for mask in nonempty_subsets(full_mask(n)) if len(members(mask)) in sizes),
@@ -200,13 +209,11 @@ def _scan_coalitions(
     def try_profile(idxs, profile):
         nonlocal profiles
         profiles += 1
-        reports = list(true_reports)
-        for i, rep in zip(idxs, profile):
-            reports[i] = rep
-        _, _, outcome = run_group_participation(reports, schedule, cfg, policy)
-        after = tuple(
-            outcome_for_buyer(i, true_reports[i], outcome, policy) for i in idxs
-        )
+        columns = list(true_columns)
+        for i, column in zip(idxs, profile):
+            columns[i] = column
+        _, _, outcome = run_group_participation(columns, compiled, lane_cfg, policy)
+        after = prefs(outcome, idxs)
         before = tuple(base_prefs[i] for i in idxs)
         all_weak = all(weakly_prefers(a, b, policy) for a, b in zip(after, before))
         any_strict = any(strictly_prefers(a, b, policy) for a, b in zip(after, before))
@@ -218,7 +225,7 @@ def _scan_coalitions(
                 DeviationViolation(
                     coalition=sum(1 << i for i in idxs),
                     truthful_reports=tuple(true_reports[i] for i in idxs),
-                    deviant_reports=tuple(profile),
+                    deviant_reports=tuple(column.report for column in profile),
                     config=cfg,
                     before=before,
                     after=after,
@@ -228,16 +235,16 @@ def _scan_coalitions(
 
     for mask in coalitions:
         idxs = members(mask)
-        menus = [report_grid[i] for i in idxs]
-        total = math.prod(len(m) for m in menus)
+        picks = [menus[i] for i in idxs]
+        total = math.prod(len(m) for m in picks)
         if len(idxs) <= 2 or total <= budget - profiles:
-            for profile in itertools.product(*menus):
+            for profile in itertools.product(*picks):
                 try_profile(idxs, profile)
         else:
             remaining = max(budget - profiles, 0)
             truncated = True
             for _ in range(remaining):
-                try_profile(idxs, tuple(rng.choice(menu) for menu in menus))
+                try_profile(idxs, tuple(rng.choice(menu) for menu in picks))
 
     violations.sort(key=lambda v: (v.coalition, tuple(r.knots for r in v.deviant_reports)))
     return FuzzResult(tuple(violations), profiles, truncated)

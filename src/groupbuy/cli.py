@@ -14,6 +14,7 @@ witnesses), 2 invalid input, 3 budget-exhausted partial result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -207,7 +208,7 @@ def cmd_validate_schedule(args) -> int:
 
     if schedule.n <= ORACLE_MAX_BUYERS:
         spot = brute_force_monotonicity_check(
-            schedule, samples=min(args.budget, 5000), seed=args.seed or 0, policy=policy,
+            schedule, samples=min(args.budget, 5000), seed=scenario.seed, policy=policy,
             report_class=report_class,
         )
         if spot is None:
@@ -256,7 +257,7 @@ def cmd_fuzz(args) -> int:
 
     result = enumerate_coalition_deviations(
         scenario.reports, schedule, cfg, grid,
-        budget=args.budget, seed=args.seed or scenario.seed, policy=scenario.policy,
+        budget=args.budget, seed=scenario.seed, policy=scenario.policy,
     )
     print(
         f"{result.profiles} deviation profiles, {len(result.violations)} violations"
@@ -348,7 +349,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused.
+
+    ``parse_args`` leaves the parser unchanged, and a parser is a cycle of
+    some 300 objects that only the cyclic garbage collector frees, so callers
+    that run :func:`main` many times in one process share one.
+    """
     parser = argparse.ArgumentParser(
         prog="groupbuy",
         description="Group bidding for a shareable resource: run, validate, fuzz, compare.",

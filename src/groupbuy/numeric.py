@@ -9,6 +9,11 @@ The package has one tolerance rule and applies it only here: exact when
 ``epsilon`` is None (meant for rational data), otherwise an absolute
 ``epsilon`` in every comparison, the engine's bottleneck test
 ``eq(ratio, bound)`` included.
+
+The engine adds one conversion on top (see :mod:`groupbuy.mechanism`): it
+evaluates a report at the exact share, and in the tolerance lane turns the
+ratio into a ``float`` once, so its comparisons run on floats only.  The exact
+lane converts nothing.
 """
 
 from __future__ import annotations

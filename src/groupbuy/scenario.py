@@ -126,6 +126,24 @@ def _parse_weight(text: str):
     raise ScenarioError(f"unknown weight function {text!r}")
 
 
+def _table_numbers():
+    """``parse_number`` that parses each distinct string once.
+
+    A share table repeats its numbers ("0" in every row, most shares in
+    several rows); Fractions are immutable, so the rows can share them.
+    """
+    parsed = {}
+
+    def number(value):
+        if type(value) is not str:  # a list or dict is no key; parse_number names it
+            return parse_number(value)
+        if value not in parsed:
+            parsed[value] = parse_number(value)
+        return parsed[value]
+
+    return number
+
+
 def parse_schedule(stanza, n: int) -> ShareSchedule:
     if not isinstance(stanza, dict) or "kind" not in stanza:
         raise ScenarioError("schedule stanza must be an object with a \"kind\" field")
@@ -134,10 +152,8 @@ def parse_schedule(stanza, n: int) -> ShareSchedule:
         if kind == "equal-split":
             return EqualSplitSchedule(n)
         if kind == "cmss":
-            shares = {
-                key: tuple(parse_number(v) for v in vec)
-                for key, vec in stanza["shares"].items()
-            }
+            number = _table_numbers()
+            shares = {key: tuple(map(number, vec)) for key, vec in stanza["shares"].items()}
             return CrossMonotonicSchedule(n, shares)
         if kind == "rras":
             return RankedSchedule(
@@ -146,11 +162,9 @@ def parse_schedule(stanza, n: int) -> ShareSchedule:
                 _parse_weight(stanza.get("f", "identity")),
             )
         if kind == "table":
+            number = _table_numbers()
             entries = {
-                key: (
-                    tuple(parse_number(v) for v in cell["x"]),
-                    tuple(parse_number(v) for v in cell["y"]),
-                )
+                key: (tuple(map(number, cell["x"])), tuple(map(number, cell["y"])))
                 for key, cell in stanza["entries"].items()
             }
             return TableSchedule(n, entries)
@@ -253,16 +267,26 @@ def load_scenario(
     )
 
 
+def _unique_keys(pairs) -> dict:
+    """JSON object hook: a key listed twice is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_scenario_file(path, **kwargs) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
+    try:
+        return load_scenario(json.loads(text, object_pairs_hook=_unique_keys), **kwargs)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    try:
-        return load_scenario(data, **kwargs)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 

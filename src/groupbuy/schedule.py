@@ -22,19 +22,20 @@ sampling cross-check.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .numeric import EXACT, Num, NumericPolicy
+from .numeric import EXACT, Num, NumericPolicy, piecewise_value
 from .utility import (
     ClosedFormUtility,
     ReportClass,
     UtilityReport,
     concave_class,
-    random_concave_utility,
-    sample_report,
+    random_concave_knots,
+    sample_knots,
 )
 
 
@@ -123,16 +124,22 @@ class SharePair:
 def _check_share_vector(values: Sequence, subset: int, n: int, label: str):
     if len(values) != n:
         raise ScheduleError(f"{label} shares for {{{subset_key(subset)}}} must have {n} entries")
-    total = sum(values)
-    for i, v in enumerate(values):
+    if all(type(v) is Fraction for v in values):
+        # exact shares: check integer numerators over the common denominator,
+        # which has the same signs and sum, without Fraction arithmetic
+        den = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+    else:
+        den, nums = 1, values
+    for i, v in enumerate(nums):
         if v < 0:
             raise ScheduleError(f"negative {label} share for buyer {i} in {{{subset_key(subset)}}}")
         if v > 0 and not subset >> i & 1:
             raise ScheduleError(
                 f"positive {label} share for buyer {i} outside subset {{{subset_key(subset)}}}"
             )
-    if total != 1:
-        raise ScheduleError(f"{label} shares for {{{subset_key(subset)}}} sum to {total}, not 1")
+    if sum(nums) != den:
+        raise ScheduleError(f"{label} shares for {{{subset_key(subset)}}} sum to {sum(values)}, not 1")
 
 
 class ShareSchedule:
@@ -371,24 +378,32 @@ class MonotonicityWitness:
     constant: Num
 
 
-def _zero_report() -> UtilityReport:
-    return UtilityReport(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))))
+# Knot lists of the extremal class members that witnesses and samples use.
+# A report is built from one only when it is returned as a witness.
 
 
-def _linear_report(slope: Num) -> UtilityReport:
-    return UtilityReport(((Fraction(0), 0 * slope), (Fraction(1), slope)))
+def _zero_knots() -> tuple:
+    return ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
 
 
-def _ramp_report(x: Num, value: Num) -> UtilityReport:
-    return UtilityReport(((Fraction(0), 0 * value), (x, value), (Fraction(1), value)))
+def _linear_knots(slope: Num) -> tuple:
+    return ((Fraction(0), 0 * slope), (Fraction(1), slope))
 
 
-def _power_witness_report(k: Num, x_a: Num, x_b: Num) -> UtilityReport:
-    return sample_report(ClosedFormUtility.power(1, k), [p for p in (x_a, x_b) if 0 < p <= 1])
+def _ramp_knots(x: Num, value: Num) -> tuple:
+    return ((Fraction(0), 0 * value), (x, value), (Fraction(1), value))
+
+
+def _power_knots(k: Num, x_a: Num, x_b: Num, scale: Optional[Num] = None) -> tuple:
+    """x**k sampled at the pair's positive shares (and 0, 1), times ``scale`` if given."""
+    knots = sample_knots(ClosedFormUtility.power(1, k), [p for p in (x_a, x_b) if 0 < p <= 1])
+    if scale is None:
+        return knots
+    return tuple((x, u * scale) for x, u in knots)
 
 
 def _pair_violation(x_a, x_b, y_a, y_b, policy: NumericPolicy, report_class: ReportClass):
-    """Closed-form test of one (buyer, A within B) pair; returns (utility, C) or None.
+    """Closed-form test of one (buyer, A within B) pair; returns (knots, C) or None.
 
     Derived reduction of the for-all-class-members condition to share
     arithmetic.  The degenerate cases are shared:
@@ -409,13 +424,13 @@ def _pair_violation(x_a, x_b, y_a, y_b, policy: NumericPolicy, report_class: Rep
     if not policy.is_positive(y_b):
         return None
     if not policy.is_positive(y_a):
-        return _zero_report(), Fraction(1)
+        return _zero_knots(), Fraction(1)
     if not policy.is_positive(x_b):
         if policy.is_positive(x_a):
             if report_class.kind == "power":
                 k = report_class.k_max
-                return _power_witness_report(k, x_a, x_b).scaled(2 * y_a / x_a ** k), Fraction(1)
-            return _linear_report(2 * y_a / x_a), Fraction(1)
+                return _power_knots(k, x_a, x_b, 2 * y_a / x_a ** k), Fraction(1)
+            return _linear_knots(2 * y_a / x_a), Fraction(1)
         return None
     if not policy.is_positive(x_a):
         return None
@@ -423,14 +438,14 @@ def _pair_violation(x_a, x_b, y_a, y_b, policy: NumericPolicy, report_class: Rep
         k = report_class.k_max if x_a >= x_b else report_class.k_min
         va, vb = x_a ** k, x_b ** k
         if policy.lt(y_a * vb, y_b * va):
-            return _power_witness_report(k, x_a, x_b), (vb / y_b + va / y_a) / 2
+            return _power_knots(k, x_a, x_b), (vb / y_b + va / y_a) / 2
         return None
     if policy.lt(x_a, x_b):
         if policy.lt(y_a, y_b):
-            return _ramp_report(x_a, (y_a + y_b) / 2), Fraction(1)
+            return _ramp_knots(x_a, (y_a + y_b) / 2), Fraction(1)
         return None
     if policy.lt(y_a * x_b, y_b * x_a):
-        return _linear_report(Fraction(1)), (x_b / y_b + x_a / y_a) / 2
+        return _linear_knots(Fraction(1)), (x_b / y_b + x_a / y_a) / 2
     return None
 
 
@@ -456,8 +471,8 @@ def validate_monotonicity(
             policy, report_class,
         )
         if found is not None:
-            utility, constant = found
-            return MonotonicityWitness(i, a_mask, b_mask, utility, constant)
+            knots, constant = found
+            return MonotonicityWitness(i, a_mask, b_mask, UtilityReport(knots), constant)
     return None
 
 
@@ -511,27 +526,31 @@ def brute_force_monotonicity_check(
         shape = trial % 4
         if report_class.kind == "power":
             if shape == 3:
-                utility = _zero_report()
+                knots = _zero_knots()
             else:
                 k_lo, k_hi = Fraction(report_class.k_min), Fraction(report_class.k_max)
                 k = (k_hi, k_lo, k_lo + (k_hi - k_lo) * Fraction(rng.randrange(grain), grain))[shape]
                 scale = u_max * Fraction(rng.randrange(1, grain), grain)
-                utility = _power_witness_report(k, x_a, x_b).scaled(scale)
+                knots = _power_knots(k, x_a, x_b, scale)
         elif shape == 0:
             pts = {x for x in (x_a, x_b) if 0 < x <= 1}
-            utility = random_concave_utility(rng.randrange(2 ** 32), pts, u_max)
+            knots = random_concave_knots(rng.randrange(2 ** 32), pts, u_max)
         elif shape == 1:
-            utility = _linear_report(u_max * Fraction(rng.randrange(0, grain + 1), grain))
+            knots = _linear_knots(u_max * Fraction(rng.randrange(0, grain + 1), grain))
         elif shape == 2:
             pos = x_a if 0 < x_a < 1 else (x_b if 0 < x_b < 1 else Fraction(1, 2))
-            utility = _ramp_report(pos, u_max * Fraction(rng.randrange(0, grain + 1), grain))
+            knots = _ramp_knots(pos, u_max * Fraction(rng.randrange(0, grain + 1), grain))
         else:
-            utility = _zero_report()
+            knots = _zero_knots()
 
-        ratio_b = utility.value_at(x_b) / y_b
+        # the sampled utility at the pair's two shares, as its report would value them
+        xs = tuple(x for x, _ in knots)
+        us = tuple(u for _, u in knots)
+        u_a = piecewise_value(xs, us, x_a)
+        u_b = piecewise_value(xs, us, x_b)
+        ratio_b = u_b / y_b
         if policy.is_positive(y_a):
-            ratio_a = utility.value_at(x_a) / y_a
-            window_hi = ratio_a
+            window_hi = u_a / y_a
         else:
             window_hi = ratio_b + u_max
         candidates = [Fraction(rng.randrange(1, grain), grain) * (2 * ratio_b + 1)]
@@ -540,10 +559,10 @@ def brute_force_monotonicity_check(
         for c in candidates:
             if not c > 0:
                 continue
-            premise = policy.lt(utility.value_at(x_b), c * y_b)
-            conclusion = policy.lt(utility.value_at(x_a), c * y_a)
+            premise = policy.lt(u_b, c * y_b)
+            conclusion = policy.lt(u_a, c * y_a)
             if premise and not conclusion:
-                return MonotonicityWitness(i, a_mask, b_mask, utility, c)
+                return MonotonicityWitness(i, a_mask, b_mask, UtilityReport(knots), c)
     return None
 
 

@@ -147,16 +147,21 @@ class ClosedFormUtility:
         return self.c * x ** self.k
 
 
-def sample_report(form: ClosedFormUtility, points: Iterable[Num]) -> UtilityReport:
-    """Knot list (p, f(p)) over the given points, with 0 and 1 added if absent."""
+def sample_knots(form: ClosedFormUtility, points: Iterable[Num]) -> tuple:
+    """Knots (p, f(p)) over the given points, with 0 and 1 added if absent."""
     xs = sorted(set(points) | {Fraction(0), Fraction(1)})
     if xs[0] < 0 or xs[-1] > 1:
         raise ValueError("sample points must lie in [0, 1]")
-    return UtilityReport(tuple((x, form.value_at(x)) for x in xs))
+    return tuple((x, form.value_at(x)) for x in xs)
 
 
-def random_concave_utility(seed: int, points: Iterable[Num], u_max: Num) -> UtilityReport:
-    """Deterministic-in-seed random admissible report on {0} | points.
+def sample_report(form: ClosedFormUtility, points: Iterable[Num]) -> UtilityReport:
+    """The report through :func:`sample_knots`."""
+    return UtilityReport(sample_knots(form, points))
+
+
+def random_concave_knots(seed: int, points: Iterable[Num], u_max: Num) -> tuple:
+    """Deterministic-in-seed random admissible knot list on {0} | points.
 
     Draws non-increasing positive rational slopes and integrates, then scales
     so the top value lands in [0, u_max].  The point at x=1 is added when
@@ -182,7 +187,12 @@ def random_concave_utility(seed: int, points: Iterable[Num], u_max: Num) -> Util
     scale = u_max * Fraction(rng.randrange(0, grain + 1), grain) / values[-1]
     knots = [(Fraction(0), 0 * scale)]
     knots.extend((x, v * scale) for x, v in zip(xs, values))
-    return UtilityReport(tuple(knots))
+    return tuple(knots)
+
+
+def random_concave_utility(seed: int, points: Iterable[Num], u_max: Num) -> UtilityReport:
+    """The report through :func:`random_concave_knots`."""
+    return UtilityReport(random_concave_knots(seed, points, u_max))
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,50 @@ class TestCoalitions:
         assert not v.uses_tiebreak  # a genuine net gain, not a tie-rule artifact
         assert v.after[0].net > 0 == v.before[0].net
 
+    @pytest.mark.parametrize("policy", [EXACT, APPROX], ids=["exact", "approx"])
+    def test_non_monotone_table_scan_is_pinned(self, policy):
+        # The whole scan result, pinned: buyer 0 gains 1/12 with any non-zero
+        # menu report, alone or with partners who gain 1/60 or break even;
+        # nobody wins a share when all report truthfully.  Deviant reports
+        # are named by their index in the buyer's menu.
+        sched = exploit_table()
+        grid = concave_report_grid(sched, levels=(0, F(7, 20), F(1, 2), F(3, 4), 1))
+        assert [len(menu) for menu in grid] == [9, 10, 10]
+        result = enumerate_coalition_deviations(
+            exploit_truth(), sched, AuctionConfig(0, (F(1, 2),)), grid, budget=300_000,
+            policy=policy,
+        )
+        assert (result.profiles, result.truncated) == (1209, False)
+        gains = {
+            0b001: (F(1, 12),),
+            0b011: (F(1, 12), F(1, 60)),
+            0b101: (F(1, 12), F(0)),
+            0b110: (F(1, 60), F(0)),
+            0b111: (F(1, 12), F(1, 60), F(0)),
+        }
+        expected = (
+            [(0b001, (a,)) for a in range(1, 9)]
+            + [(0b011, (a, b)) for a in range(1, 9) for b in range(1, 10)]
+            + [(0b101, (a, 0)) for a in range(1, 9)]
+            + [(0b110, (b, 0)) for b in range(1, 10)]
+            + [(0b111, (a, b, 0)) for a in range(1, 9) for b in range(1, 10)]
+        )
+        assert len(result.violations) == len(expected) == 169
+        for v, (coalition, picks) in zip(result.violations, expected):
+            buyers = [i for i in range(3) if coalition >> i & 1]
+            assert v.coalition == coalition
+            assert [r.knots for r in v.deviant_reports] == [
+                grid[i][k].knots for i, k in zip(buyers, picks)
+            ]
+            assert not v.uses_tiebreak
+            assert [(b.net, b.wins_nonzero) for b in v.before] == [(0, False)] * len(buyers)
+            assert [a.wins_nonzero for a in v.after] == [g > 0 for g in gains[coalition]]
+            nets = [a.net for a in v.after]
+            if policy.exact:
+                assert nets == list(gains[coalition])
+            else:
+                assert all(abs(a - g) <= 1e-12 for a, g in zip(nets, gains[coalition]))
+
     def test_budget_refusal_names_the_estimate(self):
         sched = EqualSplitSchedule(2)
         truth = [

@@ -93,6 +93,29 @@ class TestRun:
             assert run_cli("run", str(path)) == 2
             assert "subset {0,1} listed twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            # the literal key "0,1" twice: a JSON reader would keep the later row
+            ('{"buyers": [{"kind": "linear", "c": "1"}, {"kind": "linear", "c": "1"}],'
+             ' "schedule": {"kind": "cmss", "shares": {"0,1": ["1/2", "1/2"],'
+             ' "0,1": ["9/10", "1/10"], "0": ["1", "0"], "1": ["0", "1"]}},'
+             ' "fixed_price": "1/2"}', "0,1"),
+            ('{"buyers": [{"kind": "linear", "c": "1", "c": "2"}],'
+             ' "schedule": {"kind": "equal-split"}, "fixed_price": "1/2"}', "c"),
+            ('{"buyers": [{"kind": "linear", "c": "1"}], "schedule": {"kind": "equal-split"},'
+             ' "fixed_price": "1/2", "fixed_price": "1"}', "fixed_price"),
+        ],
+        ids=["cmss-row", "buyer-field", "top-level"],
+    )
+    def test_duplicate_json_keys_exit_2(self, tmp_path, capsys, text, key):
+        path = tmp_path / "duplicate.json"
+        path.write_text(text)
+        assert run_cli("run", str(path)) == 2
+        captured = capsys.readouterr()
+        assert f"duplicate key {key!r}" in captured.err
+        assert "payments" not in captured.out
+
     def test_irrational_weight_runs_in_tolerance_lane(self, tmp_path, capsys):
         path = tmp_path / "ranked_power.json"
         scenario = {
@@ -221,6 +244,37 @@ class TestValidateSchedule:
         assert run_cli("validate-schedule", str(bad)) == 1
         out = capsys.readouterr().out
         assert "Witness" in out and "FAIL" in out
+
+    def test_spot_check_reads_the_scenario_seed(self, tmp_path, capsys):
+        # a planted table whose spot-check witness depends on the seed: the
+        # file's seed must act like the same --seed
+        third = ["1/3"] * 3
+        entries = {
+            "0,1,2": {"x": third, "y": third},
+            "0,1": {"x": ["2/3", "1/3", "0"], "y": ["1/3", "2/3", "0"]},
+            "0,2": {"x": ["1/2", "0", "1/2"], "y": ["1/2", "0", "1/2"]},
+            "1,2": {"x": ["0", "1/2", "1/2"], "y": ["0", "1/2", "1/2"]},
+            "0": {"x": ["1", "0", "0"], "y": ["1", "0", "0"]},
+            "1": {"x": ["0", "1", "0"], "y": ["0", "1", "0"]},
+            "2": {"x": ["0", "0", "1"], "y": ["0", "0", "1"]},
+        }
+
+        def spot_line(seed_in_file, *flags):
+            path = tmp_path / f"planted-{seed_in_file}.json"
+            path.write_text(json.dumps({
+                "buyers": [{"kind": "linear", "c": "1"}] * 3,
+                "schedule": {"kind": "table", "entries": entries},
+                "fixed_price": "1/2",
+                "seed": seed_in_file,
+            }))
+            assert run_cli("validate-schedule", str(path), *flags) == 1
+            out = capsys.readouterr().out
+            return next(line for line in out.splitlines() if line.startswith("brute-force"))
+
+        assert spot_line(5) == spot_line(0, "--seed", "5")
+        assert spot_line(77) == spot_line(0, "--seed", "77")
+        assert spot_line(5) != spot_line(77)
+        assert spot_line(77, "--seed", "5") == spot_line(5)
 
 
 class TestFuzz:

@@ -6,6 +6,7 @@ import pytest
 
 from groupbuy.mechanism import (
     AllocationOutcome,
+    CompiledSchedule,
     allocate,
     compute_bid_trace,
     fixed_price_outcome,
@@ -127,6 +128,64 @@ class TestTrace:
         assert [s.removed for s in scaled.steps] == [s.removed for s in base.steps]
         for a, b in zip(scaled.steps, base.steps):
             assert a.max_payment == pytest.approx(float(F(7, 2)) * b.max_payment, rel=1e-12)
+
+
+class CountingRanked(RankedSchedule):
+    """A ranked schedule that records every subset whose shares are requested."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.requested = set()
+
+    def shares_for(self, subset):
+        self.requested.add(subset)
+        return super().shares_for(subset)
+
+
+class TestCompiled:
+    def test_trace_requests_only_the_subsets_it_visits(self):
+        # 32 closed-form buyers: compiling all 2^32 subsets up front could
+        # never finish, so the columns must fill one visited subset at a time
+        n = 32
+        sched = CountingRanked(list(range(n)), [F(1, n)] * n, sqrt_weight())
+        reports = [ClosedFormUtility.power(1 + F(i, 7), F(1, 2 + i % 3)) for i in range(n)]
+        trace = compute_bid_trace(reports, sched, APPROX)
+        assert len(sched.requested) <= len(trace.steps)
+        assert sched.requested == {step.subset for step in trace.steps}
+
+    def test_tolerance_lane_rounds_each_exact_ratio_once(self):
+        # rational reports: the float lane's bounds are the exact bounds, rounded
+        rng = random.Random(3)
+        for sched in (equal3(), RankedSchedule((2, 0, 1), (F(1, 5), F(3, 10), F(1, 2)))):
+            reports = [
+                random_concave_utility(rng.randrange(2**32), sched.share_points(i), F(2))
+                for i in range(3)
+            ]
+            exact = compute_bid_trace(reports, sched)
+            rounded = compute_bid_trace(reports, sched, APPROX)
+            assert [(s.subset, s.removed) for s in rounded.steps] == [
+                (s.subset, s.removed) for s in exact.steps
+            ]
+            assert all(type(s.max_payment) is float for s in rounded.steps)
+            assert [s.max_payment for s in rounded.steps] == [
+                float(s.max_payment) for s in exact.steps
+            ]
+
+    def test_compiled_columns_give_the_plain_trace(self):
+        sched = equal3()
+        reports = worked_reports(sched)
+        compiled = CompiledSchedule(sched, APPROX)
+        columns = [compiled.column(i, r) for i, r in enumerate(reports)]
+        assert compute_bid_trace(columns, compiled, APPROX) == compute_bid_trace(
+            reports, sched, APPROX
+        )
+        assert type(compiled.shares_for(0b011).payment[0]) is float
+        with pytest.raises(ValueError, match="another buyer or schedule"):
+            compute_bid_trace([columns[1], columns[0], columns[2]], compiled, APPROX)
+        with pytest.raises(ValueError, match="another buyer or schedule"):
+            compute_bid_trace(columns, CompiledSchedule(sched, APPROX), APPROX)
+        with pytest.raises(ValueError, match="another arithmetic policy"):
+            compute_bid_trace(columns, compiled)
 
 
 class TestReferenceTable:

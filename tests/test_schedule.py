@@ -153,11 +153,30 @@ class TestShareInvariants:
             TableSchedule(2, {"0,1": ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 2)))})
         with pytest.raises(ScheduleError):
             TableSchedule(2, {"0": ((F(1, 2), F(1, 2)), (F(1), F(0)))})
+        with pytest.raises(ScheduleError, match=r"positive payment share for buyer 0 outside subset \{1\}"):
+            TableSchedule(2, {"0": ((1, 0), (1, 0)), "1": ((0, 1), (F(1, 2), F(1, 2))), "0,1": ((1, 0), (1, 0))})
         with pytest.raises(ScheduleError, match=r"no shares defined for subset \{0\}"):
             TableSchedule(2, {"0,1": ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))})
         for stray in (3, -1):  # int masks outside 1..full_mask(1)
             with pytest.raises(ScheduleError, match=r"outside 1\.\.1"):
                 TableSchedule(1, {1: ((1,), (1,)), stray: ((1,), (1,))})
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((F(-1, 2), F(3, 2)), "negative resource share for buyer 0 in {0,1}"),
+            ((-0.5, 1.5), "negative resource share for buyer 0 in {0,1}"),
+            ((F(1, 2), F(1, 4)), "resource shares for {0,1} sum to 3/4, not 1"),
+            ((F(1, 2), 0), "resource shares for {0,1} sum to 1/2, not 1"),
+            ((0.5, 0.25), "resource shares for {0,1} sum to 0.75, not 1"),
+            ((F(1, 3), F(2, 3), F(0)), "resource shares for {0,1} must have 2 entries"),
+        ],
+    )
+    def test_share_vector_errors(self, row, message):
+        """Exact rows are checked over a common denominator, others as given."""
+        with pytest.raises(ScheduleError) as err:
+            CrossMonotonicSchedule(2, {"0": (F(1), F(0)), "1": (F(0), F(1)), "0,1": row})
+        assert str(err.value) == message
 
 
 class TestCrossMonotonic:
@@ -294,6 +313,70 @@ class TestBruteForceOracle:
     def test_cap(self):
         with pytest.raises(ScheduleError):
             brute_force_monotonicity_check(EqualSplitSchedule(9), 10)
+
+    @pytest.mark.parametrize(
+        "table,seed,report_class,policy,witness",
+        [
+            # concave class, one case per sample shape: linear, ramp, random concave, zero
+            (99, 0, None, EXACT, (0, 0b011, 0b111, F(9498806057309, 7500000000000),
+                                  ((F(0), F(0)), (F(1), F(579363, 500000))))),
+            (99, 1, None, EXACT, (0, 0b101, 0b111, F(2368781287001, 937500000000),
+                                  ((F(0), F(0)), (F(7, 16), F(729633, 500000)),
+                                   (F(1), F(729633, 500000))))),
+            (99, 9, None, EXACT, (0, 0b001, 0b111, F(7394249918329, 5070715000000),
+                                  ((F(0), F(0)), (F(7, 18), F(176383416167, 253535750000)),
+                                   (F(1), F(433443, 250000))))),
+            ("zero-payment", 4, None, EXACT, (0, 0b011, 0b111, F(62223, 1000000),
+                                              ((F(0), F(0)), (F(1), F(0))))),
+            # power family: exponent k_max, k_min and a random one in between
+            (7, 3, "power", EXACT, (2, 0b100, 0b110, 0.43134879290525163,
+                                    ((F(0), F(0)), (F(2, 11), 0.21866974113156457),
+                                     (F(1), F(256413, 500000))))),
+            (99, 1, "power", EXACT, (0, 0b101, 0b111, 0.344956927394194,
+                                     ((F(0), F(0)), (F(7, 18), 0.1946078739329255),
+                                      (F(7, 16), 0.19749425800632803),
+                                      (F(1), F(109497, 500000))))),
+            (99, 9, "power", EXACT, (2, 0b100, 0b110, 0.16946314400351858,
+                                     ((F(0), F(0)), (F(3, 7), 0.11700449143359797),
+                                      (F(1), F(2189, 12500))))),
+            # float payment shares in the tolerance lane
+            ("ranked-sqrt", 3, None, APPROX, (1, 0b010, 0b011, 1.2849717828312,
+                                              ((F(0), F(0)), (F(1), F(152699, 100000))))),
+        ],
+        ids=["linear", "ramp", "random-concave", "zero", "power-k-max", "power-k-min",
+             "power-random-k", "float-shares"],
+    )
+    def test_witnesses_are_pinned(self, table, seed, report_class, policy, witness):
+        # the oracle must draw the same samples in the same order and value
+        # them exactly as a knot report would, so every witness stays the same
+        if table == "zero-payment":
+            sched = _zero_payment_table()
+        elif table == "ranked-sqrt":
+            sched = RankedSchedule(ORDER, BASE, sqrt_weight())
+        else:
+            sched = _random_table(table)
+        cls = power_class(F(1, 8), F(1, 2)) if report_class == "power" else None
+        found = brute_force_monotonicity_check(sched, 2000, seed=seed, policy=policy, report_class=cls)
+        buyer, subset_a, subset_b, constant, knots = witness
+        assert (found.buyer, found.subset_a, found.subset_b) == (buyer, subset_a, subset_b)
+        assert found.constant == constant and type(found.constant) is type(constant)
+        assert found.utility.knots == knots
+        assert [type(u) for _, u in found.utility.knots] == [type(u) for _, u in knots]
+        _assert_witness_breaks_rule(sched, found, policy)
+
+
+def _zero_payment_table():
+    """Buyer 0 pays nothing in {0,1} but a third in the whole group."""
+    third, half = F(1, 3), F(1, 2)
+    return TableSchedule(3, {
+        "0,1,2": ((third,) * 3, (third,) * 3),
+        "0,1": ((half, half, 0), (0, 1, 0)),
+        "0,2": ((half, 0, half), (half, 0, half)),
+        "1,2": ((0, half, half), (0, half, half)),
+        "0": ((1, 0, 0), (1, 0, 0)),
+        "1": ((0, 1, 0), (0, 1, 0)),
+        "2": ((0, 0, 1), (0, 0, 1)),
+    })
 
 
 class TestWeightSumGrowth:

@@ -1,4 +1,4 @@
-"""Property harnesses: deviation fuzzing, consistency checks, welfare accounting.
+"""Property harnesses: deviation fuzzing, consistency checks, schedule comparison.
 
 These are the desk-scale oracles for the mechanism's incentive claims.  None
 of them proves anything; they enumerate or sample deviations and instances and
@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 from .auction import AuctionConfig, run_group_participation
 from .mechanism import BidTrace, CompiledSchedule, allocate, compute_bid_trace
@@ -148,16 +148,22 @@ class FuzzResult:
     truncated: bool
 
 
-def _scan_coalitions(
+def enumerate_coalition_deviations(
     true_reports: Sequence[UtilityReport],
     schedule: ShareSchedule,
     cfg: AuctionConfig,
     report_grid: Sequence[Sequence[UtilityReport]],
-    sizes,
-    budget: int,
-    seed: int,
-    policy: NumericPolicy,
+    budget: int = 250_000,
+    seed: int = 0,
+    policy: NumericPolicy = EXACT,
 ) -> FuzzResult:
+    """Try every joint misreport of every coalition against truthful play.
+
+    Coalitions of one or two buyers are crossed exhaustively (refusing with a
+    size estimate when that alone exceeds the budget); the three-buyer
+    coalition is sampled within the remaining budget.  An empty violation list
+    over a monotone schedule is the expected desk-scale outcome.
+    """
     n = schedule.n
     if n > FUZZ_MAX_BUYERS:
         raise ValueError(f"deviation enumeration is capped at {FUZZ_MAX_BUYERS} buyers")
@@ -190,7 +196,7 @@ def _scan_coalitions(
     base_prefs = prefs(base_outcome, range(n))
 
     coalitions = sorted(
-        (mask for mask in nonempty_subsets(full_mask(n)) if len(members(mask)) in sizes),
+        nonempty_subsets(full_mask(n)),
         key=lambda m: (len(members(m)), m),
     )
     exhaustive = sum(
@@ -250,44 +256,6 @@ def _scan_coalitions(
     return FuzzResult(tuple(violations), profiles, truncated)
 
 
-def enumerate_coalition_deviations(
-    true_reports: Sequence[UtilityReport],
-    schedule: ShareSchedule,
-    cfg: AuctionConfig,
-    report_grid: Sequence[Sequence[UtilityReport]],
-    budget: int = 250_000,
-    seed: int = 0,
-    policy: NumericPolicy = EXACT,
-) -> FuzzResult:
-    """Try every joint misreport of every coalition against truthful play.
-
-    Coalitions of one or two buyers are crossed exhaustively (refusing with a
-    size estimate when that alone exceeds the budget); the three-buyer
-    coalition is sampled within the remaining budget.  An empty violation list
-    over a monotone schedule is the expected desk-scale outcome.
-    """
-    return _scan_coalitions(
-        true_reports, schedule, cfg, report_grid,
-        sizes=range(1, schedule.n + 1), budget=budget, seed=seed, policy=policy,
-    )
-
-
-def check_unilateral_truthfulness(
-    true_reports: Sequence[UtilityReport],
-    schedule: ShareSchedule,
-    cfg: AuctionConfig,
-    report_grid: Sequence[Sequence[UtilityReport]],
-    budget: int = 250_000,
-    seed: int = 0,
-    policy: NumericPolicy = EXACT,
-) -> FuzzResult:
-    """Single-buyer slice of the coalition scan."""
-    return _scan_coalitions(
-        true_reports, schedule, cfg, report_grid,
-        sizes=(1,), budget=budget, seed=seed, policy=policy,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Individual consistency
 
@@ -322,90 +290,6 @@ def check_individual_consistency(
         if not outcome.winning_set >> i & 1:
             return ConsistencyViolation(i, True)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Welfare
-
-
-@dataclass(frozen=True)
-class WelfareReport:
-    mechanism_welfare: Num
-    optimal_welfare: Num
-    optimal_division: tuple
-    purchased_by_mechanism: bool
-    purchasable_optimally: bool
-
-    @property
-    def inefficiency_flagged(self) -> bool:
-        """The group could have covered the price under some division, yet did not buy."""
-        return self.purchasable_optimally and not self.purchased_by_mechanism
-
-    @property
-    def welfare_gap(self) -> Num:
-        return self.optimal_welfare - self.mechanism_welfare
-
-
-def optimal_welfare(reports: Sequence[UtilityReport]) -> Tuple[Num, tuple]:
-    """Maximize total utility over divisions summing to at most one.
-
-    Greedy by marginal slope over the concatenated knot segments, which is
-    exact for concave piecewise-linear utilities: within each buyer the
-    segments already come steepest-first, so the global pick order is a valid
-    allocation path.
-    """
-    segments = []
-    for buyer, report in enumerate(reports):
-        if not isinstance(report, UtilityReport):
-            raise ValueError(f"buyer {buyer}: a knot report is needed (see sample_report)")
-        knots = report.knots
-        for (x0, u0), (x1, u1) in zip(knots, knots[1:]):
-            slope = (u1 - u0) / (x1 - x0)
-            if slope > 0:
-                segments.append((slope, buyer, x1 - x0))
-    segments.sort(key=lambda seg: (-seg[0], seg[1]))
-    capacity = Fraction(1)
-    division = [Fraction(0)] * len(reports)
-    welfare = Fraction(0)
-    for slope, buyer, width in segments:
-        if not capacity > 0:
-            break
-        take = min(width, capacity)
-        division[buyer] += take
-        welfare += slope * take
-        capacity -= take
-    return welfare, tuple(division)
-
-
-def efficiency_gap(
-    reports: Sequence[UtilityReport],
-    schedule: ShareSchedule,
-    price: Num,
-    policy: NumericPolicy = EXACT,
-) -> WelfareReport:
-    """Realized total utility at a price versus the unconstrained optimum.
-
-    Flags the affordability gap: the optimum covering the price while the
-    mechanism walks away.  The mechanism can lose welfare because its division
-    is pinned to the pre-announced shares; this measures, never bounds, that
-    loss.
-    """
-    trace = compute_bid_trace(reports, schedule, policy)
-    outcome = allocate(trace, schedule, price, policy)
-    if outcome.purchased:
-        realized = sum(
-            reports[i].value_at(outcome.fractions[i]) for i in range(schedule.n)
-        )
-    else:
-        realized = Fraction(0)
-    best, division = optimal_welfare(reports)
-    return WelfareReport(
-        mechanism_welfare=realized,
-        optimal_welfare=best,
-        optimal_division=division,
-        purchased_by_mechanism=outcome.purchased,
-        purchasable_optimally=policy.gt(best, price),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Subcommands::
 
     groupbuy run               <scenario.json>   # trace, bid, auction, division
     groupbuy validate-schedule <scenario.json>   # cross-monotonicity + monotonicity
-    groupbuy fuzz              <scenario.json>   # coalition/unilateral deviation scan
+    groupbuy fuzz              <scenario.json>   # coalition deviation scan
     groupbuy compare           <scenario.json>   # same reports across schedules
 
 Exit codes: 0 success/pass, 1 internal error or a failed check (violations,
@@ -28,7 +28,6 @@ from .analysis import (
     power_report_grid,
 )
 from .auction import AuctionConfig, run_group_participation
-from .mechanism import compute_bid_trace, fixed_price_outcome
 from .numeric import decimal_str
 from .schedule import (
     ORACLE_MAX_BUYERS,
@@ -39,6 +38,7 @@ from .schedule import (
     members,
     nonempty_subsets,
     full_mask,
+    single_crossing_check,
     subset_key,
     validate_cross_monotonic,
     validate_monotonicity,
@@ -88,30 +88,56 @@ def _load(args):
     )
 
 
-def _report_class(schedule) -> ReportClass:
-    """The utilities that a schedule's checks and fuzz menus range over.
+def _report_class(schedule):
+    """The utilities that a schedule's checks and fuzz menus range over, and why.
 
-    A ranked schedule whose weight is x**q with q < 1 is monotone only against
-    power utilities c*x**k with k <= q, so it gets the family q/4 <= k <= q;
-    every other schedule gets the full concave class.
+    Returns the class and the :func:`single_crossing_check` counterexample
+    that narrowed it, or None.  A ranked schedule whose weight x**q fails
+    that check against the concave class is monotone only against power
+    utilities c*x**k with k <= q, so it gets the family q/4 <= k <= q; every
+    other schedule gets the full concave class.
     """
-    if isinstance(schedule, RankedSchedule) and schedule.weight.k != 1:
-        q = schedule.weight.k
-        return power_class(q / 4, q)
-    return concave_class()
+    if isinstance(schedule, RankedSchedule):
+        crossing = single_crossing_check(schedule.weight, concave_class())
+        if crossing is not None:
+            q = schedule.weight.k
+            return power_class(q / 4, q), crossing
+    return concave_class(), None
+
+
+def _class_label(report_class: ReportClass) -> str:
+    if report_class.kind == "power":
+        return (
+            f"power family with exponents {_fmt(report_class.k_min)} "
+            f"to {_fmt(report_class.k_max)}"
+        )
+    return "concave class"
+
+
+def _auction_config(scenario) -> AuctionConfig:
+    """The auction a scenario's group enters: its own, or reserve = fixed price and no rival."""
+    if scenario.auction is not None:
+        return scenario.auction
+    return AuctionConfig(reserve=scenario.fixed_price)
 
 
 def cmd_run(args) -> int:
     scenario = _load(args)
     policy = scenario.policy
-    if scenario.auction is not None:
-        trace, result, outcome = run_group_participation(
-            scenario.reports, scenario.schedule, scenario.auction, policy
+    report_class, _ = _report_class(scenario.schedule)
+    outside = [i for i, report in enumerate(scenario.reports) if not report_class.contains(report)]
+    if outside:
+        print(
+            f"note: buyer {outside[0]} lies outside the {_class_label(report_class)} "
+            f"({len(outside)} such buyers); the incentive guarantees do not cover this run",
+            file=sys.stderr,
         )
-        report = {
-            "trace": trace_to_json(trace, policy),
-            "auction": auction_result_to_json(result, policy),
-        }
+    trace, result, outcome = run_group_participation(
+        scenario.reports, scenario.schedule, _auction_config(scenario), policy
+    )
+    report = {"trace": trace_to_json(trace, policy)}
+    if scenario.auction is not None:
+        report["auction"] = auction_result_to_json(result, policy)
         summary = (
             f"bid {_fmt(trace.group_bid)}; win at {_fmt(result.clearing_price)}; "
             f"payments {_vec(outcome.payments)}"
@@ -119,9 +145,6 @@ def cmd_run(args) -> int:
             else f"bid {_fmt(trace.group_bid)}; lost"
         )
     else:
-        trace = compute_bid_trace(scenario.reports, scenario.schedule, policy)
-        outcome = fixed_price_outcome(scenario.reports, scenario.schedule, scenario.fixed_price, policy)
-        report = {"trace": trace_to_json(trace, policy)}
         summary = (
             f"fixed price {_fmt(scenario.fixed_price)}; winners {_braces(outcome.winning_set)}; "
             f"payments {_vec(outcome.payments)}; fractions {_vec(outcome.fractions)}"
@@ -177,11 +200,14 @@ def cmd_validate_schedule(args) -> int:
             f"({len(zero_share_members)} such pairs); legal, but such a buyer can win nothing"
         )
 
-    report_class = _report_class(schedule)
-    if report_class.kind == "power":
-        class_label = f"power family with exponents up to {_fmt(report_class.k_max)}"
-    else:
-        class_label = "concave class"
+    report_class, crossing = _report_class(schedule)
+    class_label = _class_label(report_class)
+    if crossing is not None:
+        print(
+            f"class: {class_label}, since the weight x^{_fmt(schedule.weight.k)} "
+            f"times {_fmt(crossing.constant)} lies above x^{_fmt(crossing.utility.k)} "
+            f"at x = {_fmt(crossing.x_above)} and not above it at x = {_fmt(crossing.x_not_above)}"
+        )
 
     ok = True
     cross = validate_cross_monotonic(schedule, policy=policy)
@@ -229,10 +255,8 @@ def cmd_validate_schedule(args) -> int:
 def cmd_fuzz(args) -> int:
     """Coalition deviation scan over the scenario's truthful reports.
 
-    A ``fixed_price`` scenario is fuzzed on the auction path with reserve =
-    price and no rival bid, not through :func:`fixed_price_outcome`.  That the
-    two pick the same winners is what acceptance criterion 8 compares (it
-    archives counterexamples rather than failing); this command relies on it.
+    Every profile runs the mechanism ``run`` executes: a ``fixed_price``
+    scenario enters an auction with reserve = price and no rival bid.
     """
     scenario = _load(args)
     if scenario.n > FUZZ_MAX_BUYERS:
@@ -243,7 +267,7 @@ def cmd_fuzz(args) -> int:
         return 0
 
     schedule = scenario.schedule
-    report_class = _report_class(schedule)
+    report_class, _ = _report_class(schedule)
     if report_class.kind == "power":
         lo, hi = report_class.k_min, report_class.k_max
         exponents = [lo + (hi - lo) * Fraction(j, 3) for j in range(4)]
@@ -251,12 +275,8 @@ def cmd_fuzz(args) -> int:
     else:
         grid = concave_report_grid(schedule)
 
-    cfg = scenario.auction
-    if cfg is None:
-        cfg = AuctionConfig(reserve=scenario.fixed_price)
-
     result = enumerate_coalition_deviations(
-        scenario.reports, schedule, cfg, grid,
+        scenario.reports, schedule, _auction_config(scenario), grid,
         budget=args.budget, seed=scenario.seed, policy=scenario.policy,
     )
     print(
@@ -382,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_val)
     p_val.set_defaults(func=cmd_validate_schedule)
 
-    p_fuzz = sub.add_parser("fuzz", help="coalition and unilateral deviation scan")
+    p_fuzz = sub.add_parser("fuzz", help="coalition deviation scan")
     add_common(p_fuzz)
     p_fuzz.set_defaults(func=cmd_fuzz)
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
@@ -53,7 +52,6 @@ from .schedule import (
     TableSchedule,
     identity_weight,
     members,
-    parse_subset_key,
     power_weight,
     sqrt_weight,
     subset_key,
@@ -307,14 +305,6 @@ def number_to_json(v: Num, policy: NumericPolicy):
     return out
 
 
-def number_from_json(obj) -> Num:
-    if isinstance(obj, dict):
-        if "exact" in obj:
-            return Fraction(obj["exact"])
-        return float(obj["decimal"])
-    return parse_number(obj)
-
-
 def trace_to_json(trace: BidTrace, policy: NumericPolicy) -> dict:
     return {
         "steps": [
@@ -337,16 +327,6 @@ def outcome_to_json(outcome: AllocationOutcome, policy: NumericPolicy) -> dict:
         "payments": [number_to_json(v, policy) for v in outcome.payments],
         "price": number_to_json(outcome.price, policy),
     }
-
-
-def outcome_from_json(data: dict, n: int) -> AllocationOutcome:
-    return AllocationOutcome(
-        purchased=bool(data["purchased"]),
-        winning_set=parse_subset_key(data["winning_set"], n),
-        fractions=tuple(number_from_json(v) for v in data["fractions"]),
-        payments=tuple(number_from_json(v) for v in data["payments"]),
-        price=number_from_json(data["price"]),
-    )
 
 
 def auction_result_to_json(result: AuctionResult, policy: NumericPolicy) -> dict:

@@ -39,7 +39,7 @@ from .utility import (
 )
 
 
-ENUMERATION_MAX_BUYERS = 16  # buyer-count limit of share_points and rras_resource_table
+ENUMERATION_MAX_BUYERS = 16  # buyer-count limit of share_points
 VALIDATION_MAX_BUYERS = 12  # of validate_cross_monotonic and validate_monotonicity
 ORACLE_MAX_BUYERS = 8  # of brute_force_monotonicity_check
 
@@ -303,21 +303,6 @@ class RankedSchedule(ShareSchedule):
         resource = rras_resource_shares(self.order, self.base, subset)
         payment = rras_payment_shares(self.weight, resource, subset)
         return SharePair(resource, payment)
-
-
-def rras_resource_table(order: Sequence[int], base: Sequence) -> dict:
-    """Resource shares of the ranked rule for every non-empty subset.
-
-    Handy for building a cross-monotonic twin (payment = resource) of a ranked
-    schedule; the ranked rule's resource shares are cross-monotonic.
-    """
-    n = len(order)
-    if n > ENUMERATION_MAX_BUYERS:
-        raise ScheduleError(f"table expansion is capped at {ENUMERATION_MAX_BUYERS} buyers")
-    return {
-        mask: rras_resource_shares(order, base, mask)
-        for mask in nonempty_subsets(full_mask(n))
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,16 @@ class ReportClass:
     k_min: Optional[Num] = None
     k_max: Optional[Num] = None
 
+    def contains(self, report) -> bool:
+        """Whether an admissible report is a member; knot lists count only as concave."""
+        if self.kind == "concave":
+            return True
+        return (
+            isinstance(report, ClosedFormUtility)
+            and report.kind == "power"
+            and self.k_min <= report.k <= self.k_max
+        )
+
 
 def concave_class() -> ReportClass:
     return ReportClass("concave")

@@ -34,11 +34,12 @@ from groupbuy.schedule import (
     identity_weight,
     members,
     nonempty_subsets,
-    rras_resource_table,
     sqrt_weight,
     validate_monotonicity,
 )
 from groupbuy.utility import ClosedFormUtility, random_concave_utility, sample_report
+
+from helpers import rras_resource_table
 
 APPROX = approx()
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -6,28 +7,25 @@ from groupbuy.analysis import (
     BudgetError,
     PreferenceOutcome,
     check_individual_consistency,
-    check_unilateral_truthfulness,
     compare_schedules,
     concave_report_grid,
-    efficiency_gap,
     enumerate_coalition_deviations,
-    optimal_welfare,
     power_report_grid,
     strictly_prefers,
     weakly_prefers,
 )
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.numeric import EXACT, approx
-from groupbuy.scenario import bundled_scenario_path, load_scenario_file
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
     RankedSchedule,
     TableSchedule,
-    rras_resource_table,
     sqrt_weight,
 )
 from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
+
+from helpers import rras_resource_table
 
 APPROX = approx()
 
@@ -94,15 +92,17 @@ class TestPreferences:
 
 class TestUnilateral:
     def test_equal_split_no_profitable_misreport(self):
+        # unilateral deviations are the scan's singleton coalitions
         sched = EqualSplitSchedule(3)
         truth = worked_reports(sched)
         grid = concave_report_grid(sched)
         for rival in (F(3, 5), F(9, 10), F(6, 5)):
-            result = check_unilateral_truthfulness(
+            result = enumerate_coalition_deviations(
                 truth, sched, AuctionConfig(0, (rival,)), grid, policy=APPROX
             )
-            assert result.violations == ()
-            assert result.profiles == sum(len(g) for g in grid)
+            assert not result.truncated
+            assert result.profiles == math.prod(len(g) + 1 for g in grid) - 1
+            assert [v for v in result.violations if v.coalition.bit_count() == 1] == []
 
     def test_identity_deviation_changes_nothing(self):
         sched = EqualSplitSchedule(3)
@@ -306,86 +306,6 @@ class TestIndividualConsistency:
         ]
         witness = check_individual_consistency(reports, sched, F(7, 10))
         assert witness is not None and witness.buyer == 0 and not witness.purchased
-
-
-class TestOptimalWelfare:
-    def test_single_buyer_takes_everything(self):
-        rep = UtilityReport(((F(0), F(0)), (F(1, 2), F(3, 4)), (F(1), F(1))))
-        welfare, division = optimal_welfare([rep])
-        assert welfare == 1 and division == (1,)
-
-    def test_identical_linear_buyers_cap_at_coefficient(self):
-        reps = [UtilityReport(((F(0), F(0)), (F(1), F(3, 5)))) for _ in range(3)]
-        welfare, division = optimal_welfare(reps)
-        assert welfare == F(3, 5) and sum(division) == 1
-
-    def test_linear_plus_sqrt_splits_three_quarters_one_quarter(self):
-        linear = UtilityReport(((F(0), F(0)), (F(1), F(1))))
-        root = sample_report(
-            ClosedFormUtility.power(1, F(1, 2)), [F(k, 64) for k in range(1, 64)]
-        )
-        welfare, division = optimal_welfare([linear, root])
-        assert welfare == pytest.approx(1.25, abs=2e-3)
-        assert division[0] == pytest.approx(0.75, abs=0.05)
-
-    def test_greedy_matches_grid_search_two_buyers(self):
-        import random
-
-        from groupbuy.utility import random_concave_utility
-
-        rng = random.Random(17)
-        for _ in range(20):
-            reps = [
-                random_concave_utility(
-                    rng.randrange(2**32), [F(k, 8) for k in range(1, 9)], F(2)
-                )
-                for _ in range(2)
-            ]
-            welfare, _ = optimal_welfare(reps)
-            grid_best = max(
-                reps[0].value_at(F(k, 64)) + reps[1].value_at(1 - F(k, 64))
-                for k in range(65)
-            )
-            assert welfare >= grid_best - F(1, 10**9)
-            assert welfare <= grid_best + F(1, 16)  # grid resolution slack
-
-
-class TestEfficiencyGap:
-    def test_constructed_affordability_gap(self):
-        # one buyer loves a small slice, the other is mildly linear: together
-        # they cover the price, but equal shares serve neither
-        sched = EqualSplitSchedule(2)
-        reports = [
-            UtilityReport(((F(0), F(0)), (F(1, 5), F(3, 5)), (F(1), F(3, 5)))),
-            UtilityReport(((F(0), F(0)), (F(1), F(1, 2)))),
-        ]
-        report = efficiency_gap(reports, sched, F(19, 20))
-        assert report.optimal_welfare == 1
-        assert report.optimal_division == (F(1, 5), F(4, 5))
-        assert report.purchasable_optimally
-        assert not report.purchased_by_mechanism
-        assert report.inefficiency_flagged
-        assert report.mechanism_welfare == 0
-
-    def test_purchase_keeps_gap_nonnegative(self):
-        sched = EqualSplitSchedule(3)
-        report = efficiency_gap(worked_reports(sched), sched, F(3, 5), APPROX)
-        assert report.purchased_by_mechanism
-        assert report.welfare_gap >= 0
-        assert report.mechanism_welfare <= report.optimal_welfare
-
-    def test_price_zero_never_flags(self):
-        sched = EqualSplitSchedule(3)
-        report = efficiency_gap(worked_reports(sched), sched, 0, APPROX)
-        assert report.purchased_by_mechanism
-        assert not report.inefficiency_flagged
-
-    def test_closed_forms_need_a_knot_report(self):
-        reports = load_scenario_file(bundled_scenario_path("example1")).reports
-        with pytest.raises(ValueError, match=r"buyer 0: a knot report is needed \(see sample_report\)"):
-            optimal_welfare(reports)
-        with pytest.raises(ValueError, match="buyer 0: a knot report is needed"):
-            efficiency_gap(reports, EqualSplitSchedule(3), F(9, 10), APPROX)
 
 
 class TestCompareSchedules:

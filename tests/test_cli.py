@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 import groupbuy
+from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.cli import main
-from groupbuy.scenario import bundled_scenario_path
+from groupbuy.scenario import bundled_scenario_path, load_scenario_file, outcome_to_json
 
 
 def run_cli(*argv):
@@ -14,6 +15,34 @@ def run_cli(*argv):
 
 def scenario(name):
     return str(bundled_scenario_path(name))
+
+
+def knots(*points):
+    return {"kind": "knots", "points": [[x, u] for x, u in points]}
+
+
+# cli-scale seed 11, scenario-49-n9: a ranked sqrt schedule with buyers outside
+# its power family, whose trace's last step {8} bears 3.8 > 13/5
+SEED11_SCENARIO_49 = {
+    "buyers": [
+        {"kind": "log", "c": "16/5"},
+        {"kind": "power", "c": "6/5", "k": "1/2"},
+        knots(("0", "0"), ("1/12", "1/10"), ("11/12", "41/60"), ("1", "7/10")),
+        {"kind": "power", "c": "1/2", "k": "1/4"},
+        knots(("0", "0"), ("1/6", "37/60"), ("7/12", "61/30"), ("1", "289/120")),
+        {"kind": "linear", "c": "7/5"},
+        {"kind": "log", "c": "17/10"},
+        {"kind": "log", "c": "19/5"},
+        {"kind": "linear", "c": "19/5"},
+    ],
+    "schedule": {
+        "kind": "rras",
+        "order": [8, 1, 0, 2, 3, 7, 5, 4, 6],
+        "base": ["2/15", "1/9", "1/5", "7/45", "4/45", "2/45", "8/45", "1/15", "1/45"],
+        "f": "sqrt",
+    },
+    "fixed_price": "13/5",
+}
 
 
 class TestRun:
@@ -213,6 +242,33 @@ class TestRun:
         assert run_cli("run", self.write(tmp_path, self.ranked_linear(33))) == 2
         assert "buyer count must lie in 1..32" in capsys.readouterr().err
 
+    def test_fixed_price_divides_on_the_trace(self, tmp_path, capsys):
+        # the drop-everyone-unaffordable sweep bought nothing here; the trace
+        # path, which fuzz runs too, buys with {8}
+        path = self.write(tmp_path, SEED11_SCENARIO_49)
+        assert run_cli("run", path, "--format", "json") == 0
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert outcome["purchased"] and outcome["winning_set"] == "8"
+        assert [p["decimal"] for p in outcome["payments"]] == ["0"] * 8 + ["2.6"]
+        assert outcome["price"] == {"decimal": "2.6"}
+        sc = load_scenario_file(path)
+        _, _, fuzz_path = run_group_participation(
+            sc.reports, sc.schedule, AuctionConfig(reserve=F(13, 5)), sc.policy
+        )
+        assert outcome_to_json(fuzz_path, sc.policy) == outcome
+
+    def test_out_of_class_buyers_noted_on_stderr(self, tmp_path, capsys):
+        path = self.write(tmp_path, SEED11_SCENARIO_49)
+        assert run_cli("run", path) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "note: buyer 0 lies outside the power family with exponents 0.125 to 0.5 "
+            "(7 such buyers); the incentive guarantees do not cover this run\n"
+        )
+        for name in ("example1", "example2", "section6-table"):
+            assert run_cli("run", scenario(name)) == 0
+            assert capsys.readouterr().err == ""
+
 
 class TestValidateSchedule:
     def test_bundled_scenarios_pass(self, capsys):
@@ -221,6 +277,17 @@ class TestValidateSchedule:
         assert run_cli("validate-schedule", scenario("section6-table")) == 0
         out = capsys.readouterr().out
         assert "power family" in out and "Pass" in out
+
+    def test_class_reason_names_the_crossing(self, capsys):
+        assert run_cli("validate-schedule", scenario("section6-table")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "class: power family with exponents 0.125 to 0.5, since the weight x^0.5 "
+            "times 0.707107 lies above x^1 at x = 0.25 and not above it at x = 1"
+        )
+        assert "monotonicity (power family with exponents 0.125 to 0.5): Pass" in lines
+        assert run_cli("validate-schedule", scenario("example1")) == 0
+        assert "class:" not in capsys.readouterr().out
 
     def test_negative_budget_exit_2(self, capsys):
         with pytest.raises(SystemExit) as stop:

@@ -21,7 +21,6 @@ from groupbuy.schedule import (
     mask_of,
     members,
     nonempty_subsets,
-    rras_resource_table,
     sqrt_weight,
     subset_key,
 )
@@ -31,6 +30,8 @@ from groupbuy.utility import (
     random_concave_utility,
     sample_report,
 )
+
+from helpers import rras_resource_table
 
 APPROX = approx()
 

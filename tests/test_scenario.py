@@ -10,13 +10,11 @@ from groupbuy.scenario import (
     bundled_scenario_path,
     load_scenario,
     load_scenario_file,
-    number_from_json,
     number_to_json,
-    outcome_from_json,
     outcome_to_json,
     trace_to_json,
 )
-from groupbuy.schedule import EqualSplitSchedule, RankedSchedule
+from groupbuy.schedule import EqualSplitSchedule, RankedSchedule, subset_key
 from groupbuy.numeric import EXACT, approx
 from groupbuy.utility import ClosedFormUtility
 
@@ -137,20 +135,23 @@ class TestSerialization:
     def test_number_encoding_exact_mode(self):
         enc = number_to_json(F(9, 20), EXACT)
         assert enc == {"decimal": "0.45", "exact": "9/20"}
-        assert number_from_json(enc) == F(9, 20)
+        assert F(enc["exact"]) == F(9, 20)
 
     def test_number_encoding_approx_mode(self):
         enc = number_to_json(math.sqrt(0.5), approx())
         assert "exact" not in enc
-        assert number_from_json(enc) == pytest.approx(math.sqrt(0.5), abs=1e-13)
+        assert float(enc["decimal"]) == pytest.approx(math.sqrt(0.5), abs=1e-13)
 
     def test_outcome_round_trip_bit_exact(self):
         sc = load_scenario(minimal())
         trace = compute_bid_trace(sc.reports, sc.schedule, sc.policy)
         outcome = allocate(trace, sc.schedule, sc.fixed_price, sc.policy)
-        blob = json.dumps(outcome_to_json(outcome, sc.policy))
-        back = outcome_from_json(json.loads(blob), sc.n)
-        assert back == outcome
+        enc = json.loads(json.dumps(outcome_to_json(outcome, sc.policy)))
+        assert enc["purchased"] is outcome.purchased
+        assert enc["winning_set"] == subset_key(outcome.winning_set)
+        assert [F(v["exact"]) for v in enc["fractions"]] == list(outcome.fractions)
+        assert [F(v["exact"]) for v in enc["payments"]] == list(outcome.payments)
+        assert F(enc["price"]["exact"]) == outcome.price
 
     def test_trace_steps_carry_subset_beta_removed(self):
         sc = load_scenario(minimal())

@@ -23,7 +23,6 @@ from groupbuy.schedule import (
     power_weight,
     rras_payment_shares,
     rras_resource_shares,
-    rras_resource_table,
     single_crossing_check,
     sqrt_weight,
     subset_key,
@@ -31,6 +30,8 @@ from groupbuy.schedule import (
     validate_monotonicity,
 )
 from groupbuy.utility import ClosedFormUtility, UtilityReport, concave_class, power_class
+
+from helpers import rras_resource_table
 
 APPROX = approx()
 ORDER = (0, 1, 2)

@@ -9,6 +9,7 @@ from groupbuy.utility import (
     ClosedFormUtility,
     InvalidReportError,
     UtilityReport,
+    concave_class,
     power_class,
     random_concave_utility,
     sample_report,
@@ -184,3 +185,18 @@ def test_power_class_bounds():
         power_class(F(1, 4), F(9, 8))
     cls = power_class(F(1, 8), F(1, 2))
     assert cls.kind == "power"
+
+
+def test_class_membership():
+    family = power_class(F(1, 8), F(1, 2))
+    inside = [ClosedFormUtility.power(2, k) for k in (F(1, 8), F(1, 3), F(1, 2))]
+    outside = [
+        ClosedFormUtility.power(2, F(1, 9)),
+        ClosedFormUtility.power(2, F(3, 4)),
+        ClosedFormUtility.linear(1),
+        ClosedFormUtility.log(1),
+        linear_report(),
+    ]
+    assert all(family.contains(r) for r in inside)
+    assert not any(family.contains(r) for r in outside)
+    assert all(concave_class().contains(r) for r in inside + outside)

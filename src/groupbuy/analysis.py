@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .auction import AuctionConfig, run_group_participation
-from .mechanism import BidTrace, CompiledSchedule, allocate, compute_bid_trace
+from .mechanism import AllocationOutcome, BidTrace, CompiledSchedule
 from .numeric import EXACT, Num, NumericPolicy
 from .schedule import ShareSchedule, full_mask, members, nonempty_subsets
 from .utility import ClosedFormUtility, UtilityReport, sample_report, validate_knots
@@ -276,14 +276,15 @@ def check_individual_consistency(
 ) -> Optional[ConsistencyViolation]:
     """If anyone values the whole resource above the price, the group must buy
     and every such buyer must be in the winning set.  Assumes a monotone
-    schedule."""
+    schedule.  The group runs at the price as ``run`` does at a fixed price:
+    an auction with reserve = price, no rival bid and ties to the group."""
     eligible = [
         i for i in range(schedule.n) if policy.gt(reports[i].value_at(Fraction(1)), price)
     ]
     if not eligible:
         return None
-    trace = compute_bid_trace(reports, schedule, policy)
-    outcome = allocate(trace, schedule, price, policy)
+    cfg = AuctionConfig(reserve=price)
+    _, _, outcome = run_group_participation(reports, schedule, cfg, policy)
     if not outcome.purchased:
         return ConsistencyViolation(eligible[0], False)
     for i in eligible:
@@ -300,7 +301,7 @@ def check_individual_consistency(
 class ScheduleRun:
     name: str
     trace: BidTrace
-    outcomes: dict  # price -> AllocationOutcome
+    outcome: AllocationOutcome
 
 
 @dataclass(frozen=True)
@@ -325,23 +326,20 @@ def _bid_vector_relation(u: Sequence[Num], v: Sequence[Num], policy: NumericPoli
 def compare_schedules(
     reports: Sequence[UtilityReport],
     schedules: Mapping[str, ShareSchedule],
-    prices: Sequence[Num],
+    cfg: AuctionConfig,
     policy: NumericPolicy = EXACT,
 ) -> ScheduleComparison:
     """Run the same reports through several schedules and compare bid vectors.
 
-    A schedule dominates another when its ordered bearable payments are
-    componentwise at least as large, exhausted (shorter) vectors padding with
-    zero.
+    Each schedule's group enters the auction ``cfg``, tie policy included, and
+    divides only on a win, as in :func:`run_group_participation`.  A schedule
+    dominates another when its ordered bearable payments are componentwise at
+    least as large, exhausted (shorter) vectors padding with zero.
     """
-    for name, schedule in schedules.items():
-        if schedule.n != len(reports):
-            raise ValueError(f"schedule {name!r} is for {schedule.n} buyers, reports for {len(reports)}")
     runs = []
     for name, schedule in schedules.items():
-        trace = compute_bid_trace(reports, schedule, policy)
-        outcomes = {price: allocate(trace, schedule, price, policy) for price in prices}
-        runs.append(ScheduleRun(name, trace, outcomes))
+        trace, _, outcome = run_group_participation(reports, schedule, cfg, policy)
+        runs.append(ScheduleRun(name, trace, outcome))
     dominance = {}
     for ra, rb in itertools.combinations(runs, 2):
         u = [s.max_payment for s in ra.trace.steps]

@@ -7,6 +7,11 @@ Subcommands::
     groupbuy fuzz              <scenario.json>   # coalition deviation scan
     groupbuy compare           <scenario.json>   # same reports across schedules
 
+Each takes ``--epsilon`` and ``--exact``; ``--out`` and ``--format`` where it
+writes a report, ``--seed`` and ``--budget`` where it samples.  ``run``,
+``fuzz`` and ``compare`` enter the scenario's auction through
+:func:`run_group_participation`; a fixed price is a reserve with no rival.
+
 Exit codes: 0 success/pass, 1 internal error or a failed check (violations,
 witnesses), 2 invalid input, 3 budget-exhausted partial result.
 """
@@ -27,7 +32,7 @@ from .analysis import (
     enumerate_coalition_deviations,
     power_report_grid,
 )
-from .auction import AuctionConfig, run_group_participation
+from .auction import run_group_participation
 from .numeric import decimal_str
 from .schedule import (
     ORACLE_MAX_BUYERS,
@@ -84,7 +89,7 @@ def non_negative_int(text: str) -> int:
 
 def _load(args):
     return load_scenario_file(
-        args.scenario, force_exact=args.exact, epsilon=args.epsilon, seed=args.seed
+        args.scenario, force_exact=args.exact, epsilon=args.epsilon, seed=getattr(args, "seed", None)
     )
 
 
@@ -114,13 +119,6 @@ def _class_label(report_class: ReportClass) -> str:
     return "concave class"
 
 
-def _auction_config(scenario) -> AuctionConfig:
-    """The auction a scenario's group enters: its own, or reserve = fixed price and no rival."""
-    if scenario.auction is not None:
-        return scenario.auction
-    return AuctionConfig(reserve=scenario.fixed_price)
-
-
 def cmd_run(args) -> int:
     scenario = _load(args)
     policy = scenario.policy
@@ -133,10 +131,10 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
     trace, result, outcome = run_group_participation(
-        scenario.reports, scenario.schedule, _auction_config(scenario), policy
+        scenario.reports, scenario.schedule, scenario.auction, policy
     )
     report = {"trace": trace_to_json(trace, policy)}
-    if scenario.auction is not None:
+    if scenario.fixed_price is None:
         report["auction"] = auction_result_to_json(result, policy)
         summary = (
             f"bid {_fmt(trace.group_bid)}; win at {_fmt(result.clearing_price)}; "
@@ -232,21 +230,24 @@ def cmd_validate_schedule(args) -> int:
             f"{[(str(x), _fmt(u)) for x, u in mono.utility.knots]} with C={_fmt(mono.constant)}"
         )
 
-    if schedule.n <= ORACLE_MAX_BUYERS:
+    samples = min(args.budget, 5000)
+    if schedule.n > ORACLE_MAX_BUYERS:
+        print(f"brute-force spot check skipped (more than {ORACLE_MAX_BUYERS} buyers)")
+    elif samples == 0:
+        print("brute-force spot check skipped (budget 0)")
+    else:
         spot = brute_force_monotonicity_check(
-            schedule, samples=min(args.budget, 5000), seed=scenario.seed, policy=policy,
+            schedule, samples=samples, seed=scenario.seed, policy=policy,
             report_class=report_class,
         )
         if spot is None:
-            print(f"brute-force spot check ({min(args.budget, 5000)} samples): Pass")
+            print(f"brute-force spot check ({samples} samples): Pass")
         else:
             ok = False
             print(
                 f"brute-force spot check: Witness buyer {spot.buyer} on "
                 f"{_braces(spot.subset_a)} within {_braces(spot.subset_b)} with C={_fmt(spot.constant)}"
             )
-    else:
-        print(f"brute-force spot check skipped (more than {ORACLE_MAX_BUYERS} buyers)")
 
     print("Pass" if ok else "FAIL")
     return 0 if ok else 1
@@ -276,7 +277,7 @@ def cmd_fuzz(args) -> int:
         grid = concave_report_grid(schedule)
 
     result = enumerate_coalition_deviations(
-        scenario.reports, schedule, _auction_config(scenario), grid,
+        scenario.reports, schedule, scenario.auction, grid,
         budget=args.budget, seed=scenario.seed, policy=scenario.policy,
     )
     print(
@@ -307,9 +308,8 @@ def cmd_compare(args) -> int:
     else:
         names = [n for n in scenario.named_schedules if n != "primary"] or ["primary"]
     schedules = {name: scenario.named_schedules[name] for name in names}
-    prices = [scenario.price]
-
-    comparison = compare_schedules(scenario.reports, schedules, prices, policy)
+    price = scenario.auction.threshold
+    comparison = compare_schedules(scenario.reports, schedules, scenario.auction, policy)
 
     rows = []
     for run in comparison.runs:
@@ -337,10 +337,7 @@ def cmd_compare(args) -> int:
                 {
                     "schedule": run.name,
                     "trace": trace_to_json(run.trace, policy),
-                    "outcomes": {
-                        decimal_str(price): outcome_to_json(outcome, policy)
-                        for price, outcome in run.outcomes.items()
-                    },
+                    "outcomes": {decimal_str(price): outcome_to_json(run.outcome, policy)},
                 }
                 for run in comparison.runs
             ],
@@ -354,14 +351,13 @@ def cmd_compare(args) -> int:
         for r in rows:
             print("  ".join(v.ljust(w) for v, w in zip(r, widths)))
         for run in comparison.runs:
-            for price, outcome in run.outcomes.items():
-                if outcome.purchased:
-                    print(
-                        f"price {_fmt(price)}: {run.name} -> winners {_braces(outcome.winning_set)}, "
-                        f"payments {_vec(outcome.payments)}"
-                    )
-                else:
-                    print(f"price {_fmt(price)}: {run.name} -> no purchase")
+            if run.outcome.purchased:
+                print(
+                    f"price {_fmt(price)}: {run.name} -> winners {_braces(run.outcome.winning_set)}, "
+                    f"payments {_vec(run.outcome.payments)}"
+                )
+            else:
+                print(f"price {_fmt(price)}: {run.name} -> no purchase")
         for (a, b), rel in comparison.dominance.items():
             print(f"bid vectors: {a} {rel} {b}" if rel != "equal" else f"bid vectors: {a} equal to {b}")
         if args.out:
@@ -383,33 +379,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, func, help, report=True, sampling=True):
+        """A subcommand with only the options that its ``func`` reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("scenario", help="path to a scenario JSON file")
-        p.add_argument("--out", help="write the machine-readable report here")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=non_negative_int, default=200_000)
+        if report:
+            p.add_argument("--out", help="write the machine-readable report here")
+            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        if sampling:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--budget", type=non_negative_int, default=200_000)
         p.add_argument("--epsilon", type=float, default=None,
                        help="force tolerance-based comparisons with this epsilon")
         p.add_argument("--exact", action="store_true",
                        help="force exact rational arithmetic")
+        p.set_defaults(func=func)
+        return p
 
-    p_run = sub.add_parser("run", help="trace, bid, auction result, division")
-    add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_val = sub.add_parser("validate-schedule", help="cross-monotonicity and monotonicity checks")
-    add_common(p_val)
-    p_val.set_defaults(func=cmd_validate_schedule)
-
-    p_fuzz = sub.add_parser("fuzz", help="coalition deviation scan")
-    add_common(p_fuzz)
-    p_fuzz.set_defaults(func=cmd_fuzz)
-
-    p_cmp = sub.add_parser("compare", help="same reports across schedules")
-    add_common(p_cmp)
+    add_command("run", cmd_run, "trace, bid, auction result, division", sampling=False)
+    add_command("validate-schedule", cmd_validate_schedule,
+                "cross-monotonicity and monotonicity checks", report=False)
+    add_command("fuzz", cmd_fuzz, "coalition deviation scan")
+    p_cmp = add_command("compare", cmd_compare, "same reports across schedules", sampling=False)
     p_cmp.add_argument("--schedules", help="comma-separated names from the scenario's schedules map")
-    p_cmp.set_defaults(func=cmd_compare)
 
     return parser
 

@@ -87,22 +87,25 @@ def parse_number(value) -> Fraction:
     """Parse a scenario-file number: int, "p/q" string, or decimal string.
 
     Raw JSON floats are accepted and converted through their decimal repr, so
-    0.9 becomes 9/10 rather than the nearest binary float.
+    0.9 becomes 9/10 rather than the nearest binary float.  A number must
+    convert to a finite float, since the tolerance lane computes in floats.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"not a finite number: {value!r}")
-        return Fraction(str(value))
-    if isinstance(value, str):
+        number = Fraction(value)
+    elif isinstance(value, (float, str)):
         try:
-            return Fraction(value.strip())
+            number = Fraction(str(value).strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse number {value!r}") from exc
-    raise ValueError(f"cannot parse number {value!r}")
+    else:
+        raise ValueError(f"cannot parse number {value!r}")
+    try:
+        float(number)
+    except OverflowError:
+        raise ValueError(f"not a finite float: {value!r}") from None
+    return number
 
 
 def decimal_str(v: Num) -> str:

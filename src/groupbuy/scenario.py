@@ -71,17 +71,10 @@ class Scenario:
     reports: list  # per buyer: UtilityReport (knots) or ClosedFormUtility, evaluated where queried
     schedule: ShareSchedule
     named_schedules: dict  # name -> ShareSchedule (includes the primary as "primary")
-    auction: Optional[AuctionConfig]
-    fixed_price: Optional[Num]
+    auction: AuctionConfig  # what every command resolves; a fixed price p is AuctionConfig(reserve=p)
+    fixed_price: Optional[Num]  # set only by a "fixed_price" file, for how run reports it
     policy: NumericPolicy
     seed: int
-
-    @property
-    def price(self) -> Num:
-        """The price the run resolves against: fixed, or the auction threshold."""
-        if self.fixed_price is not None:
-            return self.fixed_price
-        return self.auction.threshold
 
 
 @contextmanager
@@ -224,11 +217,14 @@ def load_scenario(
     has_fixed = "fixed_price" in data
     if has_auction == has_fixed:
         raise ScenarioError("scenario needs exactly one of \"auction\" or \"fixed_price\"")
-    auction = _parse_auction(data["auction"]) if has_auction else None
-    with _malformed("fixed_price"):
-        fixed_price = parse_number(data["fixed_price"]) if has_fixed else None
-    if fixed_price is not None and fixed_price < 0:
-        raise ScenarioError("fixed price must be non-negative")
+    if has_auction:
+        auction, fixed_price = _parse_auction(data["auction"]), None
+    else:
+        with _malformed("fixed_price"):
+            fixed_price = parse_number(data["fixed_price"])
+        if fixed_price < 0:
+            raise ScenarioError("fixed price must be non-negative")
+        auction = AuctionConfig(reserve=fixed_price)
 
     irrational = _irrational_input(reports, named)
     stanza = data.get("policy", {})

@@ -16,6 +16,7 @@ from groupbuy.analysis import (
 )
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.numeric import EXACT, approx
+from groupbuy.scenario import bundled_scenario_path, load_scenario_file
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -328,17 +329,18 @@ class TestCompareSchedules:
 
     def test_ranked_dominates_its_cross_monotonic_twin(self):
         reports, rras, cmss = self.reference_setup()
-        cmp = compare_schedules(reports, {"rras": rras, "cmss": cmss}, [F(1)], APPROX)
+        cfg = AuctionConfig(reserve=F(1))
+        cmp = compare_schedules(reports, {"rras": rras, "cmss": cmss}, cfg, APPROX)
         assert cmp.dominance[("rras", "cmss")] == "dominates"
         by_name = {run.name: run for run in cmp.runs}
         assert [round(float(s.max_payment), 3) for s in by_name["rras"].trace.steps] == [1.707, 1.468, 1.0]
         assert [round(float(s.max_payment), 2) for s in by_name["cmss"].trace.steps] == [1.68, 1.21, 1.0]
         for run in cmp.runs:
-            assert run.outcomes[F(1)].winning_set == 0b111
+            assert run.outcome.winning_set == 0b111
 
     def test_self_comparison_is_equal(self):
         reports, rras, _ = self.reference_setup()
-        cmp = compare_schedules(reports, {"a": rras, "b": rras}, [F(1)], APPROX)
+        cmp = compare_schedules(reports, {"a": rras, "b": rras}, AuctionConfig(reserve=F(1)), APPROX)
         assert cmp.dominance[("a", "b")] == "equal"
 
     def test_equal_split_equals_renormalized_equal_base(self):
@@ -349,7 +351,9 @@ class TestCompareSchedules:
             for mask in [0b111, 0b011, 0b101, 0b110, 0b001, 0b010, 0b100]
         }
         twin = CrossMonotonicSchedule(3, table)
-        cmp = compare_schedules(reports, {"equal": sched, "twin": twin}, [F(3, 5)], APPROX)
+        cmp = compare_schedules(
+            reports, {"equal": sched, "twin": twin}, AuctionConfig(reserve=F(3, 5)), APPROX
+        )
         assert cmp.dominance[("equal", "twin")] == "equal"
         a, b = cmp.runs
         assert [s.subset for s in a.trace.steps] == [s.subset for s in b.trace.steps]
@@ -357,4 +361,19 @@ class TestCompareSchedules:
     def test_dimension_mismatch_rejected(self):
         reports, rras, _ = self.reference_setup()
         with pytest.raises(ValueError):
-            compare_schedules(reports, {"bad": EqualSplitSchedule(2)}, [F(1)], APPROX)
+            compare_schedules(
+                reports, {"bad": EqualSplitSchedule(2)}, AuctionConfig(reserve=F(1)), APPROX
+            )
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "section6-table"])
+    def test_each_run_is_the_scenarios_auction(self, name):
+        # compare divides only through run_group_participation, in the
+        # scenario's own auction (a fixed price is a reserve with no rival)
+        sc = load_scenario_file(bundled_scenario_path(name))
+        cmp = compare_schedules(sc.reports, sc.named_schedules, sc.auction, sc.policy)
+        assert [run.name for run in cmp.runs] == list(sc.named_schedules)
+        for run in cmp.runs:
+            schedule = sc.named_schedules[run.name]
+            trace, _, outcome = run_group_participation(sc.reports, schedule, sc.auction, sc.policy)
+            assert run.trace == trace
+            assert run.outcome == outcome

@@ -214,9 +214,23 @@ class TestRun:
                      id="flag_epsilon-nan"),
         pytest.param({}, ("--epsilon", "inf"), "epsilon must be positive and finite",
                      id="flag_epsilon-inf"),
+        # exact, but beyond any float: the tolerance lane could not compute with it
+        pytest.param({"fixed_price": "1e400"}, (), "fixed_price: not a finite float: '1e400'",
+                     id="fixed_price-1e400"),
+        pytest.param({"auction": {"reserve": "1e400"}}, (),
+                     "auction: not a finite float: '1e400'", id="auction_reserve-1e400"),
+        pytest.param({"auction": {"competing_bids": ["1e400"]}}, (),
+                     "auction: not a finite float: '1e400'", id="auction_bid-1e400"),
+        pytest.param({"buyers": [{"kind": "linear", "c": "1e400"}, {"kind": "linear", "c": "2"}]},
+                     (), "buyer 0: not a finite float: '1e400'", id="linear_c-1e400"),
+        pytest.param({"buyers": [knots(("0", "0"), ("1", "1e400")), {"kind": "linear", "c": "2"}]},
+                     (), "buyer 0: not a finite float: '1e400'", id="knot_value-1e400"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, overrides, flags, message):
-        path = self.write(tmp_path, self.two_buyers(**overrides))
+        data = self.two_buyers(**overrides)
+        if "auction" in overrides:
+            del data["fixed_price"]
+        path = self.write(tmp_path, data)
         assert run_cli("run", path, *flags) == 2
         assert message in capsys.readouterr().err
 
@@ -343,6 +357,13 @@ class TestValidateSchedule:
         assert spot_line(5) != spot_line(77)
         assert spot_line(77, "--seed", "5") == spot_line(5)
 
+    def test_zero_budget_skips_the_spot_check(self, capsys):
+        assert run_cli("validate-schedule", scenario("example1"), "--budget", "0") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "brute-force spot check skipped (budget 0)" in lines
+        assert not any("samples)" in line for line in lines)
+        assert lines[-1] == "Pass"
+
 
 class TestFuzz:
     def test_zero_budget_warns_and_passes(self, capsys):
@@ -413,6 +434,40 @@ class TestCompare:
 
     def test_self_comparison_equal(self, capsys):
         assert run_cli("compare", scenario("section6-table"), "--schedules", "rras,rras") == 0
+
+    def test_tie_policy_decides_as_in_run(self, tmp_path, capsys):
+        # the group bids 1 against a rival bid of 1 and loses the tie
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({
+            "buyers": [{"kind": "linear", "c": "1"}] * 2,
+            "schedule": {"kind": "equal-split"},
+            "auction": {"competing_bids": ["1"], "tie_policy": "group_loses"},
+        }))
+        assert run_cli("run", str(path)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "bid 1; lost"
+        assert run_cli("compare", str(path)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "price 1: primary -> no purchase"
+        assert run_cli("compare", str(path), "--format", "json") == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        assert list(run["outcomes"]) == ["1"]
+        assert run["outcomes"]["1"]["purchased"] is False
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("run", "--seed", "5"),
+    ("run", "--budget", "10"),
+    ("compare", "--seed", "5"),
+    ("compare", "--budget", "10"),
+    ("validate-schedule", "--format", "json"),
+    ("validate-schedule", "--out", "v.json"),
+])
+def test_options_a_command_does_not_read_exit_2(tmp_path, monkeypatch, capsys, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        run_cli(command, scenario("example1"), flag, value)
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_package_root_exports_resolve_and_readme_one_liner_runs(capsys):

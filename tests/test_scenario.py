@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from groupbuy.auction import AuctionConfig
 from groupbuy.mechanism import allocate, compute_bid_trace, fixed_price_outcome
 from groupbuy.scenario import (
     ScenarioError,
@@ -38,6 +39,7 @@ class TestLoading:
         assert sc.n == 2
         assert sc.policy.exact  # knots and linear coefficients are rational
         assert sc.fixed_price == F(3, 5)
+        assert sc.auction == AuctionConfig(reserve=F(3, 5))  # no rival bid, ties to the group
         assert isinstance(sc.schedule, EqualSplitSchedule)
 
     def test_closed_forms_force_tolerance_policy(self):
@@ -91,7 +93,7 @@ class TestLoading:
             load_scenario(data)
         del data["fixed_price"]
         sc = load_scenario(data)
-        assert sc.auction is not None and sc.price == F(1, 2)
+        assert sc.fixed_price is None and sc.auction.threshold == F(1, 2)
 
     def test_invalid_knots_anchor_the_message(self):
         data = minimal()

@@ -7,11 +7,13 @@ Usage, from the root of a checkout::
 
 It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
 
-* ``run``, ``validate-schedule``, ``fuzz`` and ``compare``, each with
-  ``--format`` text, json and csv, on every bundled scenario;
-* ``run --format json`` on every cli-scale benchmark file of the given seeds
-  (default 1 and 9173), written into a temporary directory by
-  ``bench.workloads.CliScale().setup``.  ``bench/`` is only read.
+* ``run``, ``fuzz`` and ``compare``, each with ``--format`` text, json and
+  csv, and ``validate-schedule``, which takes no ``--format``, on every
+  bundled scenario;
+* ``run --format json`` and ``compare --format json`` on every cli-scale
+  benchmark file of the given seeds (default 1 and 9173), written into a
+  temporary directory by ``bench.workloads.CliScale().setup``.  ``bench/`` is
+  only read.
 
 It prints one line per call: a label, the exit code, and the sha256 of stdout
 and of stderr.  The checkout root and the temporary directory are replaced by
@@ -37,8 +39,9 @@ import groupbuy  # noqa: E402
 import groupbuy.cli  # noqa: E402
 from bench.workloads import CliScale  # noqa: E402
 
-COMMANDS = ("run", "validate-schedule", "fuzz", "compare")
 FORMATS = ("text", "json", "csv")
+# the formats each command is called with; None calls it without --format
+COMMANDS = {"run": FORMATS, "validate-schedule": (None,), "fuzz": FORMATS, "compare": FORMATS}
 
 
 def bundled_scenarios():
@@ -69,18 +72,21 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         placeholders = [(tmp, "<workdir>"), (str(ROOT), "<root>")]
         for path in bundled_scenarios():
-            for command in COMMANDS:
-                for fmt in FORMATS:
-                    code, (out, err) = call([command, str(path), "--format", fmt], placeholders)
-                    print(f"{path.stem} {command} {fmt} exit={code} stdout={out} stderr={err}")
+            for command, formats in COMMANDS.items():
+                for fmt in formats:
+                    argv = [command, str(path)] + (["--format", fmt] if fmt else [])
+                    code, (out, err) = call(argv, placeholders)
+                    print(f"{path.stem} {command} {fmt or 'default'} "
+                          f"exit={code} stdout={out} stderr={err}")
         for seed in seeds:
             workdir = Path(tmp) / f"cli-scale-{seed}"
             workdir.mkdir()
             for item in CliScale().setup(groupbuy, seed, workdir):
                 path = Path(item["path"])
-                code, (out, err) = call(["run", str(path), "--format", "json"], placeholders)
-                label = f"cli-scale:{seed} {path.name} run json"
-                print(f"{label} exit={code} stdout={out} stderr={err}")
+                for command in ("run", "compare"):
+                    code, (out, err) = call([command, str(path), "--format", "json"], placeholders)
+                    label = f"cli-scale:{seed} {path.name} {command} json"
+                    print(f"{label} exit={code} stdout={out} stderr={err}")
     return 0
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .auction import AuctionConfig, run_group_participation
-from .mechanism import AllocationOutcome, BidTrace, CompiledSchedule
+from .mechanism import AllocationOutcome, BidTrace, RatioColumn
 from .numeric import EXACT, Num, NumericPolicy
 from .schedule import ShareSchedule, full_mask, members, nonempty_subsets
 from .utility import ClosedFormUtility, UtilityReport, sample_report, validate_knots
@@ -173,17 +173,16 @@ def enumerate_coalition_deviations(
     # Compile once: every report becomes a ratio column, the price threshold
     # a lane number, and each buyer's truthful value at its share in every
     # subset is evaluated once (0 stands for buying nothing).
-    compiled = CompiledSchedule(schedule, policy)
-    lane_cfg = AuctionConfig(compiled.number(cfg.threshold), (), cfg.tie_policy)
-    true_columns = [compiled.column(i, report) for i, report in enumerate(true_reports)]
-    _, _, base_outcome = run_group_participation(true_columns, compiled, lane_cfg, policy)
-    menus = [[compiled.column(i, report) for report in report_grid[i]] for i in range(n)]
+    lane_cfg = AuctionConfig(policy.lane(cfg.threshold), (), cfg.tie_policy)
+    true_columns = [RatioColumn(schedule, policy, i, r) for i, r in enumerate(true_reports)]
+    _, _, base_outcome = run_group_participation(true_columns, schedule, lane_cfg, policy)
+    menus = [[RatioColumn(schedule, policy, i, r) for r in report_grid[i]] for i in range(n)]
     truth = []
     for i, report in enumerate(true_reports):
-        values = {0: (compiled.number(report.value_at(Fraction(0))), False)}
+        values = {0: (policy.lane(report.value_at(Fraction(0))), False)}
         for mask in nonempty_subsets(full_mask(n)):
             x = schedule.shares_for(mask).resource[i]
-            values[mask] = (compiled.number(report.value_at(x)), policy.is_positive(x))
+            values[mask] = (policy.lane(report.value_at(x)), policy.is_positive(x))
         truth.append(values)
 
     def prefs(outcome, idxs):
@@ -218,7 +217,7 @@ def enumerate_coalition_deviations(
         columns = list(true_columns)
         for i, column in zip(idxs, profile):
             columns[i] = column
-        _, _, outcome = run_group_participation(columns, compiled, lane_cfg, policy)
+        _, _, outcome = run_group_participation(columns, schedule, lane_cfg, policy)
         after = prefs(outcome, idxs)
         before = tuple(base_prefs[i] for i in idxs)
         all_weak = all(weakly_prefers(a, b, policy) for a, b in zip(after, before))

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .mechanism import AllocationOutcome, BidTrace, allocate, compute_bid_trace
-from .numeric import EXACT, Num, NumericPolicy
+from .numeric import EXACT, Num, NumericPolicy, is_finite_float
 from .schedule import ShareSchedule
 from .utility import UtilityReport
 
@@ -28,7 +27,7 @@ class AuctionConfig:
         if self.tie_policy not in (GROUP_WINS, GROUP_LOSES):
             raise ValueError(f"unknown tie policy {self.tie_policy!r}")
         for v in (self.reserve, *self.competing_bids):
-            if not math.isfinite(float(v)) or v < 0:
+            if not is_finite_float(v) or v < 0:
                 raise ValueError("reserve and bids must be finite and non-negative")
 
     @property

@@ -12,17 +12,14 @@ subset whose bearable payment covers it, which divides resource and payment
 by its shares.  :func:`fixed_price_outcome` is the separate fixed-price sweep,
 kept as the reference the trace path is checked against.
 
-The loop runs on a compiled form of its inputs (:class:`CompiledSchedule`):
-each report becomes a column subset -> u_i(x_i(S)) / y_i(S), filled the first
-time the loop reads a subset.  A report is always evaluated at the exact
-share.  In the exact lane the ratio stays exact (a ``Fraction`` for rational
-data); in the tolerance lane it becomes a ``float`` once, so the loop compares
-floats only.  Called with plain reports and a schedule,
-:func:`compute_bid_trace` compiles them for that call and fills only the
-subsets its trace visits.  A caller that runs many profiles on one schedule
-(the coalition scan) compiles once, passes the columns, and hands the
-:class:`CompiledSchedule`, whose shares are floats in the tolerance lane, to
-:func:`allocate` as well.
+The loop reads each report through its :class:`RatioColumn`, subset ->
+u_i(x_i(S)) / y_i(S), filled on the loop's first read of a subset from the
+schedule's exact shares; the ratio becomes a lane number once
+(``policy.lane``), so the tolerance lane compares floats only.  Called with
+plain reports, :func:`compute_bid_trace` builds their columns for that call;
+a caller that runs many profiles on one schedule (the coalition scan) builds
+each column once and passes it in place of its report.  Every division reads
+the schedule's exact shares.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from typing import Optional, Sequence
 from .numeric import EXACT, Num, NumericPolicy
 from .schedule import (
     DegenerateScheduleError,
-    SharePair,
     ShareSchedule,
     full_mask,
     is_subset,
@@ -87,68 +83,32 @@ def _check_inputs(reports: Sequence[UtilityReport], schedule: ShareSchedule):
 
 
 class RatioColumn(dict):
-    """One buyer's report compiled against a schedule: subset -> ratio.
+    """One buyer's report compiled against a schedule and policy: subset -> ratio.
 
-    The ratio is u_i(x_i(S)) / y_i(S), or None where y_i(S) is not positive.
-    Each subset is computed on its first read and kept.
+    The ratio is u_i(x_i(S)) / y_i(S) at the schedule's exact shares, as a lane
+    number (``policy.lane``), or None where y_i(S) is not positive.  Each
+    subset is computed on its first read and kept.
     """
 
-    __slots__ = ("compiled", "buyer", "report")
+    __slots__ = ("schedule", "policy", "buyer", "report")
 
-    def __init__(self, compiled: "CompiledSchedule", buyer: int, report):
+    def __init__(self, schedule: ShareSchedule, policy: NumericPolicy, buyer: int, report):
+        if not isinstance(report, (UtilityReport, ClosedFormUtility)):
+            raise ValueError(f"report {buyer} is neither a UtilityReport nor a ClosedFormUtility")
         super().__init__()
-        self.compiled = compiled
+        self.schedule = schedule
+        self.policy = policy
         self.buyer = buyer
         self.report = report
 
     def __missing__(self, subset: int):
-        compiled, i = self.compiled, self.buyer
-        pair = compiled.schedule.shares_for(subset)
+        policy, i = self.policy, self.buyer
+        pair = self.schedule.shares_for(subset)
         ratio = None
-        if compiled.policy.is_positive(pair.payment[i]):
-            ratio = compiled.number(self.report.value_at(pair.resource[i]) / pair.payment[i])
+        if policy.is_positive(pair.payment[i]):
+            ratio = policy.lane(self.report.value_at(pair.resource[i]) / pair.payment[i])
         self[subset] = ratio
         return ratio
-
-
-class CompiledSchedule:
-    """A schedule compiled for one arithmetic lane.
-
-    :meth:`shares_for` returns the schedule's shares as lane numbers, and
-    :meth:`column` compiles a report into its :class:`RatioColumn`.  Lane
-    numbers are the values themselves in the exact lane and floats in the
-    tolerance lane, each converted once from the exact value.
-    """
-
-    def __init__(self, schedule: ShareSchedule, policy: NumericPolicy):
-        self.schedule = schedule
-        self.policy = policy
-        self.n = schedule.n
-        self._shares: dict = {}
-
-    def number(self, v: Num) -> Num:
-        return v if self.policy.exact else float(v)
-
-    def shares_for(self, subset: int) -> SharePair:
-        pair = self._shares.get(subset)
-        if pair is None:
-            pair = self.schedule.shares_for(subset)
-            if not self.policy.exact:
-                pair = SharePair(
-                    tuple(map(float, pair.resource)), tuple(map(float, pair.payment))
-                )
-            self._shares[subset] = pair
-        return pair
-
-    def column(self, buyer: int, report) -> RatioColumn:
-        """The report's column; a column this schedule compiled for the buyer passes as is."""
-        if isinstance(report, RatioColumn):
-            if report.compiled is not self or report.buyer != buyer:
-                raise ValueError(f"report {buyer} was compiled for another buyer or schedule")
-            return report
-        if not isinstance(report, (UtilityReport, ClosedFormUtility)):
-            raise ValueError(f"report {buyer} is neither a UtilityReport nor a ClosedFormUtility")
-        return RatioColumn(self, buyer, report)
 
 
 def compute_bid_trace(
@@ -161,28 +121,30 @@ def compute_bid_trace(
 
     Reports are validated at construction (closed forms are admissible by
     construction and evaluated at the queried share); the engine assumes
-    admissibility.  ``schedule`` may be a :class:`CompiledSchedule` for
-    ``policy``, and then ``reports`` may hold the columns it compiled.
+    admissibility.  A report may also be the :class:`RatioColumn` built for
+    this schedule, policy and buyer, which the loop then reads as is.
     Terminates in at most n steps: payment shares sum to one, so some member
     has a ratio, and the one at the minimum passes ``policy.eq(ratio, bound)``.
     Starting from a smaller set exercises winning-set stability: removing
     non-winners up front must not change the winner, and removing one winner
     shrinks it.
     """
-    if isinstance(schedule, CompiledSchedule):
-        if schedule.policy != policy:
-            raise ValueError("schedule was compiled for another arithmetic policy")
-        compiled = schedule
-    else:
-        compiled = CompiledSchedule(schedule, policy)
-    if len(reports) != compiled.n:
-        raise ValueError(f"{len(reports)} reports for a {compiled.n}-buyer schedule")
-    columns = [compiled.column(i, report) for i, report in enumerate(reports)]
+    if len(reports) != schedule.n:
+        raise ValueError(f"{len(reports)} reports for a {schedule.n}-buyer schedule")
+    columns = []
+    for i, report in enumerate(reports):
+        if not isinstance(report, RatioColumn):
+            report = RatioColumn(schedule, policy, i, report)
+        elif report.schedule is not schedule or report.buyer != i:
+            raise ValueError(f"report {i} was compiled for another buyer or schedule")
+        elif report.policy != policy:
+            raise ValueError(f"report {i} was compiled for another arithmetic policy")
+        columns.append(report)
     if start is None:
-        start = full_mask(compiled.n)
+        start = full_mask(schedule.n)
     elif start == 0:
         raise ValueError("start subset must be non-empty")
-    elif not is_subset(start, full_mask(compiled.n)):
+    elif not is_subset(start, full_mask(schedule.n)):
         raise ValueError("start subset outside the buyer range")
     steps = []
     subset = start
@@ -214,15 +176,17 @@ def allocate(
 
     The winner is the earliest (largest) traced subset whose bearable payment
     covers the price, compared buyer-favorably (>=).  A price above the group
-    bid buys nothing.  Given a :class:`CompiledSchedule`, the division is in
-    its lane numbers.
+    bid buys nothing.  The shares are the schedule's exact ones; at a ``float``
+    price (the tolerance lane's) each payment share becomes a float before the
+    product, which gives the same float that ``price * share`` would.
     """
     if price < 0:
         raise ValueError("price must be non-negative")
     for step in trace.steps:
         if policy.ge(step.max_payment, price):
             pair = schedule.shares_for(step.subset)
-            payments = tuple(price * y for y in pair.payment)
+            shares = map(float, pair.payment) if isinstance(price, float) else pair.payment
+            payments = tuple(price * y for y in shares)
             return AllocationOutcome(True, step.subset, pair.resource, payments, price)
     return AllocationOutcome.not_purchased(schedule.n)
 

@@ -10,10 +10,10 @@ The package has one tolerance rule and applies it only here: exact when
 ``epsilon`` in every comparison, the engine's bottleneck test
 ``eq(ratio, bound)`` included.
 
-The engine adds one conversion on top (see :mod:`groupbuy.mechanism`): it
-evaluates a report at the exact share, and in the tolerance lane turns the
-ratio into a ``float`` once, so its comparisons run on floats only.  The exact
-lane converts nothing.
+The engine's one conversion sits beside the rule, :meth:`NumericPolicy.lane`:
+a ratio computed at the exact share becomes a lane number once, itself in the
+exact lane and a ``float`` in the tolerance lane, whose comparisons then run
+on floats only (see :mod:`groupbuy.mechanism`).
 """
 
 from __future__ import annotations
@@ -68,6 +68,10 @@ class NumericPolicy:
     def is_positive(self, v: Num) -> bool:
         return self.lt(0, v)
 
+    def lane(self, v: Num) -> Num:
+        """``v`` as the engine computes with it: as is when exact, else a float."""
+        return v if self.epsilon is None else float(v)
+
 
 EXACT = NumericPolicy()
 
@@ -81,6 +85,14 @@ def approx(epsilon: float = DEFAULT_EPSILON) -> NumericPolicy:
 def infer_policy(values) -> NumericPolicy:
     """Exact when every value is rational, otherwise the default tolerance."""
     return EXACT if all(isinstance(v, Rational) for v in values) else approx()
+
+
+def is_finite_float(v: Num) -> bool:
+    """Whether ``v`` converts to a finite float, as the tolerance lane needs."""
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
 
 
 def parse_number(value) -> Fraction:
@@ -101,10 +113,8 @@ def parse_number(value) -> Fraction:
             raise ValueError(f"cannot parse number {value!r}") from exc
     else:
         raise ValueError(f"cannot parse number {value!r}")
-    try:
-        float(number)
-    except OverflowError:
-        raise ValueError(f"not a finite float: {value!r}") from None
+    if not is_finite_float(number):
+        raise ValueError(f"not a finite float: {value!r}")
     return number
 
 

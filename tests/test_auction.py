@@ -68,6 +68,11 @@ class TestSecondPrice:
         with pytest.raises(ValueError):
             run_second_price(-1, AuctionConfig())
 
+    @pytest.mark.parametrize("reserve,bids", [(F(10**400), ()), (0, (F(1, 2), -F(10**400)))])
+    def test_numbers_beyond_float_range_rejected(self, reserve, bids):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            AuctionConfig(reserve, bids)
+
     def test_clearing_never_exceeds_bid_on_win(self):
         for rival in (F(0), F(1, 3), F(2, 3), F(1)):
             result = run_second_price(1, AuctionConfig(0, (rival,)))

@@ -6,7 +6,7 @@ import pytest
 
 from groupbuy.mechanism import (
     AllocationOutcome,
-    CompiledSchedule,
+    RatioColumn,
     allocate,
     compute_bid_trace,
     fixed_price_outcome,
@@ -175,18 +175,16 @@ class TestCompiled:
     def test_compiled_columns_give_the_plain_trace(self):
         sched = equal3()
         reports = worked_reports(sched)
-        compiled = CompiledSchedule(sched, APPROX)
-        columns = [compiled.column(i, r) for i, r in enumerate(reports)]
-        assert compute_bid_trace(columns, compiled, APPROX) == compute_bid_trace(
+        columns = [RatioColumn(sched, APPROX, i, r) for i, r in enumerate(reports)]
+        assert compute_bid_trace(columns, sched, APPROX) == compute_bid_trace(
             reports, sched, APPROX
         )
-        assert type(compiled.shares_for(0b011).payment[0]) is float
         with pytest.raises(ValueError, match="another buyer or schedule"):
-            compute_bid_trace([columns[1], columns[0], columns[2]], compiled, APPROX)
+            compute_bid_trace([columns[1], columns[0], columns[2]], sched, APPROX)
         with pytest.raises(ValueError, match="another buyer or schedule"):
-            compute_bid_trace(columns, CompiledSchedule(sched, APPROX), APPROX)
+            compute_bid_trace(columns, equal3(), APPROX)
         with pytest.raises(ValueError, match="another arithmetic policy"):
-            compute_bid_trace(columns, compiled)
+            compute_bid_trace(columns, sched)
 
 
 class TestReferenceTable:
@@ -274,6 +272,21 @@ class TestAllocate:
         outcome = allocate(trace, sched, F(1, 2) * trace.group_bid, APPROX)
         assert outcome.purchased
         assert abs(sum(outcome.payments) - outcome.price) <= 3e-9
+
+    @pytest.mark.parametrize("sched", [
+        equal3(), RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)))
+    ])
+    def test_float_price_divides_as_the_exact_shares_would(self, sched):
+        # equal-split thirds and a ranked identity table: Fraction shares
+        trace = compute_bid_trace(worked_reports(sched), sched, APPROX)
+        for price in (trace.group_bid, 0.1, 2 / 3, math.pi / 7):
+            outcome = allocate(trace, sched, price, APPROX)
+            assert outcome.purchased
+            shares = sched.shares_for(outcome.winning_set)
+            assert outcome.payments == tuple(price * y for y in shares.payment)
+            assert all(type(p) is float for p in outcome.payments)
+            assert outcome.fractions == shares.resource
+            assert all(type(x) is F for x in outcome.fractions)
 
     def test_individual_rationality_for_truthful_winners(self):
         rng = random.Random(9)

@@ -51,7 +51,8 @@ class TestLoading:
     def test_exact_refuses_irrational_sampling(self):
         data = minimal()
         data["buyers"][1] = {"kind": "log", "c": "1"}
-        with pytest.raises(ScenarioError):
+        refusal = r"a buyer has irrational values \(power k<1 or log\)"
+        with pytest.raises(ScenarioError, match=refusal):
             load_scenario(data, force_exact=True)
 
     def test_irrational_weight_forces_tolerance_policy(self):

@@ -12,14 +12,21 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
   bundled scenario;
 * ``run --format json`` and ``compare --format json`` on every cli-scale
   benchmark file of the given seeds (default 1 and 9173), written into a
-  temporary directory by ``bench.workloads.CliScale().setup``.  ``bench/`` is
-  only read.
+  temporary directory by ``bench.workloads.CliScale().setup``;
+* the coalition scans of every coalition-fuzz benchmark item of the same
+  seeds (``bench.workloads.CoalitionFuzz``: its ``setup`` builds the pool and
+  its ``run`` calls ``enumerate_coalition_deviations`` once per auction
+  config).  ``bench/`` is only read.
 
-It prints one line per call: a label, the exit code, and the sha256 of stdout
-and of stderr.  The checkout root and the temporary directory are replaced by
-placeholders before hashing, so that the same call at two checkouts hashes
-alike.  Run it at both and diff the two files: identical files mean the CLI
-gave byte-identical output and exit codes on every call.
+It prints one line per CLI call: a label, the exit code, and the sha256 of
+stdout and of stderr.  The checkout root and the temporary directory are
+replaced by placeholders before hashing, so that the same call at two
+checkouts hashes alike.  It prints one line per coalition-fuzz item: the
+sha256 of each scan's profile count, truncation flag and violations
+(coalition, deviant knots, tie-break flag and the ``repr`` of every net), so
+a float that moves by one bit changes the line.  Run it at both checkouts and
+diff the two files: identical files mean byte-identical CLI output and exit
+codes on every call and bit-identical scan results on every item.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import groupbuy  # noqa: E402
 import groupbuy.cli  # noqa: E402
-from bench.workloads import CliScale  # noqa: E402
+from bench.workloads import CliScale, CoalitionFuzz  # noqa: E402
 
 FORMATS = ("text", "json", "csv")
 # the formats each command is called with; None calls it without --format
@@ -60,6 +67,18 @@ def call(argv, placeholders):
             text = text.replace(path, name)
         digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
     return code, digests
+
+
+def scan_digest(results):
+    """sha256 over each FuzzResult's counts and violations, nets by ``repr``."""
+    parts = []
+    for result in results:
+        parts.append(f"profiles={result.profiles} truncated={result.truncated}")
+        for v in result.violations:
+            knots = [report.knots for report in v.deviant_reports]
+            nets = [(repr(p.net), p.wins_nonzero) for p in v.before + v.after]
+            parts.append(f"{v.coalition} {knots} {v.uses_tiebreak} {nets}")
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -87,6 +106,14 @@ def main(argv=None) -> int:
                     code, (out, err) = call([command, str(path), "--format", "json"], placeholders)
                     label = f"cli-scale:{seed} {path.name} {command} json"
                     print(f"{label} exit={code} stdout={out} stderr={err}")
+            fuzz = CoalitionFuzz()
+            workdir = Path(tmp) / f"coalition-fuzz-{seed}"
+            workdir.mkdir()
+            for item in fuzz.setup(groupbuy, seed, workdir):
+                sizes, budget, results = fuzz.run(groupbuy, item)
+                profiles = sum(result.profiles for result in results)
+                print(f"coalition-fuzz:{seed} item {item['id']} {item['kind']} menus={sizes} "
+                      f"budget={budget} profiles={profiles} scans={scan_digest(results)}")
     return 0
 
 

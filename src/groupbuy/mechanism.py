@@ -74,12 +74,14 @@ class AllocationOutcome:
         return cls(False, 0, zeros, zeros, Fraction(0))
 
 
-def _check_inputs(reports: Sequence[UtilityReport], schedule: ShareSchedule):
+def _check_count(reports: Sequence, schedule: ShareSchedule) -> None:
     if len(reports) != schedule.n:
         raise ValueError(f"{len(reports)} reports for a {schedule.n}-buyer schedule")
-    for i, report in enumerate(reports):
-        if not isinstance(report, (UtilityReport, ClosedFormUtility)):
-            raise ValueError(f"report {i} is neither a UtilityReport nor a ClosedFormUtility")
+
+
+def _check_report(buyer: int, report) -> None:
+    if not isinstance(report, (UtilityReport, ClosedFormUtility)):
+        raise ValueError(f"report {buyer} is neither a UtilityReport nor a ClosedFormUtility")
 
 
 class RatioColumn(dict):
@@ -93,8 +95,7 @@ class RatioColumn(dict):
     __slots__ = ("schedule", "policy", "buyer", "report")
 
     def __init__(self, schedule: ShareSchedule, policy: NumericPolicy, buyer: int, report):
-        if not isinstance(report, (UtilityReport, ClosedFormUtility)):
-            raise ValueError(f"report {buyer} is neither a UtilityReport nor a ClosedFormUtility")
+        _check_report(buyer, report)
         super().__init__()
         self.schedule = schedule
         self.policy = policy
@@ -129,8 +130,7 @@ def compute_bid_trace(
     non-winners up front must not change the winner, and removing one winner
     shrinks it.
     """
-    if len(reports) != schedule.n:
-        raise ValueError(f"{len(reports)} reports for a {schedule.n}-buyer schedule")
+    _check_count(reports, schedule)
     columns = []
     for i, report in enumerate(reports):
         if not isinstance(report, RatioColumn):
@@ -204,7 +204,9 @@ def fixed_price_outcome(
     in one sweep; the sweep repeats until the survivors can all pay (buy) or
     nobody is left (no purchase).
     """
-    _check_inputs(reports, schedule)
+    _check_count(reports, schedule)
+    for i, report in enumerate(reports):
+        _check_report(i, report)
     if price < 0:
         raise ValueError("price must be non-negative")
     subset = full_mask(schedule.n)

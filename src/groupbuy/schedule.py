@@ -17,7 +17,12 @@ for its resource share in a set must not be able to in any smaller set either.
 :func:`validate_monotonicity` decides this with a closed-form per-pair
 criterion (a derived reduction, not published anywhere; see the function
 docstring), and :func:`brute_force_monotonicity_check` is its permanent
-sampling cross-check.
+sampling cross-check.  In the exact lane the oracle decides each sample of
+the concave class whose shares are all rational with one integer
+cross-multiplication, and builds the sample's knot list and ``Fraction``
+values only when that test finds a break; float shares, the power class and
+the tolerance lane value every sample in full.  Both ways draw the same random
+numbers and return the same witness.
 """
 
 from __future__ import annotations
@@ -30,10 +35,12 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .numeric import EXACT, Num, NumericPolicy, piecewise_value
 from .utility import (
+    GRAIN,
     ClosedFormUtility,
     ReportClass,
     UtilityReport,
     concave_class,
+    random_concave_draws,
     random_concave_knots,
     sample_knots,
 )
@@ -471,6 +478,127 @@ def _random_submask(rng: random.Random, mask: int) -> int:
     return sub
 
 
+# Samples of the concave class.  Each is a shape (trial % 4: random concave,
+# linear, ramp, zero) and the one number drawn for it; its knot list is built
+# only for a sample the exact lane cannot reject in integers.
+
+U_MAX = 2  # a sampled utility is worth at most this at x = 1
+_RATIONAL = (int, Fraction)
+
+
+def _draw_concave_sample(rng: random.Random, shape: int) -> Optional[int]:
+    """The seed of a random concave utility, the scale of a linear or ramp one, or None."""
+    if shape == 0:
+        return rng.randrange(2 ** 32)
+    if shape in (1, 2):
+        return rng.randrange(0, GRAIN + 1)
+    return None
+
+
+def _concave_sample_knots(shape: int, draw: Optional[int], x_a: Num, x_b: Num) -> tuple:
+    if shape == 0:
+        return random_concave_knots(draw, {x for x in (x_a, x_b) if 0 < x <= 1}, U_MAX)
+    if shape == 1:
+        return _linear_knots(U_MAX * Fraction(draw, GRAIN))
+    if shape == 2:
+        pos = x_a if 0 < x_a < 1 else (x_b if 0 < x_b < 1 else Fraction(1, 2))
+        return _ramp_knots(pos, U_MAX * Fraction(draw, GRAIN))
+    return _zero_knots()
+
+
+def _integer_shares(x_a: Num, x_b: Num, y_a: Num, y_b: Num) -> Optional[tuple]:
+    """(X_a, X_b, D, Y_a, Y_b): x = X/D and y = Y over one common denominator.
+
+    None unless all four shares are rational and both x lie in [0, 1].
+    """
+    if not (type(x_a) in _RATIONAL and type(x_b) in _RATIONAL
+            and type(y_a) in _RATIONAL and type(y_b) in _RATIONAL):
+        return None
+    d = x_a.denominator * x_b.denominator
+    xa, xb = x_a.numerator * x_b.denominator, x_b.numerator * x_a.denominator
+    if not (0 <= xa <= d and 0 <= xb <= d):
+        return None
+    return xa, xb, d, y_a.numerator * y_b.denominator, y_b.numerator * y_a.denominator
+
+
+def _sampled_pair(schedule: ShareSchedule, policy: NumericPolicy, i: int, a_mask: int, b_mask: int) -> tuple:
+    """(x_a, x_b, y_a, y_b, their :func:`_integer_shares` in the exact lane or None).
+
+    Empty when y_b is not positive.
+    """
+    pair_a = schedule.shares_for(a_mask)
+    pair_b = schedule.shares_for(b_mask)
+    x_a, y_a = pair_a.resource[i], pair_a.payment[i]
+    x_b, y_b = pair_b.resource[i], pair_b.payment[i]
+    if not policy.is_positive(y_b):
+        return ()
+    return x_a, x_b, y_a, y_b, _integer_shares(x_a, x_b, y_a, y_b) if policy.exact else None
+
+
+def _concave_sample_breaks(shape: int, draw: Optional[int], xa, xb, d, ya, yb) -> bool:
+    """Whether the sample breaks the rule at the pair, decided in integers.
+
+    Takes the shares as :func:`_integer_shares` gives them, with yb > 0.  The
+    oracle's candidate constants find a break exactly when ya = 0 or
+    u(x_a)*y_b > u(x_b)*y_a, and the sign of that cross-product does not
+    depend on the shape's positive scale: a linear utility compares x, a ramp
+    min(x, knee), and a random concave one its slopes integrated up to x.  A
+    zero scale, like the zero utility, never breaks the rule.
+    """
+    if ya <= 0:
+        return True
+    if shape == 0:
+        points = sorted({x for x in (xa, xb) if x > 0} | {d})
+        slopes, level = random_concave_draws(draw, len(points))
+        if level == 0:
+            return False
+        value, total, prev = {0: 0}, 0, 0
+        for x, slope in zip(points, slopes):
+            total += slope * (x - prev)
+            value[x] = total
+            prev = x
+        ua, ub = value[xa], value[xb]
+    elif shape == 3 or draw == 0:
+        return False
+    elif shape == 1:
+        ua, ub = xa, xb
+    else:
+        knee = xa if 0 < xa < d else (xb if 0 < xb < d else d)
+        ua, ub = min(xa, knee), min(xb, knee)
+    return ua * yb > ub * ya
+
+
+def _breaking_constant(
+    rng: random.Random, knots: tuple, x_a: Num, x_b: Num, y_a: Num, y_b: Num, policy: NumericPolicy
+) -> Optional[Num]:
+    """The first candidate C with u(x_b) < C*y_b but not u(x_a) < C*y_a, or None.
+
+    Draws one uniform candidate, then tries the midpoint of the violation
+    window too when the window is open.
+    """
+    # the sampled utility at the pair's two shares, as its report would value them
+    xs = tuple(x for x, _ in knots)
+    us = tuple(u for _, u in knots)
+    u_a = piecewise_value(xs, us, x_a)
+    u_b = piecewise_value(xs, us, x_b)
+    ratio_b = u_b / y_b
+    if policy.is_positive(y_a):
+        window_hi = u_a / y_a
+    else:
+        window_hi = ratio_b + U_MAX
+    candidates = [Fraction(rng.randrange(1, GRAIN), GRAIN) * (2 * ratio_b + 1)]
+    if window_hi > ratio_b:
+        candidates.append((ratio_b + window_hi) / 2)
+    for c in candidates:
+        if not c > 0:
+            continue
+        premise = policy.lt(u_b, c * y_b)
+        conclusion = policy.lt(u_a, c * y_a)
+        if premise and not conclusion:
+            return c
+    return None
+
+
 def brute_force_monotonicity_check(
     schedule: ShareSchedule,
     samples: int,
@@ -486,27 +614,35 @@ def brute_force_monotonicity_check(
     the zero report, or powers when the class is a power family); besides a
     uniform draw, C is also tried at the midpoint of the candidate violation
     window so genuine violations are found quickly.  Sampled utilities are
-    worth at most 2 at x=1.
+    worth at most U_MAX = 2 at x=1.
+
+    In the exact lane, a concave-class sample whose four shares are all
+    rational is first decided in integers (:func:`_concave_sample_breaks`),
+    from the drawn utility alone; a rejected sample still draws its uniform
+    constant, so the random stream, and every witness, is the same as when
+    each sample is valued in ``Fraction`` arithmetic.  Float shares (ranked
+    sqrt or power weights), the power class and the tolerance lane value every
+    sample that way.
     """
     if report_class is None:
         report_class = concave_class()
     n = schedule.n
     if n > ORACLE_MAX_BUYERS:
         raise ScheduleError(f"brute-force monotonicity oracle capped at {ORACLE_MAX_BUYERS} buyers")
-    u_max = 2
     rng = random.Random(seed)
     masks = list(nonempty_subsets(full_mask(n)))
-    grain = 10 ** 6
+    pairs = {}  # (buyer, A, B) -> _sampled_pair
     for trial in range(samples):
         b_mask = rng.choice(masks)
         a_mask = _random_submask(rng, b_mask)
         i = rng.choice(members(a_mask))
-        pair_a = schedule.shares_for(a_mask)
-        pair_b = schedule.shares_for(b_mask)
-        x_a, y_a = pair_a.resource[i], pair_a.payment[i]
-        x_b, y_b = pair_b.resource[i], pair_b.payment[i]
-        if not policy.is_positive(y_b):
+        key = (i, a_mask, b_mask)
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = _sampled_pair(schedule, policy, *key)
+        if not pair:  # y_b is not positive: no utility falls below a zero bound
             continue
+        x_a, x_b, y_a, y_b, shares = pair
 
         shape = trial % 4
         if report_class.kind == "power":
@@ -514,40 +650,18 @@ def brute_force_monotonicity_check(
                 knots = _zero_knots()
             else:
                 k_lo, k_hi = Fraction(report_class.k_min), Fraction(report_class.k_max)
-                k = (k_hi, k_lo, k_lo + (k_hi - k_lo) * Fraction(rng.randrange(grain), grain))[shape]
-                scale = u_max * Fraction(rng.randrange(1, grain), grain)
+                k = (k_hi, k_lo, k_lo + (k_hi - k_lo) * Fraction(rng.randrange(GRAIN), GRAIN))[shape]
+                scale = U_MAX * Fraction(rng.randrange(1, GRAIN), GRAIN)
                 knots = _power_knots(k, x_a, x_b, scale)
-        elif shape == 0:
-            pts = {x for x in (x_a, x_b) if 0 < x <= 1}
-            knots = random_concave_knots(rng.randrange(2 ** 32), pts, u_max)
-        elif shape == 1:
-            knots = _linear_knots(u_max * Fraction(rng.randrange(0, grain + 1), grain))
-        elif shape == 2:
-            pos = x_a if 0 < x_a < 1 else (x_b if 0 < x_b < 1 else Fraction(1, 2))
-            knots = _ramp_knots(pos, u_max * Fraction(rng.randrange(0, grain + 1), grain))
         else:
-            knots = _zero_knots()
-
-        # the sampled utility at the pair's two shares, as its report would value them
-        xs = tuple(x for x, _ in knots)
-        us = tuple(u for _, u in knots)
-        u_a = piecewise_value(xs, us, x_a)
-        u_b = piecewise_value(xs, us, x_b)
-        ratio_b = u_b / y_b
-        if policy.is_positive(y_a):
-            window_hi = u_a / y_a
-        else:
-            window_hi = ratio_b + u_max
-        candidates = [Fraction(rng.randrange(1, grain), grain) * (2 * ratio_b + 1)]
-        if window_hi > ratio_b:
-            candidates.append((ratio_b + window_hi) / 2)
-        for c in candidates:
-            if not c > 0:
+            draw = _draw_concave_sample(rng, shape)
+            if shares is not None and not _concave_sample_breaks(shape, draw, *shares):
+                rng.randrange(1, GRAIN)  # the uniform constant _breaking_constant would draw
                 continue
-            premise = policy.lt(u_b, c * y_b)
-            conclusion = policy.lt(u_a, c * y_a)
-            if premise and not conclusion:
-                return MonotonicityWitness(i, a_mask, b_mask, UtilityReport(knots), c)
+            knots = _concave_sample_knots(shape, draw, x_a, x_b)
+        c = _breaking_constant(rng, knots, x_a, x_b, y_a, y_b, policy)
+        if c is not None:
+            return MonotonicityWitness(i, a_mask, b_mask, UtilityReport(knots), c)
     return None
 
 

@@ -160,6 +160,20 @@ def sample_report(form: ClosedFormUtility, points: Iterable[Num]) -> UtilityRepo
     return UtilityReport(sample_knots(form, points))
 
 
+GRAIN = 10 ** 6  # random utilities draw their slopes and scales in steps of 1/GRAIN
+
+
+def random_concave_draws(seed: int, count: int) -> tuple:
+    """What :func:`random_concave_knots` draws, in units of 1/GRAIN.
+
+    Returns ``count`` slopes in 1..GRAIN-1, non-increasing, and the scale in
+    0..GRAIN, both from ``random.Random(seed)``.
+    """
+    rng = random.Random(seed)
+    slopes = sorted((rng.randrange(1, GRAIN) for _ in range(count)), reverse=True)
+    return slopes, rng.randrange(0, GRAIN + 1)
+
+
 def random_concave_knots(seed: int, points: Iterable[Num], u_max: Num) -> tuple:
     """Deterministic-in-seed random admissible knot list on {0} | points.
 
@@ -172,19 +186,15 @@ def random_concave_knots(seed: int, points: Iterable[Num], u_max: Num) -> tuple:
     xs = sorted(set(points) | {Fraction(1)})
     if any(not (0 < x <= 1) for x in xs):
         raise ValueError("points must lie in (0, 1]")
-    rng = random.Random(seed)
-    grain = 10 ** 6
-    slopes = sorted(
-        (Fraction(rng.randrange(1, grain), grain) for _ in xs), reverse=True
-    )
+    slopes, level = random_concave_draws(seed, len(xs))
     values = []
     total = Fraction(0)
     prev = Fraction(0)
     for x, slope in zip(xs, slopes):
-        total += slope * (x - prev)
+        total += Fraction(slope, GRAIN) * (x - prev)
         values.append(total)
         prev = x
-    scale = u_max * Fraction(rng.randrange(0, grain + 1), grain) / values[-1]
+    scale = u_max * Fraction(level, GRAIN) / values[-1]
     knots = [(Fraction(0), 0 * scale)]
     knots.extend((x, v * scale) for x, v in zip(xs, values))
     return tuple(knots)

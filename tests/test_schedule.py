@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,11 @@ from hypothesis import strategies as st
 
 from groupbuy.numeric import EXACT, approx
 from groupbuy.schedule import (
+    _breaking_constant,
+    _concave_sample_breaks,
+    _concave_sample_knots,
+    _draw_concave_sample,
+    _integer_shares,
     CrossMonotonicSchedule,
     DegenerateScheduleError,
     EqualSplitSchedule,
@@ -34,6 +40,9 @@ from groupbuy.utility import ClosedFormUtility, UtilityReport, concave_class, po
 from helpers import rras_resource_table
 
 APPROX = approx()
+# a payment or resource share: a fraction in [0, 1], small denominators often
+# so that equal shares and equal ratios come up, or the int 0 or 1
+SHARE = st.one_of(st.fractions(0, 1, max_denominator=12), st.fractions(0, 1), st.sampled_from([0, 1]))
 ORDER = (0, 1, 2)
 BASE = (F(1, 2), F(1, 4), F(1, 4))
 
@@ -343,9 +352,27 @@ class TestBruteForceOracle:
             # float payment shares in the tolerance lane
             ("ranked-sqrt", 3, None, APPROX, (1, 0b010, 0b011, 1.2849717828312,
                                               ((F(0), F(0)), (F(1), F(152699, 100000))))),
+            # float payment shares in the exact lane, which values them in full
+            ("ranked-sqrt", 0, None, EXACT, (2, 0b100, 0b101, 0.4210998760896446,
+                                             ((F(0), F(0)), (F(1), F(125103, 250000))))),
+            ("ranked-sqrt", 1, None, EXACT, (1, 0b010, 0b011, 0.9153451672162272,
+                                             ((F(0), F(0)), (F(1), F(543873, 500000))))),
+            ("ranked-sqrt", 2, None, EXACT, (2, 0b100, 0b110, 1.0693492445028745,
+                                             ((F(0), F(0)), (F(1), F(317689, 250000))))),
+            ("ranked-sqrt", 3, None, EXACT, (1, 0b010, 0b011, 1.2849717828312,
+                                             ((F(0), F(0)), (F(1), F(152699, 100000))))),
+            ("ranked-power", 0, None, EXACT, (2, 0b100, 0b101, 0.40297237399708385,
+                                              ((F(0), F(0)), (F(1), F(125103, 250000))))),
+            ("ranked-power", 1, None, EXACT, (1, 0b010, 0b011, 0.8759414001379504,
+                                              ((F(0), F(0)), (F(1), F(543873, 500000))))),
+            ("ranked-power", 2, None, EXACT, (2, 0b100, 0b110, 1.0233159118706951,
+                                              ((F(0), F(0)), (F(1), F(317689, 250000))))),
+            ("ranked-power", 3, None, EXACT, (1, 0b010, 0b011, 1.2296563339204638,
+                                              ((F(0), F(0)), (F(1), F(152699, 100000))))),
         ],
         ids=["linear", "ramp", "random-concave", "zero", "power-k-max", "power-k-min",
-             "power-random-k", "float-shares"],
+             "power-random-k", "float-shares"]
+        + [f"float-shares-exact-{w}-{seed}" for w in ("sqrt", "power") for seed in range(4)],
     )
     def test_witnesses_are_pinned(self, table, seed, report_class, policy, witness):
         # the oracle must draw the same samples in the same order and value
@@ -354,6 +381,8 @@ class TestBruteForceOracle:
             sched = _zero_payment_table()
         elif table == "ranked-sqrt":
             sched = RankedSchedule(ORDER, BASE, sqrt_weight())
+        elif table == "ranked-power":
+            sched = RankedSchedule(ORDER, BASE, power_weight(F(1, 3)))
         else:
             sched = _random_table(table)
         cls = power_class(F(1, 8), F(1, 2)) if report_class == "power" else None
@@ -364,6 +393,36 @@ class TestBruteForceOracle:
         assert found.utility.knots == knots
         assert [type(u) for _, u in found.utility.knots] == [type(u) for _, u in knots]
         _assert_witness_breaks_rule(sched, found, policy)
+
+    @given(
+        x_a=SHARE, x_b=SHARE, y_a=SHARE, y_b=SHARE.filter(lambda v: v > 0),
+        shape=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_test_matches_the_candidate_check(self, x_a, x_b, y_a, y_b, shape, seed):
+        # the exact lane rejects a sample in integers only where valuing it in
+        # Fraction arithmetic would find no breaking constant either
+        draw = _draw_concave_sample(random.Random(seed), shape)
+        knots = _concave_sample_knots(shape, draw, x_a, x_b)
+        found = _breaking_constant(random.Random(seed), knots, x_a, x_b, y_a, y_b, EXACT)
+        shares = _integer_shares(x_a, x_b, y_a, y_b)
+        assert _concave_sample_breaks(shape, draw, *shares) == (found is not None)
+
+    # (shape, a draw with a positive scale, one with scale 0); a random concave
+    # utility of seed 841178 on three points draws scale 0
+    @pytest.mark.parametrize("shape,positive,zero", [(0, 1, 841178), (1, 1, 0), (2, 1, 0)])
+    def test_integer_test_rejects_a_zero_scale(self, shape, positive, zero):
+        x_a, x_b, y_a, y_b = F(1, 2), F(1, 3), F(1, 4), F(1, 2)
+        shares = _integer_shares(x_a, x_b, y_a, y_b)
+        for draw, breaks in ((positive, True), (zero, False)):
+            knots = _concave_sample_knots(shape, draw, x_a, x_b)
+            found = _breaking_constant(random.Random(0), knots, x_a, x_b, y_a, y_b, EXACT)
+            assert (found is not None) == breaks == _concave_sample_breaks(shape, draw, *shares)
+
+    def test_integer_test_needs_rational_shares_in_range(self):
+        assert _integer_shares(F(1, 2), 1, 0, F(1, 3)) == (1, 2, 2, 0, 1)
+        assert _integer_shares(F(1, 2), F(1, 3), 0.25, F(1, 2)) is None
+        assert _integer_shares(F(3, 2), F(1, 3), F(1, 4), F(1, 2)) is None
 
 
 def _zero_payment_table():

@@ -3,7 +3,7 @@
 Usage, from the root of a checkout::
 
     python3 tools/cli_parity.py > calls.txt
-    python3 tools/cli_parity.py --cli-scale-seeds 1,9173,11 > calls.txt
+    python3 tools/cli_parity.py --seeds 1,9173,11 > calls.txt
 
 It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
 
@@ -16,7 +16,11 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
 * the coalition scans of every coalition-fuzz benchmark item of the same
   seeds (``bench.workloads.CoalitionFuzz``: its ``setup`` builds the pool and
   its ``run`` calls ``enumerate_coalition_deviations`` once per auction
-  config).  ``bench/`` is only read.
+  config);
+* the validator and the sampling oracle on every validator-oracle benchmark
+  item of the same seeds (``bench.workloads.ValidatorOracle``: its ``setup``
+  builds the pool of tables and its ``run`` calls ``validate_monotonicity``
+  and ``brute_force_monotonicity_check`` once each).  ``bench/`` is only read.
 
 It prints one line per CLI call: a label, the exit code, and the sha256 of
 stdout and of stderr.  The checkout root and the temporary directory are
@@ -24,9 +28,12 @@ replaced by placeholders before hashing, so that the same call at two
 checkouts hashes alike.  It prints one line per coalition-fuzz item: the
 sha256 of each scan's profile count, truncation flag and violations
 (coalition, deviant knots, tie-break flag and the ``repr`` of every net), so
-a float that moves by one bit changes the line.  Run it at both checkouts and
-diff the two files: identical files mean byte-identical CLI output and exit
-codes on every call and bit-identical scan results on every item.
+a float that moves by one bit changes the line.  It prints one line per
+validator-oracle item: the sha256 of each witness's buyer, subsets, the
+``repr`` and type of its constant, and its knots.  Run it at both checkouts
+and diff the two files: identical files mean byte-identical CLI output and
+exit codes on every call and bit-identical scan results and witnesses on
+every item.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import groupbuy  # noqa: E402
 import groupbuy.cli  # noqa: E402
-from bench.workloads import CliScale, CoalitionFuzz  # noqa: E402
+from bench.workloads import CliScale, CoalitionFuzz, ValidatorOracle  # noqa: E402
 
 FORMATS = ("text", "json", "csv")
 # the formats each command is called with; None calls it without --format
@@ -81,12 +88,24 @@ def scan_digest(results):
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
+def witness_digest(witnesses):
+    """sha256 over each witness (or None): buyer, subsets, constant by ``repr`` and type, knots."""
+    parts = []
+    for w in witnesses:
+        if w is None:
+            parts.append("None")
+        else:
+            constant = f"{w.constant!r} {type(w.constant).__name__}"
+            parts.append(f"{w.buyer} {w.subset_a} {w.subset_b} {constant} {w.utility.knots!r}")
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cli-scale-seeds", default="1,9173",
-                        help="comma-separated cli-scale seeds ('' for none)")
+    parser.add_argument("--seeds", "--cli-scale-seeds", dest="seeds", default="1,9173",
+                        help="comma-separated benchmark seeds ('' for none)")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.cli_scale_seeds.split(",") if s.strip()]
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
 
     with tempfile.TemporaryDirectory() as tmp:
         placeholders = [(tmp, "<workdir>"), (str(ROOT), "<root>")]
@@ -114,6 +133,13 @@ def main(argv=None) -> int:
                 profiles = sum(result.profiles for result in results)
                 print(f"coalition-fuzz:{seed} item {item['id']} {item['kind']} menus={sizes} "
                       f"budget={budget} profiles={profiles} scans={scan_digest(results)}")
+            oracle = ValidatorOracle()
+            workdir = Path(tmp) / f"validator-oracle-{seed}"
+            workdir.mkdir()
+            for item in oracle.setup(groupbuy, seed, workdir):
+                witnesses = oracle.run(groupbuy, item)
+                print(f"validator-oracle:{seed} item {item['id']} planted={item['planted']} "
+                      f"witnesses={witness_digest(witnesses)}")
     return 0
 
 

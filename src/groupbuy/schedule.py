@@ -507,7 +507,7 @@ def _concave_sample_knots(shape: int, draw: Optional[int], x_a: Num, x_b: Num) -
 
 
 def _integer_shares(x_a: Num, x_b: Num, y_a: Num, y_b: Num) -> Optional[tuple]:
-    """(X_a, X_b, D, Y_a, Y_b): x = X/D and y = Y over one common denominator.
+    """(X_a, X_b, D, Y_a, Y_b) with x_a = X_a/D, x_b = X_b/D and Y_a : Y_b = y_a : y_b.
 
     None unless all four shares are rational and both x lie in [0, 1].
     """
@@ -563,6 +563,7 @@ def _concave_sample_breaks(shape: int, draw: Optional[int], xa, xb, d, ya, yb) -
     elif shape == 1:
         ua, ub = xa, xb
     else:
+        # with both x in {0, 1} the ramp's knee is 1/2: min(x, 1/2) = x/2, proportional to x
         knee = xa if 0 < xa < d else (xb if 0 < xb < d else d)
         ua, ub = min(xa, knee), min(xb, knee)
     return ua * yb > ub * ya

@@ -3,7 +3,7 @@
 Usage, from the root of a checkout::
 
     python3 tools/cli_parity.py > calls.txt
-    python3 tools/cli_parity.py --seeds 1,9173,11 > calls.txt
+    python3 tools/cli_parity.py --cli-scale-seeds 1,9173,11 > calls.txt
 
 It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
 
@@ -102,10 +102,10 @@ def witness_digest(witnesses):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", "--cli-scale-seeds", dest="seeds", default="1,9173",
-                        help="comma-separated benchmark seeds ('' for none)")
+    parser.add_argument("--cli-scale-seeds", default="1,9173",
+                        help="comma-separated seeds of all three benchmark pools ('' for none)")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = [int(s) for s in args.cli_scale_seeds.split(",") if s.strip()]
 
     with tempfile.TemporaryDirectory() as tmp:
         placeholders = [(tmp, "<workdir>"), (str(ROOT), "<root>")]

@@ -14,7 +14,7 @@ submodules (``groupbuy.schedule``, ``groupbuy.analysis``, ...).
 
 from .analysis import enumerate_coalition_deviations
 from .auction import AuctionConfig, run_group_participation
-from .mechanism import allocate, compute_bid_trace, fixed_price_outcome
+from .mechanism import allocate, compute_bid_trace
 from .numeric import approx
 from .scenario import bundled_scenario_path, load_scenario_file
 from .schedule import (
@@ -39,7 +39,6 @@ __all__ = [
     "bundled_scenario_path",
     "compute_bid_trace",
     "enumerate_coalition_deviations",
-    "fixed_price_outcome",
     "load_scenario_file",
     "run_group_participation",
     "sample_report",

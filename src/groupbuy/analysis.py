@@ -1,4 +1,4 @@
-"""Property harnesses: deviation fuzzing, consistency checks, schedule comparison.
+"""Property harnesses: coalition deviation fuzzing and schedule comparison.
 
 These are the desk-scale oracles for the mechanism's incentive claims.  None
 of them proves anything; they enumerate or sample deviations and instances and
@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .auction import AuctionConfig, run_group_participation
 from .mechanism import AllocationOutcome, BidTrace, RatioColumn
@@ -175,7 +175,7 @@ def enumerate_coalition_deviations(
     # subset is evaluated once (0 stands for buying nothing).
     lane_cfg = AuctionConfig(policy.lane(cfg.threshold), (), cfg.tie_policy)
     true_columns = [RatioColumn(schedule, policy, i, r) for i, r in enumerate(true_reports)]
-    _, _, base_outcome = run_group_participation(true_columns, schedule, lane_cfg, policy)
+    _, base_outcome = run_group_participation(true_columns, schedule, lane_cfg, policy)
     menus = [[RatioColumn(schedule, policy, i, r) for r in report_grid[i]] for i in range(n)]
     truth = []
     for i, report in enumerate(true_reports):
@@ -217,7 +217,7 @@ def enumerate_coalition_deviations(
         columns = list(true_columns)
         for i, column in zip(idxs, profile):
             columns[i] = column
-        _, _, outcome = run_group_participation(columns, schedule, lane_cfg, policy)
+        _, outcome = run_group_participation(columns, schedule, lane_cfg, policy)
         after = prefs(outcome, idxs)
         before = tuple(base_prefs[i] for i in idxs)
         all_weak = all(weakly_prefers(a, b, policy) for a, b in zip(after, before))
@@ -253,43 +253,6 @@ def enumerate_coalition_deviations(
 
     violations.sort(key=lambda v: (v.coalition, tuple(r.knots for r in v.deviant_reports)))
     return FuzzResult(tuple(violations), profiles, truncated)
-
-
-# ---------------------------------------------------------------------------
-# Individual consistency
-
-
-@dataclass(frozen=True)
-class ConsistencyViolation:
-    """A buyer worth more than the whole price was left out (or nothing was bought)."""
-
-    buyer: int
-    purchased: bool
-
-
-def check_individual_consistency(
-    reports: Sequence[UtilityReport],
-    schedule: ShareSchedule,
-    price: Num,
-    policy: NumericPolicy = EXACT,
-) -> Optional[ConsistencyViolation]:
-    """If anyone values the whole resource above the price, the group must buy
-    and every such buyer must be in the winning set.  Assumes a monotone
-    schedule.  The group runs at the price as ``run`` does at a fixed price:
-    an auction with reserve = price, no rival bid and ties to the group."""
-    eligible = [
-        i for i in range(schedule.n) if policy.gt(reports[i].value_at(Fraction(1)), price)
-    ]
-    if not eligible:
-        return None
-    cfg = AuctionConfig(reserve=price)
-    _, _, outcome = run_group_participation(reports, schedule, cfg, policy)
-    if not outcome.purchased:
-        return ConsistencyViolation(eligible[0], False)
-    for i in eligible:
-        if not outcome.winning_set >> i & 1:
-            return ConsistencyViolation(i, True)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +300,7 @@ def compare_schedules(
     """
     runs = []
     for name, schedule in schedules.items():
-        trace, _, outcome = run_group_participation(reports, schedule, cfg, policy)
+        trace, outcome = run_group_participation(reports, schedule, cfg, policy)
         runs.append(ScheduleRun(name, trace, outcome))
     dominance = {}
     for ra, rb in itertools.combinations(runs, 2):

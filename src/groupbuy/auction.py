@@ -1,4 +1,9 @@
-"""Sealed-bid second-price auction with a reserve, and the end-to-end group run."""
+"""Sealed-bid second-price auction with a reserve, and the end-to-end group run.
+
+The group enters one joint bid and divides the resource and the payment only
+if it wins, so a group run has one result: the :class:`AllocationOutcome`,
+purchased exactly when the group won, at the clearing price.
+"""
 
 from __future__ import annotations
 
@@ -36,29 +41,23 @@ class AuctionConfig:
         return max(self.reserve, *self.competing_bids, 0)
 
 
-@dataclass(frozen=True)
-class AuctionResult:
-    group_won: bool
-    clearing_price: Optional[Num]  # defined only on a win
-
-
 def run_second_price(
     group_bid: Num, cfg: AuctionConfig, policy: NumericPolicy = EXACT
-) -> AuctionResult:
-    """Second-price rule from the group's perspective.
+) -> Optional[Num]:
+    """Second-price rule from the group's perspective: the clearing price, or None.
 
     The group wins when its bid strictly exceeds max(best rival, reserve), or
     equals it under the group-favorable tie policy; it then pays exactly that
-    maximum.
+    maximum, which may be 0.  A losing group gets None.
     """
     if group_bid < 0:
         raise ValueError("bid must be non-negative")
     threshold = cfg.threshold
-    if policy.gt(group_bid, threshold):
-        return AuctionResult(True, threshold)
-    if policy.eq(group_bid, threshold) and cfg.tie_policy == GROUP_WINS:
-        return AuctionResult(True, threshold)
-    return AuctionResult(False, None)
+    if policy.gt(group_bid, threshold) or (
+        policy.eq(group_bid, threshold) and cfg.tie_policy == GROUP_WINS
+    ):
+        return threshold
+    return None
 
 
 def run_group_participation(
@@ -66,16 +65,15 @@ def run_group_participation(
     schedule: ShareSchedule,
     cfg: AuctionConfig,
     policy: NumericPolicy = EXACT,
-) -> Tuple[BidTrace, AuctionResult, AllocationOutcome]:
+) -> Tuple[BidTrace, AllocationOutcome]:
     """Compute the trace, enter the auction with the group bid, divide on a win.
 
-    On a win the clearing price never exceeds the group bid, so the division
-    step always finds an affordable subset.
+    The outcome is purchased exactly when the group won, and its ``price`` is
+    then the clearing price: on a win that price never exceeds the group bid
+    under ``policy``, so the division step always finds an affordable subset.
     """
     trace = compute_bid_trace(reports, schedule, policy)
-    result = run_second_price(trace.group_bid, cfg, policy)
-    if result.group_won:
-        outcome = allocate(trace, schedule, result.clearing_price, policy)
-    else:
-        outcome = AllocationOutcome.not_purchased(schedule.n)
-    return trace, result, outcome
+    price = run_second_price(trace.group_bid, cfg, policy)
+    if price is None:
+        return trace, AllocationOutcome.not_purchased(schedule.n)
+    return trace, allocate(trace, schedule, price, policy)

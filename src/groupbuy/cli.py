@@ -130,16 +130,16 @@ def cmd_run(args) -> int:
             f"({len(outside)} such buyers); the incentive guarantees do not cover this run",
             file=sys.stderr,
         )
-    trace, result, outcome = run_group_participation(
+    trace, outcome = run_group_participation(
         scenario.reports, scenario.schedule, scenario.auction, policy
     )
     report = {"trace": trace_to_json(trace, policy)}
     if scenario.fixed_price is None:
-        report["auction"] = auction_result_to_json(result, policy)
+        report["auction"] = auction_result_to_json(outcome, policy)
         summary = (
-            f"bid {_fmt(trace.group_bid)}; win at {_fmt(result.clearing_price)}; "
+            f"bid {_fmt(trace.group_bid)}; win at {_fmt(outcome.price)}; "
             f"payments {_vec(outcome.payments)}"
-            if result.group_won
+            if outcome.purchased
             else f"bid {_fmt(trace.group_bid)}; lost"
         )
     else:

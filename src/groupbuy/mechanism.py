@@ -9,8 +9,7 @@ are removed and the step repeats until nobody is left.  :func:`compute_bid_trace
 is that one loop.  The largest bearable payment across steps is the group's
 bid; once a price is realized, :func:`allocate` picks the largest traced
 subset whose bearable payment covers it, which divides resource and payment
-by its shares.  :func:`fixed_price_outcome` is the separate fixed-price sweep,
-kept as the reference the trace path is checked against.
+by its shares.
 
 The loop reads each report through its :class:`RatioColumn`, subset ->
 u_i(x_i(S)) / y_i(S), filled on the loop's first read of a subset from the
@@ -74,16 +73,6 @@ class AllocationOutcome:
         return cls(False, 0, zeros, zeros, Fraction(0))
 
 
-def _check_count(reports: Sequence, schedule: ShareSchedule) -> None:
-    if len(reports) != schedule.n:
-        raise ValueError(f"{len(reports)} reports for a {schedule.n}-buyer schedule")
-
-
-def _check_report(buyer: int, report) -> None:
-    if not isinstance(report, (UtilityReport, ClosedFormUtility)):
-        raise ValueError(f"report {buyer} is neither a UtilityReport nor a ClosedFormUtility")
-
-
 class RatioColumn(dict):
     """One buyer's report compiled against a schedule and policy: subset -> ratio.
 
@@ -95,7 +84,8 @@ class RatioColumn(dict):
     __slots__ = ("schedule", "policy", "buyer", "report")
 
     def __init__(self, schedule: ShareSchedule, policy: NumericPolicy, buyer: int, report):
-        _check_report(buyer, report)
+        if not isinstance(report, (UtilityReport, ClosedFormUtility)):
+            raise ValueError(f"report {buyer} is neither a UtilityReport nor a ClosedFormUtility")
         super().__init__()
         self.schedule = schedule
         self.policy = policy
@@ -130,7 +120,8 @@ def compute_bid_trace(
     non-winners up front must not change the winner, and removing one winner
     shrinks it.
     """
-    _check_count(reports, schedule)
+    if len(reports) != schedule.n:
+        raise ValueError(f"{len(reports)} reports for a {schedule.n}-buyer schedule")
     columns = []
     for i, report in enumerate(reports):
         if not isinstance(report, RatioColumn):
@@ -190,36 +181,3 @@ def allocate(
             return AllocationOutcome(True, step.subset, pair.resource, payments, price)
     return AllocationOutcome.not_purchased(schedule.n)
 
-
-def fixed_price_outcome(
-    reports: Sequence[UtilityReport],
-    schedule: ShareSchedule,
-    price: Num,
-    policy: NumericPolicy = EXACT,
-) -> AllocationOutcome:
-    """Fixed-price variant: drop everyone unaffordable at once, then retry.
-
-    From the current subset, every member whose reported utility for its
-    resource share falls short of its payment share of the price is removed
-    in one sweep; the sweep repeats until the survivors can all pay (buy) or
-    nobody is left (no purchase).
-    """
-    _check_count(reports, schedule)
-    for i, report in enumerate(reports):
-        _check_report(i, report)
-    if price < 0:
-        raise ValueError("price must be non-negative")
-    subset = full_mask(schedule.n)
-    while subset:
-        pair = schedule.shares_for(subset)
-        failing = 0
-        for i in members(subset):
-            y = pair.payment[i]
-            if policy.is_positive(y):
-                if policy.lt(reports[i].value_at(pair.resource[i]), price * y):
-                    failing |= 1 << i
-        if not failing:
-            payments = tuple(price * y for y in pair.payment)
-            return AllocationOutcome(True, subset, pair.resource, payments, price)
-        subset &= ~failing
-    return AllocationOutcome.not_purchased(schedule.n)

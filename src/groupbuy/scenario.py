@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .auction import GROUP_WINS, AuctionConfig, AuctionResult
+from .auction import GROUP_WINS, AuctionConfig
 from .mechanism import AllocationOutcome, BidTrace
 from .numeric import (
     DEFAULT_EPSILON,
@@ -325,10 +325,11 @@ def outcome_to_json(outcome: AllocationOutcome, policy: NumericPolicy) -> dict:
     }
 
 
-def auction_result_to_json(result: AuctionResult, policy: NumericPolicy) -> dict:
-    out = {"group_won": result.group_won}
-    if result.group_won:
-        out["clearing_price"] = number_to_json(result.clearing_price, policy)
+def auction_result_to_json(outcome: AllocationOutcome, policy: NumericPolicy) -> dict:
+    """The auction's side of a group run: the group won exactly when it bought."""
+    out = {"group_won": outcome.purchased}
+    if outcome.purchased:
+        out["clearing_price"] = number_to_json(outcome.price, policy)
     return out
 
 

@@ -96,9 +96,6 @@ class UtilityReport:
             raise ValueError(f"utility argument {x} outside [0, 1]")
         return piecewise_value(self._xs, self._us, x)
 
-    def scaled(self, factor: Num) -> "UtilityReport":
-        return UtilityReport(tuple((x, u * factor) for x, u in self.knots))
-
 
 @dataclass(frozen=True)
 class ClosedFormUtility:
@@ -198,11 +195,6 @@ def random_concave_knots(seed: int, points: Iterable[Num], u_max: Num) -> tuple:
     knots = [(Fraction(0), 0 * scale)]
     knots.extend((x, v * scale) for x, v in zip(xs, values))
     return tuple(knots)
-
-
-def random_concave_utility(seed: int, points: Iterable[Num], u_max: Num) -> UtilityReport:
-    """The report through :func:`random_concave_knots`."""
-    return UtilityReport(random_concave_knots(seed, points, u_max))
 
 
 @dataclass(frozen=True)

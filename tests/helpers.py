@@ -1,8 +1,21 @@
-"""Shared test fixtures that the library itself does not need."""
+"""Shared test fixtures and reference implementations that the library itself does not need."""
 
-from typing import Sequence
+from dataclasses import dataclass
+from fractions import Fraction as F
+from typing import Iterable, Optional, Sequence
 
-from groupbuy.schedule import full_mask, nonempty_subsets, rras_resource_shares
+from groupbuy.auction import AuctionConfig, run_group_participation
+from groupbuy.mechanism import AllocationOutcome
+from groupbuy.numeric import EXACT, Num, NumericPolicy
+from groupbuy.schedule import (
+    ShareSchedule,
+    TableSchedule,
+    full_mask,
+    members,
+    nonempty_subsets,
+    rras_resource_shares,
+)
+from groupbuy.utility import ClosedFormUtility, UtilityReport, random_concave_knots
 
 
 def rras_resource_table(order: Sequence[int], base: Sequence) -> dict:
@@ -15,3 +28,108 @@ def rras_resource_table(order: Sequence[int], base: Sequence) -> dict:
         mask: rras_resource_shares(order, base, mask)
         for mask in nonempty_subsets(full_mask(len(order)))
     }
+
+
+def random_concave_utility(seed: int, points: Iterable[Num], u_max: Num) -> UtilityReport:
+    """The report through :func:`groupbuy.utility.random_concave_knots`."""
+    return UtilityReport(random_concave_knots(seed, points, u_max))
+
+
+def scaled_report(report: UtilityReport, factor: Num) -> UtilityReport:
+    """``report`` with every value multiplied by ``factor``."""
+    return UtilityReport(tuple((x, u * factor) for x, u in report.knots))
+
+
+def fixed_price_outcome(
+    reports: Sequence[UtilityReport],
+    schedule: ShareSchedule,
+    price: Num,
+    policy: NumericPolicy = EXACT,
+) -> AllocationOutcome:
+    """Fixed-price variant: drop everyone unaffordable at once, then retry.
+
+    From the current subset, every member whose reported utility for its
+    resource share falls short of its payment share of the price is removed
+    in one sweep; the sweep repeats until the survivors can all pay (buy) or
+    nobody is left (no purchase).  This is the reference the engine's trace
+    path is checked against.
+    """
+    if len(reports) != schedule.n:
+        raise ValueError(f"{len(reports)} reports for a {schedule.n}-buyer schedule")
+    for i, report in enumerate(reports):
+        if not isinstance(report, (UtilityReport, ClosedFormUtility)):
+            raise ValueError(f"report {i} is neither a UtilityReport nor a ClosedFormUtility")
+    if price < 0:
+        raise ValueError("price must be non-negative")
+    subset = full_mask(schedule.n)
+    while subset:
+        pair = schedule.shares_for(subset)
+        failing = 0
+        for i in members(subset):
+            y = pair.payment[i]
+            if policy.is_positive(y):
+                if policy.lt(reports[i].value_at(pair.resource[i]), price * y):
+                    failing |= 1 << i
+        if not failing:
+            payments = tuple(price * y for y in pair.payment)
+            return AllocationOutcome(True, subset, pair.resource, payments, price)
+        subset &= ~failing
+    return AllocationOutcome.not_purchased(schedule.n)
+
+
+@dataclass(frozen=True)
+class ConsistencyViolation:
+    """A buyer worth more than the whole price was left out (or nothing was bought)."""
+
+    buyer: int
+    purchased: bool
+
+
+def check_individual_consistency(
+    reports: Sequence[UtilityReport],
+    schedule: ShareSchedule,
+    price: Num,
+    policy: NumericPolicy = EXACT,
+) -> Optional[ConsistencyViolation]:
+    """If anyone values the whole resource above the price, the group must buy
+    and every such buyer must be in the winning set.  Assumes a monotone
+    schedule.  The group runs at the price as ``run`` does at a fixed price:
+    an auction with reserve = price, no rival bid and ties to the group."""
+    eligible = [i for i in range(schedule.n) if policy.gt(reports[i].value_at(F(1)), price)]
+    if not eligible:
+        return None
+    _, outcome = run_group_participation(reports, schedule, AuctionConfig(reserve=price), policy)
+    if not outcome.purchased:
+        return ConsistencyViolation(eligible[0], False)
+    for i in eligible:
+        if not outcome.winning_set >> i & 1:
+            return ConsistencyViolation(i, True)
+    return None
+
+
+# the value levels of the menus that scan :func:`exploit_table`
+EXPLOIT_LEVELS = (0, F(7, 20), F(1, 2), F(3, 4), 1)
+
+
+def exploit_table() -> TableSchedule:
+    """Non-monotone: buyer 0's resource share doubles from L to {0,1} at equal payment."""
+    entries = {
+        "0,1,2": ((F(1, 3),) * 3, (F(1, 3),) * 3),
+        "0,1": ((F(2, 3), F(1, 3), 0), (F(1, 3), F(2, 3), 0)),
+        "0,2": ((F(1, 2), 0, F(1, 2)), (F(1, 2), 0, F(1, 2))),
+        "1,2": ((0, F(1, 2), F(1, 2)), (0, F(1, 2), F(1, 2))),
+        "0": ((1, 0, 0), (1, 0, 0)),
+        "1": ((0, 1, 0), (0, 1, 0)),
+        "2": ((0, 0, 1), (0, 0, 1)),
+    }
+    return TableSchedule(3, entries)
+
+
+def exploit_truth() -> list:
+    """Truthful reports under which :func:`exploit_table` is exploitable."""
+    return [
+        UtilityReport(((F(0), F(0)), (F(1, 3), F(3, 20)), (F(1, 2), F(1, 5)),
+                       (F(2, 3), F(1, 4)), (F(1), F(1, 4)))),
+        UtilityReport(((F(0), F(0)), (F(1, 3), F(7, 20)), (F(1, 2), F(2, 5)), (F(1), F(2, 5)))),
+        UtilityReport(((F(0), F(0)), (F(1, 3), F(3, 20)), (F(1, 2), F(3, 20)), (F(1), F(3, 20)))),
+    ]

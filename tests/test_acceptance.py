@@ -12,17 +12,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from groupbuy.analysis import (
-    check_individual_consistency,
     concave_report_grid,
     enumerate_coalition_deviations,
     power_report_grid,
 )
 from groupbuy.auction import AuctionConfig
-from groupbuy.mechanism import (
-    allocate,
-    compute_bid_trace,
-    fixed_price_outcome,
-)
+from groupbuy.mechanism import allocate, compute_bid_trace
 from groupbuy.numeric import approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
@@ -37,9 +32,14 @@ from groupbuy.schedule import (
     sqrt_weight,
     validate_monotonicity,
 )
-from groupbuy.utility import ClosedFormUtility, random_concave_utility, sample_report
+from groupbuy.utility import ClosedFormUtility, sample_report
 
-from helpers import rras_resource_table
+from helpers import (
+    check_individual_consistency,
+    fixed_price_outcome,
+    random_concave_utility,
+    rras_resource_table,
+)
 
 APPROX = approx()
 
@@ -117,7 +117,7 @@ def test_criterion_1_fixed_price_reproduction():
     ok = ok and best < 1e-3
     report_line(
         1, ok,
-        f"winners {{0,1}} at 0.45 each, fractions (1/2, 1/2, 0); engine run {best * 1e6:.0f}us",
+        f"winners {{0,1}} at 0.45 each, fractions (1/2, 1/2, 0); reference sweep {best * 1e6:.0f}us",
     )
 
 

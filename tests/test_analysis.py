@@ -6,7 +6,6 @@ import pytest
 from groupbuy.analysis import (
     BudgetError,
     PreferenceOutcome,
-    check_individual_consistency,
     compare_schedules,
     concave_report_grid,
     enumerate_coalition_deviations,
@@ -26,7 +25,13 @@ from groupbuy.schedule import (
 )
 from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
 
-from helpers import rras_resource_table
+from helpers import (
+    EXPLOIT_LEVELS,
+    check_individual_consistency,
+    exploit_table,
+    exploit_truth,
+    rras_resource_table,
+)
 
 APPROX = approx()
 
@@ -38,29 +43,6 @@ def worked_reports(sched):
         ClosedFormUtility.log(1),
     ]
     return [sample_report(f, sched.share_points(i)) for i, f in enumerate(forms)]
-
-
-def exploit_table():
-    """Non-monotone: buyer 0's resource share doubles from L to {0,1} at equal payment."""
-    entries = {
-        "0,1,2": ((F(1, 3),) * 3, (F(1, 3),) * 3),
-        "0,1": ((F(2, 3), F(1, 3), 0), (F(1, 3), F(2, 3), 0)),
-        "0,2": ((F(1, 2), 0, F(1, 2)), (F(1, 2), 0, F(1, 2))),
-        "1,2": ((0, F(1, 2), F(1, 2)), (0, F(1, 2), F(1, 2))),
-        "0": ((1, 0, 0), (1, 0, 0)),
-        "1": ((0, 1, 0), (0, 1, 0)),
-        "2": ((0, 0, 1), (0, 0, 1)),
-    }
-    return TableSchedule(3, entries)
-
-
-def exploit_truth():
-    return [
-        UtilityReport(((F(0), F(0)), (F(1, 3), F(3, 20)), (F(1, 2), F(1, 5)),
-                       (F(2, 3), F(1, 4)), (F(1), F(1, 4)))),
-        UtilityReport(((F(0), F(0)), (F(1, 3), F(7, 20)), (F(1, 2), F(2, 5)), (F(1), F(2, 5)))),
-        UtilityReport(((F(0), F(0)), (F(1, 3), F(3, 20)), (F(1, 2), F(3, 20)), (F(1), F(3, 20)))),
-    ]
 
 
 class TestPreferences:
@@ -109,8 +91,8 @@ class TestUnilateral:
         sched = EqualSplitSchedule(3)
         truth = worked_reports(sched)
         cfg = AuctionConfig(0, (F(3, 5),))
-        baseline = run_group_participation(truth, sched, cfg, APPROX)[2]
-        again = run_group_participation(list(truth), sched, cfg, APPROX)[2]
+        baseline = run_group_participation(truth, sched, cfg, APPROX)[1]
+        again = run_group_participation(list(truth), sched, cfg, APPROX)[1]
         assert baseline == again
 
     def test_underreport_by_slack_winner_changes_nothing(self):
@@ -118,22 +100,22 @@ class TestUnilateral:
         sched = EqualSplitSchedule(3)
         truth = worked_reports(sched)
         cfg = AuctionConfig(0, (F(3, 5),))
-        baseline = run_group_participation(truth, sched, cfg, APPROX)[2]
+        baseline = run_group_participation(truth, sched, cfg, APPROX)[1]
         shaved = UtilityReport(
             ((F(0), F(0)), (F(1, 3), F(1, 2)), (F(1, 2), F(3, 5)), (F(1), F(4, 5)))
         )
-        outcome = run_group_participation([truth[0], shaved, truth[2]], sched, cfg, APPROX)[2]
+        outcome = run_group_participation([truth[0], shaved, truth[2]], sched, cfg, APPROX)[1]
         assert outcome == baseline
 
     def test_overreport_never_helps_the_dropped_buyer(self):
         sched = EqualSplitSchedule(3)
         truth = worked_reports(sched)
         cfg = AuctionConfig(0, (F(9, 10),))
-        base = run_group_participation(truth, sched, cfg, APPROX)[2]
+        base = run_group_participation(truth, sched, cfg, APPROX)[1]
         assert not base.fractions[2] > 0
         grid = concave_report_grid(sched)
         for deviant in grid[2]:
-            outcome = run_group_participation([truth[0], truth[1], deviant], sched, cfg, APPROX)[2]
+            outcome = run_group_participation([truth[0], truth[1], deviant], sched, cfg, APPROX)[1]
             net = truth[2].value_at(outcome.fractions[2]) - outcome.payments[2]
             assert net <= 1e-12  # unchanged (0) or a strict loss
 
@@ -177,7 +159,7 @@ class TestCoalitions:
         sched = exploit_table()
         truth = exploit_truth()
         cfg = AuctionConfig(0, (F(1, 2),))
-        grid = concave_report_grid(sched, levels=(0, F(7, 20), F(1, 2), F(3, 4), 1))
+        grid = concave_report_grid(sched, levels=EXPLOIT_LEVELS)
         result = enumerate_coalition_deviations(truth, sched, cfg, grid, budget=300_000)
         assert len(result.violations) > 0
         singles = [v for v in result.violations if v.coalition == 0b001]
@@ -193,7 +175,7 @@ class TestCoalitions:
         # nobody wins a share when all report truthfully.  Deviant reports
         # are named by their index in the buyer's menu.
         sched = exploit_table()
-        grid = concave_report_grid(sched, levels=(0, F(7, 20), F(1, 2), F(3, 4), 1))
+        grid = concave_report_grid(sched, levels=EXPLOIT_LEVELS)
         assert [len(menu) for menu in grid] == [9, 10, 10]
         result = enumerate_coalition_deviations(
             exploit_truth(), sched, AuctionConfig(0, (F(1, 2),)), grid, budget=300_000,
@@ -374,6 +356,6 @@ class TestCompareSchedules:
         assert [run.name for run in cmp.runs] == list(sc.named_schedules)
         for run in cmp.runs:
             schedule = sc.named_schedules[run.name]
-            trace, _, outcome = run_group_participation(sc.reports, schedule, sc.auction, sc.policy)
+            trace, outcome = run_group_participation(sc.reports, schedule, sc.auction, sc.policy)
             assert run.trace == trace
             assert run.outcome == outcome

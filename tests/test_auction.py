@@ -9,9 +9,10 @@ from groupbuy.auction import (
     run_group_participation,
     run_second_price,
 )
-from groupbuy.numeric import approx
+from groupbuy.mechanism import compute_bid_trace
+from groupbuy.numeric import EXACT, approx
 from groupbuy.schedule import EqualSplitSchedule
-from groupbuy.utility import ClosedFormUtility, sample_report
+from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
 
 APPROX = approx()
 
@@ -27,36 +28,43 @@ def worked_setup():
     return reports, sched
 
 
+def rational_setup():
+    """Rational reports on equal split, so the exact lane's bid is a Fraction."""
+    sched = EqualSplitSchedule(3)
+    reports = [
+        UtilityReport(((F(0), F(0)), (F(1, 3), F(1, 2)), (F(1, 2), F(2, 3)), (F(1), F(1)))),
+        UtilityReport(((F(0), F(0)), (F(1, 3), F(2, 5)), (F(1, 2), F(1, 2)), (F(1), F(3, 5)))),
+        sample_report(ClosedFormUtility.linear(1), sched.share_points(2)),
+    ]
+    return reports, sched
+
+
 class TestSecondPrice:
     def test_win_at_the_rival_bid(self):
-        result = run_second_price(1, AuctionConfig(0, (F(3, 5),)))
-        assert result.group_won and result.clearing_price == F(3, 5)
+        assert run_second_price(1, AuctionConfig(0, (F(3, 5),))) == F(3, 5)
 
     def test_win_at_higher_rival_bid(self):
-        result = run_second_price(1, AuctionConfig(0, (F(9, 10),)))
-        assert result.group_won and result.clearing_price == F(9, 10)
+        assert run_second_price(1, AuctionConfig(0, (F(9, 10),))) == F(9, 10)
 
     def test_outbid(self):
-        result = run_second_price(1, AuctionConfig(0, (F(6, 5),)))
-        assert not result.group_won and result.clearing_price is None
+        assert run_second_price(1, AuctionConfig(0, (F(6, 5),))) is None
 
     def test_below_reserve(self):
-        result = run_second_price(1, AuctionConfig(F(11, 10), ()))
-        assert not result.group_won
+        assert run_second_price(1, AuctionConfig(F(11, 10), ())) is None
 
     def test_reserve_beats_low_rival(self):
-        result = run_second_price(1, AuctionConfig(F(1, 2), (F(1, 4),)))
-        assert result.group_won and result.clearing_price == F(1, 2)
+        assert run_second_price(1, AuctionConfig(F(1, 2), (F(1, 4),))) == F(1, 2)
 
     def test_tie_policies(self):
         cfg_win = AuctionConfig(0, (1,), GROUP_WINS)
         cfg_lose = AuctionConfig(0, (1,), GROUP_LOSES)
-        assert run_second_price(1, cfg_win).group_won
-        assert not run_second_price(1, cfg_lose).group_won
+        assert run_second_price(1, cfg_win) == 1
+        assert run_second_price(1, cfg_lose) is None
 
     def test_no_rivals_no_reserve(self):
-        result = run_second_price(F(1, 2), AuctionConfig())
-        assert result.group_won and result.clearing_price == 0
+        # a price of 0 is a win, not a loss
+        price = run_second_price(F(1, 2), AuctionConfig())
+        assert price is not None and price == 0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -75,35 +83,34 @@ class TestSecondPrice:
 
     def test_clearing_never_exceeds_bid_on_win(self):
         for rival in (F(0), F(1, 3), F(2, 3), F(1)):
-            result = run_second_price(1, AuctionConfig(0, (rival,)))
-            if result.group_won:
-                assert result.clearing_price <= 1
+            price = run_second_price(1, AuctionConfig(0, (rival,)))
+            if price is not None:
+                assert price <= 1
 
 
 class TestGroupParticipation:
     def test_low_rival_whole_group_wins(self):
         reports, sched = worked_setup()
-        trace, result, outcome = run_group_participation(
+        trace, outcome = run_group_participation(
             reports, sched, AuctionConfig(0, (F(3, 5),)), APPROX
         )
-        assert result.group_won
+        assert outcome.purchased and outcome.price == F(3, 5)
         assert outcome.winning_set == 0b111
         assert [float(p) for p in outcome.payments] == [0.2, 0.2, 0.2]
 
     def test_higher_rival_shrinks_winning_set(self):
         reports, sched = worked_setup()
-        _, result, outcome = run_group_participation(
+        _, outcome = run_group_participation(
             reports, sched, AuctionConfig(0, (F(9, 10),)), APPROX
         )
-        assert result.group_won and outcome.winning_set == 0b011
+        assert outcome.purchased and outcome.winning_set == 0b011
         assert [float(p) for p in outcome.payments] == [0.45, 0.45, 0.0]
 
     def test_rival_above_bid_empty_outcome(self):
         reports, sched = worked_setup()
-        _, result, outcome = run_group_participation(
+        _, outcome = run_group_participation(
             reports, sched, AuctionConfig(0, (F(3, 2),)), APPROX
         )
-        assert not result.group_won
         assert not outcome.purchased and sum(outcome.payments) == 0
 
     def test_payment_depends_only_on_threshold(self):
@@ -114,15 +121,32 @@ class TestGroupParticipation:
             AuctionConfig(F(7, 10), (F(1, 10), F(3, 10))),
             AuctionConfig(F(2, 10), (F(7, 10), F(7, 10))),
         ]
-        outcomes = [run_group_participation(reports, sched, c, APPROX)[2] for c in cfgs]
+        outcomes = [run_group_participation(reports, sched, c, APPROX)[1] for c in cfgs]
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_clearing_price_never_above_group_bid(self):
-        reports, sched = worked_setup()
-        for rival in (F(0), F(43, 100), F(86, 100), F(99, 100), F(1)):
-            trace, result, outcome = run_group_participation(
-                reports, sched, AuctionConfig(0, (rival,)), APPROX
-            )
-            if result.group_won:
-                assert result.clearing_price <= trace.group_bid
-                assert outcome.purchased
+        # The invariant a group run rests on: the outcome is purchased exactly
+        # when the auction says the group won, and then at the clearing price.
+        # Both lanes and both tie policies, with the threshold on a rival grid
+        # and at the group bid and one step either side of it.
+        lanes = [(EXACT, rational_setup, F(1, 1000)), (APPROX, worked_setup, APPROX.epsilon / 2)]
+        for policy, setup, step in lanes:
+            reports, sched = setup()
+            bid = compute_bid_trace(reports, sched, policy).group_bid
+            for tie_policy in (GROUP_WINS, GROUP_LOSES):
+                tie_won = tie_policy == GROUP_WINS
+                if policy.exact:
+                    near = [(bid - step, True), (bid, tie_won), (bid + step, False)]
+                else:  # every threshold within epsilon of the bid is a tie
+                    near = [(bid - step, tie_won), (bid, tie_won), (bid + step, tie_won)]
+                grid = [(r, None) for r in (F(0), F(43, 100), F(86, 100), F(99, 100), F(1))]
+                for rival, expected in grid + near:
+                    cfg = AuctionConfig(0, (rival,), tie_policy)
+                    trace, outcome = run_group_participation(reports, sched, cfg, policy)
+                    price = run_second_price(trace.group_bid, cfg, policy)
+                    assert (price is None) == (not outcome.purchased)
+                    if outcome.purchased:
+                        assert price == outcome.price == rival
+                        assert policy.le(outcome.price, trace.group_bid)
+                    if expected is not None:
+                        assert outcome.purchased == expected

@@ -266,7 +266,7 @@ class TestRun:
         assert [p["decimal"] for p in outcome["payments"]] == ["0"] * 8 + ["2.6"]
         assert outcome["price"] == {"decimal": "2.6"}
         sc = load_scenario_file(path)
-        _, _, fuzz_path = run_group_participation(
+        _, fuzz_path = run_group_participation(
             sc.reports, sc.schedule, AuctionConfig(reserve=F(13, 5)), sc.policy
         )
         assert outcome_to_json(fuzz_path, sc.policy) == outcome

@@ -9,7 +9,6 @@ from groupbuy.mechanism import (
     RatioColumn,
     allocate,
     compute_bid_trace,
-    fixed_price_outcome,
 )
 from groupbuy.numeric import approx
 from groupbuy.schedule import (
@@ -27,11 +26,15 @@ from groupbuy.schedule import (
 from groupbuy.utility import (
     ClosedFormUtility,
     UtilityReport,
-    random_concave_utility,
     sample_report,
 )
 
-from helpers import rras_resource_table
+from helpers import (
+    fixed_price_outcome,
+    random_concave_utility,
+    rras_resource_table,
+    scaled_report,
+)
 
 APPROX = approx()
 
@@ -123,7 +126,7 @@ class TestTrace:
     def test_scale_covariance(self):
         # scaling every report scales every bearable payment, same subsets
         base = compute_bid_trace(worked_reports(), equal3(), APPROX)
-        scaled_reports = [r.scaled(F(7, 2)) for r in worked_reports()]
+        scaled_reports = [scaled_report(r, F(7, 2)) for r in worked_reports()]
         scaled = compute_bid_trace(scaled_reports, equal3(), APPROX)
         assert [s.subset for s in scaled.steps] == [s.subset for s in base.steps]
         assert [s.removed for s in scaled.steps] == [s.removed for s in base.steps]

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupbuy.auction import AuctionConfig, run_group_participation
-from groupbuy.mechanism import allocate, compute_bid_trace, fixed_price_outcome
+from groupbuy.mechanism import allocate, compute_bid_trace
 from groupbuy.numeric import DEFAULT_EPSILON, EXACT, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
@@ -39,9 +39,10 @@ from groupbuy.schedule import (
 from groupbuy.utility import (
     ClosedFormUtility,
     UtilityReport,
-    random_concave_utility,
     sample_report,
 )
+
+from helpers import fixed_price_outcome, random_concave_utility, scaled_report
 
 
 def build_schedule(kind, weights, order):
@@ -113,7 +114,7 @@ def test_scaling_reports_and_price_scales_bids_and_payments(instance, num, den):
     _, _, _, schedule, reports, fraction = instance
     c = F(num, den)
     trace = compute_bid_trace(reports, schedule)
-    scaled = compute_bid_trace([r.scaled(c) for r in reports], schedule)
+    scaled = compute_bid_trace([scaled_report(r, c) for r in reports], schedule)
     assert [s.subset for s in scaled.steps] == [s.subset for s in trace.steps]
     assert [s.removed for s in scaled.steps] == [s.removed for s in trace.steps]
     assert [s.max_payment for s in scaled.steps] == [c * s.max_payment for s in trace.steps]

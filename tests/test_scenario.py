@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from groupbuy.auction import AuctionConfig
-from groupbuy.mechanism import allocate, compute_bid_trace, fixed_price_outcome
+from groupbuy.auction import AuctionConfig, run_group_participation
+from groupbuy.mechanism import allocate, compute_bid_trace
 from groupbuy.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -18,6 +18,8 @@ from groupbuy.scenario import (
 from groupbuy.schedule import EqualSplitSchedule, RankedSchedule, subset_key
 from groupbuy.numeric import EXACT, approx
 from groupbuy.utility import ClosedFormUtility
+
+from helpers import fixed_price_outcome
 
 
 def minimal(**overrides):
@@ -67,6 +69,9 @@ class TestLoading:
         sc = load_scenario(data)
         assert not sc.policy.exact
         outcome = fixed_price_outcome(sc.reports, sc.schedule, sc.fixed_price, sc.policy)
+        assert outcome.purchased and abs(sum(outcome.payments) - F(7, 10)) <= 1e-9
+        # the same bound on the path that ``run`` takes
+        _, outcome = run_group_participation(sc.reports, sc.schedule, sc.auction, sc.policy)
         assert outcome.purchased and abs(sum(outcome.payments) - F(7, 10)) <= 1e-9
         with pytest.raises(ScenarioError, match="schedule 'primary' has irrational payment"):
             load_scenario(data, force_exact=True)
@@ -166,7 +171,7 @@ class TestSerialization:
 
     def test_violation_serializers(self):
         from groupbuy.analysis import DeviationViolation, FuzzResult, PreferenceOutcome
-        from groupbuy.auction import AuctionConfig
+        from groupbuy.auction import AuctionConfig, run_group_participation
         from groupbuy.scenario import violations_to_csv, violations_to_json
         from groupbuy.utility import UtilityReport
 

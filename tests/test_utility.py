@@ -11,10 +11,11 @@ from groupbuy.utility import (
     UtilityReport,
     concave_class,
     power_class,
-    random_concave_utility,
     sample_report,
     validate_knots,
 )
+
+from helpers import random_concave_utility
 
 
 def linear_report():

@@ -20,7 +20,13 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
 * the validator and the sampling oracle on every validator-oracle benchmark
   item of the same seeds (``bench.workloads.ValidatorOracle``: its ``setup``
   builds the pool of tables and its ``run`` calls ``validate_monotonicity``
-  and ``brute_force_monotonicity_check`` once each).  ``bench/`` is only read.
+  and ``brute_force_monotonicity_check`` once each), ``bench/`` being only
+  read;
+* the coalition scan of the non-monotone ``exploit_table`` of
+  ``tests/helpers.py`` from ``exploit_truth``, over menus on the
+  ``EXPLOIT_LEVELS`` grid against a rival bid of 1/2, in each lane (exact and
+  ``approx()``) under each tie policy.  These scans find violations, so their
+  nets reach the digest.
 
 It prints one line per CLI call: a label, the exit code, and the sha256 of
 stdout and of stderr.  The checkout root and the temporary directory are
@@ -30,10 +36,11 @@ sha256 of each scan's profile count, truncation flag and violations
 (coalition, deviant knots, tie-break flag and the ``repr`` of every net), so
 a float that moves by one bit changes the line.  It prints one line per
 validator-oracle item: the sha256 of each witness's buyer, subsets, the
-``repr`` and type of its constant, and its knots.  Run it at both checkouts
-and diff the two files: identical files mean byte-identical CLI output and
-exit codes on every call and bit-identical scan results and witnesses on
-every item.
+``repr`` and type of its constant, and its knots.  It prints one line per
+exploit scan: its violation count and the same scan digest.  Run it at both
+checkouts and diff the two files: identical files mean byte-identical CLI
+output and exit codes on every call and bit-identical scan results and
+witnesses on every item.
 """
 
 from __future__ import annotations
@@ -44,14 +51,19 @@ import hashlib
 import io
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
 import groupbuy  # noqa: E402
 import groupbuy.cli  # noqa: E402
 from bench.workloads import CliScale, CoalitionFuzz, ValidatorOracle  # noqa: E402
+from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations  # noqa: E402
+from groupbuy.auction import GROUP_LOSES, GROUP_WINS, AuctionConfig  # noqa: E402
+from groupbuy.numeric import EXACT, approx  # noqa: E402
+from helpers import EXPLOIT_LEVELS, exploit_table, exploit_truth  # noqa: E402
 
 FORMATS = ("text", "json", "csv")
 # the formats each command is called with; None calls it without --format
@@ -140,6 +152,16 @@ def main(argv=None) -> int:
                 witnesses = oracle.run(groupbuy, item)
                 print(f"validator-oracle:{seed} item {item['id']} planted={item['planted']} "
                       f"witnesses={witness_digest(witnesses)}")
+    schedule = exploit_table()
+    grid = concave_report_grid(schedule, levels=EXPLOIT_LEVELS)
+    for lane, policy in (("exact", EXACT), ("approx", approx())):
+        for tie_policy in (GROUP_WINS, GROUP_LOSES):
+            cfg = AuctionConfig(0, (Fraction(1, 2),), tie_policy)
+            result = enumerate_coalition_deviations(
+                exploit_truth(), schedule, cfg, grid, budget=300_000, policy=policy
+            )
+            print(f"exploit-scan lane={lane} tie={tie_policy} "
+                  f"violations={len(result.violations)} scans={scan_digest([result])}")
     return 0
 
 

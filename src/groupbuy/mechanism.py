@@ -180,4 +180,3 @@ def allocate(
             payments = tuple(price * y for y in shares)
             return AllocationOutcome(True, step.subset, pair.resource, payments, price)
     return AllocationOutcome.not_purchased(schedule.n)
-

@@ -3,6 +3,14 @@
 These are the desk-scale oracles for the mechanism's incentive claims.  None
 of them proves anything; they enumerate or sample deviations and instances and
 report concrete counterexamples when the claimed property fails to hold.
+
+The coalition scan judges outcomes, not profiles.  The group always pays the
+auction threshold, so a joint misreport can only change whether the group
+buys and which winning set W divides at that price: a coalition faces at most
+2^n + 1 outcomes.  Each profile reads the engine's steps only up to the one
+that decides the auction (:func:`groupbuy.auction.decide_winning_set`), and
+each coalition judges an outcome once, on first reach, through the division
+the engine uses (:func:`groupbuy.mechanism.divide`).
 """
 
 from __future__ import annotations
@@ -14,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .auction import AuctionConfig, run_group_participation
-from .mechanism import AllocationOutcome, BidTrace, RatioColumn
-from .numeric import EXACT, Num, NumericPolicy
+from .auction import AuctionConfig, decide_winning_set, run_group_participation
+from .mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
+from .numeric import EXACT, Num, NumericPolicy, infer_policy
 from .schedule import ShareSchedule, full_mask, members, nonempty_subsets
-from .utility import ClosedFormUtility, UtilityReport, sample_report, validate_knots
+from .utility import ClosedFormUtility, InvalidReportError, UtilityReport, sample_report
 
 
 FUZZ_MAX_BUYERS = 3  # buyer-count limit of the deviation scans
@@ -65,17 +73,36 @@ def concave_report_grid(
 
     Every tuple over the level grid whose piecewise-linear extrapolation is
     admissible becomes one report, so the menu spans the whole concave class
-    at grid resolution.
+    at grid resolution.  The tuples are built depth-first in the order of
+    ``itertools.product``, and a prefix is extended only while it stays
+    non-decreasing and concave, under the policy and comparisons of
+    :func:`validate_knots`.  Each full tuple is then validated as a
+    :class:`UtilityReport`, which rejects every tuple of a buyer with no share
+    point at 1.
     """
     scaled = tuple(Fraction(l) for l in levels)
     grid = []
     for buyer in range(schedule.n):
         points = [p for p in schedule.share_points(buyer) if p > 0]
+        policy = infer_policy(points)  # the levels are rational
         menu = []
-        for values in itertools.product(scaled, repeat=len(points)):
-            knots = ((Fraction(0), Fraction(0)), *zip(points, values))
-            if validate_knots(knots) is None:
-                menu.append(UtilityReport(knots))
+
+        def extend(knots, slope):
+            if len(knots) > len(points):
+                try:
+                    menu.append(UtilityReport(knots))
+                except InvalidReportError:
+                    pass
+                return
+            x0, u0 = knots[-1]
+            x = points[len(knots) - 1]
+            for u in scaled:
+                if policy.le(u0, u):
+                    next_slope = (u - u0) / (x - x0)
+                    if slope is None or policy.le(next_slope, slope):
+                        extend((*knots, (x, u)), next_slope)
+
+        extend(((Fraction(0), Fraction(0)),), None)
         grid.append(menu)
     return grid
 
@@ -161,8 +188,10 @@ def enumerate_coalition_deviations(
 
     Coalitions of one or two buyers are crossed exhaustively (refusing with a
     size estimate when that alone exceeds the budget); the three-buyer
-    coalition is sampled within the remaining budget.  An empty violation list
-    over a monotone schedule is the expected desk-scale outcome.
+    coalition is sampled within the remaining budget.  Every profile counts
+    and every improving profile is a violation, though each coalition judges
+    each outcome only once.  An empty violation list over a monotone schedule
+    is the expected desk-scale outcome.
     """
     n = schedule.n
     if n > FUZZ_MAX_BUYERS:
@@ -210,46 +239,61 @@ def enumerate_coalition_deviations(
     violations = []
     profiles = 0
     truncated = False
+    threshold = lane_cfg.threshold
 
-    def try_profile(idxs, profile):
-        nonlocal profiles
-        profiles += 1
-        columns = list(true_columns)
-        for i, column in zip(idxs, profile):
-            columns[i] = column
-        _, outcome = run_group_participation(columns, schedule, lane_cfg, policy)
+    def judge(idxs, won):
+        """Coalition ``idxs`` on the outcome with winning set ``won`` (0: no purchase).
+
+        Returns (before, after, uses_tiebreak) when the outcome improves the
+        coalition, else None.
+        """
+        outcome = divide(schedule, won, threshold) if won else AllocationOutcome.not_purchased(n)
         after = prefs(outcome, idxs)
         before = tuple(base_prefs[i] for i in idxs)
         all_weak = all(weakly_prefers(a, b, policy) for a, b in zip(after, before))
         any_strict = any(strictly_prefers(a, b, policy) for a, b in zip(after, before))
-        if all_weak and any_strict:
-            net_only = all(policy.ge(a.net, b.net) for a, b in zip(after, before)) and any(
-                policy.gt(a.net, b.net) for a, b in zip(after, before)
-            )
-            violations.append(
-                DeviationViolation(
-                    coalition=sum(1 << i for i in idxs),
-                    truthful_reports=tuple(true_reports[i] for i in idxs),
-                    deviant_reports=tuple(column.report for column in profile),
-                    config=cfg,
-                    before=before,
-                    after=after,
-                    uses_tiebreak=not net_only,
-                )
-            )
+        if not (all_weak and any_strict):
+            return None
+        net_only = all(policy.ge(a.net, b.net) for a, b in zip(after, before)) and any(
+            policy.gt(a.net, b.net) for a, b in zip(after, before)
+        )
+        return before, after, not net_only
 
     for mask in coalitions:
         idxs = members(mask)
         picks = [menus[i] for i in idxs]
         total = math.prod(len(m) for m in picks)
         if len(idxs) <= 2 or total <= budget - profiles:
-            for profile in itertools.product(*picks):
-                try_profile(idxs, profile)
+            scan = itertools.product(*picks)
         else:
-            remaining = max(budget - profiles, 0)
             truncated = True
-            for _ in range(remaining):
-                try_profile(idxs, tuple(rng.choice(menu) for menu in picks))
+            scan = (
+                tuple(rng.choice(menu) for menu in picks)
+                for _ in range(max(budget - profiles, 0))
+            )
+        verdicts = {}  # winning set -> judge's result, filled on first reach
+        for profile in scan:
+            profiles += 1
+            columns = list(true_columns)
+            for i, column in zip(idxs, profile):
+                columns[i] = column
+            won = decide_winning_set(bid_steps(columns, schedule, policy), lane_cfg, policy)
+            if won not in verdicts:
+                verdicts[won] = judge(idxs, won)
+            verdict = verdicts[won]
+            if verdict is not None:
+                before, after, uses_tiebreak = verdict
+                violations.append(
+                    DeviationViolation(
+                        coalition=mask,
+                        truthful_reports=tuple(true_reports[i] for i in idxs),
+                        deviant_reports=tuple(column.report for column in profile),
+                        config=cfg,
+                        before=before,
+                        after=after,
+                        uses_tiebreak=uses_tiebreak,
+                    )
+                )
 
     violations.sort(key=lambda v: (v.coalition, tuple(r.knots for r in v.deviant_reports)))
     return FuzzResult(tuple(violations), profiles, truncated)

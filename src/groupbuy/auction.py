@@ -2,15 +2,17 @@
 
 The group enters one joint bid and divides the resource and the payment only
 if it wins, so a group run has one result: the :class:`AllocationOutcome`,
-purchased exactly when the group won, at the clearing price.
+purchased exactly when the group won, at the clearing price.  Since the price
+is the threshold either way, that outcome is fixed by the winning set alone,
+which :func:`decide_winning_set` finds without the rest of the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
-from .mechanism import AllocationOutcome, BidTrace, allocate, compute_bid_trace
+from .mechanism import AllocationOutcome, BidStep, BidTrace, allocate, compute_bid_trace
 from .numeric import EXACT, Num, NumericPolicy, is_finite_float
 from .schedule import ShareSchedule
 from .utility import UtilityReport
@@ -58,6 +60,31 @@ def run_second_price(
     ):
         return threshold
     return None
+
+
+def decide_winning_set(
+    steps: Iterable[BidStep], cfg: AuctionConfig, policy: NumericPolicy = EXACT
+) -> int:
+    """The winning set of a group run, or 0 when the group does not buy.
+
+    Agrees with :func:`run_second_price` on ``trace.group_bid`` followed by
+    :func:`allocate` at the clearing price, for the trace whose steps these
+    are, but reads ``steps`` (an iterator from :func:`bid_steps`, say) only up
+    to the step that decides.  That is the first step whose bound covers the
+    threshold (``policy.ge``): the group buys there, at the largest affordable
+    subset.  Under the group-unfavorable tie policy a bound that only equals
+    the threshold does not win, so reading goes on until a later bound
+    exceeds it strictly (the group buys at that first subset) or the steps run
+    out (no purchase).
+    """
+    threshold = cfg.threshold
+    first = 0
+    for step in steps:
+        if not first and policy.ge(step.max_payment, threshold):
+            first = step.subset
+        if first and (cfg.tie_policy == GROUP_WINS or policy.gt(step.max_payment, threshold)):
+            return first
+    return 0
 
 
 def run_group_participation(

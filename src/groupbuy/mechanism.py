@@ -5,27 +5,29 @@ largest total payment the current subset could bear: the smallest ratio of a
 member's reported utility for its resource share to its payment share.  The
 members whose reports exactly meet that bound (the bottleneck buyers, those
 with ``policy.eq(ratio, bound)``: the one rule of :mod:`groupbuy.numeric`)
-are removed and the step repeats until nobody is left.  :func:`compute_bid_trace`
-is that one loop.  The largest bearable payment across steps is the group's
-bid; once a price is realized, :func:`allocate` picks the largest traced
-subset whose bearable payment covers it, which divides resource and payment
-by its shares.
+are removed and the step repeats until nobody is left.  :func:`bid_steps` is
+that one loop, as a generator: a caller that needs only the first steps (the
+coalition scan stops at the step that decides the auction) reads no further,
+and :func:`compute_bid_trace` keeps all of them.  The largest bearable payment
+across steps is the group's bid; once a price is realized, :func:`allocate`
+picks the largest traced subset whose bearable payment covers it, and
+:func:`divide` divides resource and payment by that subset's shares.
 
 The loop reads each report through its :class:`RatioColumn`, subset ->
 u_i(x_i(S)) / y_i(S), filled on the loop's first read of a subset from the
 schedule's exact shares; the ratio becomes a lane number once
 (``policy.lane``), so the tolerance lane compares floats only.  Called with
-plain reports, :func:`compute_bid_trace` builds their columns for that call;
-a caller that runs many profiles on one schedule (the coalition scan) builds
-each column once and passes it in place of its report.  Every division reads
-the schedule's exact shares.
+plain reports, :func:`bid_steps` builds their columns for that call; a caller
+that runs many profiles on one schedule (the coalition scan) builds each
+column once and passes it in place of its report.  Every division reads the
+schedule's exact shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .numeric import EXACT, Num, NumericPolicy
 from .schedule import (
@@ -102,18 +104,19 @@ class RatioColumn(dict):
         return ratio
 
 
-def compute_bid_trace(
+def bid_steps(
     reports: Sequence[UtilityReport],
     schedule: ShareSchedule,
     policy: NumericPolicy = EXACT,
     start: Optional[int] = None,
-) -> BidTrace:
-    """Run the shrinking-subset computation from ``start`` (default: the full group).
+) -> Iterator[BidStep]:
+    """Yield the shrinking-subset steps from ``start`` (default: the full group).
 
     Reports are validated at construction (closed forms are admissible by
     construction and evaluated at the queried share); the engine assumes
     admissibility.  A report may also be the :class:`RatioColumn` built for
-    this schedule, policy and buyer, which the loop then reads as is.
+    this schedule, policy and buyer, which the loop then reads as is.  The
+    count, column and ``start`` checks run before the first step is yielded.
     Terminates in at most n steps: payment shares sum to one, so some member
     has a ratio, and the one at the minimum passes ``policy.eq(ratio, bound)``.
     Starting from a smaller set exercises winning-set stability: removing
@@ -137,7 +140,6 @@ def compute_bid_trace(
         raise ValueError("start subset must be non-empty")
     elif not is_subset(start, full_mask(schedule.n)):
         raise ValueError("start subset outside the buyer range")
-    steps = []
     subset = start
     while subset:
         ratios = {}
@@ -152,9 +154,18 @@ def compute_bid_trace(
             )
         bound = min(ratios.values())
         removed = mask_of(i for i, ratio in ratios.items() if policy.eq(ratio, bound))
-        steps.append(BidStep(subset, bound, removed))
+        yield BidStep(subset, bound, removed)
         subset &= ~removed
-    return BidTrace(tuple(steps))
+
+
+def compute_bid_trace(
+    reports: Sequence[UtilityReport],
+    schedule: ShareSchedule,
+    policy: NumericPolicy = EXACT,
+    start: Optional[int] = None,
+) -> BidTrace:
+    """Every step of :func:`bid_steps`, from ``start`` (default: the full group)."""
+    return BidTrace(tuple(bid_steps(reports, schedule, policy, start)))
 
 
 def allocate(
@@ -166,17 +177,25 @@ def allocate(
     """Divide resource and payment at a realized price.
 
     The winner is the earliest (largest) traced subset whose bearable payment
-    covers the price, compared buyer-favorably (>=).  A price above the group
-    bid buys nothing.  The shares are the schedule's exact ones; at a ``float``
-    price (the tolerance lane's) each payment share becomes a float before the
-    product, which gives the same float that ``price * share`` would.
+    covers the price, compared buyer-favorably (>=), and :func:`divide` divides
+    at its shares.  A price above the group bid buys nothing.
     """
     if price < 0:
         raise ValueError("price must be non-negative")
     for step in trace.steps:
         if policy.ge(step.max_payment, price):
-            pair = schedule.shares_for(step.subset)
-            shares = map(float, pair.payment) if isinstance(price, float) else pair.payment
-            payments = tuple(price * y for y in shares)
-            return AllocationOutcome(True, step.subset, pair.resource, payments, price)
+            return divide(schedule, step.subset, price)
     return AllocationOutcome.not_purchased(schedule.n)
+
+
+def divide(schedule: ShareSchedule, subset: int, price: Num) -> AllocationOutcome:
+    """The purchase by ``subset`` at ``price``, divided by its exact shares.
+
+    At a ``float`` price (the tolerance lane's) each payment share becomes a
+    float before the product, which gives the same float that
+    ``price * share`` would.
+    """
+    pair = schedule.shares_for(subset)
+    shares = map(float, pair.payment) if isinstance(price, float) else pair.payment
+    payments = tuple(price * y for y in shares)
+    return AllocationOutcome(True, subset, pair.resource, payments, price)

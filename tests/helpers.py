@@ -1,5 +1,6 @@
 """Shared test fixtures and reference implementations that the library itself does not need."""
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Iterable, Optional, Sequence
@@ -8,6 +9,7 @@ from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.mechanism import AllocationOutcome
 from groupbuy.numeric import EXACT, Num, NumericPolicy
 from groupbuy.schedule import (
+    CrossMonotonicSchedule,
     ShareSchedule,
     TableSchedule,
     full_mask,
@@ -15,7 +17,12 @@ from groupbuy.schedule import (
     nonempty_subsets,
     rras_resource_shares,
 )
-from groupbuy.utility import ClosedFormUtility, UtilityReport, random_concave_knots
+from groupbuy.utility import (
+    ClosedFormUtility,
+    UtilityReport,
+    random_concave_knots,
+    validate_knots,
+)
 
 
 def rras_resource_table(order: Sequence[int], base: Sequence) -> dict:
@@ -28,6 +35,50 @@ def rras_resource_table(order: Sequence[int], base: Sequence) -> dict:
         mask: rras_resource_shares(order, base, mask)
         for mask in nonempty_subsets(full_mask(len(order)))
     }
+
+
+def renormalized_cmss(n, weights):
+    """Proportional weights renormalized over each subset: cross-monotonic, payment = resource."""
+    table = {}
+    for mask in nonempty_subsets(full_mask(n)):
+        total = sum(weights[i] for i in members(mask))
+        table[mask] = tuple(
+            weights[i] / total if mask >> i & 1 else F(0) for i in range(n)
+        )
+    return CrossMonotonicSchedule(n, table)
+
+
+def random_table(rng, n: int) -> TableSchedule:
+    """Random n-buyer table, payment = resource, each share a ratio of draws in 1..11."""
+    def vector(mask):
+        raw = [F(rng.randrange(1, 12)) if mask >> i & 1 else F(0) for i in range(n)]
+        total = sum(raw)
+        return tuple(v / total for v in raw)
+
+    entries = {m: (vector(m), vector(m)) for m in nonempty_subsets(full_mask(n))}
+    return TableSchedule(n, entries)
+
+
+def filtered_concave_report_grid(
+    schedule: ShareSchedule,
+    levels: Sequence[Num] = (0, F(1, 4), F(1, 2), F(3, 4), 1),
+) -> list:
+    """Reference for :func:`groupbuy.analysis.concave_report_grid`.
+
+    Validates every tuple in the product of the levels and keeps the
+    admissible ones, in the product's order.
+    """
+    scaled = tuple(F(l) for l in levels)
+    grid = []
+    for buyer in range(schedule.n):
+        points = [p for p in schedule.share_points(buyer) if p > 0]
+        menu = []
+        for values in itertools.product(scaled, repeat=len(points)):
+            knots = ((F(0), F(0)), *zip(points, values))
+            if validate_knots(knots) is None:
+                menu.append(UtilityReport(knots))
+        grid.append(menu)
+    return grid
 
 
 def random_concave_utility(seed: int, points: Iterable[Num], u_max: Num) -> UtilityReport:

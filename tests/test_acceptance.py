@@ -38,6 +38,8 @@ from helpers import (
     check_individual_consistency,
     fixed_price_outcome,
     random_concave_utility,
+    random_table,
+    renormalized_cmss,
     rras_resource_table,
 )
 
@@ -60,17 +62,6 @@ def worked_trio(sched):
         ClosedFormUtility.log(1),
     ]
     return [sample_report(f, sched.share_points(i)) for i, f in enumerate(forms)]
-
-
-def renormalized_cmss(n, weights):
-    """Proportional weights renormalized over each subset: cross-monotonic, payment = resource."""
-    table = {}
-    for mask in nonempty_subsets(full_mask(n)):
-        total = sum(weights[i] for i in members(mask))
-        table[mask] = tuple(
-            weights[i] / total if mask >> i & 1 else F(0) for i in range(n)
-        )
-    return CrossMonotonicSchedule(n, table)
 
 
 def random_monotone_schedule(rng, n):
@@ -325,16 +316,6 @@ def _as_table(sched):
     return TableSchedule(sched.n, entries)
 
 
-def _random_table(rng, n):
-    def vector(mask):
-        raw = [F(rng.randrange(1, 12)) if mask >> i & 1 else F(0) for i in range(n)]
-        total = sum(raw)
-        return tuple(v / total for v in raw)
-
-    entries = {m: (vector(m), vector(m)) for m in nonempty_subsets(full_mask(n))}
-    return TableSchedule(n, entries)
-
-
 def test_criterion_6_validator_versus_oracle():
     rng = random.Random(606)
     tables = []
@@ -342,7 +323,7 @@ def test_criterion_6_validator_versus_oracle():
         n = rng.randrange(2, 5)
         tables.append(_as_table(random_monotone_schedule(rng, n)))
     for _ in range(35):  # arbitrary, usually violating
-        tables.append(_random_table(rng, rng.randrange(2, 5)))
+        tables.append(random_table(rng, rng.randrange(2, 5)))
     violators = 0
     for _ in range(15):  # guaranteed violating
         n = rng.randrange(3, 5)

@@ -20,6 +20,8 @@ from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
     RankedSchedule,
+    SharePair,
+    ShareSchedule,
     TableSchedule,
     sqrt_weight,
 )
@@ -30,6 +32,8 @@ from helpers import (
     check_individual_consistency,
     exploit_table,
     exploit_truth,
+    filtered_concave_report_grid,
+    renormalized_cmss,
     rras_resource_table,
 )
 
@@ -71,6 +75,51 @@ class TestPreferences:
             assert weakly_prefers(a, a, EXACT)
             for b in outs:
                 assert weakly_prefers(a, b, EXACT) or weakly_prefers(b, a, EXACT)
+
+
+class HalfShares(ShareSchedule):
+    """Equal split of half the resource: no buyer can ever receive all of it."""
+
+    def _compute(self, subset):
+        k = subset.bit_count()
+        resource = tuple(F(1, 2 * k) if subset >> i & 1 else F(0) for i in range(self.n))
+        payment = tuple(F(1, k) if subset >> i & 1 else F(0) for i in range(self.n))
+        return SharePair(resource, payment)
+
+
+FIVE_LEVELS = (0, F(1, 4), F(1, 2), F(3, 4), 1)
+MENU_CASES = {
+    "equal-split-2": (EqualSplitSchedule(2), FIVE_LEVELS),
+    "equal-split-3": (EqualSplitSchedule(3), FIVE_LEVELS),
+    "cmss": (CrossMonotonicSchedule(3, rras_resource_table((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)))),
+             FIVE_LEVELS),
+    # A float base gives float share points, so the menus use the tolerance
+    # policy; values k/10 at x = 0.5, 0.7 lie on a line whose float slopes differ.
+    "ranked-sqrt": (RankedSchedule((0, 1, 2), (0.5, 0.3, 0.2), sqrt_weight()),
+                    tuple(F(k, 10) for k in range(11))),
+    "exploit": (exploit_table(), EXPLOIT_LEVELS),
+    "criterion-4-eleven": (EqualSplitSchedule(3), tuple(F(k, 10) for k in range(11))),
+    "criterion-4-seven": (renormalized_cmss(3, (F(3), F(2), F(1))),
+                          tuple(F(k, 6) for k in range(7))),
+    "no-point-at-one": (HalfShares(2), FIVE_LEVELS),
+}
+
+
+class TestReportMenus:
+    @pytest.mark.parametrize("case", sorted(MENU_CASES))
+    def test_pruned_menus_equal_the_filtered_product(self, case):
+        sched, levels = MENU_CASES[case]
+        got = concave_report_grid(sched, levels=levels)
+        want = filtered_concave_report_grid(sched, levels=levels)
+        assert [[repr(r.knots) for r in menu] for menu in got] == [
+            [repr(r.knots) for r in menu] for menu in want
+        ]
+        if case == "ranked-sqrt":
+            assert any(type(x) is float for menu in got for r in menu for x, _ in r.knots)
+        if case == "no-point-at-one":
+            assert got == [[], []]
+        else:
+            assert all(got)
 
 
 class TestUnilateral:

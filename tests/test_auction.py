@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,13 +7,16 @@ from groupbuy.auction import (
     GROUP_LOSES,
     GROUP_WINS,
     AuctionConfig,
+    decide_winning_set,
     run_group_participation,
     run_second_price,
 )
-from groupbuy.mechanism import compute_bid_trace
+from groupbuy.mechanism import BidStep, BidTrace, allocate, bid_steps, compute_bid_trace
 from groupbuy.numeric import EXACT, approx
 from groupbuy.schedule import EqualSplitSchedule
 from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
+
+from helpers import exploit_table, exploit_truth, random_concave_utility, random_table
 
 APPROX = approx()
 
@@ -150,3 +154,58 @@ class TestGroupParticipation:
                         assert policy.le(outcome.price, trace.group_bid)
                     if expected is not None:
                         assert outcome.purchased == expected
+
+
+class TestDecideWinningSet:
+    @staticmethod
+    def instances():
+        """The exploit table and seeded random three-buyer tables, rational reports."""
+        yield exploit_table(), exploit_truth()
+        rng = random.Random(1207)
+        for _ in range(6):
+            table = random_table(rng, 3)
+            truth = [
+                random_concave_utility(rng.randrange(2 ** 32), table.share_points(i), F(1))
+                for i in range(3)
+            ]
+            yield table, truth
+
+    def test_agrees_with_the_full_run(self):
+        # Thresholds at every bound of the trace and one step either side of
+        # it; a threshold equal to a bound is where the tie policies part.
+        lanes = [(EXACT, F(1, 1000)), (APPROX, APPROX.epsilon / 2)]
+        for table, truth in self.instances():
+            for policy, step in lanes:
+                bounds = {s.max_payment for s in compute_bid_trace(truth, table, policy).steps}
+                thresholds = {t for b in bounds for t in (b - step, b, b + step) if t >= 0}
+                for threshold in thresholds:
+                    for tie_policy in (GROUP_WINS, GROUP_LOSES):
+                        cfg = AuctionConfig(0, (threshold,), tie_policy)
+                        _, outcome = run_group_participation(truth, table, cfg, policy)
+                        won = decide_winning_set(bid_steps(truth, table, policy), cfg, policy)
+                        assert won == outcome.winning_set
+
+    def test_reads_no_further_than_the_deciding_step(self):
+        steps = [BidStep(0b111, F(1, 4), 0b001), BidStep(0b110, F(1, 2), 0b010),
+                 BidStep(0b100, F(1, 3), 0b100)]
+        rest = iter(steps)
+        assert decide_winning_set(rest, AuctionConfig(0, (F(1, 2),)), EXACT) == 0b110
+        assert list(rest) == steps[2:]
+
+    @pytest.mark.parametrize(
+        "later, won_if_loses",
+        [(F(3, 4), 0b111), (F(1, 4), 0)],
+        ids=["later-bound-exceeds", "no-later-bound-exceeds"],
+    )
+    def test_group_loses_tie_waits_for_a_strict_bound(self, later, won_if_loses):
+        # The first bound only equals the threshold.  Under group_loses the
+        # group buys, at that first subset, only if a later bound exceeds it.
+        sched = EqualSplitSchedule(3)
+        steps = (BidStep(0b111, F(1, 2), 0b001), BidStep(0b110, later, 0b110))
+        for tie_policy, expected in ((GROUP_WINS, 0b111), (GROUP_LOSES, won_if_loses)):
+            cfg = AuctionConfig(0, (F(1, 2),), tie_policy)
+            assert decide_winning_set(iter(steps), cfg, EXACT) == expected
+            trace = BidTrace(steps)
+            price = run_second_price(trace.group_bid, cfg, EXACT)
+            full = 0 if price is None else allocate(trace, sched, price).winning_set
+            assert full == expected

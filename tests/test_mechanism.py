@@ -6,11 +6,13 @@ import pytest
 
 from groupbuy.mechanism import (
     AllocationOutcome,
+    BidTrace,
     RatioColumn,
     allocate,
+    bid_steps,
     compute_bid_trace,
 )
-from groupbuy.numeric import approx
+from groupbuy.numeric import EXACT, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     DegenerateScheduleError,
@@ -188,6 +190,46 @@ class TestCompiled:
             compute_bid_trace(columns, equal3(), APPROX)
         with pytest.raises(ValueError, match="another arithmetic policy"):
             compute_bid_trace(columns, sched)
+
+
+class TestBidSteps:
+    """compute_bid_trace keeps every step of the one loop, bid_steps."""
+
+    @staticmethod
+    def rational_reports(sched):
+        return [
+            random_concave_utility(seed, sched.share_points(i), F(2))
+            for i, seed in enumerate((3, 5, 8))
+        ]
+
+    @pytest.mark.parametrize("start", [None, mask_of([0, 1]), 0b100])
+    def test_trace_is_every_step(self, start):
+        sched = equal3()
+        for policy, reports in ((EXACT, self.rational_reports(sched)),
+                                (APPROX, worked_reports(sched))):
+            trace = compute_bid_trace(reports, sched, policy, start)
+            assert trace == BidTrace(tuple(bid_steps(reports, sched, policy, start)))
+            assert trace.steps[0].subset == (start or full_mask(3))
+
+    def test_checks_raise_by_the_first_step(self):
+        sched = equal3()
+        reports = worked_reports(sched)
+        columns = [RatioColumn(sched, APPROX, i, r) for i, r in enumerate(reports)]
+        bad = [
+            ((reports[:2], sched, APPROX), "2 reports for a 3-buyer schedule"),
+            (([reports[0], reports[1], "x"], sched, APPROX), "neither a UtilityReport"),
+            (([columns[1], columns[0], columns[2]], sched, APPROX), "another buyer or schedule"),
+            ((columns, equal3(), APPROX), "another buyer or schedule"),
+            ((columns, sched, EXACT), "another arithmetic policy"),
+            ((reports, sched, APPROX, 0), "start subset must be non-empty"),
+            ((reports, sched, APPROX, 0b1000), "start subset outside the buyer range"),
+        ]
+        for args, message in bad:
+            with pytest.raises(ValueError, match=message):
+                compute_bid_trace(*args)
+            steps = bid_steps(*args)
+            with pytest.raises(ValueError, match=message):
+                next(steps)
 
 
 class TestReferenceTable:

@@ -26,7 +26,13 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
   ``tests/helpers.py`` from ``exploit_truth``, over menus on the
   ``EXPLOIT_LEVELS`` grid against a rival bid of 1/2, in each lane (exact and
   ``approx()``) under each tie policy.  These scans find violations, so their
-  nets reach the digest.
+  nets reach the digest;
+* the coalition scans of ``exploit_table`` and of four seeded random
+  three-buyer tables (``random_table`` of ``tests/helpers.py``, truthful
+  reports from ``random_concave_utility``), with one rival bid at each
+  distinct bound of the exact truthful trace, in each lane under each tie
+  policy.  A rival equal to a bound is a tie in both lanes, so these lines
+  separate the two tie policies.
 
 It prints one line per CLI call: a label, the exit code, and the sha256 of
 stdout and of stderr.  The checkout root and the temporary directory are
@@ -37,7 +43,8 @@ sha256 of each scan's profile count, truncation flag and violations
 a float that moves by one bit changes the line.  It prints one line per
 validator-oracle item: the sha256 of each witness's buyer, subsets, the
 ``repr`` and type of its constant, and its knots.  It prints one line per
-exploit scan: its violation count and the same scan digest.  Run it at both
+exploit scan and tie scan: its violation count and the same scan digest.
+Run it at both
 checkouts and diff the two files: identical files mean byte-identical CLI
 output and exit codes on every call and bit-identical scan results and
 witnesses on every item.
@@ -49,6 +56,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -62,10 +70,19 @@ import groupbuy.cli  # noqa: E402
 from bench.workloads import CliScale, CoalitionFuzz, ValidatorOracle  # noqa: E402
 from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations  # noqa: E402
 from groupbuy.auction import GROUP_LOSES, GROUP_WINS, AuctionConfig  # noqa: E402
+from groupbuy.mechanism import compute_bid_trace  # noqa: E402
 from groupbuy.numeric import EXACT, approx  # noqa: E402
-from helpers import EXPLOIT_LEVELS, exploit_table, exploit_truth  # noqa: E402
+from helpers import (  # noqa: E402
+    EXPLOIT_LEVELS,
+    exploit_table,
+    exploit_truth,
+    random_concave_utility,
+    random_table,
+)
 
 FORMATS = ("text", "json", "csv")
+LANES = (("exact", EXACT), ("approx", approx()))
+TIE_POLICIES = (GROUP_WINS, GROUP_LOSES)
 # the formats each command is called with; None calls it without --format
 COMMANDS = {"run": FORMATS, "validate-schedule": (None,), "fuzz": FORMATS, "compare": FORMATS}
 
@@ -112,6 +129,20 @@ def witness_digest(witnesses):
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
+def tie_tables():
+    """(name, table, truthful reports): the exploit table and four seeded random tables."""
+    tables = [("exploit", exploit_table(), exploit_truth())]
+    rng = random.Random(2014)
+    for k in range(4):
+        table = random_table(rng, 3)
+        truth = [
+            random_concave_utility(rng.randrange(2 ** 32), [p for p in table.share_points(i) if p > 0], 1)
+            for i in range(3)
+        ]
+        tables.append((f"random{k}", table, truth))
+    return tables
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cli-scale-seeds", default="1,9173",
@@ -154,14 +185,26 @@ def main(argv=None) -> int:
                       f"witnesses={witness_digest(witnesses)}")
     schedule = exploit_table()
     grid = concave_report_grid(schedule, levels=EXPLOIT_LEVELS)
-    for lane, policy in (("exact", EXACT), ("approx", approx())):
-        for tie_policy in (GROUP_WINS, GROUP_LOSES):
+    for lane, policy in LANES:
+        for tie_policy in TIE_POLICIES:
             cfg = AuctionConfig(0, (Fraction(1, 2),), tie_policy)
             result = enumerate_coalition_deviations(
                 exploit_truth(), schedule, cfg, grid, budget=300_000, policy=policy
             )
             print(f"exploit-scan lane={lane} tie={tie_policy} "
                   f"violations={len(result.violations)} scans={scan_digest([result])}")
+    for name, table, truth in tie_tables():
+        grid = concave_report_grid(table, levels=EXPLOIT_LEVELS)
+        bounds = sorted({step.max_payment for step in compute_bid_trace(truth, table).steps})
+        for rival in bounds:
+            for lane, policy in LANES:
+                for tie_policy in TIE_POLICIES:
+                    cfg = AuctionConfig(0, (rival,), tie_policy)
+                    result = enumerate_coalition_deviations(
+                        truth, table, cfg, grid, budget=300_000, policy=policy
+                    )
+                    print(f"tie-scan table={name} rival={rival} lane={lane} tie={tie_policy} "
+                          f"violations={len(result.violations)} scans={scan_digest([result])}")
     return 0
 
 

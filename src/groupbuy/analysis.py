@@ -4,13 +4,10 @@ These are the desk-scale oracles for the mechanism's incentive claims.  None
 of them proves anything; they enumerate or sample deviations and instances and
 report concrete counterexamples when the claimed property fails to hold.
 
-The coalition scan judges outcomes, not profiles.  The group always pays the
-auction threshold, so a joint misreport can only change whether the group
-buys and which winning set W divides at that price: a coalition faces at most
-2^n + 1 outcomes.  Each profile reads the engine's steps only up to the one
-that decides the auction (:func:`groupbuy.auction.decide_winning_set`), and
-each coalition judges an outcome once, on first reach, through the division
-the engine uses (:func:`groupbuy.mechanism.divide`).
+The coalition scan judges outcomes, not profiles: the group always pays the
+threshold, so a misreport only changes whether the group buys and its winning
+set.  Each profile reads the engine's steps up to the one that decides the
+auction, and each coalition judges each outcome once, on first reach.
 """
 
 from __future__ import annotations
@@ -73,12 +70,9 @@ def concave_report_grid(
 
     Every tuple over the level grid whose piecewise-linear extrapolation is
     admissible becomes one report, so the menu spans the whole concave class
-    at grid resolution.  The tuples are built depth-first in the order of
-    ``itertools.product``, and a prefix is extended only while it stays
-    non-decreasing and concave, under the policy and comparisons of
-    :func:`validate_knots`.  Each full tuple is then validated as a
-    :class:`UtilityReport`, which rejects every tuple of a buyer with no share
-    point at 1.
+    at grid resolution.  Tuples are built depth-first in product order, and a
+    prefix grows only while it stays non-decreasing and concave under the
+    comparisons of :func:`validate_knots`; :class:`UtilityReport` checks the rest.
     """
     scaled = tuple(Fraction(l) for l in levels)
     grid = []
@@ -188,10 +182,8 @@ def enumerate_coalition_deviations(
 
     Coalitions of one or two buyers are crossed exhaustively (refusing with a
     size estimate when that alone exceeds the budget); the three-buyer
-    coalition is sampled within the remaining budget.  Every profile counts
-    and every improving profile is a violation, though each coalition judges
-    each outcome only once.  An empty violation list over a monotone schedule
-    is the expected desk-scale outcome.
+    coalition is sampled within the remaining budget.  An empty violation list
+    over a monotone schedule is the expected desk-scale outcome.
     """
     n = schedule.n
     if n > FUZZ_MAX_BUYERS:
@@ -242,11 +234,7 @@ def enumerate_coalition_deviations(
     threshold = lane_cfg.threshold
 
     def judge(idxs, won):
-        """Coalition ``idxs`` on the outcome with winning set ``won`` (0: no purchase).
-
-        Returns (before, after, uses_tiebreak) when the outcome improves the
-        coalition, else None.
-        """
+        """(before, after, uses_tiebreak) if winning set ``won`` improves ``idxs``, else None."""
         outcome = divide(schedule, won, threshold) if won else AllocationOutcome.not_purchased(n)
         after = prefs(outcome, idxs)
         before = tuple(base_prefs[i] for i in idxs)
@@ -267,10 +255,8 @@ def enumerate_coalition_deviations(
             scan = itertools.product(*picks)
         else:
             truncated = True
-            scan = (
-                tuple(rng.choice(menu) for menu in picks)
-                for _ in range(max(budget - profiles, 0))
-            )
+            remaining = max(budget - profiles, 0)
+            scan = (tuple(rng.choice(menu) for menu in picks) for _ in range(remaining))
         verdicts = {}  # winning set -> judge's result, filled on first reach
         for profile in scan:
             profiles += 1

@@ -2,9 +2,7 @@
 
 The group enters one joint bid and divides the resource and the payment only
 if it wins, so a group run has one result: the :class:`AllocationOutcome`,
-purchased exactly when the group won, at the clearing price.  Since the price
-is the threshold either way, that outcome is fixed by the winning set alone,
-which :func:`decide_winning_set` finds without the rest of the trace.
+purchased exactly when the group won, at the clearing price.
 """
 
 from __future__ import annotations
@@ -67,15 +65,12 @@ def decide_winning_set(
 ) -> int:
     """The winning set of a group run, or 0 when the group does not buy.
 
-    Agrees with :func:`run_second_price` on ``trace.group_bid`` followed by
-    :func:`allocate` at the clearing price, for the trace whose steps these
-    are, but reads ``steps`` (an iterator from :func:`bid_steps`, say) only up
-    to the step that decides.  That is the first step whose bound covers the
-    threshold (``policy.ge``): the group buys there, at the largest affordable
-    subset.  Under the group-unfavorable tie policy a bound that only equals
-    the threshold does not win, so reading goes on until a later bound
-    exceeds it strictly (the group buys at that first subset) or the steps run
-    out (no purchase).
+    Agrees with :func:`run_second_price` on the trace's group bid followed by
+    :func:`allocate`, but reads ``steps`` only up to the deciding one: the
+    first bound to cover the threshold (``policy.ge``), where the group buys.
+    Under ``group_loses`` a bound equal to the threshold decides nothing until
+    a later bound exceeds it strictly (the group buys at that first subset) or
+    the steps run out.
     """
     threshold = cfg.threshold
     first = 0

@@ -44,10 +44,9 @@ a float that moves by one bit changes the line.  It prints one line per
 validator-oracle item: the sha256 of each witness's buyer, subsets, the
 ``repr`` and type of its constant, and its knots.  It prints one line per
 exploit scan and tie scan: its violation count and the same scan digest.
-Run it at both
-checkouts and diff the two files: identical files mean byte-identical CLI
-output and exit codes on every call and bit-identical scan results and
-witnesses on every item.
+Run it at both checkouts and diff the two files: identical files mean
+byte-identical CLI output and exit codes on every call and bit-identical
+scan results and witnesses on every item.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ def tie_tables():
     for k in range(4):
         table = random_table(rng, 3)
         truth = [
-            random_concave_utility(rng.randrange(2 ** 32), [p for p in table.share_points(i) if p > 0], 1)
+            random_concave_utility(rng.randrange(2 ** 32), table.share_points(i), 1)
             for i in range(3)
         ]
         tables.append((f"random{k}", table, truth))

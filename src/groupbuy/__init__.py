@@ -14,7 +14,7 @@ submodules (``groupbuy.schedule``, ``groupbuy.analysis``, ...).
 
 from .analysis import enumerate_coalition_deviations
 from .auction import AuctionConfig, run_group_participation
-from .mechanism import allocate, compute_bid_trace
+from .mechanism import compute_bid_trace
 from .numeric import approx
 from .scenario import bundled_scenario_path, load_scenario_file
 from .schedule import (
@@ -34,7 +34,6 @@ __all__ = [
     "RankedSchedule",
     "TableSchedule",
     "UtilityReport",
-    "allocate",
     "approx",
     "bundled_scenario_path",
     "compute_bid_trace",

@@ -7,7 +7,10 @@ report concrete counterexamples when the claimed property fails to hold.
 The coalition scan judges outcomes, not profiles: the group always pays the
 threshold, so a misreport only changes whether the group buys and its winning
 set.  Each profile reads the engine's steps up to the one that decides the
-auction, and each coalition judges each outcome once, on first reach.
+auction, through the group run's own rule
+(:func:`groupbuy.auction.decide_winning_set`), and each coalition judges each
+outcome once, on first reach, through the group run's own division
+(:func:`groupbuy.mechanism.divide`).
 """
 
 from __future__ import annotations
@@ -235,8 +238,7 @@ def enumerate_coalition_deviations(
 
     def judge(idxs, won):
         """(before, after, uses_tiebreak) if winning set ``won`` improves ``idxs``, else None."""
-        outcome = divide(schedule, won, threshold) if won else AllocationOutcome.not_purchased(n)
-        after = prefs(outcome, idxs)
+        after = prefs(divide(schedule, won, threshold), idxs)
         before = tuple(base_prefs[i] for i in idxs)
         all_weak = all(weakly_prefers(a, b, policy) for a, b in zip(after, before))
         any_strict = any(strictly_prefers(a, b, policy) for a, b in zip(after, before))

@@ -2,15 +2,17 @@
 
 The group enters one joint bid and divides the resource and the payment only
 if it wins, so a group run has one result: the :class:`AllocationOutcome`,
-purchased exactly when the group won, at the clearing price.
+purchased exactly when the group won, at the clearing price.  Whether it wins
+and which traced subset then buys is one decision, :func:`decide_winning_set`;
+a winning group pays the threshold, max(reserve, best rival bid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .mechanism import AllocationOutcome, BidStep, BidTrace, allocate, compute_bid_trace
+from .mechanism import AllocationOutcome, BidStep, BidTrace, compute_bid_trace, divide
 from .numeric import EXACT, Num, NumericPolicy, is_finite_float
 from .schedule import ShareSchedule
 from .utility import UtilityReport
@@ -41,36 +43,19 @@ class AuctionConfig:
         return max(self.reserve, *self.competing_bids, 0)
 
 
-def run_second_price(
-    group_bid: Num, cfg: AuctionConfig, policy: NumericPolicy = EXACT
-) -> Optional[Num]:
-    """Second-price rule from the group's perspective: the clearing price, or None.
-
-    The group wins when its bid strictly exceeds max(best rival, reserve), or
-    equals it under the group-favorable tie policy; it then pays exactly that
-    maximum, which may be 0.  A losing group gets None.
-    """
-    if group_bid < 0:
-        raise ValueError("bid must be non-negative")
-    threshold = cfg.threshold
-    if policy.gt(group_bid, threshold) or (
-        policy.eq(group_bid, threshold) and cfg.tie_policy == GROUP_WINS
-    ):
-        return threshold
-    return None
-
-
 def decide_winning_set(
     steps: Iterable[BidStep], cfg: AuctionConfig, policy: NumericPolicy = EXACT
 ) -> int:
     """The winning set of a group run, or 0 when the group does not buy.
 
-    Agrees with :func:`run_second_price` on the trace's group bid followed by
-    :func:`allocate`, but reads ``steps`` only up to the deciding one: the
-    first bound to cover the threshold (``policy.ge``), where the group buys.
-    Under ``group_loses`` a bound equal to the threshold decides nothing until
-    a later bound exceeds it strictly (the group buys at that first subset) or
-    the steps run out.
+    This is the auction's one rule.  The group wins when its bid, the largest
+    bound in ``steps``, strictly exceeds the threshold, or equals it under
+    ``group_wins``; it then buys at the first (largest) traced subset whose
+    bound covers the threshold (``policy.ge``).  ``steps`` are read only up to
+    the deciding one: under ``group_wins`` the first covering bound decides,
+    and under ``group_loses`` a bound equal to the threshold decides nothing
+    until a later bound exceeds it strictly (the group buys at that first
+    subset) or the steps run out.
     """
     threshold = cfg.threshold
     first = 0
@@ -88,14 +73,12 @@ def run_group_participation(
     cfg: AuctionConfig,
     policy: NumericPolicy = EXACT,
 ) -> Tuple[BidTrace, AllocationOutcome]:
-    """Compute the trace, enter the auction with the group bid, divide on a win.
+    """Compute the trace, enter the auction with it, divide on a win.
 
     The outcome is purchased exactly when the group won, and its ``price`` is
-    then the clearing price: on a win that price never exceeds the group bid
-    under ``policy``, so the division step always finds an affordable subset.
+    then the clearing price, the threshold, which never exceeds the group bid
+    under ``policy``.
     """
     trace = compute_bid_trace(reports, schedule, policy)
-    price = run_second_price(trace.group_bid, cfg, policy)
-    if price is None:
-        return trace, AllocationOutcome.not_purchased(schedule.n)
-    return trace, allocate(trace, schedule, price, policy)
+    won = decide_winning_set(trace.steps, cfg, policy)
+    return trace, divide(schedule, won, cfg.threshold)

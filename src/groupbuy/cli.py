@@ -73,11 +73,15 @@ def _vec(values) -> str:
 
 
 def _write_or_print(text: str, out_path):
-    if out_path:
+    """Write ``text`` to ``out_path``, or print it; an unwritable path is invalid input."""
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def non_negative_int(text: str) -> int:

@@ -9,9 +9,10 @@ are removed and the step repeats until nobody is left.  :func:`bid_steps` is
 that one loop, as a generator: a caller that needs only the first steps (the
 coalition scan stops at the step that decides the auction) reads no further,
 and :func:`compute_bid_trace` keeps all of them.  The largest bearable payment
-across steps is the group's bid; once a price is realized, :func:`allocate`
-picks the largest traced subset whose bearable payment covers it, and
-:func:`divide` divides resource and payment by that subset's shares.
+across steps is the group's bid.  The auction
+(:func:`groupbuy.auction.decide_winning_set`) reads the steps and names the
+winning set, and :func:`divide` divides resource and payment by that subset's
+shares at the clearing price.
 
 The loop reads each report through its :class:`RatioColumn`, subset ->
 u_i(x_i(S)) / y_i(S), filled on the loop's first read of a subset from the
@@ -168,33 +169,16 @@ def compute_bid_trace(
     return BidTrace(tuple(bid_steps(reports, schedule, policy, start)))
 
 
-def allocate(
-    trace: BidTrace,
-    schedule: ShareSchedule,
-    price: Num,
-    policy: NumericPolicy = EXACT,
-) -> AllocationOutcome:
-    """Divide resource and payment at a realized price.
-
-    The winner is the earliest (largest) traced subset whose bearable payment
-    covers the price, compared buyer-favorably (>=), and :func:`divide` divides
-    at its shares.  A price above the group bid buys nothing.
-    """
-    if price < 0:
-        raise ValueError("price must be non-negative")
-    for step in trace.steps:
-        if policy.ge(step.max_payment, price):
-            return divide(schedule, step.subset, price)
-    return AllocationOutcome.not_purchased(schedule.n)
-
-
 def divide(schedule: ShareSchedule, subset: int, price: Num) -> AllocationOutcome:
     """The purchase by ``subset`` at ``price``, divided by its exact shares.
 
-    At a ``float`` price (the tolerance lane's) each payment share becomes a
-    float before the product, which gives the same float that
-    ``price * share`` would.
+    Subset 0 is the group that does not buy: nothing is divided and nobody
+    pays, whatever ``price`` is.  At a ``float`` price (the tolerance lane's)
+    each payment share becomes a float before the product, which gives the
+    same float that ``price * share`` would.
     """
+    if not subset:
+        return AllocationOutcome.not_purchased(schedule.n)
     pair = schedule.shares_for(subset)
     shares = map(float, pair.payment) if isinstance(price, float) else pair.payment
     payments = tuple(price * y for y in shares)

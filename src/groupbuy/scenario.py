@@ -205,6 +205,11 @@ def load_scenario(
     schedules = data.get("schedules", {})
     if not isinstance(schedules, dict):
         raise ScenarioError("\"schedules\" must be an object mapping names to schedule stanzas")
+    if "primary" in schedules:
+        raise ScenarioError(
+            "schedule name 'primary' is reserved for the \"schedule\" stanza;"
+            " rename it in \"schedules\""
+        )
     for name, stanza in schedules.items():
         named[name] = parse_schedule(stanza, n)
     for name, sched in named.items():
@@ -233,6 +238,10 @@ def load_scenario(
     mode = stanza.get("mode")
     if mode not in (None, "exact", "approx"):
         raise ScenarioError(f"unknown policy mode {mode!r}")
+    if force_exact and epsilon is not None:
+        raise ScenarioError(
+            "exact arithmetic (--exact) and an epsilon (--epsilon) exclude each other"
+        )
     policy = EXACT
     if force_exact or (epsilon is None and mode == "exact"):
         if irrational:

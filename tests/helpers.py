@@ -5,8 +5,13 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Iterable, Optional, Sequence
 
-from groupbuy.auction import AuctionConfig, run_group_participation
-from groupbuy.mechanism import AllocationOutcome
+from groupbuy.auction import (
+    GROUP_WINS,
+    AuctionConfig,
+    decide_winning_set,
+    run_group_participation,
+)
+from groupbuy.mechanism import AllocationOutcome, BidTrace, divide
 from groupbuy.numeric import EXACT, Num, NumericPolicy
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
@@ -91,6 +96,42 @@ def scaled_report(report: UtilityReport, factor: Num) -> UtilityReport:
     return UtilityReport(tuple((x, u * factor) for x, u in report.knots))
 
 
+def run_at_price(
+    reports: Sequence[UtilityReport],
+    schedule: ShareSchedule,
+    price: Num,
+    policy: NumericPolicy = EXACT,
+) -> AllocationOutcome:
+    """The group run at a fixed ``price`` as ``run`` does it: reserve = price, ties to the group."""
+    return run_group_participation(reports, schedule, AuctionConfig(reserve=price), policy)[1]
+
+
+def divide_at_price(
+    steps: Iterable, schedule: ShareSchedule, price: Num, policy: NumericPolicy = EXACT
+) -> AllocationOutcome:
+    """:func:`run_at_price` on steps already traced, such as those from a ``start`` subset."""
+    return divide(schedule, decide_winning_set(steps, AuctionConfig(reserve=price), policy), price)
+
+
+def reference_group_run(
+    trace: BidTrace, schedule: ShareSchedule, cfg: AuctionConfig, policy: NumericPolicy = EXACT
+) -> AllocationOutcome:
+    """Reference for :func:`groupbuy.auction.decide_winning_set` followed by the division.
+
+    The second-price rule on the group bid first: the group wins when its bid
+    strictly exceeds the threshold, or equals it under ``group_wins``, and
+    then pays the threshold.  The winner is the earliest traced subset whose
+    bound covers that price, compared buyer-favorably (>=).
+    """
+    threshold = cfg.threshold
+    bid = trace.group_bid
+    if policy.gt(bid, threshold) or (policy.eq(bid, threshold) and cfg.tie_policy == GROUP_WINS):
+        for step in trace.steps:
+            if policy.ge(step.max_payment, threshold):
+                return divide(schedule, step.subset, threshold)
+    return AllocationOutcome.not_purchased(schedule.n)
+
+
 def fixed_price_outcome(
     reports: Sequence[UtilityReport],
     schedule: ShareSchedule,
@@ -149,7 +190,7 @@ def check_individual_consistency(
     eligible = [i for i in range(schedule.n) if policy.gt(reports[i].value_at(F(1)), price)]
     if not eligible:
         return None
-    _, outcome = run_group_participation(reports, schedule, AuctionConfig(reserve=price), policy)
+    outcome = run_at_price(reports, schedule, price, policy)
     if not outcome.purchased:
         return ConsistencyViolation(eligible[0], False)
     for i in eligible:

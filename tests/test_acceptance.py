@@ -17,7 +17,7 @@ from groupbuy.analysis import (
     power_report_grid,
 )
 from groupbuy.auction import AuctionConfig
-from groupbuy.mechanism import allocate, compute_bid_trace
+from groupbuy.mechanism import bid_steps, compute_bid_trace
 from groupbuy.numeric import approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
@@ -36,11 +36,13 @@ from groupbuy.utility import ClosedFormUtility, sample_report
 
 from helpers import (
     check_individual_consistency,
+    divide_at_price,
     fixed_price_outcome,
     random_concave_utility,
     random_table,
     renormalized_cmss,
     rras_resource_table,
+    run_at_price,
 )
 
 APPROX = approx()
@@ -130,9 +132,9 @@ def test_criterion_2_auction_reproduction():
     ok = ok and values[1] == 1 and values[2] == 1
     ok = ok and trace.group_bid == 1
 
-    low = allocate(trace, sched, F(3, 5), APPROX)
+    low = run_at_price(reports, sched, F(3, 5), APPROX)
     ok = ok and all(abs(p - 0.2) <= 1e-12 for p in low.payments)
-    high = allocate(trace, sched, F(9, 10), APPROX)
+    high = run_at_price(reports, sched, F(9, 10), APPROX)
     ok = ok and high.winning_set == 0b011
     ok = ok and abs(high.payments[0] - 0.45) <= 1e-12 and abs(high.payments[1] - 0.45) <= 1e-12
     ok = ok and high.payments[2] == 0
@@ -354,21 +356,20 @@ def test_criterion_7_winning_set_stability():
     for _ in range(200):
         n = rng.randrange(2, 6)
         sched, reports = random_instance(rng, n)
-        trace = compute_bid_trace(reports, sched)
-        price = trace.group_bid * F(rng.randrange(0, 150), 100)
-        baseline = allocate(trace, sched, price)
+        price = compute_bid_trace(reports, sched).group_bid * F(rng.randrange(0, 150), 100)
+        baseline = run_at_price(reports, sched, price)
         winners = baseline.winning_set
         losers = full_mask(n) & ~winners
         for removed in nonempty_subsets(losers):
             start = full_mask(n) & ~removed
             if start == 0:
                 continue
-            rerun = compute_bid_trace(reports, sched, start=start)
-            if allocate(rerun, sched, price).winning_set != winners:
+            rerun = bid_steps(reports, sched, start=start)
+            if divide_at_price(rerun, sched, price).winning_set != winners:
                 claim1_failures += 1
         for i in members(winners):
-            rerun = compute_bid_trace(reports, sched, start=full_mask(n) & ~(1 << i))
-            shrunk = allocate(rerun, sched, price).winning_set
+            rerun = bid_steps(reports, sched, start=full_mask(n) & ~(1 << i))
+            shrunk = divide_at_price(rerun, sched, price).winning_set
             if shrunk & ~(winners & ~(1 << i)):
                 claim2_failures += 1
     ok = claim1_failures == 0 and claim2_failures == 0
@@ -397,10 +398,9 @@ def test_criterion_8_removal_discipline_equivalence(tmp_path):
 
         for profile in itertools.product(*grid):
             reports = list(profile)
-            trace = compute_bid_trace(reports, sched)
             for price in prices:
                 checked += 1
-                a = allocate(trace, sched, price)
+                a = run_at_price(reports, sched, price)
                 b = fixed_price_outcome(reports, sched, price)
                 if a.winning_set != b.winning_set:
                     counterexamples.append(

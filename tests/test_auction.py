@@ -9,14 +9,19 @@ from groupbuy.auction import (
     AuctionConfig,
     decide_winning_set,
     run_group_participation,
-    run_second_price,
 )
-from groupbuy.mechanism import BidStep, BidTrace, allocate, bid_steps, compute_bid_trace
+from groupbuy.mechanism import AllocationOutcome, BidStep, BidTrace, bid_steps, compute_bid_trace
 from groupbuy.numeric import EXACT, approx
 from groupbuy.schedule import EqualSplitSchedule
 from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
 
-from helpers import exploit_table, exploit_truth, random_concave_utility, random_table
+from helpers import (
+    exploit_table,
+    exploit_truth,
+    random_concave_utility,
+    random_table,
+    reference_group_run,
+)
 
 APPROX = approx()
 
@@ -43,31 +48,44 @@ def rational_setup():
     return reports, sched
 
 
+def clearing_price(bid, cfg):
+    """The price a one-buyer group bidding ``bid`` pays in ``cfg``, or None when it loses.
+
+    The buyer values the whole resource at ``bid``, so its trace is the one
+    step (buyer 0, bound ``bid``).
+    """
+    report = UtilityReport(((F(0), F(0)), (F(1), F(bid))))
+    trace, outcome = run_group_participation([report], EqualSplitSchedule(1), cfg)
+    assert trace.steps == (BidStep(0b1, bid, 0b1),)
+    assert decide_winning_set(trace.steps, cfg) == outcome.winning_set
+    return outcome.price if outcome.purchased else None
+
+
 class TestSecondPrice:
     def test_win_at_the_rival_bid(self):
-        assert run_second_price(1, AuctionConfig(0, (F(3, 5),))) == F(3, 5)
+        assert clearing_price(1, AuctionConfig(0, (F(3, 5),))) == F(3, 5)
 
     def test_win_at_higher_rival_bid(self):
-        assert run_second_price(1, AuctionConfig(0, (F(9, 10),))) == F(9, 10)
+        assert clearing_price(1, AuctionConfig(0, (F(9, 10),))) == F(9, 10)
 
     def test_outbid(self):
-        assert run_second_price(1, AuctionConfig(0, (F(6, 5),))) is None
+        assert clearing_price(1, AuctionConfig(0, (F(6, 5),))) is None
 
     def test_below_reserve(self):
-        assert run_second_price(1, AuctionConfig(F(11, 10), ())) is None
+        assert clearing_price(1, AuctionConfig(F(11, 10), ())) is None
 
     def test_reserve_beats_low_rival(self):
-        assert run_second_price(1, AuctionConfig(F(1, 2), (F(1, 4),))) == F(1, 2)
+        assert clearing_price(1, AuctionConfig(F(1, 2), (F(1, 4),))) == F(1, 2)
 
     def test_tie_policies(self):
         cfg_win = AuctionConfig(0, (1,), GROUP_WINS)
         cfg_lose = AuctionConfig(0, (1,), GROUP_LOSES)
-        assert run_second_price(1, cfg_win) == 1
-        assert run_second_price(1, cfg_lose) is None
+        assert clearing_price(1, cfg_win) == 1
+        assert clearing_price(1, cfg_lose) is None
 
     def test_no_rivals_no_reserve(self):
         # a price of 0 is a win, not a loss
-        price = run_second_price(F(1, 2), AuctionConfig())
+        price = clearing_price(F(1, 2), AuctionConfig())
         assert price is not None and price == 0
 
     def test_invalid_inputs(self):
@@ -77,8 +95,6 @@ class TestSecondPrice:
             AuctionConfig(0, (float("inf"),))
         with pytest.raises(ValueError):
             AuctionConfig(0, (), "coin_flip")
-        with pytest.raises(ValueError):
-            run_second_price(-1, AuctionConfig())
 
     @pytest.mark.parametrize("reserve,bids", [(F(10**400), ()), (0, (F(1, 2), -F(10**400)))])
     def test_numbers_beyond_float_range_rejected(self, reserve, bids):
@@ -87,7 +103,7 @@ class TestSecondPrice:
 
     def test_clearing_never_exceeds_bid_on_win(self):
         for rival in (F(0), F(1, 3), F(2, 3), F(1)):
-            price = run_second_price(1, AuctionConfig(0, (rival,)))
+            price = clearing_price(1, AuctionConfig(0, (rival,)))
             if price is not None:
                 assert price <= 1
 
@@ -129,8 +145,8 @@ class TestGroupParticipation:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_clearing_price_never_above_group_bid(self):
-        # The invariant a group run rests on: the outcome is purchased exactly
-        # when the auction says the group won, and then at the clearing price.
+        # The invariant a group run rests on: a purchase is at the clearing
+        # price, never above the group bid, and a lost auction divides nothing.
         # Both lanes and both tie policies, with the threshold on a rival grid
         # and at the group bid and one step either side of it.
         lanes = [(EXACT, rational_setup, F(1, 1000)), (APPROX, worked_setup, APPROX.epsilon / 2)]
@@ -147,11 +163,11 @@ class TestGroupParticipation:
                 for rival, expected in grid + near:
                     cfg = AuctionConfig(0, (rival,), tie_policy)
                     trace, outcome = run_group_participation(reports, sched, cfg, policy)
-                    price = run_second_price(trace.group_bid, cfg, policy)
-                    assert (price is None) == (not outcome.purchased)
                     if outcome.purchased:
-                        assert price == outcome.price == rival
+                        assert outcome.price == rival
                         assert policy.le(outcome.price, trace.group_bid)
+                    else:
+                        assert outcome == AllocationOutcome.not_purchased(3)
                     if expected is not None:
                         assert outcome.purchased == expected
 
@@ -173,6 +189,8 @@ class TestDecideWinningSet:
     def test_agrees_with_the_full_run(self):
         # Thresholds at every bound of the trace and one step either side of
         # it; a threshold equal to a bound is where the tie policies part.
+        # The whole outcome of the group run must match the reference's, every
+        # float to the bit.
         lanes = [(EXACT, F(1, 1000)), (APPROX, APPROX.epsilon / 2)]
         for table, truth in self.instances():
             for policy, step in lanes:
@@ -181,9 +199,11 @@ class TestDecideWinningSet:
                 for threshold in thresholds:
                     for tie_policy in (GROUP_WINS, GROUP_LOSES):
                         cfg = AuctionConfig(0, (threshold,), tie_policy)
-                        _, outcome = run_group_participation(truth, table, cfg, policy)
+                        trace, outcome = run_group_participation(truth, table, cfg, policy)
+                        want = reference_group_run(trace, table, cfg, policy)
+                        assert outcome == want and repr(outcome) == repr(want)
                         won = decide_winning_set(bid_steps(truth, table, policy), cfg, policy)
-                        assert won == outcome.winning_set
+                        assert won == want.winning_set
 
     def test_reads_no_further_than_the_deciding_step(self):
         steps = [BidStep(0b111, F(1, 4), 0b001), BidStep(0b110, F(1, 2), 0b010),
@@ -205,7 +225,4 @@ class TestDecideWinningSet:
         for tie_policy, expected in ((GROUP_WINS, 0b111), (GROUP_LOSES, won_if_loses)):
             cfg = AuctionConfig(0, (F(1, 2),), tie_policy)
             assert decide_winning_set(iter(steps), cfg, EXACT) == expected
-            trace = BidTrace(steps)
-            price = run_second_price(trace.group_bid, cfg, EXACT)
-            full = 0 if price is None else allocate(trace, sched, price).winning_set
-            assert full == expected
+            assert reference_group_run(BidTrace(steps), sched, cfg).winning_set == expected

@@ -6,7 +6,13 @@ import pytest
 import groupbuy
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.cli import main
-from groupbuy.scenario import bundled_scenario_path, load_scenario_file, outcome_to_json
+from groupbuy.scenario import (
+    ScenarioError,
+    bundled_scenario_path,
+    load_scenario,
+    load_scenario_file,
+    outcome_to_json,
+)
 
 
 def run_cli(*argv):
@@ -192,6 +198,34 @@ class TestRun:
     def test_non_object_schedules_exit_2(self, tmp_path, capsys):
         assert run_cli("run", self.write(tmp_path, self.two_buyers(schedules=[]))) == 2
         assert "\"schedules\" must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_schedules_entry_named_primary_exit_2(self, tmp_path, capsys, command):
+        # "primary" names the "schedule" stanza; an entry of that name would
+        # shadow it in compare while run divides by the stanza
+        rras = {"kind": "rras", "order": [0, 1], "base": ["3/4", "1/4"]}
+        path = self.write(tmp_path, self.two_buyers(schedules={"primary": rras}))
+        assert run_cli(command, path) == 2
+        captured = capsys.readouterr()
+        assert "schedule name 'primary' is reserved" in captured.err
+        assert captured.out == ""
+
+    def test_exact_with_epsilon_exit_2(self, tmp_path, capsys):
+        path = self.write(tmp_path, self.two_buyers())
+        assert run_cli("run", path, "--exact", "--epsilon", "0.5") == 2
+        captured = capsys.readouterr()
+        assert "--exact) and an epsilon (--epsilon) exclude each other" in captured.err
+        assert captured.out == ""
+        with pytest.raises(ScenarioError, match="exclude each other"):
+            load_scenario(self.two_buyers(), force_exact=True, epsilon=0.5)
+
+    @pytest.mark.parametrize("command", ["run", "fuzz"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "report.json"
+        assert run_cli(command, scenario("example1"), "--format", "json", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "internal error" not in err
 
     @pytest.mark.parametrize("overrides,flags,message", [
         pytest.param({"fixed_price": "abc"}, (), "fixed_price: cannot parse number 'abc'",

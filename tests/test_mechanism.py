@@ -8,7 +8,6 @@ from groupbuy.mechanism import (
     AllocationOutcome,
     BidTrace,
     RatioColumn,
-    allocate,
     bid_steps,
     compute_bid_trace,
 )
@@ -32,9 +31,11 @@ from groupbuy.utility import (
 )
 
 from helpers import (
+    divide_at_price,
     fixed_price_outcome,
     random_concave_utility,
     rras_resource_table,
+    run_at_price,
     scaled_report,
 )
 
@@ -78,7 +79,7 @@ class TestTrace:
         trace = compute_bid_trace(reps, equal3())
         assert trace.group_bid == 0
         assert trace.steps[0].removed == 0b111
-        outcome = allocate(trace, equal3(), 0)
+        outcome = run_at_price(reps, equal3(), 0)
         assert outcome.purchased and outcome.winning_set == 0b111
         assert sum(outcome.payments) == 0
 
@@ -271,28 +272,27 @@ class TestReferenceTable:
 
 
 class TestAllocate:
+    """The group run's division at a fixed price."""
+
     def test_low_price_whole_group(self):
-        trace = compute_bid_trace(worked_reports(), equal3(), APPROX)
-        outcome = allocate(trace, equal3(), F(3, 5), APPROX)
+        outcome = run_at_price(worked_reports(), equal3(), F(3, 5), APPROX)
         assert outcome.purchased and outcome.winning_set == 0b111
         assert [float(p) for p in outcome.payments] == [0.2, 0.2, 0.2]
 
     def test_higher_price_drops_bottleneck_buyer(self):
-        trace = compute_bid_trace(worked_reports(), equal3(), APPROX)
-        outcome = allocate(trace, equal3(), F(9, 10), APPROX)
+        outcome = run_at_price(worked_reports(), equal3(), F(9, 10), APPROX)
         assert outcome.winning_set == 0b011
         assert [float(p) for p in outcome.payments] == [0.45, 0.45, 0.0]
         assert outcome.fractions[2] == 0
 
     def test_price_above_bid_buys_nothing(self):
         trace = compute_bid_trace(worked_reports(), equal3(), APPROX)
-        outcome = allocate(trace, equal3(), trace.group_bid + 1, APPROX)
+        outcome = run_at_price(worked_reports(), equal3(), trace.group_bid + 1, APPROX)
         assert outcome == AllocationOutcome.not_purchased(3)
 
     def test_negative_price_rejected(self):
-        trace = compute_bid_trace(worked_reports(), equal3(), APPROX)
-        with pytest.raises(ValueError):
-            allocate(trace, equal3(), -1, APPROX)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            run_at_price(worked_reports(), equal3(), -1, APPROX)
 
     def test_budget_balance_exact(self):
         reps = [
@@ -300,9 +300,8 @@ class TestAllocate:
             for i, seed in enumerate((11, 12, 13, 14))
         ]
         sched = EqualSplitSchedule(4)
-        trace = compute_bid_trace(reps, sched)
-        price = trace.steps[0].max_payment
-        outcome = allocate(trace, sched, price)
+        price = compute_bid_trace(reps, sched).steps[0].max_payment
+        outcome = run_at_price(reps, sched, price)
         assert sum(outcome.payments) == price
         assert sum(outcome.fractions) == 1
 
@@ -314,7 +313,7 @@ class TestAllocate:
             for i, seed in enumerate((21, 22, 23))
         ]
         trace = compute_bid_trace(reps, sched, APPROX)
-        outcome = allocate(trace, sched, F(1, 2) * trace.group_bid, APPROX)
+        outcome = run_at_price(reps, sched, F(1, 2) * trace.group_bid, APPROX)
         assert outcome.purchased
         assert abs(sum(outcome.payments) - outcome.price) <= 3e-9
 
@@ -323,9 +322,10 @@ class TestAllocate:
     ])
     def test_float_price_divides_as_the_exact_shares_would(self, sched):
         # equal-split thirds and a ranked identity table: Fraction shares
-        trace = compute_bid_trace(worked_reports(sched), sched, APPROX)
-        for price in (trace.group_bid, 0.1, 2 / 3, math.pi / 7):
-            outcome = allocate(trace, sched, price, APPROX)
+        reps = worked_reports(sched)
+        bid = compute_bid_trace(reps, sched, APPROX).group_bid
+        for price in (bid, 0.1, 2 / 3, math.pi / 7):
+            outcome = run_at_price(reps, sched, price, APPROX)
             assert outcome.purchased
             shares = sched.shares_for(outcome.winning_set)
             assert outcome.payments == tuple(price * y for y in shares.payment)
@@ -342,9 +342,8 @@ class TestAllocate:
                 random_concave_utility(rng.randrange(2**32), sched.share_points(i), F(2))
                 for i in range(n)
             ]
-            trace = compute_bid_trace(reps, sched)
-            price = trace.group_bid * F(rng.randrange(0, 101), 100)
-            outcome = allocate(trace, sched, price)
+            price = compute_bid_trace(reps, sched).group_bid * F(rng.randrange(0, 101), 100)
+            outcome = run_at_price(reps, sched, price)
             if outcome.purchased:
                 for i in members(outcome.winning_set):
                     assert outcome.payments[i] <= reps[i].value_at(outcome.fractions[i])
@@ -377,21 +376,21 @@ class TestRerunFrom:
         rerun = compute_bid_trace(reps, equal3(), APPROX, start=0b111)
         assert rerun == trace
         for price in (F(3, 5), F(9, 10), F(2)):
-            assert allocate(rerun, equal3(), price, APPROX) == allocate(
-                trace, equal3(), price, APPROX
+            assert divide_at_price(rerun.steps, equal3(), price, APPROX) == run_at_price(
+                reps, equal3(), price, APPROX
             )
 
     def test_removing_the_loser_keeps_the_winners(self):
         reps = worked_reports()
         trace = compute_bid_trace(reps, equal3(), APPROX, start=mask_of([0, 1]))
-        out = allocate(trace, equal3(), F(9, 10), APPROX)
+        out = divide_at_price(trace.steps, equal3(), F(9, 10), APPROX)
         assert out.winning_set == 0b011
 
     def test_starting_at_the_winning_set_reproduces_it(self):
         reps = worked_reports()
-        baseline = allocate(compute_bid_trace(reps, equal3(), APPROX), equal3(), F(9, 10), APPROX)
+        baseline = run_at_price(reps, equal3(), F(9, 10), APPROX)
         trace = compute_bid_trace(reps, equal3(), APPROX, start=baseline.winning_set)
-        again = allocate(trace, equal3(), F(9, 10), APPROX)
+        again = divide_at_price(trace.steps, equal3(), F(9, 10), APPROX)
         assert again.winning_set == baseline.winning_set
 
     def test_empty_start_rejected(self):
@@ -410,24 +409,22 @@ class TestRerunFrom:
                 random_concave_utility(rng.randrange(2**32), sched.share_points(i), F(2))
                 for i in range(n)
             ]
-            trace = compute_bid_trace(reps, sched)
-            price = trace.group_bid * F(rng.randrange(0, 121), 100)
-            baseline = allocate(trace, sched, price)
+            price = compute_bid_trace(reps, sched).group_bid * F(rng.randrange(0, 121), 100)
+            baseline = run_at_price(reps, sched, price)
             losers = full_mask(n) & ~baseline.winning_set
             for removed in nonempty_subsets(losers):
                 start = full_mask(n) & ~removed
                 if start == 0:
                     continue
-                again = allocate(compute_bid_trace(reps, sched, start=start), sched, price)
+                again = divide_at_price(bid_steps(reps, sched, start=start), sched, price)
                 assert again.winning_set == baseline.winning_set
 
 
 class TestPathEquivalence:
     def test_fixed_price_matches_trace_path_on_worked_example(self):
         reps = worked_reports()
-        trace = compute_bid_trace(reps, equal3(), APPROX)
         for price in (0, F(1, 2), F(3, 5), F(87, 100), F(9, 10), 1, F(11, 10)):
-            a = allocate(trace, equal3(), price, APPROX)
+            a = run_at_price(reps, equal3(), price, APPROX)
             b = fixed_price_outcome(reps, equal3(), price, APPROX)
             assert a.winning_set == b.winning_set
             assert a.purchased == b.purchased

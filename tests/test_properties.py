@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupbuy.auction import AuctionConfig, run_group_participation
-from groupbuy.mechanism import allocate, compute_bid_trace
+from groupbuy.mechanism import compute_bid_trace
 from groupbuy.numeric import DEFAULT_EPSILON, EXACT, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
@@ -42,7 +42,7 @@ from groupbuy.utility import (
     sample_report,
 )
 
-from helpers import fixed_price_outcome, random_concave_utility, scaled_report
+from helpers import fixed_price_outcome, random_concave_utility, run_at_price, scaled_report
 
 
 def build_schedule(kind, weights, order):
@@ -99,8 +99,8 @@ def test_relabelling_buyers_permutes_trace_and_outcome(instance, data):
     assert [s.max_payment for s in moved_trace.steps] == [s.max_payment for s in trace.steps]
 
     price = trace.group_bid * fraction
-    outcome = allocate(trace, schedule, price)
-    moved_outcome = allocate(moved_trace, moved, price)
+    outcome = run_at_price(reports, schedule, price)
+    moved_outcome = run_at_price(moved_reports, moved, price)
     assert moved_outcome.purchased == outcome.purchased
     assert moved_outcome.winning_set == relabel(outcome.winning_set, perm)
     for i in range(n):
@@ -113,15 +113,16 @@ def test_relabelling_buyers_permutes_trace_and_outcome(instance, data):
 def test_scaling_reports_and_price_scales_bids_and_payments(instance, num, den):
     _, _, _, schedule, reports, fraction = instance
     c = F(num, den)
+    scaled_reports = [scaled_report(r, c) for r in reports]
     trace = compute_bid_trace(reports, schedule)
-    scaled = compute_bid_trace([scaled_report(r, c) for r in reports], schedule)
+    scaled = compute_bid_trace(scaled_reports, schedule)
     assert [s.subset for s in scaled.steps] == [s.subset for s in trace.steps]
     assert [s.removed for s in scaled.steps] == [s.removed for s in trace.steps]
     assert [s.max_payment for s in scaled.steps] == [c * s.max_payment for s in trace.steps]
 
     price = trace.group_bid * fraction
-    outcome = allocate(trace, schedule, price)
-    scaled_outcome = allocate(scaled, schedule, c * price)
+    outcome = run_at_price(reports, schedule, price)
+    scaled_outcome = run_at_price(scaled_reports, schedule, c * price)
     assert scaled_outcome.winning_set == outcome.winning_set
     assert scaled_outcome.fractions == outcome.fractions
     assert scaled_outcome.payments == tuple(c * p for p in outcome.payments)
@@ -214,7 +215,8 @@ def test_exact_and_float_lanes_agree(instance):
     schedule = build_schedule(kind, weights, order)
     exact = compute_bid_trace(reports, schedule, EXACT)
     assert all(isinstance(s.max_payment, Rational) for s in exact.steps)
-    floats = compute_bid_trace([lowered(r) for r in reports], schedule, approx())
+    float_reports = [lowered(r) for r in reports]
+    floats = compute_bid_trace(float_reports, schedule, approx())
     assert [(s.subset, s.removed) for s in floats.steps] == [
         (s.subset, s.removed) for s in exact.steps
     ]
@@ -225,7 +227,7 @@ def test_exact_and_float_lanes_agree(instance):
     betas = sorted({s.max_payment for s in exact.steps})
     prices = {F(0), betas[-1] + 1, *betas, *((a + b) / 2 for a, b in zip(betas, betas[1:]))}
     for price in prices:
-        want = allocate(exact, schedule, price, EXACT)
+        want = run_at_price(reports, schedule, price, EXACT)
         assert all(isinstance(v, Rational) for v in (*want.fractions, *want.payments, want.price))
-        got = allocate(floats, schedule, float(price), approx())
+        got = run_at_price(float_reports, schedule, float(price), approx())
         assert (got.purchased, got.winning_set) == (want.purchased, want.winning_set)

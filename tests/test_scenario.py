@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from groupbuy.auction import AuctionConfig, run_group_participation
-from groupbuy.mechanism import allocate, compute_bid_trace
+from groupbuy.mechanism import compute_bid_trace
 from groupbuy.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -152,8 +152,7 @@ class TestSerialization:
 
     def test_outcome_round_trip_bit_exact(self):
         sc = load_scenario(minimal())
-        trace = compute_bid_trace(sc.reports, sc.schedule, sc.policy)
-        outcome = allocate(trace, sc.schedule, sc.fixed_price, sc.policy)
+        _, outcome = run_group_participation(sc.reports, sc.schedule, sc.auction, sc.policy)
         enc = json.loads(json.dumps(outcome_to_json(outcome, sc.policy)))
         assert enc["purchased"] is outcome.purchased
         assert enc["winning_set"] == subset_key(outcome.winning_set)

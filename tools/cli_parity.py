@@ -32,7 +32,11 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
   reports from ``random_concave_utility``), with one rival bid at each
   distinct bound of the exact truthful trace, in each lane under each tie
   policy.  A rival equal to a bound is a tie in both lanes, so these lines
-  separate the two tie policies.
+  separate the two tie policies;
+* the group runs (``run_group_participation``) of the same five tables from
+  their truthful reports, with one rival bid at each distinct bound of the
+  exact truthful trace and one step either side of it (1/1000 in the exact
+  lane, epsilon/2 in ``approx()``), in each lane under each tie policy.
 
 It prints one line per CLI call: a label, the exit code, and the sha256 of
 stdout and of stderr.  The checkout root and the temporary directory are
@@ -43,7 +47,10 @@ sha256 of each scan's profile count, truncation flag and violations
 a float that moves by one bit changes the line.  It prints one line per
 validator-oracle item: the sha256 of each witness's buyer, subsets, the
 ``repr`` and type of its constant, and its knots.  It prints one line per
-exploit scan and tie scan: its violation count and the same scan digest.
+exploit scan and tie scan: its violation count and the same scan digest.  It
+prints one line per table, lane and tie policy of the group runs: the sha256
+of each run's outcome (purchased flag, winning set and the ``repr`` of its
+fractions, payments and price).
 Run it at both checkouts and diff the two files: identical files mean
 byte-identical CLI output and exit codes on every call and bit-identical
 scan results and witnesses on every item.
@@ -68,7 +75,12 @@ import groupbuy  # noqa: E402
 import groupbuy.cli  # noqa: E402
 from bench.workloads import CliScale, CoalitionFuzz, ValidatorOracle  # noqa: E402
 from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations  # noqa: E402
-from groupbuy.auction import GROUP_LOSES, GROUP_WINS, AuctionConfig  # noqa: E402
+from groupbuy.auction import (  # noqa: E402
+    GROUP_LOSES,
+    GROUP_WINS,
+    AuctionConfig,
+    run_group_participation,
+)
 from groupbuy.mechanism import compute_bid_trace  # noqa: E402
 from groupbuy.numeric import EXACT, approx  # noqa: E402
 from helpers import (  # noqa: E402
@@ -81,6 +93,8 @@ from helpers import (  # noqa: E402
 
 FORMATS = ("text", "json", "csv")
 LANES = (("exact", EXACT), ("approx", approx()))
+# the step either side of a bound that the tie runs also put a rival at, per lane
+TIE_STEPS = {"exact": Fraction(1, 1000), "approx": approx().epsilon / 2}
 TIE_POLICIES = (GROUP_WINS, GROUP_LOSES)
 # the formats each command is called with; None calls it without --format
 COMMANDS = {"run": FORMATS, "validate-schedule": (None,), "fuzz": FORMATS, "compare": FORMATS}
@@ -125,6 +139,15 @@ def witness_digest(witnesses):
         else:
             constant = f"{w.constant!r} {type(w.constant).__name__}"
             parts.append(f"{w.buyer} {w.subset_a} {w.subset_b} {constant} {w.utility.knots!r}")
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def outcome_digest(outcomes):
+    """sha256 over each outcome: flag, winning set, and fractions, payments, price by ``repr``."""
+    parts = [
+        f"{o.purchased} {o.winning_set} {o.fractions!r} {o.payments!r} {o.price!r}"
+        for o in outcomes
+    ]
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -204,6 +227,19 @@ def main(argv=None) -> int:
                     )
                     print(f"tie-scan table={name} rival={rival} lane={lane} tie={tie_policy} "
                           f"violations={len(result.violations)} scans={scan_digest([result])}")
+        for lane, policy in LANES:
+            step = TIE_STEPS[lane]
+            rivals = sorted({r for b in bounds for r in (b - step, b, b + step) if r >= 0})
+            for tie_policy in TIE_POLICIES:
+                outcomes = [
+                    run_group_participation(
+                        truth, table, AuctionConfig(0, (rival,), tie_policy), policy
+                    )[1]
+                    for rival in rivals
+                ]
+                purchased = sum(o.purchased for o in outcomes)
+                print(f"tie-run table={name} lane={lane} tie={tie_policy} rivals={len(rivals)} "
+                      f"purchased={purchased} runs={outcome_digest(outcomes)}")
     return 0
 
 

@@ -6,11 +6,13 @@ report concrete counterexamples when the claimed property fails to hold.
 
 The coalition scan judges outcomes, not profiles: the group always pays the
 threshold, so a misreport only changes whether the group buys and its winning
-set.  Each profile reads the engine's steps up to the one that decides the
-auction, through the group run's own rule
-(:func:`groupbuy.auction.decide_winning_set`), and each coalition judges each
-outcome once, on first reach, through the group run's own division
-(:func:`groupbuy.mechanism.divide`).
+set.  The truthful profile and every deviant one take one path: the engine's
+steps over compiled columns (:func:`groupbuy.mechanism.bid_steps`), read up
+to the one that decides the auction through the group run's own rule
+(:func:`groupbuy.auction.decide_winning_set`).  Each coalition judges each
+winning set once, on first reach, through the group run's own division
+(:func:`groupbuy.mechanism.divide`), valuing its members' shares by their true
+reports there.
 """
 
 from __future__ import annotations
@@ -191,35 +193,38 @@ def enumerate_coalition_deviations(
     n = schedule.n
     if n > FUZZ_MAX_BUYERS:
         raise ValueError(f"deviation enumeration is capped at {FUZZ_MAX_BUYERS} buyers")
+    if len(true_reports) != n:
+        raise ValueError(f"{len(true_reports)} reports for a {n}-buyer schedule")
     if len(report_grid) != n:
         raise ValueError("report grid must have one menu per buyer")
 
-    # Compile once: every report becomes a ratio column, the price threshold
-    # a lane number, and each buyer's truthful value at its share in every
-    # subset is evaluated once (0 stands for buying nothing).
+    # Compile once: every report becomes a ratio column and the price
+    # threshold a lane number.  The truthful profile and every deviant one
+    # then take the same path: steps, winning set, division.
+    everyone = full_mask(n)
     lane_cfg = AuctionConfig(policy.lane(cfg.threshold), (), cfg.tie_policy)
+    threshold = lane_cfg.threshold
     true_columns = [RatioColumn(schedule, policy, i, r) for i, r in enumerate(true_reports)]
-    _, base_outcome = run_group_participation(true_columns, schedule, lane_cfg, policy)
     menus = [[RatioColumn(schedule, policy, i, r) for r in report_grid[i]] for i in range(n)]
-    truth = []
-    for i, report in enumerate(true_reports):
-        values = {0: (policy.lane(report.value_at(Fraction(0))), False)}
-        for mask in nonempty_subsets(full_mask(n)):
-            x = schedule.shares_for(mask).resource[i]
-            values[mask] = (policy.lane(report.value_at(x)), policy.is_positive(x))
-        truth.append(values)
 
-    def prefs(outcome, idxs):
-        won = outcome.winning_set
+    def decide(columns):
+        return decide_winning_set(bid_steps(columns, policy, everyone), lane_cfg, policy)
+
+    def prefs(won, idxs):
+        """Each member's outcome when ``won`` buys (0: nobody), valued by its true report."""
+        outcome = divide(schedule, won, threshold)
         return tuple(
-            PreferenceOutcome(truth[i][won][0] - outcome.payments[i], truth[i][won][1])
+            PreferenceOutcome(
+                policy.lane(true_reports[i].value_at(outcome.fractions[i])) - outcome.payments[i],
+                policy.is_positive(outcome.fractions[i]),
+            )
             for i in idxs
         )
 
-    base_prefs = prefs(base_outcome, range(n))
+    base_prefs = prefs(decide(true_columns), range(n))
 
     coalitions = sorted(
-        nonempty_subsets(full_mask(n)),
+        nonempty_subsets(everyone),
         key=lambda m: (len(members(m)), m),
     )
     exhaustive = sum(
@@ -234,11 +239,10 @@ def enumerate_coalition_deviations(
     violations = []
     profiles = 0
     truncated = False
-    threshold = lane_cfg.threshold
 
     def judge(idxs, won):
         """(before, after, uses_tiebreak) if winning set ``won`` improves ``idxs``, else None."""
-        after = prefs(divide(schedule, won, threshold), idxs)
+        after = prefs(won, idxs)
         before = tuple(base_prefs[i] for i in idxs)
         all_weak = all(weakly_prefers(a, b, policy) for a, b in zip(after, before))
         any_strict = any(strictly_prefers(a, b, policy) for a, b in zip(after, before))
@@ -265,7 +269,7 @@ def enumerate_coalition_deviations(
             columns = list(true_columns)
             for i, column in zip(idxs, profile):
                 columns[i] = column
-            won = decide_winning_set(bid_steps(columns, schedule, policy), lane_cfg, policy)
+            won = decide(columns)
             if won not in verdicts:
                 verdicts[won] = judge(idxs, won)
             verdict = verdicts[won]

@@ -5,23 +5,20 @@ largest total payment the current subset could bear: the smallest ratio of a
 member's reported utility for its resource share to its payment share.  The
 members whose reports exactly meet that bound (the bottleneck buyers, those
 with ``policy.eq(ratio, bound)``: the one rule of :mod:`groupbuy.numeric`)
-are removed and the step repeats until nobody is left.  :func:`bid_steps` is
-that one loop, as a generator: a caller that needs only the first steps (the
-coalition scan stops at the step that decides the auction) reads no further,
-and :func:`compute_bid_trace` keeps all of them.  The largest bearable payment
-across steps is the group's bid.  The auction
+are removed and the step repeats until nobody is left.  The largest bearable
+payment across steps is the group's bid.  The auction
 (:func:`groupbuy.auction.decide_winning_set`) reads the steps and names the
 winning set, and :func:`divide` divides resource and payment by that subset's
 shares at the clearing price.
 
-The loop reads each report through its :class:`RatioColumn`, subset ->
-u_i(x_i(S)) / y_i(S), filled on the loop's first read of a subset from the
-schedule's exact shares; the ratio becomes a lane number once
-(``policy.lane``), so the tolerance lane compares floats only.  Called with
-plain reports, :func:`bid_steps` builds their columns for that call; a caller
-that runs many profiles on one schedule (the coalition scan) builds each
-column once and passes it in place of its report.  Every division reads the
-schedule's exact shares.
+:func:`compute_bid_trace` is the engine's one checked entry.  It checks the
+reports and the start subset, compiles each report into a :class:`RatioColumn`
+and keeps every step.  A column maps subset -> u_i(x_i(S)) / y_i(S) at the
+schedule's exact shares, filled on the loop's first read of the subset; the
+ratio becomes a lane number once (``policy.lane``), so the tolerance lane
+compares floats only.  :func:`bid_steps` is the bare loop over columns, as a
+generator.  The coalition scan builds each column once for all its profiles
+and reads each profile's steps only up to the one that decides the auction.
 """
 
 from __future__ import annotations
@@ -106,42 +103,16 @@ class RatioColumn(dict):
 
 
 def bid_steps(
-    reports: Sequence[UtilityReport],
-    schedule: ShareSchedule,
-    policy: NumericPolicy = EXACT,
-    start: Optional[int] = None,
+    columns: Sequence[RatioColumn], policy: NumericPolicy, subset: int
 ) -> Iterator[BidStep]:
-    """Yield the shrinking-subset steps from ``start`` (default: the full group).
+    """Yield the shrinking-subset steps from ``subset``, one column per buyer.
 
-    Reports are validated at construction (closed forms are admissible by
-    construction and evaluated at the queried share); the engine assumes
-    admissibility.  A report may also be the :class:`RatioColumn` built for
-    this schedule, policy and buyer, which the loop then reads as is.  The
-    count, column and ``start`` checks run before the first step is yielded.
-    Terminates in at most n steps: payment shares sum to one, so some member
-    has a ratio, and the one at the minimum passes ``policy.eq(ratio, bound)``.
-    Starting from a smaller set exercises winning-set stability: removing
-    non-winners up front must not change the winner, and removing one winner
-    shrinks it.
+    The bare loop: it trusts what :func:`compute_bid_trace` checks (one
+    column per buyer, compiled for one schedule and ``policy``, and a
+    non-empty ``subset`` of the buyers).  Terminates in at most n steps:
+    payment shares sum to one, so some member has a ratio, and the one at the
+    minimum passes ``policy.eq(ratio, bound)``.
     """
-    if len(reports) != schedule.n:
-        raise ValueError(f"{len(reports)} reports for a {schedule.n}-buyer schedule")
-    columns = []
-    for i, report in enumerate(reports):
-        if not isinstance(report, RatioColumn):
-            report = RatioColumn(schedule, policy, i, report)
-        elif report.schedule is not schedule or report.buyer != i:
-            raise ValueError(f"report {i} was compiled for another buyer or schedule")
-        elif report.policy != policy:
-            raise ValueError(f"report {i} was compiled for another arithmetic policy")
-        columns.append(report)
-    if start is None:
-        start = full_mask(schedule.n)
-    elif start == 0:
-        raise ValueError("start subset must be non-empty")
-    elif not is_subset(start, full_mask(schedule.n)):
-        raise ValueError("start subset outside the buyer range")
-    subset = start
     while subset:
         ratios = {}
         for i in members(subset):
@@ -165,8 +136,25 @@ def compute_bid_trace(
     policy: NumericPolicy = EXACT,
     start: Optional[int] = None,
 ) -> BidTrace:
-    """Every step of :func:`bid_steps`, from ``start`` (default: the full group)."""
-    return BidTrace(tuple(bid_steps(reports, schedule, policy, start)))
+    """Every step of :func:`bid_steps`, from ``start`` (default: the full group).
+
+    The engine's checked entry: one report per buyer, each a
+    :class:`UtilityReport` or :class:`ClosedFormUtility` (validated at
+    construction; the engine assumes admissibility), and a non-empty ``start``
+    within the buyers.  Starting from a smaller set exercises winning-set
+    stability: removing non-winners up front must not change the winner, and
+    removing one winner shrinks it.
+    """
+    if len(reports) != schedule.n:
+        raise ValueError(f"{len(reports)} reports for a {schedule.n}-buyer schedule")
+    columns = [RatioColumn(schedule, policy, i, report) for i, report in enumerate(reports)]
+    if start is None:
+        start = full_mask(schedule.n)
+    elif start == 0:
+        raise ValueError("start subset must be non-empty")
+    elif not is_subset(start, full_mask(schedule.n)):
+        raise ValueError("start subset outside the buyer range")
+    return BidTrace(tuple(bid_steps(columns, policy, start)))
 
 
 def divide(schedule: ShareSchedule, subset: int, price: Num) -> AllocationOutcome:
@@ -174,12 +162,10 @@ def divide(schedule: ShareSchedule, subset: int, price: Num) -> AllocationOutcom
 
     Subset 0 is the group that does not buy: nothing is divided and nobody
     pays, whatever ``price`` is.  At a ``float`` price (the tolerance lane's)
-    each payment share becomes a float before the product, which gives the
-    same float that ``price * share`` would.
+    ``price * share`` is ``price * float(share)``, a float.
     """
     if not subset:
         return AllocationOutcome.not_purchased(schedule.n)
     pair = schedule.shares_for(subset)
-    shares = map(float, pair.payment) if isinstance(price, float) else pair.payment
-    payments = tuple(price * y for y in shares)
+    payments = tuple(price * y for y in pair.payment)
     return AllocationOutcome(True, subset, pair.resource, payments, price)

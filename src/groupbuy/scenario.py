@@ -88,6 +88,20 @@ def _malformed(label: str):
         raise ScenarioError(f"{label}: {exc}") from exc
 
 
+_JSON_TYPES = {list: "a JSON array", dict: "a JSON object", str: "a JSON string"}
+
+
+def _typed(value, kind: type, what: str, *args):
+    """``value`` if of JSON type ``kind``, else a ScenarioError naming the field ``what``.
+
+    Without it a string would be read character by character.  ``what`` is
+    formatted with ``args`` only on failure.
+    """
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{what.format(*args)} must be {_JSON_TYPES[kind]}")
+    return value
+
+
 def _parse_buyer(stanza, index: int):
     """A ``knots`` buyer as a UtilityReport, a closed form as its ClosedFormUtility."""
     if not isinstance(stanza, dict) or "kind" not in stanza:
@@ -95,9 +109,9 @@ def _parse_buyer(stanza, index: int):
     kind = stanza["kind"]
     with _malformed(f"buyer {index}"):
         if kind == "knots":
-            return UtilityReport(
-                tuple((parse_number(x), parse_number(u)) for x, u in stanza["points"])
-            )
+            points = _typed(stanza["points"], list, 'buyer {}: "points"', index)
+            knots = (_typed(p, list, 'buyer {}: each knot of "points"', index) for p in points)
+            return UtilityReport(tuple((parse_number(x), parse_number(u)) for x, u in knots))
         if kind == "linear":
             return ClosedFormUtility.linear(parse_number(stanza["c"]))
         if kind == "power":
@@ -144,19 +158,25 @@ def parse_schedule(stanza, n: int) -> ShareSchedule:
             return EqualSplitSchedule(n)
         if kind == "cmss":
             number = _table_numbers()
-            shares = {key: tuple(map(number, vec)) for key, vec in stanza["shares"].items()}
+            shares = {
+                key: tuple(map(number, _typed(vec, list, 'schedule: share row "{}"', key)))
+                for key, vec in _typed(stanza["shares"], dict, 'schedule: "shares"').items()
+            }
             return CrossMonotonicSchedule(n, shares)
         if kind == "rras":
             return RankedSchedule(
-                [int(i) for i in stanza["order"]],
-                [parse_number(b) for b in stanza["base"]],
-                _parse_weight(stanza.get("f", "identity")),
+                [int(i) for i in _typed(stanza["order"], list, 'schedule: "order"')],
+                [parse_number(b) for b in _typed(stanza["base"], list, 'schedule: "base"')],
+                _parse_weight(_typed(stanza.get("f", "identity"), str, 'schedule: "f"')),
             )
         if kind == "table":
             number = _table_numbers()
             entries = {
-                key: (tuple(map(number, cell["x"])), tuple(map(number, cell["y"])))
-                for key, cell in stanza["entries"].items()
+                key: tuple(
+                    tuple(map(number, _typed(cell[xy], list, 'schedule: "{}" of "{}"', xy, key)))
+                    for xy in ("x", "y")
+                )
+                for key, cell in _typed(stanza["entries"], dict, 'schedule: "entries"').items()
             }
             return TableSchedule(n, entries)
     raise ScenarioError(f"unknown schedule kind {kind!r}")
@@ -166,9 +186,10 @@ def _parse_auction(stanza) -> AuctionConfig:
     if not isinstance(stanza, dict):
         raise ScenarioError("auction stanza must be an object")
     with _malformed("auction"):
+        bids = _typed(stanza.get("competing_bids", []), list, 'auction: "competing_bids"')
         return AuctionConfig(
             reserve=parse_number(stanza.get("reserve", 0)),
-            competing_bids=tuple(parse_number(b) for b in stanza.get("competing_bids", [])),
+            competing_bids=tuple(map(parse_number, bids)),
             tie_policy=stanza.get("tie_policy", GROUP_WINS),
         )
 

@@ -254,34 +254,6 @@ def _check_weight(weight) -> None:
 # Ranked schedule (departing buyers' shares accrue to the top-ranked survivor)
 
 
-def rras_resource_shares(order: Sequence[int], base: Sequence, subset: int) -> tuple:
-    """Resource shares for a subset under the ranked hand-over rule.
-
-    The highest-ranked member keeps its base share plus every base share of
-    the buyers outside the subset; other members keep their base shares.
-    """
-    if subset == 0:
-        raise ScheduleError("shares are undefined for the empty set")
-    n = len(order)
-    top = next(i for i in order if subset >> i & 1)
-    outside = sum(base[j] for j in range(n) if not subset >> j & 1)
-    return tuple(
-        (base[i] + outside if i == top else base[i]) if subset >> i & 1 else 0 * base[i]
-        for i in range(n)
-    )
-
-
-def rras_payment_shares(weight: ClosedFormUtility, resource: Sequence, subset: int) -> tuple:
-    """Payment shares proportional to the weight of each member's resource share."""
-    weights = [weight.value_at(x) if subset >> i & 1 else None for i, x in enumerate(resource)]
-    total = sum(w for w in weights if w is not None)
-    if not total > 0:
-        raise DegenerateScheduleError(
-            f"weight sum vanishes on subset {{{subset_key(subset)}}}", subset
-        )
-    return tuple(w / total if w is not None else 0 for w in weights)
-
-
 class RankedSchedule(ShareSchedule):
     """Ranked hand-over resource shares with weight-proportional payment shares."""
 
@@ -307,9 +279,21 @@ class RankedSchedule(ShareSchedule):
         self.weight = weight
 
     def _compute(self, subset: int) -> SharePair:
-        resource = rras_resource_shares(self.order, self.base, subset)
-        payment = rras_payment_shares(self.weight, resource, subset)
-        return SharePair(resource, payment)
+        # the top-ranked member also takes the base shares of everyone outside
+        inside = [bool(subset >> i & 1) for i in range(self.n)]
+        top = next(i for i in self.order if inside[i])
+        outside = sum(b for b, live in zip(self.base, inside) if not live)
+        resource = tuple(
+            (b + outside if i == top else b) if live else 0 * b
+            for i, (b, live) in enumerate(zip(self.base, inside))
+        )
+        weights = [self.weight.value_at(x) if live else None for x, live in zip(resource, inside)]
+        total = sum(w for w in weights if w is not None)
+        if not total > 0:
+            raise DegenerateScheduleError(
+                f"weight sum vanishes on subset {{{subset_key(subset)}}}", subset
+            )
+        return SharePair(resource, tuple(w / total if w is not None else 0 for w in weights))
 
 
 # ---------------------------------------------------------------------------

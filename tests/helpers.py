@@ -15,12 +15,12 @@ from groupbuy.mechanism import AllocationOutcome, BidTrace, divide
 from groupbuy.numeric import EXACT, Num, NumericPolicy
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
+    RankedSchedule,
     ShareSchedule,
     TableSchedule,
     full_mask,
     members,
     nonempty_subsets,
-    rras_resource_shares,
 )
 from groupbuy.utility import (
     ClosedFormUtility,
@@ -36,10 +36,9 @@ def rras_resource_table(order: Sequence[int], base: Sequence) -> dict:
     Builds the cross-monotonic twin (payment = resource) of a ranked schedule;
     the ranked rule's resource shares are cross-monotonic.
     """
-    return {
-        mask: rras_resource_shares(order, base, mask)
-        for mask in nonempty_subsets(full_mask(len(order)))
-    }
+    ranked = RankedSchedule(order, base)
+    masks = nonempty_subsets(full_mask(len(order)))
+    return {mask: ranked.shares_for(mask).resource for mask in masks}
 
 
 def renormalized_cmss(n, weights):

@@ -17,7 +17,7 @@ from groupbuy.analysis import (
     power_report_grid,
 )
 from groupbuy.auction import AuctionConfig
-from groupbuy.mechanism import bid_steps, compute_bid_trace
+from groupbuy.mechanism import compute_bid_trace
 from groupbuy.numeric import approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
@@ -364,11 +364,11 @@ def test_criterion_7_winning_set_stability():
             start = full_mask(n) & ~removed
             if start == 0:
                 continue
-            rerun = bid_steps(reports, sched, start=start)
+            rerun = compute_bid_trace(reports, sched, start=start).steps
             if divide_at_price(rerun, sched, price).winning_set != winners:
                 claim1_failures += 1
         for i in members(winners):
-            rerun = bid_steps(reports, sched, start=full_mask(n) & ~(1 << i))
+            rerun = compute_bid_trace(reports, sched, start=full_mask(n) & ~(1 << i)).steps
             shrunk = divide_at_price(rerun, sched, price).winning_set
             if shrunk & ~(winners & ~(1 << i)):
                 claim2_failures += 1

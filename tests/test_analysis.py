@@ -273,6 +273,14 @@ class TestCoalitions:
         g = [len(m) for m in grid]
         assert err.value.estimate == g[0] + g[1] + g[0] * g[1]
 
+    def test_one_true_report_per_buyer(self):
+        sched = EqualSplitSchedule(2)
+        truth = [sample_report(ClosedFormUtility.linear(1), sched.share_points(i)) for i in (0, 1)]
+        grid = concave_report_grid(sched)
+        for reports in (truth[:1], truth + truth[:1]):
+            with pytest.raises(ValueError, match=f"{len(reports)} reports for a 2-buyer schedule"):
+                enumerate_coalition_deviations(reports, sched, AuctionConfig(), grid)
+
     def test_three_buyer_coalition_sampling_respects_budget(self):
         sched = EqualSplitSchedule(3)
         truth = worked_reports(sched)

@@ -10,9 +10,16 @@ from groupbuy.auction import (
     decide_winning_set,
     run_group_participation,
 )
-from groupbuy.mechanism import AllocationOutcome, BidStep, BidTrace, bid_steps, compute_bid_trace
+from groupbuy.mechanism import (
+    AllocationOutcome,
+    BidStep,
+    BidTrace,
+    RatioColumn,
+    bid_steps,
+    compute_bid_trace,
+)
 from groupbuy.numeric import EXACT, approx
-from groupbuy.schedule import EqualSplitSchedule
+from groupbuy.schedule import EqualSplitSchedule, full_mask
 from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
 
 from helpers import (
@@ -194,6 +201,7 @@ class TestDecideWinningSet:
         lanes = [(EXACT, F(1, 1000)), (APPROX, APPROX.epsilon / 2)]
         for table, truth in self.instances():
             for policy, step in lanes:
+                columns = [RatioColumn(table, policy, i, r) for i, r in enumerate(truth)]
                 bounds = {s.max_payment for s in compute_bid_trace(truth, table, policy).steps}
                 thresholds = {t for b in bounds for t in (b - step, b, b + step) if t >= 0}
                 for threshold in thresholds:
@@ -202,7 +210,8 @@ class TestDecideWinningSet:
                         trace, outcome = run_group_participation(truth, table, cfg, policy)
                         want = reference_group_run(trace, table, cfg, policy)
                         assert outcome == want and repr(outcome) == repr(want)
-                        won = decide_winning_set(bid_steps(truth, table, policy), cfg, policy)
+                        steps = bid_steps(columns, policy, full_mask(3))
+                        won = decide_winning_set(steps, cfg, policy)
                         assert won == want.winning_set
 
     def test_reads_no_further_than_the_deciding_step(self):

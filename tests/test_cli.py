@@ -199,6 +199,49 @@ class TestRun:
         assert run_cli("run", self.write(tmp_path, self.two_buyers(schedules=[]))) == 2
         assert "\"schedules\" must be an object" in capsys.readouterr().err
 
+    ROWS = {"0,1": ["1/2", "1/2"], "0": ["1", "0"], "1": ["0", "1"]}
+    ENTRIES = {key: {"x": row, "y": row} for key, row in ROWS.items()}
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            # a string is read character by character: rival bids 0 and 5
+            ({"auction": {"competing_bids": "05"}, "fixed_price": None},
+             'auction: "competing_bids" must be a JSON array'),
+            ({"schedule": {"kind": "rras", "order": "10", "base": ["1/2", "1/2"]}},
+             'schedule: "order" must be a JSON array'),
+            ({"schedule": {"kind": "rras", "order": [0, 1], "base": "10"}},
+             'schedule: "base" must be a JSON array'),
+            ({"schedule": {"kind": "rras", "order": [0, 1], "base": ["1/2", "1/2"], "f": 5}},
+             'schedule: "f" must be a JSON string'),
+            ({"buyers": [{"kind": "knots", "points": "01"}, {"kind": "linear", "c": "1"}]},
+             'buyer 0: "points" must be a JSON array'),
+            ({"buyers": [{"kind": "knots", "points": [["0", "0"], "11"]},
+                         {"kind": "linear", "c": "1"}]},
+             'buyer 0: each knot of "points" must be a JSON array'),
+            ({"schedule": {"kind": "cmss", "shares": []}},
+             'schedule: "shares" must be a JSON object'),
+            ({"schedule": {"kind": "cmss", "shares": dict(ROWS, **{"0": "10"})}},
+             'schedule: share row "0" must be a JSON array'),
+            ({"schedule": {"kind": "table", "entries": []}},
+             'schedule: "entries" must be a JSON object'),
+            ({"schedule": {"kind": "table",
+                           "entries": dict(ENTRIES, **{"0": {"x": "10", "y": ["1", "0"]}})}},
+             'schedule: "x" of "0" must be a JSON array'),
+            ({"schedule": {"kind": "table",
+                           "entries": dict(ENTRIES, **{"0": {"x": ["1", "0"], "y": "10"}})}},
+             'schedule: "y" of "0" must be a JSON array'),
+        ],
+        ids=["competing_bids", "order", "base", "f", "points", "knot", "shares", "share-row",
+             "entries", "x", "y"],
+    )
+    def test_field_of_the_wrong_json_type_exit_2(self, tmp_path, capsys, overrides, message):
+        data = {k: v for k, v in self.two_buyers(**overrides).items() if v is not None}
+        assert run_cli("run", self.write(tmp_path, data)) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_schedules_entry_named_primary_exit_2(self, tmp_path, capsys, command):
         # "primary" names the "schedule" stanza; an entry of that name would

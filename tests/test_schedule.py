@@ -27,8 +27,6 @@ from groupbuy.schedule import (
     nonempty_subsets,
     parse_subset_key,
     power_weight,
-    rras_payment_shares,
-    rras_resource_shares,
     single_crossing_check,
     sqrt_weight,
     subset_key,
@@ -78,26 +76,27 @@ class TestEqualSplit:
 
 class TestRankedShares:
     def test_whole_set_keeps_base(self):
-        assert rras_resource_shares(ORDER, BASE, 0b111) == BASE
+        assert RankedSchedule(ORDER, BASE).shares_for(0b111).resource == BASE
 
     def test_departed_share_goes_to_top_rank(self):
-        assert rras_resource_shares(ORDER, BASE, 0b011) == (F(3, 4), F(1, 4), 0)
+        assert RankedSchedule(ORDER, BASE).shares_for(0b011).resource == (F(3, 4), F(1, 4), 0)
 
     def test_last_survivor_takes_all(self):
-        assert rras_resource_shares(ORDER, BASE, 0b100) == (0, 0, 1)
+        assert RankedSchedule(ORDER, BASE).shares_for(0b100).resource == (0, 0, 1)
 
     def test_sqrt_payment_whole_set(self):
-        y = rras_payment_shares(sqrt_weight(), BASE, 0b111)
+        y = RankedSchedule(ORDER, BASE, sqrt_weight()).shares_for(0b111).payment
         root2 = math.sqrt(2)
         assert y[0] == pytest.approx(1 / (1 + root2), abs=1e-12)
         assert y[1] == pytest.approx(1 / (2 + root2), abs=1e-12)
         assert y[2] == pytest.approx(1 / (2 + root2), abs=1e-12)
 
     def test_identity_payment_equals_resource(self):
-        assert rras_payment_shares(identity_weight(), BASE, 0b111) == BASE
+        assert RankedSchedule(ORDER, BASE, identity_weight()).shares_for(0b111).payment == BASE
 
     def test_sqrt_payment_pair(self):
-        y = rras_payment_shares(sqrt_weight(), (F(3, 4), F(1, 4), 0), 0b011)
+        # resource shares (3/4, 1/4, 0)
+        y = RankedSchedule(ORDER, BASE, sqrt_weight()).shares_for(0b011).payment
         root3 = math.sqrt(3)
         assert y[0] == pytest.approx(root3 / (1 + root3), abs=1e-12)
         assert y[1] == pytest.approx(1 / (1 + root3), abs=1e-12)
@@ -448,11 +447,12 @@ class TestWeightSumGrowth:
     def test_exhaustive_n4(self, weight):
         base = (F(1, 8), F(3, 8), F(1, 4), F(1, 4))
         order = (2, 0, 3, 1)
+        ranked = RankedSchedule(order, base, weight)
         for b_mask in nonempty_subsets(full_mask(4)):
-            xb = rras_resource_shares(order, base, b_mask)
+            xb = ranked.shares_for(b_mask).resource
             sum_b = sum(weight.value_at(xb[j]) for j in members(b_mask))
             for a_mask in nonempty_subsets(b_mask):
-                xa = rras_resource_shares(order, base, a_mask)
+                xa = ranked.shares_for(a_mask).resource
                 sum_a = sum(weight.value_at(xa[j]) for j in members(a_mask))
                 assert sum_b >= sum_a - 1e-12
 

@@ -8,9 +8,10 @@ Subcommands::
     groupbuy compare           <scenario.json>   # same reports across schedules
 
 Each takes ``--epsilon`` and ``--exact``; ``--out`` and ``--format`` where it
-writes a report, ``--seed`` and ``--budget`` where it samples.  ``run``,
-``fuzz`` and ``compare`` enter the scenario's auction through
-:func:`run_group_participation`; a fixed price is a reserve with no rival.
+writes a report (one rule, :func:`_emit`), ``--seed`` and ``--budget`` where it
+samples; notes and warnings go to stderr.  ``run``, ``fuzz`` and ``compare``
+enter the scenario's auction through :func:`run_group_participation`; a fixed
+price is a reserve with no rival.
 
 Exit codes: 0 success/pass, 1 internal error or a failed check (violations,
 witnesses), 2 invalid input, 3 budget-exhausted partial result.
@@ -72,16 +73,30 @@ def _vec(values) -> str:
     return "/".join(_fmt(v) for v in values)
 
 
-def _write_or_print(text: str, out_path):
-    """Write ``text`` to ``out_path``, or print it; an unwritable path is invalid input."""
-    if not out_path:
-        print(text)
-        return
+def _write(text: str, out_path) -> None:
+    """Write ``text`` and a newline to ``out_path``; an unwritable path is invalid input."""
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise ScenarioError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+
+
+def _emit(args, summary: str, text, document, csv) -> None:
+    """Show a report by the one output rule of ``run``, ``fuzz`` and ``compare``.
+
+    ``text``, ``document`` and ``csv`` build the report's text lines, JSON
+    document and CSV lines; only the ones shown are built.  Without ``--out``,
+    stdout gets the report in the chosen format.  With it, the file gets the
+    report (JSON under ``text``) and stdout the text lines under ``text``, else
+    the ``summary`` lines.
+    """
+    render = {"text": text, "json": lambda: json.dumps(document(), indent=2), "csv": csv}
+    if args.out:
+        _write(render["json" if args.format == "text" else args.format](), args.out)
+        print(text() if args.format == "text" else summary)
+    else:
+        print(render[args.format]())
 
 
 def non_negative_int(text: str) -> int:
@@ -137,9 +152,7 @@ def cmd_run(args) -> int:
     trace, outcome = run_group_participation(
         scenario.reports, scenario.schedule, scenario.auction, policy
     )
-    report = {"trace": trace_to_json(trace, policy)}
     if scenario.fixed_price is None:
-        report["auction"] = auction_result_to_json(outcome, policy)
         summary = (
             f"bid {_fmt(trace.group_bid)}; win at {_fmt(outcome.price)}; "
             f"payments {_vec(outcome.payments)}"
@@ -153,31 +166,25 @@ def cmd_run(args) -> int:
             if outcome.purchased
             else f"fixed price {_fmt(scenario.fixed_price)}; no purchase"
         )
-    report["outcome"] = outcome_to_json(outcome, policy)
 
-    if args.format == "json":
-        _write_or_print(json.dumps(report, indent=2), args.out)
-        if args.out:
-            print(summary)
-    elif args.format == "csv":
-        lines = ["step,subset,beta,removed"]
-        for j, step in enumerate(trace.steps, start=1):
-            lines.append(
-                f'{j},"{subset_key(step.subset)}",{decimal_str(step.max_payment)},'
-                f'"{subset_key(step.removed)}"'
-            )
-        _write_or_print("\n".join(lines), args.out)
-        print(summary)
-    else:
-        print("step  subset        max_payment     removed")
-        for j, step in enumerate(trace.steps, start=1):
-            print(
-                f"{j:<5} {_braces(step.subset):<13} {_fmt(step.max_payment):<15} "
-                f"{_braces(step.removed)}"
-            )
-        print(summary)
-        if args.out:
-            _write_or_print(json.dumps(report, indent=2), args.out)
+    def text():
+        rows = (f"{j:<5} {_braces(s.subset):<13} {_fmt(s.max_payment):<15} {_braces(s.removed)}"
+                for j, s in enumerate(trace.steps, start=1))
+        return "\n".join(["step  subset        max_payment     removed", *rows, summary])
+
+    def document():
+        report = {"trace": trace_to_json(trace, policy)}
+        if scenario.fixed_price is None:
+            report["auction"] = auction_result_to_json(outcome, policy)
+        report["outcome"] = outcome_to_json(outcome, policy)
+        return report
+
+    def csv():
+        rows = (f'{j},"{subset_key(s.subset)}",{decimal_str(s.max_payment)},"{subset_key(s.removed)}"'
+                for j, s in enumerate(trace.steps, start=1))
+        return "\n".join(["step,subset,beta,removed", *rows])
+
+    _emit(args, summary, text, document, csv)
     return 0
 
 
@@ -199,7 +206,8 @@ def cmd_validate_schedule(args) -> int:
         mask, i = zero_share_members[0]
         print(
             f"note: buyer {i} holds a zero resource share in {_braces(mask)} "
-            f"({len(zero_share_members)} such pairs); legal, but such a buyer can win nothing"
+            f"({len(zero_share_members)} such pairs); legal, but such a buyer can win nothing",
+            file=sys.stderr,
         )
 
     report_class, crossing = _report_class(schedule)
@@ -268,7 +276,7 @@ def cmd_fuzz(args) -> int:
         print(f"fuzzing is capped at {FUZZ_MAX_BUYERS} buyers", file=sys.stderr)
         return 2
     if args.budget == 0:
-        print("warning: budget 0, nothing fuzzed")
+        print("warning: budget 0, nothing fuzzed", file=sys.stderr)
         return 0
 
     schedule = scenario.schedule
@@ -284,19 +292,18 @@ def cmd_fuzz(args) -> int:
         scenario.reports, schedule, scenario.auction, grid,
         budget=args.budget, seed=scenario.seed, policy=scenario.policy,
     )
-    print(
+    summary = (
         f"{result.profiles} deviation profiles, {len(result.violations)} violations"
         + (", truncated by budget" if result.truncated else "")
     )
-    if args.format == "csv":
-        payload = violations_to_csv(result)
-    else:
-        payload = json.dumps(violations_to_json(result, scenario.policy), indent=2)
+    _emit(
+        args, summary,
+        text=lambda: f"{summary}\n{violations_to_csv(result)}" if result.violations else summary,
+        document=lambda: violations_to_json(result, scenario.policy),
+        csv=lambda: violations_to_csv(result),
+    )
     if result.violations:
-        _write_or_print(payload, args.out)
         return 1
-    if args.out:
-        _write_or_print(payload, args.out)
     return 3 if result.truncated else 0
 
 
@@ -315,57 +322,48 @@ def cmd_compare(args) -> int:
     price = scenario.auction.threshold
     comparison = compare_schedules(scenario.reports, schedules, scenario.auction, policy)
 
-    rows = []
-    for run in comparison.runs:
-        for j, step in enumerate(run.trace.steps, start=1):
-            pair = schedules[run.name].shares_for(step.subset)
-            rows.append(
-                (
-                    run.name,
-                    str(j),
-                    subset_key(step.subset),
-                    _vec(pair.resource),
-                    _vec(pair.payment),
-                    decimal_str(step.max_payment),
-                    subset_key(step.removed),
-                )
-            )
+    outcomes = [
+        f"price {_fmt(price)}: {run.name} -> winners {_braces(run.outcome.winning_set)}, "
+        f"payments {_vec(run.outcome.payments)}"
+        if run.outcome.purchased
+        else f"price {_fmt(price)}: {run.name} -> no purchase"
+        for run in comparison.runs
+    ]
+    bids = [
+        f"bid vectors: {a} {'equal to' if rel == 'equal' else rel} {b}"
+        for (a, b), rel in comparison.dominance.items()
+    ]
+    summary = "\n".join(outcomes + bids)
 
-    if args.format == "csv":
-        lines = ["schedule,step,subset,resource_shares,payment_shares,beta,removed"]
-        lines += [f'{r[0]},{r[1]},"{r[2]}",{r[3]},{r[4]},{r[5]},"{r[6]}"' for r in rows]
-        _write_or_print("\n".join(lines), args.out)
-    elif args.format == "json":
-        payload = {
-            "runs": [
-                {
-                    "schedule": run.name,
-                    "trace": trace_to_json(run.trace, policy),
-                    "outcomes": {decimal_str(price): outcome_to_json(run.outcome, policy)},
-                }
-                for run in comparison.runs
-            ],
-            "dominance": {f"{a} vs {b}": rel for (a, b), rel in comparison.dominance.items()},
-        }
-        _write_or_print(json.dumps(payload, indent=2), args.out)
-    else:
-        header = ("schedule", "step", "subset", "resource", "payment", "max_payment", "removed")
-        widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for r in rows:
-            print("  ".join(v.ljust(w) for v, w in zip(r, widths)))
+    def rows():
         for run in comparison.runs:
-            if run.outcome.purchased:
-                print(
-                    f"price {_fmt(price)}: {run.name} -> winners {_braces(run.outcome.winning_set)}, "
-                    f"payments {_vec(run.outcome.payments)}"
-                )
-            else:
-                print(f"price {_fmt(price)}: {run.name} -> no purchase")
-        for (a, b), rel in comparison.dominance.items():
-            print(f"bid vectors: {a} {rel} {b}" if rel != "equal" else f"bid vectors: {a} equal to {b}")
-        if args.out:
-            print(f"(text format ignores --out; use --format json or csv)", file=sys.stderr)
+            for j, step in enumerate(run.trace.steps, start=1):
+                pair = schedules[run.name].shares_for(step.subset)
+                yield (run.name, str(j), subset_key(step.subset), _vec(pair.resource),
+                       _vec(pair.payment), decimal_str(step.max_payment), subset_key(step.removed))
+
+    def text():
+        header = ("schedule", "step", "subset", "resource", "payment", "max_payment", "removed")
+        table = [header, *rows()]
+        widths = [max(len(r[c]) for r in table) for c in range(len(header))]
+        lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in table]
+        return "\n".join(lines + [summary])
+
+    def document():
+        runs = [
+            {"schedule": run.name, "trace": trace_to_json(run.trace, policy),
+             "outcomes": {decimal_str(price): outcome_to_json(run.outcome, policy)}}
+            for run in comparison.runs
+        ]
+        dominance = {f"{a} vs {b}": rel for (a, b), rel in comparison.dominance.items()}
+        return {"runs": runs, "dominance": dominance}
+
+    def csv():
+        lines = ["schedule,step,subset,resource_shares,payment_shares,beta,removed"]
+        lines += [f'{r[0]},{r[1]},"{r[2]}",{r[3]},{r[4]},{r[5]},"{r[6]}"' for r in rows()]
+        return "\n".join(lines)
+
+    _emit(args, summary, text, document, csv)
     return 0
 
 
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("scenario", help="path to a scenario JSON file")
         if report:
-            p.add_argument("--out", help="write the machine-readable report here")
+            p.add_argument("--out", help="write the report here (JSON under --format text)")
             p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         if sampling:
             p.add_argument("--seed", type=int, default=None)

@@ -165,7 +165,7 @@ def parse_schedule(stanza, n: int) -> ShareSchedule:
             return CrossMonotonicSchedule(n, shares)
         if kind == "rras":
             return RankedSchedule(
-                [int(i) for i in _typed(stanza["order"], list, 'schedule: "order"')],
+                _typed(stanza["order"], list, 'schedule: "order"'),
                 [parse_number(b) for b in _typed(stanza["base"], list, 'schedule: "base"')],
                 _parse_weight(_typed(stanza.get("f", "identity"), str, 'schedule: "f"')),
             )

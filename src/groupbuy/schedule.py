@@ -265,14 +265,12 @@ class RankedSchedule(ShareSchedule):
     ):
         n = len(order)
         super().__init__(n)
+        for rank in order:
+            if type(rank) is not int:  # not isinstance: True would pass as 1
+                raise ScheduleError(f"rank order entries must be ints, not {rank!r}")
         if sorted(order) != list(range(n)):
             raise ScheduleError("rank order must be a permutation of 0..n-1")
-        if len(base) != n:
-            raise ScheduleError("base shares must have one entry per buyer")
-        if any(b < 0 for b in base):
-            raise ScheduleError("base shares must be non-negative")
-        if sum(base) != 1:
-            raise ScheduleError(f"base shares sum to {sum(base)}, not 1")
+        _check_share_vector(base, full_mask(n), n, "base")
         _check_weight(weight)
         self.order = tuple(order)
         self.base = tuple(base)

@@ -51,6 +51,29 @@ SEED11_SCENARIO_49 = {
 }
 
 
+def exploitable(tmp_path):
+    """A non-monotone three-buyer table whose coalition scan finds 104 violations."""
+    path = tmp_path / "exploitable.json"
+    path.write_text(json.dumps({
+        "buyers": [
+            knots(("0", "0"), ("1/3", "0.15"), ("1/2", "0.2"), ("2/3", "0.25"), ("1", "0.25")),
+            knots(("0", "0"), ("1/3", "0.35"), ("1/2", "0.4"), ("1", "0.4")),
+            knots(("0", "0"), ("1/3", "0.15"), ("1/2", "0.15"), ("1", "0.15")),
+        ],
+        "schedule": {"kind": "table", "entries": {
+            "0,1,2": {"x": ["1/3", "1/3", "1/3"], "y": ["1/3", "1/3", "1/3"]},
+            "0,1": {"x": ["2/3", "1/3", "0"], "y": ["1/3", "2/3", "0"]},
+            "0,2": {"x": ["1/2", "0", "1/2"], "y": ["1/2", "0", "1/2"]},
+            "1,2": {"x": ["0", "1/2", "1/2"], "y": ["0", "1/2", "1/2"]},
+            "0": {"x": ["1", "0", "0"], "y": ["1", "0", "0"]},
+            "1": {"x": ["0", "1", "0"], "y": ["0", "1", "0"]},
+            "2": {"x": ["0", "0", "1"], "y": ["0", "0", "1"]},
+        }},
+        "auction": {"reserve": "0", "competing_bids": ["0.5"]},
+    }))
+    return str(path)
+
+
 class TestRun:
     def test_auction_example_text(self, capsys):
         assert run_cli("run", scenario("example2")) == 0
@@ -76,9 +99,14 @@ class TestRun:
         assert steps[0]["removed"] == "2"
 
     def test_csv_trace(self, capsys):
+        # exactly the step CSV: the summary line goes to stdout only beside an --out file
         assert run_cli("run", scenario("example2"), "--format", "csv") == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "step,subset,beta,removed"
+        assert capsys.readouterr().out == (
+            "step,subset,beta,removed\n"
+            '1,"0,1,2",0.863046217355343,"2"\n'
+            '2,"0,1",1,"0"\n'
+            '3,"1",1,"1"\n'
+        )
 
     def test_malformed_knots_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -210,6 +238,12 @@ class TestRun:
              'auction: "competing_bids" must be a JSON array'),
             ({"schedule": {"kind": "rras", "order": "10", "base": ["1/2", "1/2"]}},
              'schedule: "order" must be a JSON array'),
+            ({"schedule": {"kind": "rras", "order": [1.7, 0.2], "base": ["1/2", "1/2"]}},
+             "schedule: rank order entries must be ints, not 1.7"),
+            ({"schedule": {"kind": "rras", "order": [True, False], "base": ["1/2", "1/2"]}},
+             "schedule: rank order entries must be ints, not True"),
+            ({"schedule": {"kind": "rras", "order": ["1", "0"], "base": ["1/2", "1/2"]}},
+             "schedule: rank order entries must be ints, not '1'"),
             ({"schedule": {"kind": "rras", "order": [0, 1], "base": "10"}},
              'schedule: "base" must be a JSON array'),
             ({"schedule": {"kind": "rras", "order": [0, 1], "base": ["1/2", "1/2"], "f": 5}},
@@ -232,7 +266,8 @@ class TestRun:
                            "entries": dict(ENTRIES, **{"0": {"x": ["1", "0"], "y": "10"}})}},
              'schedule: "y" of "0" must be a JSON array'),
         ],
-        ids=["competing_bids", "order", "base", "f", "points", "knot", "shares", "share-row",
+        ids=["competing_bids", "order", "order-float", "order-bool", "order-str", "base", "f",
+             "points", "knot", "shares", "share-row",
              "entries", "x", "y"],
     )
     def test_field_of_the_wrong_json_type_exit_2(self, tmp_path, capsys, overrides, message):
@@ -434,6 +469,22 @@ class TestValidateSchedule:
         assert spot_line(5) != spot_line(77)
         assert spot_line(77, "--seed", "5") == spot_line(5)
 
+    def test_zero_share_note_goes_to_stderr(self, tmp_path, capsys):
+        path = tmp_path / "zero_share.json"
+        path.write_text(json.dumps({
+            "buyers": [{"kind": "linear", "c": "1"}] * 2,
+            "schedule": {"kind": "cmss",
+                         "shares": {"0,1": ["1", "0"], "0": ["1", "0"], "1": ["0", "1"]}},
+            "fixed_price": "1/2",
+        }))
+        run_cli("validate-schedule", str(path))
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "note: buyer 1 holds a zero resource share in {0,1} (1 such pairs); "
+            "legal, but such a buyer can win nothing\n"
+        )
+        assert "note" not in captured.out
+
     def test_zero_budget_skips_the_spot_check(self, capsys):
         assert run_cli("validate-schedule", scenario("example1"), "--budget", "0") == 0
         lines = capsys.readouterr().out.splitlines()
@@ -445,7 +496,9 @@ class TestValidateSchedule:
 class TestFuzz:
     def test_zero_budget_warns_and_passes(self, capsys):
         assert run_cli("fuzz", scenario("example2"), "--budget", "0") == 0
-        assert "warning" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.err == "warning: budget 0, nothing fuzzed\n"
+        assert captured.out == ""
 
     def test_negative_budget_exit_2(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -463,30 +516,26 @@ class TestFuzz:
         assert run_cli("fuzz", scenario("example2"), "--budget", "400") == 3
         assert "truncated" in capsys.readouterr().out
 
+    def test_json_stdout_parses_on_violations(self, tmp_path, capsys):
+        assert run_cli("fuzz", exploitable(tmp_path), "--format", "json") == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["profiles"] == 728
+        assert len(payload["violations"]) == 104
+
+    def test_text_is_summary_then_violation_table(self, tmp_path, capsys):
+        path = exploitable(tmp_path)
+        assert run_cli("fuzz", path, "--format", "csv") == 1
+        table = capsys.readouterr().out
+        assert run_cli("fuzz", path) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "728 deviation profiles, 104 violations"
+        assert lines[1] == "violation,coalition,member,net_before,net_after,uses_tiebreak"
+        assert lines[1:] == table.splitlines()
+
     def test_violations_written_and_exit_1(self, tmp_path, capsys):
-        bad = tmp_path / "exploitable.json"
-        bad.write_text(json.dumps({
-            "buyers": [
-                {"kind": "knots", "points": [
-                    ["0", "0"], ["1/3", "0.15"], ["1/2", "0.2"], ["2/3", "0.25"], ["1", "0.25"]]},
-                {"kind": "knots", "points": [
-                    ["0", "0"], ["1/3", "0.35"], ["1/2", "0.4"], ["1", "0.4"]]},
-                {"kind": "knots", "points": [
-                    ["0", "0"], ["1/3", "0.15"], ["1/2", "0.15"], ["1", "0.15"]]},
-            ],
-            "schedule": {"kind": "table", "entries": {
-                "0,1,2": {"x": ["1/3", "1/3", "1/3"], "y": ["1/3", "1/3", "1/3"]},
-                "0,1": {"x": ["2/3", "1/3", "0"], "y": ["1/3", "2/3", "0"]},
-                "0,2": {"x": ["1/2", "0", "1/2"], "y": ["1/2", "0", "1/2"]},
-                "1,2": {"x": ["0", "1/2", "1/2"], "y": ["0", "1/2", "1/2"]},
-                "0": {"x": ["1", "0", "0"], "y": ["1", "0", "0"]},
-                "1": {"x": ["0", "1", "0"], "y": ["0", "1", "0"]},
-                "2": {"x": ["0", "0", "1"], "y": ["0", "0", "1"]},
-            }},
-            "auction": {"reserve": "0", "competing_bids": ["0.5"]},
-        }))
         out_file = tmp_path / "violations.json"
-        assert run_cli("fuzz", str(bad), "--out", str(out_file), "--budget", "300000") == 1
+        assert run_cli("fuzz", exploitable(tmp_path), "--out", str(out_file),
+                       "--budget", "300000") == 1
         payload = json.loads(out_file.read_text())
         assert payload["violations"]
         assert any(v["coalition"] == "0" for v in payload["violations"])
@@ -505,6 +554,16 @@ class TestCompare:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "schedule,step,subset,resource_shares,payment_shares,beta,removed"
         assert len(lines) == 7  # three steps per schedule
+
+    def test_out_under_text_writes_the_json_document(self, tmp_path, capsys):
+        assert run_cli("compare", scenario("section6-table"), "--format", "json") == 0
+        document = capsys.readouterr().out
+        out_file = tmp_path / "compare.json"
+        assert run_cli("compare", scenario("section6-table"), "--out", str(out_file)) == 0
+        captured = capsys.readouterr()
+        assert out_file.read_text() == document
+        assert "rras dominates cmss" in captured.out
+        assert captured.err == ""
 
     def test_unknown_name_exit_2(self, capsys):
         assert run_cli("compare", scenario("section6-table"), "--schedules", "nope") == 2
@@ -528,6 +587,23 @@ class TestCompare:
         (run,) = json.loads(capsys.readouterr().out)["runs"]
         assert list(run["outcomes"]) == ["1"]
         assert run["outcomes"]["1"]["purchased"] is False
+
+
+@pytest.mark.parametrize("command,summary", [
+    ("run", "bid 1; win at 0.6; payments 0.2/0.2/0.2\n"),
+    ("fuzz", "728 deviation profiles, 0 violations\n"),
+    ("compare", "price 0.6: primary -> winners {0,1,2}, payments 0.2/0.2/0.2\n"),
+], ids=["run", "fuzz", "compare"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_file_gets_the_format_and_stdout_the_summary(tmp_path, capsys, command, summary, fmt):
+    assert run_cli(command, scenario("example2"), "--format", fmt) == 0
+    report = capsys.readouterr().out
+    out_file = tmp_path / f"report.{fmt}"
+    assert run_cli(command, scenario("example2"), "--format", fmt, "--out", str(out_file)) == 0
+    captured = capsys.readouterr()
+    assert out_file.read_text() == report
+    assert captured.out == summary
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -122,6 +122,25 @@ class TestRankedShares:
         with pytest.raises(ScheduleError):
             RankedSchedule(ORDER, (F(1, 2), F(1, 4), F(1, 3)))
 
+    @pytest.mark.parametrize("order,message", [
+        ((1.0, 0.0, 2.0), "not 1.0"),
+        ((True, False, 2), "not True"),
+        (("1", "0", "2"), "not '1'"),
+    ], ids=["float", "bool", "str"])
+    def test_ranks_must_be_ints(self, order, message):
+        # 1.0 and True compare equal to 1, so the permutation check alone passes them
+        with pytest.raises(ScheduleError, match=f"rank order entries must be ints, {message}"):
+            RankedSchedule(order, BASE)
+
+    @pytest.mark.parametrize("base,message", [
+        ((F(3, 4), F(1, 2), F(-1, 4)), r"negative base share for buyer 2 in \{0,1,2\}"),
+        ((F(1, 2), F(1, 2)), r"base shares for \{0,1,2\} must have 3 entries"),
+        ((F(1, 2), F(1, 4), F(1, 4), F(0)), r"base shares for \{0,1,2\} must have 3 entries"),
+    ], ids=["negative", "short", "long"])
+    def test_base_is_a_share_vector(self, base, message):
+        with pytest.raises(ScheduleError, match=message):
+            RankedSchedule(ORDER, base)
+
     @pytest.mark.parametrize("weight", [
         ClosedFormUtility.log(1),
         UtilityReport(((F(0), F(0)), (F(1), F(1)))),

@@ -10,6 +10,8 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
 * ``run``, ``fuzz`` and ``compare``, each with ``--format`` text, json and
   csv, and ``validate-schedule``, which takes no ``--format``, on every
   bundled scenario;
+* ``run``, ``fuzz`` and ``compare`` again with ``--out`` in each format on
+  every bundled scenario;
 * ``run --format json`` and ``compare --format json`` on every cli-scale
   benchmark file of the given seeds (default 1 and 9173), written into a
   temporary directory by ``bench.workloads.CliScale().setup``;
@@ -41,8 +43,9 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
 It prints one line per CLI call: a label, the exit code, and the sha256 of
 stdout and of stderr.  The checkout root and the temporary directory are
 replaced by placeholders before hashing, so that the same call at two
-checkouts hashes alike.  It prints one line per coalition-fuzz item: the
-sha256 of each scan's profile count, truncation flag and violations
+checkouts hashes alike.  An ``--out`` call's line also carries the sha256 of
+the file it wrote, or ``file=none``.  It prints one line per coalition-fuzz
+item: the sha256 of each scan's profile count, truncation flag and violations
 (coalition, deviant knots, tie-break flag and the ``repr`` of every net), so
 a float that moves by one bit changes the line.  It prints one line per
 validator-oracle item: the sha256 of each witness's buyer, subsets, the
@@ -98,6 +101,8 @@ TIE_STEPS = {"exact": Fraction(1, 1000), "approx": approx().epsilon / 2}
 TIE_POLICIES = (GROUP_WINS, GROUP_LOSES)
 # the formats each command is called with; None calls it without --format
 COMMANDS = {"run": FORMATS, "validate-schedule": (None,), "fuzz": FORMATS, "compare": FORMATS}
+# the commands that take --out
+REPORTS = ("run", "fuzz", "compare")
 
 
 def bundled_scenarios():
@@ -105,17 +110,18 @@ def bundled_scenarios():
     return sorted(folder.glob("*.json"))
 
 
+def digest(text, placeholders):
+    for path, name in placeholders:
+        text = text.replace(path, name)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def call(argv, placeholders):
     """Run the CLI once; return the exit code and the digests of stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = groupbuy.cli.main(argv)
-    digests = []
-    for text in (out.getvalue(), err.getvalue()):
-        for path, name in placeholders:
-            text = text.replace(path, name)
-        digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
-    return code, digests
+    return code, [digest(text, placeholders) for text in (out.getvalue(), err.getvalue())]
 
 
 def scan_digest(results):
@@ -181,6 +187,16 @@ def main(argv=None) -> int:
                     code, (out, err) = call(argv, placeholders)
                     print(f"{path.stem} {command} {fmt or 'default'} "
                           f"exit={code} stdout={out} stderr={err}")
+            for command in REPORTS:
+                for fmt in FORMATS:
+                    report = Path(tmp) / "report"
+                    report.unlink(missing_ok=True)
+                    argv = [command, str(path), "--format", fmt, "--out", str(report)]
+                    code, (out, err) = call(argv, placeholders)
+                    written = (digest(report.read_text(encoding="utf-8"), placeholders)
+                               if report.exists() else "none")
+                    print(f"{path.stem} {command} {fmt} --out "
+                          f"exit={code} stdout={out} stderr={err} file={written}")
         for seed in seeds:
             workdir = Path(tmp) / f"cli-scale-{seed}"
             workdir.mkdir()

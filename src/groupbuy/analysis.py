@@ -2,7 +2,8 @@
 
 These are the desk-scale oracles for the mechanism's incentive claims.  None
 of them proves anything; they enumerate or sample deviations and instances and
-report concrete counterexamples when the claimed property fails to hold.
+report concrete counterexamples when the claimed property fails to hold.  A
+scan's menus span the schedule's report class (:func:`report_menus`).
 
 The coalition scan judges outcomes, not profiles: the group always pays the
 threshold, so a misreport only changes whether the group buys and its winning
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 from .auction import AuctionConfig, decide_winning_set, run_group_participation
 from .mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
 from .numeric import EXACT, Num, NumericPolicy, infer_policy
-from .schedule import ShareSchedule, full_mask, members, nonempty_subsets
+from .schedule import ShareSchedule, full_mask, members, nonempty_subsets, report_class_for
 from .utility import ClosedFormUtility, InvalidReportError, UtilityReport, sample_report
 
 
@@ -109,7 +110,8 @@ def concave_report_grid(
 def power_report_grid(
     schedule: ShareSchedule,
     coefficients: Sequence[Num] = (0, Fraction(1, 2), Fraction(3, 4), 1, Fraction(3, 2)),
-    exponents: Sequence[Num] = (Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2)),
+    *,
+    exponents: Sequence[Num],
 ) -> list:
     """Per-buyer menus sampled from the c*x**k family at reachable share points.
 
@@ -135,6 +137,20 @@ def power_report_grid(
                 menu.append(report)
         grid.append(menu)
     return grid
+
+
+def report_menus(schedule: ShareSchedule) -> list:
+    """Menus over :func:`~groupbuy.schedule.report_class_for`'s class, as ``groupbuy fuzz`` scans.
+
+    A power family gets four evenly spread exponents from k_min to k_max
+    (1/8, 1/4, 3/8 and 1/2 for ranked sqrt), the concave class its grid.
+    """
+    report_class, _ = report_class_for(schedule)
+    if report_class.kind == "power":
+        lo, hi = report_class.k_min, report_class.k_max
+        exponents = [lo + (hi - lo) * Fraction(j, 3) for j in range(4)]
+        return power_report_grid(schedule, exponents=exponents)
+    return concave_report_grid(schedule)
 
 
 # ---------------------------------------------------------------------------

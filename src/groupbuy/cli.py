@@ -11,7 +11,8 @@ Each takes ``--epsilon`` and ``--exact``; ``--out`` and ``--format`` where it
 writes a report (one rule, :func:`_emit`), ``--seed`` and ``--budget`` where it
 samples; notes and warnings go to stderr.  ``run``, ``fuzz`` and ``compare``
 enter the scenario's auction through :func:`run_group_participation`; a fixed
-price is a reserve with no rival.
+price is a reserve with no rival.  The class of utilities a schedule is checked
+and fuzzed against is the library's (:func:`report_class_for`, :func:`report_menus`).
 
 Exit codes: 0 success/pass, 1 internal error or a failed check (violations,
 witnesses), 2 invalid input, 3 budget-exhausted partial result.
@@ -23,28 +24,26 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .analysis import (
     FUZZ_MAX_BUYERS,
     BudgetError,
+    FuzzResult,
     compare_schedules,
-    concave_report_grid,
     enumerate_coalition_deviations,
-    power_report_grid,
+    report_menus,
 )
 from .auction import run_group_participation
 from .numeric import decimal_str
 from .schedule import (
     ORACLE_MAX_BUYERS,
     VALIDATION_MAX_BUYERS,
-    RankedSchedule,
     ScheduleError,
     brute_force_monotonicity_check,
     members,
     nonempty_subsets,
     full_mask,
-    single_crossing_check,
+    report_class_for,
     subset_key,
     validate_cross_monotonic,
     validate_monotonicity,
@@ -58,7 +57,7 @@ from .scenario import (
     violations_to_csv,
     violations_to_json,
 )
-from .utility import InvalidReportError, ReportClass, concave_class, power_class
+from .utility import InvalidReportError, ReportClass
 
 
 def _fmt(v) -> str:
@@ -112,36 +111,16 @@ def _load(args):
     )
 
 
-def _report_class(schedule):
-    """The utilities that a schedule's checks and fuzz menus range over, and why.
-
-    Returns the class and the :func:`single_crossing_check` counterexample
-    that narrowed it, or None.  A ranked schedule whose weight x**q fails
-    that check against the concave class is monotone only against power
-    utilities c*x**k with k <= q, so it gets the family q/4 <= k <= q; every
-    other schedule gets the full concave class.
-    """
-    if isinstance(schedule, RankedSchedule):
-        crossing = single_crossing_check(schedule.weight, concave_class())
-        if crossing is not None:
-            q = schedule.weight.k
-            return power_class(q / 4, q), crossing
-    return concave_class(), None
-
-
 def _class_label(report_class: ReportClass) -> str:
     if report_class.kind == "power":
-        return (
-            f"power family with exponents {_fmt(report_class.k_min)} "
-            f"to {_fmt(report_class.k_max)}"
-        )
+        return f"power family with exponents {_fmt(report_class.k_min)} to {_fmt(report_class.k_max)}"
     return "concave class"
 
 
 def cmd_run(args) -> int:
     scenario = _load(args)
     policy = scenario.policy
-    report_class, _ = _report_class(scenario.schedule)
+    report_class, _ = report_class_for(scenario.schedule)
     outside = [i for i, report in enumerate(scenario.reports) if not report_class.contains(report)]
     if outside:
         print(
@@ -210,7 +189,7 @@ def cmd_validate_schedule(args) -> int:
             file=sys.stderr,
         )
 
-    report_class, crossing = _report_class(schedule)
+    report_class, crossing = report_class_for(schedule)
     class_label = _class_label(report_class)
     if crossing is not None:
         print(
@@ -277,21 +256,12 @@ def cmd_fuzz(args) -> int:
         return 2
     if args.budget == 0:
         print("warning: budget 0, nothing fuzzed", file=sys.stderr)
-        return 0
-
-    schedule = scenario.schedule
-    report_class, _ = _report_class(schedule)
-    if report_class.kind == "power":
-        lo, hi = report_class.k_min, report_class.k_max
-        exponents = [lo + (hi - lo) * Fraction(j, 3) for j in range(4)]
-        grid = power_report_grid(schedule, exponents=exponents)
+        result = FuzzResult((), 0, False)
     else:
-        grid = concave_report_grid(schedule)
-
-    result = enumerate_coalition_deviations(
-        scenario.reports, schedule, scenario.auction, grid,
-        budget=args.budget, seed=scenario.seed, policy=scenario.policy,
-    )
+        result = enumerate_coalition_deviations(
+            scenario.reports, scenario.schedule, scenario.auction, report_menus(scenario.schedule),
+            budget=args.budget, seed=scenario.seed, policy=scenario.policy,
+        )
     summary = (
         f"{result.profiles} deviation profiles, {len(result.violations)} violations"
         + (", truncated by budget" if result.truncated else "")

@@ -35,11 +35,11 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .numeric import EXACT, Num, NumericPolicy, piecewise_value
 from .utility import (
+    CONCAVE,
     GRAIN,
     ClosedFormUtility,
     ReportClass,
     UtilityReport,
-    concave_class,
     random_concave_draws,
     random_concave_knots,
     sample_knots,
@@ -426,7 +426,7 @@ def _pair_violation(x_a, x_b, y_a, y_b, policy: NumericPolicy, report_class: Rep
 def validate_monotonicity(
     schedule: ShareSchedule,
     policy: NumericPolicy = EXACT,
-    report_class: Optional[ReportClass] = None,
+    report_class: ReportClass = CONCAVE,
 ) -> Optional[MonotonicityWitness]:
     """Closed-form monotonicity check over all single-buyer deletions.
 
@@ -436,8 +436,6 @@ def validate_monotonicity(
     is the independent sampling oracle kept alongside it.  One-step pairs
     suffice because the defining implication composes along nested chains.
     """
-    if report_class is None:
-        report_class = concave_class()
     for i, a_mask, b_mask, pair_a, pair_b in _deletion_pairs(schedule, "monotonicity check"):
         found = _pair_violation(
             pair_a.resource[i], pair_b.resource[i],
@@ -587,7 +585,7 @@ def brute_force_monotonicity_check(
     samples: int,
     seed: int = 0,
     policy: NumericPolicy = EXACT,
-    report_class: Optional[ReportClass] = None,
+    report_class: ReportClass = CONCAVE,
 ) -> Optional[MonotonicityWitness]:
     """Sampling oracle: directly test the bound-carrying implication.
 
@@ -607,8 +605,6 @@ def brute_force_monotonicity_check(
     sqrt or power weights), the power class and the tolerance lane value every
     sample that way.
     """
-    if report_class is None:
-        report_class = concave_class()
     n = schedule.n
     if n > ORACLE_MAX_BUYERS:
         raise ScheduleError(f"brute-force monotonicity oracle capped at {ORACLE_MAX_BUYERS} buyers")
@@ -683,3 +679,19 @@ def single_crossing_check(
     return SingleCrossingCounterexample(
         ClosedFormUtility.power(1, k), constant, Fraction(1, 4), Fraction(1)
     )
+
+
+def report_class_for(schedule: ShareSchedule) -> tuple:
+    """The report class a schedule is checked and fuzzed against, and the crossing that narrowed it.
+
+    A ranked schedule whose weight x**q fails :func:`single_crossing_check`
+    against the concave class is monotone only against power utilities c*x**k
+    with k <= q, so it gets the family q/4 <= k <= q and the counterexample;
+    every other schedule gets ``(CONCAVE, None)``.
+    """
+    if isinstance(schedule, RankedSchedule):
+        crossing = single_crossing_check(schedule.weight, CONCAVE)
+        if crossing is not None:
+            q = schedule.weight.k
+            return ReportClass("power", q / 4, q), crossing
+    return CONCAVE, None

@@ -199,11 +199,18 @@ def random_concave_knots(seed: int, points: Iterable[Num], u_max: Num) -> tuple:
 
 @dataclass(frozen=True)
 class ReportClass:
-    """A family of admissible utilities: the full concave class, or c*x**k."""
+    """A family of admissible utilities: the concave class, or c*x**k with k_min <= k <= k_max."""
 
     kind: str  # concave | power
     k_min: Optional[Num] = None
     k_max: Optional[Num] = None
+
+    def __post_init__(self):
+        if self.kind == "power":
+            if None in (self.k_min, self.k_max) or not (0 < self.k_min <= self.k_max <= 1):
+                raise ValueError("power family needs 0 < k_min <= k_max <= 1")
+        elif self.kind != "concave":
+            raise ValueError(f"unknown report class kind {self.kind!r}")
 
     def contains(self, report) -> bool:
         """Whether an admissible report is a member; knot lists count only as concave."""
@@ -216,11 +223,4 @@ class ReportClass:
         )
 
 
-def concave_class() -> ReportClass:
-    return ReportClass("concave")
-
-
-def power_class(k_min: Num, k_max: Num) -> ReportClass:
-    if not (0 < k_min <= k_max <= 1):
-        raise ValueError("power family needs 0 < k_min <= k_max <= 1")
-    return ReportClass("power", k_min, k_max)
+CONCAVE = ReportClass("concave")

@@ -224,3 +224,31 @@ def exploit_truth() -> list:
         UtilityReport(((F(0), F(0)), (F(1, 3), F(7, 20)), (F(1, 2), F(2, 5)), (F(1), F(2, 5)))),
         UtilityReport(((F(0), F(0)), (F(1, 3), F(3, 20)), (F(1, 2), F(3, 20)), (F(1), F(3, 20)))),
     ]
+
+
+# Three-buyer ranked scenario files (JSON documents) with weights other than
+# sqrt, against a rival bid of 3/5: a power:1/3 weight, which narrows the
+# report class to the power family 1/12 <= k <= 1/3, with buyers inside it,
+# and the identity weight, which keeps the concave class, with mixed buyers.
+RANKED_SCENARIOS = {
+    "ranked-power-third": {
+        "buyers": [
+            {"kind": "power", "c": "1", "k": "1/3"},
+            {"kind": "power", "c": "3/2", "k": "1/4"},
+            {"kind": "power", "c": "1", "k": "1/6"},
+        ],
+        "schedule": {"kind": "rras", "order": [0, 1, 2], "base": ["1/2", "1/4", "1/4"],
+                     "f": "power:1/3"},
+        "auction": {"reserve": "0", "competing_bids": ["3/5"]},
+    },
+    "ranked-identity": {
+        "buyers": [
+            {"kind": "linear", "c": "1"},
+            {"kind": "power", "c": "1", "k": "1/2"},
+            {"kind": "log", "c": "1"},
+        ],
+        "schedule": {"kind": "rras", "order": [2, 0, 1], "base": ["1/2", "1/4", "1/4"],
+                     "f": "identity"},
+        "auction": {"reserve": "0", "competing_bids": ["3/5"]},
+    },
+}

@@ -14,7 +14,7 @@ from pathlib import Path
 from groupbuy.analysis import (
     concave_report_grid,
     enumerate_coalition_deviations,
-    power_report_grid,
+    report_menus,
 )
 from groupbuy.auction import AuctionConfig
 from groupbuy.mechanism import compute_bid_trace
@@ -202,7 +202,7 @@ def test_criterion_4_coalition_fuzz_clean():
     cm2 = renormalized_cmss(2, (F(2), F(1)))
     legs2.append((cm2, worked_pair(cm2), concave_report_grid(cm2, levels=five_levels)))
     rr2 = RankedSchedule((0, 1), (F(1, 2), F(1, 2)), sqrt_weight())
-    legs2.append((rr2, power_pair(rr2), power_report_grid(rr2)))
+    legs2.append((rr2, power_pair(rr2), report_menus(rr2)))
     for sched, truth, grid in legs2:
         for cfg in cfgs2:
             result = enumerate_coalition_deviations(
@@ -232,7 +232,7 @@ def test_criterion_4_coalition_fuzz_clean():
         profiles3 += result.profiles
 
     rr3 = RankedSchedule(ORDER, BASE, sqrt_weight())
-    grid_rr = power_report_grid(rr3)
+    grid_rr = report_menus(rr3)
     truth_rr = [
         sample_report(f, rr3.share_points(i))
         for i, f in enumerate(

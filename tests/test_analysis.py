@@ -10,6 +10,7 @@ from groupbuy.analysis import (
     concave_report_grid,
     enumerate_coalition_deviations,
     power_report_grid,
+    report_menus,
     strictly_prefers,
     weakly_prefers,
 )
@@ -23,6 +24,7 @@ from groupbuy.schedule import (
     SharePair,
     ShareSchedule,
     TableSchedule,
+    power_weight,
     sqrt_weight,
 )
 from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
@@ -121,6 +123,22 @@ class TestReportMenus:
         else:
             assert all(got)
 
+    @pytest.mark.parametrize("sched,explicit", [
+        # criterion 4's ranked sqrt legs rr3 and rr2, with the exponents they scanned
+        (RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)), sqrt_weight()),
+         lambda s: power_report_grid(s, exponents=(F(1, 8), F(1, 4), F(3, 8), F(1, 2)))),
+        (RankedSchedule((0, 1), (F(1, 2), F(1, 2)), sqrt_weight()),
+         lambda s: power_report_grid(s, exponents=(F(1, 8), F(1, 4), F(3, 8), F(1, 2)))),
+        (EqualSplitSchedule(3), concave_report_grid),
+        (RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)), power_weight(F(1, 3))),
+         lambda s: power_report_grid(s, exponents=(F(1, 12), F(1, 6), F(1, 4), F(1, 3)))),
+    ], ids=["rr3", "rr2", "equal-split", "ranked-power-third"])
+    def test_report_menus_are_the_class_grid(self, sched, explicit):
+        got, want = report_menus(sched), explicit(sched)
+        assert [[repr(r.knots) for r in menu] for menu in got] == [
+            [repr(r.knots) for r in menu] for menu in want
+        ]
+
 
 class TestUnilateral:
     def test_equal_split_no_profitable_misreport(self):
@@ -196,7 +214,7 @@ class TestCoalitions:
             ClosedFormUtility.power(1, F(1, 2)),
         ]
         truth = [sample_report(f, sched.share_points(i)) for i, f in enumerate(forms)]
-        grid = power_report_grid(sched)
+        grid = report_menus(sched)
         result = enumerate_coalition_deviations(
             truth, sched, AuctionConfig(0, (F(13, 10),)), grid, policy=APPROX
         )

@@ -14,6 +14,8 @@ from groupbuy.scenario import (
     outcome_to_json,
 )
 
+from helpers import RANKED_SCENARIOS
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -71,6 +73,13 @@ def exploitable(tmp_path):
         }},
         "auction": {"reserve": "0", "competing_bids": ["0.5"]},
     }))
+    return str(path)
+
+
+def ranked_file(tmp_path, name):
+    """One of ``RANKED_SCENARIOS``, written to ``tmp_path``."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(RANKED_SCENARIOS[name]))
     return str(path)
 
 
@@ -415,6 +424,21 @@ class TestValidateSchedule:
         assert run_cli("validate-schedule", scenario("example1")) == 0
         assert "class:" not in capsys.readouterr().out
 
+    def test_ranked_weights_other_than_sqrt(self, tmp_path, capsys):
+        assert run_cli("validate-schedule", ranked_file(tmp_path, "ranked-power-third")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "class: power family with exponents 0.0833333 to 0.333333, since the weight "
+            "x^0.333333 times 0.629961 lies above x^1 at x = 0.25 and not above it at x = 1"
+        )
+        assert "monotonicity (power family with exponents 0.0833333 to 0.333333): Pass" in lines
+        assert lines[-1] == "Pass"
+        assert run_cli("validate-schedule", ranked_file(tmp_path, "ranked-identity")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("class:") for line in lines)
+        assert "monotonicity (concave class): Pass" in lines
+        assert lines[-1] == "Pass"
+
     def test_negative_budget_exit_2(self, capsys):
         with pytest.raises(SystemExit) as stop:
             run_cli("validate-schedule", scenario("example1"), "--budget", "-3")
@@ -498,7 +522,19 @@ class TestFuzz:
         assert run_cli("fuzz", scenario("example2"), "--budget", "0") == 0
         captured = capsys.readouterr()
         assert captured.err == "warning: budget 0, nothing fuzzed\n"
-        assert captured.out == ""
+        assert captured.out == "0 deviation profiles, 0 violations\n"
+
+    def test_zero_budget_report_is_empty(self, tmp_path, capsys):
+        empty = {"profiles": 0, "truncated": False, "violations": []}
+        assert run_cli("fuzz", scenario("example2"), "--budget", "0", "--format", "json") == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == empty
+        assert captured.err == "warning: budget 0, nothing fuzzed\n"
+        out_file = tmp_path / "report.json"
+        assert run_cli("fuzz", scenario("example2"), "--budget", "0", "--format", "json",
+                       "--out", str(out_file)) == 0
+        assert json.loads(out_file.read_text()) == empty
+        assert capsys.readouterr().out == "0 deviation profiles, 0 violations\n"
 
     def test_negative_budget_exit_2(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -511,6 +547,16 @@ class TestFuzz:
     def test_clean_run_exit_0(self, capsys):
         assert run_cli("fuzz", scenario("example2"), "--budget", "5000") == 0
         assert "0 violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,summary", [
+        ("ranked-power-third", "5831 deviation profiles, 0 violations"),
+        ("ranked-identity", "1403 deviation profiles, 0 violations"),
+    ])
+    def test_ranked_weights_other_than_sqrt(self, tmp_path, capsys, name, summary):
+        assert run_cli("fuzz", ranked_file(tmp_path, name)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == summary + "\n"
+        assert captured.err == ""
 
     def test_truncated_run_exit_3(self, capsys):
         assert run_cli("fuzz", scenario("example2"), "--budget", "400") == 3

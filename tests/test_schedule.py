@@ -27,15 +27,16 @@ from groupbuy.schedule import (
     nonempty_subsets,
     parse_subset_key,
     power_weight,
+    report_class_for,
     single_crossing_check,
     sqrt_weight,
     subset_key,
     validate_cross_monotonic,
     validate_monotonicity,
 )
-from groupbuy.utility import ClosedFormUtility, UtilityReport, concave_class, power_class
+from groupbuy.utility import CONCAVE, ClosedFormUtility, ReportClass, UtilityReport
 
-from helpers import rras_resource_table
+from helpers import renormalized_cmss, rras_resource_table
 
 APPROX = approx()
 # a payment or resource share: a fraction in [0, 1], small denominators often
@@ -269,7 +270,7 @@ class TestMonotonicity:
 
     def test_ranked_sqrt_passes_its_power_family(self):
         sched = RankedSchedule(ORDER, BASE, sqrt_weight())
-        cls = power_class(F(1, 8), F(1, 2))
+        cls = ReportClass("power", F(1, 8), F(1, 2))
         assert validate_monotonicity(sched, policy=APPROX, report_class=cls) is None
 
     def test_ranked_sqrt_fails_full_concave_class(self):
@@ -403,7 +404,7 @@ class TestBruteForceOracle:
             sched = RankedSchedule(ORDER, BASE, power_weight(F(1, 3)))
         else:
             sched = _random_table(table)
-        cls = power_class(F(1, 8), F(1, 2)) if report_class == "power" else None
+        cls = ReportClass("power", F(1, 8), F(1, 2)) if report_class == "power" else CONCAVE
         found = brute_force_monotonicity_check(sched, 2000, seed=seed, policy=policy, report_class=cls)
         buyer, subset_a, subset_b, constant, knots = witness
         assert (found.buyer, found.subset_a, found.subset_b) == (buyer, subset_a, subset_b)
@@ -478,13 +479,13 @@ class TestWeightSumGrowth:
 
 class TestSingleCrossing:
     def test_identity_holds_for_concave_class(self):
-        assert single_crossing_check(identity_weight(), concave_class()) is None
+        assert single_crossing_check(identity_weight(), CONCAVE) is None
 
     def test_sqrt_holds_for_low_powers(self):
-        assert single_crossing_check(sqrt_weight(), power_class(F(1, 100), F(1, 2))) is None
+        assert single_crossing_check(sqrt_weight(), ReportClass("power", F(1, 100), F(1, 2))) is None
 
     def test_sqrt_fails_full_concave_class(self):
-        ce = single_crossing_check(sqrt_weight(), concave_class())
+        ce = single_crossing_check(sqrt_weight(), CONCAVE)
         assert ce is not None
         # once above, it must stay above; this counterexample dips back
         w, u, c = sqrt_weight(), ce.utility, ce.constant
@@ -494,20 +495,44 @@ class TestSingleCrossing:
 
     def test_power_family_closed_form_matches_grid_boundary(self):
         # holds exactly when the weight exponent reaches the family's top exponent
-        assert single_crossing_check(power_weight(F(1, 2)), power_class(F(1, 4), F(1, 2))) is None
-        ce = single_crossing_check(power_weight(F(1, 4)), power_class(F(1, 4), F(1, 2)))
+        family = ReportClass("power", F(1, 4), F(1, 2))
+        assert single_crossing_check(power_weight(F(1, 2)), family) is None
+        ce = single_crossing_check(power_weight(F(1, 4)), family)
         assert ce is not None
         w = power_weight(F(1, 4))
         assert ce.constant * w.value_at(ce.x_above) > ce.utility.value_at(ce.x_above)
         assert not ce.constant * w.value_at(ce.x_not_above) > ce.utility.value_at(ce.x_not_above)
 
     def test_witness_scales_with_the_weight_coefficient(self):
-        family = power_class(F(1, 4), F(1, 2))
+        family = ReportClass("power", F(1, 4), F(1, 2))
         w = ClosedFormUtility.power(3, F(1, 4))
         ce = single_crossing_check(w, family)
         assert ce.constant * w.value_at(ce.x_above) > ce.utility.value_at(ce.x_above)
         assert not ce.constant * w.value_at(ce.x_not_above) > ce.utility.value_at(ce.x_not_above)
         assert single_crossing_check(ClosedFormUtility.power(0, F(1, 4)), family) is None
+
+
+class TestReportClassFor:
+    @pytest.mark.parametrize("sched", [
+        EqualSplitSchedule(3),
+        renormalized_cmss(3, (F(3), F(2), F(1))),
+        RankedSchedule(ORDER, BASE, identity_weight()),
+    ], ids=["equal-split", "cmss", "ranked-identity"])
+    def test_concave_class_without_a_crossing(self, sched):
+        assert report_class_for(sched) == (CONCAVE, None)
+
+    def test_ranked_sqrt_gets_its_power_family_and_the_crossing(self):
+        report_class, crossing = report_class_for(RankedSchedule(ORDER, BASE, sqrt_weight()))
+        assert report_class == ReportClass("power", F(1, 8), F(1, 2))
+        # the crossing that validate-schedule prints on its class line
+        assert crossing.utility == ClosedFormUtility.power(1, 1)
+        assert crossing.constant == 0.5 ** 0.5
+        assert (crossing.x_above, crossing.x_not_above) == (F(1, 4), 1)
+
+    def test_ranked_power_third_gets_a_third_down_to_a_twelfth(self):
+        report_class, crossing = report_class_for(RankedSchedule(ORDER, BASE, power_weight(F(1, 3))))
+        assert report_class == ReportClass("power", F(1, 12), F(1, 3))
+        assert crossing is not None
 
 
 @given(st.integers(0, 200))

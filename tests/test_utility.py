@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupbuy.utility import (
+    CONCAVE,
     ClosedFormUtility,
     InvalidReportError,
+    ReportClass,
     UtilityReport,
-    concave_class,
-    power_class,
     sample_report,
     validate_knots,
 )
@@ -181,15 +181,26 @@ class TestClassProperties:
 
 def test_power_class_bounds():
     with pytest.raises(ValueError):
-        power_class(0, F(1, 2))
+        ReportClass("power", 0, F(1, 2))
     with pytest.raises(ValueError):
-        power_class(F(1, 4), F(9, 8))
-    cls = power_class(F(1, 8), F(1, 2))
+        ReportClass("power", F(1, 4), F(9, 8))
+    with pytest.raises(ValueError):
+        ReportClass("power", F(1, 2), F(1, 4))
+    with pytest.raises(ValueError):
+        ReportClass("power")
+    cls = ReportClass("power", F(1, 8), F(1, 2))
     assert cls.kind == "power"
 
 
+@pytest.mark.parametrize("kind", ["Power", "convex", ""])
+def test_unknown_class_kind_rejected(kind):
+    # an unknown kind must not pass for the concave class in the validators
+    with pytest.raises(ValueError, match="unknown report class kind"):
+        ReportClass(kind, F(1, 8), F(1, 2))
+
+
 def test_class_membership():
-    family = power_class(F(1, 8), F(1, 2))
+    family = ReportClass("power", F(1, 8), F(1, 2))
     inside = [ClosedFormUtility.power(2, k) for k in (F(1, 8), F(1, 3), F(1, 2))]
     outside = [
         ClosedFormUtility.power(2, F(1, 9)),
@@ -200,4 +211,4 @@ def test_class_membership():
     ]
     assert all(family.contains(r) for r in inside)
     assert not any(family.contains(r) for r in outside)
-    assert all(concave_class().contains(r) for r in inside + outside)
+    assert all(CONCAVE.contains(r) for r in inside + outside)

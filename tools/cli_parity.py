@@ -12,6 +12,9 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
   bundled scenario;
 * ``run``, ``fuzz`` and ``compare`` again with ``--out`` in each format on
   every bundled scenario;
+* ``validate-schedule`` and ``fuzz``, the latter in each format, on the
+  ranked scenarios with power:1/3 and identity weights (``RANKED_SCENARIOS``
+  of ``tests/helpers.py``), written into a temporary directory;
 * ``run --format json`` and ``compare --format json`` on every cli-scale
   benchmark file of the given seeds (default 1 and 9173), written into a
   temporary directory by ``bench.workloads.CliScale().setup``;
@@ -65,6 +68,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import random
 import sys
 import tempfile
@@ -88,6 +92,7 @@ from groupbuy.mechanism import compute_bid_trace  # noqa: E402
 from groupbuy.numeric import EXACT, approx  # noqa: E402
 from helpers import (  # noqa: E402
     EXPLOIT_LEVELS,
+    RANKED_SCENARIOS,
     exploit_table,
     exploit_truth,
     random_concave_utility,
@@ -122,6 +127,16 @@ def call(argv, placeholders):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = groupbuy.cli.main(argv)
     return code, [digest(text, placeholders) for text in (out.getvalue(), err.getvalue())]
+
+
+def report_calls(path, commands, placeholders):
+    """Call each command on ``path`` in each of its formats; print one line per call."""
+    for command in commands:
+        for fmt in COMMANDS[command]:
+            argv = [command, str(path)] + (["--format", fmt] if fmt else [])
+            code, (out, err) = call(argv, placeholders)
+            print(f"{path.stem} {command} {fmt or 'default'} "
+                  f"exit={code} stdout={out} stderr={err}")
 
 
 def scan_digest(results):
@@ -181,12 +196,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         placeholders = [(tmp, "<workdir>"), (str(ROOT), "<root>")]
         for path in bundled_scenarios():
-            for command, formats in COMMANDS.items():
-                for fmt in formats:
-                    argv = [command, str(path)] + (["--format", fmt] if fmt else [])
-                    code, (out, err) = call(argv, placeholders)
-                    print(f"{path.stem} {command} {fmt or 'default'} "
-                          f"exit={code} stdout={out} stderr={err}")
+            report_calls(path, COMMANDS, placeholders)
             for command in REPORTS:
                 for fmt in FORMATS:
                     report = Path(tmp) / "report"
@@ -197,6 +207,10 @@ def main(argv=None) -> int:
                                if report.exists() else "none")
                     print(f"{path.stem} {command} {fmt} --out "
                           f"exit={code} stdout={out} stderr={err} file={written}")
+        for name, document in RANKED_SCENARIOS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            report_calls(path, ("validate-schedule", "fuzz"), placeholders)
         for seed in seeds:
             workdir = Path(tmp) / f"cli-scale-{seed}"
             workdir.mkdir()

@@ -7,13 +7,15 @@ scan's menus span the schedule's report class (:func:`report_menus`).
 
 The coalition scan judges outcomes, not profiles: the group always pays the
 threshold, so a misreport only changes whether the group buys and its winning
-set.  The truthful profile and every deviant one take one path: the engine's
-steps over compiled columns (:func:`groupbuy.mechanism.bid_steps`), read up
-to the one that decides the auction through the group run's own rule
-(:func:`groupbuy.auction.decide_winning_set`).  Each coalition judges each
-winning set once, on first reach, through the group run's own division
-(:func:`groupbuy.mechanism.divide`), valuing its members' shares by their true
-reports there.
+set.  One outcome table per scan divides each of the 2^n outcomes once
+through the group run's own division (:func:`groupbuy.mechanism.divide`) and
+values every buyer's share there once by its true report.  Each coalition
+judges every outcome from that table before it scans; a coalition that no
+outcome improves is certified and runs no profile.  The truthful profile and
+every deviant one of the others take one path: the engine's steps over
+compiled columns (:func:`groupbuy.mechanism.bid_steps`), read up to the one
+that decides the auction through the group run's own rule
+(:func:`groupbuy.auction.decide_winning_set`).
 """
 
 from __future__ import annotations
@@ -184,10 +186,33 @@ class DeviationViolation:
 
 
 @dataclass(frozen=True)
+class CoalitionScan:
+    """How a scan covered one coalition.
+
+    ``status`` is ``certified`` when no outcome improves the coalition, so
+    none of its ``profiles`` ran the engine, and ``scanned`` otherwise.
+    ``evaluated`` counts the profiles that ran the engine.
+    """
+
+    coalition: int
+    status: str
+    profiles: int
+    evaluated: int
+
+
+@dataclass(frozen=True)
 class FuzzResult:
+    """Violations, profiles covered, and one :class:`CoalitionScan` per coalition in scan order."""
+
     violations: tuple
     profiles: int
     truncated: bool
+    coalitions: tuple = ()
+
+    @property
+    def evaluated(self) -> int:
+        """Profiles that ran the engine; ``profiles`` also counts the certified ones."""
+        return sum(scan.evaluated for scan in self.coalitions)
 
 
 def enumerate_coalition_deviations(
@@ -205,6 +230,15 @@ def enumerate_coalition_deviations(
     size estimate when that alone exceeds the budget); the three-buyer
     coalition is sampled within the remaining budget.  An empty violation list
     over a monotone schedule is the expected desk-scale outcome.
+
+    Every misreport ends in one of 2^n outcomes (no purchase, or a winning
+    set at the threshold), so each coalition first judges all of them.  If
+    none improves it, the coalition is certified: no misreport of any kind,
+    on the grid or off it, can profit it, and its profiles run no engine.
+    They still count as covered in ``profiles``: all of them, or in the
+    sampled branch the remaining budget, with ``truncated`` set.  A certified
+    coalition in the sampled branch draws nothing from the random stream; at
+    n <= 3 it is the last coalition, so no later draw moves.
     """
     n = schedule.n
     if n > FUZZ_MAX_BUYERS:
@@ -216,7 +250,7 @@ def enumerate_coalition_deviations(
 
     # Compile once: every report becomes a ratio column and the price
     # threshold a lane number.  The truthful profile and every deviant one
-    # then take the same path: steps, winning set, division.
+    # then take the same path to a winning set: steps, then the decision.
     everyone = full_mask(n)
     lane_cfg = AuctionConfig(policy.lane(cfg.threshold), (), cfg.tie_policy)
     threshold = lane_cfg.threshold
@@ -226,18 +260,22 @@ def enumerate_coalition_deviations(
     def decide(columns):
         return decide_winning_set(bid_steps(columns, policy, everyone), lane_cfg, policy)
 
-    def prefs(won, idxs):
-        """Each member's outcome when ``won`` buys (0: nobody), valued by its true report."""
+    # One outcome table per scan: each winning set (0: no purchase) divided
+    # once at the threshold, each buyer's share there valued once by its
+    # true report.  Reading every subset's shares, it also raises on a
+    # degenerate schedule before any coalition is judged.
+    truthful = decide(true_columns)
+    table = []
+    for won in range(everyone + 1):
         outcome = divide(schedule, won, threshold)
-        return tuple(
+        table.append(tuple(
             PreferenceOutcome(
                 policy.lane(true_reports[i].value_at(outcome.fractions[i])) - outcome.payments[i],
                 policy.is_positive(outcome.fractions[i]),
             )
-            for i in idxs
-        )
-
-    base_prefs = prefs(decide(true_columns), range(n))
+            for i in range(n)
+        ))
+    base_prefs = table[truthful]
 
     coalitions = sorted(
         nonempty_subsets(everyone),
@@ -253,12 +291,13 @@ def enumerate_coalition_deviations(
 
     rng = random.Random(seed)
     violations = []
+    scans = []
     profiles = 0
     truncated = False
 
     def judge(idxs, won):
         """(before, after, uses_tiebreak) if winning set ``won`` improves ``idxs``, else None."""
-        after = prefs(won, idxs)
+        after = tuple(table[won][i] for i in idxs)
         before = tuple(base_prefs[i] for i in idxs)
         all_weak = all(weakly_prefers(a, b, policy) for a, b in zip(after, before))
         any_strict = any(strictly_prefers(a, b, policy) for a, b in zip(after, before))
@@ -273,22 +312,24 @@ def enumerate_coalition_deviations(
         idxs = members(mask)
         picks = [menus[i] for i in idxs]
         total = math.prod(len(m) for m in picks)
-        if len(idxs) <= 2 or total <= budget - profiles:
-            scan = itertools.product(*picks)
+        sampled = len(idxs) > 2 and total > budget - profiles
+        covered = max(budget - profiles, 0) if sampled else total
+        truncated = truncated or sampled
+        profiles += covered
+        verdicts = [judge(idxs, won) for won in range(everyone + 1)]
+        if all(verdict is None for verdict in verdicts):
+            scans.append(CoalitionScan(mask, "certified", covered, 0))
+            continue
+        scans.append(CoalitionScan(mask, "scanned", covered, covered))
+        if sampled:
+            scan = (tuple(rng.choice(menu) for menu in picks) for _ in range(covered))
         else:
-            truncated = True
-            remaining = max(budget - profiles, 0)
-            scan = (tuple(rng.choice(menu) for menu in picks) for _ in range(remaining))
-        verdicts = {}  # winning set -> judge's result, filled on first reach
+            scan = itertools.product(*picks)
         for profile in scan:
-            profiles += 1
             columns = list(true_columns)
             for i, column in zip(idxs, profile):
                 columns[i] = column
-            won = decide(columns)
-            if won not in verdicts:
-                verdicts[won] = judge(idxs, won)
-            verdict = verdicts[won]
+            verdict = verdicts[decide(columns)]
             if verdict is not None:
                 before, after, uses_tiebreak = verdict
                 violations.append(
@@ -304,7 +345,7 @@ def enumerate_coalition_deviations(
                 )
 
     violations.sort(key=lambda v: (v.coalition, tuple(r.knots for r in v.deviant_reports)))
-    return FuzzResult(tuple(violations), profiles, truncated)
+    return FuzzResult(tuple(violations), profiles, truncated, tuple(scans))
 
 
 # ---------------------------------------------------------------------------

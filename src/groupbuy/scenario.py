@@ -364,10 +364,21 @@ def auction_result_to_json(outcome: AllocationOutcome, policy: NumericPolicy) ->
 
 
 def violations_to_json(result, policy: NumericPolicy) -> dict:
-    """Fuzz result as a report document: profiles scanned plus each violation."""
+    """Fuzz result as a report document: profiles covered and evaluated, each
+    coalition's scan, and each violation."""
     return {
         "profiles": result.profiles,
         "truncated": result.truncated,
+        "evaluated": result.evaluated,
+        "coalitions": [
+            {
+                "coalition": subset_key(scan.coalition),
+                "status": scan.status,
+                "profiles": scan.profiles,
+                "evaluated": scan.evaluated,
+            }
+            for scan in result.coalitions
+        ],
         "violations": [
             {
                 "coalition": subset_key(v.coalition),

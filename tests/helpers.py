@@ -1,31 +1,45 @@
 """Shared test fixtures and reference implementations that the library itself does not need."""
 
 import itertools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Iterable, Optional, Sequence
 
+from groupbuy.analysis import (
+    DeviationViolation,
+    FuzzResult,
+    PreferenceOutcome,
+    concave_report_grid,
+    report_menus,
+    strictly_prefers,
+    weakly_prefers,
+)
 from groupbuy.auction import (
     GROUP_WINS,
     AuctionConfig,
     decide_winning_set,
     run_group_participation,
 )
-from groupbuy.mechanism import AllocationOutcome, BidTrace, divide
+from groupbuy.mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
 from groupbuy.numeric import EXACT, Num, NumericPolicy
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
+    EqualSplitSchedule,
     RankedSchedule,
     ShareSchedule,
     TableSchedule,
     full_mask,
     members,
     nonempty_subsets,
+    sqrt_weight,
 )
 from groupbuy.utility import (
     ClosedFormUtility,
     UtilityReport,
     random_concave_knots,
+    sample_report,
     validate_knots,
 )
 
@@ -196,6 +210,154 @@ def check_individual_consistency(
         if not outcome.winning_set >> i & 1:
             return ConsistencyViolation(i, True)
     return None
+
+
+def reference_coalition_scan(
+    true_reports: Sequence[UtilityReport],
+    schedule: ShareSchedule,
+    cfg: AuctionConfig,
+    report_grid: Sequence[Sequence[UtilityReport]],
+    budget: int = 250_000,
+    seed: int = 0,
+    policy: NumericPolicy = EXACT,
+) -> FuzzResult:
+    """Reference for :func:`groupbuy.analysis.enumerate_coalition_deviations`.
+
+    The scan without certificates and without an outcome table: every
+    profile of every coalition runs the engine, and a coalition divides and
+    values a winning set on its first reach.  The sampled branch draws as
+    the library's does.  It reports violations, ``profiles`` and
+    ``truncated``, and no coalition scans.
+    """
+    n = schedule.n
+    everyone = full_mask(n)
+    lane_cfg = AuctionConfig(policy.lane(cfg.threshold), (), cfg.tie_policy)
+    threshold = lane_cfg.threshold
+    true_columns = [RatioColumn(schedule, policy, i, r) for i, r in enumerate(true_reports)]
+    menus = [[RatioColumn(schedule, policy, i, r) for r in report_grid[i]] for i in range(n)]
+
+    def decide(columns):
+        return decide_winning_set(bid_steps(columns, policy, everyone), lane_cfg, policy)
+
+    def prefs(won, idxs):
+        outcome = divide(schedule, won, threshold)
+        return tuple(
+            PreferenceOutcome(
+                policy.lane(true_reports[i].value_at(outcome.fractions[i])) - outcome.payments[i],
+                policy.is_positive(outcome.fractions[i]),
+            )
+            for i in idxs
+        )
+
+    base_prefs = prefs(decide(true_columns), range(n))
+
+    def judge(idxs, won):
+        after = prefs(won, idxs)
+        before = tuple(base_prefs[i] for i in idxs)
+        all_weak = all(weakly_prefers(a, b, policy) for a, b in zip(after, before))
+        any_strict = any(strictly_prefers(a, b, policy) for a, b in zip(after, before))
+        if not (all_weak and any_strict):
+            return None
+        net_only = all(policy.ge(a.net, b.net) for a, b in zip(after, before)) and any(
+            policy.gt(a.net, b.net) for a, b in zip(after, before)
+        )
+        return before, after, not net_only
+
+    rng = random.Random(seed)
+    violations = []
+    profiles = 0
+    truncated = False
+    for mask in sorted(nonempty_subsets(everyone), key=lambda m: (len(members(m)), m)):
+        idxs = members(mask)
+        picks = [menus[i] for i in idxs]
+        total = math.prod(len(m) for m in picks)
+        if len(idxs) <= 2 or total <= budget - profiles:
+            scan = itertools.product(*picks)
+        else:
+            truncated = True
+            remaining = max(budget - profiles, 0)
+            scan = (tuple(rng.choice(menu) for menu in picks) for _ in range(remaining))
+        verdicts = {}
+        for profile in scan:
+            profiles += 1
+            columns = list(true_columns)
+            for i, column in zip(idxs, profile):
+                columns[i] = column
+            won = decide(columns)
+            if won not in verdicts:
+                verdicts[won] = judge(idxs, won)
+            if verdicts[won] is not None:
+                before, after, uses_tiebreak = verdicts[won]
+                violations.append(DeviationViolation(
+                    mask, tuple(true_reports[i] for i in idxs),
+                    tuple(column.report for column in profile), cfg, before, after, uses_tiebreak,
+                ))
+    violations.sort(key=lambda v: (v.coalition, tuple(r.knots for r in v.deviant_reports)))
+    return FuzzResult(tuple(violations), profiles, truncated)
+
+
+def worked_trio(sched: ShareSchedule) -> list:
+    """Linear, square-root and log buyers sampled at their share points."""
+    forms = [
+        ClosedFormUtility.linear(1),
+        ClosedFormUtility.power(1, F(1, 2)),
+        ClosedFormUtility.log(1),
+    ]
+    return [sample_report(f, sched.share_points(i)) for i, f in enumerate(forms)]
+
+
+CRITERION_4_BUDGET = 400_000  # every scan of acceptance criterion 4, in the approx() lane
+
+
+def criterion_4_scans() -> list:
+    """Acceptance criterion 4's scans: (truthful reports, schedule, config, menus).
+
+    Two buyers, full cross-products with three configs each: equal split and
+    renormalized weights (2, 1) on a five-level grid, and ranked sqrt on its
+    power menus.  Three buyers, budgeted: equal split on an 11-level grid
+    against 3/5, renormalized weights (3, 2, 1) on a 7-level grid against 2/5
+    and 11/10, and ranked sqrt (order 0, 1, 2, base 1/2, 1/4, 1/4) with power
+    buyers on its power menus against 3/5 and 3/2.
+    """
+    five_levels = (0, F(1, 4), F(1, 2), F(3, 4), 1)
+
+    def sampled(sched, forms):
+        return [sample_report(f, sched.share_points(i)) for i, f in enumerate(forms)]
+
+    linear_sqrt = (ClosedFormUtility.linear(1), ClosedFormUtility.power(1, F(1, 2)))
+    powers = (ClosedFormUtility.power(1, F(1, 3)), ClosedFormUtility.power(1, F(1, 2)))
+    eq2 = EqualSplitSchedule(2)
+    cm2 = renormalized_cmss(2, (F(2), F(1)))
+    rr2 = RankedSchedule((0, 1), (F(1, 2), F(1, 2)), sqrt_weight())
+    legs2 = [
+        (eq2, sampled(eq2, linear_sqrt), concave_report_grid(eq2, levels=five_levels)),
+        (cm2, sampled(cm2, linear_sqrt), concave_report_grid(cm2, levels=five_levels)),
+        (rr2, sampled(rr2, powers), report_menus(rr2)),
+    ]
+    cfgs2 = [
+        AuctionConfig(0, (F(3, 10),)),
+        AuctionConfig(0, (F(9, 10),)),
+        AuctionConfig(F(1, 2), (F(14, 10),)),
+    ]
+    scans = [(truth, sched, cfg, grid) for sched, truth, grid in legs2 for cfg in cfgs2]
+
+    eq3 = EqualSplitSchedule(3)
+    grid_eq = concave_report_grid(eq3, levels=tuple(F(k, 10) for k in range(11)))
+    scans.append((worked_trio(eq3), eq3, AuctionConfig(0, (F(3, 5),)), grid_eq))
+    cm3 = renormalized_cmss(3, (F(3), F(2), F(1)))
+    grid_cm = concave_report_grid(cm3, levels=tuple(F(k, 6) for k in range(7)))
+    for cfg in (AuctionConfig(0, (F(2, 5),)), AuctionConfig(0, (F(11, 10),))):
+        scans.append((worked_trio(cm3), cm3, cfg, grid_cm))
+    rr3 = RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)), sqrt_weight())
+    truth_rr = sampled(rr3, (
+        ClosedFormUtility.power(1, F(1, 4)),
+        ClosedFormUtility.power(1, F(1, 3)),
+        ClosedFormUtility.power(1, F(1, 2)),
+    ))
+    grid_rr = report_menus(rr3)
+    for cfg in (AuctionConfig(0, (F(3, 5),)), AuctionConfig(0, (F(3, 2),))):
+        scans.append((truth_rr, rr3, cfg, grid_rr))
+    return scans
 
 
 # the value levels of the menus that scan :func:`exploit_table`

@@ -11,12 +11,7 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
-from groupbuy.analysis import (
-    concave_report_grid,
-    enumerate_coalition_deviations,
-    report_menus,
-)
-from groupbuy.auction import AuctionConfig
+from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations
 from groupbuy.mechanism import compute_bid_trace
 from groupbuy.numeric import approx
 from groupbuy.schedule import (
@@ -35,7 +30,9 @@ from groupbuy.schedule import (
 from groupbuy.utility import ClosedFormUtility, sample_report
 
 from helpers import (
+    CRITERION_4_BUDGET,
     check_individual_consistency,
+    criterion_4_scans,
     divide_at_price,
     fixed_price_outcome,
     random_concave_utility,
@@ -43,6 +40,7 @@ from helpers import (
     renormalized_cmss,
     rras_resource_table,
     run_at_price,
+    worked_trio,
 )
 
 APPROX = approx()
@@ -55,15 +53,6 @@ def report_line(criterion, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] criterion {criterion}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
-
-
-def worked_trio(sched):
-    forms = [
-        ClosedFormUtility.linear(1),
-        ClosedFormUtility.power(1, F(1, 2)),
-        ClosedFormUtility.log(1),
-    ]
-    return [sample_report(f, sched.share_points(i)) for i, f in enumerate(forms)]
 
 
 def random_monotone_schedule(rng, n):
@@ -187,68 +176,20 @@ def test_criterion_3_schedule_table_reproduction():
 
 def test_criterion_4_coalition_fuzz_clean():
     t0 = time.perf_counter()
-    five_levels = (0, F(1, 4), F(1, 2), F(3, 4), 1)
     total_violations = 0
 
-    # two buyers: full cross-products on a 5-value grid, three configs each
-    cfgs2 = [
-        AuctionConfig(0, (F(3, 10),)),
-        AuctionConfig(0, (F(9, 10),)),
-        AuctionConfig(F(1, 2), (F(14, 10),)),
-    ]
-    legs2 = []
-    eq2 = EqualSplitSchedule(2)
-    legs2.append((eq2, worked_pair(eq2), concave_report_grid(eq2, levels=five_levels)))
-    cm2 = renormalized_cmss(2, (F(2), F(1)))
-    legs2.append((cm2, worked_pair(cm2), concave_report_grid(cm2, levels=five_levels)))
-    rr2 = RankedSchedule((0, 1), (F(1, 2), F(1, 2)), sqrt_weight())
-    legs2.append((rr2, power_pair(rr2), report_menus(rr2)))
-    for sched, truth, grid in legs2:
-        for cfg in cfgs2:
-            result = enumerate_coalition_deviations(
-                truth, sched, cfg, grid, budget=400_000, policy=APPROX
-            )
-            assert not result.truncated
-            total_violations += len(result.violations)
-
-    # three buyers: budgeted scan, at least a hundred thousand profiles in all
+    # two buyers: full cross-products on a 5-value grid, three configs each;
+    # three buyers: budgeted scans, at least a hundred thousand profiles in all
     profiles3 = 0
-    eq3 = EqualSplitSchedule(3)
-    grid_eq = concave_report_grid(eq3, levels=tuple(F(k, 10) for k in range(11)))
-    result = enumerate_coalition_deviations(
-        worked_trio(eq3), eq3, AuctionConfig(0, (F(3, 5),)), grid_eq,
-        budget=400_000, policy=APPROX,
-    )
-    total_violations += len(result.violations)
-    profiles3 += result.profiles
-
-    cm3 = renormalized_cmss(3, (F(3), F(2), F(1)))
-    grid_cm = concave_report_grid(cm3, levels=tuple(F(k, 6) for k in range(7)))
-    for cfg in (AuctionConfig(0, (F(2, 5),)), AuctionConfig(0, (F(11, 10),))):
+    for truth, sched, cfg, grid in criterion_4_scans():
         result = enumerate_coalition_deviations(
-            worked_trio(cm3), cm3, cfg, grid_cm, budget=400_000, policy=APPROX
+            truth, sched, cfg, grid, budget=CRITERION_4_BUDGET, policy=APPROX
         )
         total_violations += len(result.violations)
-        profiles3 += result.profiles
-
-    rr3 = RankedSchedule(ORDER, BASE, sqrt_weight())
-    grid_rr = report_menus(rr3)
-    truth_rr = [
-        sample_report(f, rr3.share_points(i))
-        for i, f in enumerate(
-            (
-                ClosedFormUtility.power(1, F(1, 4)),
-                ClosedFormUtility.power(1, F(1, 3)),
-                ClosedFormUtility.power(1, F(1, 2)),
-            )
-        )
-    ]
-    for cfg in (AuctionConfig(0, (F(3, 5),)), AuctionConfig(0, (F(3, 2),))):
-        result = enumerate_coalition_deviations(
-            truth_rr, rr3, cfg, grid_rr, budget=400_000, policy=APPROX
-        )
-        total_violations += len(result.violations)
-        profiles3 += result.profiles
+        if sched.n == 2:
+            assert not result.truncated
+        else:
+            profiles3 += result.profiles
 
     elapsed = time.perf_counter() - t0
     ok = total_violations == 0 and profiles3 >= 100_000 and elapsed < 300
@@ -257,20 +198,6 @@ def test_criterion_4_coalition_fuzz_clean():
         f"zero violations over {profiles3} three-buyer profiles (+ full two-buyer scans) "
         f"in {elapsed:.1f}s",
     )
-
-
-def worked_pair(sched):
-    return [
-        sample_report(ClosedFormUtility.linear(1), sched.share_points(0)),
-        sample_report(ClosedFormUtility.power(1, F(1, 2)), sched.share_points(1)),
-    ]
-
-
-def power_pair(sched):
-    return [
-        sample_report(ClosedFormUtility.power(1, F(1, 3)), sched.share_points(0)),
-        sample_report(ClosedFormUtility.power(1, F(1, 2)), sched.share_points(1)),
-    ]
 
 
 def test_criterion_5_individual_consistency_sweep():

@@ -1,8 +1,12 @@
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+from groupbuy import analysis
 from groupbuy.analysis import (
     BudgetError,
     PreferenceOutcome,
@@ -14,7 +18,7 @@ from groupbuy.analysis import (
     strictly_prefers,
     weakly_prefers,
 )
-from groupbuy.auction import AuctionConfig, run_group_participation
+from groupbuy.auction import GROUP_LOSES, GROUP_WINS, AuctionConfig, run_group_participation
 from groupbuy.numeric import EXACT, approx
 from groupbuy.scenario import bundled_scenario_path, load_scenario_file
 from groupbuy.schedule import (
@@ -30,11 +34,14 @@ from groupbuy.schedule import (
 from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
 
 from helpers import (
+    CRITERION_4_BUDGET,
     EXPLOIT_LEVELS,
     check_individual_consistency,
+    criterion_4_scans,
     exploit_table,
     exploit_truth,
     filtered_concave_report_grid,
+    reference_coalition_scan,
     renormalized_cmss,
     rras_resource_table,
 )
@@ -313,6 +320,101 @@ class TestCoalitions:
         assert result.truncated
         assert result.profiles == budget
         assert result.violations == ()
+
+
+def certified(result):
+    return {scan.coalition for scan in result.coalitions if scan.status == "certified"}
+
+
+def assert_matches_the_reference(args, kwargs):
+    """The library scan equals the reference in every field it reports, and
+    every certified coalition's full reference scan finds no violation."""
+    result = enumerate_coalition_deviations(*args, **kwargs)
+    reference = reference_coalition_scan(*args, **kwargs)
+    assert replace(result, coalitions=()) == reference
+    masks = range(1, 2 ** len(args[0]))
+    assert [scan.coalition for scan in result.coalitions] == sorted(
+        masks, key=lambda m: (m.bit_count(), m)
+    )
+    assert sum(scan.profiles for scan in result.coalitions) == result.profiles
+    for scan in result.coalitions:
+        assert scan.evaluated == (0 if scan.status == "certified" else scan.profiles)
+    if reference.truncated:
+        reference = reference_coalition_scan(*args, **{**kwargs, "budget": 10 ** 9})
+        assert not reference.truncated
+    assert not {v.coalition for v in reference.violations} & certified(result)
+    return result
+
+
+EXPLOIT_SCANS = [
+    pytest.param(policy, tie, id=f"{lane}-{tie}")
+    for policy, lane in ((EXACT, "exact"), (APPROX, "approx"))
+    for tie in (GROUP_WINS, GROUP_LOSES)
+]
+
+
+class TestCertification:
+    @pytest.mark.parametrize("policy,tie", EXPLOIT_SCANS)
+    def test_exploit_table_matches_the_reference(self, policy, tie):
+        grid = concave_report_grid(exploit_table(), levels=EXPLOIT_LEVELS)
+        args = (exploit_truth(), exploit_table(), AuctionConfig(0, (F(1, 2),), tie), grid)
+        result = assert_matches_the_reference(args, {"budget": 300_000, "policy": policy})
+        # pinned: only buyer 2 alone gains from no outcome; every coalition
+        # with a violation is scanned
+        assert len(result.violations) == 169
+        assert certified(result) == {0b100}
+        assert {v.coalition for v in result.violations} <= {
+            scan.coalition for scan in result.coalitions if scan.status == "scanned"
+        }
+        assert result.evaluated == 1209 - 10
+
+    @pytest.mark.parametrize("policy,tie", EXPLOIT_SCANS)
+    def test_exploit_table_sampled_scan_matches_the_reference(self, policy, tie):
+        # budget 50 past the one- and two-buyer coalitions: the violating
+        # three-buyer coalition is scanned on 50 draws, as the reference draws them
+        grid = concave_report_grid(exploit_table(), levels=EXPLOIT_LEVELS)
+        args = (exploit_truth(), exploit_table(), AuctionConfig(0, (F(1, 2),), tie), grid)
+        result = assert_matches_the_reference(args, {"budget": 359, "seed": 5, "policy": policy})
+        assert (result.profiles, result.truncated) == (359, True)
+        assert result.coalitions[-1] == analysis.CoalitionScan(0b111, "scanned", 50, 50)
+
+    def test_criterion_4_matches_the_reference(self):
+        got = []
+        for truth, sched, cfg, grid in criterion_4_scans():
+            result = assert_matches_the_reference(
+                (truth, sched, cfg, grid), {"budget": CRITERION_4_BUDGET, "policy": APPROX}
+            )
+            got.append(sorted(certified(result)))
+        # pinned: nine two-buyer scans, then five three-buyer ones; the grand
+        # coalition is certified in all of them
+        assert got == [
+            [3], [2, 3], [1, 3], [3], [2, 3], [1, 3], [3], [1, 2, 3], [1, 2, 3],
+            [7], [7], [1, 4, 5, 7], [1, 3, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7],
+        ]
+
+    def test_certified_sampled_coalition_draws_nothing(self, monkeypatch):
+        # the three-buyer coalition is sampled (budget 50 past the exhaustive
+        # part) and certified: it covers the remaining budget, runs no profile
+        # and leaves the random stream where it was
+        sched = EqualSplitSchedule(3)
+        grid = concave_report_grid(sched)
+        sizes = [len(menu) for menu in grid]
+        exhaustive = sum(sizes) + sum(sizes[i] * sizes[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+        args = (worked_reports(sched), sched, AuctionConfig(0, (F(3, 5),)), grid)
+        kwargs = {"budget": exhaustive + 50, "seed": 7, "policy": APPROX}
+        made = []
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(analysis, "random", SimpleNamespace(Random=Recorded))
+        result = assert_matches_the_reference(args, kwargs)
+        assert (result.profiles, result.truncated) == (exhaustive + 50, True)
+        assert result.coalitions[-1] == analysis.CoalitionScan(0b111, "certified", 50, 0)
+        assert result.evaluated == exhaustive
+        assert [rng.getstate() for rng in made] == [random.Random(7).getstate()]
 
 
 class TestIndividualConsistency:

@@ -525,7 +525,8 @@ class TestFuzz:
         assert captured.out == "0 deviation profiles, 0 violations\n"
 
     def test_zero_budget_report_is_empty(self, tmp_path, capsys):
-        empty = {"profiles": 0, "truncated": False, "violations": []}
+        empty = {"profiles": 0, "truncated": False, "evaluated": 0, "coalitions": [],
+                 "violations": []}
         assert run_cli("fuzz", scenario("example2"), "--budget", "0", "--format", "json") == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out) == empty
@@ -567,6 +568,18 @@ class TestFuzz:
         payload = json.loads(capsys.readouterr().out)
         assert payload["profiles"] == 728
         assert len(payload["violations"]) == 104
+
+    def test_json_reports_each_coalition_scan(self, capsys):
+        # example2: every coalition of one or two buyers is scanned, and the
+        # grand coalition is certified, its 512 profiles covered but not run
+        assert run_cli("fuzz", scenario("example2"), "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["profiles"], payload["evaluated"]) == (728, 216)
+        assert payload["coalitions"][-1] == {
+            "coalition": "0,1,2", "status": "certified", "profiles": 512, "evaluated": 0,
+        }
+        assert [c["status"] for c in payload["coalitions"][:-1]] == ["scanned"] * 6
+        assert sum(c["profiles"] for c in payload["coalitions"]) == 728
 
     def test_text_is_summary_then_violation_table(self, tmp_path, capsys):
         path = exploitable(tmp_path)

@@ -187,17 +187,20 @@ class DeviationViolation:
 
 @dataclass(frozen=True)
 class CoalitionScan:
-    """How a scan covered one coalition.
+    """How a scan covered one coalition's ``profiles``.
 
     ``status`` is ``certified`` when no outcome improves the coalition, so
-    none of its ``profiles`` ran the engine, and ``scanned`` otherwise.
-    ``evaluated`` counts the profiles that ran the engine.
+    none of its profiles ran the engine, and ``scanned`` when all of them did.
     """
 
     coalition: int
     status: str
     profiles: int
-    evaluated: int
+
+    @property
+    def evaluated(self) -> int:
+        """Profiles that ran the engine."""
+        return 0 if self.status == "certified" else self.profiles
 
 
 @dataclass(frozen=True)
@@ -318,9 +321,9 @@ def enumerate_coalition_deviations(
         profiles += covered
         verdicts = [judge(idxs, won) for won in range(everyone + 1)]
         if all(verdict is None for verdict in verdicts):
-            scans.append(CoalitionScan(mask, "certified", covered, 0))
+            scans.append(CoalitionScan(mask, "certified", covered))
             continue
-        scans.append(CoalitionScan(mask, "scanned", covered, covered))
+        scans.append(CoalitionScan(mask, "scanned", covered))
         if sampled:
             scan = (tuple(rng.choice(menu) for menu in picks) for _ in range(covered))
         else:

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 from .auction import AuctionConfig, decide_winning_set, run_group_participation
 from .mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
 from .numeric import EXACT, Num, NumericPolicy, infer_policy
-from .schedule import ShareSchedule, full_mask, members, nonempty_subsets, report_class_for
+from .schedule import ScheduleError, ShareSchedule, full_mask, members, nonempty_subsets, report_class_for
 from .utility import ClosedFormUtility, InvalidReportError, UtilityReport, sample_report
 
 
@@ -245,7 +245,7 @@ def enumerate_coalition_deviations(
     """
     n = schedule.n
     if n > FUZZ_MAX_BUYERS:
-        raise ValueError(f"deviation enumeration is capped at {FUZZ_MAX_BUYERS} buyers")
+        raise ScheduleError(f"deviation enumeration is capped at {FUZZ_MAX_BUYERS} buyers")
     if len(true_reports) != n:
         raise ValueError(f"{len(true_reports)} reports for a {n}-buyer schedule")
     if len(report_grid) != n:
@@ -265,8 +265,7 @@ def enumerate_coalition_deviations(
 
     # One outcome table per scan: each winning set (0: no purchase) divided
     # once at the threshold, each buyer's share there valued once by its
-    # true report.  Reading every subset's shares, it also raises on a
-    # degenerate schedule before any coalition is judged.
+    # true report.
     truthful = decide(true_columns)
     table = []
     for won in range(everyone + 1):

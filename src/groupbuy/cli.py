@@ -37,7 +37,6 @@ from .auction import run_group_participation
 from .numeric import decimal_str
 from .schedule import (
     ORACLE_MAX_BUYERS,
-    VALIDATION_MAX_BUYERS,
     ScheduleError,
     brute_force_monotonicity_check,
     members,
@@ -171,9 +170,8 @@ def cmd_validate_schedule(args) -> int:
     scenario = _load(args)
     schedule = scenario.schedule
     policy = scenario.policy
-    if schedule.n > VALIDATION_MAX_BUYERS:
-        print(f"validation is capped at {VALIDATION_MAX_BUYERS} buyers", file=sys.stderr)
-        return 2
+    # first: it rejects a schedule above its buyer cap before anything is printed
+    cross = validate_cross_monotonic(schedule, policy=policy)
 
     zero_share_members = [
         (mask, i)
@@ -199,7 +197,6 @@ def cmd_validate_schedule(args) -> int:
         )
 
     ok = True
-    cross = validate_cross_monotonic(schedule, policy=policy)
     if cross is None:
         print("cross-monotonicity: Pass")
     else:

@@ -28,15 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .numeric import EXACT, Num, NumericPolicy
-from .schedule import (
-    DegenerateScheduleError,
-    ShareSchedule,
-    full_mask,
-    is_subset,
-    mask_of,
-    members,
-    subset_key,
-)
+from .schedule import ShareSchedule, full_mask, is_subset, mask_of, members
 from .utility import ClosedFormUtility, UtilityReport
 
 
@@ -110,8 +102,10 @@ def bid_steps(
     The bare loop: it trusts what :func:`compute_bid_trace` checks (one
     column per buyer, compiled for one schedule and ``policy``, and a
     non-empty ``subset`` of the buyers).  Terminates in at most n steps:
-    payment shares sum to one, so some member has a ratio, and the one at the
-    minimum passes ``policy.eq(ratio, bound)``.
+    every schedule is built so that each subset S has a member paying at least
+    1/|S| >= 1/32, which ``policy.is_positive`` passes (an epsilon stays below
+    1/64), so some member has a ratio, and the one at the minimum passes
+    ``policy.eq(ratio, bound)``.
     """
     while subset:
         ratios = {}
@@ -119,11 +113,6 @@ def bid_steps(
             ratio = columns[i][subset]
             if ratio is not None:
                 ratios[i] = ratio
-        if not ratios:
-            raise DegenerateScheduleError(
-                f"no member of {{{subset_key(subset)}}} has a positive payment share",
-                subset,
-            )
         bound = min(ratios.values())
         removed = mask_of(i for i, ratio in ratios.items() if policy.eq(ratio, bound))
         yield BidStep(subset, bound, removed)

@@ -28,6 +28,7 @@ from typing import Union
 Num = Union[int, float, Fraction]
 
 DEFAULT_EPSILON = 1e-9
+MAX_EPSILON = 2.0 ** -6  # half of 1/32, the least share a subset's largest payer holds
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,10 @@ class NumericPolicy:
     """
 
     epsilon: float | None = None
+
+    def __post_init__(self):
+        if self.epsilon is not None and not 0 < self.epsilon < MAX_EPSILON:
+            raise ValueError(f"epsilon must be positive and finite and below 1/64, not {self.epsilon!r}")
 
     @property
     def exact(self) -> bool:
@@ -77,8 +82,6 @@ EXACT = NumericPolicy()
 
 
 def approx(epsilon: float = DEFAULT_EPSILON) -> NumericPolicy:
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, not {epsilon!r}")
     return NumericPolicy(epsilon)
 
 

@@ -18,10 +18,12 @@ Schedule stanzas::
     {"kind": "rras",  "order": [0, 1, 2], "base": ["1/2", "1/4", "1/4"], "f": "sqrt"}
     {"kind": "table", "entries": {"0,1": {"x": [...], "y": [...]}, ...}}
 
-Subset keys are sorted comma-joined buyer indices ("0,2"); cmss and table
-stanzas must list every non-empty subset.  Reports emit every number as a
-decimal string with 15 significant digits, plus an exact "p/q" string under
-the exact arithmetic policy.
+Policy stanzas: {"mode": "exact"}, {"mode": "approx"} and {"epsilon": "1e-6"}
+(the tolerance lane; with "mode": "approx" too).  Buyer and policy stanzas
+take no other field.  Subset keys are sorted comma-joined buyer indices
+("0,2"); cmss and table stanzas must list every non-empty subset.  Reports
+emit every number as a decimal string with 15 significant digits, plus an
+exact "p/q" string under the exact arithmetic policy.
 """
 
 from __future__ import annotations
@@ -102,11 +104,24 @@ def _typed(value, kind: type, what: str, *args):
     return value
 
 
+_BUYER_FIELDS = {"knots": ("points",), "linear": ("c",), "power": ("c", "k"), "log": ("c",)}
+
+
+def _reject_unread(stanza: dict, fields: tuple, label: str) -> None:
+    """A ScenarioError naming the first field of ``stanza`` not in ``fields``."""
+    for key in stanza:
+        if key not in fields:
+            raise ScenarioError(f"{label}: unknown field {key!r}")
+
+
 def _parse_buyer(stanza, index: int):
     """A ``knots`` buyer as a UtilityReport, a closed form as its ClosedFormUtility."""
     if not isinstance(stanza, dict) or "kind" not in stanza:
         raise ScenarioError(f"buyer {index}: expected an object with a \"kind\" field")
     kind = stanza["kind"]
+    if not (isinstance(kind, str) and kind in _BUYER_FIELDS):
+        raise ScenarioError(f"buyer {index}: unknown utility kind {kind!r}")
+    _reject_unread(stanza, ("kind", *_BUYER_FIELDS[kind]), f"buyer {index}")
     with _malformed(f"buyer {index}"):
         if kind == "knots":
             points = _typed(stanza["points"], list, 'buyer {}: "points"', index)
@@ -116,9 +131,7 @@ def _parse_buyer(stanza, index: int):
             return ClosedFormUtility.linear(parse_number(stanza["c"]))
         if kind == "power":
             return ClosedFormUtility.power(parse_number(stanza["c"]), parse_number(stanza["k"]))
-        if kind == "log":
-            return ClosedFormUtility.log(parse_number(stanza["c"]))
-    raise ScenarioError(f"buyer {index}: unknown utility kind {kind!r}")
+        return ClosedFormUtility.log(parse_number(stanza["c"]))
 
 
 def _parse_weight(text: str):
@@ -248,30 +261,31 @@ def load_scenario(
     else:
         with _malformed("fixed_price"):
             fixed_price = parse_number(data["fixed_price"])
-        if fixed_price < 0:
-            raise ScenarioError("fixed price must be non-negative")
-        auction = AuctionConfig(reserve=fixed_price)
+            auction = AuctionConfig(reserve=fixed_price)
 
-    irrational = _irrational_input(reports, named)
     stanza = data.get("policy", {})
     if not isinstance(stanza, dict):
         raise ScenarioError("policy stanza must be an object")
+    _reject_unread(stanza, ("mode", "epsilon"), "policy")
     mode = stanza.get("mode")
     if mode not in (None, "exact", "approx"):
         raise ScenarioError(f"unknown policy mode {mode!r}")
+    if mode == "exact" and "epsilon" in stanza:
+        raise ScenarioError('policy: "mode": "exact" and an "epsilon" exclude each other')
     if force_exact and epsilon is not None:
         raise ScenarioError(
             "exact arithmetic (--exact) and an epsilon (--epsilon) exclude each other"
         )
-    policy = EXACT
-    if force_exact or (epsilon is None and mode == "exact"):
-        if irrational:
-            raise ScenarioError(f"exact arithmetic requested but {irrational}")
-    elif epsilon is not None or mode == "approx" or irrational:
-        with _malformed("policy"):
-            if epsilon is None:
-                epsilon = float(parse_number(stanza.get("epsilon", DEFAULT_EPSILON)))
-            policy = approx(epsilon)
+    requested = EXACT if mode == "exact" else None  # the file's request, then the flags'
+    with _malformed("policy"):
+        if "epsilon" in stanza or mode == "approx":
+            requested = approx(float(parse_number(stanza.get("epsilon", DEFAULT_EPSILON))))
+        if force_exact or epsilon is not None:
+            requested = EXACT if force_exact else approx(epsilon)
+    irrational = _irrational_input(reports, named)
+    policy = requested if requested is not None else approx() if irrational else EXACT
+    if policy.exact and irrational:
+        raise ScenarioError(f"exact arithmetic requested but {irrational}")
 
     if seed is None and "seed" in data:
         with _malformed("seed"):

@@ -9,7 +9,10 @@ cross-monotonic tables whose payment shares equal their resource shares
 :class:`RankedSchedule`, which pays in proportion to a concave weight of the
 resource shares.  A weight is a power x**k, 0 < k <= 1, of the closed-form
 family that buyers' utilities use (:class:`~groupbuy.utility.ClosedFormUtility`;
-identity is k = 1, sqrt k = 1/2).
+identity is k = 1, sqrt k = 1/2), with a positive coefficient.
+
+Each schedule is checked once, when it is built, so that every non-empty
+subset S has a member paying at least 1/|S|; the engine relies on it.
 
 The incentive properties of the mechanism rest on the schedule's monotonicity:
 a buyer who cannot cover its payment share of some price C with its utility
@@ -112,12 +115,6 @@ def parse_subset_key(text: str, n: int) -> int:
 
 class ScheduleError(ValueError):
     pass
-
-
-class DegenerateScheduleError(ScheduleError):
-    def __init__(self, message: str, subset: int):
-        super().__init__(message)
-        self.subset = subset
 
 
 @dataclass(frozen=True)
@@ -246,8 +243,12 @@ def power_weight(k: Num) -> ClosedFormUtility:
 
 
 def _check_weight(weight) -> None:
-    if not (isinstance(weight, ClosedFormUtility) and weight.kind == "power"):
-        raise ScheduleError(f"a weight must be a power ClosedFormUtility, not {weight!r}")
+    # 1/32 is the least share of a subset's largest member; floats can round a tiny c to 0
+    ok = isinstance(weight, ClosedFormUtility) and weight.kind == "power"
+    if not (ok and weight.value_at(Fraction(1, 32)) > 0):
+        raise ScheduleError(
+            f"a weight must be a power ClosedFormUtility with c > 0, positive at 1/32, not {weight!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +288,6 @@ class RankedSchedule(ShareSchedule):
         )
         weights = [self.weight.value_at(x) if live else None for x, live in zip(resource, inside)]
         total = sum(w for w in weights if w is not None)
-        if not total > 0:
-            raise DegenerateScheduleError(
-                f"weight sum vanishes on subset {{{subset_key(subset)}}}", subset
-            )
         return SharePair(resource, tuple(w / total if w is not None else 0 for w in weights))
 
 
@@ -666,14 +663,13 @@ def single_crossing_check(
     Decided in closed form.  The steepest class member x**k decides: k = k_max
     for the power family c*x**k, and k = 1 (x itself) for the concave class,
     whose chords through the origin only flatten.  A weight c*x**q passes
-    exactly when q >= k, since C*c*x**q / x**k is non-decreasing iff q >= k,
-    or when c = 0, since C*0 never rises above a utility.
-    Otherwise x**k is the witness, with C*weight above it at x = 1/4 and not
-    above it at x = 1.
+    exactly when q >= k, since C*c*x**q / x**k (c > 0) is non-decreasing iff
+    q >= k.  Otherwise x**k is the witness, with C*weight above it at x = 1/4
+    and not above it at x = 1.
     """
     _check_weight(weight)
     k = report_class.k_max if report_class.kind == "power" else 1
-    if weight.k >= k or weight.c == 0:
+    if weight.k >= k:
         return None
     constant = Fraction(1, 2) ** (k - weight.k) / weight.c
     return SingleCrossingCounterexample(

@@ -92,8 +92,6 @@ class UtilityReport:
         object.__setattr__(self, "_us", tuple(u for _, u in normalized))
 
     def value_at(self, x: Num) -> Num:
-        if x < 0 or x > 1:
-            raise ValueError(f"utility argument {x} outside [0, 1]")
         return piecewise_value(self._xs, self._us, x)
 
 
@@ -145,10 +143,8 @@ class ClosedFormUtility:
 
 
 def sample_knots(form: ClosedFormUtility, points: Iterable[Num]) -> tuple:
-    """Knots (p, f(p)) over the given points, with 0 and 1 added if absent."""
+    """Knots (p, f(p)) over the given points, 0 and 1 added if absent; ``value_at`` checks each."""
     xs = sorted(set(points) | {Fraction(0), Fraction(1)})
-    if xs[0] < 0 or xs[-1] > 1:
-        raise ValueError("sample points must lie in [0, 1]")
     return tuple((x, form.value_at(x)) for x in xs)
 
 

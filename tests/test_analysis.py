@@ -26,6 +26,7 @@ from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
     RankedSchedule,
+    ScheduleError,
     SharePair,
     ShareSchedule,
     TableSchedule,
@@ -196,6 +197,13 @@ class TestUnilateral:
 
 
 class TestCoalitions:
+    def test_four_buyers_raise_schedule_error(self):
+        # a limit like every other: ScheduleError, which the CLI maps to exit 2
+        sched = EqualSplitSchedule(4)
+        truth = [ClosedFormUtility.linear(1)] * 4
+        with pytest.raises(ScheduleError, match="deviation enumeration is capped at 3 buyers"):
+            enumerate_coalition_deviations(truth, sched, AuctionConfig(), [[]] * 4)
+
     def test_equal_split_two_buyers_fully_enumerated(self):
         sched = EqualSplitSchedule(2)
         truth = [

@@ -6,6 +6,7 @@ import pytest
 import groupbuy
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.cli import main
+from groupbuy.numeric import EXACT, approx
 from groupbuy.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -346,6 +347,25 @@ class TestRun:
                      (), "buyer 0: not a finite float: '1e400'", id="linear_c-1e400"),
         pytest.param({"buyers": [knots(("0", "0"), ("1", "1e400")), {"kind": "linear", "c": "2"}]},
                      (), "buyer 0: not a finite float: '1e400'", id="knot_value-1e400"),
+        pytest.param({"fixed_price": "-1"}, (),
+                     "fixed_price: reserve and bids must be finite and non-negative",
+                     id="fixed_price-negative"),
+        # an epsilon that would hide a payer's 1/32 share from is_positive
+        pytest.param({}, ("--epsilon", "0.5"), "below 1/64, not 0.5", id="flag_epsilon-0.5"),
+        pytest.param({"policy": {"epsilon": "1/64"}}, (), "below 1/64, not 0.015625",
+                     id="policy_epsilon_alone-1/64"),
+        pytest.param({"policy": {"mode": "exact", "epsilon": "1e-3"}}, (),
+                     'policy: "mode": "exact" and an "epsilon" exclude each other',
+                     id="policy_exact_with_epsilon"),
+        pytest.param({"policy": {"mode": "exact", "epsilon": "1e-3"}}, ("--epsilon", "1e-3"),
+                     'policy: "mode": "exact" and an "epsilon" exclude each other',
+                     id="policy_exact_with_epsilon-flag_epsilon"),
+        pytest.param({"policy": {"mode": "approx", "eps": "1e-3"}}, (),
+                     "policy: unknown field 'eps'", id="policy_unread_field"),
+        pytest.param({"buyers": [{"kind": "linear", "c": "1", "k": "1/2"}, {"kind": "linear", "c": "2"}]},
+                     (), "buyer 0: unknown field 'k'", id="linear_unread_k"),
+        pytest.param({"buyers": [{"kind": "linear", "c": "1"}, {**knots(("0", "0"), ("1", "1")), "c": "2"}]},
+                     (), "buyer 1: unknown field 'c'", id="knots_unread_c"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, overrides, flags, message):
         data = self.two_buyers(**overrides)
@@ -354,6 +374,19 @@ class TestRun:
         path = self.write(tmp_path, data)
         assert run_cli("run", path, *flags) == 2
         assert message in capsys.readouterr().err
+
+    def test_policy_epsilon_alone_selects_the_tolerance_lane(self, tmp_path, capsys):
+        # rational buyers run exact by default; a file epsilon, with or without
+        # "mode": "approx", asks for the tolerance lane, and the flags override it
+        for policy in ({"epsilon": "1e-3"}, {"mode": "approx", "epsilon": "1e-3"}):
+            path = self.write(tmp_path, self.two_buyers(policy=policy))
+            assert run_cli("run", path, "--format", "json") == 0
+            assert '"exact"' not in capsys.readouterr().out
+            assert load_scenario_file(path).policy == approx(1e-3)
+            assert load_scenario_file(path, epsilon=1e-6).policy == approx(1e-6)
+            assert run_cli("run", path, "--format", "json", "--exact") == 0
+            assert '"exact"' in capsys.readouterr().out
+        assert load_scenario(self.two_buyers()).policy == EXACT
 
     def ranked_linear(self, n):
         return {
@@ -508,6 +541,18 @@ class TestValidateSchedule:
             "legal, but such a buyer can win nothing\n"
         )
         assert "note" not in captured.out
+
+    def test_13_buyers_exit_2_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "thirteen.json"
+        path.write_text(json.dumps({
+            "buyers": [{"kind": "linear", "c": "1"}] * 13,
+            "schedule": {"kind": "equal-split"},
+            "fixed_price": "1/2",
+        }))
+        assert run_cli("validate-schedule", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cross-monotonicity check capped at 12 buyers\n"
 
     def test_zero_budget_skips_the_spot_check(self, capsys):
         assert run_cli("validate-schedule", scenario("example1"), "--budget", "0") == 0

@@ -14,15 +14,14 @@ from groupbuy.mechanism import (
 from groupbuy.numeric import EXACT, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
-    DegenerateScheduleError,
     EqualSplitSchedule,
     RankedSchedule,
+    ScheduleError,
     full_mask,
     mask_of,
     members,
     nonempty_subsets,
     sqrt_weight,
-    subset_key,
 )
 from groupbuy.utility import (
     ClosedFormUtility,
@@ -116,15 +115,12 @@ class TestTrace:
             compute_bid_trace(worked_reports()[:2], equal3())
 
     def test_degenerate_schedule_names_subset(self):
+        # a zero weight would leave {0,1} without a payer: the schedule is
+        # refused when it is built, naming the weight, so no trace reaches it
         flat = ClosedFormUtility.linear(0)
-        sched = RankedSchedule((0, 1), (F(1, 2), F(1, 2)), flat)
-        reps = [
-            sample_report(ClosedFormUtility.linear(1), [F(1, 2)]),
-            sample_report(ClosedFormUtility.linear(1), [F(1, 2)]),
-        ]
-        with pytest.raises(DegenerateScheduleError) as err:
-            compute_bid_trace(reps, sched)
-        assert subset_key(err.value.subset) == "0,1"
+        named = r"with c > 0, positive at 1/32, not ClosedFormUtility\(kind='power', c=0"
+        with pytest.raises(ScheduleError, match=named):
+            RankedSchedule((0, 1), (F(1, 2), F(1, 2)), flat)
 
     def test_scale_covariance(self):
         # scaling every report scales every bearable payment, same subsets

@@ -4,6 +4,8 @@ import pytest
 
 from groupbuy.numeric import (
     EXACT,
+    MAX_EPSILON,
+    NumericPolicy,
     approx,
     decimal_str,
     exact_str,
@@ -32,9 +34,14 @@ def test_approx_policy_tolerates_epsilon():
 
 
 def test_approx_requires_positive_epsilon():
-    for bad in (0, -1, float("nan"), float("inf")):
+    for bad in (0, -1, float("nan"), float("inf"), MAX_EPSILON, 0.5):
         with pytest.raises(ValueError):
             approx(bad)
+        with pytest.raises(ValueError):
+            NumericPolicy(bad)
+    # a subset of up to 32 buyers has a member paying at least 1/32, which
+    # every accepted epsilon leaves positive, rounding included
+    assert approx(MAX_EPSILON * (1 - 2 ** -20)).is_positive(F(1, 32) * (1 - 1e-12))
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,11 @@ must give the same trace and outcomes as its knot list sampled at the share
 points with :func:`sample_report`, because the engine only queries share
 points.
 
+A payer in every subset, in both lanes: every schedule kind the library
+builds gives each non-empty subset a member whose payment share
+``policy.is_positive`` passes, which is why the engine loop needs no check
+for a subset without one.
+
 Lane agreement: a rational instance run exactly, and again with its utility
 values lowered to floats under the default tolerance, must give the same step
 subsets, removed sets and winning sets, with bids within epsilon.  The values
@@ -18,6 +23,7 @@ only exact ties may merge.  Every number the exact run puts out stays
 rational: a float there would mean the exact lane leaked rounding.
 """
 
+import random
 from fractions import Fraction as F
 from numbers import Rational
 
@@ -26,7 +32,7 @@ from hypothesis import strategies as st
 
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.mechanism import compute_bid_trace
-from groupbuy.numeric import DEFAULT_EPSILON, EXACT, approx
+from groupbuy.numeric import DEFAULT_EPSILON, EXACT, MAX_EPSILON, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -34,6 +40,8 @@ from groupbuy.schedule import (
     full_mask,
     identity_weight,
     members,
+    nonempty_subsets,
+    power_weight,
     sqrt_weight,
 )
 from groupbuy.utility import (
@@ -42,7 +50,14 @@ from groupbuy.utility import (
     sample_report,
 )
 
-from helpers import fixed_price_outcome, random_concave_utility, run_at_price, scaled_report
+from helpers import (
+    fixed_price_outcome,
+    random_concave_utility,
+    random_table,
+    renormalized_cmss,
+    run_at_price,
+    scaled_report,
+)
 
 
 def build_schedule(kind, weights, order):
@@ -231,3 +246,36 @@ def test_exact_and_float_lanes_agree(instance):
         assert all(isinstance(v, Rational) for v in (*want.fractions, *want.payments, want.price))
         got = run_at_price(float_reports, schedule, float(price), approx())
         assert (got.purchased, got.winning_set) == (want.purchased, want.winning_set)
+
+
+WEIGHTS = {"identity": identity_weight(), "sqrt": sqrt_weight(), "power:1/3": power_weight(F(1, 3))}
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.sampled_from(("equal-split", "cmss", "table", *(f"ranked-{w}" for w in WEIGHTS))),
+        st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any),
+        st.permutations(range(n)),
+        st.integers(0, 2**32 - 1),
+    )),
+)
+@settings(max_examples=120, deadline=None)
+def test_every_subset_has_a_payer_in_both_lanes(instance):
+    kind, weights, order, seed = instance
+    n = len(weights)
+    if kind == "equal-split":
+        schedule = EqualSplitSchedule(n)
+    elif kind == "cmss":
+        schedule = renormalized_cmss(n, [F(w + 1) for w in weights])
+    elif kind == "table":
+        schedule = random_table(random.Random(seed), n)
+    else:  # a random base, zero shares included
+        base = [F(w, sum(weights)) for w in weights]
+        schedule = RankedSchedule(order, base, WEIGHTS[kind.removeprefix("ranked-")])
+    # the default tolerance, and the largest epsilon approx() accepts
+    for policy in (EXACT, approx(), approx(MAX_EPSILON * (1 - 2 ** -20))):
+        for mask in nonempty_subsets(full_mask(n)):
+            payment = schedule.shares_for(mask).payment
+            payers = [i for i in members(mask) if policy.is_positive(payment[i])]
+            assert payers, (kind, mask, payment)
+            assert max(payment[i] for i in payers) >= F(1, mask.bit_count()) - DEFAULT_EPSILON

@@ -14,7 +14,6 @@ from groupbuy.schedule import (
     _draw_concave_sample,
     _integer_shares,
     CrossMonotonicSchedule,
-    DegenerateScheduleError,
     EqualSplitSchedule,
     RankedSchedule,
     ScheduleError,
@@ -112,10 +111,13 @@ class TestRankedShares:
         assert pair.payment[2] == pytest.approx(1 / (1 + root3), abs=1e-12)
 
     def test_degenerate_weight_raises(self):
+        # a zero weight pays nobody: rejected when the schedule is built
         flat_zero = ClosedFormUtility.linear(0)
-        sched = RankedSchedule(ORDER, BASE, flat_zero)
-        with pytest.raises(DegenerateScheduleError):
-            sched.shares_for(0b111)
+        with pytest.raises(ScheduleError, match="a weight must be a power ClosedFormUtility with c > 0"):
+            RankedSchedule(ORDER, BASE, flat_zero)
+        # c > 0, but c * (1/32)**(1/2) rounds to the float 0
+        with pytest.raises(ScheduleError, match="positive at 1/32"):
+            RankedSchedule(ORDER, BASE, ClosedFormUtility.power(F(1, 10 ** 400), F(1, 2)))
 
     def test_order_must_be_permutation(self):
         with pytest.raises(ScheduleError):
@@ -509,7 +511,8 @@ class TestSingleCrossing:
         ce = single_crossing_check(w, family)
         assert ce.constant * w.value_at(ce.x_above) > ce.utility.value_at(ce.x_above)
         assert not ce.constant * w.value_at(ce.x_not_above) > ce.utility.value_at(ce.x_not_above)
-        assert single_crossing_check(ClosedFormUtility.power(0, F(1, 4)), family) is None
+        with pytest.raises(ScheduleError, match="with c > 0"):
+            single_crossing_check(ClosedFormUtility.power(0, F(1, 4)), family)
 
 
 class TestReportClassFor:

@@ -48,9 +48,11 @@ stdout and of stderr.  The checkout root and the temporary directory are
 replaced by placeholders before hashing, so that the same call at two
 checkouts hashes alike.  An ``--out`` call's line also carries the sha256 of
 the file it wrote, or ``file=none``.  It prints one line per coalition-fuzz
-item: the sha256 of each scan's profile count, truncation flag and violations
-(coalition, deviant knots, tie-break flag and the ``repr`` of every net), so
-a float that moves by one bit changes the line.  It prints one line per
+item: the sha256 of each scan's profile count, truncation flag, coalition
+scans (coalition, status and profiles of each) and violations (coalition,
+deviant knots, tie-break flag and the ``repr`` of every net), so a float that
+moves by one bit, or a coalition that moves between certified and scanned,
+changes the line.  It prints one line per
 validator-oracle item: the sha256 of each witness's buyer, subsets, the
 ``repr`` and type of its constant, and its knots.  It prints one line per
 exploit scan and tie scan: its violation count and the same scan digest.  It
@@ -140,10 +142,11 @@ def report_calls(path, commands, placeholders):
 
 
 def scan_digest(results):
-    """sha256 over each FuzzResult's counts and violations, nets by ``repr``."""
+    """sha256 over each FuzzResult's counts, coalition scans and violations, nets by ``repr``."""
     parts = []
     for result in results:
         parts.append(f"profiles={result.profiles} truncated={result.truncated}")
+        parts.extend(f"scan {s.coalition} {s.status} {s.profiles}" for s in result.coalitions)
         for v in result.violations:
             knots = [report.knots for report in v.deviant_reports]
             nets = [(repr(p.net), p.wins_nonzero) for p in v.before + v.after]

@@ -37,6 +37,12 @@ from .utility import ClosedFormUtility, InvalidReportError, UtilityReport, sampl
 FUZZ_MAX_BUYERS = 3  # buyer-count limit of the deviation scans
 
 
+def _check_fuzz_cap(n: int) -> None:
+    """A ScheduleError above the deviation scans' buyer-count limit."""
+    if n > FUZZ_MAX_BUYERS:
+        raise ScheduleError(f"deviation enumeration is capped at {FUZZ_MAX_BUYERS} buyers")
+
+
 # ---------------------------------------------------------------------------
 # Preferences over outcomes
 
@@ -146,7 +152,9 @@ def report_menus(schedule: ShareSchedule) -> list:
 
     A power family gets four evenly spread exponents from k_min to k_max
     (1/8, 1/4, 3/8 and 1/2 for ranked sqrt), the concave class its grid.
+    Above ``FUZZ_MAX_BUYERS`` it raises before enumerating any share point.
     """
+    _check_fuzz_cap(schedule.n)
     report_class, _ = report_class_for(schedule)
     if report_class.kind == "power":
         lo, hi = report_class.k_min, report_class.k_max
@@ -244,8 +252,7 @@ def enumerate_coalition_deviations(
     n <= 3 it is the last coalition, so no later draw moves.
     """
     n = schedule.n
-    if n > FUZZ_MAX_BUYERS:
-        raise ScheduleError(f"deviation enumeration is capped at {FUZZ_MAX_BUYERS} buyers")
+    _check_fuzz_cap(n)
     if len(true_reports) != n:
         raise ValueError(f"{len(true_reports)} reports for a {n}-buyer schedule")
     if len(report_grid) != n:

@@ -26,7 +26,6 @@ import json
 import sys
 
 from .analysis import (
-    FUZZ_MAX_BUYERS,
     BudgetError,
     FuzzResult,
     compare_schedules,
@@ -248,15 +247,13 @@ def cmd_fuzz(args) -> int:
     scenario enters an auction with reserve = price and no rival bid.
     """
     scenario = _load(args)
-    if scenario.n > FUZZ_MAX_BUYERS:
-        print(f"fuzzing is capped at {FUZZ_MAX_BUYERS} buyers", file=sys.stderr)
-        return 2
+    menus = report_menus(scenario.schedule)  # first: it rejects a schedule above the scan's cap
     if args.budget == 0:
         print("warning: budget 0, nothing fuzzed", file=sys.stderr)
         result = FuzzResult((), 0, False)
     else:
         result = enumerate_coalition_deviations(
-            scenario.reports, scenario.schedule, scenario.auction, report_menus(scenario.schedule),
+            scenario.reports, scenario.schedule, scenario.auction, menus,
             budget=args.budget, seed=scenario.seed, policy=scenario.policy,
         )
     summary = (

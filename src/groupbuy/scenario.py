@@ -19,11 +19,12 @@ Schedule stanzas::
     {"kind": "table", "entries": {"0,1": {"x": [...], "y": [...]}, ...}}
 
 Policy stanzas: {"mode": "exact"}, {"mode": "approx"} and {"epsilon": "1e-6"}
-(the tolerance lane; with "mode": "approx" too).  Buyer and policy stanzas
-take no other field.  Subset keys are sorted comma-joined buyer indices
-("0,2"); cmss and table stanzas must list every non-empty subset.  Reports
-emit every number as a decimal string with 15 significant digits, plus an
-exact "p/q" string under the exact arithmetic policy.
+(the tolerance lane; with "mode": "approx" too).  Every stanza takes the
+fields ``_FIELDS`` lists for it, of their JSON types, and no other field.
+Subset keys are sorted comma-joined buyer indices ("0,2"); cmss and table
+stanzas must list every non-empty subset.  Reports emit every number as a
+decimal string with 15 significant digits, plus an exact "p/q" string under
+the exact arithmetic policy.
 """
 
 from __future__ import annotations
@@ -92,40 +93,60 @@ def _malformed(label: str):
 
 _JSON_TYPES = {list: "a JSON array", dict: "a JSON object", str: "a JSON string"}
 
+# Each stanza's fields and their JSON types; a "kind" entry maps each kind to
+# its fields.  A number field is any ``object``: parse_number names a bad one.
+_FIELDS = {
+    "scenario": {"buyers": list, "schedule": dict, "schedules": dict, "auction": dict,
+                 "fixed_price": object, "policy": dict, "seed": object},
+    "auction": {"reserve": object, "competing_bids": list, "tie_policy": str},
+    "policy": {"mode": str, "epsilon": object},
+    "buyer": {"kind": {"knots": {"points": list}, "linear": {"c": object},
+                       "power": {"c": object, "k": object}, "log": {"c": object}}},
+    "schedule": {"kind": {"equal-split": {}, "cmss": {"shares": dict},
+                          "rras": {"order": list, "base": list, "f": str},
+                          "table": {"entries": dict}}},
+    "table entry": {"x": list, "y": list},
+}
+
+
+def _read(stanza, name: str, label: str) -> dict:
+    """``stanza`` if a JSON object of the fields ``_FIELDS[name]`` lists, each of its type;
+    else a ScenarioError naming ``label`` and the first field at fault."""
+    if not isinstance(stanza, dict):
+        raise ScenarioError(f"{label} must be {_JSON_TYPES[dict]}")
+    fields = _FIELDS[name]
+    if "kind" in fields:
+        kind, kinds = stanza.get("kind"), fields["kind"]
+        if not (isinstance(kind, str) and kind in kinds):
+            raise ScenarioError(f'{label}: "kind" must be one of {", ".join(kinds)}, not {kind!r}')
+        fields = {"kind": str, **kinds[kind]}
+    for key, value in stanza.items():
+        if key not in fields:
+            raise ScenarioError(f"{label}: unknown field {key!r}")
+        if not isinstance(value, fields[key]):
+            raise ScenarioError(f'{label}: "{key}" must be {_JSON_TYPES[fields[key]]}')
+    return stanza
+
 
 def _typed(value, kind: type, what: str, *args):
-    """``value`` if of JSON type ``kind``, else a ScenarioError naming the field ``what``.
+    """``value`` if of JSON type ``kind``, else a ScenarioError naming ``what``.
 
-    Without it a string would be read character by character.  ``what`` is
-    formatted with ``args`` only on failure.
+    For values nested in a field (a knot, a share row).  ``what`` is formatted
+    with ``args`` only on failure.
     """
     if not isinstance(value, kind):
         raise ScenarioError(f"{what.format(*args)} must be {_JSON_TYPES[kind]}")
     return value
 
 
-_BUYER_FIELDS = {"knots": ("points",), "linear": ("c",), "power": ("c", "k"), "log": ("c",)}
-
-
-def _reject_unread(stanza: dict, fields: tuple, label: str) -> None:
-    """A ScenarioError naming the first field of ``stanza`` not in ``fields``."""
-    for key in stanza:
-        if key not in fields:
-            raise ScenarioError(f"{label}: unknown field {key!r}")
-
-
 def _parse_buyer(stanza, index: int):
     """A ``knots`` buyer as a UtilityReport, a closed form as its ClosedFormUtility."""
-    if not isinstance(stanza, dict) or "kind" not in stanza:
-        raise ScenarioError(f"buyer {index}: expected an object with a \"kind\" field")
+    label = f"buyer {index}"
+    stanza = _read(stanza, "buyer", label)
     kind = stanza["kind"]
-    if not (isinstance(kind, str) and kind in _BUYER_FIELDS):
-        raise ScenarioError(f"buyer {index}: unknown utility kind {kind!r}")
-    _reject_unread(stanza, ("kind", *_BUYER_FIELDS[kind]), f"buyer {index}")
-    with _malformed(f"buyer {index}"):
+    with _malformed(label):
         if kind == "knots":
-            points = _typed(stanza["points"], list, 'buyer {}: "points"', index)
-            knots = (_typed(p, list, 'buyer {}: each knot of "points"', index) for p in points)
+            knots = (_typed(p, list, '{}: each knot of "points"', label) for p in stanza["points"])
             return UtilityReport(tuple((parse_number(x), parse_number(u)) for x, u in knots))
         if kind == "linear":
             return ClosedFormUtility.linear(parse_number(stanza["c"]))
@@ -162,47 +183,40 @@ def _table_numbers():
     return number
 
 
-def parse_schedule(stanza, n: int) -> ShareSchedule:
-    if not isinstance(stanza, dict) or "kind" not in stanza:
-        raise ScenarioError("schedule stanza must be an object with a \"kind\" field")
+def parse_schedule(stanza, n: int, label: str = "schedule") -> ShareSchedule:
+    """The schedule of a ``schedule`` stanza, or a ScenarioError naming ``label``."""
+    stanza = _read(stanza, "schedule", label)
     kind = stanza["kind"]
-    with _malformed("schedule"):
+    with _malformed(label):
         if kind == "equal-split":
             return EqualSplitSchedule(n)
         if kind == "cmss":
             number = _table_numbers()
             shares = {
-                key: tuple(map(number, _typed(vec, list, 'schedule: share row "{}"', key)))
-                for key, vec in _typed(stanza["shares"], dict, 'schedule: "shares"').items()
+                key: tuple(map(number, _typed(vec, list, '{}: share row "{}"', label, key)))
+                for key, vec in stanza["shares"].items()
             }
             return CrossMonotonicSchedule(n, shares)
         if kind == "rras":
             return RankedSchedule(
-                _typed(stanza["order"], list, 'schedule: "order"'),
-                [parse_number(b) for b in _typed(stanza["base"], list, 'schedule: "base"')],
-                _parse_weight(_typed(stanza.get("f", "identity"), str, 'schedule: "f"')),
+                stanza["order"],
+                [parse_number(b) for b in stanza["base"]],
+                _parse_weight(stanza.get("f", "identity")),
             )
-        if kind == "table":
-            number = _table_numbers()
-            entries = {
-                key: tuple(
-                    tuple(map(number, _typed(cell[xy], list, 'schedule: "{}" of "{}"', xy, key)))
-                    for xy in ("x", "y")
-                )
-                for key, cell in _typed(stanza["entries"], dict, 'schedule: "entries"').items()
-            }
-            return TableSchedule(n, entries)
-    raise ScenarioError(f"unknown schedule kind {kind!r}")
+        number = _table_numbers()
+        entries = {}
+        for key, cell in stanza["entries"].items():
+            cell = _read(cell, "table entry", f'{label}: entry "{key}"')
+            entries[key] = (tuple(map(number, cell["x"])), tuple(map(number, cell["y"])))
+        return TableSchedule(n, entries)
 
 
 def _parse_auction(stanza) -> AuctionConfig:
-    if not isinstance(stanza, dict):
-        raise ScenarioError("auction stanza must be an object")
+    stanza = _read(stanza, "auction", "auction")
     with _malformed("auction"):
-        bids = _typed(stanza.get("competing_bids", []), list, 'auction: "competing_bids"')
         return AuctionConfig(
             reserve=parse_number(stanza.get("reserve", 0)),
-            competing_bids=tuple(map(parse_number, bids)),
+            competing_bids=tuple(map(parse_number, stanza.get("competing_bids", []))),
             tie_policy=stanza.get("tie_policy", GROUP_WINS),
         )
 
@@ -224,10 +238,9 @@ def load_scenario(
     epsilon: Optional[float] = None,
     seed: Optional[int] = None,
 ) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    data = _read(data, "scenario", "scenario")
     buyers = data.get("buyers")
-    if not isinstance(buyers, list) or not buyers:
+    if not buyers:
         raise ScenarioError("scenario needs a non-empty \"buyers\" list")
     n = len(buyers)
     reports = [_parse_buyer(b, i) for i, b in enumerate(buyers)]
@@ -237,15 +250,13 @@ def load_scenario(
     schedule = parse_schedule(data["schedule"], n)
     named = {"primary": schedule}
     schedules = data.get("schedules", {})
-    if not isinstance(schedules, dict):
-        raise ScenarioError("\"schedules\" must be an object mapping names to schedule stanzas")
     if "primary" in schedules:
         raise ScenarioError(
             "schedule name 'primary' is reserved for the \"schedule\" stanza;"
             " rename it in \"schedules\""
         )
     for name, stanza in schedules.items():
-        named[name] = parse_schedule(stanza, n)
+        named[name] = parse_schedule(stanza, n, f"schedule {name!r}")
     for name, sched in named.items():
         if sched.n != n:
             raise ScenarioError(
@@ -263,10 +274,7 @@ def load_scenario(
             fixed_price = parse_number(data["fixed_price"])
             auction = AuctionConfig(reserve=fixed_price)
 
-    stanza = data.get("policy", {})
-    if not isinstance(stanza, dict):
-        raise ScenarioError("policy stanza must be an object")
-    _reject_unread(stanza, ("mode", "epsilon"), "policy")
+    stanza = _read(data.get("policy", {}), "policy", "policy")
     mode = stanza.get("mode")
     if mode not in (None, "exact", "approx"):
         raise ScenarioError(f"unknown policy mode {mode!r}")

@@ -7,6 +7,7 @@ import groupbuy
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.cli import main
 from groupbuy.numeric import EXACT, approx
+from groupbuy.schedule import ShareSchedule
 from groupbuy.scenario import (
     ScenarioError,
     bundled_scenario_path,
@@ -227,15 +228,15 @@ class TestRun:
         data = self.two_buyers(auction=5)
         del data["fixed_price"]
         assert run_cli("run", self.write(tmp_path, data)) == 2
-        assert "auction stanza must be an object" in capsys.readouterr().err
+        assert 'scenario: "auction" must be a JSON object' in capsys.readouterr().err
 
     def test_non_object_policy_exit_2(self, tmp_path, capsys):
         assert run_cli("run", self.write(tmp_path, self.two_buyers(policy=5))) == 2
-        assert "policy stanza must be an object" in capsys.readouterr().err
+        assert 'scenario: "policy" must be a JSON object' in capsys.readouterr().err
 
     def test_non_object_schedules_exit_2(self, tmp_path, capsys):
         assert run_cli("run", self.write(tmp_path, self.two_buyers(schedules=[]))) == 2
-        assert "\"schedules\" must be an object" in capsys.readouterr().err
+        assert 'scenario: "schedules" must be a JSON object' in capsys.readouterr().err
 
     ROWS = {"0,1": ["1/2", "1/2"], "0": ["1", "0"], "1": ["0", "1"]}
     ENTRIES = {key: {"x": row, "y": row} for key, row in ROWS.items()}
@@ -271,10 +272,10 @@ class TestRun:
              'schedule: "entries" must be a JSON object'),
             ({"schedule": {"kind": "table",
                            "entries": dict(ENTRIES, **{"0": {"x": "10", "y": ["1", "0"]}})}},
-             'schedule: "x" of "0" must be a JSON array'),
+             'schedule: entry "0": "x" must be a JSON array'),
             ({"schedule": {"kind": "table",
                            "entries": dict(ENTRIES, **{"0": {"x": ["1", "0"], "y": "10"}})}},
-             'schedule: "y" of "0" must be a JSON array'),
+             'schedule: entry "0": "y" must be a JSON array'),
         ],
         ids=["competing_bids", "order", "order-float", "order-bool", "order-str", "base", "f",
              "points", "knot", "shares", "share-row",
@@ -366,6 +367,27 @@ class TestRun:
                      (), "buyer 0: unknown field 'k'", id="linear_unread_k"),
         pytest.param({"buyers": [{"kind": "linear", "c": "1"}, {**knots(("0", "0"), ("1", "1")), "c": "2"}]},
                      (), "buyer 1: unknown field 'c'", id="knots_unread_c"),
+        # each misspelt field below was dropped, and the run went on without it
+        pytest.param({"polcy": {"mode": "approx"}}, (), "scenario: unknown field 'polcy'",
+                     id="top_level_unread_polcy"),
+        pytest.param({"auction": {"competing_bid": ["0.6"]}}, (),
+                     "auction: unknown field 'competing_bid'", id="auction_unread_competing_bid"),
+        pytest.param({"auction": {"competing_bids": ["1"], "tie_polcy": "group_loses"}}, (),
+                     "auction: unknown field 'tie_polcy'", id="auction_unread_tie_polcy"),
+        pytest.param({"schedule": {"kind": "rras", "order": [0, 1], "base": ["1/2", "1/2"],
+                                   "weight": "sqrt"}}, (),
+                     "schedule: unknown field 'weight'", id="rras_unread_weight"),
+        pytest.param({"schedule": {"kind": "equal-split", "n": 2}}, (),
+                     "schedule: unknown field 'n'", id="equal_split_unread_n"),
+        pytest.param({"schedule": {"kind": "cmss", "shares": ROWS, "entries": ENTRIES}}, (),
+                     "schedule: unknown field 'entries'", id="cmss_unread_entries"),
+        pytest.param({"schedule": {"kind": "table",
+                                   "entries": dict(ENTRIES, **{"0": {"x": ["1", "0"],
+                                                                     "y": ["1", "0"], "z": []}})}},
+                     (), 'schedule: entry "0": unknown field \'z\'', id="table_entry_unread_z"),
+        pytest.param({"schedules": {"ranked": {"kind": "rras", "order": [0, 1],
+                                               "base": ["1/2", "1/2"], "weight": "sqrt"}}}, (),
+                     "schedule 'ranked': unknown field 'weight'", id="schedules_entry_unread_weight"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, overrides, flags, message):
         data = self.two_buyers(**overrides)
@@ -589,6 +611,24 @@ class TestFuzz:
         captured = capsys.readouterr()
         assert "argument --budget: must be non-negative, not -3" in captured.err
         assert "budget exceeded" not in captured.err
+
+    @pytest.mark.parametrize("budget", ["0", "5000"])
+    def test_four_buyers_exit_2_before_any_share_point(self, tmp_path, capsys, monkeypatch, budget):
+        # the cap is checked before the menus walk every buyer's 2^n subsets
+        def walked(self, buyer):
+            raise AssertionError("share_points called")
+
+        monkeypatch.setattr(ShareSchedule, "share_points", walked)
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps({
+            "buyers": [{"kind": "linear", "c": "1"}] * 4,
+            "schedule": {"kind": "rras", "order": [0, 1, 2, 3], "base": ["1/4"] * 4},
+            "fixed_price": "1/2",
+        }))
+        assert run_cli("fuzz", str(path), "--budget", budget) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: deviation enumeration is capped at 3 buyers\n"
+        assert captured.out == ""
 
     def test_clean_run_exit_0(self, capsys):
         assert run_cli("fuzz", scenario("example2"), "--budget", "5000") == 0

@@ -111,9 +111,12 @@ class TestRankedShares:
         assert pair.payment[2] == pytest.approx(1 / (1 + root3), abs=1e-12)
 
     def test_degenerate_weight_raises(self):
-        # a zero weight pays nobody: rejected when the schedule is built
+        # a zero weight pays nobody: rejected when the schedule is built, naming
+        # the weight, so no trace reaches a subset without a payer
         flat_zero = ClosedFormUtility.linear(0)
-        with pytest.raises(ScheduleError, match="a weight must be a power ClosedFormUtility with c > 0"):
+        named = (r"a weight must be a power ClosedFormUtility with c > 0, positive at 1/32,"
+                 r" not ClosedFormUtility\(kind='power', c=0")
+        with pytest.raises(ScheduleError, match=named):
             RankedSchedule(ORDER, BASE, flat_zero)
         # c > 0, but c * (1/32)**(1/2) rounds to the float 0
         with pytest.raises(ScheduleError, match="positive at 1/32"):

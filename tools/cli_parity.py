@@ -15,6 +15,8 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
 * ``validate-schedule`` and ``fuzz``, the latter in each format, on the
   ranked scenarios with power:1/3 and identity weights (``RANKED_SCENARIOS``
   of ``tests/helpers.py``), written into a temporary directory;
+* ``run`` in each format on three bundled scenarios with one field misspelt
+  (``MISSPELT``), written into the same directory;
 * ``run --format json`` and ``compare --format json`` on every cli-scale
   benchmark file of the given seeds (default 1 and 9173), written into a
   temporary directory by ``bench.workloads.CliScale().setup``;
@@ -110,6 +112,13 @@ TIE_POLICIES = (GROUP_WINS, GROUP_LOSES)
 COMMANDS = {"run": FORMATS, "validate-schedule": (None,), "fuzz": FORMATS, "compare": FORMATS}
 # the commands that take --out
 REPORTS = ("run", "fuzz", "compare")
+# (file name, bundled scenario, stanza, field, misspelt field, its value): a
+# scenario whose one field is misspelt, which loading must reject
+MISSPELT = (
+    ("example2-competing_bid", "example2", "auction", "competing_bids", "competing_bid", ["0.6"]),
+    ("section6-table-weight", "section6-table", "schedule", "f", "weight", "sqrt"),
+    ("example2-tie_polcy", "example2", "auction", "tie_policy", "tie_polcy", "group_loses"),
+)
 
 
 def bundled_scenarios():
@@ -214,6 +223,15 @@ def main(argv=None) -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(document), encoding="utf-8")
             report_calls(path, ("validate-schedule", "fuzz"), placeholders)
+        for name, source, stanza, field, misspelt, value in MISSPELT:
+            document = json.loads(
+                Path(str(groupbuy.bundled_scenario_path(source))).read_text(encoding="utf-8")
+            )
+            del document[stanza][field]
+            document[stanza][misspelt] = value
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            report_calls(path, ("run",), placeholders)
         for seed in seeds:
             workdir = Path(tmp) / f"cli-scale-{seed}"
             workdir.mkdir()

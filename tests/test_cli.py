@@ -367,7 +367,7 @@ class TestRun:
                      (), "buyer 0: unknown field 'k'", id="linear_unread_k"),
         pytest.param({"buyers": [{"kind": "linear", "c": "1"}, {**knots(("0", "0"), ("1", "1")), "c": "2"}]},
                      (), "buyer 1: unknown field 'c'", id="knots_unread_c"),
-        # each misspelt field below was dropped, and the run went on without it
+        # a misspelt field is rejected, not left at its default
         pytest.param({"polcy": {"mode": "approx"}}, (), "scenario: unknown field 'polcy'",
                      id="top_level_unread_polcy"),
         pytest.param({"auction": {"competing_bid": ["0.6"]}}, (),

@@ -16,6 +16,7 @@ from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
     RankedSchedule,
+    ScheduleError,
     full_mask,
     mask_of,
     members,
@@ -112,6 +113,14 @@ class TestTrace:
     def test_report_count_mismatch(self):
         with pytest.raises(ValueError):
             compute_bid_trace(worked_reports()[:2], equal3())
+
+    def test_degenerate_schedule_names_subset(self):
+        # a zero weight would leave {0,1} without a payer: the schedule is
+        # refused when it is built, naming the weight, so no trace reaches it
+        flat = ClosedFormUtility.linear(0)
+        named = r"with c > 0, positive at 1/32, not ClosedFormUtility\(kind='power', c=0"
+        with pytest.raises(ScheduleError, match=named):
+            RankedSchedule((0, 1), (F(1, 2), F(1, 2)), flat)
 
     def test_scale_covariance(self):
         # scaling every report scales every bearable payment, same subsets

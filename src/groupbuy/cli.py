@@ -278,8 +278,7 @@ def cmd_compare(args) -> int:
         names = [s.strip() for s in args.schedules.split(",")]
         missing = [n for n in names if n not in scenario.named_schedules]
         if missing:
-            print(f"unknown schedule name(s): {', '.join(missing)}", file=sys.stderr)
-            return 2
+            raise ScenarioError(f"unknown schedule name(s): {', '.join(missing)}")
     else:
         names = [n for n in scenario.named_schedules if n != "primary"] or ["primary"]
     schedules = {name: scenario.named_schedules[name] for name in names}

@@ -20,7 +20,9 @@ Schedule stanzas::
 
 Policy stanzas: {"mode": "exact"}, {"mode": "approx"} and {"epsilon": "1e-6"}
 (the tolerance lane; with "mode": "approx" too).  Every stanza takes the
-fields ``_FIELDS`` lists for it, of their JSON types, and no other field.
+fields ``_FIELDS`` lists for it, of their JSON types, and no other field; it
+needs each of them but those in ``_OPTIONAL``.  Only ``_malformed`` labels an
+error with its stanza ("buyer 0: missing field 'c'").
 Subset keys are sorted comma-joined buyer indices ("0,2"); cmss and table
 stanzas must list every non-empty subset.  Reports emit every number as a
 decimal string with 15 significant digits, plus an exact "p/q" string under
@@ -82,12 +84,11 @@ class Scenario:
 
 @contextmanager
 def _malformed(label: str):
-    """Re-raise a malformed value met inside the block as a ScenarioError naming ``label``."""
+    """Re-raise a malformed value met inside the block as a ScenarioError naming ``label``;
+    a nested block's error is a ValueError too, so the outer label goes in front."""
     try:
         yield
-    except ScenarioError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{label}: {exc}") from exc
 
 
@@ -107,46 +108,51 @@ _FIELDS = {
                           "table": {"entries": dict}}},
     "table entry": {"x": list, "y": list},
 }
+# The fields a stanza may leave out; it needs every other field ``_FIELDS`` lists.
+_OPTIONAL = {"schedules", "auction", "fixed_price", "policy", "seed", "reserve",
+             "competing_bids", "tie_policy", "mode", "epsilon", "f"}
 
 
-def _read(stanza, name: str, label: str) -> dict:
-    """``stanza`` if a JSON object of the fields ``_FIELDS[name]`` lists, each of its type;
-    else a ScenarioError naming ``label`` and the first field at fault."""
+def _read(stanza, name: str) -> dict:
+    """``stanza`` if a JSON object of the fields ``_FIELDS[name]`` lists, each of its type,
+    lacking none outside ``_OPTIONAL``; else a ValueError naming the first field at fault."""
     if not isinstance(stanza, dict):
-        raise ScenarioError(f"{label} must be {_JSON_TYPES[dict]}")
+        raise ValueError(f"not {_JSON_TYPES[dict]}")
     fields = _FIELDS[name]
     if "kind" in fields:
         kind, kinds = stanza.get("kind"), fields["kind"]
         if not (isinstance(kind, str) and kind in kinds):
-            raise ScenarioError(f'{label}: "kind" must be one of {", ".join(kinds)}, not {kind!r}')
+            raise ValueError(f'"kind" must be one of {", ".join(kinds)}, not {kind!r}')
         fields = {"kind": str, **kinds[kind]}
     for key, value in stanza.items():
         if key not in fields:
-            raise ScenarioError(f"{label}: unknown field {key!r}")
+            raise ValueError(f"unknown field {key!r}")
         if not isinstance(value, fields[key]):
-            raise ScenarioError(f'{label}: "{key}" must be {_JSON_TYPES[fields[key]]}')
+            raise ValueError(f'"{key}" must be {_JSON_TYPES[fields[key]]}')
+    for key in fields:
+        if key not in stanza and key not in _OPTIONAL:
+            raise ValueError(f"missing field {key!r}")
     return stanza
 
 
 def _typed(value, kind: type, what: str, *args):
-    """``value`` if of JSON type ``kind``, else a ScenarioError naming ``what``.
+    """``value`` if of JSON type ``kind``, else a ValueError naming ``what``.
 
     For values nested in a field (a knot, a share row).  ``what`` is formatted
     with ``args`` only on failure.
     """
     if not isinstance(value, kind):
-        raise ScenarioError(f"{what.format(*args)} must be {_JSON_TYPES[kind]}")
+        raise ValueError(f"{what.format(*args)} must be {_JSON_TYPES[kind]}")
     return value
 
 
 def _parse_buyer(stanza, index: int):
     """A ``knots`` buyer as a UtilityReport, a closed form as its ClosedFormUtility."""
-    label = f"buyer {index}"
-    stanza = _read(stanza, "buyer", label)
-    kind = stanza["kind"]
-    with _malformed(label):
+    with _malformed(f"buyer {index}"):
+        stanza = _read(stanza, "buyer")
+        kind = stanza["kind"]
         if kind == "knots":
-            knots = (_typed(p, list, '{}: each knot of "points"', label) for p in stanza["points"])
+            knots = (_typed(p, list, 'each knot of "points"') for p in stanza["points"])
             return UtilityReport(tuple((parse_number(x), parse_number(u)) for x, u in knots))
         if kind == "linear":
             return ClosedFormUtility.linear(parse_number(stanza["c"]))
@@ -162,7 +168,7 @@ def _parse_weight(text: str):
         return sqrt_weight()
     if text.startswith("power:"):
         return power_weight(parse_number(text.split(":", 1)[1]))
-    raise ScenarioError(f"unknown weight function {text!r}")
+    raise ValueError(f"unknown weight function {text!r}")
 
 
 def _table_numbers():
@@ -185,15 +191,15 @@ def _table_numbers():
 
 def parse_schedule(stanza, n: int, label: str = "schedule") -> ShareSchedule:
     """The schedule of a ``schedule`` stanza, or a ScenarioError naming ``label``."""
-    stanza = _read(stanza, "schedule", label)
-    kind = stanza["kind"]
     with _malformed(label):
+        stanza = _read(stanza, "schedule")
+        kind = stanza["kind"]
         if kind == "equal-split":
             return EqualSplitSchedule(n)
         if kind == "cmss":
             number = _table_numbers()
             shares = {
-                key: tuple(map(number, _typed(vec, list, '{}: share row "{}"', label, key)))
+                key: tuple(map(number, _typed(vec, list, 'share row "{}"', key)))
                 for key, vec in stanza["shares"].items()
             }
             return CrossMonotonicSchedule(n, shares)
@@ -206,14 +212,15 @@ def parse_schedule(stanza, n: int, label: str = "schedule") -> ShareSchedule:
         number = _table_numbers()
         entries = {}
         for key, cell in stanza["entries"].items():
-            cell = _read(cell, "table entry", f'{label}: entry "{key}"')
-            entries[key] = (tuple(map(number, cell["x"])), tuple(map(number, cell["y"])))
+            with _malformed(f'entry "{key}"'):
+                cell = _read(cell, "table entry")
+                entries[key] = (tuple(map(number, cell["x"])), tuple(map(number, cell["y"])))
         return TableSchedule(n, entries)
 
 
 def _parse_auction(stanza) -> AuctionConfig:
-    stanza = _read(stanza, "auction", "auction")
     with _malformed("auction"):
+        stanza = _read(stanza, "auction")
         return AuctionConfig(
             reserve=parse_number(stanza.get("reserve", 0)),
             competing_bids=tuple(map(parse_number, stanza.get("competing_bids", []))),
@@ -238,15 +245,18 @@ def load_scenario(
     epsilon: Optional[float] = None,
     seed: Optional[int] = None,
 ) -> Scenario:
-    data = _read(data, "scenario", "scenario")
-    buyers = data.get("buyers")
+    if force_exact and epsilon is not None:
+        raise ScenarioError(
+            "exact arithmetic (--exact) and an epsilon (--epsilon) exclude each other"
+        )
+    with _malformed("scenario"):
+        data = _read(data, "scenario")
+    buyers = data["buyers"]
     if not buyers:
         raise ScenarioError("scenario needs a non-empty \"buyers\" list")
     n = len(buyers)
     reports = [_parse_buyer(b, i) for i, b in enumerate(buyers)]
 
-    if "schedule" not in data:
-        raise ScenarioError("scenario needs a \"schedule\" stanza")
     schedule = parse_schedule(data["schedule"], n)
     named = {"primary": schedule}
     schedules = data.get("schedules", {})
@@ -274,18 +284,14 @@ def load_scenario(
             fixed_price = parse_number(data["fixed_price"])
             auction = AuctionConfig(reserve=fixed_price)
 
-    stanza = _read(data.get("policy", {}), "policy", "policy")
-    mode = stanza.get("mode")
-    if mode not in (None, "exact", "approx"):
-        raise ScenarioError(f"unknown policy mode {mode!r}")
-    if mode == "exact" and "epsilon" in stanza:
-        raise ScenarioError('policy: "mode": "exact" and an "epsilon" exclude each other')
-    if force_exact and epsilon is not None:
-        raise ScenarioError(
-            "exact arithmetic (--exact) and an epsilon (--epsilon) exclude each other"
-        )
-    requested = EXACT if mode == "exact" else None  # the file's request, then the flags'
     with _malformed("policy"):
+        stanza = _read(data.get("policy", {}), "policy")
+        mode = stanza.get("mode")
+        if mode not in (None, "exact", "approx"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "exact" and "epsilon" in stanza:
+            raise ValueError('"mode": "exact" and an "epsilon" exclude each other')
+        requested = EXACT if mode == "exact" else None  # the file's request, then the flags'
         if "epsilon" in stanza or mode == "approx":
             requested = approx(float(parse_number(stanza.get("epsilon", DEFAULT_EPSILON))))
         if force_exact or epsilon is not None:

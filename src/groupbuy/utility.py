@@ -23,55 +23,34 @@ from .numeric import Num, infer_policy, piecewise_value
 
 
 class InvalidReportError(ValueError):
-    def __init__(self, violation: "Violation"):
-        super().__init__(violation.describe())
-        self.violation = violation
+    pass
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First failed report invariant, anchored to the knot where it shows."""
-
-    reason: str  # empty | first-knot | x-order | last-knot | decreasing | not-concave
-    index: int
-
-    def describe(self) -> str:
-        messages = {
-            "empty": "knot list is empty",
-            "first-knot": f"first knot must be (0, 0), violated at knot {self.index}",
-            "x-order": f"knot x values must be strictly increasing at knot {self.index}",
-            "last-knot": f"last knot must sit at x=1, violated at knot {self.index}",
-            "decreasing": f"values decrease at knot {self.index}",
-            "not-concave": f"not concave at knot {self.index}",
-        }
-        return messages[self.reason]
-
-
-def validate_knots(knots: Sequence) -> Optional[Violation]:
-    """Check the report invariants; return the first violation or None.
+def validate_knots(knots: Sequence) -> Optional[str]:
+    """Check the report invariants; return the first failure's message, or None.
 
     Comparisons are exact when every coordinate is rational, under the
     default float tolerance otherwise.
     """
     if len(knots) == 0:
-        return Violation("empty", 0)
+        return "knot list is empty"
     policy = infer_policy(c for knot in knots for c in knot)
     x0, u0 = knots[0]
     if not (policy.eq(x0, 0) and policy.eq(u0, 0)):
-        return Violation("first-knot", 0)
+        return "first knot must be (0, 0), violated at knot 0"
     for i in range(1, len(knots)):
         if not policy.lt(knots[i - 1][0], knots[i][0]):
-            return Violation("x-order", i)
+            return f"knot x values must be strictly increasing at knot {i}"
     if not policy.eq(knots[-1][0], 1):
-        return Violation("last-knot", len(knots) - 1)
+        return f"last knot must sit at x=1, violated at knot {len(knots) - 1}"
     for i in range(1, len(knots)):
         if not policy.le(knots[i - 1][1], knots[i][1]):
-            return Violation("decreasing", i)
+            return f"values decrease at knot {i}"
     prev_slope = None
     for i in range(1, len(knots)):
         slope = (knots[i][1] - knots[i - 1][1]) / (knots[i][0] - knots[i - 1][0])
         if prev_slope is not None and not policy.le(slope, prev_slope):
-            return Violation("not-concave", i)
+            return f"not concave at knot {i}"
         prev_slope = slope
     return None
 
@@ -85,9 +64,9 @@ class UtilityReport:
     def __post_init__(self):
         normalized = tuple((x, u) for x, u in self.knots)
         object.__setattr__(self, "knots", normalized)
-        violation = validate_knots(normalized)
-        if violation is not None:
-            raise InvalidReportError(violation)
+        message = validate_knots(normalized)
+        if message is not None:
+            raise InvalidReportError(message)
         object.__setattr__(self, "_xs", tuple(x for x, _ in normalized))
         object.__setattr__(self, "_us", tuple(u for _, u in normalized))
 

@@ -276,10 +276,26 @@ class TestRun:
             ({"schedule": {"kind": "table",
                            "entries": dict(ENTRIES, **{"0": {"x": ["1", "0"], "y": "10"}})}},
              'schedule: entry "0": "y" must be a JSON array'),
+            # a needed field left out is named, not reported as a bare KeyError
+            ({"buyers": [{"kind": "linear"}, {"kind": "linear", "c": "1"}]},
+             "buyer 0: missing field 'c'"),
+            ({"buyers": [{"kind": "power", "c": "1"}, {"kind": "linear", "c": "1"}]},
+             "buyer 0: missing field 'k'"),
+            ({"buyers": [{"kind": "knots"}, {"kind": "linear", "c": "1"}]},
+             "buyer 0: missing field 'points'"),
+            ({"schedule": {"kind": "cmss"}}, "schedule: missing field 'shares'"),
+            ({"schedule": {"kind": "rras", "order": [0, 1]}}, "schedule: missing field 'base'"),
+            ({"schedule": {"kind": "table"}}, "schedule: missing field 'entries'"),
+            ({"schedule": {"kind": "table", "entries": dict(ENTRIES, **{"0": {"x": ["1", "0"]}})}},
+             'schedule: entry "0": missing field \'y\''),
+            ({"buyers": None}, "scenario: missing field 'buyers'"),
+            ({"schedule": None}, "scenario: missing field 'schedule'"),
         ],
         ids=["competing_bids", "order", "order-float", "order-bool", "order-str", "base", "f",
              "points", "knot", "shares", "share-row",
-             "entries", "x", "y"],
+             "entries", "x", "y",
+             "missing-c", "missing-k", "missing-points", "missing-shares", "missing-base",
+             "missing-entries", "missing-y", "missing-buyers", "missing-schedule"],
     )
     def test_field_of_the_wrong_json_type_exit_2(self, tmp_path, capsys, overrides, message):
         data = {k: v for k, v in self.two_buyers(**overrides).items() if v is not None}
@@ -388,6 +404,9 @@ class TestRun:
         pytest.param({"schedules": {"ranked": {"kind": "rras", "order": [0, 1],
                                                "base": ["1/2", "1/2"], "weight": "sqrt"}}}, (),
                      "schedule 'ranked': unknown field 'weight'", id="schedules_entry_unread_weight"),
+        pytest.param({"schedules": {"r": {"kind": "rras", "order": [0, 1],
+                                          "base": ["1/2", "1/2"], "f": "cube"}}}, (),
+                     "schedule 'r': unknown weight function 'cube'", id="schedules_entry_f-cube"),
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, overrides, flags, message):
         data = self.two_buyers(**overrides)
@@ -583,6 +602,18 @@ class TestValidateSchedule:
         assert not any("samples)" in line for line in lines)
         assert lines[-1] == "Pass"
 
+    def test_nine_buyers_skip_the_spot_check(self, tmp_path, capsys):
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps({
+            "buyers": [{"kind": "linear", "c": "1"}] * 9,
+            "schedule": {"kind": "equal-split"},
+            "fixed_price": "1/2",
+        }))
+        assert run_cli("validate-schedule", str(path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "brute-force spot check skipped (more than 8 buyers)" in lines
+        assert lines[-1] == "Pass"
+
 
 class TestFuzz:
     def test_zero_budget_warns_and_passes(self, capsys):
@@ -711,6 +742,9 @@ class TestCompare:
 
     def test_unknown_name_exit_2(self, capsys):
         assert run_cli("compare", scenario("section6-table"), "--schedules", "nope") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown schedule name(s): nope\n"
+        assert captured.out == ""
 
     def test_self_comparison_equal(self, capsys):
         assert run_cli("compare", scenario("section6-table"), "--schedules", "rras,rras") == 0

@@ -15,8 +15,8 @@ It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
 * ``validate-schedule`` and ``fuzz``, the latter in each format, on the
   ranked scenarios with power:1/3 and identity weights (``RANKED_SCENARIOS``
   of ``tests/helpers.py``), written into a temporary directory;
-* ``run`` in each format on three bundled scenarios with one field misspelt
-  (``MISSPELT``), written into the same directory;
+* ``run`` in each format on bundled scenarios with one field misspelt, left
+  out or of an unknown value (``BROKEN``), written into the same directory;
 * ``run --format json`` and ``compare --format json`` on every cli-scale
   benchmark file of the given seeds (default 1 and 9173), written into a
   temporary directory by ``bench.workloads.CliScale().setup``;
@@ -70,9 +70,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import operator
 import random
 import sys
 import tempfile
@@ -112,12 +114,17 @@ TIE_POLICIES = (GROUP_WINS, GROUP_LOSES)
 COMMANDS = {"run": FORMATS, "validate-schedule": (None,), "fuzz": FORMATS, "compare": FORMATS}
 # the commands that take --out
 REPORTS = ("run", "fuzz", "compare")
-# (file name, bundled scenario, stanza, field, misspelt field, its value): a
-# scenario whose one field is misspelt, which loading must reject
-MISSPELT = (
-    ("example2-competing_bid", "example2", "auction", "competing_bids", "competing_bid", ["0.6"]),
-    ("section6-table-weight", "section6-table", "schedule", "f", "weight", "sqrt"),
-    ("example2-tie_polcy", "example2", "auction", "tie_policy", "tie_polcy", "group_loses"),
+# (file name, bundled scenario, path to a stanza, field, field put in its place
+# or None, its value): a scenario with one broken field, which loading must reject
+BROKEN = (
+    ("example2-competing_bid", "example2", ("auction",), "competing_bids", "competing_bid",
+     ["0.6"]),
+    ("section6-table-weight", "section6-table", ("schedule",), "f", "weight", "sqrt"),
+    ("example2-tie_polcy", "example2", ("auction",), "tie_policy", "tie_polcy", "group_loses"),
+    ("example1-no-k", "example1", ("buyers", 1), "k", None, None),
+    ("section6-table-no-base", "section6-table", ("schedule",), "base", None, None),
+    ("section6-table-no-shares", "section6-table", ("schedules", "cmss"), "shares", None, None),
+    ("section6-table-cube", "section6-table", ("schedules", "rras"), "f", "f", "cube"),
 )
 
 
@@ -223,12 +230,14 @@ def main(argv=None) -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(document), encoding="utf-8")
             report_calls(path, ("validate-schedule", "fuzz"), placeholders)
-        for name, source, stanza, field, misspelt, value in MISSPELT:
+        for name, source, keys, field, replacement, value in BROKEN:
             document = json.loads(
                 Path(str(groupbuy.bundled_scenario_path(source))).read_text(encoding="utf-8")
             )
-            del document[stanza][field]
-            document[stanza][misspelt] = value
+            stanza = functools.reduce(operator.getitem, keys, document)
+            del stanza[field]
+            if replacement is not None:
+                stanza[replacement] = value
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(document), encoding="utf-8")
             report_calls(path, ("run",), placeholders)

@@ -9,8 +9,10 @@ The coalition scan judges outcomes, not profiles: the group always pays the
 threshold, so a misreport only changes whether the group buys and its winning
 set.  One outcome table per scan divides each of the 2^n outcomes once
 through the group run's own division (:func:`groupbuy.mechanism.divide`) and
-values every buyer's share there once by its true report.  Each coalition
-judges every outcome from that table before it scans; a coalition that no
+values every buyer's share there once by its true report, then compares each
+outcome with the truthful one once per buyer, as four flags: weak and strict
+preference, net at least as large and net strictly larger.  A coalition judges
+every outcome by its members' flags before it scans; a coalition that no
 outcome improves is certified and runs no profile.  The truthful profile and
 every deviant one of the others take one path: the engine's steps over
 compiled columns (:func:`groupbuy.mechanism.bid_steps`), read up to the one
@@ -29,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .auction import AuctionConfig, decide_winning_set, run_group_participation
 from .mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
-from .numeric import EXACT, Num, NumericPolicy, infer_policy
+from .numeric import EXACT, Num, NumericPolicy, infer_policy, integers_over_common_denominator
 from .schedule import ScheduleError, ShareSchedule, full_mask, members, nonempty_subsets, report_class_for
 from .utility import ClosedFormUtility, InvalidReportError, UtilityReport, sample_report
 
@@ -86,31 +88,42 @@ def concave_report_grid(
     admissible becomes one report, so the menu spans the whole concave class
     at grid resolution.  Tuples are built depth-first in product order, and a
     prefix grows only while it stays non-decreasing and concave under the
-    comparisons of :func:`validate_knots`; :class:`UtilityReport` checks the rest.
+    comparisons of :func:`validate_knots` (``policy.le`` on values,
+    :meth:`NumericPolicy.slope_le` on chords); in the exact lane they run on
+    the integers that put the points and levels over one denominator.  Each
+    leaf builds its ``Fraction`` knots, and :class:`UtilityReport` checks the
+    rest.
     """
     scaled = tuple(Fraction(l) for l in levels)
     grid = []
     for buyer in range(schedule.n):
         points = [p for p in schedule.share_points(buyer) if p > 0]
         policy = infer_policy(points)  # the levels are rational
+        xs, us = points, scaled
+        if policy.exact:
+            _, ints = integers_over_common_denominator((*points, *scaled))
+            xs, us = ints[:len(points)], ints[len(points):]
+        xs = (0, *xs)
         menu = []
 
-        def extend(knots, slope):
-            if len(knots) > len(points):
+        def extend(picks, du0, dx0):
+            depth = len(picks)
+            if depth == len(points):
+                knots = ((Fraction(0), Fraction(0)), *zip(points, (scaled[j] for j in picks)))
                 try:
                     menu.append(UtilityReport(knots))
                 except InvalidReportError:
                     pass
                 return
-            x0, u0 = knots[-1]
-            x = points[len(knots) - 1]
-            for u in scaled:
+            u0 = us[picks[-1]] if picks else 0
+            dx = xs[depth + 1] - xs[depth]
+            for j, u in enumerate(us):
                 if policy.le(u0, u):
-                    next_slope = (u - u0) / (x - x0)
-                    if slope is None or policy.le(next_slope, slope):
-                        extend((*knots, (x, u)), next_slope)
+                    du = u - u0
+                    if not depth or policy.slope_le(du, dx, du0, dx0):
+                        extend((*picks, j), du, dx)
 
-        extend(((Fraction(0), Fraction(0)),), None)
+        extend((), None, None)
         grid.append(menu)
     return grid
 
@@ -285,6 +298,23 @@ def enumerate_coalition_deviations(
             for i in range(n)
         ))
     base_prefs = table[truthful]
+    # Each outcome against the truthful one, once per buyer: bit i of the
+    # four masks says whether buyer i weakly prefers it, strictly prefers
+    # it, nets at least as much there, and nets strictly more.
+    flags = []
+    for row in table:
+        weak = strict = net_ge = net_gt = 0
+        for i, (after, before) in enumerate(zip(row, base_prefs)):
+            bit = 1 << i
+            if weakly_prefers(after, before, policy):
+                weak |= bit
+            if strictly_prefers(after, before, policy):
+                strict |= bit
+            if policy.ge(after.net, before.net):
+                net_ge |= bit
+            if policy.gt(after.net, before.net):
+                net_gt |= bit
+        flags.append((weak, strict, net_ge, net_gt))
 
     coalitions = sorted(
         nonempty_subsets(everyone),
@@ -304,17 +334,14 @@ def enumerate_coalition_deviations(
     profiles = 0
     truncated = False
 
-    def judge(idxs, won):
-        """(before, after, uses_tiebreak) if winning set ``won`` improves ``idxs``, else None."""
-        after = tuple(table[won][i] for i in idxs)
-        before = tuple(base_prefs[i] for i in idxs)
-        all_weak = all(weakly_prefers(a, b, policy) for a, b in zip(after, before))
-        any_strict = any(strictly_prefers(a, b, policy) for a, b in zip(after, before))
-        if not (all_weak and any_strict):
+    def judge(mask, idxs, won):
+        """(before, after, uses_tiebreak) if winning set ``won`` improves ``mask``, else None."""
+        weak, strict, net_ge, net_gt = flags[won]
+        if weak & mask != mask or not strict & mask:
             return None
-        net_only = all(policy.ge(a.net, b.net) for a, b in zip(after, before)) and any(
-            policy.gt(a.net, b.net) for a, b in zip(after, before)
-        )
+        net_only = net_ge & mask == mask and net_gt & mask
+        before = tuple(base_prefs[i] for i in idxs)
+        after = tuple(table[won][i] for i in idxs)
         return before, after, not net_only
 
     for mask in coalitions:
@@ -325,7 +352,7 @@ def enumerate_coalition_deviations(
         covered = max(budget - profiles, 0) if sampled else total
         truncated = truncated or sampled
         profiles += covered
-        verdicts = [judge(idxs, won) for won in range(everyone + 1)]
+        verdicts = [judge(mask, idxs, won) for won in range(everyone + 1)]
         if all(verdict is None for verdict in verdicts):
             scans.append(CoalitionScan(mask, "certified", covered))
             continue

@@ -25,16 +25,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .numeric import EXACT, Num, NumericPolicy
-from .schedule import ShareSchedule, full_mask, is_subset, mask_of, members
+from .schedule import ShareSchedule, full_mask, is_subset, members
 from .utility import ClosedFormUtility, UtilityReport
 
 
-@dataclass(frozen=True)
-class BidStep:
-    """One engine step: the subset considered, what it could bear, who fell out."""
+class BidStep(NamedTuple):
+    """One engine step: the subset considered, what it could bear, who fell out.
+
+    A named tuple, cheap to build: the coalition scan makes one per step of
+    every profile it runs.
+    """
 
     subset: int
     max_payment: Num
@@ -108,13 +111,18 @@ def bid_steps(
     ``policy.eq(ratio, bound)``.
     """
     while subset:
-        ratios = {}
+        pairs = []
+        bound = None
         for i in members(subset):
             ratio = columns[i][subset]
             if ratio is not None:
-                ratios[i] = ratio
-        bound = min(ratios.values())
-        removed = mask_of(i for i, ratio in ratios.items() if policy.eq(ratio, bound))
+                pairs.append((i, ratio))
+                if bound is None or ratio < bound:
+                    bound = ratio
+        removed = 0
+        for i, ratio in pairs:
+            if policy.eq(ratio, bound):
+                removed |= 1 << i
         yield BidStep(subset, bound, removed)
         subset &= ~removed
 

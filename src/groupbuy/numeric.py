@@ -10,6 +10,11 @@ The package has one tolerance rule and applies it only here: exact when
 ``epsilon`` in every comparison, the engine's bottleneck test
 ``eq(ratio, bound)`` included.
 
+Report validation and the concave menus compare chord slopes du/dx by one
+rule beside it, :meth:`NumericPolicy.slope_le`: cross-multiplied when exact
+(on integers, after :func:`integers_over_common_denominator`), the tolerance
+rule on the two quotients otherwise.
+
 The engine's one conversion sits beside the rule, :meth:`NumericPolicy.lane`:
 a ratio computed at the exact share becomes a lane number once, itself in the
 exact lane and a ``float`` in the tolerance lane, whose comparisons then run
@@ -73,6 +78,16 @@ class NumericPolicy:
     def is_positive(self, v: Num) -> bool:
         return self.lt(0, v)
 
+    def slope_le(self, du: Num, dx: Num, du0: Num, dx0: Num) -> bool:
+        """Whether the chord slope ``du/dx`` is at most ``du0/dx0``, for ``dx, dx0 > 0``.
+
+        Exact: cross-multiplied, so integers stay integers.  Tolerance:
+        ``le`` on the two quotients.
+        """
+        if self.epsilon is None:
+            return du * dx0 <= du0 * dx
+        return self.le(du / dx, du0 / dx0)
+
     def lane(self, v: Num) -> Num:
         """``v`` as the engine computes with it: as is when exact, else a float."""
         return v if self.epsilon is None else float(v)
@@ -87,7 +102,18 @@ def approx(epsilon: float = DEFAULT_EPSILON) -> NumericPolicy:
 
 def infer_policy(values) -> NumericPolicy:
     """Exact when every value is rational, otherwise the default tolerance."""
-    return EXACT if all(isinstance(v, Rational) for v in values) else approx()
+    # int and Fraction first: a concrete type check is cheaper than the ABC's
+    return EXACT if all(isinstance(v, (int, Fraction, Rational)) for v in values) else approx()
+
+
+def integers_over_common_denominator(values) -> tuple:
+    """``(d, ints)``: rational ``values`` as the integers ``v * d``, ``d`` their least common denominator.
+
+    Order, equality and chord-slope comparisons of the integers are those of
+    the values, so the exact lane can decide them on ints.
+    """
+    d = math.lcm(*(v.denominator for v in values))
+    return d, tuple(v.numerator * (d // v.denominator) for v in values)
 
 
 def is_finite_float(v: Num) -> bool:

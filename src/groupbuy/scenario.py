@@ -198,10 +198,13 @@ def parse_schedule(stanza, n: int, label: str = "schedule") -> ShareSchedule:
             return EqualSplitSchedule(n)
         if kind == "cmss":
             number = _table_numbers()
-            shares = {
-                key: tuple(map(number, _typed(vec, list, 'share row "{}"', key)))
-                for key, vec in stanza["shares"].items()
-            }
+            shares = {}
+            for key, vec in stanza["shares"].items():
+                row = _typed(vec, list, 'share row "{}"', key)
+                try:  # labelled on failure only: a with-block per row costs at 2^n rows
+                    shares[key] = tuple(map(number, row))
+                except ValueError as exc:
+                    raise ValueError(f'share row "{key}": {exc}') from exc
             return CrossMonotonicSchedule(n, shares)
         if kind == "rras":
             return RankedSchedule(

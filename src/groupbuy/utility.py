@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .numeric import Num, infer_policy, piecewise_value
+from .numeric import Num, infer_policy, integers_over_common_denominator, piecewise_value
 
 
 class InvalidReportError(ValueError):
@@ -29,29 +29,34 @@ class InvalidReportError(ValueError):
 def validate_knots(knots: Sequence) -> Optional[str]:
     """Check the report invariants; return the first failure's message, or None.
 
-    Comparisons are exact when every coordinate is rational, under the
-    default float tolerance otherwise.
+    Comparisons are exact when every coordinate is rational, and then run on
+    the integers that put every coordinate over their common denominator;
+    under the default float tolerance otherwise.  Concavity compares each
+    chord's slope with the one before by :meth:`NumericPolicy.slope_le`.
     """
     if len(knots) == 0:
         return "knot list is empty"
-    policy = infer_policy(c for knot in knots for c in knot)
-    x0, u0 = knots[0]
-    if not (policy.eq(x0, 0) and policy.eq(u0, 0)):
+    xs = [x for x, _ in knots]
+    us = [u for _, u in knots]
+    policy = infer_policy(xs + us)
+    one = 1
+    if policy.exact:
+        one, coords = integers_over_common_denominator(xs + us)
+        xs, us = coords[:len(xs)], coords[len(xs):]
+    if not (policy.eq(xs[0], 0) and policy.eq(us[0], 0)):
         return "first knot must be (0, 0), violated at knot 0"
-    for i in range(1, len(knots)):
-        if not policy.lt(knots[i - 1][0], knots[i][0]):
+    for i in range(1, len(xs)):
+        if not policy.lt(xs[i - 1], xs[i]):
             return f"knot x values must be strictly increasing at knot {i}"
-    if not policy.eq(knots[-1][0], 1):
-        return f"last knot must sit at x=1, violated at knot {len(knots) - 1}"
-    for i in range(1, len(knots)):
-        if not policy.le(knots[i - 1][1], knots[i][1]):
+    if not policy.eq(xs[-1], one):
+        return f"last knot must sit at x=1, violated at knot {len(xs) - 1}"
+    for i in range(1, len(us)):
+        if not policy.le(us[i - 1], us[i]):
             return f"values decrease at knot {i}"
-    prev_slope = None
-    for i in range(1, len(knots)):
-        slope = (knots[i][1] - knots[i - 1][1]) / (knots[i][0] - knots[i - 1][0])
-        if prev_slope is not None and not policy.le(slope, prev_slope):
-            return f"not concave at knot {i}"
-        prev_slope = slope
+    chords = [(us[i] - us[i - 1], xs[i] - xs[i - 1]) for i in range(1, len(xs))]
+    for i in range(1, len(chords)):
+        if not policy.slope_le(*chords[i], *chords[i - 1]):
+            return f"not concave at knot {i + 1}"
     return None
 
 

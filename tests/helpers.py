@@ -23,7 +23,7 @@ from groupbuy.auction import (
     run_group_participation,
 )
 from groupbuy.mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
-from groupbuy.numeric import EXACT, Num, NumericPolicy
+from groupbuy.numeric import EXACT, Num, NumericPolicy, infer_policy
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -40,7 +40,6 @@ from groupbuy.utility import (
     UtilityReport,
     random_concave_knots,
     sample_report,
-    validate_knots,
 )
 
 
@@ -77,14 +76,45 @@ def random_table(rng, n: int) -> TableSchedule:
     return TableSchedule(n, entries)
 
 
+def reference_validate_knots(knots: Sequence) -> Optional[str]:
+    """Reference for :func:`groupbuy.utility.validate_knots`.
+
+    The same checks in the same order on the coordinates as given: exact
+    comparisons when every coordinate is rational, the default tolerance
+    otherwise, and concavity as quotient slopes compared by ``policy.le``.
+    """
+    if len(knots) == 0:
+        return "knot list is empty"
+    policy = infer_policy(c for knot in knots for c in knot)
+    x0, u0 = knots[0]
+    if not (policy.eq(x0, 0) and policy.eq(u0, 0)):
+        return "first knot must be (0, 0), violated at knot 0"
+    for i in range(1, len(knots)):
+        if not policy.lt(knots[i - 1][0], knots[i][0]):
+            return f"knot x values must be strictly increasing at knot {i}"
+    if not policy.eq(knots[-1][0], 1):
+        return f"last knot must sit at x=1, violated at knot {len(knots) - 1}"
+    for i in range(1, len(knots)):
+        if not policy.le(knots[i - 1][1], knots[i][1]):
+            return f"values decrease at knot {i}"
+    prev_slope = None
+    for i in range(1, len(knots)):
+        slope = (knots[i][1] - knots[i - 1][1]) / (knots[i][0] - knots[i - 1][0])
+        if prev_slope is not None and not policy.le(slope, prev_slope):
+            return f"not concave at knot {i}"
+        prev_slope = slope
+    return None
+
+
 def filtered_concave_report_grid(
     schedule: ShareSchedule,
     levels: Sequence[Num] = (0, F(1, 4), F(1, 2), F(3, 4), 1),
 ) -> list:
     """Reference for :func:`groupbuy.analysis.concave_report_grid`.
 
-    Validates every tuple in the product of the levels and keeps the
-    admissible ones, in the product's order.
+    Validates every tuple in the product of the levels with
+    :func:`reference_validate_knots` and keeps the admissible ones, in the
+    product's order.
     """
     scaled = tuple(F(l) for l in levels)
     grid = []
@@ -93,7 +123,7 @@ def filtered_concave_report_grid(
         menu = []
         for values in itertools.product(scaled, repeat=len(points)):
             knots = ((F(0), F(0)), *zip(points, values))
-            if validate_knots(knots) is None:
+            if reference_validate_knots(knots) is None:
                 menu.append(UtilityReport(knots))
         grid.append(menu)
     return grid

@@ -338,6 +338,15 @@ class TestRun:
         pytest.param({"fixed_price": [1]}, (), "fixed_price: cannot parse number [1]",
                      id="fixed_price-list"),
         pytest.param({"seed": "abc"}, (), "seed: cannot parse number 'abc'", id="seed-abc"),
+        # a share that is no number is named by its row, as a table entry is
+        pytest.param({"schedule": {"kind": "cmss", "shares": dict(ROWS, **{"0,1": ["1/2", "abc"]})}},
+                     (), 'schedule: share row "0,1": cannot parse number \'abc\'',
+                     id="cmss_share-abc"),
+        pytest.param({"schedule": {"kind": "table",
+                                   "entries": dict(ENTRIES, **{"0,1": {"x": ["1/2", "abc"],
+                                                                       "y": ["1/2", "1/2"]}})}},
+                     (), 'schedule: entry "0,1": cannot parse number \'abc\'',
+                     id="table_share-abc"),
         pytest.param({"seed": 1.5}, (), "seed must be an integer", id="seed-1.5"),
         pytest.param({"policy": {"mode": "approx", "epsilon": "abc"}}, (),
                      "policy: cannot parse number 'abc'", id="policy_epsilon-abc"),

@@ -21,22 +21,34 @@ subsets, removed sets and winning sets, with bids within epsilon.  The values
 sit on coarse grids, so distinct ratios stay far more than epsilon apart and
 only exact ties may merge.  Every number the exact run puts out stays
 rational: a float there would mean the exact lane leaked rounding.
+
+Coalition scans, in both lanes: relabelling the buyers of a three-buyer table
+(its rows, the true reports and the menus) permutes every coalition's scan and
+every violation and keeps each status, on random tables and on the
+non-monotone ``exploit_table``.  On the random tables the scan also matches
+``reference_coalition_scan``, which runs every profile and keeps no flags.
 """
 
+import math
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from numbers import Rational
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupbuy.auction import AuctionConfig, run_group_participation
+from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations
+from groupbuy.auction import GROUP_LOSES, GROUP_WINS, AuctionConfig, run_group_participation
 from groupbuy.mechanism import compute_bid_trace
 from groupbuy.numeric import DEFAULT_EPSILON, EXACT, MAX_EPSILON, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
     RankedSchedule,
+    TableSchedule,
     full_mask,
     identity_weight,
     members,
@@ -51,9 +63,13 @@ from groupbuy.utility import (
 )
 
 from helpers import (
+    EXPLOIT_LEVELS,
+    exploit_table,
+    exploit_truth,
     fixed_price_outcome,
     random_concave_utility,
     random_table,
+    reference_coalition_scan,
     renormalized_cmss,
     run_at_price,
     scaled_report,
@@ -279,3 +295,95 @@ def test_every_subset_has_a_payer_in_both_lanes(instance):
             payers = [i for i in members(mask) if policy.is_positive(payment[i])]
             assert payers, (kind, mask, payment)
             assert max(payment[i] for i in payers) >= F(1, mask.bit_count()) - DEFAULT_EPSILON
+
+
+def moved_table(schedule, perm):
+    """``schedule`` with buyer i renamed perm[i]: every subset and share row permuted."""
+    n = schedule.n
+    entries = {}
+    for mask in nonempty_subsets(full_mask(n)):
+        pair = schedule.shares_for(mask)
+        x, y = [F(0)] * n, [F(0)] * n
+        for i in range(n):
+            x[perm[i]], y[perm[i]] = pair.resource[i], pair.payment[i]
+        entries[relabel(mask, perm)] = (tuple(x), tuple(y))
+    return TableSchedule(n, entries)
+
+
+def moved_violation(v, perm):
+    """A violation's fields as the relabelled scan reports them, member order included."""
+    idxs = members(v.coalition)
+    order = sorted(range(len(idxs)), key=lambda k: perm[idxs[k]])
+
+    def pick(values):
+        return tuple(values[k] for k in order)
+
+    return (relabel(v.coalition, perm), pick(v.truthful_reports), pick(v.deviant_reports),
+            pick(v.before), pick(v.after), v.uses_tiebreak)
+
+
+def violation_fields(v):
+    return (v.coalition, v.truthful_reports, v.deviant_reports, v.before, v.after, v.uses_tiebreak)
+
+
+def assert_the_scan_permutes(truth, schedule, cfg, menus, perm, policy):
+    """Relabelling buyer i as perm[i] (rows, true reports and menus) permutes each
+    coalition scan and each violation and keeps every status; returns the scan."""
+    n = schedule.n
+    inverse = [perm.index(j) for j in range(n)]
+    budget = math.prod(len(m) + 1 for m in menus)  # every coalition's product fits
+    result = enumerate_coalition_deviations(truth, schedule, cfg, menus, budget, policy=policy)
+    got = enumerate_coalition_deviations(
+        [truth[inverse[j]] for j in range(n)], moved_table(schedule, perm), cfg,
+        [menus[inverse[j]] for j in range(n)], budget, policy=policy,
+    )
+    assert not result.truncated
+    assert (got.profiles, got.truncated) == (result.profiles, result.truncated)
+    assert {s.coalition: (s.status, s.profiles) for s in got.coalitions} == {
+        relabel(s.coalition, perm): (s.status, s.profiles) for s in result.coalitions
+    }
+    assert Counter(map(violation_fields, got.violations)) == Counter(
+        moved_violation(v, perm) for v in result.violations
+    )
+    return result
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.permutations(range(3)),
+    st.integers(0, 2),
+    st.sampled_from((F(1, 2), F(99, 100), F(1))),
+    st.sampled_from((GROUP_WINS, GROUP_LOSES)),
+)
+@settings(max_examples=30, deadline=None)
+def test_relabelling_buyers_permutes_the_coalition_scan(seed, perm, step, fraction, tie):
+    # Random tables are mostly non-monotone; the rival bids at or just below a
+    # bound of the truthful trace, where ties and violations occur.  Budgets
+    # are exhaustive: the sampled branch draws in menu order, which a
+    # relabelling moves.
+    rng = random.Random(seed)
+    schedule = random_table(rng, 3)
+    truth = [
+        random_concave_utility(rng.randrange(2**31), [p for p in schedule.share_points(i) if p > 0], 1)
+        for i in range(3)
+    ]
+    menus = concave_report_grid(schedule, levels=(0, F(1, 2), 1))
+    steps = compute_bid_trace(truth, schedule).steps
+    cfg = AuctionConfig(0, (steps[min(step, len(steps) - 1)].max_payment * fraction,), tie)
+    for policy in (EXACT, approx()):
+        result = assert_the_scan_permutes(truth, schedule, cfg, menus, perm, policy)
+        # and the scan agrees with the reference, which runs every profile
+        assert replace(result, coalitions=()) == reference_coalition_scan(
+            truth, schedule, cfg, menus, result.profiles, policy=policy
+        )
+
+
+@pytest.mark.parametrize("perm", [(2, 1, 0), (1, 2, 0)])  # a transposition and a 3-cycle
+def test_relabelling_permutes_the_exploit_scan(perm):
+    # the pinned non-monotone table, whose scans find violations in both lanes;
+    # the two permutations generate every relabelling of three buyers
+    menus = concave_report_grid(exploit_table(), levels=EXPLOIT_LEVELS)
+    cfg = AuctionConfig(0, (F(1, 2),))
+    for policy in (EXACT, approx()):
+        result = assert_the_scan_permutes(exploit_truth(), exploit_table(), cfg, menus, perm, policy)
+        assert result.violations

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from groupbuy.utility import (
     validate_knots,
 )
 
-from helpers import random_concave_utility
+from helpers import random_concave_utility, reference_validate_knots
 
 
 def linear_report():
@@ -80,6 +81,97 @@ class TestValidate:
         # sampled irrational values validate under the inferred tolerance
         knots = [(F(0), 0.0), (F(1, 3), math.log(4 / 3)), (F(1, 2), math.log(1.5)), (F(1), math.log(2))]
         assert validate_knots(knots) is None
+
+
+KNOT_LANES = ("exact", "float", "mixed")
+# each fault planted by planted_knots, and the start of the message it draws
+KNOT_FAULTS = {
+    None: None,
+    "empty": "knot list is empty",
+    "first": "first knot must be (0, 0)",
+    "order": "knot x values must be strictly increasing",
+    "last": "last knot must sit at x=1",
+    "decrease": "values decrease",
+    "concave": "not concave",
+}
+
+
+def planted_knots(rng, lane, fault):
+    """A random knot list of ``lane`` that breaks the invariant ``fault`` names.
+
+    ``None`` plants nothing: the list is admissible, chords of equal slope
+    included.  Exact lists mix ints and Fractions, float lists are all
+    floats, mixed ones hold both; the last two sometimes move one coordinate
+    by a few times 1e-10, on either side of the default tolerance.
+    """
+    if fault == "empty":
+        return []
+    k = rng.randint(3 if fault == "concave" else 1, 5)  # knots past the origin
+    xs = [F(j, 12) for j in sorted(rng.sample(range(1, 12), k - 1))] + [F(1)]
+    slopes = sorted((F(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(k)), reverse=True)
+    us, prev, total = [], F(0), F(0)
+    for x, slope in zip(xs, slopes):
+        total += slope * (x - prev)
+        us.append(total)
+        prev = x
+    knots = [[F(0), F(0)], *map(list, zip(xs, us))]
+    if fault == "first":
+        knots[0][rng.randint(0, 1)] = F(1, 24)
+    elif fault == "order":
+        i = rng.randint(1, k)
+        knots[i][0] = knots[i - 1][0] - rng.choice((0, F(1, 24)))
+    elif fault == "last":
+        if rng.random() < 0.5:
+            knots.pop()
+        else:
+            knots[-1][0] = F(25, 24)
+    elif fault == "decrease":
+        i = rng.randint(1, k)
+        knots[i][1] = knots[i - 1][1] - F(rng.randint(1, 3), 24)
+    elif fault == "concave":
+        # chord i steeper than chord i - 1 by delta / dx (0: collinear, admissible)
+        i = rng.randint(2, k)
+        (x0, u0), (x1, u1), (x2, u2) = knots[i - 2], knots[i - 1], knots[i]
+        delta = rng.choice((0, F(1, 10 ** 6), F(1, 8)))
+        lift = u1 + (u1 - u0) / (x1 - x0) * (x2 - x1) + delta - u2
+        for knot in knots[i:]:
+            knot[1] += lift
+    if lane == "exact":
+        return [tuple(int(c) if c.denominator == 1 and rng.random() < 0.5 else c for c in knot)
+                for knot in knots]
+    coords = [c for knot in knots for c in knot]
+    if lane == "float":
+        coords = [float(c) for c in coords]
+    else:
+        kept = rng.randrange(len(coords))  # stays a Fraction
+        floated = rng.choice([j for j in range(len(coords)) if j != kept] or [kept])
+        coords = [float(c) if j == floated or (j != kept and rng.random() < 0.5) else c
+                  for j, c in enumerate(coords)]
+    if rng.random() < 0.3:
+        j = rng.randrange(len(coords))
+        coords[j] += rng.choice((-1, 1)) * rng.randint(1, 20) * 1e-10
+    return list(zip(coords[0::2], coords[1::2]))
+
+
+class TestValidateAgainstTheReference:
+    @given(st.randoms(use_true_random=False), st.sampled_from(KNOT_LANES),
+           st.sampled_from(list(KNOT_FAULTS)))
+    @settings(max_examples=150, deadline=None)
+    def test_same_message_as_the_reference(self, rng, lane, fault):
+        knots = planted_knots(rng, lane, fault)
+        assert validate_knots(knots) == reference_validate_knots(knots)
+
+    @pytest.mark.parametrize("lane", KNOT_LANES)
+    def test_planted_lists_reach_every_branch(self, lane):
+        # the property's lists reach each failure message, and admissible
+        # lists, in every lane
+        rng = random.Random(lane)
+        for fault, start in KNOT_FAULTS.items():
+            messages = [reference_validate_knots(planted_knots(rng, lane, fault)) for _ in range(40)]
+            if start is None:
+                assert None in messages
+            else:
+                assert any(m is not None and m.startswith(start) for m in messages), fault
 
 
 class TestClosedForms:

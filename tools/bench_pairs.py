@@ -14,7 +14,13 @@ side that runs first alternates from pair to pair.  Every run is appended to
 version, CPU count and the runner's final JSON line; ``--trace 1`` runs go
 under ``"traced"``.  The ``"summary"`` block is recomputed from all untraced
 runs in the file: per workload and end-to-end metric, each side's median and
-quartiles and the number of pairs the change won.
+quartiles, the number of pairs the change won, and two verdicts:
+
+* ``claim_met``: the change won at least nine tenths of the pairs, and its
+  median beats the parent's by more than the parent's interquartile range;
+* ``within_bound``: the change's median is worse than the parent's by no more
+  than the metric's bound in ``BENCHMARK.json`` (read, never written), as a
+  share of the parent's median.
 """
 
 from __future__ import annotations
@@ -33,6 +39,12 @@ BETTER = {  # end-to-end metrics of bench/run.py and their direction
     "op_p90_ms": "lower",
     "peak_rss_mb": "lower",
 }
+BENCHMARK_JSON = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def read_bounds(path=BENCHMARK_JSON):
+    """End-to-end metric name -> the share by which it may worsen, from ``path``."""
+    return {m["name"]: m["bound"] for m in json.loads(Path(path).read_text())["end_to_end"]}
 
 
 def parse_seeds(text):
@@ -73,8 +85,9 @@ def quartiles(values):
     return q1, median, q3
 
 
-def summarize(runs):
-    """Per workload and metric: medians, quartiles and change wins over seed-matched pairs."""
+def summarize(runs, bounds):
+    """Per workload and metric: medians, quartiles, change wins over seed-matched pairs,
+    and the verdicts ``claim_met`` and ``within_bound`` (``bounds`` as :func:`read_bounds`)."""
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
         sides = {
@@ -92,11 +105,14 @@ def summarize(runs):
             wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
             p1, pm, p3 = quartiles(parent)
             c1, cm, c3 = quartiles(change)
+            gain = pm - cm if better == "lower" else cm - pm  # positive when the change is better
             rows[name] = {
                 "better": better, "pairs": len(seeds), "change_wins": wins,
                 "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
                 "change_median": cm, "change_q1": c1, "change_q3": c3,
                 "change_over_parent": cm / pm if pm else None,
+                "claim_met": 10 * wins >= 9 * len(seeds) and gain > p3 - p1,
+                "within_bound": -gain <= bounds[name] * pm,
             }
         failed = {side: sum(r["result"]["failed"] for r in runs
                             if r["workload"] == workload and r["side"] == side)
@@ -117,6 +133,7 @@ def main(argv=None):
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": [], "traced": []}
     key = "traced" if args.trace else "runs"
+    bounds = read_bounds()
     for j, seed in enumerate(parse_seeds(args.seeds)):
         order = [("parent", args.parent), ("change", args.change)]
         if j % 2:
@@ -126,7 +143,7 @@ def main(argv=None):
             doc[key].append(record)
             print(f"{args.workload} seed {seed} {side}: failed {record['result']['failed']}",
                   file=sys.stderr)
-            doc["summary"] = summarize(doc["runs"])
+            doc["summary"] = summarize(doc["runs"], bounds)
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
 from groupbuy.analysis import (
@@ -23,7 +24,7 @@ from groupbuy.auction import (
     run_group_participation,
 )
 from groupbuy.mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
-from groupbuy.numeric import EXACT, Num, NumericPolicy, infer_policy
+from groupbuy.numeric import EXACT, Num, NumericPolicy, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -85,7 +86,7 @@ def reference_validate_knots(knots: Sequence) -> Optional[str]:
     """
     if len(knots) == 0:
         return "knot list is empty"
-    policy = infer_policy(c for knot in knots for c in knot)
+    policy = EXACT if all(isinstance(c, Rational) for knot in knots for c in knot) else approx()
     x0, u0 = knots[0]
     if not (policy.eq(x0, 0) and policy.eq(u0, 0)):
         return "first knot must be (0, 0), violated at knot 0"

@@ -74,6 +74,11 @@ class TestSummarize:
         assert metrics["throughput_per_s"]["within_bound"] is throughput_within
         assert not metrics["op_p50_ms"]["claim_met"]
 
+    def test_fewer_than_ten_pairs_meet_no_claim(self):
+        p50 = bench_pairs.summarize(runs(PARENT[:9], [3.3] * 9), BOUNDS)["coalition-fuzz"]["metrics"]["op_p50_ms"]
+        assert p50["change_wins"] == 9
+        assert not p50["claim_met"] and p50["within_bound"]
+
     def test_only_seed_matched_pairs_count(self):
         data = runs(PARENT, [3.3] * 10) + runs([4.0], [3.0], seeds=[99])[:1]  # parent only
         summary = bench_pairs.summarize(data, BOUNDS)["coalition-fuzz"]

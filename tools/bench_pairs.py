@@ -16,8 +16,9 @@ under ``"traced"``.  The ``"summary"`` block is recomputed from all untraced
 runs in the file: per workload and end-to-end metric, each side's median and
 quartiles, the number of pairs the change won, and two verdicts:
 
-* ``claim_met``: the change won at least nine tenths of the pairs, and its
-  median beats the parent's by more than the parent's interquartile range;
+* ``claim_met``: at least ten pairs ran, the change won at least nine tenths
+  of them, and its median beats the parent's by more than the parent's
+  interquartile range;
 * ``within_bound``: the change's median is worse than the parent's by no more
   than the metric's bound in ``BENCHMARK.json`` (read, never written), as a
   share of the parent's median.
@@ -39,6 +40,7 @@ BETTER = {  # end-to-end metrics of bench/run.py and their direction
     "op_p90_ms": "lower",
     "peak_rss_mb": "lower",
 }
+MIN_CLAIM_PAIRS = 10  # fewer pairs cannot show a gain, however many the change won
 BENCHMARK_JSON = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
@@ -111,7 +113,8 @@ def summarize(runs, bounds):
                 "parent_median": pm, "parent_q1": p1, "parent_q3": p3,
                 "change_median": cm, "change_q1": c1, "change_q3": c3,
                 "change_over_parent": cm / pm if pm else None,
-                "claim_met": 10 * wins >= 9 * len(seeds) and gain > p3 - p1,
+                "claim_met": len(seeds) >= MIN_CLAIM_PAIRS and 10 * wins >= 9 * len(seeds)
+                and gain > p3 - p1,
                 "within_bound": -gain <= bounds[name] * pm,
             }
         failed = {side: sum(r["result"]["failed"] for r in runs

@@ -201,10 +201,8 @@ def parse_schedule(stanza, n: int, label: str = "schedule") -> ShareSchedule:
             shares = {}
             for key, vec in stanza["shares"].items():
                 row = _typed(vec, list, 'share row "{}"', key)
-                try:  # labelled on failure only: a with-block per row costs at 2^n rows
+                with _malformed(f'share row "{key}"'):
                     shares[key] = tuple(map(number, row))
-                except ValueError as exc:
-                    raise ValueError(f'share row "{key}": {exc}') from exc
             return CrossMonotonicSchedule(n, shares)
         if kind == "rras":
             return RankedSchedule(

@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .numeric import EXACT, Num, NumericPolicy, piecewise_value
 from .utility import (
@@ -60,13 +60,6 @@ ORACLE_MAX_BUYERS = 8  # of brute_force_monotonicity_check
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
 
 
 def members(mask: int) -> tuple:

@@ -21,7 +21,6 @@ from groupbuy.schedule import (
     brute_force_monotonicity_check,
     full_mask,
     identity_weight,
-    mask_of,
     members,
     nonempty_subsets,
     parse_subset_key,
@@ -46,7 +45,6 @@ BASE = (F(1, 2), F(1, 4), F(1, 4))
 
 
 def test_mask_helpers():
-    assert mask_of([0, 2]) == 0b101
     assert members(0b101) == (0, 2)
     assert subset_key(0b101) == "0,2"
     assert parse_subset_key("0,2", 3) == 0b101
@@ -290,8 +288,8 @@ class TestMonotonicity:
         witness = validate_monotonicity(spec_violation_table())
         assert witness is not None
         assert witness.buyer == 0
-        assert witness.subset_a == mask_of([0, 1])
-        assert witness.subset_b == mask_of([0, 1, 2])
+        assert witness.subset_a == 0b011
+        assert witness.subset_b == 0b111
         assert witness.constant == F(3, 2)
         assert witness.utility.value_at(F(1)) == 1  # linear slope one
         _assert_witness_breaks_rule(spec_violation_table(), witness, EXACT)

@@ -33,7 +33,7 @@ from .auction import AuctionConfig, decide_winning_set, run_group_participation
 from .mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
 from .numeric import EXACT, Num, NumericPolicy, infer_policy, integers_over_common_denominator
 from .schedule import ScheduleError, ShareSchedule, full_mask, members, nonempty_subsets, report_class_for
-from .utility import ClosedFormUtility, InvalidReportError, UtilityReport, sample_report
+from .utility import ClosedFormUtility, InvalidReportError, UtilityReport, sample_points, sample_report
 
 
 FUZZ_MAX_BUYERS = 3  # buyer-count limit of the deviation scans
@@ -78,6 +78,11 @@ def weakly_prefers(a: PreferenceOutcome, b: PreferenceOutcome, policy: NumericPo
 # Report grids for the fuzzers
 
 
+def _menu_points(schedule: ShareSchedule, buyer: int) -> list:
+    """The buyer's positive share points, where menus are sampled and recorded."""
+    return [p for p in schedule.share_points(buyer) if p > 0]
+
+
 def concave_report_grid(
     schedule: ShareSchedule,
     levels: Sequence[Num] = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1),
@@ -97,7 +102,7 @@ def concave_report_grid(
     scaled = tuple(Fraction(l) for l in levels)
     grid = []
     for buyer in range(schedule.n):
-        points = [p for p in schedule.share_points(buyer) if p > 0]
+        points = _menu_points(schedule, buyer)
         policy = infer_policy(points)  # the levels are rational
         xs, us = points, scaled
         if policy.exact:
@@ -134,28 +139,30 @@ def power_report_grid(
     *,
     exponents: Sequence[Num],
 ) -> list:
-    """Per-buyer menus sampled from the c*x**k family at reachable share points.
+    """Per-buyer menus of c*x**k members, each a :class:`ClosedFormUtility`.
 
     For schedules whose monotonicity only holds against a power family, the
-    fuzz must stay inside that family; duplicates (every c=0 member) collapse.
+    fuzz must stay inside that family.  The engine evaluates each member at
+    the share it queries, the value its knot list at the buyer's share points
+    would hold.  Members whose float values at those points (0 and 1 added)
+    coincide collapse into the first, as every c=0 member does.
     """
+    forms = [ClosedFormUtility.linear(0)]
+    forms.extend(
+        ClosedFormUtility.power(c, k)
+        for c in coefficients if c > 0
+        for k in exponents
+    )
     grid = []
     for buyer in range(schedule.n):
-        points = [p for p in schedule.share_points(buyer) if p > 0]
+        xs = sample_points(_menu_points(schedule, buyer))
         menu = []
         seen = set()
-        forms = [ClosedFormUtility.linear(0)]
-        forms.extend(
-            ClosedFormUtility.power(c, k)
-            for c in coefficients if c > 0
-            for k in exponents
-        )
         for form in forms:
-            report = sample_report(form, points)
-            signature = tuple(float(u) for _, u in report.knots)
+            signature = tuple(float(form.value_at(x)) for x in xs)
             if signature not in seen:
                 seen.add(signature)
-                menu.append(report)
+                menu.append(form)
         grid.append(menu)
     return grid
 
@@ -163,9 +170,11 @@ def power_report_grid(
 def report_menus(schedule: ShareSchedule) -> list:
     """Menus over :func:`~groupbuy.schedule.report_class_for`'s class, as ``groupbuy fuzz`` scans.
 
-    A power family gets four evenly spread exponents from k_min to k_max
-    (1/8, 1/4, 3/8 and 1/2 for ranked sqrt), the concave class its grid.
-    Above ``FUZZ_MAX_BUYERS`` it raises before enumerating any share point.
+    A power family gets its members at four evenly spread exponents from
+    k_min to k_max (1/8, 1/4, 3/8 and 1/2 for ranked sqrt), as closed forms
+    the engine evaluates at the share it queries; the concave class gets its
+    grid of knot lists.  Every entry lies in the class.  Above
+    ``FUZZ_MAX_BUYERS`` it raises before enumerating any share point.
     """
     _check_fuzz_cap(schedule.n)
     report_class, _ = report_class_for(schedule)
@@ -178,6 +187,13 @@ def report_menus(schedule: ShareSchedule) -> list:
 
 # ---------------------------------------------------------------------------
 # Coalition deviation fuzzing
+
+
+def _recorded(report, schedule: ShareSchedule, buyer: int) -> UtilityReport:
+    """A menu report as a violation records it: a closed form as its knot list at the buyer's points."""
+    if isinstance(report, ClosedFormUtility):
+        return sample_report(report, _menu_points(schedule, buyer))
+    return report
 
 
 class BudgetError(RuntimeError):
@@ -195,6 +211,8 @@ class DeviationViolation:
 
     ``uses_tiebreak`` marks violations that vanish when outcomes are compared
     by net value alone, i.e. that depend on the win-a-share tie rule.
+    ``deviant_reports`` are knot lists: a closed-form menu entry is recorded
+    as its :func:`sample_report` at the buyer's positive share points.
     """
 
     coalition: int
@@ -372,7 +390,9 @@ def enumerate_coalition_deviations(
                     DeviationViolation(
                         coalition=mask,
                         truthful_reports=tuple(true_reports[i] for i in idxs),
-                        deviant_reports=tuple(column.report for column in profile),
+                        deviant_reports=tuple(
+                            _recorded(column.report, schedule, i) for i, column in zip(idxs, profile)
+                        ),
                         config=cfg,
                         before=before,
                         after=after,

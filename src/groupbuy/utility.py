@@ -6,9 +6,12 @@ x=0 and defined up to x=1.  Closed forms c*x**k (0 < k <= 1; ``linear`` is
 k = 1) and c*ln(1+x) are admissible by construction, so the engine also takes
 a :class:`ClosedFormUtility` as a report and evaluates it at the share it
 queries.  The same family supplies the weights of ranked schedules (powers
-with c = 1).  :func:`sample_report` turns a closed form into a knot list at
-given share points, for menus and oracles that need knots; at those points
-both give the same value.
+with c = 1), and the power-family fuzz menus hold its members as they are.
+:func:`sample_report` turns a closed form into a knot list at given share
+points, for the oracles and records that need knots (a coalition-scan
+violation records a closed-form deviant so); at those points both give the
+same value.  A knot list answers a query at one of its knots with the stored
+value, looked up, and interpolates between knots.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .numeric import Num, infer_policy, integers_over_common_denominator, piecewise_value
@@ -74,9 +78,12 @@ class UtilityReport:
             raise InvalidReportError(message)
         object.__setattr__(self, "_xs", tuple(x for x, _ in normalized))
         object.__setattr__(self, "_us", tuple(u for _, u in normalized))
+        object.__setattr__(self, "_at", dict(normalized))
 
     def value_at(self, x: Num) -> Num:
-        return piecewise_value(self._xs, self._us, x)
+        # a knot's own value, as piecewise_value returns it at a knot
+        u = self._at.get(x)
+        return piecewise_value(self._xs, self._us, x) if u is None else u
 
 
 @dataclass(frozen=True)
@@ -123,13 +130,24 @@ class ClosedFormUtility:
         if x == 0 or x == 1 or self.k == 1:
             # c * x, not a bare c: rational x keeps the value rational
             return self.c * x
-        return self.c * x ** self.k
+        # the float that c * x ** k computes through Fraction's mixed arithmetic
+        c, k = self._floats
+        return c * float(x) ** k
+
+    @cached_property
+    def _floats(self) -> tuple:
+        """(float(c), float(k)), made on the first irrational value, not at construction."""
+        return float(self.c), float(self.k)
+
+
+def sample_points(points: Iterable[Num]) -> list:
+    """The given points with 0 and 1 added if absent, sorted: where :func:`sample_knots` samples."""
+    return sorted(set(points) | {Fraction(0), Fraction(1)})
 
 
 def sample_knots(form: ClosedFormUtility, points: Iterable[Num]) -> tuple:
-    """Knots (p, f(p)) over the given points, 0 and 1 added if absent; ``value_at`` checks each."""
-    xs = sorted(set(points) | {Fraction(0), Fraction(1)})
-    return tuple((x, form.value_at(x)) for x in xs)
+    """Knots (p, f(p)) over :func:`sample_points`; ``value_at`` checks each."""
+    return tuple((x, form.value_at(x)) for x in sample_points(points))
 
 
 def sample_report(form: ClosedFormUtility, points: Iterable[Num]) -> UtilityReport:
@@ -193,13 +211,15 @@ class ReportClass:
             raise ValueError(f"unknown report class kind {self.kind!r}")
 
     def contains(self, report) -> bool:
-        """Whether an admissible report is a member; knot lists count only as concave."""
+        """Whether an admissible report is a member; knot lists count only as concave.
+
+        A closed form with c = 0 is the zero utility, c*x**k at every k, so it
+        lies in every power family.
+        """
         if self.kind == "concave":
             return True
-        return (
-            isinstance(report, ClosedFormUtility)
-            and report.kind == "power"
-            and self.k_min <= report.k <= self.k_max
+        return isinstance(report, ClosedFormUtility) and (
+            report.c == 0 or report.kind == "power" and self.k_min <= report.k <= self.k_max
         )
 
 

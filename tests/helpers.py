@@ -393,6 +393,11 @@ def criterion_4_scans() -> list:
 
 # the value levels of the menus that scan :func:`exploit_table`
 EXPLOIT_LEVELS = (0, F(7, 20), F(1, 2), F(3, 4), 1)
+# the power menus that scan :func:`exploit_table`: arguments of ``power_report_grid``
+EXPLOIT_POWER_MENU = {
+    "coefficients": (0, F(1, 2), F(3, 4), 1, F(3, 2), 2),
+    "exponents": (F(1, 4), F(1, 2), 1),
+}
 
 
 def exploit_table() -> TableSchedule:

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -31,6 +33,7 @@ from groupbuy.schedule import (
     ShareSchedule,
     TableSchedule,
     power_weight,
+    report_class_for,
     sqrt_weight,
 )
 from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
@@ -38,6 +41,7 @@ from groupbuy.utility import ClosedFormUtility, UtilityReport, sample_report
 from helpers import (
     CRITERION_4_BUDGET,
     EXPLOIT_LEVELS,
+    EXPLOIT_POWER_MENU,
     check_individual_consistency,
     criterion_4_scans,
     exploit_table,
@@ -143,10 +147,23 @@ class TestReportMenus:
          lambda s: power_report_grid(s, exponents=(F(1, 12), F(1, 6), F(1, 4), F(1, 3)))),
     ], ids=["rr3", "rr2", "equal-split", "ranked-power-third"])
     def test_report_menus_are_the_class_grid(self, sched, explicit):
+        # entries by repr: knot lists and closed forms alike, number types included
         got, want = report_menus(sched), explicit(sched)
-        assert [[repr(r.knots) for r in menu] for menu in got] == [
-            [repr(r.knots) for r in menu] for menu in want
+        assert [[repr(r) for r in menu] for menu in got] == [
+            [repr(r) for r in menu] for menu in want
         ]
+
+    @pytest.mark.parametrize("sched", [
+        EqualSplitSchedule(3),
+        MENU_CASES["cmss"][0],
+        RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)), sqrt_weight()),
+        RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)), power_weight(F(1, 3))),
+    ], ids=["equal-split", "cmss", "ranked-sqrt", "ranked-power-third"])
+    def test_menus_lie_in_their_class(self, sched):
+        report_class, _ = report_class_for(sched)
+        menus = report_menus(sched)
+        assert all(menus)
+        assert all(report_class.contains(entry) for menu in menus for entry in menu)
 
 
 class TestUnilateral:
@@ -194,6 +211,20 @@ class TestUnilateral:
             outcome = run_group_participation([truth[0], truth[1], deviant], sched, cfg, APPROX)[1]
             net = truth[2].value_at(outcome.fractions[2]) - outcome.payments[2]
             assert net <= 1e-12  # unchanged (0) or a strict loss
+
+
+# the power-menu scan of the exploit table, as the knot-list menus gave it
+POWER_SCAN_COALITIONS = [
+    (0b001, "scanned", 16), (0b010, "scanned", 16), (0b100, "certified", 16),
+    (0b011, "scanned", 256), (0b101, "scanned", 256), (0b110, "scanned", 256),
+    (0b111, "scanned", 4096),
+]
+POWER_SCAN_VIOLATIONS = {0b001: 15, 0b011: 180, 0b101: 15, 0b110: 12, 0b111: 180}
+POWER_SCAN_TIEBREAKS = 0
+POWER_SCAN_DIGESTS = {
+    "exact": "19c93bdabc57273cda94697370168ef545b08d96cf8b88c2a5e078ae080b9c09",
+    "approx": "932b784baab14769ca8738625bec2a76201d81f048fb41c1f3977aeaf09d930c",
+}
 
 
 class TestCoalitions:
@@ -294,6 +325,43 @@ class TestCoalitions:
                 assert nets == list(gains[coalition])
             else:
                 assert all(abs(a - g) <= 1e-12 for a, g in zip(nets, gains[coalition]))
+
+    @pytest.mark.parametrize("policy", [EXACT, APPROX], ids=["exact", "approx"])
+    def test_non_monotone_table_power_scan_is_pinned(self, policy):
+        # The whole scan over power menus, pinned as the knot-list menus gave
+        # it: each violation's coalition, deviant reports (named c^k by the
+        # power form whose knot list at the buyer's share points they are; 0
+        # for every c = 0),
+        # nets by repr, win flags and tie-break flag, in scan order.
+        sched = exploit_table()
+        grid = power_report_grid(sched, **EXPLOIT_POWER_MENU)
+        assert [len(menu) for menu in grid] == [16, 16, 16]
+        result = enumerate_coalition_deviations(
+            exploit_truth(), sched, AuctionConfig(0, (F(1, 2),)), grid, budget=300_000,
+            policy=policy,
+        )
+        assert (result.profiles, result.truncated) == (4912, False)
+        assert [(s.coalition, s.status, s.profiles) for s in result.coalitions] == (
+            POWER_SCAN_COALITIONS
+        )
+        names = {}
+        for i in range(3):
+            points = [p for p in sched.share_points(i) if p > 0]
+            for c in EXPLOIT_POWER_MENU["coefficients"]:
+                for k in EXPLOIT_POWER_MENU["exponents"]:
+                    knots = sample_report(ClosedFormUtility.power(c, k), points).knots
+                    names.setdefault((i, knots), f"{c}^{k}" if c else "0")
+        lines = []
+        for v in result.violations:
+            buyers = [i for i in range(3) if v.coalition >> i & 1]
+            deviants = [names[i, r.knots] for i, r in zip(buyers, v.deviant_reports)]
+            outcomes = [(repr(p.net), p.wins_nonzero) for p in v.before + v.after]
+            lines.append(f"{v.coalition} {deviants} {outcomes} {v.uses_tiebreak}")
+        assert len(lines) == 402
+        assert Counter(v.coalition for v in result.violations) == POWER_SCAN_VIOLATIONS
+        assert sum(v.uses_tiebreak for v in result.violations) == POWER_SCAN_TIEBREAKS
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == POWER_SCAN_DIGESTS["exact" if policy.exact else "approx"]
 
     def test_budget_refusal_names_the_estimate(self):
         sched = EqualSplitSchedule(2)

@@ -40,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations
+from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations, report_menus
 from groupbuy.auction import GROUP_LOSES, GROUP_WINS, AuctionConfig, run_group_participation
 from groupbuy.mechanism import compute_bid_trace
 from groupbuy.numeric import DEFAULT_EPSILON, EXACT, MAX_EPSILON, approx
@@ -326,15 +326,16 @@ def violation_fields(v):
     return (v.coalition, v.truthful_reports, v.deviant_reports, v.before, v.after, v.uses_tiebreak)
 
 
-def assert_the_scan_permutes(truth, schedule, cfg, menus, perm, policy):
-    """Relabelling buyer i as perm[i] (rows, true reports and menus) permutes each
-    coalition scan and each violation and keeps every status; returns the scan."""
+def assert_the_scan_permutes(truth, schedule, cfg, menus, perm, policy, moved=None):
+    """Relabelling buyer i as perm[i] (true reports, menus, and the schedule,
+    ``moved`` or else its rows) permutes each coalition scan and each
+    violation and keeps every status; returns the scan."""
     n = schedule.n
     inverse = [perm.index(j) for j in range(n)]
     budget = math.prod(len(m) + 1 for m in menus)  # every coalition's product fits
     result = enumerate_coalition_deviations(truth, schedule, cfg, menus, budget, policy=policy)
     got = enumerate_coalition_deviations(
-        [truth[inverse[j]] for j in range(n)], moved_table(schedule, perm), cfg,
+        [truth[inverse[j]] for j in range(n)], moved or moved_table(schedule, perm), cfg,
         [menus[inverse[j]] for j in range(n)], budget, policy=policy,
     )
     assert not result.truncated
@@ -387,3 +388,36 @@ def test_relabelling_permutes_the_exploit_scan(perm):
     for policy in (EXACT, approx()):
         result = assert_the_scan_permutes(exploit_truth(), exploit_table(), cfg, menus, perm, policy)
         assert result.violations
+
+
+@pytest.mark.parametrize("perm", [(2, 1, 0), (1, 2, 0)])
+@pytest.mark.parametrize("kind", ["equal-split", "cmss", "ranked-sqrt"])
+def test_relabelling_permutes_the_monotone_scans(kind, perm):
+    # The schedule relabelled as its own kind: weights and rank order follow
+    # the buyers, and the fuzz menus of the moved schedule are the permuted
+    # menus.  Ranked sqrt scans power menus from closed-form buyers inside its
+    # class; the others random concave buyers.  The rival bids nothing, half
+    # the truthful bid, and a fifth above it, where scans are not all
+    # certified.
+    weights, order = [3, 2, 1], [2, 0, 1]
+    inverse = [perm.index(j) for j in range(3)]
+    schedule = build_schedule(kind, weights, order)
+    moved = build_schedule(kind, [weights[inverse[j]] for j in range(3)], [perm[i] for i in order])
+    if kind == "ranked-sqrt":
+        truth = [ClosedFormUtility.power(c, k) for c, k in ((1, F(1, 4)), (F(3, 2), F(1, 3)), (1, F(1, 2)))]
+    else:
+        truth = [
+            random_concave_utility(2014 + i, [p for p in schedule.share_points(i) if p > 0], 1)
+            for i in range(3)
+        ]
+    menus = report_menus(schedule)
+    assert report_menus(moved) == [menus[inverse[j]] for j in range(3)]
+    scanned = set()
+    bid = compute_bid_trace(truth, schedule).group_bid
+    for rival in (0, bid / 2, bid * F(6, 5)):
+        for policy in (EXACT, approx()):
+            result = assert_the_scan_permutes(
+                truth, schedule, AuctionConfig(0, (rival,)), menus, perm, policy, moved
+            )
+            scanned |= {s.coalition for s in result.coalitions if s.status == "scanned"}
+    assert len(scanned) >= 3

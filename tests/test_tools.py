@@ -1,10 +1,13 @@
 """Unit tests of the scripts under ``tools/``, which are not part of the package."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from groupbuy.analysis import CoalitionScan, FuzzResult
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,3 +93,37 @@ def test_bounds_come_from_benchmark_json():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert bench_pairs.read_bounds() == {m["name"]: m["bound"] for m in declared}
     assert set(bench_pairs.read_bounds()) == set(bench_pairs.BETTER)
+
+
+scan_parity = load_tool("scan_parity")
+
+
+def test_scan_line_counts_and_digests_the_whole_result():
+    result = FuzzResult((), 5, True, (CoalitionScan(1, "scanned", 2), CoalitionScan(2, "certified", 3)))
+    digest = hashlib.sha256(repr(result).encode("utf-8")).hexdigest()
+    assert scan_parity.result_line("label", result) == (
+        f"label profiles=5 truncated=True scanned=1 violations=0 repr={digest}"
+    )
+    # a field the counts do not show still moves the digest
+    moved = FuzzResult((), 5, True, (CoalitionScan(1, "scanned", 3), CoalitionScan(2, "certified", 2)))
+    assert scan_parity.result_line("label", moved) != scan_parity.result_line("label", result)
+
+
+def test_scan_parity_without_benchmark_seeds(capsys):
+    # criterion 4's fourteen scans, then the exploit table over concave and
+    # power menus in each lane
+    assert scan_parity.main(["--seeds", ""]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" profiles=")[0] for line in lines] == [
+        *(f"criterion-4 scan {k} n={2 if k < 9 else 3}" for k in range(14)),
+        "exploit menus=concave lane=exact", "exploit menus=concave lane=approx",
+        "exploit menus=power lane=exact", "exploit menus=power lane=approx",
+    ]
+    assert all(" violations=0 " in line for line in lines[:14])
+    assert [line.split(" violations=")[1].split()[0] for line in lines[14:]] == [
+        "169", "169", "402", "402"
+    ]
+    labelled = dict(scan_parity.exploit_results())
+    assert lines[16] == scan_parity.result_line(
+        "exploit menus=power lane=exact", labelled["exploit menus=power lane=exact"]
+    )

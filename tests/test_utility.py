@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupbuy.numeric import piecewise_value
 from groupbuy.utility import (
     CONCAVE,
     ClosedFormUtility,
@@ -43,6 +44,17 @@ class TestEvaluate:
     def test_domain_error(self, x):
         with pytest.raises(ValueError):
             linear_report().value_at(x)
+
+    def test_knot_hits_return_the_stored_value(self):
+        # a query equal to a knot, of whatever number type, gets the stored
+        # object itself; one between knots interpolates, as piecewise_value does
+        half = 0.6 ** 0.5
+        rep = UtilityReport(((F(0), F(0)), (F(1, 2), half), (F(3, 4), F(17, 20)), (F(1), 0.9)))
+        for x, u in rep.knots:
+            assert rep.value_at(x) is u
+            assert rep.value_at(float(x)) is u
+        for x in (F(1, 4), 0.6, F(7, 8)):
+            assert rep.value_at(x) == piecewise_value(rep._xs, rep._us, x)
 
 
 class TestValidate:
@@ -201,6 +213,42 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             ClosedFormUtility.linear(-1)
 
+    @pytest.mark.parametrize("form", [ClosedFormUtility.linear(10 ** 400), ClosedFormUtility.power(10 ** 400, 1)])
+    def test_huge_rational_coefficient_stays_exact(self, form):
+        # no float of c is made on the rational branch
+        assert form.value_at(F(1, 2)) == F(10 ** 400, 2)
+        assert isinstance(form.value_at(F(1, 2)), F)
+
+    def test_huge_coefficient_fails_only_where_c_times_x_to_the_k_does(self):
+        form = ClosedFormUtility.power(10 ** 400, F(1, 2))
+        assert form.value_at(1) == 10 ** 400
+        for call in (lambda: form.value_at(F(1, 2)), lambda: 10 ** 400 * F(1, 2) ** F(1, 2)):
+            with pytest.raises(OverflowError):
+                call()
+
+    @given(
+        st.one_of(
+            st.fractions(0, 10, max_denominator=1000), st.integers(0, 10),
+            st.floats(0, 10, allow_nan=False),
+        ),
+        st.one_of(
+            st.fractions(0, 1, max_denominator=1000).filter(lambda x: 0 < x < 1),
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+        ),
+        st.one_of(
+            st.fractions(0, 1, max_denominator=1000).filter(lambda k: 0 < k < 1),
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_irrational_branch_is_c_times_x_to_the_k(self, c, x, k):
+        form = ClosedFormUtility.power(c, k)
+        want = c * x ** k
+        assert type(want) is float
+        for _ in range(2):  # the floats of c and k are made on the first call
+            got = form.value_at(x)
+            assert type(got) is float and got == want
+
     def test_linear_keeps_rationals(self):
         rep = sample_report(ClosedFormUtility.linear(F(2, 3)), [F(1, 2)])
         assert rep.value_at(F(1, 2)) == F(1, 3)
@@ -293,6 +341,8 @@ def test_unknown_class_kind_rejected(kind):
 def test_class_membership():
     family = ReportClass("power", F(1, 8), F(1, 2))
     inside = [ClosedFormUtility.power(2, k) for k in (F(1, 8), F(1, 3), F(1, 2))]
+    # the zero utility is c*x**k with c = 0 at every k, whatever its closed form
+    inside += [ClosedFormUtility.linear(0), ClosedFormUtility.power(0, F(3, 4)), ClosedFormUtility.log(0)]
     outside = [
         ClosedFormUtility.power(2, F(1, 9)),
         ClosedFormUtility.power(2, F(3, 4)),

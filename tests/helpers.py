@@ -258,7 +258,8 @@ def reference_coalition_scan(
     profile of every coalition runs the engine, and a coalition divides and
     values a winning set on its first reach.  The sampled branch draws as
     the library's does.  It reports violations, ``profiles`` and
-    ``truncated``, and no coalition scans.
+    ``truncated``, and no coalition scans.  A closed-form deviant is recorded
+    as its knot list at the buyer's positive share points.
     """
     n = schedule.n
     everyone = full_mask(n)
@@ -269,6 +270,11 @@ def reference_coalition_scan(
 
     def decide(columns):
         return decide_winning_set(bid_steps(columns, policy, everyone), lane_cfg, policy)
+
+    def recorded(i, report):
+        if isinstance(report, ClosedFormUtility):
+            return sample_report(report, [p for p in schedule.share_points(i) if p > 0])
+        return report
 
     def prefs(won, idxs):
         outcome = divide(schedule, won, threshold)
@@ -321,7 +327,8 @@ def reference_coalition_scan(
                 before, after, uses_tiebreak = verdicts[won]
                 violations.append(DeviationViolation(
                     mask, tuple(true_reports[i] for i in idxs),
-                    tuple(column.report for column in profile), cfg, before, after, uses_tiebreak,
+                    tuple(recorded(i, column.report) for i, column in zip(idxs, profile)),
+                    cfg, before, after, uses_tiebreak,
                 ))
     violations.sort(key=lambda v: (v.coalition, tuple(r.knots for r in v.deviant_reports)))
     return FuzzResult(tuple(violations), profiles, truncated)

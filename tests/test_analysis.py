@@ -153,6 +153,18 @@ class TestReportMenus:
             [repr(r) for r in menu] for menu in want
         ]
 
+    def test_power_members_equal_at_every_share_point_collapse(self):
+        # a lone buyer's only share point is 1, where c*x**k is c at every k:
+        # each coefficient keeps its first exponent
+        grid = power_report_grid(EqualSplitSchedule(1), coefficients=(0, F(1, 2), 1),
+                                 exponents=(F(1, 4), F(1, 2)))
+        assert grid == [[ClosedFormUtility.linear(0), ClosedFormUtility.power(F(1, 2), F(1, 4)),
+                         ClosedFormUtility.power(1, F(1, 4))]]
+        # two buyers share 1/2 too, where the exponents differ
+        assert [len(menu) for menu in power_report_grid(
+            EqualSplitSchedule(2), coefficients=(0, F(1, 2), 1), exponents=(F(1, 4), F(1, 2))
+        )] == [5, 5]
+
     @pytest.mark.parametrize("sched", [
         EqualSplitSchedule(3),
         MENU_CASES["cmss"][0],
@@ -452,6 +464,15 @@ class TestCertification:
         result = assert_matches_the_reference(args, {"budget": 359, "seed": 5, "policy": policy})
         assert (result.profiles, result.truncated) == (359, True)
         assert result.coalitions[-1] == CoalitionScan(0b111, "scanned", 50)
+
+    @pytest.mark.parametrize("policy", [EXACT, APPROX], ids=["exact", "approx"])
+    def test_exploit_table_power_menus_match_the_reference(self, policy):
+        # closed-form menu entries, recorded as knot lists by both scans
+        grid = power_report_grid(exploit_table(), **EXPLOIT_POWER_MENU)
+        args = (exploit_truth(), exploit_table(), AuctionConfig(0, (F(1, 2),)), grid)
+        result = assert_matches_the_reference(args, {"budget": 300_000, "policy": policy})
+        assert len(result.violations) == 402
+        assert certified(result) == {0b100}
 
     def test_criterion_4_matches_the_reference(self):
         got = []

@@ -335,7 +335,7 @@ def assert_the_scan_permutes(truth, schedule, cfg, menus, perm, policy, moved=No
     budget = math.prod(len(m) + 1 for m in menus)  # every coalition's product fits
     result = enumerate_coalition_deviations(truth, schedule, cfg, menus, budget, policy=policy)
     got = enumerate_coalition_deviations(
-        [truth[inverse[j]] for j in range(n)], moved or moved_table(schedule, perm), cfg,
+        [truth[inverse[j]] for j in range(n)], moved_table(schedule, perm) if moved is None else moved, cfg,
         [menus[inverse[j]] for j in range(n)], budget, policy=policy,
     )
     assert not result.truncated
@@ -404,7 +404,9 @@ def test_relabelling_permutes_the_monotone_scans(kind, perm):
     schedule = build_schedule(kind, weights, order)
     moved = build_schedule(kind, [weights[inverse[j]] for j in range(3)], [perm[i] for i in order])
     if kind == "ranked-sqrt":
-        truth = [ClosedFormUtility.power(c, k) for c, k in ((1, F(1, 4)), (F(3, 2), F(1, 3)), (1, F(1, 2)))]
+        truth = [
+            ClosedFormUtility.power(c, k) for c, k in ((1, F(1, 4)), (F(3, 2), F(1, 3)), (1, F(1, 2)))
+        ]
     else:
         truth = [
             random_concave_utility(2014 + i, [p for p in schedule.share_points(i) if p > 0], 1)

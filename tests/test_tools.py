@@ -123,7 +123,3 @@ def test_scan_parity_without_benchmark_seeds(capsys):
     assert [line.split(" violations=")[1].split()[0] for line in lines[14:]] == [
         "169", "169", "402", "402"
     ]
-    labelled = dict(scan_parity.exploit_results())
-    assert lines[16] == scan_parity.result_line(
-        "exploit menus=power lane=exact", labelled["exploit menus=power lane=exact"]
-    )

@@ -53,8 +53,9 @@ class TestEvaluate:
         for x, u in rep.knots:
             assert rep.value_at(x) is u
             assert rep.value_at(float(x)) is u
+        xs, us = zip(*rep.knots)
         for x in (F(1, 4), 0.6, F(7, 8)):
-            assert rep.value_at(x) == piecewise_value(rep._xs, rep._us, x)
+            assert rep.value_at(x) == piecewise_value(xs, us, x)
 
 
 class TestValidate:
@@ -213,7 +214,9 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             ClosedFormUtility.linear(-1)
 
-    @pytest.mark.parametrize("form", [ClosedFormUtility.linear(10 ** 400), ClosedFormUtility.power(10 ** 400, 1)])
+    @pytest.mark.parametrize(
+        "form", [ClosedFormUtility.linear(10 ** 400), ClosedFormUtility.power(10 ** 400, 1)]
+    )
     def test_huge_rational_coefficient_stays_exact(self, form):
         # no float of c is made on the rational branch
         assert form.value_at(F(1, 2)) == F(10 ** 400, 2)

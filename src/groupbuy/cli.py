@@ -11,8 +11,9 @@ Each takes ``--epsilon`` and ``--exact``; ``--out`` and ``--format`` where it
 writes a report (one rule, :func:`_emit`), ``--seed`` and ``--budget`` where it
 samples; notes and warnings go to stderr.  ``run``, ``fuzz`` and ``compare``
 enter the scenario's auction through :func:`run_group_participation`; a fixed
-price is a reserve with no rival.  The class of utilities a schedule is checked
-and fuzzed against is the library's (:func:`report_class_for`, :func:`report_menus`).
+price is a reserve with no rival, and :mod:`groupbuy.report` builds their
+reports.  The class of utilities a schedule is checked and fuzzed against is
+the library's (:func:`report_class_for`, :func:`report_menus`).
 
 Exit codes: 0 success/pass, 1 internal error or a failed check (violations,
 witnesses), 2 invalid input, 3 budget-exhausted partial result.
@@ -33,7 +34,7 @@ from .analysis import (
     report_menus,
 )
 from .auction import run_group_participation
-from .numeric import decimal_str
+from .report import braces, class_label, compare_report, fmt, fuzz_report, run_report
 from .schedule import (
     ORACLE_MAX_BUYERS,
     ScheduleError,
@@ -42,32 +43,11 @@ from .schedule import (
     nonempty_subsets,
     full_mask,
     report_class_for,
-    subset_key,
     validate_cross_monotonic,
     validate_monotonicity,
 )
-from .scenario import (
-    ScenarioError,
-    auction_result_to_json,
-    load_scenario_file,
-    outcome_to_json,
-    trace_to_json,
-    violations_to_csv,
-    violations_to_json,
-)
-from .utility import InvalidReportError, ReportClass
-
-
-def _fmt(v) -> str:
-    return f"{float(v):.6g}"
-
-
-def _braces(mask: int) -> str:
-    return "{" + subset_key(mask) + "}"
-
-
-def _vec(values) -> str:
-    return "/".join(_fmt(v) for v in values)
+from .scenario import ScenarioError, load_scenario_file
+from .utility import InvalidReportError
 
 
 def _write(text: str, out_path) -> None:
@@ -109,12 +89,6 @@ def _load(args):
     )
 
 
-def _class_label(report_class: ReportClass) -> str:
-    if report_class.kind == "power":
-        return f"power family with exponents {_fmt(report_class.k_min)} to {_fmt(report_class.k_max)}"
-    return "concave class"
-
-
 def cmd_run(args) -> int:
     scenario = _load(args)
     policy = scenario.policy
@@ -122,46 +96,14 @@ def cmd_run(args) -> int:
     outside = [i for i, report in enumerate(scenario.reports) if not report_class.contains(report)]
     if outside:
         print(
-            f"note: buyer {outside[0]} lies outside the {_class_label(report_class)} "
+            f"note: buyer {outside[0]} lies outside the {class_label(report_class)} "
             f"({len(outside)} such buyers); the incentive guarantees do not cover this run",
             file=sys.stderr,
         )
     trace, outcome = run_group_participation(
         scenario.reports, scenario.schedule, scenario.auction, policy
     )
-    if scenario.fixed_price is None:
-        summary = (
-            f"bid {_fmt(trace.group_bid)}; win at {_fmt(outcome.price)}; "
-            f"payments {_vec(outcome.payments)}"
-            if outcome.purchased
-            else f"bid {_fmt(trace.group_bid)}; lost"
-        )
-    else:
-        summary = (
-            f"fixed price {_fmt(scenario.fixed_price)}; winners {_braces(outcome.winning_set)}; "
-            f"payments {_vec(outcome.payments)}; fractions {_vec(outcome.fractions)}"
-            if outcome.purchased
-            else f"fixed price {_fmt(scenario.fixed_price)}; no purchase"
-        )
-
-    def text():
-        rows = (f"{j:<5} {_braces(s.subset):<13} {_fmt(s.max_payment):<15} {_braces(s.removed)}"
-                for j, s in enumerate(trace.steps, start=1))
-        return "\n".join(["step  subset        max_payment     removed", *rows, summary])
-
-    def document():
-        report = {"trace": trace_to_json(trace, policy)}
-        if scenario.fixed_price is None:
-            report["auction"] = auction_result_to_json(outcome, policy)
-        report["outcome"] = outcome_to_json(outcome, policy)
-        return report
-
-    def csv():
-        rows = (f'{j},"{subset_key(s.subset)}",{decimal_str(s.max_payment)},"{subset_key(s.removed)}"'
-                for j, s in enumerate(trace.steps, start=1))
-        return "\n".join(["step,subset,beta,removed", *rows])
-
-    _emit(args, summary, text, document, csv)
+    _emit(args, *run_report(trace, outcome, scenario.fixed_price, policy))
     return 0
 
 
@@ -181,18 +123,18 @@ def cmd_validate_schedule(args) -> int:
     if zero_share_members:
         mask, i = zero_share_members[0]
         print(
-            f"note: buyer {i} holds a zero resource share in {_braces(mask)} "
+            f"note: buyer {i} holds a zero resource share in {braces(mask)} "
             f"({len(zero_share_members)} such pairs); legal, but such a buyer can win nothing",
             file=sys.stderr,
         )
 
     report_class, crossing = report_class_for(schedule)
-    class_label = _class_label(report_class)
+    label = class_label(report_class)
     if crossing is not None:
         print(
-            f"class: {class_label}, since the weight x^{_fmt(schedule.weight.k)} "
-            f"times {_fmt(crossing.constant)} lies above x^{_fmt(crossing.utility.k)} "
-            f"at x = {_fmt(crossing.x_above)} and not above it at x = {_fmt(crossing.x_not_above)}"
+            f"class: {label}, since the weight x^{fmt(schedule.weight.k)} "
+            f"times {fmt(crossing.constant)} lies above x^{fmt(crossing.utility.k)} "
+            f"at x = {fmt(crossing.x_above)} and not above it at x = {fmt(crossing.x_not_above)}"
         )
 
     ok = True
@@ -202,19 +144,19 @@ def cmd_validate_schedule(args) -> int:
         ok = False
         print(
             f"cross-monotonicity: Witness buyer {cross.buyer}: "
-            f"x{_braces(cross.subset_a)} < x{_braces(cross.subset_b)}"
+            f"x{braces(cross.subset_a)} < x{braces(cross.subset_b)}"
         )
 
     mono = validate_monotonicity(schedule, policy=policy, report_class=report_class)
     if mono is None:
-        print(f"monotonicity ({class_label}): Pass")
+        print(f"monotonicity ({label}): Pass")
     else:
         ok = False
         print(
-            f"monotonicity ({class_label}): Witness buyer {mono.buyer} on "
-            f"{_braces(mono.subset_a)} within "
-            f"{_braces(mono.subset_b)}; utility knots "
-            f"{[(str(x), _fmt(u)) for x, u in mono.utility.knots]} with C={_fmt(mono.constant)}"
+            f"monotonicity ({label}): Witness buyer {mono.buyer} on "
+            f"{braces(mono.subset_a)} within "
+            f"{braces(mono.subset_b)}; utility knots "
+            f"{[(str(x), fmt(u)) for x, u in mono.utility.knots]} with C={fmt(mono.constant)}"
         )
 
     samples = min(args.budget, 5000)
@@ -233,7 +175,7 @@ def cmd_validate_schedule(args) -> int:
             ok = False
             print(
                 f"brute-force spot check: Witness buyer {spot.buyer} on "
-                f"{_braces(spot.subset_a)} within {_braces(spot.subset_b)} with C={_fmt(spot.constant)}"
+                f"{braces(spot.subset_a)} within {braces(spot.subset_b)} with C={fmt(spot.constant)}"
             )
 
     print("Pass" if ok else "FAIL")
@@ -256,16 +198,7 @@ def cmd_fuzz(args) -> int:
             scenario.reports, scenario.schedule, scenario.auction, menus,
             budget=args.budget, seed=scenario.seed, policy=scenario.policy,
         )
-    summary = (
-        f"{result.profiles} deviation profiles, {len(result.violations)} violations"
-        + (", truncated by budget" if result.truncated else "")
-    )
-    _emit(
-        args, summary,
-        text=lambda: f"{summary}\n{violations_to_csv(result)}" if result.violations else summary,
-        document=lambda: violations_to_json(result, scenario.policy),
-        csv=lambda: violations_to_csv(result),
-    )
+    _emit(args, *fuzz_report(result, scenario.policy))
     if result.violations:
         return 1
     return 3 if result.truncated else 0
@@ -282,51 +215,8 @@ def cmd_compare(args) -> int:
     else:
         names = [n for n in scenario.named_schedules if n != "primary"] or ["primary"]
     schedules = {name: scenario.named_schedules[name] for name in names}
-    price = scenario.auction.threshold
     comparison = compare_schedules(scenario.reports, schedules, scenario.auction, policy)
-
-    outcomes = [
-        f"price {_fmt(price)}: {run.name} -> winners {_braces(run.outcome.winning_set)}, "
-        f"payments {_vec(run.outcome.payments)}"
-        if run.outcome.purchased
-        else f"price {_fmt(price)}: {run.name} -> no purchase"
-        for run in comparison.runs
-    ]
-    bids = [
-        f"bid vectors: {a} {'equal to' if rel == 'equal' else rel} {b}"
-        for (a, b), rel in comparison.dominance.items()
-    ]
-    summary = "\n".join(outcomes + bids)
-
-    def rows():
-        for run in comparison.runs:
-            for j, step in enumerate(run.trace.steps, start=1):
-                pair = schedules[run.name].shares_for(step.subset)
-                yield (run.name, str(j), subset_key(step.subset), _vec(pair.resource),
-                       _vec(pair.payment), decimal_str(step.max_payment), subset_key(step.removed))
-
-    def text():
-        header = ("schedule", "step", "subset", "resource", "payment", "max_payment", "removed")
-        table = [header, *rows()]
-        widths = [max(len(r[c]) for r in table) for c in range(len(header))]
-        lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in table]
-        return "\n".join(lines + [summary])
-
-    def document():
-        runs = [
-            {"schedule": run.name, "trace": trace_to_json(run.trace, policy),
-             "outcomes": {decimal_str(price): outcome_to_json(run.outcome, policy)}}
-            for run in comparison.runs
-        ]
-        dominance = {f"{a} vs {b}": rel for (a, b), rel in comparison.dominance.items()}
-        return {"runs": runs, "dominance": dominance}
-
-    def csv():
-        lines = ["schedule,step,subset,resource_shares,payment_shares,beta,removed"]
-        lines += [f'{r[0]},{r[1]},"{r[2]}",{r[3]},{r[4]},{r[5]},"{r[6]}"' for r in rows()]
-        return "\n".join(lines)
-
-    _emit(args, summary, text, document, csv)
+    _emit(args, *compare_report(comparison, schedules, scenario.auction.threshold, policy))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Scenario files and machine-readable reports.
+"""Scenario files: the loader and its stanzas.
 
 A scenario is a UTF-8 JSON document describing buyers, a schedule, and either
 an auction environment or a fixed price.  Numbers are decimal strings or
@@ -24,9 +24,7 @@ fields ``_FIELDS`` lists for it, of their JSON types, and no other field; it
 needs each of them but those in ``_OPTIONAL``.  Only ``_malformed`` labels an
 error with its stanza ("buyer 0: missing field 'c'").
 Subset keys are sorted comma-joined buyer indices ("0,2"); cmss and table
-stanzas must list every non-empty subset.  Reports emit every number as a
-decimal string with 15 significant digits, plus an exact "p/q" string under
-the exact arithmetic policy.
+stanzas must list every non-empty subset.
 """
 
 from __future__ import annotations
@@ -34,32 +32,18 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
 from .auction import GROUP_WINS, AuctionConfig
-from .mechanism import AllocationOutcome, BidTrace
-from .numeric import (
-    DEFAULT_EPSILON,
-    EXACT,
-    Num,
-    NumericPolicy,
-    approx,
-    decimal_str,
-    exact_str,
-    parse_number,
-)
+from .numeric import DEFAULT_EPSILON, EXACT, Num, NumericPolicy, approx, parse_number
 from .schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
     RankedSchedule,
     ShareSchedule,
     TableSchedule,
-    identity_weight,
-    members,
-    power_weight,
-    sqrt_weight,
-    subset_key,
 )
 from .utility import ClosedFormUtility, UtilityReport
 
@@ -163,11 +147,11 @@ def _parse_buyer(stanza, index: int):
 
 def _parse_weight(text: str):
     if text == "identity":
-        return identity_weight()
+        return ClosedFormUtility.linear(1)
     if text == "sqrt":
-        return sqrt_weight()
+        return ClosedFormUtility.power(1, Fraction(1, 2))
     if text.startswith("power:"):
-        return power_weight(parse_number(text.split(":", 1)[1]))
+        return ClosedFormUtility.power(1, parse_number(text.split(":", 1)[1]))
     raise ValueError(f"unknown weight function {text!r}")
 
 
@@ -348,89 +332,3 @@ def bundled_scenario_path(name: str):
     """Filesystem path of a packaged example scenario (e.g. "example1")."""
     return resources.files(__package__).joinpath("scenarios", f"{name}.json")
 
-
-# ---------------------------------------------------------------------------
-# Report serialization
-
-
-def number_to_json(v: Num, policy: NumericPolicy):
-    out = {"decimal": decimal_str(v)}
-    if policy.exact:
-        out["exact"] = exact_str(v)
-    return out
-
-
-def trace_to_json(trace: BidTrace, policy: NumericPolicy) -> dict:
-    return {
-        "steps": [
-            {
-                "subset": subset_key(step.subset),
-                "beta": number_to_json(step.max_payment, policy),
-                "removed": subset_key(step.removed),
-            }
-            for step in trace.steps
-        ],
-        "bid": number_to_json(trace.group_bid, policy),
-    }
-
-
-def outcome_to_json(outcome: AllocationOutcome, policy: NumericPolicy) -> dict:
-    return {
-        "purchased": outcome.purchased,
-        "winning_set": subset_key(outcome.winning_set),
-        "fractions": [number_to_json(v, policy) for v in outcome.fractions],
-        "payments": [number_to_json(v, policy) for v in outcome.payments],
-        "price": number_to_json(outcome.price, policy),
-    }
-
-
-def auction_result_to_json(outcome: AllocationOutcome, policy: NumericPolicy) -> dict:
-    """The auction's side of a group run: the group won exactly when it bought."""
-    out = {"group_won": outcome.purchased}
-    if outcome.purchased:
-        out["clearing_price"] = number_to_json(outcome.price, policy)
-    return out
-
-
-def violations_to_json(result, policy: NumericPolicy) -> dict:
-    """Fuzz result as a report document: profiles covered and evaluated, each
-    coalition's scan, and each violation."""
-    return {
-        "profiles": result.profiles,
-        "truncated": result.truncated,
-        "evaluated": result.evaluated,
-        "coalitions": [
-            {
-                "coalition": subset_key(scan.coalition),
-                "status": scan.status,
-                "profiles": scan.profiles,
-                "evaluated": scan.evaluated,
-            }
-            for scan in result.coalitions
-        ],
-        "violations": [
-            {
-                "coalition": subset_key(v.coalition),
-                "uses_tiebreak": v.uses_tiebreak,
-                "deviant_reports": [
-                    [[decimal_str(x), decimal_str(u)] for x, u in r.knots]
-                    for r in v.deviant_reports
-                ],
-                "net_before": [number_to_json(p.net, policy) for p in v.before],
-                "net_after": [number_to_json(p.net, policy) for p in v.after],
-            }
-            for v in result.violations
-        ],
-    }
-
-
-def violations_to_csv(result) -> str:
-    """One row per (violation, coalition member): nets before and after."""
-    lines = ["violation,coalition,member,net_before,net_after,uses_tiebreak"]
-    for idx, v in enumerate(result.violations):
-        for member, before, after in zip(members(v.coalition), v.before, v.after):
-            lines.append(
-                f'{idx},"{subset_key(v.coalition)}",{member},'
-                f"{decimal_str(before.net)},{decimal_str(after.net)},{v.uses_tiebreak}"
-            )
-    return "\n".join(lines)

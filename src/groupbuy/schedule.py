@@ -222,17 +222,14 @@ def CrossMonotonicSchedule(n: int, resource: Mapping) -> TableSchedule:
 # ---------------------------------------------------------------------------
 # Weights for ranked schedules
 
-
+# The package builds its weights with ClosedFormUtility itself; these two stay
+# because the benchmark's workloads (bench/workloads.py) call them.
 def identity_weight() -> ClosedFormUtility:
     return ClosedFormUtility.linear(1)
 
 
 def sqrt_weight() -> ClosedFormUtility:
     return ClosedFormUtility.power(1, Fraction(1, 2))
-
-
-def power_weight(k: Num) -> ClosedFormUtility:
-    return ClosedFormUtility.power(1, k)
 
 
 def _check_weight(weight) -> None:
@@ -255,7 +252,7 @@ class RankedSchedule(ShareSchedule):
         self,
         order: Sequence[int],
         base: Sequence,
-        weight: ClosedFormUtility = identity_weight(),
+        weight: ClosedFormUtility = ClosedFormUtility.linear(1),
     ):
         n = len(order)
         super().__init__(n)

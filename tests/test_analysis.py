@@ -32,7 +32,6 @@ from groupbuy.schedule import (
     SharePair,
     ShareSchedule,
     TableSchedule,
-    power_weight,
     report_class_for,
     sqrt_weight,
 )
@@ -143,7 +142,8 @@ class TestReportMenus:
         (RankedSchedule((0, 1), (F(1, 2), F(1, 2)), sqrt_weight()),
          lambda s: power_report_grid(s, exponents=(F(1, 8), F(1, 4), F(3, 8), F(1, 2)))),
         (EqualSplitSchedule(3), concave_report_grid),
-        (RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)), power_weight(F(1, 3))),
+        (RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)),
+                        ClosedFormUtility.power(1, F(1, 3))),
          lambda s: power_report_grid(s, exponents=(F(1, 12), F(1, 6), F(1, 4), F(1, 3)))),
     ], ids=["rr3", "rr2", "equal-split", "ranked-power-third"])
     def test_report_menus_are_the_class_grid(self, sched, explicit):
@@ -169,7 +169,8 @@ class TestReportMenus:
         EqualSplitSchedule(3),
         MENU_CASES["cmss"][0],
         RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)), sqrt_weight()),
-        RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)), power_weight(F(1, 3))),
+        RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)),
+                       ClosedFormUtility.power(1, F(1, 3))),
     ], ids=["equal-split", "cmss", "ranked-sqrt", "ranked-power-third"])
     def test_menus_lie_in_their_class(self, sched):
         report_class, _ = report_class_for(sched)

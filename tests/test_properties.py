@@ -53,7 +53,6 @@ from groupbuy.schedule import (
     identity_weight,
     members,
     nonempty_subsets,
-    power_weight,
     sqrt_weight,
 )
 from groupbuy.utility import (
@@ -264,7 +263,11 @@ def test_exact_and_float_lanes_agree(instance):
         assert (got.purchased, got.winning_set) == (want.purchased, want.winning_set)
 
 
-WEIGHTS = {"identity": identity_weight(), "sqrt": sqrt_weight(), "power:1/3": power_weight(F(1, 3))}
+WEIGHTS = {
+    "identity": identity_weight(),
+    "sqrt": sqrt_weight(),
+    "power:1/3": ClosedFormUtility.power(1, F(1, 3)),
+}
 
 
 @given(

@@ -11,10 +11,8 @@ from groupbuy.scenario import (
     bundled_scenario_path,
     load_scenario,
     load_scenario_file,
-    number_to_json,
-    outcome_to_json,
-    trace_to_json,
 )
+from groupbuy.report import number_to_json, outcome_to_json, trace_to_json
 from groupbuy.schedule import EqualSplitSchedule, RankedSchedule, subset_key
 from groupbuy.numeric import EXACT, approx
 from groupbuy.utility import ClosedFormUtility
@@ -171,7 +169,7 @@ class TestSerialization:
     def test_violation_serializers(self):
         from groupbuy.analysis import DeviationViolation, FuzzResult, PreferenceOutcome
         from groupbuy.auction import AuctionConfig, run_group_participation
-        from groupbuy.scenario import violations_to_csv, violations_to_json
+        from groupbuy.report import violations_to_csv, violations_to_json
         from groupbuy.utility import UtilityReport
 
         rep = UtilityReport(((F(0), F(0)), (F(1), F(1))))

@@ -24,7 +24,6 @@ from groupbuy.schedule import (
     members,
     nonempty_subsets,
     parse_subset_key,
-    power_weight,
     report_class_for,
     single_crossing_check,
     sqrt_weight,
@@ -404,7 +403,7 @@ class TestBruteForceOracle:
         elif table == "ranked-sqrt":
             sched = RankedSchedule(ORDER, BASE, sqrt_weight())
         elif table == "ranked-power":
-            sched = RankedSchedule(ORDER, BASE, power_weight(F(1, 3)))
+            sched = RankedSchedule(ORDER, BASE, ClosedFormUtility.power(1, F(1, 3)))
         else:
             sched = _random_table(table)
         cls = ReportClass("power", F(1, 8), F(1, 2)) if report_class == "power" else CONCAVE
@@ -465,7 +464,7 @@ class TestWeightSumGrowth:
     """The weight mass of a set never grows when the set shrinks (ranked rule)."""
 
     @pytest.mark.parametrize(
-        "weight", [identity_weight(), sqrt_weight(), power_weight(F(1, 3))]
+        "weight", [identity_weight(), sqrt_weight(), ClosedFormUtility.power(1, F(1, 3))]
     )
     def test_exhaustive_n4(self, weight):
         base = (F(1, 8), F(3, 8), F(1, 4), F(1, 4))
@@ -499,10 +498,10 @@ class TestSingleCrossing:
     def test_power_family_closed_form_matches_grid_boundary(self):
         # holds exactly when the weight exponent reaches the family's top exponent
         family = ReportClass("power", F(1, 4), F(1, 2))
-        assert single_crossing_check(power_weight(F(1, 2)), family) is None
-        ce = single_crossing_check(power_weight(F(1, 4)), family)
+        assert single_crossing_check(ClosedFormUtility.power(1, F(1, 2)), family) is None
+        ce = single_crossing_check(ClosedFormUtility.power(1, F(1, 4)), family)
         assert ce is not None
-        w = power_weight(F(1, 4))
+        w = ClosedFormUtility.power(1, F(1, 4))
         assert ce.constant * w.value_at(ce.x_above) > ce.utility.value_at(ce.x_above)
         assert not ce.constant * w.value_at(ce.x_not_above) > ce.utility.value_at(ce.x_not_above)
 
@@ -534,7 +533,8 @@ class TestReportClassFor:
         assert (crossing.x_above, crossing.x_not_above) == (F(1, 4), 1)
 
     def test_ranked_power_third_gets_a_third_down_to_a_twelfth(self):
-        report_class, crossing = report_class_for(RankedSchedule(ORDER, BASE, power_weight(F(1, 3))))
+        schedule = RankedSchedule(ORDER, BASE, ClosedFormUtility.power(1, F(1, 3)))
+        report_class, crossing = report_class_for(schedule)
         assert report_class == ReportClass("power", F(1, 12), F(1, 3))
         assert crossing is not None
 

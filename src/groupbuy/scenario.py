@@ -331,4 +331,3 @@ def load_scenario_file(path, **kwargs) -> Scenario:
 def bundled_scenario_path(name: str):
     """Filesystem path of a packaged example scenario (e.g. "example1")."""
     return resources.files(__package__).joinpath("scenarios", f"{name}.json")
-

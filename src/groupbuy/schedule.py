@@ -222,6 +222,7 @@ def CrossMonotonicSchedule(n: int, resource: Mapping) -> TableSchedule:
 # ---------------------------------------------------------------------------
 # Weights for ranked schedules
 
+
 # The package builds its weights with ClosedFormUtility itself; these two stay
 # because the benchmark's workloads (bench/workloads.py) call them.
 def identity_weight() -> ClosedFormUtility:

@@ -22,6 +22,7 @@ witnesses), 2 invalid input, 3 budget-exhausted partial result.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -208,7 +209,7 @@ def cmd_compare(args) -> int:
     scenario = _load(args)
     policy = scenario.policy
     if args.schedules:
-        names = [s.strip() for s in args.schedules.split(",")]
+        names = [s.strip() for s in next(csv.reader([args.schedules], skipinitialspace=True))]
         missing = [n for n in names if n not in scenario.named_schedules]
         if missing:
             raise ScenarioError(f"unknown schedule name(s): {', '.join(missing)}")
@@ -256,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "cross-monotonicity and monotonicity checks", report=False)
     add_command("fuzz", cmd_fuzz, "coalition deviation scan")
     p_cmp = add_command("compare", cmd_compare, "same reports across schedules", sampling=False)
-    p_cmp.add_argument("--schedules", help="comma-separated names from the scenario's schedules map")
+    p_cmp.add_argument("--schedules", help="comma-separated names from the scenario's schedules "
+                       "map; double-quote a name that holds a comma")
 
     return parser
 

@@ -30,13 +30,12 @@ numbers and return the same witness.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .numeric import EXACT, Num, NumericPolicy, piecewise_value
+from .numeric import EXACT, Num, NumericPolicy, integers_over_common_denominator, piecewise_value
 from .utility import (
     CONCAVE,
     GRAIN,
@@ -124,8 +123,7 @@ def _check_share_vector(values: Sequence, subset: int, n: int, label: str):
     if all(type(v) is Fraction for v in values):
         # exact shares: check integer numerators over the common denominator,
         # which has the same signs and sum, without Fraction arithmetic
-        den = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
+        den, nums = integers_over_common_denominator(values)
     else:
         den, nums = 1, values
     for i, v in enumerate(nums):
@@ -356,12 +354,9 @@ def _ramp_knots(x: Num, value: Num) -> tuple:
     return ((Fraction(0), 0 * value), (x, value), (Fraction(1), value))
 
 
-def _power_knots(k: Num, x_a: Num, x_b: Num, scale: Optional[Num] = None) -> tuple:
-    """x**k sampled at the pair's positive shares (and 0, 1), times ``scale`` if given."""
-    knots = sample_knots(ClosedFormUtility.power(1, k), [p for p in (x_a, x_b) if 0 < p <= 1])
-    if scale is None:
-        return knots
-    return tuple((x, u * scale) for x, u in knots)
+def _power_knots(k: Num, x_a: Num, x_b: Num, scale: Num = 1) -> tuple:
+    """scale * x**k sampled at the pair's positive shares (and 0, 1)."""
+    return sample_knots(ClosedFormUtility.power(scale, k), [p for p in (x_a, x_b) if 0 < p <= 1])
 
 
 def _pair_violation(x_a, x_b, y_a, y_b, policy: NumericPolicy, report_class: ReportClass):
@@ -482,11 +477,10 @@ def _integer_shares(x_a: Num, x_b: Num, y_a: Num, y_b: Num) -> Optional[tuple]:
     if not (type(x_a) in _RATIONAL and type(x_b) in _RATIONAL
             and type(y_a) in _RATIONAL and type(y_b) in _RATIONAL):
         return None
-    d = x_a.denominator * x_b.denominator
-    xa, xb = x_a.numerator * x_b.denominator, x_b.numerator * x_a.denominator
+    d, (xa, xb) = integers_over_common_denominator((x_a, x_b))
     if not (0 <= xa <= d and 0 <= xb <= d):
         return None
-    return xa, xb, d, y_a.numerator * y_b.denominator, y_b.numerator * y_a.denominator
+    return xa, xb, d, *integers_over_common_denominator((y_a, y_b))[1]
 
 
 def _sampled_pair(schedule: ShareSchedule, policy: NumericPolicy, i: int, a_mask: int, b_mask: int) -> tuple:

@@ -765,6 +765,18 @@ class TestCompare:
         assert [len(row) for row in rows] == [7] * 7
         assert [row[0] for row in rows[1:]] == [names[0]] * 3 + [names[1]] * 3
 
+    def test_schedules_selects_a_quoted_name_with_a_comma(self, tmp_path, capsys):
+        # --schedules is one CSV record, so a quoted name keeps its comma
+        with open(scenario("section6-table"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["schedules"]["rank, sqrt"] = data["schedules"].pop("rras")
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(data))
+        argv = ("compare", str(path), "--format", "csv", "--schedules", '"rank, sqrt", cmss')
+        assert run_cli(*argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[0] for row in rows[1:]] == ["rank, sqrt"] * 3 + ["cmss"] * 3
+
     def test_unknown_name_exit_2(self, capsys):
         assert run_cli("compare", scenario("section6-table"), "--schedules", "nope") == 2
         captured = capsys.readouterr()

@@ -3,11 +3,14 @@
 import hashlib
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from groupbuy.analysis import CoalitionScan, FuzzResult
+from groupbuy.analysis import CoalitionScan, DeviationViolation, FuzzResult, PreferenceOutcome
+from groupbuy.auction import AuctionConfig
+from groupbuy.utility import UtilityReport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -95,31 +98,37 @@ def test_bounds_come_from_benchmark_json():
     assert set(bench_pairs.read_bounds()) == set(bench_pairs.BETTER)
 
 
-scan_parity = load_tool("scan_parity")
+cli_parity = load_tool("cli_parity")
 
 
 def test_scan_line_counts_and_digests_the_whole_result():
-    result = FuzzResult((), 5, True, (CoalitionScan(1, "scanned", 2), CoalitionScan(2, "certified", 3)))
+    scans = (CoalitionScan(1, "scanned", 2), CoalitionScan(2, "certified", 3))
+    result = FuzzResult((), 5, True, scans)
     digest = hashlib.sha256(repr(result).encode("utf-8")).hexdigest()
-    assert scan_parity.result_line("label", result) == (
-        f"label profiles=5 truncated=True scanned=1 violations=0 repr={digest}"
-    )
-    # a field the counts do not show still moves the digest
+    assert cli_parity.scan_line("label", result) == f"label violations=0 scans={digest}"
+    # a field the line's count does not show still moves the digest
     moved = FuzzResult((), 5, True, (CoalitionScan(1, "scanned", 3), CoalitionScan(2, "certified", 2)))
-    assert scan_parity.result_line("label", moved) != scan_parity.result_line("label", result)
+    assert cli_parity.repr_digest([moved]) != cli_parity.repr_digest([result])
+
+    # and so does one knot of a violation's truthful report
+    def violation(top):
+        deviant = (UtilityReport(((0, 0), (1, 1))),) * 2
+        truth = (UtilityReport(((0, 0), (1, top))), deviant[1])
+        outcome = PreferenceOutcome(Fraction(1, 2), True)
+        return FuzzResult((DeviationViolation(1, truth, deviant, AuctionConfig(), (outcome,),
+                                              (outcome,), False),), 5, False, scans)
+    assert cli_parity.repr_digest([violation(1)]) != cli_parity.repr_digest([violation(2)])
 
 
-def test_scan_parity_without_benchmark_seeds(capsys):
+def test_scan_parity_without_benchmark_seeds():
     # criterion 4's fourteen scans, then the exploit table over concave and
-    # power menus in each lane
-    assert scan_parity.main(["--seeds", ""]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" profiles=")[0] for line in lines] == [
+    # power menus in each lane under each tie policy
+    lines = list(cli_parity.scan_lines())
+    assert [line.split(" violations=")[0] for line in lines] == [
         *(f"criterion-4 scan {k} n={2 if k < 9 else 3}" for k in range(14)),
-        "exploit menus=concave lane=exact", "exploit menus=concave lane=approx",
-        "exploit menus=power lane=exact", "exploit menus=power lane=approx",
+        *(f"exploit-scan menus={menus} lane={lane} tie={tie}" for menus in ("concave", "power")
+          for lane in ("exact", "approx") for tie in ("group_wins", "group_loses")),
     ]
-    assert all(" violations=0 " in line for line in lines[:14])
-    assert [line.split(" violations=")[1].split()[0] for line in lines[14:]] == [
-        "169", "169", "402", "402"
-    ]
+    assert [line.split(" violations=")[1].split()[0] for line in lines] == (
+        ["0"] * 14 + ["169"] * 4 + ["402", "395"] * 2
+    )

@@ -1,69 +1,52 @@
-"""Exit code and output digests of a fixed set of CLI calls, for diffing two checkouts.
+"""Exit codes and digests of a fixed set of CLI calls and scans, for diffing two checkouts.
 
 Usage, from the root of a checkout::
 
-    python3 tools/cli_parity.py > calls.txt
-    python3 tools/cli_parity.py --cli-scale-seeds 1,9173,11 > calls.txt
+    python3 tools/cli_parity.py > parity.txt
+    python3 tools/cli_parity.py --cli-scale-seeds 1,9173,11 > parity.txt
 
-It runs ``groupbuy.cli.main`` in-process on the checkout's own ``src/``:
+It runs ``groupbuy.cli.main`` and the library in-process on the checkout's
+own ``src/``:
 
 * ``run``, ``fuzz`` and ``compare``, each with ``--format`` text, json and
   csv, and ``validate-schedule``, which takes no ``--format``, on every
-  bundled scenario;
-* ``run``, ``fuzz`` and ``compare`` again with ``--out`` in each format on
-  every bundled scenario;
+  bundled scenario, then ``run``, ``fuzz`` and ``compare`` again with
+  ``--out`` in each format;
 * ``validate-schedule`` and ``fuzz``, the latter in each format, on the
   ranked scenarios with power:1/3 and identity weights (``RANKED_SCENARIOS``
   of ``tests/helpers.py``), written into a temporary directory;
 * ``run`` in each format on bundled scenarios with one field misspelt, left
   out or of an unknown value (``BROKEN``), written into the same directory;
-* ``run --format json`` and ``compare --format json`` on every cli-scale
-  benchmark file of the given seeds (default 1 and 9173), written into a
-  temporary directory by ``bench.workloads.CliScale().setup``;
-* the coalition scans of every coalition-fuzz benchmark item of the same
-  seeds (``bench.workloads.CoalitionFuzz``: its ``setup`` builds the pool and
-  its ``run`` calls ``enumerate_coalition_deviations`` once per auction
-  config);
-* the validator and the sampling oracle on every validator-oracle benchmark
-  item of the same seeds (``bench.workloads.ValidatorOracle``: its ``setup``
-  builds the pool of tables and its ``run`` calls ``validate_monotonicity``
-  and ``brute_force_monotonicity_check`` once each), ``bench/`` being only
-  read;
-* the coalition scan of the non-monotone ``exploit_table`` of
-  ``tests/helpers.py`` from ``exploit_truth``, over menus on the
-  ``EXPLOIT_LEVELS`` grid against a rival bid of 1/2, in each lane (exact and
-  ``approx()``) under each tie policy.  These scans find violations, so their
-  nets reach the digest;
+* for each of the given seeds (default 1 and 9173) of the three benchmark
+  pools in ``bench.workloads``, ``bench/`` being only read:
+  ``run --format json`` and ``compare --format json`` on every cli-scale
+  file; the coalition scans of every coalition-fuzz item, one per auction
+  config; the validator's and the sampling oracle's witnesses on every
+  validator-oracle item;
+* acceptance criterion 4's scans (``criterion_4_scans`` of
+  ``tests/helpers.py``) at ``CRITERION_4_BUDGET`` in the ``approx()`` lane;
+* the coalition scan of the non-monotone ``exploit_table`` from
+  ``exploit_truth`` against a rival bid of 1/2, over concave menus on the
+  ``EXPLOIT_LEVELS`` grid and over ``EXPLOIT_POWER_MENU``'s power menus, in
+  each lane (exact and ``approx()``) under each tie policy;
 * the coalition scans of ``exploit_table`` and of four seeded random
-  three-buyer tables (``random_table`` of ``tests/helpers.py``, truthful
-  reports from ``random_concave_utility``), with one rival bid at each
-  distinct bound of the exact truthful trace, in each lane under each tie
-  policy.  A rival equal to a bound is a tie in both lanes, so these lines
-  separate the two tie policies;
-* the group runs (``run_group_participation``) of the same five tables from
-  their truthful reports, with one rival bid at each distinct bound of the
-  exact truthful trace and one step either side of it (1/1000 in the exact
-  lane, epsilon/2 in ``approx()``), in each lane under each tie policy.
+  three-buyer tables (``random_table``, truthful reports from
+  ``random_concave_utility``), with one rival bid at each distinct bound of
+  the exact truthful trace, in each lane under each tie policy, and their
+  group runs (``run_group_participation``) with a rival at each bound and
+  one step either side of it (1/1000 exact, epsilon/2 in ``approx()``).
 
-It prints one line per CLI call: a label, the exit code, and the sha256 of
-stdout and of stderr.  The checkout root and the temporary directory are
-replaced by placeholders before hashing, so that the same call at two
-checkouts hashes alike.  An ``--out`` call's line also carries the sha256 of
-the file it wrote, or ``file=none``.  It prints one line per coalition-fuzz
-item: the sha256 of each scan's profile count, truncation flag, coalition
-scans (coalition, status and profiles of each) and violations (coalition,
-deviant knots, tie-break flag and the ``repr`` of every net), so a float that
-moves by one bit, or a coalition that moves between certified and scanned,
-changes the line.  It prints one line per
-validator-oracle item: the sha256 of each witness's buyer, subsets, the
-``repr`` and type of its constant, and its knots.  It prints one line per
-exploit scan and tie scan: its violation count and the same scan digest.  It
-prints one line per table, lane and tie policy of the group runs: the sha256
-of each run's outcome (purchased flag, winning set and the ``repr`` of its
-fractions, payments and price).
-Run it at both checkouts and diff the two files: identical files mean
-byte-identical CLI output and exit codes on every call and bit-identical
-scan results and witnesses on every item.
+A CLI call's line carries a label, the exit code, and the sha256 of stdout
+and of stderr, with the checkout root and the temporary directory replaced
+by placeholders; an ``--out`` call's line also carries the sha256 of the
+file it wrote, or ``file=none``.  Every other line carries one digest rule,
+``repr_digest``: the sha256 of the ``repr`` of each ``FuzzResult``,
+``MonotonicityWitness`` (or None) or ``AllocationOutcome``, one per line.
+These are dataclasses, so the ``repr`` shows every field, and every number
+with its type, so a float that moves by one bit, or a coalition that moves
+between certified and scanned, changes the line.  Run it at both checkouts
+and diff the two files: identical files mean byte-identical CLI output and
+exit codes on every call and identical scans, witnesses and outcomes.
 """
 
 from __future__ import annotations
@@ -87,7 +70,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 import groupbuy  # noqa: E402
 import groupbuy.cli  # noqa: E402
 from bench.workloads import CliScale, CoalitionFuzz, ValidatorOracle  # noqa: E402
-from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations  # noqa: E402
+from groupbuy.analysis import (  # noqa: E402
+    concave_report_grid,
+    enumerate_coalition_deviations,
+    power_report_grid,
+)
 from groupbuy.auction import (  # noqa: E402
     GROUP_LOSES,
     GROUP_WINS,
@@ -97,11 +84,14 @@ from groupbuy.auction import (  # noqa: E402
 from groupbuy.mechanism import compute_bid_trace  # noqa: E402
 from groupbuy.numeric import EXACT, approx  # noqa: E402
 from helpers import (  # noqa: E402
+    CRITERION_4_BUDGET,
     EXPLOIT_LEVELS,
+    EXPLOIT_POWER_MENU,
     RANKED_SCENARIOS,
     exploit_table,
     exploit_truth,
     random_concave_utility,
+    criterion_4_scans,
     random_table,
 )
 
@@ -157,38 +147,35 @@ def report_calls(path, commands, placeholders):
                   f"exit={code} stdout={out} stderr={err}")
 
 
-def scan_digest(results):
-    """sha256 over each FuzzResult's counts, coalition scans and violations, nets by ``repr``."""
-    parts = []
-    for result in results:
-        parts.append(f"profiles={result.profiles} truncated={result.truncated}")
-        parts.extend(f"scan {s.coalition} {s.status} {s.profiles}" for s in result.coalitions)
-        for v in result.violations:
-            knots = [report.knots for report in v.deviant_reports]
-            nets = [(repr(p.net), p.wins_nonzero) for p in v.before + v.after]
-            parts.append(f"{v.coalition} {knots} {v.uses_tiebreak} {nets}")
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+def repr_digest(objects):
+    """sha256 over the ``repr`` of each object, one per line."""
+    return hashlib.sha256("\n".join(map(repr, objects)).encode("utf-8")).hexdigest()
 
 
-def witness_digest(witnesses):
-    """sha256 over each witness (or None): buyer, subsets, constant by ``repr`` and type, knots."""
-    parts = []
-    for w in witnesses:
-        if w is None:
-            parts.append("None")
-        else:
-            constant = f"{w.constant!r} {type(w.constant).__name__}"
-            parts.append(f"{w.buyer} {w.subset_a} {w.subset_b} {constant} {w.utility.knots!r}")
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+def scan_line(label, result):
+    return f"{label} violations={len(result.violations)} scans={repr_digest([result])}"
 
 
-def outcome_digest(outcomes):
-    """sha256 over each outcome: flag, winning set, and fractions, payments, price by ``repr``."""
-    parts = [
-        f"{o.purchased} {o.winning_set} {o.fractions!r} {o.payments!r} {o.price!r}"
-        for o in outcomes
-    ]
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+def scan_lines():
+    """A line per criterion 4 scan, then per exploit scan: menu family x lane x tie policy."""
+    for k, (truth, schedule, cfg, grid) in enumerate(criterion_4_scans()):
+        result = enumerate_coalition_deviations(
+            truth, schedule, cfg, grid, budget=CRITERION_4_BUDGET, policy=approx()
+        )
+        yield scan_line(f"criterion-4 scan {k} n={schedule.n}", result)
+    schedule = exploit_table()
+    grids = {
+        "concave": concave_report_grid(schedule, levels=EXPLOIT_LEVELS),
+        "power": power_report_grid(schedule, **EXPLOIT_POWER_MENU),
+    }
+    for menus, grid in grids.items():
+        for lane, policy in LANES:
+            for tie_policy in TIE_POLICIES:
+                cfg = AuctionConfig(0, (Fraction(1, 2),), tie_policy)
+                result = enumerate_coalition_deviations(
+                    exploit_truth(), schedule, cfg, grid, budget=300_000, policy=policy
+                )
+                yield scan_line(f"exploit-scan menus={menus} lane={lane} tie={tie_policy}", result)
 
 
 def tie_tables():
@@ -257,24 +244,16 @@ def main(argv=None) -> int:
                 sizes, budget, results = fuzz.run(groupbuy, item)
                 profiles = sum(result.profiles for result in results)
                 print(f"coalition-fuzz:{seed} item {item['id']} {item['kind']} menus={sizes} "
-                      f"budget={budget} profiles={profiles} scans={scan_digest(results)}")
+                      f"budget={budget} profiles={profiles} scans={repr_digest(results)}")
             oracle = ValidatorOracle()
             workdir = Path(tmp) / f"validator-oracle-{seed}"
             workdir.mkdir()
             for item in oracle.setup(groupbuy, seed, workdir):
                 witnesses = oracle.run(groupbuy, item)
                 print(f"validator-oracle:{seed} item {item['id']} planted={item['planted']} "
-                      f"witnesses={witness_digest(witnesses)}")
-    schedule = exploit_table()
-    grid = concave_report_grid(schedule, levels=EXPLOIT_LEVELS)
-    for lane, policy in LANES:
-        for tie_policy in TIE_POLICIES:
-            cfg = AuctionConfig(0, (Fraction(1, 2),), tie_policy)
-            result = enumerate_coalition_deviations(
-                exploit_truth(), schedule, cfg, grid, budget=300_000, policy=policy
-            )
-            print(f"exploit-scan lane={lane} tie={tie_policy} "
-                  f"violations={len(result.violations)} scans={scan_digest([result])}")
+                      f"witnesses={repr_digest(witnesses)}")
+    for line in scan_lines():
+        print(line)
     for name, table, truth in tie_tables():
         grid = concave_report_grid(table, levels=EXPLOIT_LEVELS)
         bounds = sorted({step.max_payment for step in compute_bid_trace(truth, table).steps})
@@ -285,8 +264,8 @@ def main(argv=None) -> int:
                     result = enumerate_coalition_deviations(
                         truth, table, cfg, grid, budget=300_000, policy=policy
                     )
-                    print(f"tie-scan table={name} rival={rival} lane={lane} tie={tie_policy} "
-                          f"violations={len(result.violations)} scans={scan_digest([result])}")
+                    print(scan_line(f"tie-scan table={name} rival={rival} lane={lane} "
+                                    f"tie={tie_policy}", result))
         for lane, policy in LANES:
             step = TIE_STEPS[lane]
             rivals = sorted({r for b in bounds for r in (b - step, b, b + step) if r >= 0})
@@ -299,7 +278,7 @@ def main(argv=None) -> int:
                 ]
                 purchased = sum(o.purchased for o in outcomes)
                 print(f"tie-run table={name} lane={lane} tie={tie_policy} rivals={len(rivals)} "
-                      f"purchased={purchased} runs={outcome_digest(outcomes)}")
+                      f"purchased={purchased} runs={repr_digest(outcomes)}")
     return 0
 
 

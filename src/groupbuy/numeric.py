@@ -112,8 +112,8 @@ def integers_over_common_denominator(values) -> tuple:
     Order, equality and chord-slope comparisons of the integers are those of
     the values, so the exact lane can decide them on ints.
     """
-    d = math.lcm(*(v.denominator for v in values))
-    return d, tuple(v.numerator * (d // v.denominator) for v in values)
+    d = math.lcm(*[v.denominator for v in values])
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def is_finite_float(v: Num) -> bool:

@@ -32,8 +32,9 @@ own ``src/``:
 * the coalition scans of ``exploit_table`` and of four seeded random
   three-buyer tables (``random_table``, truthful reports from
   ``random_concave_utility``), with one rival bid at each distinct bound of
-  the exact truthful trace, in each lane under each tie policy, and their
-  group runs (``run_group_participation``) with a rival at each bound and
+  the exact truthful trace, in each lane under each tie policy (a rival
+  equal to a bound is a tie in both lanes, so these lines separate the two
+  tie policies), and their group runs (``run_group_participation``) with a rival at each bound and
   one step either side of it (1/1000 exact, epsilon/2 in ``approx()``).
 
 A CLI call's line carries a label, the exit code, and the sha256 of stdout

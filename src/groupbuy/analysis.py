@@ -280,7 +280,9 @@ def enumerate_coalition_deviations(
     They still count as covered in ``profiles``: all of them, or in the
     sampled branch the remaining budget, with ``truncated`` set.  A certified
     coalition in the sampled branch draws nothing from the random stream; at
-    n <= 3 it is the last coalition, so no later draw moves.
+    n <= 3 it is the last coalition, so no later draw moves.  Every profile,
+    the truthful one included, wins the set ``run`` reports for it, decided
+    on ``cfg`` itself by :func:`decide_winning_set`.
     """
     n = schedule.n
     _check_fuzz_cap(n)
@@ -289,25 +291,22 @@ def enumerate_coalition_deviations(
     if len(report_grid) != n:
         raise ValueError("report grid must have one menu per buyer")
 
-    # Compile once: every report becomes a ratio column and the price
-    # threshold a lane number.  The truthful profile and every deviant one
-    # then take the same path to a winning set: steps, then the decision.
+    # Compile once: every report becomes a ratio column.  The truthful
+    # profile and every deviant one then take one path to a winning set, as
+    # ``run`` does: steps, then the decision.
     everyone = full_mask(n)
-    lane_cfg = AuctionConfig(policy.lane(cfg.threshold), (), cfg.tie_policy)
-    threshold = lane_cfg.threshold
     true_columns = [RatioColumn(schedule, policy, i, r) for i, r in enumerate(true_reports)]
     menus = [[RatioColumn(schedule, policy, i, r) for r in report_grid[i]] for i in range(n)]
 
     def decide(columns):
-        return decide_winning_set(bid_steps(columns, policy, everyone), lane_cfg, policy)
+        return decide_winning_set(bid_steps(columns, policy, everyone), cfg, policy)
 
     # One outcome table per scan: each winning set (0: no purchase) divided
-    # once at the threshold, each buyer's share there valued once by its
-    # true report.
+    # once at the lane's threshold, each buyer's share valued once by its true report.
     truthful = decide(true_columns)
     table = []
     for won in range(everyone + 1):
-        outcome = divide(schedule, won, threshold)
+        outcome = divide(schedule, won, policy.lane(cfg.threshold))
         table.append(tuple(
             PreferenceOutcome(
                 policy.lane(true_reports[i].value_at(outcome.fractions[i])) - outcome.payments[i],

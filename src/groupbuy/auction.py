@@ -10,6 +10,7 @@ a winning group pays the threshold, max(reserve, best rival bid).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 from .mechanism import AllocationOutcome, BidStep, BidTrace, compute_bid_trace, divide
@@ -37,9 +38,9 @@ class AuctionConfig:
             if not is_finite_float(v) or v < 0:
                 raise ValueError("reserve and bids must be finite and non-negative")
 
-    @property
+    @cached_property  # not a field: repr, == and hash see only the three above
     def threshold(self) -> Num:
-        """The price the group must meet: max of reserve and best rival bid."""
+        """The price the group must meet: max of reserve and best rival bid, computed once."""
         return max(self.reserve, *self.competing_bids, 0)
 
 
@@ -48,8 +49,9 @@ def decide_winning_set(
 ) -> int:
     """The winning set of a group run, or 0 when the group does not buy.
 
-    This is the auction's one rule.  The group wins when its bid, the largest
-    bound in ``steps``, strictly exceeds the threshold, or equals it under
+    This is the auction's one rule, and it alone compares a bound with the
+    threshold, made a lane number (``policy.lane``).  The group wins when its
+    bid, the largest bound in ``steps``, strictly exceeds it, or equals it under
     ``group_wins``; it then buys at the first (largest) traced subset whose
     bound covers the threshold (``policy.ge``).  ``steps`` are read only up to
     the deciding one: under ``group_wins`` the first covering bound decides,
@@ -57,7 +59,7 @@ def decide_winning_set(
     until a later bound exceeds it strictly (the group buys at that first
     subset) or the steps run out.
     """
-    threshold = cfg.threshold
+    threshold = policy.lane(cfg.threshold)
     first = 0
     for step in steps:
         if not first and policy.ge(step.max_payment, threshold):
@@ -76,8 +78,8 @@ def run_group_participation(
     """Compute the trace, enter the auction with it, divide on a win.
 
     The outcome is purchased exactly when the group won, and its ``price`` is
-    then the clearing price, the threshold, which never exceeds the group bid
-    under ``policy``.
+    then the clearing price, the exact threshold, which never exceeds the
+    group bid under ``policy``.
     """
     trace = compute_bid_trace(reports, schedule, policy)
     won = decide_winning_set(trace.steps, cfg, policy)

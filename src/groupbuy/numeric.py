@@ -15,10 +15,10 @@ rule beside it, :meth:`NumericPolicy.slope_le`: cross-multiplied when exact
 (on integers, after :func:`integers_over_common_denominator`), the tolerance
 rule on the two quotients otherwise.
 
-The engine's one conversion sits beside the rule, :meth:`NumericPolicy.lane`:
-a ratio computed at the exact share becomes a lane number once, itself in the
-exact lane and a ``float`` in the tolerance lane, whose comparisons then run
-on floats only (see :mod:`groupbuy.mechanism`).
+The engine's two conversions sit beside the rule, :meth:`NumericPolicy.lane`:
+a ratio computed at the exact share and the auction's threshold become lane
+numbers, as is when exact and floats in the tolerance lane, whose comparisons
+then run on floats only (:mod:`groupbuy.mechanism`, :mod:`groupbuy.auction`).
 """
 
 from __future__ import annotations

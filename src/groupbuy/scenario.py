@@ -234,6 +234,8 @@ def load_scenario(
         raise ScenarioError(
             "exact arithmetic (--exact) and an epsilon (--epsilon) exclude each other"
         )
+    with _malformed("--epsilon"):  # the flags' request, which overrides the file's
+        flagged = EXACT if force_exact else None if epsilon is None else approx(epsilon)
     with _malformed("scenario"):
         data = _read(data, "scenario")
     buyers = data["buyers"]
@@ -276,13 +278,11 @@ def load_scenario(
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "exact" and "epsilon" in stanza:
             raise ValueError('"mode": "exact" and an "epsilon" exclude each other')
-        requested = EXACT if mode == "exact" else None  # the file's request, then the flags'
+        requested = EXACT if mode == "exact" else None  # the file's request
         if "epsilon" in stanza or mode == "approx":
             requested = approx(float(parse_number(stanza.get("epsilon", DEFAULT_EPSILON))))
-        if force_exact or epsilon is not None:
-            requested = EXACT if force_exact else approx(epsilon)
     irrational = _irrational_input(reports, named)
-    policy = requested if requested is not None else approx() if irrational else EXACT
+    policy = flagged or requested or (approx() if irrational else EXACT)
     if policy.exact and irrational:
         raise ScenarioError(f"exact arithmetic requested but {irrational}")
 

@@ -48,8 +48,7 @@ from .utility import (
 )
 
 
-ENUMERATION_MAX_BUYERS = 16  # buyer-count limit of share_points
-VALIDATION_MAX_BUYERS = 12  # of validate_cross_monotonic and validate_monotonicity
+ENUMERATION_MAX_BUYERS = 12  # of every walk over all 2^n subsets: share_points and the validators
 ORACLE_MAX_BUYERS = 8  # of brute_force_monotonicity_check
 
 
@@ -295,8 +294,8 @@ class CrossMonotonicityWitness:
 
 def _deletion_pairs(schedule: ShareSchedule, check: str) -> Iterator[tuple]:
     """(buyer i, A, B, shares of A, shares of B) for every B and A = B minus one buyer, i in A."""
-    if schedule.n > VALIDATION_MAX_BUYERS:
-        raise ScheduleError(f"{check} capped at {VALIDATION_MAX_BUYERS} buyers")
+    if schedule.n > ENUMERATION_MAX_BUYERS:
+        raise ScheduleError(f"{check} capped at {ENUMERATION_MAX_BUYERS} buyers")
     for b_mask in nonempty_subsets(full_mask(schedule.n)):
         if b_mask.bit_count() < 2:
             continue

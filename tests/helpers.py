@@ -164,15 +164,16 @@ def reference_group_run(
 
     The second-price rule on the group bid first: the group wins when its bid
     strictly exceeds the threshold, or equals it under ``group_wins``, and
-    then pays the threshold.  The winner is the earliest traced subset whose
-    bound covers that price, compared buyer-favorably (>=).
+    then pays the exact threshold.  The winner is the earliest traced subset
+    whose bound covers that price, compared buyer-favorably (>=).  Every
+    comparison is with the threshold as a lane number.
     """
-    threshold = cfg.threshold
+    threshold = policy.lane(cfg.threshold)
     bid = trace.group_bid
     if policy.gt(bid, threshold) or (policy.eq(bid, threshold) and cfg.tie_policy == GROUP_WINS):
         for step in trace.steps:
             if policy.ge(step.max_payment, threshold):
-                return divide(schedule, step.subset, threshold)
+                return divide(schedule, step.subset, cfg.threshold)
     return AllocationOutcome.not_purchased(schedule.n)
 
 
@@ -263,13 +264,12 @@ def reference_coalition_scan(
     """
     n = schedule.n
     everyone = full_mask(n)
-    lane_cfg = AuctionConfig(policy.lane(cfg.threshold), (), cfg.tie_policy)
-    threshold = lane_cfg.threshold
+    threshold = policy.lane(cfg.threshold)
     true_columns = [RatioColumn(schedule, policy, i, r) for i, r in enumerate(true_reports)]
     menus = [[RatioColumn(schedule, policy, i, r) for r in report_grid[i]] for i in range(n)]
 
     def decide(columns):
-        return decide_winning_set(bid_steps(columns, policy, everyone), lane_cfg, policy)
+        return decide_winning_set(bid_steps(columns, policy, everyone), cfg, policy)
 
     def recorded(i, report):
         if isinstance(report, ClosedFormUtility):
@@ -456,4 +456,15 @@ RANKED_SCENARIOS = {
                      "f": "identity"},
         "auction": {"reserve": "0", "competing_bids": ["3/5"]},
     },
+}
+
+# A one-buyer file on the tolerance lane's edge: the buyer bears
+# a = 0.3333333323333333 against a reserve of 1/3, and a + 1e-9 is
+# float(1/3), which lies below 1/3.  The bid ties the threshold within
+# epsilon, so the group buys at 1/3 (ties go to the group).
+EPSILON_EDGE_SCENARIO = {
+    "buyers": [{"kind": "linear", "c": "0.3333333323333333"}],
+    "schedule": {"kind": "equal-split"},
+    "auction": {"reserve": "1/3"},
+    "policy": {"epsilon": "1e-9"},
 }

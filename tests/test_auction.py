@@ -108,6 +108,18 @@ class TestSecondPrice:
         with pytest.raises(ValueError, match="finite and non-negative"):
             AuctionConfig(reserve, bids)
 
+    def test_threshold_is_no_field(self):
+        # computed once and kept beside the fields, which alone make repr, == and hash
+        cfg = AuctionConfig(F(1, 2), (F(3, 5), F(1, 4)), GROUP_LOSES)
+        seen = (repr(cfg), hash(cfg))
+        assert cfg.threshold is cfg.threshold == F(3, 5)
+        assert (repr(cfg), hash(cfg)) == seen
+        assert cfg == AuctionConfig(F(1, 2), (F(3, 5), F(1, 4)), GROUP_LOSES)
+        assert repr(cfg) == (
+            "AuctionConfig(reserve=Fraction(1, 2), competing_bids=(Fraction(3, 5), "
+            "Fraction(1, 4)), tie_policy='group_loses')"
+        )
+
     def test_clearing_never_exceeds_bid_on_win(self):
         for rival in (F(0), F(1, 3), F(2, 3), F(1)):
             price = clearing_price(1, AuctionConfig(0, (rival,)))
@@ -213,6 +225,17 @@ class TestDecideWinningSet:
                         steps = bid_steps(columns, policy, full_mask(3))
                         won = decide_winning_set(steps, cfg, policy)
                         assert won == want.winning_set
+
+    @pytest.mark.parametrize("tie_policy, expected", [(GROUP_WINS, 0b1), (GROUP_LOSES, 0)])
+    def test_tolerance_lane_compares_with_the_float_threshold(self, tie_policy, expected):
+        # a + epsilon is float(1/3), which lies below 1/3: the bound ties the
+        # exact threshold within epsilon exactly as it ties the float one
+        a = 0.3333333323333333
+        assert a + APPROX.epsilon == float(F(1, 3))
+        steps = (BidStep(0b1, a, 0b1),)
+        for threshold in (F(1, 3), float(F(1, 3))):
+            cfg = AuctionConfig(threshold, (), tie_policy)
+            assert decide_winning_set(steps, cfg, APPROX) == expected
 
     def test_reads_no_further_than_the_deciding_step(self):
         steps = [BidStep(0b111, F(1, 4), 0b001), BidStep(0b110, F(1, 2), 0b010),

@@ -19,7 +19,7 @@ from groupbuy.scenario import (
 )
 from groupbuy.report import outcome_to_json
 
-from helpers import RANKED_SCENARIOS
+from helpers import EPSILON_EDGE_SCENARIO, RANKED_SCENARIOS
 
 
 def run_cli(*argv):
@@ -359,11 +359,14 @@ class TestRun:
                      "epsilon must be positive", id="policy_epsilon-0"),
         pytest.param({"policy": {"mode": "approx", "epsilon": -1e-9}}, (),
                      "epsilon must be positive", id="policy_epsilon-negative"),
-        pytest.param({}, ("--epsilon", "0"), "epsilon must be positive", id="flag_epsilon-0"),
-        pytest.param({}, ("--epsilon", "-1"), "epsilon must be positive", id="flag_epsilon--1"),
-        pytest.param({}, ("--epsilon", "nan"), "epsilon must be positive and finite",
+        # a flag's error names the flag, not the file's policy stanza
+        pytest.param({}, ("--epsilon", "0"), "--epsilon: epsilon must be positive",
+                     id="flag_epsilon-0"),
+        pytest.param({}, ("--epsilon", "-1"), "--epsilon: epsilon must be positive",
+                     id="flag_epsilon--1"),
+        pytest.param({}, ("--epsilon", "nan"), "--epsilon: epsilon must be positive and finite",
                      id="flag_epsilon-nan"),
-        pytest.param({}, ("--epsilon", "inf"), "epsilon must be positive and finite",
+        pytest.param({}, ("--epsilon", "inf"), "--epsilon: epsilon must be positive and finite",
                      id="flag_epsilon-inf"),
         # exact, but beyond any float: the tolerance lane could not compute with it
         pytest.param({"fixed_price": "1e400"}, (), "fixed_price: not a finite float: '1e400'",
@@ -380,7 +383,9 @@ class TestRun:
                      "fixed_price: reserve and bids must be finite and non-negative",
                      id="fixed_price-negative"),
         # an epsilon that would hide a payer's 1/32 share from is_positive
-        pytest.param({}, ("--epsilon", "0.5"), "below 1/64, not 0.5", id="flag_epsilon-0.5"),
+        pytest.param({}, ("--epsilon", "0.5"),
+                     "--epsilon: epsilon must be positive and finite and below 1/64, not 0.5",
+                     id="flag_epsilon-0.5"),
         pytest.param({"policy": {"epsilon": "1/64"}}, (), "below 1/64, not 0.015625",
                      id="policy_epsilon_alone-1/64"),
         pytest.param({"policy": {"mode": "exact", "epsilon": "1e-3"}}, (),
@@ -802,6 +807,24 @@ class TestCompare:
         (run,) = json.loads(capsys.readouterr().out)["runs"]
         assert list(run["outcomes"]) == ["1"]
         assert run["outcomes"]["1"]["purchased"] is False
+
+    def test_epsilon_edge_buys_in_run_compare_and_fuzz(self, tmp_path, capsys):
+        # the bid ties the reserve of 1/3 within epsilon, so all three commands
+        # see the group buy; fuzz's truthful net is then -1e-9, not 0
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(EPSILON_EDGE_SCENARIO))
+        third = {"decimal": "0.333333333333333"}
+        assert run_cli("run", str(path), "--format", "json") == 0
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert outcome["purchased"] is True and outcome["price"] == third
+        assert outcome["payments"] == [third]
+        assert run_cli("compare", str(path)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "price 0.333333: primary -> winners {0}, payments 0.333333"
+        )
+        assert run_cli("fuzz", str(path), "--format", "json") == 1
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert [v["net_before"] for v in violations] == [[{"decimal": "-1.00000002722922e-09"}]] * 2
 
 
 @pytest.mark.parametrize("command,summary", [

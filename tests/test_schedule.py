@@ -234,6 +234,8 @@ class TestCrossMonotonic:
     def test_cap(self):
         with pytest.raises(ScheduleError):
             validate_cross_monotonic(EqualSplitSchedule(13))
+        with pytest.raises(ScheduleError):
+            EqualSplitSchedule(13).share_points(0)
 
 
 def spec_violation_table():

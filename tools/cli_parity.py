@@ -3,7 +3,7 @@
 Usage, from the root of a checkout::
 
     python3 tools/cli_parity.py > parity.txt
-    python3 tools/cli_parity.py --cli-scale-seeds 1,9173,11 > parity.txt
+    python3 tools/cli_parity.py --seeds 1,9173,11 > parity.txt
 
 It runs ``groupbuy.cli.main`` and the library in-process on the checkout's
 own ``src/``:
@@ -15,6 +15,10 @@ own ``src/``:
 * ``validate-schedule`` and ``fuzz``, the latter in each format, on the
   ranked scenarios with power:1/3 and identity weights (``RANKED_SCENARIOS``
   of ``tests/helpers.py``), written into a temporary directory;
+* ``run``, ``fuzz`` and ``compare`` in each format on the one-buyer file
+  whose bid ties its reserve within epsilon (``EPSILON_EDGE_SCENARIO`` of
+  ``tests/helpers.py``), written into the same directory, so the lines
+  show any change to the tolerance lane's auction rule;
 * ``run`` in each format on bundled scenarios with one field misspelt, left
   out or of an unknown value (``BROKEN``), written into the same directory;
 * for each of the given seeds (default 1 and 9173) of the three benchmark
@@ -86,6 +90,7 @@ from groupbuy.mechanism import compute_bid_trace  # noqa: E402
 from groupbuy.numeric import EXACT, approx  # noqa: E402
 from helpers import (  # noqa: E402
     CRITERION_4_BUDGET,
+    EPSILON_EDGE_SCENARIO,
     EXPLOIT_LEVELS,
     EXPLOIT_POWER_MENU,
     RANKED_SCENARIOS,
@@ -195,10 +200,10 @@ def tie_tables():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cli-scale-seeds", default="1,9173",
+    parser.add_argument("--seeds", default="1,9173",
                         help="comma-separated seeds of all three benchmark pools ('' for none)")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.cli_scale_seeds.split(",") if s.strip()]
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
 
     with tempfile.TemporaryDirectory() as tmp:
         placeholders = [(tmp, "<workdir>"), (str(ROOT), "<root>")]
@@ -218,6 +223,9 @@ def main(argv=None) -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(document), encoding="utf-8")
             report_calls(path, ("validate-schedule", "fuzz"), placeholders)
+        path = Path(tmp) / "epsilon-edge.json"
+        path.write_text(json.dumps(EPSILON_EDGE_SCENARIO), encoding="utf-8")
+        report_calls(path, REPORTS, placeholders)
         for name, source, keys, field, replacement, value in BROKEN:
             document = json.loads(
                 Path(str(groupbuy.bundled_scenario_path(source))).read_text(encoding="utf-8")

@@ -7,17 +7,28 @@ scan's menus span the schedule's report class (:func:`report_menus`).
 
 The coalition scan judges outcomes, not profiles: the group always pays the
 threshold, so a misreport only changes whether the group buys and its winning
-set.  One outcome table per scan divides each of the 2^n outcomes once
-through the group run's own division (:func:`groupbuy.mechanism.divide`) and
-values every buyer's share there once by its true report, then compares each
-outcome with the truthful one once per buyer, as four flags: weak and strict
-preference, net at least as large and net strictly larger.  A coalition judges
-every outcome by its members' flags before it scans; a coalition that no
-outcome improves is certified and runs no profile.  The truthful profile and
-every deviant one of the others take one path: the engine's steps over
-compiled columns (:func:`groupbuy.mechanism.bid_steps`), read up to the one
-that decides the auction through the group run's own rule
+set.  It runs in three stages.  Compile, once per instance (true reports,
+schedule, menus, policy): every true and menu report becomes a ratio column
+(:class:`groupbuy.mechanism.RatioColumn`), and each buyer's share in each of
+the 2^n outcomes is valued once by its true report.  Judge, once per auction
+config: the truthful winning set, then an outcome table of those values less
+the payments of the group run's own division at the threshold
+(:func:`groupbuy.mechanism.divide`), then each outcome compared with the
+truthful one once per buyer, as four flags: weak and strict preference, net
+at least as large and net strictly larger.  Search, once per coalition: a
+coalition judges every outcome by its members' flags before it scans; one
+that no outcome improves is certified and runs no profile.  The truthful
+profile and every deviant one of the others take one path: the engine's
+steps over the compiled columns (:func:`groupbuy.mechanism.bid_steps`), read
+up to the one that decides the auction through the group run's own rule
 (:func:`groupbuy.auction.decide_winning_set`).
+
+The scan keeps one compiled instance, the last: a call reuses it when its
+schedule, its true reports and every menu entry are the same objects as
+before (menu lengths included) and its policy is equal, so the configs of
+one instance scanned in a row compile once.  Any other call compiles afresh
+and replaces it; nothing is keyed by value, and nothing outlives the next
+call on another instance.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from .auction import AuctionConfig, decide_winning_set, run_group_participation
 from .mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
 from .numeric import EXACT, Num, NumericPolicy, infer_policy, integers_over_common_denominator
 from .schedule import ScheduleError, ShareSchedule, full_mask, members, nonempty_subsets, report_class_for
-from .utility import ClosedFormUtility, InvalidReportError, UtilityReport, sample_points, sample_report
+from .utility import ClosedFormUtility, UtilityReport, sample_points, sample_report, validate_knots
 
 
 FUZZ_MAX_BUYERS = 3  # buyer-count limit of the deviation scans
@@ -95,30 +106,33 @@ def concave_report_grid(
     prefix grows only while it stays non-decreasing and concave under the
     comparisons of :func:`validate_knots` (``policy.le`` on values,
     :meth:`NumericPolicy.slope_le` on chords); in the exact lane they run on
-    the integers that put the points and levels over one denominator.  Each
-    leaf builds its ``Fraction`` knots, and :class:`UtilityReport` checks the
-    rest.
+    the integers that put the points and levels over one denominator.  The
+    checks on the share points alone (first knot (0, 0), strictly increasing
+    x, last point at x = 1) run once per buyer, as :func:`validate_knots` of
+    the zero utility at its points; a buyer that fails them gets an empty
+    menu.  So each leaf already passes every check and builds its
+    ``Fraction`` knots into a report unvalidated.
     """
     scaled = tuple(Fraction(l) for l in levels)
     grid = []
     for buyer in range(schedule.n):
         points = _menu_points(schedule, buyer)
+        menu = []
+        grid.append(menu)
+        if validate_knots(((Fraction(0), Fraction(0)), *((x, Fraction(0)) for x in points))) is not None:
+            continue
         policy = infer_policy(points)  # the levels are rational
         xs, us = points, scaled
         if policy.exact:
             _, ints = integers_over_common_denominator((*points, *scaled))
             xs, us = ints[:len(points)], ints[len(points):]
         xs = (0, *xs)
-        menu = []
 
         def extend(picks, du0, dx0):
             depth = len(picks)
             if depth == len(points):
                 knots = ((Fraction(0), Fraction(0)), *zip(points, (scaled[j] for j in picks)))
-                try:
-                    menu.append(UtilityReport(knots))
-                except InvalidReportError:
-                    pass
+                menu.append(UtilityReport._checked(knots))
                 return
             u0 = us[picks[-1]] if picks else 0
             dx = xs[depth + 1] - xs[depth]
@@ -129,7 +143,6 @@ def concave_report_grid(
                         extend((*picks, j), du, dx)
 
         extend((), None, None)
-        grid.append(menu)
     return grid
 
 
@@ -257,6 +270,100 @@ class FuzzResult:
         return sum(scan.evaluated for scan in self.coalitions)
 
 
+class _Instance:
+    """A scan's instance compiled once for every auction config.
+
+    Ratio columns for the true reports and every menu entry, and per winning
+    set ``won`` (0: no purchase) each buyer's true value for its share there
+    as a lane number (``values[won]``) and whether that share is positive
+    (``wins[won]``).  None of it depends on the config.
+    """
+
+    __slots__ = ("schedule", "policy", "true_columns", "menus", "values", "wins")
+
+    def __init__(self, true_reports, schedule, report_grid, policy):
+        self.schedule = schedule
+        self.policy = policy
+        self.true_columns = [RatioColumn(schedule, policy, i, r) for i, r in enumerate(true_reports)]
+        self.menus = [
+            [RatioColumn(schedule, policy, i, r) for r in menu] for i, menu in enumerate(report_grid)
+        ]
+        self.values, self.wins = [], []
+        for won in range(full_mask(schedule.n) + 1):
+            fractions = divide(schedule, won, 0).fractions  # the shares, whatever the price
+            self.values.append(tuple(
+                policy.lane(report.value_at(x)) for report, x in zip(true_reports, fractions)
+            ))
+            self.wins.append(tuple(policy.is_positive(x) for x in fractions))
+
+    def named_by(self, true_reports, schedule, report_grid, policy) -> bool:
+        """Whether a call names this instance: the same objects throughout and an equal policy."""
+
+        def same(columns, reports):
+            return len(columns) == len(reports) and all(c.report is r for c, r in zip(columns, reports))
+
+        return (
+            self.schedule is schedule
+            and self.policy == policy
+            and same(self.true_columns, true_reports)
+            and all(same(columns, menu) for columns, menu in zip(self.menus, report_grid))
+        )
+
+
+_last_instance = None  # the one instance the scan keeps: the last it compiled
+
+
+def _compiled(true_reports, schedule, report_grid, policy) -> _Instance:
+    """The last compiled instance if the call names it, else a fresh compile that replaces it.
+
+    Identity, not value, keys the memo, and the instance holds every object
+    it is keyed by, so none of them can be freed and its id reused.
+    """
+    global _last_instance
+    instance = _last_instance
+    if instance is None or not instance.named_by(true_reports, schedule, report_grid, policy):
+        instance = _last_instance = _Instance(true_reports, schedule, report_grid, policy)
+    return instance
+
+
+def _judged(instance: _Instance, cfg: AuctionConfig, truthful: int) -> tuple:
+    """(table, flags): every outcome valued for ``cfg``, and compared with the truthful one.
+
+    ``table[won]`` holds each buyer's :class:`PreferenceOutcome`: its compiled
+    value less its payment when ``won`` buys at the lane's threshold.  Bit i
+    of the four masks in ``flags[won]`` says whether buyer i weakly prefers
+    that outcome to ``table[truthful]``, strictly prefers it, nets at least
+    as much there, and nets strictly more.
+    """
+    schedule, policy = instance.schedule, instance.policy
+    threshold = policy.lane(cfg.threshold)
+    table = [
+        tuple(
+            PreferenceOutcome(value - payment, wins_nonzero)
+            for value, payment, wins_nonzero in zip(
+                values, divide(schedule, won, threshold).payments, wins
+            )
+        )
+        for won, (values, wins) in enumerate(zip(instance.values, instance.wins))
+    ]
+    base_prefs = table[truthful]
+    flags = []
+    for row in table:
+        weak = strict = net_ge = net_gt = 0
+        for i, (after, before) in enumerate(zip(row, base_prefs)):
+            bit = 1 << i
+            if weakly_prefers(after, before, policy):
+                weak |= bit
+            if strictly_prefers(after, before, policy):
+                strict |= bit
+            if policy.ge(after.net, before.net):
+                net_ge |= bit
+            if policy.gt(after.net, before.net):
+                net_gt |= bit
+        flags.append((weak, strict, net_ge, net_gt))
+    return table, flags
+
+
 def enumerate_coalition_deviations(
     true_reports: Sequence[UtilityReport],
     schedule: ShareSchedule,
@@ -283,6 +390,14 @@ def enumerate_coalition_deviations(
     n <= 3 it is the last coalition, so no later draw moves.  Every profile,
     the truthful one included, wins the set ``run`` reports for it, decided
     on ``cfg`` itself by :func:`decide_winning_set`.
+
+    The columns and the outcome values do not depend on ``cfg``, so they are
+    compiled once per instance and kept for the next call while it names the
+    same schedule, true report and menu entry objects under an equal policy:
+    scanning one instance against several configs in a row compiles it once.
+    Each call decides its truthful winning set and its outcome flags on
+    ``cfg``; a call on any other objects compiles again and drops the kept
+    instance.
     """
     n = schedule.n
     _check_fuzz_cap(n)
@@ -291,47 +406,16 @@ def enumerate_coalition_deviations(
     if len(report_grid) != n:
         raise ValueError("report grid must have one menu per buyer")
 
-    # Compile once: every report becomes a ratio column.  The truthful
-    # profile and every deviant one then take one path to a winning set, as
-    # ``run`` does: steps, then the decision.
     everyone = full_mask(n)
-    true_columns = [RatioColumn(schedule, policy, i, r) for i, r in enumerate(true_reports)]
-    menus = [[RatioColumn(schedule, policy, i, r) for r in report_grid[i]] for i in range(n)]
+    instance = _compiled(true_reports, schedule, report_grid, policy)
+    true_columns, menus = instance.true_columns, instance.menus
 
     def decide(columns):
         return decide_winning_set(bid_steps(columns, policy, everyone), cfg, policy)
 
-    # One outcome table per scan: each winning set (0: no purchase) divided
-    # once at the lane's threshold, each buyer's share valued once by its true report.
     truthful = decide(true_columns)
-    table = []
-    for won in range(everyone + 1):
-        outcome = divide(schedule, won, policy.lane(cfg.threshold))
-        table.append(tuple(
-            PreferenceOutcome(
-                policy.lane(true_reports[i].value_at(outcome.fractions[i])) - outcome.payments[i],
-                policy.is_positive(outcome.fractions[i]),
-            )
-            for i in range(n)
-        ))
+    table, flags = _judged(instance, cfg, truthful)
     base_prefs = table[truthful]
-    # Each outcome against the truthful one, once per buyer: bit i of the
-    # four masks says whether buyer i weakly prefers it, strictly prefers
-    # it, nets at least as much there, and nets strictly more.
-    flags = []
-    for row in table:
-        weak = strict = net_ge = net_gt = 0
-        for i, (after, before) in enumerate(zip(row, base_prefs)):
-            bit = 1 << i
-            if weakly_prefers(after, before, policy):
-                weak |= bit
-            if strictly_prefers(after, before, policy):
-                strict |= bit
-            if policy.ge(after.net, before.net):
-                net_ge |= bit
-            if policy.gt(after.net, before.net):
-                net_gt |= bit
-        flags.append((weak, strict, net_ge, net_gt))
 
     coalitions = sorted(
         nonempty_subsets(everyone),

@@ -17,8 +17,10 @@ and keeps every step.  A column maps subset -> u_i(x_i(S)) / y_i(S) at the
 schedule's exact shares, filled on the loop's first read of the subset; the
 ratio becomes a lane number once (``policy.lane``), so the tolerance lane
 compares floats only.  :func:`bid_steps` is the bare loop over columns, as a
-generator.  The coalition scan builds each column once for all its profiles
-and reads each profile's steps only up to the one that decides the auction.
+generator.  The coalition scan builds each column once per instance (truth,
+schedule, menus, policy), for all its profiles under every auction config
+scanned on that instance in a row, and reads each profile's steps only up to
+the one that decides the auction.
 """
 
 from __future__ import annotations

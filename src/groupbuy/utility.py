@@ -72,13 +72,27 @@ class UtilityReport:
 
     def __post_init__(self):
         normalized = tuple((x, u) for x, u in self.knots)
-        object.__setattr__(self, "knots", normalized)
         message = validate_knots(normalized)
         if message is not None:
             raise InvalidReportError(message)
-        object.__setattr__(self, "_xs", tuple(x for x, _ in normalized))
-        object.__setattr__(self, "_us", tuple(u for _, u in normalized))
-        object.__setattr__(self, "_at", dict(normalized))
+        self._set_knots(normalized)
+
+    @classmethod
+    def _checked(cls, knots: tuple) -> "UtilityReport":
+        """The report on a tuple of (x, u) pairs that already passes :func:`validate_knots`.
+
+        For builders that decide every check on the way, such as the concave
+        menus; it skips the validation that ``UtilityReport(knots)`` runs.
+        """
+        report = object.__new__(cls)
+        report._set_knots(knots)
+        return report
+
+    def _set_knots(self, knots: tuple) -> None:
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_xs", tuple(x for x, _ in knots))
+        object.__setattr__(self, "_us", tuple(u for _, u in knots))
+        object.__setattr__(self, "_at", dict(knots))
 
     def value_at(self, x: Num) -> Num:
         # a knot's own value, as piecewise_value returns it at a knot

@@ -22,6 +22,7 @@ from groupbuy.analysis import (
     weakly_prefers,
 )
 from groupbuy.auction import GROUP_LOSES, GROUP_WINS, AuctionConfig, run_group_participation
+from groupbuy.mechanism import RatioColumn
 from groupbuy.numeric import EXACT, approx
 from groupbuy.scenario import bundled_scenario_path, load_scenario_file
 from groupbuy.schedule import (
@@ -513,6 +514,68 @@ class TestCertification:
         assert result.coalitions[-1].evaluated == 0
         assert result.evaluated == exhaustive
         assert [rng.getstate() for rng in made] == [random.Random(7).getstate()]
+
+
+def counted_fills(monkeypatch) -> list:
+    """The subsets every ratio column fills from now on, one entry per fill."""
+    fills = []
+    missing = RatioColumn.__missing__
+
+    def counted(column, subset):
+        fills.append(subset)
+        return missing(column, subset)
+
+    monkeypatch.setattr(RatioColumn, "__missing__", counted)
+    return fills
+
+
+def exploit_instance():
+    """(truth, schedule, concave menus, two configs) on the non-monotone table, freshly built."""
+    sched = exploit_table()
+    cfgs = (AuctionConfig(0, (F(1, 2),)), AuctionConfig(F(1, 5), (F(3, 10),), GROUP_LOSES))
+    return exploit_truth(), sched, concave_report_grid(sched, levels=EXPLOIT_LEVELS), cfgs
+
+
+def ranked_sqrt_instance():
+    """(truth, schedule, power menus, two configs) on ranked sqrt, freshly built."""
+    sched = RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)), sqrt_weight())
+    truth = [ClosedFormUtility.power(1, k) for k in (F(1, 4), F(1, 3), F(1, 2))]
+    return truth, sched, report_menus(sched), (AuctionConfig(0, (F(13, 10),)), AuctionConfig(0, (F(3, 5),)))
+
+
+class TestInstanceReuse:
+    @pytest.mark.parametrize("policy", [EXACT, APPROX], ids=["exact", "approx"])
+    @pytest.mark.parametrize("build", [exploit_instance, ranked_sqrt_instance], ids=["exploit", "ranked-sqrt"])
+    def test_configs_a_b_a_scan_as_fresh_instances(self, build, policy, monkeypatch):
+        truth, sched, grid, (a, b) = build()
+        got = [enumerate_coalition_deviations(truth, sched, cfg, grid, policy=policy) for cfg in (a, b)]
+        fills = counted_fills(monkeypatch)
+        got.append(enumerate_coalition_deviations(truth, sched, a, grid, policy=policy))
+        assert fills == []  # the repeated config reads the columns the first one filled
+        for cfg, result in zip((a, b, a), got):
+            fresh_truth, fresh_sched, fresh_grid, _ = build()
+            fresh = enumerate_coalition_deviations(fresh_truth, fresh_sched, cfg, fresh_grid, policy=policy)
+            assert repr(result) == repr(fresh)
+        assert fills
+        if build is exploit_instance:
+            assert got[0].violations
+
+    @pytest.mark.parametrize("change", ["grid-rebuilt", "entry-replaced", "schedule-rebuilt"])
+    def test_other_objects_recompile(self, change, monkeypatch):
+        # equal content is not the same instance: only identity reuses one
+        truth, sched, grid, (cfg, _) = exploit_instance()
+        first = enumerate_coalition_deviations(truth, sched, cfg, grid)
+        fills = counted_fills(monkeypatch)
+        assert enumerate_coalition_deviations(truth, sched, cfg, grid) == first
+        assert fills == []
+        if change == "grid-rebuilt":
+            grid = concave_report_grid(sched, levels=EXPLOIT_LEVELS)
+        elif change == "entry-replaced":
+            grid[1][0] = UtilityReport(grid[1][0].knots)
+        else:
+            sched = exploit_table()
+        assert enumerate_coalition_deviations(truth, sched, cfg, grid) == first
+        assert fills
 
 
 class TestIndividualConsistency:

@@ -27,6 +27,9 @@ Coalition scans, in both lanes: relabelling the buyers of a three-buyer table
 every violation and keeps each status, on random tables and on the
 non-monotone ``exploit_table``.  On the random tables the scan also matches
 ``reference_coalition_scan``, which runs every profile and keeps no flags.
+In the exact lane on the random tables, a certified coalition has no
+violation on a grid the scan never saw, and scaling every report, the reserve
+and the rival bids by one c > 0 keeps every status and violating profile.
 """
 
 import math
@@ -37,7 +40,7 @@ from fractions import Fraction as F
 from numbers import Rational
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations, report_menus
@@ -352,19 +355,10 @@ def assert_the_scan_permutes(truth, schedule, cfg, menus, perm, policy, moved=No
     return result
 
 
-@given(
-    st.integers(0, 2**32 - 1),
-    st.permutations(range(3)),
-    st.integers(0, 2),
-    st.sampled_from((F(1, 2), F(99, 100), F(1))),
-    st.sampled_from((GROUP_WINS, GROUP_LOSES)),
-)
-@settings(max_examples=30, deadline=None)
-def test_relabelling_buyers_permutes_the_coalition_scan(seed, perm, step, fraction, tie):
-    # Random tables are mostly non-monotone; the rival bids at or just below a
-    # bound of the truthful trace, where ties and violations occur.  Budgets
-    # are exhaustive: the sampled branch draws in menu order, which a
-    # relabelling moves.
+def random_scan(seed, step, fraction, tie):
+    """(truth, schedule, cfg, menus): a random 3-buyer table, random concave
+    buyers, menus on the levels 0, 1/2 and 1, and one rival bidding
+    ``fraction`` of the truthful trace's bound at ``step`` (the last if fewer)."""
     rng = random.Random(seed)
     schedule = random_table(rng, 3)
     truth = [
@@ -374,12 +368,75 @@ def test_relabelling_buyers_permutes_the_coalition_scan(seed, perm, step, fracti
     menus = concave_report_grid(schedule, levels=(0, F(1, 2), 1))
     steps = compute_bid_trace(truth, schedule).steps
     cfg = AuctionConfig(0, (steps[min(step, len(steps) - 1)].max_payment * fraction,), tie)
+    return truth, schedule, cfg, menus
+
+
+# Random tables are mostly non-monotone; the rival bids at or just below a
+# bound of the truthful trace, where ties and violations occur.
+RIVALS = (st.integers(0, 2), st.sampled_from((F(1, 2), F(99, 100), F(1))),
+          st.sampled_from((GROUP_WINS, GROUP_LOSES)))
+
+
+@given(st.integers(0, 2**32 - 1), st.permutations(range(3)), *RIVALS)
+@settings(max_examples=30, deadline=None)
+def test_relabelling_buyers_permutes_the_coalition_scan(seed, perm, step, fraction, tie):
+    # Budgets are exhaustive: the sampled branch draws in menu order, which a
+    # relabelling moves.
+    truth, schedule, cfg, menus = random_scan(seed, step, fraction, tie)
     for policy in (EXACT, approx()):
         result = assert_the_scan_permutes(truth, schedule, cfg, menus, perm, policy)
         # and the scan agrees with the reference, which runs every profile
         assert replace(result, coalitions=()) == reference_coalition_scan(
             truth, schedule, cfg, menus, result.profiles, policy=policy
         )
+
+
+@given(st.integers(0, 2**32 - 1), *RIVALS)
+@example(1971110186, 1, F(99, 100), GROUP_WINS)  # off the grid, coalition {0, 1} gains
+@example(4114760733, 2, F(1, 2), GROUP_WINS)  # {2} certified, the five others violated
+@settings(max_examples=20, deadline=None)
+def test_certified_coalitions_have_no_violation_off_the_grid(seed, step, fraction, tie):
+    # A certificate holds for every misreport, so the reference runs every
+    # profile of a grid the scan never saw (levels 0, 1/3, 2/3, 1) and
+    # finds no violation for a certified coalition.  Most random draws find
+    # none at all; the examples pin draws that do.
+    truth, schedule, cfg, menus = random_scan(seed, step, fraction, tie)
+    result = enumerate_coalition_deviations(truth, schedule, cfg, menus)
+    certified = {s.coalition for s in result.coalitions if s.status == "certified"}
+    finer = concave_report_grid(schedule, levels=(0, F(1, 3), F(2, 3), 1))
+    budget = math.prod(len(m) + 1 for m in finer)  # every coalition's product fits
+    reference = reference_coalition_scan(truth, schedule, cfg, finer, budget)
+    assert not reference.truncated
+    assert not certified & {v.coalition for v in reference.violations}
+
+
+@given(st.integers(0, 2**32 - 1), *RIVALS, st.integers(1, 50), st.integers(1, 7))
+@example(1037164612, 1, F(1), GROUP_LOSES, 3, 7)  # violations with and without the tie rule
+@example(2460189480, 2, F(1), GROUP_LOSES, 50, 1)  # violations that lean on the tie rule
+@settings(max_examples=20, deadline=None)
+def test_scaling_the_scan_keeps_every_verdict(seed, step, fraction, tie, num, den):
+    # Values and prices scaled alike by c > 0 scale every ratio, threshold
+    # and net by c, so the exact lane decides every comparison the same way.
+    # Most random draws find no violation; the examples pin draws that do.
+    truth, schedule, cfg, menus = random_scan(seed, step, fraction, tie)
+    c = F(num, den)
+    result = enumerate_coalition_deviations(truth, schedule, cfg, menus)
+    got = enumerate_coalition_deviations(
+        [scaled_report(r, c) for r in truth], schedule,
+        AuctionConfig(cfg.reserve * c, tuple(b * c for b in cfg.competing_bids), tie),
+        [[scaled_report(r, c) for r in menu] for menu in menus],
+    )
+    assert (got.profiles, got.truncated, got.coalitions) == (
+        result.profiles, result.truncated, result.coalitions
+    )
+
+    def profile(v):
+        return v.coalition, tuple(r.knots for r in v.deviant_reports), v.uses_tiebreak
+
+    assert Counter(map(profile, got.violations)) == Counter(
+        (v.coalition, tuple(scaled_report(r, c).knots for r in v.deviant_reports), v.uses_tiebreak)
+        for v in result.violations
+    )
 
 
 @pytest.mark.parametrize("perm", [(2, 1, 0), (1, 2, 0)])  # a transposition and a 3-cycle

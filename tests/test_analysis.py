@@ -550,7 +550,8 @@ class TestInstanceReuse:
         truth, sched, grid, (a, b) = build()
         got = [enumerate_coalition_deviations(truth, sched, cfg, grid, policy=policy) for cfg in (a, b)]
         fills = counted_fills(monkeypatch)
-        got.append(enumerate_coalition_deviations(truth, sched, a, grid, policy=policy))
+        # an equal policy object names the instance too
+        got.append(enumerate_coalition_deviations(truth, sched, a, grid, policy=replace(policy)))
         assert fills == []  # the repeated config reads the columns the first one filled
         for cfg, result in zip((a, b, a), got):
             fresh_truth, fresh_sched, fresh_grid, _ = build()
@@ -560,22 +561,31 @@ class TestInstanceReuse:
         if build is exploit_instance:
             assert got[0].violations
 
-    @pytest.mark.parametrize("change", ["grid-rebuilt", "entry-replaced", "schedule-rebuilt"])
+    @pytest.mark.parametrize(
+        "change", ["grid-rebuilt", "entry-replaced", "schedule-rebuilt", "policy-changed"]
+    )
     def test_other_objects_recompile(self, change, monkeypatch):
         # equal content is not the same instance: only identity reuses one
         truth, sched, grid, (cfg, _) = exploit_instance()
-        first = enumerate_coalition_deviations(truth, sched, cfg, grid)
+        policy = EXACT
+        first = enumerate_coalition_deviations(truth, sched, cfg, grid, policy=policy)
         fills = counted_fills(monkeypatch)
-        assert enumerate_coalition_deviations(truth, sched, cfg, grid) == first
+        assert enumerate_coalition_deviations(truth, sched, cfg, grid, policy=policy) == first
         assert fills == []
         if change == "grid-rebuilt":
             grid = concave_report_grid(sched, levels=EXPLOIT_LEVELS)
         elif change == "entry-replaced":
             grid[1][0] = UtilityReport(grid[1][0].knots)
-        else:
+        elif change == "schedule-rebuilt":
             sched = exploit_table()
-        assert enumerate_coalition_deviations(truth, sched, cfg, grid) == first
+        else:
+            policy = APPROX
+        got = enumerate_coalition_deviations(truth, sched, cfg, grid, policy=policy)
         assert fills
+        fresh_truth, fresh_sched, fresh_grid, _ = exploit_instance()
+        assert repr(got) == repr(
+            enumerate_coalition_deviations(fresh_truth, fresh_sched, cfg, fresh_grid, policy=policy)
+        )
 
 
 class TestIndividualConsistency:

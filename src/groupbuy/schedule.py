@@ -42,6 +42,7 @@ from .utility import (
     ClosedFormUtility,
     ReportClass,
     UtilityReport,
+    _below,
     random_concave_draws,
     random_concave_knots,
     sample_knots,
@@ -430,13 +431,14 @@ def validate_monotonicity(
     return None
 
 
-def _random_submask(rng: random.Random, mask: int) -> int:
+def _random_submask(rng: random.Random, mask_members: tuple) -> int:
+    """Each member kept with chance 0.6; one drawn member when none is kept."""
     sub = 0
-    for i in members(mask):
+    for i in mask_members:
         if rng.random() < 0.6:
             sub |= 1 << i
     if sub == 0:
-        sub = 1 << rng.choice(members(mask))
+        sub = 1 << mask_members[_below(rng.getrandbits, len(mask_members))]
     return sub
 
 
@@ -451,9 +453,9 @@ _RATIONAL = (int, Fraction)
 def _draw_concave_sample(rng: random.Random, shape: int) -> Optional[int]:
     """The seed of a random concave utility, the scale of a linear or ramp one, or None."""
     if shape == 0:
-        return rng.randrange(2 ** 32)
+        return _below(rng.getrandbits, 2 ** 32)
     if shape in (1, 2):
-        return rng.randrange(0, GRAIN + 1)
+        return _below(rng.getrandbits, GRAIN + 1)
     return None
 
 
@@ -530,6 +532,15 @@ def _concave_sample_breaks(shape: int, draw: Optional[int], xa, xb, d, ya, yb) -
     return ua * yb > ub * ya
 
 
+def _draw_uniform_constant(rng: random.Random) -> int:
+    """The uniform candidate constant's numerator, in 1..GRAIN-1.
+
+    :func:`_breaking_constant` draws it first, and a sample the exact lane
+    rejects in integers draws it in its place, so both keep one stream.
+    """
+    return 1 + _below(rng.getrandbits, GRAIN - 1)
+
+
 def _breaking_constant(
     rng: random.Random, knots: tuple, x_a: Num, x_b: Num, y_a: Num, y_b: Num, policy: NumericPolicy
 ) -> Optional[Num]:
@@ -548,7 +559,7 @@ def _breaking_constant(
         window_hi = u_a / y_a
     else:
         window_hi = ratio_b + U_MAX
-    candidates = [Fraction(rng.randrange(1, GRAIN), GRAIN) * (2 * ratio_b + 1)]
+    candidates = [Fraction(_draw_uniform_constant(rng), GRAIN) * (2 * ratio_b + 1)]
     if window_hi > ratio_b:
         candidates.append((ratio_b + window_hi) / 2)
     for c in candidates:
@@ -585,17 +596,28 @@ def brute_force_monotonicity_check(
     each sample is valued in ``Fraction`` arithmetic.  Float shares (ranked
     sqrt or power weights), the power class and the tolerance lane value every
     sample that way.
+
+    Every integer is drawn from ``rng.getrandbits`` by :func:`~groupbuy.utility._below`,
+    the rejection rule ``randrange`` and ``choice`` apply, so the stream is the one
+    those calls would draw; ``test_witnesses_are_pinned`` pins it.  Each call
+    builds its subsets' member tuples once, at most 2^ORACLE_MAX_BUYERS of them.
     """
     n = schedule.n
     if n > ORACLE_MAX_BUYERS:
         raise ScheduleError(f"brute-force monotonicity oracle capped at {ORACLE_MAX_BUYERS} buyers")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     masks = list(nonempty_subsets(full_mask(n)))
+    mask_count = len(masks)
+    table = [members(m) for m in range(1 << n)]  # mask -> its members
+    if report_class.kind == "power":
+        k_lo, k_hi = Fraction(report_class.k_min), Fraction(report_class.k_max)
     pairs = {}  # (buyer, A, B) -> _sampled_pair
     for trial in range(samples):
-        b_mask = rng.choice(masks)
-        a_mask = _random_submask(rng, b_mask)
-        i = rng.choice(members(a_mask))
+        b_mask = masks[_below(getrandbits, mask_count)]
+        a_mask = _random_submask(rng, table[b_mask])
+        a_members = table[a_mask]
+        i = a_members[_below(getrandbits, len(a_members))]
         key = (i, a_mask, b_mask)
         pair = pairs.get(key)
         if pair is None:
@@ -609,14 +631,13 @@ def brute_force_monotonicity_check(
             if shape == 3:
                 knots = _zero_knots()
             else:
-                k_lo, k_hi = Fraction(report_class.k_min), Fraction(report_class.k_max)
-                k = (k_hi, k_lo, k_lo + (k_hi - k_lo) * Fraction(rng.randrange(GRAIN), GRAIN))[shape]
-                scale = U_MAX * Fraction(rng.randrange(1, GRAIN), GRAIN)
+                k = (k_hi, k_lo, k_lo + (k_hi - k_lo) * Fraction(_below(getrandbits, GRAIN), GRAIN))[shape]
+                scale = U_MAX * Fraction(1 + _below(getrandbits, GRAIN - 1), GRAIN)
                 knots = _power_knots(k, x_a, x_b, scale)
         else:
             draw = _draw_concave_sample(rng, shape)
             if shares is not None and not _concave_sample_breaks(shape, draw, *shares):
-                rng.randrange(1, GRAIN)  # the uniform constant _breaking_constant would draw
+                _draw_uniform_constant(rng)  # keep the stream: _breaking_constant draws it first
                 continue
             knots = _concave_sample_knots(shape, draw, x_a, x_b)
         c = _breaking_constant(rng, knots, x_a, x_b, y_a, y_b, policy)

@@ -172,15 +172,37 @@ def sample_report(form: ClosedFormUtility, points: Iterable[Num]) -> UtilityRepo
 GRAIN = 10 ** 6  # random utilities draw their slopes and scales in steps of 1/GRAIN
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform integer in 0..n-1 (n > 0), drawn from ``getrandbits``.
+
+    This is the rule CPython's ``Random.randrange`` and ``Random.choice`` apply
+    after their argument checks: draw ``n.bit_length()`` bits, and draw again
+    while the result is n or more.  So ``_below(rng.getrandbits, n)`` returns
+    ``rng.randrange(n)`` and leaves ``rng`` in the same state, and
+    ``seq[_below(rng.getrandbits, len(seq))]`` is ``rng.choice(seq)``, without
+    their per-call overhead.  ``tests/test_utility.py`` checks the equality and
+    ``test_witnesses_are_pinned`` pins the oracle's stream drawn this way.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_concave_draws(seed: int, count: int) -> tuple:
     """What :func:`random_concave_knots` draws, in units of 1/GRAIN.
 
     Returns ``count`` slopes in 1..GRAIN-1, non-increasing, and the scale in
-    0..GRAIN, both from ``random.Random(seed)``.
+    0..GRAIN.  Both come from the ``getrandbits`` of a fresh
+    ``random.Random(seed)`` by :func:`_below`, the rejection rule of
+    ``randrange``, so they are the numbers ``randrange(1, GRAIN)`` (per slope)
+    and then ``randrange(0, GRAIN + 1)`` would give; ``test_witnesses_are_pinned``
+    pins them.  Each call seeds its own generator, so the function is reentrant.
     """
-    rng = random.Random(seed)
-    slopes = sorted((rng.randrange(1, GRAIN) for _ in range(count)), reverse=True)
-    return slopes, rng.randrange(0, GRAIN + 1)
+    getrandbits = random.Random(seed).getrandbits
+    slopes = sorted((1 + _below(getrandbits, GRAIN - 1) for _ in range(count)), reverse=True)
+    return slopes, _below(getrandbits, GRAIN + 1)
 
 
 def random_concave_knots(seed: int, points: Iterable[Num], u_max: Num) -> tuple:

@@ -608,13 +608,12 @@ def brute_force_monotonicity_check(
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     masks = list(nonempty_subsets(full_mask(n)))
-    mask_count = len(masks)
     table = [members(m) for m in range(1 << n)]  # mask -> its members
     if report_class.kind == "power":
         k_lo, k_hi = Fraction(report_class.k_min), Fraction(report_class.k_max)
     pairs = {}  # (buyer, A, B) -> _sampled_pair
     for trial in range(samples):
-        b_mask = masks[_below(getrandbits, mask_count)]
+        b_mask = masks[_below(getrandbits, len(masks))]
         a_mask = _random_submask(rng, table[b_mask])
         a_members = table[a_mask]
         i = a_members[_below(getrandbits, len(a_members))]

@@ -30,6 +30,11 @@ non-monotone ``exploit_table``.  On the random tables the scan also matches
 In the exact lane on the random tables, a certified coalition has no
 violation on a grid the scan never saw, and scaling every report, the reserve
 and the rival bids by one c > 0 keeps every status and violating profile.
+
+Validators, in both lanes: relabelling the buyers of a three-buyer table keeps
+the pass or fail verdict of ``validate_monotonicity`` and of
+``validate_cross_monotonic``, and the sampling oracle finds no witness on a
+relabelled table that the validator passes.
 """
 
 import math
@@ -52,13 +57,18 @@ from groupbuy.schedule import (
     EqualSplitSchedule,
     RankedSchedule,
     TableSchedule,
+    brute_force_monotonicity_check,
     full_mask,
     identity_weight,
     members,
     nonempty_subsets,
+    report_class_for,
     sqrt_weight,
+    validate_cross_monotonic,
+    validate_monotonicity,
 )
 from groupbuy.utility import (
+    CONCAVE,
     ClosedFormUtility,
     UtilityReport,
     sample_report,
@@ -483,3 +493,73 @@ def test_relabelling_permutes_the_monotone_scans(kind, perm):
             )
             scanned |= {s.coalition for s in result.coalitions if s.status == "scanned"}
     assert len(scanned) >= 3
+
+
+# Plants in a two-buyer subset {i, j}, i < j: (x_i, x_j) and (y_i, y_j).  The
+# swap breaks monotonicity for j against its singleton, and on the monotone
+# kinds for i too; the lean breaks both rules for i alone, against the full
+# set, so that a validator which skips a buyer changes its verdict.
+PLANTS = {
+    "swap": ((F(2, 3), F(1, 3)), (F(1, 3), F(2, 3))),
+    "lean": ((F(0), F(1)), (F(0), F(1))),
+}
+
+
+def planted(schedule, victim, plant):
+    """``schedule`` as a table, with ``PLANTS[plant]`` in the two-buyer subset ``victim``."""
+    n = schedule.n
+    pair_members = members(victim)
+    entries = {}
+    for mask in nonempty_subsets(full_mask(n)):
+        pair = schedule.shares_for(mask)
+        entries[mask] = (pair.resource, pair.payment)
+    entries[victim] = tuple(
+        tuple(dict(zip(pair_members, shares)).get(b, F(0)) for b in range(n)) for shares in PLANTS[plant]
+    )
+    return TableSchedule(n, entries)
+
+
+@st.composite
+def validator_tables(draw):
+    """(kind, weights, rank order, schedule) on three buyers; a rational kind
+    may carry a plant, so that both verdicts occur."""
+    kind = draw(st.sampled_from(("equal-split", "cmss", "ranked", "ranked-sqrt", "random")))
+    weights = draw(st.lists(st.integers(1, 9), min_size=3, max_size=3))
+    order = draw(st.permutations(range(3)))
+    if kind == "random":
+        schedule = random_table(random.Random(draw(st.integers(0, 2**32 - 1))), 3)
+    else:
+        schedule = build_schedule(kind, weights, order)
+    plant = "none" if kind == "ranked-sqrt" else draw(st.sampled_from(("none", *PLANTS)))
+    if plant != "none":
+        schedule = planted(schedule, draw(st.sampled_from((0b011, 0b101, 0b110))), plant)
+    return kind, weights, order, schedule
+
+
+@given(validator_tables(), st.permutations(range(3)), st.integers(0, 2**32 - 1))
+@example(("equal-split", [1, 1, 1], [0, 1, 2], EqualSplitSchedule(3)), [1, 2, 0], 0)  # passes
+@example(("cmss", [3, 2, 1], [0, 1, 2], planted(build_schedule("cmss", [3, 2, 1], [0, 1, 2]), 0b011, "swap")),
+         [2, 1, 0], 0)  # fails
+@example(("ranked", [3, 2, 1], [0, 1, 2], planted(build_schedule("ranked", [3, 2, 1], [0, 1, 2]), 0b101, "lean")),
+         [1, 2, 0], 0)  # fails for buyer 0 alone, who becomes buyer 1
+@settings(max_examples=40, deadline=None)
+def test_relabelling_buyers_keeps_the_validators_verdicts(table, perm, seed):
+    kind, weights, order, schedule = table
+    if isinstance(schedule, RankedSchedule) and kind == "ranked-sqrt":
+        # Float payment shares, whose sums a relabelling may round otherwise:
+        # the schedule is relabelled as its own kind, in the tolerance lane.
+        inverse = [perm.index(j) for j in range(3)]
+        moved = build_schedule(kind, [weights[inverse[j]] for j in range(3)], [perm[i] for i in order])
+        policies = (approx(),)
+    else:
+        moved = moved_table(schedule, perm)
+        policies = (EXACT, approx())
+    classes = {CONCAVE, report_class_for(schedule)[0]}  # ranked sqrt also gets its power family
+    for policy in policies:
+        crossing = validate_cross_monotonic(schedule, policy) is None
+        assert (validate_cross_monotonic(moved, policy) is None) == crossing
+        for cls in classes:
+            passes = validate_monotonicity(schedule, policy, cls) is None
+            assert (validate_monotonicity(moved, policy, cls) is None) == passes
+            if passes:
+                assert brute_force_monotonicity_check(moved, 200, seed, policy, cls) is None

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from groupbuy.numeric import piecewise_value
 from groupbuy.utility import (
     CONCAVE,
+    GRAIN,
     ClosedFormUtility,
     InvalidReportError,
     ReportClass,
     UtilityReport,
+    _below,
+    random_concave_draws,
     sample_report,
     validate_knots,
 )
@@ -293,6 +296,40 @@ class TestRandomConcave:
             random_concave_utility(1, [F(0)], F(1))
         with pytest.raises(ValueError):
             random_concave_utility(1, [F(1, 2)], 0)
+
+
+class TestDrawStream:
+    """``_below`` draws what ``randrange`` and ``choice`` draw, and leaves the same state.
+
+    The sampling oracle's pinned witnesses rest on this stream.
+    """
+
+    BOUNDS = (1, 2, 3, 7, 8, 15, 255, GRAIN - 1, GRAIN, GRAIN + 1, 2 ** 32)
+
+    def test_below_is_randrange(self):
+        for s in range(200):
+            ours, theirs = random.Random(s), random.Random(s)
+            for n in self.BOUNDS:  # several draws in a row from one generator
+                assert _below(ours.getrandbits, n) == theirs.randrange(n)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_indexing_by_below_is_choice(self):
+        for s in range(200):
+            ours, theirs = random.Random(s), random.Random(s)
+            for n in self.BOUNDS:
+                seq = range(5, 5 + 3 * n, 3)
+                assert seq[_below(ours.getrandbits, len(seq))] == theirs.choice(seq)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_concave_draws_match_randrange(self):
+        def reference(seed, count):
+            rng = random.Random(seed)
+            slopes = sorted((rng.randrange(1, GRAIN) for _ in range(count)), reverse=True)
+            return slopes, rng.randrange(0, GRAIN + 1)
+
+        for seed in range(200):
+            for count in range(1, 7):
+                assert random_concave_draws(seed, count) == reference(seed, count)
 
 
 class TestClassProperties:

@@ -8,7 +8,16 @@ decides how two such numbers compare; it never changes how they are computed.
 The package has one tolerance rule and applies it only here: exact when
 ``epsilon`` is None (meant for rational data), otherwise an absolute
 ``epsilon`` in every comparison, the engine's bottleneck test
-``eq(ratio, bound)`` included.
+``eq(ratio, bound)`` included.  The rule has one form: a comparison takes
+the one difference of its two arguments, subtracts ``epsilon`` and compares
+the result with 0.  IEEE subtraction is antisymmetric (fl(b - a) is
+-fl(a - b)), a ``Fraction`` difference meets ``epsilon`` as its nearest
+float, which rounds d and -d alike, and fl(d - epsilon) has the sign of
+d - epsilon.  So ``lt``, ``eq`` and ``gt`` split every pair of floats,
+``Fraction``s or one of each three ways, and ``le``/``ge`` are exactly
+``lt or eq``/``gt or eq``.  The auction's ``ge``, the scan's comparisons
+of nets (value less payment) and the bottleneck's ``eq`` therefore decide
+an edge alike.
 
 Report validation and the concave menus compare chord slopes du/dx by one
 rule beside it, :meth:`NumericPolicy.slope_le`: cross-multiplied when exact
@@ -40,8 +49,13 @@ MAX_EPSILON = 2.0 ** -6  # half of 1/32, the least share a subset's largest paye
 class NumericPolicy:
     """Comparison rules for scalars, exact or within the absolute ``epsilon``.
 
-    The strict orderings shrink by ``epsilon``: ``lt(a, b)`` means
-    ``a < b - epsilon`` and ``le(a, b)`` means ``a <= b + epsilon``.
+    With ``epsilon``, each comparison decides on one difference:
+    ``lt(a, b)`` is ``b - a - epsilon > 0``, ``le(a, b)`` is
+    ``a - b - epsilon <= 0`` and ``eq(a, b)`` is ``abs(a - b) - epsilon <= 0``;
+    ``gt`` and ``ge`` swap the arguments.  ``epsilon`` is subtracted before
+    the comparison with 0: a ``Fraction`` difference less a float is one
+    float subtraction, where ``d > epsilon`` would compare through
+    ``Fraction.from_float``.
     """
 
     epsilon: float | None = None
@@ -57,17 +71,17 @@ class NumericPolicy:
     def eq(self, a: Num, b: Num) -> bool:
         if self.epsilon is None:
             return a == b
-        return abs(a - b) <= self.epsilon
+        return abs(a - b) - self.epsilon <= 0
 
     def lt(self, a: Num, b: Num) -> bool:
         if self.epsilon is None:
             return a < b
-        return a < b - self.epsilon
+        return b - a - self.epsilon > 0
 
     def le(self, a: Num, b: Num) -> bool:
         if self.epsilon is None:
             return a <= b
-        return a <= b + self.epsilon
+        return a - b - self.epsilon <= 0
 
     def gt(self, a: Num, b: Num) -> bool:
         return self.lt(b, a)
@@ -76,7 +90,10 @@ class NumericPolicy:
         return self.le(b, a)
 
     def is_positive(self, v: Num) -> bool:
-        return self.lt(0, v)
+        """``lt(0, v)``, without the ``- 0``."""
+        if self.epsilon is None:
+            return v > 0
+        return v - self.epsilon > 0
 
     def slope_le(self, du: Num, dx: Num, du0: Num, dx0: Num) -> bool:
         """Whether the chord slope ``du/dx`` is at most ``du0/dx0``, for ``dx, dx0 > 0``.

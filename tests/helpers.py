@@ -67,7 +67,12 @@ def renormalized_cmss(n, weights):
 
 
 def random_table(rng, n: int) -> TableSchedule:
-    """Random n-buyer table, payment = resource, each share a ratio of draws in 1..11."""
+    """Random n-buyer table, each share a ratio of draws in 1..11.
+
+    Every subset draws its resource row and then its payment row: two
+    independent draws, which agree for certain only on singletons, where the
+    member holds everything.
+    """
     def vector(mask):
         raw = [F(rng.randrange(1, 12)) if mask >> i & 1 else F(0) for i in range(n)]
         total = sum(raw)
@@ -459,9 +464,10 @@ RANKED_SCENARIOS = {
 }
 
 # A one-buyer file on the tolerance lane's edge: the buyer bears
-# a = 0.3333333323333333 against a reserve of 1/3, and a + 1e-9 is
-# float(1/3), which lies below 1/3.  The bid ties the threshold within
-# epsilon, so the group buys at 1/3 (ties go to the group).
+# a = 0.3333333323333333 against a reserve of 1/3.  The sum a + 1e-9 rounds
+# to float(1/3), but the difference float(1/3) - a is 1.0000000272e-09,
+# past epsilon.  Every comparison decides on the difference, so the bid
+# falls short of the threshold: run, compare and fuzz all see no purchase.
 EPSILON_EDGE_SCENARIO = {
     "buyers": [{"kind": "linear", "c": "0.3333333323333333"}],
     "schedule": {"kind": "equal-split"},

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -228,14 +229,32 @@ class TestDecideWinningSet:
 
     @pytest.mark.parametrize("tie_policy, expected", [(GROUP_WINS, 0b1), (GROUP_LOSES, 0)])
     def test_tolerance_lane_compares_with_the_float_threshold(self, tie_policy, expected):
-        # a + epsilon is float(1/3), which lies below 1/3: the bound ties the
-        # exact threshold within epsilon exactly as it ties the float one
-        a = 0.3333333323333333
-        assert a + APPROX.epsilon == float(F(1, 3))
+        # float(1/3) lies below 1/3, and the bound falls short of it by at
+        # most epsilon: it ties the exact threshold exactly as it ties the
+        # float one, and the reference's eq agrees with the auction's ge
+        a = math.nextafter(0.3333333323333333, 1)
+        assert float(F(1, 3)) - a <= APPROX.epsilon
         steps = (BidStep(0b1, a, 0b1),)
         for threshold in (F(1, 3), float(F(1, 3))):
             cfg = AuctionConfig(threshold, (), tie_policy)
             assert decide_winning_set(steps, cfg, APPROX) == expected
+            want = reference_group_run(BidTrace(steps), EqualSplitSchedule(1), cfg, APPROX)
+            assert want.winning_set == expected
+
+    @pytest.mark.parametrize("tie_policy", [GROUP_WINS, GROUP_LOSES])
+    def test_tolerance_lane_bound_past_epsilon_loses(self, tie_policy):
+        # a + epsilon rounds to float(1/3), yet float(1/3) - a exceeds
+        # epsilon: the difference decides, so the bound falls short of both
+        # thresholds and the group loses under either tie policy
+        a = 0.3333333323333333
+        assert a + APPROX.epsilon == float(F(1, 3))
+        assert float(F(1, 3)) - a > APPROX.epsilon
+        steps = (BidStep(0b1, a, 0b1),)
+        for threshold in (F(1, 3), float(F(1, 3))):
+            cfg = AuctionConfig(threshold, (), tie_policy)
+            assert decide_winning_set(steps, cfg, APPROX) == 0
+            want = reference_group_run(BidTrace(steps), EqualSplitSchedule(1), cfg, APPROX)
+            assert want.winning_set == 0
 
     def test_reads_no_further_than_the_deciding_step(self):
         steps = [BidStep(0b111, F(1, 4), 0b001), BidStep(0b110, F(1, 2), 0b010),

@@ -809,10 +809,12 @@ class TestCompare:
         assert run["outcomes"]["1"]["purchased"] is False
 
     def test_epsilon_edge_buys_in_run_compare_and_fuzz(self, tmp_path, capsys):
-        # the bid ties the reserve of 1/3 within epsilon, so all three commands
-        # see the group buy; fuzz's truthful net is then -1e-9, not 0
+        # the bid falls short of float(1/3) by at most epsilon and so ties the
+        # reserve of 1/3: run and compare see the group buy, and fuzz judges
+        # the truthful net, about -1e-9, as the same tie
         path = tmp_path / "edge.json"
-        path.write_text(json.dumps(EPSILON_EDGE_SCENARIO))
+        tie = {**EPSILON_EDGE_SCENARIO, "buyers": [{"kind": "linear", "c": "0.33333333233333334"}]}
+        path.write_text(json.dumps(tie))
         third = {"decimal": "0.333333333333333"}
         assert run_cli("run", str(path), "--format", "json") == 0
         outcome = json.loads(capsys.readouterr().out)["outcome"]
@@ -822,9 +824,20 @@ class TestCompare:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "price 0.333333: primary -> winners {0}, payments 0.333333"
         )
-        assert run_cli("fuzz", str(path), "--format", "json") == 1
-        violations = json.loads(capsys.readouterr().out)["violations"]
-        assert [v["net_before"] for v in violations] == [[{"decimal": "-1.00000002722922e-09"}]] * 2
+        assert run_cli("fuzz", str(path), "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == []
+
+    def test_epsilon_edge_past_epsilon_loses_in_run_compare_and_fuzz(self, tmp_path, capsys):
+        # the bid falls short of float(1/3) by more than epsilon, though the
+        # sum bid + epsilon rounds to it: all three commands see no purchase
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(EPSILON_EDGE_SCENARIO))
+        assert run_cli("run", str(path)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "bid 0.333333; lost"
+        assert run_cli("compare", str(path)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "price 0.333333: primary -> no purchase"
+        assert run_cli("fuzz", str(path), "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == []
 
 
 @pytest.mark.parametrize("command,summary", [

@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupbuy.numeric import (
+    DEFAULT_EPSILON,
     EXACT,
     MAX_EPSILON,
     NumericPolicy,
@@ -31,6 +35,35 @@ def test_approx_policy_tolerates_epsilon():
     assert pol.le(0.5 + 1e-12, 0.5)
     assert pol.is_positive(1e-6)
     assert not pol.is_positive(1e-12)
+
+
+@st.composite
+def near_pairs(draw):
+    """(a, b): floats a few epsilon apart, b often within a few ulps of a + k * epsilon."""
+    a = draw(st.floats(-2, 2))
+    b = a + draw(st.integers(-3, 3)) * DEFAULT_EPSILON + draw(st.sampled_from((0.0, 1e-10, -1e-10)))
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        b = math.nextafter(b, math.copysign(math.inf, ulps))
+    return a, b
+
+
+@given(near_pairs())
+@example((0.3333333323333333, float(F(1, 3))))  # a + epsilon rounds to b, yet b - a exceeds epsilon
+@settings(max_examples=300, deadline=None)
+def test_tolerance_comparisons_split_every_pair_three_ways(pair):
+    # Every comparison decides on the one difference less epsilon, so lt, eq
+    # and gt split each pair, le and ge are their unions, and is_positive is
+    # lt(0, v); as floats, as Fractions and mixed.
+    pol = approx()
+    a, b = pair
+    for x, y in ((a, b), (F(a), F(b)), (a, F(b)), (F(a), b)):
+        lt, eq, gt = pol.lt(x, y), pol.eq(x, y), pol.gt(x, y)
+        assert lt + eq + gt == 1, (x, y)
+        assert pol.le(x, y) == (lt or eq)
+        assert pol.ge(x, y) == (gt or eq)
+        for v in (y - x, x - y):
+            assert pol.is_positive(v) == pol.lt(0, v)
 
 
 def test_approx_requires_positive_epsilon():

@@ -563,3 +563,122 @@ def test_relabelling_buyers_keeps_the_validators_verdicts(table, perm, seed):
             assert (validate_monotonicity(moved, policy, cls) is None) == passes
             if passes:
                 assert brute_force_monotonicity_check(moved, 200, seed, policy, cls) is None
+
+
+def near(bound, epsilons, ulps):
+    """``bound`` as a float, moved by ``epsilons`` times epsilon and then by ``ulps`` units in the last place."""
+    t = float(bound) + epsilons * DEFAULT_EPSILON
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    return max(t, 0.0)
+
+
+# A threshold this close to a bound sits where a sum form and the difference
+# form of the tolerance rule decide apart (a + epsilon may round to t while
+# t - a exceeds epsilon).
+NEAR = (st.integers(-2, 2), st.integers(-3, 3))
+TIES = st.sampled_from((GROUP_WINS, GROUP_LOSES))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2), *NEAR, TIES)
+@example(8, 1, 0, 1, 0, GROUP_WINS)  # one buyer, bound + epsilon rounds to the threshold
+@settings(max_examples=60, deadline=None)
+def test_truthful_winners_net_at_least_minus_epsilon(seed, n, step, epsilons, ulps, tie):
+    # A winning set buys at a threshold its bound covers within epsilon, so
+    # each member's net, valued as the scan values it, passes ge(net, 0).
+    rng = random.Random(seed)
+    schedule = random_table(rng, n)
+    truth = [
+        random_concave_utility(rng.randrange(2**31), [p for p in schedule.share_points(i) if p > 0], 1)
+        for i in range(n)
+    ]
+    policy = approx()
+    steps = compute_bid_trace(truth, schedule, policy).steps
+    cfg = AuctionConfig(0, (near(steps[min(step, len(steps) - 1)].max_payment, epsilons, ulps),), tie)
+    _, outcome = run_group_participation(truth, schedule, cfg, policy)
+    for i in members(outcome.winning_set):
+        net = policy.lane(truth[i].value_at(outcome.fractions[i])) - outcome.payments[i]
+        assert policy.ge(net, 0), (i, net)
+
+
+@given(st.integers(1, 10**16 - 1), *NEAR, TIES)
+@example(3333333323333333, 1, 0, GROUP_WINS)  # the epsilon edge: c + epsilon rounds to float(1/3)
+@example(6 * 10**15, 0, 0, GROUP_LOSES)  # c ties the rival bid; overbidding wins at net 0
+@settings(max_examples=60, deadline=None)
+def test_one_buyer_scan_finds_only_tie_rule_violations(numerator, epsilons, ulps, tie):
+    # One linear buyer c = numerator / 10^16 against a rival bidding near c.
+    # Under group_wins every tie goes to the truthful buyer, so no misreport
+    # gains.  Under group_loses a buyer whose value ties the threshold loses,
+    # and overbidding wins at a net equal to 0, which only the tie rule (a
+    # real share beats walking away) prefers.
+    c = F(numerator, 10**16)
+    schedule = EqualSplitSchedule(1)
+    cfg = AuctionConfig(0, (near(c, epsilons, ulps),), tie)
+    result = enumerate_coalition_deviations(
+        [ClosedFormUtility.linear(c)], schedule, cfg, report_menus(schedule), policy=approx()
+    )
+    if tie == GROUP_WINS:
+        assert result.violations == ()
+    else:
+        assert all(v.uses_tiebreak for v in result.violations)
+
+
+def lane_instance(schedule, picks, rival, tie):
+    """(truth, schedule, cfg, menus): a rational three-buyer instance with small denominators.
+
+    Buyer i's true report is entry ``picks[i]`` (modulo its length) of the
+    concave grid on quarters; the menus are the grid on halves.  ``rival``
+    is the rival's bid, or an int: the bound at that step of the truthful
+    trace (the last if fewer).
+    """
+    truth = [menu[k % len(menu)] for menu, k in zip(concave_report_grid(schedule), picks)]
+    if isinstance(rival, int):
+        steps = compute_bid_trace(truth, schedule).steps
+        rival = steps[min(rival, len(steps) - 1)].max_payment
+    cfg = AuctionConfig(0, (rival,), tie)
+    return truth, schedule, cfg, concave_report_grid(schedule, levels=(0, F(1, 2), 1))
+
+
+@st.composite
+def lane_instances(draw):
+    """:func:`lane_instance` on equal split, cmss, ranked identity or a random table.
+
+    Shares have denominators of at most 33, true values lie on quarters,
+    menu values on halves, and the rival bids a multiple of 1/20 or a bound
+    of the truthful trace.  Two distinct ratios, bounds, thresholds or nets
+    then differ by more than 1e-5, far more than epsilon, so the tolerance
+    lane meets no near-tie and must decide as the exact one.
+    """
+    kind = draw(st.sampled_from(("equal-split", "cmss", "ranked", "random")))
+    if kind == "random":
+        schedule = random_table(random.Random(draw(st.integers(0, 2**32 - 1))), 3)
+    else:
+        weights = draw(st.lists(st.integers(1, 9), min_size=3, max_size=3))
+        schedule = build_schedule(kind, weights, draw(st.permutations(range(3))))
+    picks = draw(st.lists(st.integers(0, 2**16), min_size=3, max_size=3))
+    rival = draw(st.one_of(st.builds(F, st.integers(0, 30), st.just(20)), st.integers(0, 2)))
+    return lane_instance(schedule, picks, rival, draw(TIES))
+
+
+@given(lane_instances())
+@example(lane_instance(random_table(random.Random(1800188482), 3), (15, 39, 23), 0, GROUP_LOSES))
+@example(lane_instance(random_table(random.Random(1511875401), 3), (3, 6, 33), F(11, 10), GROUP_WINS))
+@settings(max_examples=40, deadline=None)
+def test_exact_and_tolerance_lanes_scan_alike(instance):
+    # Most draws find no violation; the examples pin draws that do, with and
+    # without the tie rule, at a traced bound and at a bid on the grid.
+    truth, schedule, cfg, menus = instance
+    budget = math.prod(len(m) + 1 for m in menus)  # every coalition's product fits
+    exact, tolerance = (
+        enumerate_coalition_deviations(truth, schedule, cfg, menus, budget, policy=policy)
+        for policy in (EXACT, approx())
+    )
+    assert not exact.truncated
+    assert (tolerance.profiles, tolerance.truncated, tolerance.coalitions) == (
+        exact.profiles, exact.truncated, exact.coalitions
+    )
+
+    def profile(v):
+        return v.coalition, tuple(r.knots for r in v.deviant_reports), v.uses_tiebreak
+
+    assert list(map(profile, tolerance.violations)) == list(map(profile, exact.violations))

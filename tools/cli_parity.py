@@ -16,9 +16,10 @@ own ``src/``:
   ranked scenarios with power:1/3 and identity weights (``RANKED_SCENARIOS``
   of ``tests/helpers.py``), written into a temporary directory;
 * ``run``, ``fuzz`` and ``compare`` in each format on the one-buyer file
-  whose bid ties its reserve within epsilon (``EPSILON_EDGE_SCENARIO`` of
-  ``tests/helpers.py``), written into the same directory, so the lines
-  show any change to the tolerance lane's auction rule;
+  whose bid falls short of its reserve by just over epsilon
+  (``EPSILON_EDGE_SCENARIO`` of ``tests/helpers.py``), written into the
+  same directory, so the lines show any change to the tolerance rule at
+  its edge;
 * ``run`` in each format on bundled scenarios with one field misspelt, left
   out or of an unknown value (``BROKEN``), written into the same directory;
 * for each of the given seeds (default 1 and 9173) of the three benchmark

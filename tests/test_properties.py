@@ -35,6 +35,13 @@ Validators, in both lanes: relabelling the buyers of a three-buyer table keeps
 the pass or fail verdict of ``validate_monotonicity`` and of
 ``validate_cross_monotonic``, and the sampling oracle finds no witness on a
 relabelled table that the validator passes.
+
+The tolerance rule at its edge, with the rival a few epsilon and a few ulps
+off a traced bound: no member of a truthful winning set nets below -epsilon
+on random 1- to 3-buyer tables, and a one-buyer scan finds no violation under
+``group_wins`` and under ``group_loses`` only violations that lean on the tie
+rule.  On rational three-buyer instances with small denominators, where no
+near-tie can occur, the exact and tolerance lanes scan alike.
 """
 
 import math
@@ -381,10 +388,10 @@ def random_scan(seed, step, fraction, tie):
     return truth, schedule, cfg, menus
 
 
+TIES = st.sampled_from((GROUP_WINS, GROUP_LOSES))
 # Random tables are mostly non-monotone; the rival bids at or just below a
 # bound of the truthful trace, where ties and violations occur.
-RIVALS = (st.integers(0, 2), st.sampled_from((F(1, 2), F(99, 100), F(1))),
-          st.sampled_from((GROUP_WINS, GROUP_LOSES)))
+RIVALS = (st.integers(0, 2), st.sampled_from((F(1, 2), F(99, 100), F(1))), TIES)
 
 
 @given(st.integers(0, 2**32 - 1), st.permutations(range(3)), *RIVALS)
@@ -577,7 +584,6 @@ def near(bound, epsilons, ulps):
 # form of the tolerance rule decide apart (a + epsilon may round to t while
 # t - a exceeds epsilon).
 NEAR = (st.integers(-2, 2), st.integers(-3, 3))
-TIES = st.sampled_from((GROUP_WINS, GROUP_LOSES))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2), *NEAR, TIES)
@@ -646,8 +652,8 @@ def lane_instances(draw):
     Shares have denominators of at most 33, true values lie on quarters,
     menu values on halves, and the rival bids a multiple of 1/20 or a bound
     of the truthful trace.  Two distinct ratios, bounds, thresholds or nets
-    then differ by more than 1e-5, far more than epsilon, so the tolerance
-    lane meets no near-tie and must decide as the exact one.
+    then differ by more than 5e-6, thousands of times epsilon, so the
+    tolerance lane meets no near-tie and must decide as the exact one.
     """
     kind = draw(st.sampled_from(("equal-split", "cmss", "ranked", "random")))
     if kind == "random":

@@ -474,3 +474,68 @@ EPSILON_EDGE_SCENARIO = {
     "auction": {"reserve": "1/3"},
     "policy": {"epsilon": "1e-9"},
 }
+
+
+def _linear_table_scenario(n, entries, **fields):
+    """A scenario document: ``n`` linear buyers with c = 1, a table schedule, price 1/2."""
+    return {
+        "buyers": [{"kind": "linear", "c": "1"}] * n,
+        "schedule": {"kind": "table", "entries": entries},
+        "fixed_price": "1/2",
+        **fields,
+    }
+
+
+_SINGLETONS_3 = {
+    "0": {"x": ["1", "0", "0"], "y": ["1", "0", "0"]},
+    "1": {"x": ["0", "1", "0"], "y": ["0", "1", "0"]},
+    "2": {"x": ["0", "0", "1"], "y": ["0", "0", "1"]},
+}
+# a non-monotone three-buyer table whose spot-check witness depends on the seed
+_PLANTED_ENTRIES = {
+    "0,1,2": {"x": ["1/3"] * 3, "y": ["1/3"] * 3},
+    "0,1": {"x": ["2/3", "1/3", "0"], "y": ["1/3", "2/3", "0"]},
+    "0,2": {"x": ["1/2", "0", "1/2"], "y": ["1/2", "0", "1/2"]},
+    "1,2": {"x": ["0", "1/2", "1/2"], "y": ["0", "1/2", "1/2"]},
+    **_SINGLETONS_3,
+}
+
+# Scenario files (JSON documents) on which validate-schedule takes each path
+# other than the bundled scenarios' and RANKED_SCENARIOS': a cross-monotonicity
+# witness (buyer 0 holds 1/3 in {0,1} and 1/2 in {0,1,2}); a two-buyer table
+# with monotonicity and spot-check witnesses; the planted table under two
+# seeds; a cmss schedule that gives buyer 1 nothing in {0,1} (the stderr
+# note); nine buyers (spot check skipped); thirteen buyers (exit 2 before any
+# output).
+VALIDATE_SCENARIOS = {
+    "cross-witness": _linear_table_scenario(3, {
+        "0,1,2": {"x": ["1/2", "1/4", "1/4"], "y": ["1/2", "1/4", "1/4"]},
+        "0,1": {"x": ["1/3", "2/3", "0"], "y": ["1/3", "2/3", "0"]},
+        "0,2": {"x": ["1/2", "0", "1/2"], "y": ["1/2", "0", "1/2"]},
+        "1,2": {"x": ["0", "1/2", "1/2"], "y": ["0", "1/2", "1/2"]},
+        **_SINGLETONS_3,
+    }),
+    "two-buyer-witness": _linear_table_scenario(2, {
+        "0,1": {"x": ["1/3", "2/3"], "y": ["2/3", "1/3"]},
+        "0": {"x": ["1", "0"], "y": ["1", "0"]},
+        "1": {"x": ["0", "1"], "y": ["0", "1"]},
+    }),
+    "planted-5": _linear_table_scenario(3, _PLANTED_ENTRIES, seed=5),
+    "planted-77": _linear_table_scenario(3, _PLANTED_ENTRIES, seed=77),
+    "zero-share": {
+        "buyers": [{"kind": "linear", "c": "1"}] * 2,
+        "schedule": {"kind": "cmss",
+                     "shares": {"0,1": ["1", "0"], "0": ["1", "0"], "1": ["0", "1"]}},
+        "fixed_price": "1/2",
+    },
+    "nine-buyers": {
+        "buyers": [{"kind": "linear", "c": "1"}] * 9,
+        "schedule": {"kind": "equal-split"},
+        "fixed_price": "1/2",
+    },
+    "thirteen-buyers": {
+        "buyers": [{"kind": "linear", "c": "1"}] * 13,
+        "schedule": {"kind": "equal-split"},
+        "fixed_price": "1/2",
+    },
+}

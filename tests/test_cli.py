@@ -19,7 +19,7 @@ from groupbuy.scenario import (
 )
 from groupbuy.report import outcome_to_json
 
-from helpers import EPSILON_EDGE_SCENARIO, RANKED_SCENARIOS
+from helpers import EPSILON_EDGE_SCENARIO, RANKED_SCENARIOS, VALIDATE_SCENARIOS
 
 
 def run_cli(*argv):
@@ -924,3 +924,51 @@ def test_report_bytes_are_pinned(tmp_path, capsys, name, command, fmt):
     assert run_cli(command, path, "--format", fmt) == (1 if name == "exploitable" else 0)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == REPORT_DIGESTS[name, command, fmt]
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+# (exit code, sha256 of stdout, sha256 of stderr) of validate-schedule on each
+# file and flags that take one of its paths, recorded before its lines moved
+# into the report module
+VALIDATE_DIGESTS = {
+    ("example1", ""): (0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
+    ("example2", ""): (0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
+    ("section6-table", ""): (
+        0, "bd4cd172977d7c16e9c52252c2dc1a30826a3c332f774d86ba4792e7fe5b9a11", EMPTY),
+    ("ranked-power-third", ""): (
+        0, "be8c3bdd4545836e61a2aa562e3d08128c54145d8505baf21f98c2005a3e23c0", EMPTY),
+    ("ranked-identity", ""): (
+        0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
+    ("cross-witness", ""): (
+        1, "9fc74c66810018567e1cf13bdcc14fa82604b5d831305c43580db7833f2ee2c5", EMPTY),
+    ("two-buyer-witness", ""): (
+        1, "0e72078223ab70fab1a30af458dea11c158692b17c33daf6d801efea3da89a76", EMPTY),
+    ("planted-5", ""): (1, "c11295c68388726dc821b3bedc6720bd50ec043d2a748dcccbc0ec3afaf803b0", EMPTY),
+    ("planted-77", ""): (
+        1, "53d6bc677760783f9e9a14d82f95726eb235d35111824a6f943b9eeb64c0202d", EMPTY),
+    ("zero-share", ""): (
+        0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27",
+        "59d056004d2b5efa817a1b01d4640c46d8ea3cdc1d8637f731028da4646420af"),
+    ("nine-buyers", ""): (
+        0, "40079e48caff0a2452aa373d200b054096d34445f5280c541902abe8328fbcf2", EMPTY),
+    ("thirteen-buyers", ""): (
+        2, EMPTY, "43f12622555eeae6677766a19be2ba87ff860fadde5057cb278f439715c69e74"),
+    ("example1", "--budget 0"): (
+        0, "35a4ea4cc48cecf047fda2d6a4d36f8d133129d2f3db57339c721555682f9fdd", EMPTY),
+    ("section6-table", "--epsilon 1e-6"): (
+        0, "bd4cd172977d7c16e9c52252c2dc1a30826a3c332f774d86ba4792e7fe5b9a11", EMPTY),
+}
+
+
+@pytest.mark.parametrize("name,flags", VALIDATE_DIGESTS)
+def test_validate_schedule_bytes_are_pinned(tmp_path, capsys, name, flags):
+    documents = {**RANKED_SCENARIOS, **VALIDATE_SCENARIOS}
+    if name in documents:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(documents[name]))
+    else:
+        path = scenario(name)
+    code = run_cli("validate-schedule", str(path), *flags.split())
+    captured = capsys.readouterr()
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (captured.out, captured.err)]
+    assert (code, *digests) == VALIDATE_DIGESTS[name, flags]

@@ -11,9 +11,12 @@ Each takes ``--epsilon`` and ``--exact``; ``--out`` and ``--format`` where it
 writes a report (one rule, :func:`_emit`), ``--seed`` and ``--budget`` where it
 samples; notes and warnings go to stderr.  ``run``, ``fuzz`` and ``compare``
 enter the scenario's auction through :func:`run_group_participation`; a fixed
-price is a reserve with no rival, and :mod:`groupbuy.report` builds their
-reports.  The class of utilities a schedule is checked and fuzzed against is
-the library's (:func:`report_class_for`, :func:`report_menus`).
+price is a reserve with no rival.  :mod:`groupbuy.report` builds every line
+that the four commands print, both stderr notes among them; each ``cmd_*``
+loads the scenario, calls the library, prints what the report module built
+and chooses the exit code.  The class of utilities a schedule is checked and
+fuzzed against is the library's (:func:`report_class_for`,
+:func:`report_menus`).
 
 Exit codes: 0 success/pass, 1 internal error or a failed check (violations,
 witnesses), 2 invalid input, 3 budget-exhausted partial result.
@@ -35,14 +38,11 @@ from .analysis import (
     report_menus,
 )
 from .auction import run_group_participation
-from .report import braces, class_label, compare_report, fmt, fuzz_report, run_report
+from .report import class_note, compare_report, fuzz_report, run_report, validate_report
 from .schedule import (
     ORACLE_MAX_BUYERS,
     ScheduleError,
     brute_force_monotonicity_check,
-    members,
-    nonempty_subsets,
-    full_mask,
     report_class_for,
     validate_cross_monotonic,
     validate_monotonicity,
@@ -92,19 +92,14 @@ def _load(args):
 
 def cmd_run(args) -> int:
     scenario = _load(args)
-    policy = scenario.policy
     report_class, _ = report_class_for(scenario.schedule)
-    outside = [i for i, report in enumerate(scenario.reports) if not report_class.contains(report)]
-    if outside:
-        print(
-            f"note: buyer {outside[0]} lies outside the {class_label(report_class)} "
-            f"({len(outside)} such buyers); the incentive guarantees do not cover this run",
-            file=sys.stderr,
-        )
+    note = class_note(scenario.reports, report_class)
+    if note is not None:
+        print(note, file=sys.stderr)
     trace, outcome = run_group_participation(
-        scenario.reports, scenario.schedule, scenario.auction, policy
+        scenario.reports, scenario.schedule, scenario.auction, scenario.policy
     )
-    _emit(args, *run_report(trace, outcome, scenario.fixed_price, policy))
+    _emit(args, *run_report(trace, outcome, scenario.fixed_price, scenario.policy))
     return 0
 
 
@@ -114,73 +109,20 @@ def cmd_validate_schedule(args) -> int:
     policy = scenario.policy
     # first: it rejects a schedule above its buyer cap before anything is printed
     cross = validate_cross_monotonic(schedule, policy=policy)
-
-    zero_share_members = [
-        (mask, i)
-        for mask in nonempty_subsets(full_mask(schedule.n))
-        for i in members(mask)
-        if not schedule.shares_for(mask).resource[i] > 0
-    ]
-    if zero_share_members:
-        mask, i = zero_share_members[0]
-        print(
-            f"note: buyer {i} holds a zero resource share in {braces(mask)} "
-            f"({len(zero_share_members)} such pairs); legal, but such a buyer can win nothing",
-            file=sys.stderr,
-        )
-
     report_class, crossing = report_class_for(schedule)
-    label = class_label(report_class)
-    if crossing is not None:
-        print(
-            f"class: {label}, since the weight x^{fmt(schedule.weight.k)} "
-            f"times {fmt(crossing.constant)} lies above x^{fmt(crossing.utility.k)} "
-            f"at x = {fmt(crossing.x_above)} and not above it at x = {fmt(crossing.x_not_above)}"
-        )
-
-    ok = True
-    if cross is None:
-        print("cross-monotonicity: Pass")
-    else:
-        ok = False
-        print(
-            f"cross-monotonicity: Witness buyer {cross.buyer}: "
-            f"x{braces(cross.subset_a)} < x{braces(cross.subset_b)}"
-        )
-
     mono = validate_monotonicity(schedule, policy=policy, report_class=report_class)
-    if mono is None:
-        print(f"monotonicity ({label}): Pass")
-    else:
-        ok = False
-        print(
-            f"monotonicity ({label}): Witness buyer {mono.buyer} on "
-            f"{braces(mono.subset_a)} within "
-            f"{braces(mono.subset_b)}; utility knots "
-            f"{[(str(x), fmt(u)) for x, u in mono.utility.knots]} with C={fmt(mono.constant)}"
-        )
-
     samples = min(args.budget, 5000)
-    if schedule.n > ORACLE_MAX_BUYERS:
-        print(f"brute-force spot check skipped (more than {ORACLE_MAX_BUYERS} buyers)")
-    elif samples == 0:
-        print("brute-force spot check skipped (budget 0)")
-    else:
+    spot = None
+    if samples and schedule.n <= ORACLE_MAX_BUYERS:
         spot = brute_force_monotonicity_check(
             schedule, samples=samples, seed=scenario.seed, policy=policy,
             report_class=report_class,
         )
-        if spot is None:
-            print(f"brute-force spot check ({samples} samples): Pass")
-        else:
-            ok = False
-            print(
-                f"brute-force spot check: Witness buyer {spot.buyer} on "
-                f"{braces(spot.subset_a)} within {braces(spot.subset_b)} with C={fmt(spot.constant)}"
-            )
-
-    print("Pass" if ok else "FAIL")
-    return 0 if ok else 1
+    note, text = validate_report(schedule, report_class, crossing, cross, mono, spot, samples)
+    if note is not None:
+        print(note, file=sys.stderr)
+    print(text)
+    return 1 if any(w is not None for w in (cross, mono, spot)) else 0
 
 
 def cmd_fuzz(args) -> int:

@@ -1,19 +1,22 @@
-"""The reports of ``run``, ``fuzz`` and ``compare``, and the helpers that print
-numbers and subsets.
+"""The reports of all four commands, both stderr notes, and the helpers that
+print numbers and subsets.
 
-Each ``*_report`` function returns ``(summary, text, document, csv)``: the
-summary lines, and callables that build the text lines, the JSON document and
-the CSV lines, so that only the format shown is built.  Text shows a number
-to 6 significant digits and a subset as "{0,2}".  JSON and CSV show every
-number as a decimal string with 15 significant digits, and JSON adds an exact
-"p/q" string under the exact arithmetic policy.  A CSV field that holds a
-comma, a quote, CR or LF is quoted, its quotes doubled (RFC 4180).
+Each ``*_report`` function of ``run``, ``fuzz`` and ``compare`` returns
+``(summary, text, document, csv)``: the summary lines, and callables that build
+the text lines, the JSON document and the CSV lines, so that only the format
+shown is built.  :func:`validate_report` returns ``validate-schedule``'s
+zero-share note and its text lines, and :func:`class_note` the note that
+``run`` writes when a buyer lies outside the schedule's report class.  Text
+shows a number to 6 significant digits and a subset as "{0,2}".  JSON and CSV
+show every number as a decimal string with 15 significant digits, and JSON
+adds an exact "p/q" string under the exact arithmetic policy.  A CSV field
+that holds a comma, a quote, CR or LF is quoted, its quotes doubled (RFC 4180).
 """
 
 from __future__ import annotations
 
 from .numeric import Num, NumericPolicy, decimal_str, exact_str
-from .schedule import members, subset_key
+from .schedule import ORACLE_MAX_BUYERS, full_mask, members, nonempty_subsets, subset_key
 
 
 def fmt(v) -> str:
@@ -210,3 +213,51 @@ def compare_report(comparison, schedules, price, policy: NumericPolicy):
         return "\n".join(lines)
 
     return summary, text, document, csv
+
+
+def class_note(reports, report_class):
+    """``run``'s note when a report lies outside ``report_class``, else None."""
+    outside = [i for i, report in enumerate(reports) if not report_class.contains(report)]
+    if not outside:
+        return None
+    return (f"note: buyer {outside[0]} lies outside the {class_label(report_class)} "
+            f"({len(outside)} such buyers); the incentive guarantees do not cover this run")
+
+
+def _witness(w) -> str:
+    return f"Witness buyer {w.buyer} on {braces(w.subset_a)} within {braces(w.subset_b)}"
+
+
+def validate_report(schedule, report_class, crossing, cross, mono, spot, samples):
+    """``validate-schedule``'s zero-share note (None if there is none) and text.
+
+    ``report_class`` and ``crossing`` are :func:`report_class_for`'s pair, and
+    ``cross``, ``mono`` and ``spot`` the witnesses of the three checks, each
+    None on a pass; the spot check ran on ``samples`` samples unless skipped.
+    """
+    zero = [(mask, i) for mask in nonempty_subsets(full_mask(schedule.n)) for i in members(mask)
+            if not schedule.shares_for(mask).resource[i] > 0]
+    note = None if not zero else (
+        f"note: buyer {zero[0][1]} holds a zero resource share in {braces(zero[0][0])} "
+        f"({len(zero)} such pairs); legal, but such a buyer can win nothing")
+    label = class_label(report_class)
+    lines = [] if crossing is None else [
+        f"class: {label}, since the weight x^{fmt(schedule.weight.k)} "
+        f"times {fmt(crossing.constant)} lies above x^{fmt(crossing.utility.k)} "
+        f"at x = {fmt(crossing.x_above)} and not above it at x = {fmt(crossing.x_not_above)}"
+    ]
+    lines.append("cross-monotonicity: " + ("Pass" if cross is None else (
+        f"Witness buyer {cross.buyer}: x{braces(cross.subset_a)} < x{braces(cross.subset_b)}")))
+    lines.append(f"monotonicity ({label}): " + ("Pass" if mono is None else (
+        f"{_witness(mono)}; utility knots "
+        f"{[(str(x), fmt(u)) for x, u in mono.utility.knots]} with C={fmt(mono.constant)}")))
+    if schedule.n > ORACLE_MAX_BUYERS:
+        lines.append(f"brute-force spot check skipped (more than {ORACLE_MAX_BUYERS} buyers)")
+    elif samples == 0:
+        lines.append("brute-force spot check skipped (budget 0)")
+    elif spot is None:
+        lines.append(f"brute-force spot check ({samples} samples): Pass")
+    else:
+        lines.append(f"brute-force spot check: {_witness(spot)} with C={fmt(spot.constant)}")
+    lines.append("Pass" if cross is None and mono is None and spot is None else "FAIL")
+    return note, "\n".join(lines)

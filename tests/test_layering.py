@@ -1,6 +1,7 @@
 """The package's own imports keep its layers apart: the loader knows neither the
 mechanism nor the reports, the reports know neither the loader nor the command
-line, and only the command line renders a report."""
+line, and only the command line renders a report, through the report builders
+alone."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,42 @@ def test_report_imports_neither_cli_nor_scenario():
 
 def test_only_cli_imports_report():
     assert [name for name, imports in IMPORTS.items() if "report" in imports] == ["cli"]
+
+
+def names_imported_from(path: Path, module: str) -> set:
+    """The names that the source file at ``path`` imports from the groupbuy module
+    ``module``, with the module's own name if it imports the whole module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(module for a in node.names if a.name == f"groupbuy.{module}")
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if source in (module, f"groupbuy.{module}"):
+                found.update(a.name for a in node.names)
+            elif source in ("", "groupbuy"):
+                found.update(a.name for a in node.names if a.name == module)
+    return found
+
+
+def test_cli_imports_only_the_report_builders():
+    # every line cli prints comes from a builder; no number, subset or class helper
+    names = names_imported_from(PACKAGE / "cli.py", "report")
+    assert names and not names & {"fmt", "braces", "vec", "class_label", "report"}
+    assert all(name.endswith(("_report", "_note")) for name in names), names
+
+
+def test_imported_names_are_seen_in_each_import_form(tmp_path):
+    source = tmp_path / "example.py"
+    source.write_text(
+        "from .report import fmt, run_report\nfrom groupbuy.report import braces\n"
+        "from .schedule import vec\n"
+    )
+    assert names_imported_from(source, "report") == {"fmt", "run_report", "braces"}
+    source.write_text("import groupbuy.report\n")
+    assert names_imported_from(source, "report") == {"report"}
+    source.write_text("from . import report, cli\n")
+    assert names_imported_from(source, "report") == {"report"}
 
 
 def test_absolute_and_relative_imports_are_both_seen(tmp_path):

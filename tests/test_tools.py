@@ -98,6 +98,14 @@ def test_bounds_come_from_benchmark_json():
     assert set(bench_pairs.read_bounds()) == set(bench_pairs.BETTER)
 
 
+def test_directions_come_from_benchmark_json():
+    declared = {m["name"]: m["better"]
+                for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert bench_pairs.BETTER == declared
+    rows = bench_pairs.summarize(runs(PARENT, [3.3] * 10), BOUNDS)["coalition-fuzz"]["metrics"]
+    assert {name: row["better"] for name, row in rows.items()} == declared
+
+
 cli_parity = load_tool("cli_parity")
 
 

@@ -20,8 +20,10 @@ quartiles, the number of pairs the change won, and two verdicts:
   of them, and its median beats the parent's by more than the parent's
   interquartile range;
 * ``within_bound``: the change's median is worse than the parent's by no more
-  than the metric's bound in ``BENCHMARK.json`` (read, never written), as a
-  share of the parent's median.
+  than the metric's bound, as a share of the parent's median.
+
+Each metric's direction (``better``) and bound come from ``BENCHMARK.json``,
+which the tool reads and never writes.
 """
 
 from __future__ import annotations
@@ -33,20 +35,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-BETTER = {  # end-to-end metrics of bench/run.py and their direction
-    "setup_s": "lower",
-    "throughput_per_s": "higher",
-    "op_p50_ms": "lower",
-    "op_p90_ms": "lower",
-    "peak_rss_mb": "lower",
-}
 MIN_CLAIM_PAIRS = 10  # fewer pairs cannot show a gain, however many the change won
 BENCHMARK_JSON = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
+def declared(field, path=BENCHMARK_JSON):
+    """End-to-end metric name -> its ``field`` in ``path``."""
+    return {m["name"]: m[field] for m in json.loads(Path(path).read_text())["end_to_end"]}
+
+
 def read_bounds(path=BENCHMARK_JSON):
     """End-to-end metric name -> the share by which it may worsen, from ``path``."""
-    return {m["name"]: m["bound"] for m in json.loads(Path(path).read_text())["end_to_end"]}
+    return declared("bound", path)
+
+
+BETTER = declared("better")  # each end-to-end metric of bench/run.py: "lower" or "higher"
 
 
 def parse_seeds(text):

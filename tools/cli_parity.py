@@ -15,6 +15,12 @@ own ``src/``:
 * ``validate-schedule`` and ``fuzz``, the latter in each format, on the
   ranked scenarios with power:1/3 and identity weights (``RANKED_SCENARIOS``
   of ``tests/helpers.py``), written into a temporary directory;
+* ``validate-schedule`` on the files of ``VALIDATE_SCENARIOS`` of
+  ``tests/helpers.py``, written into the same directory: the failing tables
+  (a cross-monotonicity witness, a two-buyer table with monotonicity and
+  spot-check witnesses, a planted table under two seeds), the zero-share
+  file (its stderr note), nine buyers (spot check skipped) and thirteen
+  (exit 2);
 * ``run``, ``fuzz`` and ``compare`` in each format on the one-buyer file
   whose bid falls short of its reserve by just over epsilon
   (``EPSILON_EDGE_SCENARIO`` of ``tests/helpers.py``), written into the
@@ -95,6 +101,7 @@ from helpers import (  # noqa: E402
     EXPLOIT_LEVELS,
     EXPLOIT_POWER_MENU,
     RANKED_SCENARIOS,
+    VALIDATE_SCENARIOS,
     exploit_table,
     exploit_truth,
     random_concave_utility,
@@ -224,6 +231,10 @@ def main(argv=None) -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(document), encoding="utf-8")
             report_calls(path, ("validate-schedule", "fuzz"), placeholders)
+        for name, document in VALIDATE_SCENARIOS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            report_calls(path, ("validate-schedule",), placeholders)
         path = Path(tmp) / "epsilon-edge.json"
         path.write_text(json.dumps(EPSILON_EDGE_SCENARIO), encoding="utf-8")
         report_calls(path, REPORTS, placeholders)

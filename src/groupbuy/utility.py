@@ -11,7 +11,7 @@ with c = 1), and the power-family fuzz menus hold its members as they are.
 points, for the oracles and records that need knots (a coalition-scan
 violation records a closed-form deviant so); at those points both give the
 same value.  A knot list answers a query at one of its knots with the stored
-value, found by bisection, and interpolates between knots.
+value, looked up, and interpolates between knots.
 """
 
 from __future__ import annotations
@@ -92,9 +92,12 @@ class UtilityReport:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_xs", tuple(x for x, _ in knots))
         object.__setattr__(self, "_us", tuple(u for _, u in knots))
+        object.__setattr__(self, "_at", dict(knots))
 
     def value_at(self, x: Num) -> Num:
-        return piecewise_value(self._xs, self._us, x)
+        # a knot's own value, as piecewise_value returns it at a knot
+        u = self._at.get(x)
+        return piecewise_value(self._xs, self._us, x) if u is None else u
 
 
 @dataclass(frozen=True)

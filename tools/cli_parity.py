@@ -227,14 +227,12 @@ def main(argv=None) -> int:
                                if report.exists() else "none")
                     print(f"{path.stem} {command} {fmt} --out "
                           f"exit={code} stdout={out} stderr={err} file={written}")
-        for name, document in RANKED_SCENARIOS.items():
-            path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(document), encoding="utf-8")
-            report_calls(path, ("validate-schedule", "fuzz"), placeholders)
-        for name, document in VALIDATE_SCENARIOS.items():
-            path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(document), encoding="utf-8")
-            report_calls(path, ("validate-schedule",), placeholders)
+        for documents, commands in ((RANKED_SCENARIOS, ("validate-schedule", "fuzz")),
+                                    (VALIDATE_SCENARIOS, ("validate-schedule",))):
+            for name, document in documents.items():
+                path = Path(tmp) / f"{name}.json"
+                path.write_text(json.dumps(document), encoding="utf-8")
+                report_calls(path, commands, placeholders)
         path = Path(tmp) / "epsilon-edge.json"
         path.write_text(json.dumps(EPSILON_EDGE_SCENARIO), encoding="utf-8")
         report_calls(path, REPORTS, placeholders)

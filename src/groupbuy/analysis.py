@@ -48,6 +48,7 @@ from .utility import ClosedFormUtility, UtilityReport, sample_points, sample_rep
 
 
 FUZZ_MAX_BUYERS = 3  # buyer-count limit of the deviation scans
+DEFAULT_BUDGET = 200_000  # profiles a scan may cover, unless told otherwise; also --budget's default
 
 
 def _check_fuzz_cap(n: int) -> None:
@@ -369,7 +370,7 @@ def enumerate_coalition_deviations(
     schedule: ShareSchedule,
     cfg: AuctionConfig,
     report_grid: Sequence[Sequence[UtilityReport]],
-    budget: int = 250_000,
+    budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     policy: NumericPolicy = EXACT,
 ) -> FuzzResult:
@@ -494,6 +495,7 @@ def enumerate_coalition_deviations(
 @dataclass(frozen=True)
 class ScheduleRun:
     name: str
+    schedule: ShareSchedule
     trace: BidTrace
     outcome: AllocationOutcome
 
@@ -533,7 +535,7 @@ def compare_schedules(
     runs = []
     for name, schedule in schedules.items():
         trace, outcome = run_group_participation(reports, schedule, cfg, policy)
-        runs.append(ScheduleRun(name, trace, outcome))
+        runs.append(ScheduleRun(name, schedule, trace, outcome))
     dominance = {}
     for ra, rb in itertools.combinations(runs, 2):
         u = [s.max_payment for s in ra.trace.steps]

@@ -31,6 +31,7 @@ import json
 import sys
 
 from .analysis import (
+    DEFAULT_BUDGET,
     BudgetError,
     FuzzResult,
     compare_schedules,
@@ -111,14 +112,11 @@ def cmd_validate_schedule(args) -> int:
     cross = validate_cross_monotonic(schedule, policy=policy)
     report_class, crossing = report_class_for(schedule)
     mono = validate_monotonicity(schedule, policy=policy, report_class=report_class)
-    samples = min(args.budget, 5000)
-    spot = None
-    if samples and schedule.n <= ORACLE_MAX_BUYERS:
-        spot = brute_force_monotonicity_check(
-            schedule, samples=samples, seed=scenario.seed, policy=policy,
-            report_class=report_class,
-        )
-    note, text = validate_report(schedule, report_class, crossing, cross, mono, spot, samples)
+    samples = min(args.budget, 5000) if schedule.n <= ORACLE_MAX_BUYERS else None
+    spot = brute_force_monotonicity_check(
+        schedule, samples=samples, seed=scenario.seed, policy=policy, report_class=report_class
+    ) if samples else None
+    note, text = validate_report(schedule, report_class, crossing, cross, mono, spot, samples, policy)
     if note is not None:
         print(note, file=sys.stderr)
     print(text)
@@ -159,7 +157,7 @@ def cmd_compare(args) -> int:
         names = [n for n in scenario.named_schedules if n != "primary"] or ["primary"]
     schedules = {name: scenario.named_schedules[name] for name in names}
     comparison = compare_schedules(scenario.reports, schedules, scenario.auction, policy)
-    _emit(args, *compare_report(comparison, schedules, scenario.auction.threshold, policy))
+    _emit(args, *compare_report(comparison, scenario.auction.threshold, policy))
     return 0
 
 
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         if sampling:
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--budget", type=non_negative_int, default=200_000)
+            p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
         p.add_argument("--epsilon", type=float, default=None,
                        help="force tolerance-based comparisons with this epsilon")
         p.add_argument("--exact", action="store_true",

@@ -108,9 +108,9 @@ def bid_steps(
     column per buyer, compiled for one schedule and ``policy``, and a
     non-empty ``subset`` of the buyers).  Terminates in at most n steps:
     every schedule is built so that each subset S has a member paying at least
-    1/|S| >= 1/32, which ``policy.is_positive`` passes (an epsilon stays below
-    1/64), so some member has a ratio, and the one at the minimum passes
-    ``policy.eq(ratio, bound)``.
+    1/|S| >= 1/``MAX_BUYERS``, which ``policy.is_positive`` passes (an epsilon
+    stays below half of it), so some member has a ratio, and the one at the
+    minimum passes ``policy.eq(ratio, bound)``.
     """
     while subset:
         pairs = []

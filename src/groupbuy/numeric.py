@@ -17,7 +17,10 @@ d - epsilon.  So ``lt``, ``eq`` and ``gt`` split every pair of floats,
 ``Fraction``s or one of each three ways, and ``le``/``ge`` are exactly
 ``lt or eq``/``gt or eq``.  The auction's ``ge``, the scan's comparisons
 of nets (value less payment) and the bottleneck's ``eq`` therefore decide
-an edge alike.
+an edge alike.  ``not is_positive`` is the one test of a zero share, in the
+checks, the engine and ``validate-schedule``'s note alike; ``epsilon`` stays
+below ``MAX_EPSILON``, half of 1/``MAX_BUYERS``, the least share of a
+subset's largest payer, where a ranked weight must be positive too.
 
 Report validation and the concave menus compare chord slopes du/dx by one
 rule beside it, :meth:`NumericPolicy.slope_le`: cross-multiplied when exact
@@ -42,7 +45,8 @@ from typing import Union
 Num = Union[int, float, Fraction]
 
 DEFAULT_EPSILON = 1e-9
-MAX_EPSILON = 2.0 ** -6  # half of 1/32, the least share a subset's largest payer holds
+MAX_BUYERS = 32  # of every schedule, so a subset's largest payer holds at least 1/MAX_BUYERS
+MAX_EPSILON = 0.5 / MAX_BUYERS  # half that least share, so is_positive passes it
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,8 @@ class NumericPolicy:
 
     def __post_init__(self):
         if self.epsilon is not None and not 0 < self.epsilon < MAX_EPSILON:
-            raise ValueError(f"epsilon must be positive and finite and below 1/64, not {self.epsilon!r}")
+            raise ValueError(f"epsilon must be positive and finite and below 1/{2 * MAX_BUYERS}, "
+                             f"not {self.epsilon!r}")
 
     @property
     def exact(self) -> bool:

@@ -167,9 +167,9 @@ def fuzz_report(result, policy: NumericPolicy):
     )
 
 
-def compare_report(comparison, schedules, price, policy: NumericPolicy):
+def compare_report(comparison, price, policy: NumericPolicy):
     """Each schedule's steps with its shares there, its outcome at ``price``, and
-    how the bid vectors compare; ``schedules`` maps each run's name to its schedule."""
+    how the bid vectors compare."""
     outcomes = [
         f"price {fmt(price)}: {run.name} -> winners {braces(run.outcome.winning_set)}, "
         f"payments {vec(run.outcome.payments)}"
@@ -186,7 +186,7 @@ def compare_report(comparison, schedules, price, policy: NumericPolicy):
     def rows():
         for run in comparison.runs:
             for j, step, subset, removed in _steps(run.trace):
-                pair = schedules[run.name].shares_for(step.subset)
+                pair = run.schedule.shares_for(step.subset)
                 yield (run.name, str(j), subset, vec(pair.resource), vec(pair.payment),
                        decimal_str(step.max_payment), removed)
 
@@ -228,15 +228,15 @@ def _witness(w) -> str:
     return f"Witness buyer {w.buyer} on {braces(w.subset_a)} within {braces(w.subset_b)}"
 
 
-def validate_report(schedule, report_class, crossing, cross, mono, spot, samples):
+def validate_report(schedule, report_class, crossing, cross, mono, spot, samples, policy: NumericPolicy):
     """``validate-schedule``'s zero-share note (None if there is none) and text.
 
     ``report_class`` and ``crossing`` are :func:`report_class_for`'s pair, and
     ``cross``, ``mono`` and ``spot`` the witnesses of the three checks, each
-    None on a pass; the spot check ran on ``samples`` samples unless skipped.
+    None on a pass; ``samples`` is the spot check's, or None above its cap.
     """
     zero = [(mask, i) for mask in nonempty_subsets(full_mask(schedule.n)) for i in members(mask)
-            if not schedule.shares_for(mask).resource[i] > 0]
+            if not policy.is_positive(schedule.shares_for(mask).resource[i])]
     note = None if not zero else (
         f"note: buyer {zero[0][1]} holds a zero resource share in {braces(zero[0][0])} "
         f"({len(zero)} such pairs); legal, but such a buyer can win nothing")
@@ -251,7 +251,7 @@ def validate_report(schedule, report_class, crossing, cross, mono, spot, samples
     lines.append(f"monotonicity ({label}): " + ("Pass" if mono is None else (
         f"{_witness(mono)}; utility knots "
         f"{[(str(x), fmt(u)) for x, u in mono.utility.knots]} with C={fmt(mono.constant)}")))
-    if schedule.n > ORACLE_MAX_BUYERS:
+    if samples is None:
         lines.append(f"brute-force spot check skipped (more than {ORACLE_MAX_BUYERS} buyers)")
     elif samples == 0:
         lines.append("brute-force spot check skipped (budget 0)")

@@ -215,11 +215,10 @@ def _parse_auction(stanza) -> AuctionConfig:
 
 def _irrational_input(reports, named_schedules) -> Optional[str]:
     """Why the scenario's numbers cannot all stay rational, or None if they can."""
-    for report in reports:
-        if isinstance(report, ClosedFormUtility) and (report.kind == "log" or report.k != 1):
-            return "a buyer has irrational values (power k<1 or log)"
+    if any(isinstance(report, ClosedFormUtility) and not report.rational for report in reports):
+        return "a buyer has irrational values (power k<1 or log)"
     for name, sched in named_schedules.items():
-        if isinstance(sched, RankedSchedule) and sched.weight.k != 1:
+        if isinstance(sched, RankedSchedule) and not sched.weight.rational:
             return f"schedule {name!r} has irrational payment shares (weight exponent not 1)"
     return None
 

@@ -25,7 +25,8 @@ the concave class whose shares are all rational with one integer
 cross-multiplication, and builds the sample's knot list and ``Fraction``
 values only when that test finds a break; float shares, the power class and
 the tolerance lane value every sample in full.  Both ways draw the same random
-numbers and return the same witness.
+numbers, each sample's own and then its uniform candidate constant, and
+return the same witness.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .numeric import EXACT, Num, NumericPolicy, integers_over_common_denominator, piecewise_value
+from .numeric import EXACT, MAX_BUYERS, Num, NumericPolicy, integers_over_common_denominator, piecewise_value
 from .utility import (
     CONCAVE,
     GRAIN,
@@ -141,8 +142,8 @@ class ShareSchedule:
     """Base class: deterministic map from non-empty subsets to share pairs."""
 
     def __init__(self, n: int):
-        if not 1 <= n <= 32:
-            raise ScheduleError("buyer count must lie in 1..32")
+        if not 1 <= n <= MAX_BUYERS:
+            raise ScheduleError(f"buyer count must lie in 1..{MAX_BUYERS}")
         self.n = n
         self._cache: dict = {}
 
@@ -232,12 +233,11 @@ def sqrt_weight() -> ClosedFormUtility:
 
 
 def _check_weight(weight) -> None:
-    # 1/32 is the least share of a subset's largest member; floats can round a tiny c to 0
+    # 1/MAX_BUYERS is the least share of a subset's largest member; floats can round a tiny c to 0
     ok = isinstance(weight, ClosedFormUtility) and weight.kind == "power"
-    if not (ok and weight.value_at(Fraction(1, 32)) > 0):
-        raise ScheduleError(
-            f"a weight must be a power ClosedFormUtility with c > 0, positive at 1/32, not {weight!r}"
-        )
+    if not (ok and weight.value_at(Fraction(1, MAX_BUYERS)) > 0):
+        raise ScheduleError(f"a weight must be a power ClosedFormUtility with c > 0, "
+                            f"positive at 1/{MAX_BUYERS}, not {weight!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +450,12 @@ U_MAX = 2  # a sampled utility is worth at most this at x = 1
 _RATIONAL = (int, Fraction)
 
 
-def _draw_concave_sample(rng: random.Random, shape: int) -> Optional[int]:
+def _draw_concave_sample(getrandbits, shape: int) -> Optional[int]:
     """The seed of a random concave utility, the scale of a linear or ramp one, or None."""
     if shape == 0:
-        return _below(rng.getrandbits, 2 ** 32)
+        return _below(getrandbits, 2 ** 32)
     if shape in (1, 2):
-        return _below(rng.getrandbits, GRAIN + 1)
+        return _below(getrandbits, GRAIN + 1)
     return None
 
 
@@ -532,22 +532,13 @@ def _concave_sample_breaks(shape: int, draw: Optional[int], xa, xb, d, ya, yb) -
     return ua * yb > ub * ya
 
 
-def _draw_uniform_constant(rng: random.Random) -> int:
-    """The uniform candidate constant's numerator, in 1..GRAIN-1.
-
-    :func:`_breaking_constant` draws it first, and a sample the exact lane
-    rejects in integers draws it in its place, so both keep one stream.
-    """
-    return 1 + _below(rng.getrandbits, GRAIN - 1)
-
-
 def _breaking_constant(
-    rng: random.Random, knots: tuple, x_a: Num, x_b: Num, y_a: Num, y_b: Num, policy: NumericPolicy
+    uniform: int, knots: tuple, x_a: Num, x_b: Num, y_a: Num, y_b: Num, policy: NumericPolicy
 ) -> Optional[Num]:
     """The first candidate C with u(x_b) < C*y_b but not u(x_a) < C*y_a, or None.
 
-    Draws one uniform candidate, then tries the midpoint of the violation
-    window too when the window is open.
+    Tries ``uniform``/GRAIN (a draw in 1..GRAIN-1) of 2*u(x_b)/y_b + 1, then
+    the midpoint of the violation window too when the window is open.
     """
     # the sampled utility at the pair's two shares, as its report would value them
     xs = tuple(x for x, _ in knots)
@@ -559,7 +550,7 @@ def _breaking_constant(
         window_hi = u_a / y_a
     else:
         window_hi = ratio_b + U_MAX
-    candidates = [Fraction(_draw_uniform_constant(rng), GRAIN) * (2 * ratio_b + 1)]
+    candidates = [Fraction(uniform, GRAIN) * (2 * ratio_b + 1)]
     if window_hi > ratio_b:
         candidates.append((ratio_b + window_hi) / 2)
     for c in candidates:
@@ -591,9 +582,9 @@ def brute_force_monotonicity_check(
 
     In the exact lane, a concave-class sample whose four shares are all
     rational is first decided in integers (:func:`_concave_sample_breaks`),
-    from the drawn utility alone; a rejected sample still draws its uniform
-    constant, so the random stream, and every witness, is the same as when
-    each sample is valued in ``Fraction`` arithmetic.  Float shares (ranked
+    from the drawn utility alone; the loop has drawn its uniform constant
+    too, so the random stream, and every witness, is the same as when each
+    sample is valued in ``Fraction`` arithmetic.  Float shares (ranked
     sqrt or power weights), the power class and the tolerance lane value every
     sample that way.
 
@@ -634,12 +625,13 @@ def brute_force_monotonicity_check(
                 scale = U_MAX * Fraction(1 + _below(getrandbits, GRAIN - 1), GRAIN)
                 knots = _power_knots(k, x_a, x_b, scale)
         else:
-            draw = _draw_concave_sample(rng, shape)
-            if shares is not None and not _concave_sample_breaks(shape, draw, *shares):
-                _draw_uniform_constant(rng)  # keep the stream: _breaking_constant draws it first
-                continue
-            knots = _concave_sample_knots(shape, draw, x_a, x_b)
-        c = _breaking_constant(rng, knots, x_a, x_b, y_a, y_b, policy)
+            draw = _draw_concave_sample(getrandbits, shape)
+            rejected = shares is not None and not _concave_sample_breaks(shape, draw, *shares)
+            knots = None if rejected else _concave_sample_knots(shape, draw, x_a, x_b)
+        uniform = 1 + _below(getrandbits, GRAIN - 1)  # after the sample's own draws, rejected or not
+        if knots is None:
+            continue
+        c = _breaking_constant(uniform, knots, x_a, x_b, y_a, y_b, policy)
         if c is not None:
             return MonotonicityWitness(i, a_mask, b_mask, UtilityReport(knots), c)
     return None

@@ -7,6 +7,8 @@ k = 1) and c*ln(1+x) are admissible by construction, so the engine also takes
 a :class:`ClosedFormUtility` as a report and evaluates it at the share it
 queries.  The same family supplies the weights of ranked schedules (powers
 with c = 1), and the power-family fuzz menus hold its members as they are.
+A closed form gives rational values exactly when it is a power with k = 1:
+:attr:`ClosedFormUtility.rational`, which evaluation and the loader read.
 :func:`sample_report` turns a closed form into a knot list at given share
 points, for the oracles and records that need knots (a coalition-scan
 violation records a closed-form deviant so); at those points both give the
@@ -106,7 +108,7 @@ class ClosedFormUtility:
 
     ``linear(c)`` is the power k = 1.  The power exponent must lie in (0, 1]:
     a zero exponent with c > 0 would be worth c at x=0, which no admissible
-    report can be.
+    report can be.  ``rational``: whether rational shares get rational values.
     """
 
     kind: str  # power | log
@@ -123,6 +125,7 @@ class ClosedFormUtility:
                 raise ValueError("power exponent must lie in (0, 1]")
         elif self.k is not None:
             raise ValueError(f"{self.kind} utility takes no exponent")
+        object.__setattr__(self, "rational", self.kind == "power" and self.k == 1)  # no field: not in ==, repr
 
     @classmethod
     def linear(cls, c: Num) -> "ClosedFormUtility":
@@ -141,7 +144,7 @@ class ClosedFormUtility:
             raise ValueError(f"utility argument {x} outside [0, 1]")
         if self.kind == "log":
             return self.c * math.log1p(x) if x != 0 else self.c * 0
-        if x == 0 or x == 1 or self.k == 1:
+        if x == 0 or x == 1 or self.rational:
             # c * x, not a bare c: rational x keeps the value rational
             return self.c * x
         # the float that c * x ** k computes through Fraction's mixed arithmetic

@@ -505,8 +505,9 @@ _PLANTED_ENTRIES = {
 # witness (buyer 0 holds 1/3 in {0,1} and 1/2 in {0,1,2}); a two-buyer table
 # with monotonicity and spot-check witnesses; the planted table under two
 # seeds; a cmss schedule that gives buyer 1 nothing in {0,1} (the stderr
-# note); nine buyers (spot check skipped); thirteen buyers (exit 2 before any
-# output).
+# note); one that gives buyer 1 1e-12 of {0,1} under epsilon 1e-9, a share
+# the tolerance lane counts as zero (the note again); nine buyers (spot check
+# skipped); thirteen buyers (exit 2 before any output).
 VALIDATE_SCENARIOS = {
     "cross-witness": _linear_table_scenario(3, {
         "0,1,2": {"x": ["1/2", "1/4", "1/4"], "y": ["1/2", "1/4", "1/4"]},
@@ -527,6 +528,14 @@ VALIDATE_SCENARIOS = {
         "schedule": {"kind": "cmss",
                      "shares": {"0,1": ["1", "0"], "0": ["1", "0"], "1": ["0", "1"]}},
         "fixed_price": "1/2",
+    },
+    "tiny-share": {
+        "buyers": [{"kind": "linear", "c": "1"}] * 2,
+        "schedule": {"kind": "cmss",
+                     "shares": {"0,1": ["0.999999999999", "0.000000000001"],
+                                "0": ["1", "0"], "1": ["0", "1"]}},
+        "fixed_price": "1/2",
+        "policy": {"epsilon": "1e-9"},
     },
     "nine-buyers": {
         "buyers": [{"kind": "linear", "c": "1"}] * 9,

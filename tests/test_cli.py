@@ -600,6 +600,23 @@ class TestValidateSchedule:
         )
         assert "note" not in captured.out
 
+    def test_zero_share_note_follows_the_tolerance_rule(self, tmp_path, capsys):
+        # buyer 1 holds 1e-12 of {0,1} under epsilon 1e-9: the tolerance lane
+        # counts that share as zero, in the note as in run's trace, whose first
+        # step removes buyer 0 alone; the exact lane counts it as positive
+        path = tmp_path / "tiny_share.json"
+        path.write_text(json.dumps(VALIDATE_SCENARIOS["tiny-share"]))
+        assert run_cli("validate-schedule", str(path)) == 0
+        assert capsys.readouterr().err == (
+            "note: buyer 1 holds a zero resource share in {0,1} (1 such pairs); "
+            "legal, but such a buyer can win nothing\n"
+        )
+        assert run_cli("run", str(path), "--format", "json") == 0
+        steps = json.loads(capsys.readouterr().out)["trace"]["steps"]
+        assert (steps[0]["subset"], steps[0]["removed"]) == ("0,1", "0")
+        assert run_cli("validate-schedule", str(path), "--exact") == 0
+        assert capsys.readouterr().err == ""
+
     def test_13_buyers_exit_2_before_any_output(self, tmp_path, capsys):
         path = tmp_path / "thirteen.json"
         path.write_text(json.dumps({
@@ -929,7 +946,8 @@ def test_report_bytes_are_pinned(tmp_path, capsys, name, command, fmt):
 EMPTY = hashlib.sha256(b"").hexdigest()
 # (exit code, sha256 of stdout, sha256 of stderr) of validate-schedule on each
 # file and flags that take one of its paths, recorded before its lines moved
-# into the report module
+# into the report module; "tiny-share" was recorded when the zero-share note
+# took the tolerance rule, and its note is the zero-share file's
 VALIDATE_DIGESTS = {
     ("example1", ""): (0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
     ("example2", ""): (0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
@@ -947,6 +965,9 @@ VALIDATE_DIGESTS = {
     ("planted-77", ""): (
         1, "53d6bc677760783f9e9a14d82f95726eb235d35111824a6f943b9eeb64c0202d", EMPTY),
     ("zero-share", ""): (
+        0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27",
+        "59d056004d2b5efa817a1b01d4640c46d8ea3cdc1d8637f731028da4646420af"),
+    ("tiny-share", ""): (
         0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27",
         "59d056004d2b5efa817a1b01d4640c46d8ea3cdc1d8637f731028da4646420af"),
     ("nine-buyers", ""): (

@@ -27,20 +27,22 @@ Coalition scans, in both lanes: relabelling the buyers of a three-buyer table
 every violation and keeps each status, on random tables and on the
 non-monotone ``exploit_table``.  On the random tables the scan also matches
 ``reference_coalition_scan``, which runs every profile and keeps no flags.
-In the exact lane on the random tables, a certified coalition has no
-violation on a grid the scan never saw, and scaling every report, the reserve
-and the rival bids by one c > 0 keeps every status and violating profile.
+In the exact lane, on the random tables and on equal-split, cmss and
+ranked-identity tables, a certified coalition has no violation on a grid the
+scan never saw, and scaling every report, the reserve and the rival bids by
+one c > 0 keeps every status and violating profile.
 
 Validators, in both lanes: relabelling the buyers of a three-buyer table keeps
 the pass or fail verdict of ``validate_monotonicity`` and of
 ``validate_cross_monotonic``, and the sampling oracle finds no witness on a
 relabelled table that the validator passes.
 
-The tolerance rule at its edge, with the rival a few epsilon and a few ulps
-off a traced bound: no member of a truthful winning set nets below -epsilon
-on random 1- to 3-buyer tables, and a one-buyer scan finds no violation under
-``group_wins`` and under ``group_loses`` only violations that lean on the tie
-rule.  On rational three-buyer instances with small denominators, where no
+The tolerance rule at its edge, with a threshold a few epsilon and a few ulps
+off a bound: on a one-step trace the two tie policies decide apart exactly
+where the bound equals the threshold; no member of a truthful winning set
+nets below -epsilon on random 1- to 3-buyer tables, and a one-buyer scan
+finds no violation under ``group_wins`` and under ``group_loses`` only
+violations that lean on the tie rule.  On rational three-buyer instances with small denominators, where no
 near-tie can occur, the exact and tolerance lanes scan alike.
 """
 
@@ -56,8 +58,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupbuy.analysis import concave_report_grid, enumerate_coalition_deviations, report_menus
-from groupbuy.auction import GROUP_LOSES, GROUP_WINS, AuctionConfig, run_group_participation
-from groupbuy.mechanism import compute_bid_trace
+from groupbuy.auction import (
+    GROUP_LOSES,
+    GROUP_WINS,
+    AuctionConfig,
+    decide_winning_set,
+    run_group_participation,
+)
+from groupbuy.mechanism import BidStep, compute_bid_trace
 from groupbuy.numeric import DEFAULT_EPSILON, EXACT, MAX_EPSILON, approx
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
@@ -372,12 +380,17 @@ def assert_the_scan_permutes(truth, schedule, cfg, menus, perm, policy, moved=No
     return result
 
 
-def random_scan(seed, step, fraction, tie):
-    """(truth, schedule, cfg, menus): a random 3-buyer table, random concave
-    buyers, menus on the levels 0, 1/2 and 1, and one rival bidding
-    ``fraction`` of the truthful trace's bound at ``step`` (the last if fewer)."""
+def random_scan(seed, step, fraction, tie, kind="random"):
+    """(truth, schedule, cfg, menus): a random 3-buyer table, or a
+    :func:`build_schedule` table of ``kind`` with random weights and rank
+    order, random concave buyers, menus on the levels 0, 1/2 and 1, and one
+    rival bidding ``fraction`` of the truthful trace's bound at ``step`` (the
+    last if fewer)."""
     rng = random.Random(seed)
-    schedule = random_table(rng, 3)
+    if kind == "random":
+        schedule = random_table(rng, 3)
+    else:
+        schedule = build_schedule(kind, [rng.randint(1, 9) for _ in range(3)], rng.sample(range(3), 3))
     truth = [
         random_concave_utility(rng.randrange(2**31), [p for p in schedule.share_points(i) if p > 0], 1)
         for i in range(3)
@@ -392,6 +405,8 @@ TIES = st.sampled_from((GROUP_WINS, GROUP_LOSES))
 # Random tables are mostly non-monotone; the rival bids at or just below a
 # bound of the truthful trace, where ties and violations occur.
 RIVALS = (st.integers(0, 2), st.sampled_from((F(1, 2), F(99, 100), F(1))), TIES)
+# The monotone kinds; a rival tying a bound under group_loses gives their violations.
+MONOTONE = st.sampled_from(("equal-split", "cmss", "ranked"))
 
 
 @given(st.integers(0, 2**32 - 1), st.permutations(range(3)), *RIVALS)
@@ -413,11 +428,21 @@ def test_relabelling_buyers_permutes_the_coalition_scan(seed, perm, step, fracti
 @example(4114760733, 2, F(1, 2), GROUP_WINS)  # {2} certified, the five others violated
 @settings(max_examples=20, deadline=None)
 def test_certified_coalitions_have_no_violation_off_the_grid(seed, step, fraction, tie):
-    # A certificate holds for every misreport, so the reference runs every
-    # profile of a grid the scan never saw (levels 0, 1/3, 2/3, 1) and
-    # finds no violation for a certified coalition.  Most random draws find
-    # none at all; the examples pin draws that do.
-    truth, schedule, cfg, menus = random_scan(seed, step, fraction, tie)
+    # Most random draws find no violation at all; the examples pin draws that do.
+    assert_certificates_hold(*random_scan(seed, step, fraction, tie))
+
+
+@given(MONOTONE, st.integers(0, 2**32 - 1), *RIVALS)
+@example("cmss", 0, 2, F(1), GROUP_LOSES)  # {1}, {2} and {1, 2} certified; tie-rule violations in the rest
+@settings(max_examples=30, deadline=None)
+def test_certified_coalitions_have_no_violation_off_the_grid_on_monotone_tables(kind, seed, step, fraction, tie):
+    assert_certificates_hold(*random_scan(seed, step, fraction, tie, kind))
+
+
+def assert_certificates_hold(truth, schedule, cfg, menus):
+    """A certificate holds for every misreport, so the reference runs every
+    profile of a grid the scan never saw (levels 0, 1/3, 2/3, 1) and finds no
+    violation for a coalition the scan certifies."""
     result = enumerate_coalition_deviations(truth, schedule, cfg, menus)
     certified = {s.coalition for s in result.coalitions if s.status == "certified"}
     finer = concave_report_grid(schedule, levels=(0, F(1, 3), F(2, 3), 1))
@@ -432,15 +457,26 @@ def test_certified_coalitions_have_no_violation_off_the_grid(seed, step, fractio
 @example(2460189480, 2, F(1), GROUP_LOSES, 50, 1)  # violations that lean on the tie rule
 @settings(max_examples=20, deadline=None)
 def test_scaling_the_scan_keeps_every_verdict(seed, step, fraction, tie, num, den):
-    # Values and prices scaled alike by c > 0 scale every ratio, threshold
-    # and net by c, so the exact lane decides every comparison the same way.
     # Most random draws find no violation; the examples pin draws that do.
-    truth, schedule, cfg, menus = random_scan(seed, step, fraction, tie)
-    c = F(num, den)
+    assert_scaling_keeps_verdicts(*random_scan(seed, step, fraction, tie), F(num, den))
+
+
+@given(MONOTONE, st.integers(0, 2**32 - 1), *RIVALS, st.integers(1, 50), st.integers(1, 7))
+@example("cmss", 0, 2, F(1), GROUP_LOSES, 3, 7)  # three certified coalitions, four violated on the tie rule
+@example("equal-split", 3, 1, F(1), GROUP_LOSES, 3, 7)  # violations with and without the tie rule
+@settings(max_examples=30, deadline=None)
+def test_scaling_the_scan_keeps_every_verdict_on_monotone_tables(kind, seed, step, fraction, tie, num, den):
+    assert_scaling_keeps_verdicts(*random_scan(seed, step, fraction, tie, kind), F(num, den))
+
+
+def assert_scaling_keeps_verdicts(truth, schedule, cfg, menus, c):
+    """Values and prices scaled alike by c > 0 scale every ratio, threshold
+    and net by c, so the exact lane decides every comparison the same way:
+    the scan keeps every status and every violating profile, scaled."""
     result = enumerate_coalition_deviations(truth, schedule, cfg, menus)
     got = enumerate_coalition_deviations(
         [scaled_report(r, c) for r in truth], schedule,
-        AuctionConfig(cfg.reserve * c, tuple(b * c for b in cfg.competing_bids), tie),
+        AuctionConfig(cfg.reserve * c, tuple(b * c for b in cfg.competing_bids), cfg.tie_policy),
         [[scaled_report(r, c) for r in menu] for menu in menus],
     )
     assert (got.profiles, got.truncated, got.coalitions) == (
@@ -584,6 +620,27 @@ def near(bound, epsilons, ulps):
 # form of the tolerance rule decide apart (a + epsilon may round to t while
 # t - a exceeds epsilon).
 NEAR = (st.integers(-2, 2), st.integers(-3, 3))
+
+
+@st.composite
+def bounds_near_thresholds(draw):
+    """(bound, threshold): a bound c/10^16, as a Fraction or a float, and a float threshold near it."""
+    bound = F(draw(st.integers(1, 10**16 - 1)), 10**16)
+    return draw(st.sampled_from((bound, float(bound)))), near(bound, draw(NEAR[0]), draw(NEAR[1]))
+
+
+@given(bounds_near_thresholds(), st.sampled_from((EXACT, approx())))
+# bound - epsilon rounds to the threshold, yet gt(bound, threshold) holds and eq does not
+@example((float(F(1, 3)), 0.3333333323333333), approx())
+@settings(max_examples=100, deadline=None)
+def test_tie_policies_part_only_where_the_bound_equals_the_threshold(pair, policy):
+    # On a one-step trace, group_wins buys where ge(bound, threshold) holds and
+    # group_loses where gt does, so the two part exactly where eq holds.
+    bound, threshold = pair
+    steps = (BidStep(0b1, policy.lane(bound), 0b1),)
+    won = [decide_winning_set(steps, AuctionConfig(0, (threshold,), tie), policy)
+           for tie in (GROUP_WINS, GROUP_LOSES)]
+    assert (won[0] != won[1]) == policy.eq(policy.lane(bound), threshold)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2), *NEAR, TIES)

@@ -31,7 +31,7 @@ from groupbuy.schedule import (
     validate_cross_monotonic,
     validate_monotonicity,
 )
-from groupbuy.utility import CONCAVE, ClosedFormUtility, ReportClass, UtilityReport
+from groupbuy.utility import CONCAVE, GRAIN, ClosedFormUtility, ReportClass, UtilityReport, _below
 
 from helpers import renormalized_cmss, rras_resource_table
 
@@ -425,9 +425,9 @@ class TestBruteForceOracle:
     def test_integer_test_matches_the_candidate_check(self, x_a, x_b, y_a, y_b, shape, seed):
         # the exact lane rejects a sample in integers only where valuing it in
         # Fraction arithmetic would find no breaking constant either
-        draw = _draw_concave_sample(random.Random(seed), shape)
+        draw = _draw_concave_sample(random.Random(seed).getrandbits, shape)
         knots = _concave_sample_knots(shape, draw, x_a, x_b)
-        found = _breaking_constant(random.Random(seed), knots, x_a, x_b, y_a, y_b, EXACT)
+        found = _breaking_constant(_uniform(seed), knots, x_a, x_b, y_a, y_b, EXACT)
         shares = _integer_shares(x_a, x_b, y_a, y_b)
         assert _concave_sample_breaks(shape, draw, *shares) == (found is not None)
 
@@ -439,13 +439,18 @@ class TestBruteForceOracle:
         shares = _integer_shares(x_a, x_b, y_a, y_b)
         for draw, breaks in ((positive, True), (zero, False)):
             knots = _concave_sample_knots(shape, draw, x_a, x_b)
-            found = _breaking_constant(random.Random(0), knots, x_a, x_b, y_a, y_b, EXACT)
+            found = _breaking_constant(_uniform(0), knots, x_a, x_b, y_a, y_b, EXACT)
             assert (found is not None) == breaks == _concave_sample_breaks(shape, draw, *shares)
 
     def test_integer_test_needs_rational_shares_in_range(self):
         assert _integer_shares(F(1, 2), 1, 0, F(1, 3)) == (1, 2, 2, 0, 1)
         assert _integer_shares(F(1, 2), F(1, 3), 0.25, F(1, 2)) is None
         assert _integer_shares(F(3, 2), F(1, 3), F(1, 4), F(1, 2)) is None
+
+
+def _uniform(seed):
+    """A uniform candidate numerator, drawn as the first number of a stream seeded ``seed``."""
+    return 1 + _below(random.Random(seed).getrandbits, GRAIN - 1)
 
 
 def _zero_payment_table():

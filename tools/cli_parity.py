@@ -19,8 +19,8 @@ own ``src/``:
   ``tests/helpers.py``, written into the same directory: the failing tables
   (a cross-monotonicity witness, a two-buyer table with monotonicity and
   spot-check witnesses, a planted table under two seeds), the zero-share
-  file (its stderr note), nine buyers (spot check skipped) and thirteen
-  (exit 2);
+  file (its stderr note), the tiny-share file (the note for a share within
+  epsilon of 0), nine buyers (spot check skipped) and thirteen (exit 2);
 * ``run``, ``fuzz`` and ``compare`` in each format on the one-buyer file
   whose bid falls short of its reserve by just over epsilon
   (``EPSILON_EDGE_SCENARIO`` of ``tests/helpers.py``), written into the

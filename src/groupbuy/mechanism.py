@@ -15,12 +15,13 @@ shares at the clearing price.
 reports and the start subset, compiles each report into a :class:`RatioColumn`
 and keeps every step.  A column maps subset -> u_i(x_i(S)) / y_i(S) at the
 schedule's exact shares, filled on the loop's first read of the subset; the
-ratio becomes a lane number once (``policy.lane``), so the tolerance lane
-compares floats only.  :func:`bid_steps` is the bare loop over columns, as a
-generator.  The coalition scan builds each column once per instance (truth,
-schedule, menus, policy), for all its profiles under every auction config
-scanned on that instance in a row, and reads each profile's steps only up to
-the one that decides the auction.
+ratio becomes a lane number once (``policy.ratio``), so the tolerance lane
+compares floats only.  A column values a share only when it is another object
+than the one it valued last.  :func:`bid_steps` is the bare loop over
+columns, as a generator.  The coalition scan builds each column once per
+instance (truth, schedule, menus, policy), for all its profiles under every
+auction config scanned on that instance in a row, and reads each profile's
+steps only up to the one that decides the auction.
 """
 
 from __future__ import annotations
@@ -74,11 +75,16 @@ class RatioColumn(dict):
     """One buyer's report compiled against a schedule and policy: subset -> ratio.
 
     The ratio is u_i(x_i(S)) / y_i(S) at the schedule's exact shares, as a lane
-    number (``policy.lane``), or None where y_i(S) is not positive.  Each
-    subset is computed on its first read and kept.
+    number (``policy.ratio``), or None where y_i(S) is not positive.  Each
+    subset is computed on its first read and kept.  The last share the column
+    valued, and its value, are a one-entry memo keyed by identity: a ranked
+    member below the top keeps its base share object from subset to subset,
+    so it is valued once per run of steps.  The column holds that object, so
+    its identity cannot pass to another; keying by value would hash every
+    ``Fraction`` share on every fill.
     """
 
-    __slots__ = ("schedule", "policy", "buyer", "report")
+    __slots__ = ("schedule", "policy", "buyer", "report", "_share", "_value")
 
     def __init__(self, schedule: ShareSchedule, policy: NumericPolicy, buyer: int, report):
         if not isinstance(report, (UtilityReport, ClosedFormUtility)):
@@ -88,13 +94,18 @@ class RatioColumn(dict):
         self.policy = policy
         self.buyer = buyer
         self.report = report
+        self._share = self._value = None
 
     def __missing__(self, subset: int):
         policy, i = self.policy, self.buyer
         pair = self.schedule.shares_for(subset)
+        y = pair.payment[i]
         ratio = None
-        if policy.is_positive(pair.payment[i]):
-            ratio = policy.lane(self.report.value_at(pair.resource[i]) / pair.payment[i])
+        if policy.is_positive(y):
+            x = pair.resource[i]
+            if x is not self._share:
+                self._share, self._value = x, self.report.value_at(x)
+            ratio = policy.ratio(self._value, y)
         self[subset] = ratio
         return ratio
 

@@ -27,10 +27,15 @@ rule beside it, :meth:`NumericPolicy.slope_le`: cross-multiplied when exact
 (on integers, after :func:`integers_over_common_denominator`), the tolerance
 rule on the two quotients otherwise.
 
-The engine's two conversions sit beside the rule, :meth:`NumericPolicy.lane`:
-a ratio computed at the exact share and the auction's threshold become lane
-numbers, as is when exact and floats in the tolerance lane, whose comparisons
-then run on floats only (:mod:`groupbuy.mechanism`, :mod:`groupbuy.auction`).
+The engine's conversions sit beside the rule.  :meth:`NumericPolicy.lane`
+makes the auction's threshold a lane number, as is when exact and a float in
+the tolerance lane, whose comparisons then run on floats only
+(:mod:`groupbuy.auction`).  :meth:`NumericPolicy.ratio` is ``lane(u / y)``
+for a column's value over its payment share at the exact share
+(:mod:`groupbuy.mechanism`).  In the tolerance lane it divides two
+``Fraction``s as one int true division of the cross products.  Python rounds
+that division correctly, as ``float`` of the reduced ``Fraction`` is rounded:
+the same rational, so the same float, without the gcd that ``u / y`` takes.
 """
 
 from __future__ import annotations
@@ -113,6 +118,15 @@ class NumericPolicy:
     def lane(self, v: Num) -> Num:
         """``v`` as the engine computes with it: as is when exact, else a float."""
         return v if self.epsilon is None else float(v)
+
+    def ratio(self, u: Num, y: Num) -> Num:
+        """``lane(u / y)``, bit for bit, for ``y`` != 0; two ``Fraction``s
+        in the tolerance lane take one int true division (see the module notes)."""
+        if self.epsilon is None:
+            return u / y
+        if type(u) is Fraction and type(y) is Fraction:
+            return (u.numerator * y.denominator) / (u.denominator * y.numerator)
+        return float(u / y)
 
 
 EXACT = NumericPolicy()

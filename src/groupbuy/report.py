@@ -239,7 +239,8 @@ def validate_report(schedule, report_class, crossing, cross, mono, spot, samples
             if not policy.is_positive(schedule.shares_for(mask).resource[i])]
     note = None if not zero else (
         f"note: buyer {zero[0][1]} holds a zero resource share in {braces(zero[0][0])} "
-        f"({len(zero)} such pairs); legal, but such a buyer can win nothing")
+        f"({len(zero)} such pairs); legal, but if that set wins, the buyer is listed "
+        f"among its winners with that share")
     label = class_label(report_class)
     lines = [] if crossing is None else [
         f"class: {label}, since the weight x^{fmt(schedule.weight.k)} "

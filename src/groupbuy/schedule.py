@@ -9,7 +9,9 @@ cross-monotonic tables whose payment shares equal their resource shares
 :class:`RankedSchedule`, which pays in proportion to a concave weight of the
 resource shares.  A weight is a power x**k, 0 < k <= 1, of the closed-form
 family that buyers' utilities use (:class:`~groupbuy.utility.ClosedFormUtility`;
-identity is k = 1, sqrt k = 1/2), with a positive coefficient.
+identity is k = 1, sqrt k = 1/2), with a positive coefficient.  A ranked
+schedule values each base share's weight once, when it is built, and per
+subset only the share of its top-ranked member (see :class:`RankedSchedule`).
 
 Each schedule is checked once, when it is built, so that every non-empty
 subset S has a member paying at least 1/|S|; the engine relies on it.
@@ -245,7 +247,17 @@ def _check_weight(weight) -> None:
 
 
 class RankedSchedule(ShareSchedule):
-    """Ranked hand-over resource shares with weight-proportional payment shares."""
+    """Ranked hand-over resource shares with weight-proportional payment shares.
+
+    Built from per-buyer constants, valued once at construction: each base
+    share's weight and the zero of its type.  A subset's top-ranked member
+    takes ``base[top]`` plus the base shares of everyone outside, and only
+    that share is valued per subset; every other member keeps its base share
+    object and its base weight.  The weights are summed and divided in index
+    order.  A linear weight c*x with c = 1 on an all-``Fraction`` base sums
+    to exactly 1 in every subset, so its payment shares are the weights
+    themselves: dividing by 1 would change neither value nor type.
+    """
 
     def __init__(
         self,
@@ -265,19 +277,27 @@ class RankedSchedule(ShareSchedule):
         self.order = tuple(order)
         self.base = tuple(base)
         self.weight = weight
+        self._zeros = tuple(0 * b for b in self.base)
+        self._weights = tuple(weight.value_at(b) for b in self.base)
+        # a linear weight 1*x on Fraction shares: each subset's weights sum to exactly 1
+        self._unit = (weight.rational and type(weight.c) in (int, Fraction) and weight.c == 1
+                      and all(type(b) is Fraction for b in self.base))
 
     def _compute(self, subset: int) -> SharePair:
+        live = members(subset)
+        top = next(i for i in self.order if subset >> i & 1)
+        resource = list(self._zeros)
+        weights = [None] * self.n
+        for i in live:
+            resource[i], weights[i] = self.base[i], self._weights[i]
         # the top-ranked member also takes the base shares of everyone outside
-        inside = [bool(subset >> i & 1) for i in range(self.n)]
-        top = next(i for i in self.order if inside[i])
-        outside = sum(b for b, live in zip(self.base, inside) if not live)
-        resource = tuple(
-            (b + outside if i == top else b) if live else 0 * b
-            for i, (b, live) in enumerate(zip(self.base, inside))
-        )
-        weights = [self.weight.value_at(x) if live else None for x, live in zip(resource, inside)]
-        total = sum(w for w in weights if w is not None)
-        return SharePair(resource, tuple(w / total if w is not None else 0 for w in weights))
+        outside = sum(b for i, b in enumerate(self.base) if not subset >> i & 1)
+        resource[top] = self.base[top] + outside
+        weights[top] = self.weight.value_at(resource[top])
+        if self._unit:  # the weights sum to exactly 1
+            return SharePair(tuple(resource), tuple(0 if w is None else w for w in weights))
+        total = sum(weights[i] for i in live)
+        return SharePair(tuple(resource), tuple(0 if w is None else w / total for w in weights))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,33 @@ def rras_resource_table(order: Sequence[int], base: Sequence) -> dict:
     return {mask: ranked.shares_for(mask).resource for mask in masks}
 
 
+def reference_ranked_shares(schedule: RankedSchedule, subset: int) -> tuple:
+    """Reference for ``RankedSchedule.shares_for``: (resource, payment) valued afresh.
+
+    Every live member's weight is valued at its share of ``subset``, summed
+    and divided in index order; an absent member gets ``0 * base`` of
+    resource and the int 0 of payment.
+    """
+    inside = [bool(subset >> i & 1) for i in range(schedule.n)]
+    top = next(i for i in schedule.order if inside[i])
+    outside = sum(b for b, live in zip(schedule.base, inside) if not live)
+    resource = tuple(
+        (b + outside if i == top else b) if live else 0 * b
+        for i, (b, live) in enumerate(zip(schedule.base, inside))
+    )
+    weights = [schedule.weight.value_at(x) if live else None for x, live in zip(resource, inside)]
+    total = sum(w for w in weights if w is not None)
+    return resource, tuple(w / total if w is not None else 0 for w in weights)
+
+
+def same_numbers(a: Sequence, b: Sequence) -> bool:
+    """Whether two number sequences agree entry by entry in type and value, floats to the bit."""
+    return len(a) == len(b) and all(
+        type(x) is type(y) and (x.hex() == y.hex() if type(x) is float else x == y)
+        for x, y in zip(a, b)
+    )
+
+
 def renormalized_cmss(n, weights):
     """Proportional weights renormalized over each subset: cross-monotonic, payment = resource."""
     table = {}

@@ -596,7 +596,7 @@ class TestValidateSchedule:
         captured = capsys.readouterr()
         assert captured.err == (
             "note: buyer 1 holds a zero resource share in {0,1} (1 such pairs); "
-            "legal, but such a buyer can win nothing\n"
+            "legal, but if that set wins, the buyer is listed among its winners with that share\n"
         )
         assert "note" not in captured.out
 
@@ -609,13 +609,29 @@ class TestValidateSchedule:
         assert run_cli("validate-schedule", str(path)) == 0
         assert capsys.readouterr().err == (
             "note: buyer 1 holds a zero resource share in {0,1} (1 such pairs); "
-            "legal, but such a buyer can win nothing\n"
+            "legal, but if that set wins, the buyer is listed among its winners with that share\n"
         )
         assert run_cli("run", str(path), "--format", "json") == 0
         steps = json.loads(capsys.readouterr().out)["trace"]["steps"]
         assert (steps[0]["subset"], steps[0]["removed"]) == ("0,1", "0")
         assert run_cli("validate-schedule", str(path), "--exact") == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name,share", [("zero-share", "0"), ("tiny-share", "1e-12")])
+    def test_zero_share_note_is_true_of_run(self, tmp_path, capsys, name, share):
+        # the noted set wins at the fixed price, and run lists the noted buyer
+        # among its winners with that share, as the note says
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(VALIDATE_SCENARIOS[name]))
+        assert run_cli("validate-schedule", str(path)) == 0
+        assert capsys.readouterr().err == (
+            "note: buyer 1 holds a zero resource share in {0,1} (1 such pairs); "
+            "legal, but if that set wins, the buyer is listed among its winners with that share\n"
+        )
+        assert run_cli("run", str(path), "--format", "json") == 0
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert outcome["winning_set"] == "0,1"
+        assert outcome["fractions"][1]["decimal"] == share
 
     def test_13_buyers_exit_2_before_any_output(self, tmp_path, capsys):
         path = tmp_path / "thirteen.json"
@@ -947,7 +963,8 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 # (exit code, sha256 of stdout, sha256 of stderr) of validate-schedule on each
 # file and flags that take one of its paths, recorded before its lines moved
 # into the report module; "tiny-share" was recorded when the zero-share note
-# took the tolerance rule, and its note is the zero-share file's
+# took the tolerance rule, and its note is the zero-share file's; both notes'
+# stderr digests were re-recorded when the note came to say what run prints
 VALIDATE_DIGESTS = {
     ("example1", ""): (0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
     ("example2", ""): (0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
@@ -966,10 +983,10 @@ VALIDATE_DIGESTS = {
         1, "53d6bc677760783f9e9a14d82f95726eb235d35111824a6f943b9eeb64c0202d", EMPTY),
     ("zero-share", ""): (
         0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27",
-        "59d056004d2b5efa817a1b01d4640c46d8ea3cdc1d8637f731028da4646420af"),
+        "9204099580c244c63c01f76772de9220854c8663f612667ddf4e3a8c3aae783f"),
     ("tiny-share", ""): (
         0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27",
-        "59d056004d2b5efa817a1b01d4640c46d8ea3cdc1d8637f731028da4646420af"),
+        "9204099580c244c63c01f76772de9220854c8663f612667ddf4e3a8c3aae783f"),
     ("nine-buyers", ""): (
         0, "40079e48caff0a2452aa373d200b054096d34445f5280c541902abe8328fbcf2", EMPTY),
     ("thirteen-buyers", ""): (

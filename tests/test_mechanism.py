@@ -17,6 +17,7 @@ from groupbuy.schedule import (
     EqualSplitSchedule,
     RankedSchedule,
     ScheduleError,
+    TableSchedule,
     full_mask,
     members,
     nonempty_subsets,
@@ -34,6 +35,7 @@ from helpers import (
     random_concave_utility,
     rras_resource_table,
     run_at_price,
+    same_numbers,
     scaled_report,
 )
 
@@ -187,6 +189,45 @@ class TestCompiled:
         columns = [RatioColumn(sched, APPROX, i, r) for i, r in enumerate(reports)]
         with pytest.raises(ValueError, match="report 1 is neither a UtilityReport"):
             compute_bid_trace([reports[0], columns[1], reports[2]], sched, APPROX)
+
+    @pytest.mark.parametrize("again", [
+        "same", F(1, 2), 0.5,
+    ], ids=["same-object", "equal-fraction", "equal-float"])
+    def test_column_values_shares_a_b_a(self, again):
+        # buyer 0 holds A = 1/2 in {0,1}, B = 1/4 in {0,2}, and A again in
+        # {0,1,2}: the same object, an equal Fraction or the equal float.  Read
+        # as A, B, A and as A, A, B, each ratio is the lane of the share's
+        # fresh value over the payment share, in value and type
+        a = F(1, 2)
+        third = a if again == "same" else again
+        sched = TableSchedule(3, {
+            0b001: ((1, 0, 0), (1, 0, 0)), 0b010: ((0, 1, 0), (0, 1, 0)),
+            0b100: ((0, 0, 1), (0, 0, 1)), 0b110: ((0, a, a), (0, a, a)),
+            0b011: ((a, F(1, 2), 0), (F(1, 3), F(2, 3), 0)),
+            0b101: ((F(1, 4), 0, F(3, 4)), (F(1, 5), 0, F(4, 5))),
+            0b111: ((third, F(1, 4), F(1, 4)), (F(1, 7), F(3, 7), F(3, 7))),
+        })
+        knots = UtilityReport(((F(0), F(0)), (F(1, 4), F(1, 2)), (F(1, 2), F(3, 4)), (F(1), F(1))))
+        for report in (ClosedFormUtility.linear(F(2)), ClosedFormUtility.power(1, F(1, 2)), knots):
+            for policy in (EXACT, APPROX):
+                for reads in ((0b011, 0b101, 0b111), (0b011, 0b111, 0b101)):
+                    column = RatioColumn(sched, policy, 0, report)
+                    for mask in reads:
+                        pair = sched.shares_for(mask)
+                        fresh = policy.lane(report.value_at(pair.resource[0]) / pair.payment[0])
+                        assert same_numbers([column[mask]], [fresh]), (report, policy, reads, mask)
+
+    def test_column_values_a_ranked_share_once_per_run(self, monkeypatch):
+        # buyer 2, ranked last, keeps its base share in {0,1,2} and {1,2},
+        # and takes everything in {2}: two values for three subsets
+        sched = RankedSchedule((0, 1, 2), (F(1, 2), F(1, 4), F(1, 4)))
+        report = UtilityReport(((F(0), F(0)), (F(1, 4), F(1, 2)), (F(1), F(1))))
+        valued = []
+        value_at = UtilityReport.value_at
+        monkeypatch.setattr(UtilityReport, "value_at", lambda self, x: valued.append(x) or value_at(self, x))
+        column = RatioColumn(sched, EXACT, 2, report)
+        assert [column[mask] for mask in (0b111, 0b110, 0b100)] == [F(2), F(2), F(1)]
+        assert valued == [F(1, 4), F(1)]
 
 
 class TestBidSteps:

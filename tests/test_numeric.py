@@ -17,6 +17,8 @@ from groupbuy.numeric import (
     parse_number,
 )
 
+from helpers import same_numbers
+
 
 def test_exact_policy_compares_exactly():
     assert EXACT.eq(F(1, 3), F(1, 3))
@@ -64,6 +66,54 @@ def test_tolerance_comparisons_split_every_pair_three_ways(pair):
         assert pol.ge(x, y) == (gt or eq)
         for v in (y - x, x - y):
             assert pol.is_positive(v) == pol.lt(0, v)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """(u, y): Fractions with terms up to 2**80, y non-zero."""
+    numerator, denominator = st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80)
+    return F(draw(numerator), draw(denominator)), F(draw(numerator.filter(bool)), draw(denominator))
+
+
+@given(fraction_pairs())
+@settings(max_examples=300, deadline=None)
+def test_ratio_is_the_lane_of_the_quotient(pair):
+    u, y = pair
+    for policy in (EXACT, approx()):
+        assert same_numbers([policy.ratio(u, y)], [policy.lane(u / y)]), (u, y)
+
+
+LARGEST = 2 ** 1024 - 2 ** 971  # the largest float, as an int
+HALFWAY = 2 ** 1024 - 2 ** 970  # between it and 2**1024: rounds to even, past the largest
+
+
+@pytest.mark.parametrize("u,y", [
+    (F(HALFWAY * 3 - 1, 7), F(3, 7)),  # just below halfway: the largest float
+    (F(LARGEST * 5, 9), F(5, 9)),
+    (F(3, 2 ** 1075), F(3, 5)),  # 2.5 times the least subnormal: rounds to even, 2 times
+    (F(7, 2 ** 1074 * 11), F(5, 13)),  # a subnormal
+    (F(1, 2 ** 1076), F(3)),  # below half the least subnormal: 0
+    (F(-1, 3), F(2, 7)),
+    (0, F(2, 3)),
+    (3, 7),
+    (F(1, 3), 4),
+    (0.1, F(1, 3)),
+    (F(1, 3), 0.7),
+    (0.3, 0.7),
+], ids=["largest", "largest-exact", "halfway-subnormal", "subnormal", "underflow", "negative",
+        "int-zero", "ints", "fraction-int", "float-fraction", "fraction-float", "floats"])
+def test_ratio_is_the_lane_of_the_quotient_at_the_edges(u, y):
+    for policy in (EXACT, approx()):
+        assert same_numbers([policy.ratio(u, y)], [policy.lane(u / y)])
+
+
+@pytest.mark.parametrize("u,y", [(F(2 ** 1024 * 5, 3), F(5, 3)), (F(HALFWAY * 3, 7), F(3, 7))],
+                         ids=["2**1024", "halfway"])
+def test_ratio_overflows_where_the_lane_does(u, y):
+    with pytest.raises(OverflowError):
+        approx().lane(u / y)
+    with pytest.raises(OverflowError):
+        approx().ratio(u, y)
 
 
 def test_approx_requires_positive_epsilon():

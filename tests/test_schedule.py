@@ -33,7 +33,7 @@ from groupbuy.schedule import (
 )
 from groupbuy.utility import CONCAVE, GRAIN, ClosedFormUtility, ReportClass, UtilityReport, _below
 
-from helpers import renormalized_cmss, rras_resource_table
+from helpers import reference_ranked_shares, renormalized_cmss, rras_resource_table, same_numbers
 
 APPROX = approx()
 # a payment or resource share: a fraction in [0, 1], small denominators often
@@ -41,6 +41,22 @@ APPROX = approx()
 SHARE = st.one_of(st.fractions(0, 1, max_denominator=12), st.fractions(0, 1), st.sampled_from([0, 1]))
 ORDER = (0, 1, 2)
 BASE = (F(1, 2), F(1, 4), F(1, 4))
+RANKED_BASES = (
+    BASE,
+    (F(1, 2), 0, F(1, 4), F(1, 4)),  # an int zero among Fractions
+    (1, 0, 0),  # ints alone
+    (0.5, 0.3, 0.2),
+    tuple(F(k, 21) for k in range(1, 7)),
+)
+RANKED_WEIGHTS = {
+    "identity": ClosedFormUtility.linear(1),
+    "identity-fraction-c": ClosedFormUtility.linear(F(1)),
+    "identity-float-c": ClosedFormUtility.linear(1.0),
+    "linear-c2": ClosedFormUtility.linear(2),
+    "sqrt": ClosedFormUtility.power(1, F(1, 2)),
+    "power-1/3": ClosedFormUtility.power(1, F(1, 3)),
+    "power-c3/2": ClosedFormUtility.power(F(3, 2), F(2, 3)),
+}
 
 
 def test_mask_helpers():
@@ -106,6 +122,31 @@ class TestRankedShares:
         root3 = math.sqrt(3)
         assert pair.payment[1] == pytest.approx(root3 / (1 + root3), abs=1e-12)
         assert pair.payment[2] == pytest.approx(1 / (1 + root3), abs=1e-12)
+
+    @pytest.mark.parametrize("weight", RANKED_WEIGHTS.values(), ids=RANKED_WEIGHTS)
+    def test_shares_are_the_reference_in_value_and_type(self, weight):
+        # every member valued afresh at its share in every subset, as the
+        # reference does, gives the same numbers of the same types, floats to the bit
+        for base in RANKED_BASES:
+            n = len(base)
+            for order in (tuple(range(n)), tuple(reversed(range(n))), tuple(range(1, n)) + (0,)):
+                sched = RankedSchedule(order, base, weight)
+                for mask in nonempty_subsets(full_mask(n)):
+                    pair = sched.shares_for(mask)
+                    resource, payment = reference_ranked_shares(sched, mask)
+                    assert same_numbers(pair.resource, resource), (base, order, mask)
+                    assert same_numbers(pair.payment, payment), (base, order, mask)
+
+    def test_members_below_the_top_keep_their_base_share_objects(self):
+        # so a ratio column values each such share once per run of steps
+        for base in RANKED_BASES:
+            n = len(base)
+            order = tuple(reversed(range(n)))
+            sched = RankedSchedule(order, base, sqrt_weight())
+            for mask in nonempty_subsets(full_mask(n)):
+                top = next(i for i in order if mask >> i & 1)
+                resource = sched.shares_for(mask).resource
+                assert all(resource[i] is base[i] for i in members(mask) if i != top), (base, mask)
 
     def test_degenerate_weight_raises(self):
         # a zero weight pays nobody: rejected when the schedule is built, naming

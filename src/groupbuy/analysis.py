@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 from .auction import AuctionConfig, decide_winning_set, run_group_participation
 from .mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
-from .numeric import EXACT, Num, NumericPolicy, infer_policy, integers_over_common_denominator
+from .numeric import EXACT, Num, NumericPolicy, approx, integers_over_common_denominator
 from .schedule import ScheduleError, ShareSchedule, full_mask, members, nonempty_subsets, report_class_for
 from .utility import ClosedFormUtility, UtilityReport, sample_points, sample_report, validate_knots
 
@@ -90,11 +90,6 @@ def weakly_prefers(a: PreferenceOutcome, b: PreferenceOutcome, policy: NumericPo
 # Report grids for the fuzzers
 
 
-def _menu_points(schedule: ShareSchedule, buyer: int) -> list:
-    """The buyer's positive share points, where menus are sampled and recorded."""
-    return [p for p in schedule.share_points(buyer) if p > 0]
-
-
 def concave_report_grid(
     schedule: ShareSchedule,
     levels: Sequence[Num] = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1),
@@ -117,15 +112,16 @@ def concave_report_grid(
     scaled = tuple(Fraction(l) for l in levels)
     grid = []
     for buyer in range(schedule.n):
-        points = _menu_points(schedule, buyer)
+        points = schedule.share_points(buyer)
         menu = []
         grid.append(menu)
         if validate_knots(((Fraction(0), Fraction(0)), *((x, Fraction(0)) for x in points))) is not None:
             continue
-        policy = infer_policy(points)  # the levels are rational
-        xs, us = points, scaled
-        if policy.exact:
-            _, ints = integers_over_common_denominator((*points, *scaled))
+        exact = integers_over_common_denominator((*points, *scaled))  # the levels are exact
+        if exact is None:
+            policy, xs, us = approx(), points, scaled
+        else:
+            policy, (_, ints) = EXACT, exact
             xs, us = ints[:len(points)], ints[len(points):]
         xs = (0, *xs)
 
@@ -169,7 +165,7 @@ def power_report_grid(
     )
     grid = []
     for buyer in range(schedule.n):
-        xs = sample_points(_menu_points(schedule, buyer))
+        xs = sample_points(schedule.share_points(buyer))
         menu = []
         seen = set()
         for form in forms:
@@ -206,7 +202,7 @@ def report_menus(schedule: ShareSchedule) -> list:
 def _recorded(report, schedule: ShareSchedule, buyer: int) -> UtilityReport:
     """A menu report as a violation records it: a closed form as its knot list at the buyer's points."""
     if isinstance(report, ClosedFormUtility):
-        return sample_report(report, _menu_points(schedule, buyer))
+        return sample_report(report, schedule.share_points(buyer))
     return report
 
 

@@ -49,7 +49,6 @@ from .schedule import (
     validate_monotonicity,
 )
 from .scenario import ScenarioError, load_scenario_file
-from .utility import InvalidReportError
 
 
 def _write(text: str, out_path) -> None:
@@ -207,7 +206,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, InvalidReportError, ScheduleError) as exc:
+    except (ScenarioError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -25,7 +25,11 @@ subset's largest payer, where a ranked weight must be positive too.
 Report validation and the concave menus compare chord slopes du/dx by one
 rule beside it, :meth:`NumericPolicy.slope_le`: cross-multiplied when exact
 (on integers, after :func:`integers_over_common_denominator`), the tolerance
-rule on the two quotients otherwise.
+rule on the two quotients otherwise.  That function is the one test of
+exactness: None unless every value is an ``int`` or a ``Fraction`` (a float
+or a ``bool`` is not), and every exact lane and integer path follows it.
+:func:`parse_number` rejects a decimal exponent beyond ``MAX_EXPONENT`` in
+magnitude before it builds the ``Fraction`` (``"1e999999999"`` would hang).
 
 The engine's conversions sit beside the rule.  :meth:`NumericPolicy.lane`
 makes the auction's threshold a lane number, as is when exact and a float in
@@ -44,14 +48,14 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import Union
+from typing import Optional, Union
 
 Num = Union[int, float, Fraction]
 
 DEFAULT_EPSILON = 1e-9
 MAX_BUYERS = 32  # of every schedule, so a subset's largest payer holds at least 1/MAX_BUYERS
 MAX_EPSILON = 0.5 / MAX_BUYERS  # half that least share, so is_positive passes it
+MAX_EXPONENT = 4300  # of a parsed decimal, either sign: int() reads numerals of up to 4,300 digits
 
 
 @dataclass(frozen=True)
@@ -136,18 +140,16 @@ def approx(epsilon: float = DEFAULT_EPSILON) -> NumericPolicy:
     return NumericPolicy(epsilon)
 
 
-def infer_policy(values) -> NumericPolicy:
-    """Exact when every value is rational, otherwise the default tolerance."""
-    # int and Fraction first: a concrete type check is cheaper than the ABC's
-    return EXACT if all(isinstance(v, (int, Fraction, Rational)) for v in values) else approx()
+def integers_over_common_denominator(values) -> Optional[tuple]:
+    """``(d, ints)``: exact ``values`` as the integers ``v * d``, ``d`` their least common denominator.
 
-
-def integers_over_common_denominator(values) -> tuple:
-    """``(d, ints)``: rational ``values`` as the integers ``v * d``, ``d`` their least common denominator.
-
-    Order, equality and chord-slope comparisons of the integers are those of
-    the values, so the exact lane can decide them on ints.
+    None unless every value is an ``int`` or a ``Fraction``.  Order, equality
+    and chord-slope comparisons of the integers are those of the values, so
+    the exact lane can decide them on ints.
     """
+    for v in values:
+        if type(v) is not Fraction and type(v) is not int:  # by type: a bool is no exact number
+            return None
     d = math.lcm(*[v.denominator for v in values])
     return d, [v.numerator * (d // v.denominator) for v in values]
 
@@ -164,18 +166,25 @@ def parse_number(value) -> Fraction:
     """Parse a scenario-file number: int, "p/q" string, or decimal string.
 
     Raw JSON floats are accepted and converted through their decimal repr, so
-    0.9 becomes 9/10 rather than the nearest binary float.  A number must
-    convert to a finite float, since the tolerance lane computes in floats.
+    0.9 becomes 9/10 rather than the nearest binary float.  A decimal whose
+    exponent exceeds ``MAX_EXPONENT`` in magnitude is rejected before its
+    ``Fraction`` is built.  A number must convert to a finite float, since the
+    tolerance lane computes in floats.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        number = Fraction(value)
-    elif isinstance(value, (float, str)):
+    if isinstance(value, (float, str)):
+        text = str(value).strip()
+        _, e, exponent = text.lower().partition("e")
         try:
-            number = Fraction(str(value).strip())
+            beyond = bool(e) and abs(int(exponent)) > MAX_EXPONENT
+            number = None if beyond else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse number {value!r}") from exc
+        if beyond:
+            raise ValueError(f"exponent beyond {MAX_EXPONENT} in magnitude: {value!r}")
+    elif integers_over_common_denominator((value,)) is not None:
+        number = Fraction(value)
     else:
         raise ValueError(f"cannot parse number {value!r}")
     if not is_finite_float(number):

@@ -314,15 +314,20 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_scenario_file(path, **kwargs) -> Scenario:
+    """The scenario in the file at ``path``; every malformed file is a ScenarioError naming ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            document = json.loads(fh.read(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        return load_scenario(json.loads(text, object_pairs_hook=_unique_keys), **kwargs)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # not UTF-8, an integer past int()'s digit limit, a key listed twice
+        raise ScenarioError(f"{path}: {exc}") from exc
+    try:
+        return load_scenario(document, **kwargs)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 

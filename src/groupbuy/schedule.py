@@ -123,12 +123,9 @@ class SharePair:
 def _check_share_vector(values: Sequence, subset: int, n: int, label: str):
     if len(values) != n:
         raise ScheduleError(f"{label} shares for {{{subset_key(subset)}}} must have {n} entries")
-    if all(type(v) is Fraction for v in values):
-        # exact shares: check integer numerators over the common denominator,
-        # which has the same signs and sum, without Fraction arithmetic
-        den, nums = integers_over_common_denominator(values)
-    else:
-        den, nums = 1, values
+    # exact shares: integer numerators over the common denominator, which
+    # have the same signs and sum, checked without Fraction arithmetic
+    den, nums = integers_over_common_denominator(values) or (1, values)
     for i, v in enumerate(nums):
         if v < 0:
             raise ScheduleError(f"negative {label} share for buyer {i} in {{{subset_key(subset)}}}")
@@ -164,15 +161,13 @@ class ShareSchedule:
         raise NotImplementedError
 
     def share_points(self, buyer: int) -> tuple:
-        """All resource shares the buyer can receive, across every subset."""
+        """Every positive resource share the buyer can receive, across every subset, sorted."""
         if self.n > ENUMERATION_MAX_BUYERS:
             raise ScheduleError(f"share-point enumeration is capped at {ENUMERATION_MAX_BUYERS} buyers")
-        points = set()
         bit = 1 << buyer
-        for mask in nonempty_subsets(full_mask(self.n)):
-            if mask & bit:
-                points.add(self.shares_for(mask).resource[buyer])
-        return tuple(sorted(points))
+        points = {self.shares_for(mask).resource[buyer]
+                  for mask in nonempty_subsets(full_mask(self.n)) if mask & bit}
+        return tuple(sorted(p for p in points if p > 0))
 
 
 class EqualSplitSchedule(ShareSchedule):
@@ -467,7 +462,6 @@ def _random_submask(rng: random.Random, mask_members: tuple) -> int:
 # only for a sample the exact lane cannot reject in integers.
 
 U_MAX = 2  # a sampled utility is worth at most this at x = 1
-_RATIONAL = (int, Fraction)
 
 
 def _draw_concave_sample(getrandbits, shape: int) -> Optional[int]:
@@ -493,15 +487,17 @@ def _concave_sample_knots(shape: int, draw: Optional[int], x_a: Num, x_b: Num) -
 def _integer_shares(x_a: Num, x_b: Num, y_a: Num, y_b: Num) -> Optional[tuple]:
     """(X_a, X_b, D, Y_a, Y_b) with x_a = X_a/D, x_b = X_b/D and Y_a : Y_b = y_a : y_b.
 
-    None unless all four shares are rational and both x lie in [0, 1].
+    None unless all four shares are exact (:func:`integers_over_common_denominator`)
+    and both x lie in [0, 1].
     """
-    if not (type(x_a) in _RATIONAL and type(x_b) in _RATIONAL
-            and type(y_a) in _RATIONAL and type(y_b) in _RATIONAL):
+    xs = integers_over_common_denominator((x_a, x_b))
+    ys = integers_over_common_denominator((y_a, y_b))
+    if xs is None or ys is None:
         return None
-    d, (xa, xb) = integers_over_common_denominator((x_a, x_b))
+    d, (xa, xb) = xs
     if not (0 <= xa <= d and 0 <= xb <= d):
         return None
-    return xa, xb, d, *integers_over_common_denominator((y_a, y_b))[1]
+    return xa, xb, d, *ys[1]
 
 
 def _sampled_pair(schedule: ShareSchedule, policy: NumericPolicy, i: int, a_mask: int, b_mask: int) -> tuple:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .numeric import Num, infer_policy, integers_over_common_denominator, piecewise_value
+from .numeric import EXACT, Num, approx, integers_over_common_denominator, piecewise_value
 
 
 class InvalidReportError(ValueError):
@@ -35,19 +35,20 @@ class InvalidReportError(ValueError):
 def validate_knots(knots: Sequence) -> Optional[str]:
     """Check the report invariants; return the first failure's message, or None.
 
-    Comparisons are exact when every coordinate is rational, and then run on
-    the integers that put every coordinate over their common denominator;
-    under the default float tolerance otherwise.  Concavity compares each
-    chord's slope with the one before by :meth:`NumericPolicy.slope_le`.
+    Comparisons are exact when :func:`integers_over_common_denominator` puts
+    every coordinate over their common denominator, and then run on those
+    integers; under the default float tolerance otherwise.  Concavity compares
+    each chord's slope with the one before by :meth:`NumericPolicy.slope_le`.
     """
     if len(knots) == 0:
         return "knot list is empty"
     xs = [x for x, _ in knots]
     us = [u for _, u in knots]
-    policy = infer_policy(xs + us)
-    one = 1
-    if policy.exact:
-        one, coords = integers_over_common_denominator(xs + us)
+    exact = integers_over_common_denominator(xs + us)
+    if exact is None:
+        policy, one = approx(), 1
+    else:
+        policy, (one, coords) = EXACT, exact
         xs, us = coords[:len(xs)], coords[len(xs):]
     if not (policy.eq(xs[0], 0) and policy.eq(us[0], 0)):
         return "first knot must be (0, 0), violated at knot 0"

@@ -5,7 +5,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
-from numbers import Rational
 from typing import Iterable, Optional, Sequence
 
 from groupbuy.analysis import (
@@ -113,12 +112,13 @@ def reference_validate_knots(knots: Sequence) -> Optional[str]:
     """Reference for :func:`groupbuy.utility.validate_knots`.
 
     The same checks in the same order on the coordinates as given: exact
-    comparisons when every coordinate is rational, the default tolerance
-    otherwise, and concavity as quotient slopes compared by ``policy.le``.
+    comparisons when every coordinate is an int or a Fraction (a bool is
+    neither), the default tolerance otherwise, and concavity as quotient
+    slopes compared by ``policy.le``.
     """
     if len(knots) == 0:
         return "knot list is empty"
-    policy = EXACT if all(isinstance(c, Rational) for knot in knots for c in knot) else approx()
+    policy = EXACT if all(type(c) in (int, F) for knot in knots for c in knot) else approx()
     x0, u0 = knots[0]
     if not (policy.eq(x0, 0) and policy.eq(u0, 0)):
         return "first knot must be (0, 0), violated at knot 0"
@@ -152,7 +152,7 @@ def filtered_concave_report_grid(
     scaled = tuple(F(l) for l in levels)
     grid = []
     for buyer in range(schedule.n):
-        points = [p for p in schedule.share_points(buyer) if p > 0]
+        points = schedule.share_points(buyer)
         menu = []
         for values in itertools.product(scaled, repeat=len(points)):
             knots = ((F(0), F(0)), *zip(points, values))
@@ -305,7 +305,7 @@ def reference_coalition_scan(
 
     def recorded(i, report):
         if isinstance(report, ClosedFormUtility):
-            return sample_report(report, [p for p in schedule.share_points(i) if p > 0])
+            return sample_report(report, schedule.share_points(i))
         return report
 
     def prefs(won, idxs):

@@ -140,7 +140,7 @@ def test_criterion_3_schedule_table_reproduction():
         ClosedFormUtility.power(1, F(1, 2)),
     ]
     reports = [
-        sample_report(f, {p for s in (rras, cmss) for p in s.share_points(i) if p > 0})
+        sample_report(f, {p for s in (rras, cmss) for p in s.share_points(i)})
         for i, f in enumerate(forms)
     ]
     got_rras = [s.max_payment for s in compute_bid_trace(reports, rras, APPROX).steps]

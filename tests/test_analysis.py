@@ -360,7 +360,7 @@ class TestCoalitions:
         )
         names = {}
         for i in range(3):
-            points = [p for p in sched.share_points(i) if p > 0]
+            points = sched.share_points(i)
             for c in EXPLOIT_POWER_MENU["coefficients"]:
                 for k in EXPLOIT_POWER_MENU["exponents"]:
                     knots = sample_report(ClosedFormUtility.power(c, k), points).knots
@@ -652,7 +652,7 @@ class TestCompareSchedules:
             ClosedFormUtility.power(1, F(1, 2)),
         ]
         reports = [
-            sample_report(f, set(rras.share_points(i)) | set(cmss.share_points(i)) - {0})
+            sample_report(f, set(rras.share_points(i)) | set(cmss.share_points(i)))
             for i, f in enumerate(forms)
         ]
         return reports, rras, cmss

@@ -18,6 +18,7 @@ from groupbuy.scenario import (
     load_scenario_file,
 )
 from groupbuy.report import outcome_to_json
+from groupbuy.utility import InvalidReportError
 
 from helpers import EPSILON_EDGE_SCENARIO, RANKED_SCENARIOS, VALIDATE_SCENARIOS
 
@@ -135,6 +136,35 @@ class TestRun:
 
     def test_missing_file_exit_2(self, capsys):
         assert run_cli("run", "nowhere.json") == 2
+
+    @pytest.mark.parametrize("content,message", [
+        (b'\xff{"buyers": []}', "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"fixed_price": ' + b"1" * 4301 + b"}", "Exceeds the limit (4300 digits)"),
+        (b"[" * 2000 + b"]" * 2000, "JSON nested too deeply"),
+    ], ids=["not-utf-8", "4301-digits", "2000-deep"])
+    def test_malformed_file_exit_2_naming_its_path(self, tmp_path, capsys, content, message):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(content)
+        assert run_cli("run", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}")
+
+    def test_json_syntax_error_names_path_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "syntax.json"
+        path.write_text('{"buyers":\n  ]}')
+        assert run_cli("run", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}:2:3: Expecting value\n"
+
+    def test_report_error_of_the_library_is_internal(self, capsys, monkeypatch):
+        # input never raises InvalidReportError past the loader, which names
+        # it as a ScenarioError; one from a report the library built is a fault
+        def planted(*args, **kwargs):
+            raise InvalidReportError("planted")
+
+        monkeypatch.setattr(groupbuy.cli, "run_group_participation", planted)
+        assert run_cli("run", scenario("example2")) == 1
+        assert capsys.readouterr().err == "internal error: planted\n"
 
     def test_incomplete_tables_exit_2(self, tmp_path, capsys):
         # knot buyers are not sampled at load, and this trace never reaches {1}
@@ -368,6 +398,10 @@ class TestRun:
                      id="flag_epsilon-nan"),
         pytest.param({}, ("--epsilon", "inf"), "--epsilon: epsilon must be positive and finite",
                      id="flag_epsilon-inf"),
+        # an exponent that would build 10**999999999 is rejected before it is built
+        pytest.param({"fixed_price": "1e999999999"}, (),
+                     "fixed_price: exponent beyond 4300 in magnitude: '1e999999999'",
+                     id="fixed_price-1e999999999"),
         # exact, but beyond any float: the tolerance lane could not compute with it
         pytest.param({"fixed_price": "1e400"}, (), "fixed_price: not a finite float: '1e400'",
                      id="fixed_price-1e400"),

@@ -289,7 +289,7 @@ class TestReferenceTable:
             ClosedFormUtility.power(1, F(1, 2)),
         ]
         return [
-            sample_report(f, {p for s in scheds for p in s.share_points(i) if p > 0})
+            sample_report(f, {p for s in scheds for p in s.share_points(i)})
             for i, f in enumerate(forms)
         ]
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,7 @@ from groupbuy.numeric import (
     approx,
     decimal_str,
     exact_str,
-    infer_policy,
+    integers_over_common_denominator,
     parse_number,
 )
 
@@ -152,6 +154,42 @@ def test_renderings_round_trip():
     assert decimal_str(F(1, 3)).startswith("0.3333333333333")
 
 
-def test_infer_policy():
-    assert infer_policy([F(1, 2), 3]).exact
-    assert not infer_policy([F(1, 2), 0.5]).exact
+@pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", "1E4301", "-2.5e-4301"])
+def test_parse_number_rejects_a_huge_exponent_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent beyond 4300"):
+        parse_number(text)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("1e300", F(10) ** 300), ("1e-4300", F(1, 10 ** 4300)), ("-2.5E+3", F(-2500)),
+    ("7e0", F(7)), (1e-05, F(1, 10 ** 5)),
+])
+def test_parse_number_reads_an_exponent_within_the_limit(text, expected):
+    assert parse_number(text) == expected
+
+
+# a value and whether it is exact: ints and Fractions are, floats and bools are not
+EXACT_VALUE = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(max_denominator=10 ** 6))
+TAGGED = st.one_of(
+    EXACT_VALUE.map(lambda v: (v, True)),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.booleans()).map(lambda v: (v, False)),
+)
+
+
+@given(st.lists(TAGGED, max_size=6))
+@example([(F(1, 2), True), (3, True)])
+@example([(F(1, 2), True), (0.5, False)])
+@example([(1, True), (True, False)])
+def test_integers_over_common_denominator_is_the_test_of_exactness(tagged):
+    values = [v for v, _ in tagged]
+    got = integers_over_common_denominator(values)
+    if not all(exact for _, exact in tagged):
+        assert got is None
+        return
+    d, ints = got
+    assert type(d) is int and d > 0 and all(type(v) is int for v in ints)
+    assert [F(v, d) for v in ints] == values
+    for (a, u), (b, v) in itertools.product(zip(values, ints), repeat=2):
+        assert (a < b, a == b) == (u < v, u == v)

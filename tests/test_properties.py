@@ -127,7 +127,7 @@ def instances(draw):
     schedule = build_schedule(kind, weights, order)
     reports = [
         random_concave_utility(
-            draw(st.integers(0, 2**32 - 1)), [p for p in schedule.share_points(i) if p > 0], F(2)
+            draw(st.integers(0, 2**32 - 1)), schedule.share_points(i), F(2)
         )
         for i in range(n)
     ]
@@ -221,7 +221,7 @@ def test_closed_forms_match_their_sampled_reports(instance, reserve, rivals):
     kind, weights, order, forms = instance
     schedule = build_schedule(kind, weights, order)
     sampled = [
-        sample_report(form, [p for p in schedule.share_points(i) if p > 0])
+        sample_report(form, schedule.share_points(i))
         for i, form in enumerate(forms)
     ]
     cfg = AuctionConfig(reserve, tuple(rivals))
@@ -392,7 +392,7 @@ def random_scan(seed, step, fraction, tie, kind="random"):
     else:
         schedule = build_schedule(kind, [rng.randint(1, 9) for _ in range(3)], rng.sample(range(3), 3))
     truth = [
-        random_concave_utility(rng.randrange(2**31), [p for p in schedule.share_points(i) if p > 0], 1)
+        random_concave_utility(rng.randrange(2**31), schedule.share_points(i), 1)
         for i in range(3)
     ]
     menus = concave_report_grid(schedule, levels=(0, F(1, 2), 1))
@@ -522,7 +522,7 @@ def test_relabelling_permutes_the_monotone_scans(kind, perm):
         ]
     else:
         truth = [
-            random_concave_utility(2014 + i, [p for p in schedule.share_points(i) if p > 0], 1)
+            random_concave_utility(2014 + i, schedule.share_points(i), 1)
             for i in range(3)
         ]
     menus = report_menus(schedule)
@@ -652,7 +652,7 @@ def test_truthful_winners_net_at_least_minus_epsilon(seed, n, step, epsilons, ul
     rng = random.Random(seed)
     schedule = random_table(rng, n)
     truth = [
-        random_concave_utility(rng.randrange(2**31), [p for p in schedule.share_points(i) if p > 0], 1)
+        random_concave_utility(rng.randrange(2**31), schedule.share_points(i), 1)
         for i in range(n)
     ]
     policy = approx()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupbuy.numeric import EXACT, approx
+from groupbuy.scenario import load_scenario
 from groupbuy.schedule import (
     _breaking_constant,
     _concave_sample_breaks,
@@ -33,7 +34,14 @@ from groupbuy.schedule import (
 )
 from groupbuy.utility import CONCAVE, GRAIN, ClosedFormUtility, ReportClass, UtilityReport, _below
 
-from helpers import reference_ranked_shares, renormalized_cmss, rras_resource_table, same_numbers
+from helpers import (
+    VALIDATE_SCENARIOS,
+    exploit_table,
+    reference_ranked_shares,
+    renormalized_cmss,
+    rras_resource_table,
+    same_numbers,
+)
 
 APPROX = approx()
 # a payment or resource share: a fraction in [0, 1], small denominators often
@@ -85,6 +93,23 @@ class TestEqualSplit:
 
     def test_share_points(self):
         assert EqualSplitSchedule(3).share_points(1) == (F(1, 3), F(1, 2), F(1))
+
+
+# (schedule, buyer, its share points): each buyer named is a member of some
+# subset with a zero share, but exploit_table's buyer 0, whose rows mix ints
+# and Fractions
+@pytest.mark.parametrize("make,buyer,points", [
+    (lambda: load_scenario(VALIDATE_SCENARIOS["zero-share"]).schedule, 1, (1,)),
+    (lambda: RankedSchedule((0, 1, 2), (F(1, 2), 0, F(1, 2))), 1, (F(1, 2), 1)),
+    (exploit_table, 0, (F(1, 3), F(1, 2), F(2, 3), 1)),
+], ids=["zero-share", "ranked-zero-base", "exploit"])
+def test_share_points_are_every_positive_share_sorted(make, buyer, points):
+    schedule = make()
+    assert schedule.share_points(buyer) == points
+    for i in range(schedule.n):
+        shares = {schedule.shares_for(m).resource[i]
+                  for m in nonempty_subsets(full_mask(schedule.n)) if m >> i & 1}
+        assert schedule.share_points(i) == tuple(sorted(shares - {0}))
 
 
 class TestRankedShares:

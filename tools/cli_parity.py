@@ -28,6 +28,9 @@ own ``src/``:
   its edge;
 * ``run`` in each format on bundled scenarios with one field misspelt, left
   out or of an unknown value (``BROKEN``), written into the same directory;
+* ``run`` in each format on files that are no scenario document at all
+  (``MALFORMED``: not UTF-8, a 4,301-digit JSON integer, arrays nested
+  2,000 deep), written as raw bytes into the same directory;
 * for each of the given seeds (default 1 and 9173) of the three benchmark
   pools in ``bench.workloads``, ``bench/`` being only read:
   ``run --format json`` and ``compare --format json`` on every cli-scale
@@ -129,6 +132,13 @@ BROKEN = (
     ("section6-table-no-base", "section6-table", ("schedule",), "base", None, None),
     ("section6-table-no-shares", "section6-table", ("schedules", "cmss"), "shares", None, None),
     ("section6-table-cube", "section6-table", ("schedules", "rras"), "f", "f", "cube"),
+)
+
+# (file name, raw bytes): a file that loading must reject before it reads any stanza
+MALFORMED = (
+    ("not-utf-8", b'\xff{"buyers": []}'),
+    ("4301-digits", b'{"fixed_price": ' + b"1" * 4301 + b"}"),
+    ("2000-deep", b"[" * 2000 + b"]" * 2000),
 )
 
 
@@ -246,6 +256,10 @@ def main(argv=None) -> int:
                 stanza[replacement] = value
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(document), encoding="utf-8")
+            report_calls(path, ("run",), placeholders)
+        for name, content in MALFORMED:
+            path = Path(tmp) / f"{name}.json"
+            path.write_bytes(content)
             report_calls(path, ("run",), placeholders)
         for seed in seeds:
             workdir = Path(tmp) / f"cli-scale-{seed}"

@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 from .auction import AuctionConfig, decide_winning_set, run_group_participation
 from .mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
-from .numeric import EXACT, Num, NumericPolicy, approx, integers_over_common_denominator
+from .numeric import EXACT, Num, NumericPolicy, approx, integers_over_common_denominator, to_float
 from .schedule import ScheduleError, ShareSchedule, full_mask, members, nonempty_subsets, report_class_for
 from .utility import ClosedFormUtility, UtilityReport, sample_points, sample_report, validate_knots
 
@@ -169,7 +169,7 @@ def power_report_grid(
         menu = []
         seen = set()
         for form in forms:
-            signature = tuple(float(form.value_at(x)) for x in xs)
+            signature = tuple(to_float(form.value_at(x)) for x in xs)
             if signature not in seen:
                 seen.add(signature)
                 menu.append(form)

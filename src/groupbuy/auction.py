@@ -9,12 +9,13 @@ a winning group pays the threshold, max(reserve, best rival bid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 from .mechanism import AllocationOutcome, BidStep, BidTrace, compute_bid_trace, divide
-from .numeric import EXACT, Num, NumericPolicy, is_finite_float
+from .numeric import EXACT, Num, NumericPolicy, to_float
 from .schedule import ShareSchedule
 from .utility import UtilityReport
 
@@ -35,7 +36,7 @@ class AuctionConfig:
         if self.tie_policy not in (GROUP_WINS, GROUP_LOSES):
             raise ValueError(f"unknown tie policy {self.tie_policy!r}")
         for v in (self.reserve, *self.competing_bids):
-            if not is_finite_float(v) or v < 0:
+            if not math.isfinite(to_float(v)) or v < 0:
                 raise ValueError("reserve and bids must be finite and non-negative")
 
     @cached_property  # not a field: repr, == and hash see only the three above

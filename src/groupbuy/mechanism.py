@@ -121,7 +121,7 @@ def bid_steps(
     every schedule is built so that each subset S has a member paying at least
     1/|S| >= 1/``MAX_BUYERS``, which ``policy.is_positive`` passes (an epsilon
     stays below half of it), so some member has a ratio, and the one at the
-    minimum passes ``policy.eq(ratio, bound)``.
+    minimum passes ``policy.eq(ratio, bound)``, an ``inf`` bound included.
     """
     while subset:
         pairs = []

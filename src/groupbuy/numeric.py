@@ -8,38 +8,36 @@ decides how two such numbers compare; it never changes how they are computed.
 The package has one tolerance rule and applies it only here: exact when
 ``epsilon`` is None (meant for rational data), otherwise an absolute
 ``epsilon`` in every comparison, the engine's bottleneck test
-``eq(ratio, bound)`` included.  The rule has one form: a comparison takes
-the one difference of its two arguments, subtracts ``epsilon`` and compares
-the result with 0.  IEEE subtraction is antisymmetric (fl(b - a) is
--fl(a - b)), a ``Fraction`` difference meets ``epsilon`` as its nearest
-float, which rounds d and -d alike, and fl(d - epsilon) has the sign of
-d - epsilon.  So ``lt``, ``eq`` and ``gt`` split every pair of floats,
-``Fraction``s or one of each three ways, and ``le``/``ge`` are exactly
-``lt or eq``/``gt or eq``.  The auction's ``ge``, the scan's comparisons
-of nets (value less payment) and the bottleneck's ``eq`` therefore decide
-an edge alike.  ``not is_positive`` is the one test of a zero share, in the
-checks, the engine and ``validate-schedule``'s note alike; ``epsilon`` stays
-below ``MAX_EPSILON``, half of 1/``MAX_BUYERS``, the least share of a
-subset's largest payer, where a ranked weight must be positive too.
+``eq(ratio, bound)`` included.  A comparison takes the one difference of its
+two arguments, subtracts ``epsilon`` and compares the result with 0; a NaN
+difference (the same infinity on both sides) counts as 0.  IEEE subtraction
+is antisymmetric (fl(b - a) is -fl(a - b)), a ``Fraction`` difference meets
+``epsilon`` as its nearest float, which rounds d and -d alike, and
+fl(d - epsilon) has the sign of d - epsilon.  So ``lt``, ``eq`` and ``gt``
+split every pair of numbers three ways, infinities included, and ``le``/``ge``
+are exactly ``lt or eq``/``gt or eq``: the auction's ``ge``, the scan's
+comparisons of nets and the bottleneck's ``eq`` decide an edge alike.
+``not is_positive`` is the one test of a zero share, in the checks, the
+engine and ``validate-schedule``'s note alike; ``epsilon`` stays below
+``MAX_EPSILON``, half of 1/``MAX_BUYERS``, the least share of a subset's
+largest payer, where a ranked weight must be positive too.
 
 Report validation and the concave menus compare chord slopes du/dx by one
-rule beside it, :meth:`NumericPolicy.slope_le`: cross-multiplied when exact
-(on integers, after :func:`integers_over_common_denominator`), the tolerance
-rule on the two quotients otherwise.  That function is the one test of
-exactness: None unless every value is an ``int`` or a ``Fraction`` (a float
-or a ``bool`` is not), and every exact lane and integer path follows it.
-:func:`parse_number` rejects a decimal exponent beyond ``MAX_EXPONENT`` in
-magnitude before it builds the ``Fraction`` (``"1e999999999"`` would hang).
+rule beside it, :meth:`NumericPolicy.slope_le`.  The one test of exactness,
+which every exact lane and integer path follows, is
+:func:`integers_over_common_denominator`.
 
-The engine's conversions sit beside the rule.  :meth:`NumericPolicy.lane`
-makes the auction's threshold a lane number, as is when exact and a float in
-the tolerance lane, whose comparisons then run on floats only
-(:mod:`groupbuy.auction`).  :meth:`NumericPolicy.ratio` is ``lane(u / y)``
-for a column's value over its payment share at the exact share
-(:mod:`groupbuy.mechanism`).  In the tolerance lane it divides two
-``Fraction``s as one int true division of the cross products.  Python rounds
-that division correctly, as ``float`` of the reduced ``Fraction`` is rounded:
-the same rational, so the same float, without the gcd that ``u / y`` takes.
+:func:`to_float` is the one conversion to a float: an infinity of the
+number's sign past the largest float, as float arithmetic rounds an overflow.
+:meth:`NumericPolicy.lane` makes the auction's threshold a lane number, as is
+when exact and a float in the tolerance lane, whose comparisons then run on
+floats only (:mod:`groupbuy.auction`).  :meth:`NumericPolicy.ratio` is
+``lane(u / y)`` for a column's value over its payment share at the exact
+share (:mod:`groupbuy.mechanism`).  In the tolerance lane it divides two
+``Fraction``s as one int true division of the cross products, or takes
+``u / y`` where that overflows.  Python rounds that division correctly, as
+``float`` of the reduced ``Fraction`` is rounded: the same rational, so the
+same float, without the gcd that ``u / y`` takes.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -64,11 +63,11 @@ class NumericPolicy:
 
     With ``epsilon``, each comparison decides on one difference:
     ``lt(a, b)`` is ``b - a - epsilon > 0``, ``le(a, b)`` is
-    ``a - b - epsilon <= 0`` and ``eq(a, b)`` is ``abs(a - b) - epsilon <= 0``;
-    ``gt`` and ``ge`` swap the arguments.  ``epsilon`` is subtracted before
-    the comparison with 0: a ``Fraction`` difference less a float is one
-    float subtraction, where ``d > epsilon`` would compare through
-    ``Fraction.from_float``.
+    ``not a - b - epsilon > 0`` and ``eq(a, b)`` is ``not abs(a - b) - epsilon > 0``,
+    so a NaN difference counts as 0; ``gt`` and ``ge`` swap the arguments.
+    ``epsilon`` is subtracted before the comparison with 0: a ``Fraction``
+    difference less a float is one float subtraction, where ``d > epsilon``
+    would compare through ``Fraction.from_float``.
     """
 
     epsilon: float | None = None
@@ -85,7 +84,7 @@ class NumericPolicy:
     def eq(self, a: Num, b: Num) -> bool:
         if self.epsilon is None:
             return a == b
-        return abs(a - b) - self.epsilon <= 0
+        return not abs(a - b) - self.epsilon > 0  # not >, where <= would fail a NaN (equal infinities)
 
     def lt(self, a: Num, b: Num) -> bool:
         if self.epsilon is None:
@@ -95,7 +94,7 @@ class NumericPolicy:
     def le(self, a: Num, b: Num) -> bool:
         if self.epsilon is None:
             return a <= b
-        return a - b - self.epsilon <= 0
+        return not a - b - self.epsilon > 0
 
     def gt(self, a: Num, b: Num) -> bool:
         return self.lt(b, a)
@@ -121,7 +120,7 @@ class NumericPolicy:
 
     def lane(self, v: Num) -> Num:
         """``v`` as the engine computes with it: as is when exact, else a float."""
-        return v if self.epsilon is None else float(v)
+        return v if self.epsilon is None else to_float(v)
 
     def ratio(self, u: Num, y: Num) -> Num:
         """``lane(u / y)``, bit for bit, for ``y`` != 0; two ``Fraction``s
@@ -129,8 +128,11 @@ class NumericPolicy:
         if self.epsilon is None:
             return u / y
         if type(u) is Fraction and type(y) is Fraction:
-            return (u.numerator * y.denominator) / (u.denominator * y.numerator)
-        return float(u / y)
+            try:
+                return (u.numerator * y.denominator) / (u.denominator * y.numerator)
+            except OverflowError:
+                pass
+        return to_float(u / y)
 
 
 EXACT = NumericPolicy()
@@ -154,12 +156,12 @@ def integers_over_common_denominator(values) -> Optional[tuple]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def is_finite_float(v: Num) -> bool:
-    """Whether ``v`` converts to a finite float, as the tolerance lane needs."""
+def to_float(v: Num) -> float:
+    """``float(v)``, or past the largest float an infinity of v's sign, as float arithmetic rounds."""
     try:
-        return math.isfinite(float(v))
+        return float(v)
     except OverflowError:
-        return False
+        return math.inf if v > 0 else -math.inf
 
 
 def parse_number(value) -> Fraction:
@@ -187,19 +189,20 @@ def parse_number(value) -> Fraction:
         number = Fraction(value)
     else:
         raise ValueError(f"cannot parse number {value!r}")
-    if not is_finite_float(number):
+    if not math.isfinite(to_float(number)):
         raise ValueError(f"not a finite float: {value!r}")
     return number
 
 
 def decimal_str(v: Num) -> str:
     """Decimal rendering with 15 significant digits."""
-    return f"{float(v):.15g}"
+    return f"{to_float(v):.15g}"
 
 
 def exact_str(v: Num) -> str:
-    """"p/q" rendering of a rational value."""
-    return str(Fraction(v))
+    """``str(Fraction(v))``, through ``Decimal``: ``str(int)`` stops at 4,300 digits."""
+    p, q = map(Decimal, v.as_integer_ratio())
+    return f"{p}/{q}".removesuffix("/1")
 
 
 def piecewise_value(xs, us, x):

@@ -15,12 +15,12 @@ that holds a comma, a quote, CR or LF is quoted, its quotes doubled (RFC 4180).
 
 from __future__ import annotations
 
-from .numeric import Num, NumericPolicy, decimal_str, exact_str
+from .numeric import Num, NumericPolicy, decimal_str, exact_str, to_float
 from .schedule import ORACLE_MAX_BUYERS, full_mask, members, nonempty_subsets, subset_key
 
 
 def fmt(v) -> str:
-    return f"{float(v):.6g}"
+    return f"{to_float(v):.6g}"
 
 
 def braces(mask: int) -> str:

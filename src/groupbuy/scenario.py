@@ -37,7 +37,7 @@ from importlib import resources
 from typing import Optional
 
 from .auction import GROUP_WINS, AuctionConfig
-from .numeric import DEFAULT_EPSILON, EXACT, Num, NumericPolicy, approx, parse_number
+from .numeric import DEFAULT_EPSILON, EXACT, MAX_EXPONENT, Num, NumericPolicy, approx, parse_number
 from .schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -313,11 +313,17 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
+def _json_int(text: str) -> int:  # int(text), or past int()'s limit of MAX_EXPONENT digits an error naming it
+    if len(text.lstrip("-")) > MAX_EXPONENT:
+        raise ValueError(f"integer of {len(text.lstrip('-'))} digits, beyond the limit of {MAX_EXPONENT}")
+    return int(text)
+
+
 def load_scenario_file(path, **kwargs) -> Scenario:
     """The scenario in the file at ``path``; every malformed file is a ScenarioError naming ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            document = json.loads(fh.read(), object_pairs_hook=_unique_keys)
+            document = json.loads(fh.read(), object_pairs_hook=_unique_keys, parse_int=_json_int)
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:

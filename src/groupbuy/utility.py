@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .numeric import EXACT, Num, approx, integers_over_common_denominator, piecewise_value
+from .numeric import EXACT, Num, approx, integers_over_common_denominator, piecewise_value, to_float
 
 
 class InvalidReportError(ValueError):
@@ -154,8 +154,8 @@ class ClosedFormUtility:
 
     @cached_property
     def _floats(self) -> tuple:
-        """(float(c), float(k)), made on the first irrational value, not at construction."""
-        return float(self.c), float(self.k)
+        """(c, k) as floats, made on the first irrational value, not at construction."""
+        return to_float(self.c), to_float(self.k)
 
 
 def sample_points(points: Iterable[Num]) -> list:

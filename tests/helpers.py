@@ -1,6 +1,7 @@
 """Shared test fixtures and reference implementations that the library itself does not need."""
 
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from groupbuy.auction import (
 )
 from groupbuy.mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
 from groupbuy.numeric import EXACT, Num, NumericPolicy, approx
+from groupbuy.scenario import bundled_scenario_path
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -500,6 +502,53 @@ EPSILON_EDGE_SCENARIO = {
     "schedule": {"kind": "equal-split"},
     "auction": {"reserve": "1/3"},
     "policy": {"epsilon": "1e-9"},
+}
+
+# A cmss stanza for the section6-table buyers whose bid vector (about 1.414,
+# 1.587, 1) crosses both of that file's schedules: "incomparable" to each.
+CROSSING_CMSS = {"kind": "cmss", "shares": {
+    "0,1,2": ["1/4", "1/4", "1/2"], "0,1": ["1/2", "1/2", "0"], "0,2": ["1/4", "0", "3/4"],
+    "1,2": ["0", "1/4", "3/4"], "0": ["1", "0", "0"], "1": ["0", "1", "0"], "2": ["0", "0", "1"],
+}}
+
+
+def section6_with_crossing() -> dict:
+    """The bundled section6-table document with ``CROSSING_CMSS`` added as "crossing"."""
+    with open(bundled_scenario_path("section6-table"), encoding="utf-8") as fh:
+        document = json.load(fh)
+    document["schedules"]["crossing"] = CROSSING_CMSS
+    return document
+
+
+# Valid files whose numbers are all finite floats but whose derived values are
+# not.  "power-1.7e308": three buyers whose ratios u/y all round to inf in the
+# tolerance lane, so the bottleneck step must remove equal infinities.
+# "knots-1.7e308" (tolerance lane) and "knots-1.7e308-exact": a bound of about
+# 3.4e308, inf as a float and an exact "p/q" in the exact lane.
+# "fixed-price-1e-4300": an exact price whose denominator has 4,301 digits.
+_KNOTS_1_7E308 = {"kind": "knots", "points": [["0", "0"], ["1/2", "1.7e308"], ["1", "1.7e308"]]}
+FLOAT_RANGE_SCENARIOS = {
+    "power-1.7e308": {
+        "buyers": [{"kind": "power", "c": "1.7e308", "k": "1/2"}] * 3,
+        "schedule": {"kind": "equal-split"},
+        "fixed_price": "1/2",
+    },
+    "knots-1.7e308": {
+        "buyers": [_KNOTS_1_7E308] * 2,
+        "schedule": {"kind": "equal-split"},
+        "fixed_price": "1/2",
+        "policy": {"epsilon": "1e-9"},
+    },
+    "knots-1.7e308-exact": {
+        "buyers": [_KNOTS_1_7E308] * 2,
+        "schedule": {"kind": "equal-split"},
+        "fixed_price": "1/2",
+    },
+    "fixed-price-1e-4300": {
+        "buyers": [{"kind": "linear", "c": "1"}] * 2,
+        "schedule": {"kind": "equal-split"},
+        "fixed_price": "1e-4300",
+    },
 }
 
 

@@ -24,7 +24,7 @@ from groupbuy.analysis import (
 from groupbuy.auction import GROUP_LOSES, GROUP_WINS, AuctionConfig, run_group_participation
 from groupbuy.mechanism import RatioColumn
 from groupbuy.numeric import EXACT, approx
-from groupbuy.scenario import bundled_scenario_path, load_scenario_file
+from groupbuy.scenario import bundled_scenario_path, load_scenario, load_scenario_file
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -50,6 +50,7 @@ from helpers import (
     reference_coalition_scan,
     renormalized_cmss,
     rras_resource_table,
+    section6_with_crossing,
 )
 
 APPROX = approx()
@@ -667,6 +668,18 @@ class TestCompareSchedules:
         assert [round(float(s.max_payment), 2) for s in by_name["cmss"].trace.steps] == [1.68, 1.21, 1.0]
         for run in cmp.runs:
             assert run.outcome.winning_set == 0b111
+
+    @pytest.mark.parametrize("a,b,relation", [
+        ("rras", "cmss", "dominates"),
+        ("cmss", "rras", "dominated"),
+        ("rras", "crossing", "incomparable"),
+        ("crossing", "cmss", "incomparable"),
+    ])
+    def test_bid_vector_relations(self, a, b, relation):
+        sc = load_scenario(section6_with_crossing())
+        schedules = {name: sc.named_schedules[name] for name in (a, b)}
+        cmp = compare_schedules(sc.reports, schedules, sc.auction, sc.policy)
+        assert cmp.dominance == {(a, b): relation}
 
     def test_self_comparison_is_equal(self):
         reports, rras, _ = self.reference_setup()

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import groupbuy
+from groupbuy.analysis import BudgetError, enumerate_coalition_deviations, report_menus
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.cli import main
 from groupbuy.numeric import EXACT, approx
@@ -20,7 +21,13 @@ from groupbuy.scenario import (
 from groupbuy.report import outcome_to_json
 from groupbuy.utility import InvalidReportError
 
-from helpers import EPSILON_EDGE_SCENARIO, RANKED_SCENARIOS, VALIDATE_SCENARIOS
+from helpers import (
+    EPSILON_EDGE_SCENARIO,
+    FLOAT_RANGE_SCENARIOS,
+    RANKED_SCENARIOS,
+    VALIDATE_SCENARIOS,
+    section6_with_crossing,
+)
 
 
 def run_cli(*argv):
@@ -139,9 +146,10 @@ class TestRun:
 
     @pytest.mark.parametrize("content,message", [
         (b'\xff{"buyers": []}', "'utf-8' codec can't decode byte 0xff in position 0"),
-        (b'{"fixed_price": ' + b"1" * 4301 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"fixed_price": ' + b"1" * 4301 + b"}", "integer of 4301 digits, beyond the limit of 4300\n"),
         (b"[" * 2000 + b"]" * 2000, "JSON nested too deeply"),
-    ], ids=["not-utf-8", "4301-digits", "2000-deep"])
+        (b"[]", "scenario: not a JSON object\n"),
+    ], ids=["not-utf-8", "4301-digits", "2000-deep", "not-an-object"])
     def test_malformed_file_exit_2_naming_its_path(self, tmp_path, capsys, content, message):
         path = tmp_path / "malformed.json"
         path.write_bytes(content)
@@ -222,6 +230,31 @@ class TestRun:
         captured = capsys.readouterr()
         assert f"duplicate key {key!r}" in captured.err
         assert "payments" not in captured.out
+
+    @pytest.mark.parametrize("name", ["power-1.7e308", "knots-1.7e308", "knots-1.7e308-exact"])
+    def test_a_bid_past_the_float_range_shows_as_inf(self, tmp_path, capsys, name):
+        # every number parses as a finite float; the bid u/y does not, and every
+        # command finishes with the bid shown as inf
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(FLOAT_RANGE_SCENARIOS[name]))
+        bids = {
+            "text": lambda out: out.splitlines()[1].split()[2],
+            "json": lambda out: json.loads(out)["trace"]["bid"]["decimal"],
+            "csv": lambda out: list(csv.reader(io.StringIO(out)))[1][2],
+        }
+        for fmt, bid in bids.items():
+            assert run_cli("run", str(path), "--format", fmt) == 0
+            assert bid(capsys.readouterr().out) == "inf"
+        for command in ("fuzz", "compare", "validate-schedule"):
+            assert run_cli(command, str(path)) == 0
+        assert "  inf  " in capsys.readouterr().out  # compare's max_payment column
+
+    def test_exact_strings_past_4300_digits(self, tmp_path, capsys):
+        path = tmp_path / "tiny-price.json"
+        path.write_text(json.dumps(FLOAT_RANGE_SCENARIOS["fixed-price-1e-4300"]))
+        assert run_cli("run", str(path), "--format", "json") == 0
+        price = json.loads(capsys.readouterr().out)["outcome"]["price"]
+        assert price == {"decimal": "0", "exact": "1/1" + "0" * 4300}
 
     def test_irrational_weight_runs_in_tolerance_lane(self, tmp_path, capsys):
         path = tmp_path / "ranked_power.json"
@@ -413,6 +446,15 @@ class TestRun:
                      (), "buyer 0: not a finite float: '1e400'", id="linear_c-1e400"),
         pytest.param({"buyers": [knots(("0", "0"), ("1", "1e400")), {"kind": "linear", "c": "2"}]},
                      (), "buyer 0: not a finite float: '1e400'", id="knot_value-1e400"),
+        pytest.param({"buyers": []}, (), 'scenario needs a non-empty "buyers" list',
+                     id="buyers-empty"),
+        pytest.param({"buyers": [5, {"kind": "linear", "c": "2"}]}, (), "buyer 0: not a JSON object",
+                     id="buyer-not-an-object"),
+        pytest.param({"policy": {"mode": "fast"}}, (), "policy: unknown mode 'fast'",
+                     id="policy_mode-fast"),
+        # a raw JSON number in a share row takes parse_number's non-string path
+        pytest.param({"schedule": {"kind": "cmss", "shares": dict(ROWS, **{"0,1": [0.5, True]})}},
+                     (), 'schedule: share row "0,1": not a number: True', id="cmss_share-true"),
         pytest.param({"fixed_price": "-1"}, (),
                      "fixed_price: reserve and bids must be finite and non-negative",
                      id="fixed_price-negative"),
@@ -466,6 +508,17 @@ class TestRun:
         path = self.write(tmp_path, data)
         assert run_cli("run", path, *flags) == 2
         assert message in capsys.readouterr().err
+
+    def test_raw_json_numbers_in_share_rows_run_like_strings(self, tmp_path, capsys):
+        rows = {"0,1": [0.25, 0.75], "0": [1, 0], "1": [0, 1]}
+        texts = {key: [str(F(str(v))) for v in row] for key, row in rows.items()}
+        outputs = []
+        for shares in (rows, texts):
+            path = self.write(tmp_path, self.two_buyers(schedule={"kind": "cmss", "shares": shares}))
+            assert run_cli("run", path, "--format", "json") == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert '"exact": "1/4"' in outputs[0]
 
     def test_policy_epsilon_alone_selects_the_tolerance_lane(self, tmp_path, capsys):
         # rational buyers run exact by default; a file epsilon, with or without
@@ -763,6 +816,17 @@ class TestFuzz:
         assert run_cli("fuzz", scenario("example2"), "--budget", "400") == 3
         assert "truncated" in capsys.readouterr().out
 
+    def test_budget_below_the_exhaustive_scan_exit_3_without_a_result(self, capsys):
+        sc = load_scenario_file(scenario("example2"))
+        with pytest.raises(BudgetError) as caught:
+            enumerate_coalition_deviations(sc.reports, sc.schedule, sc.auction,
+                                           report_menus(sc.schedule), budget=5, policy=sc.policy)
+        assert run_cli("fuzz", scenario("example2"), "--budget", "5") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"budget exceeded: exhaustive scan needs {caught.value.estimate} "
+                                f"profiles but the budget is 5\n")
+
     def test_json_stdout_parses_on_violations(self, tmp_path, capsys):
         assert run_cli("fuzz", exploitable(tmp_path), "--format", "json") == 1
         payload = json.loads(capsys.readouterr().out)
@@ -854,6 +918,16 @@ class TestCompare:
         captured = capsys.readouterr()
         assert captured.err == "error: unknown schedule name(s): nope\n"
         assert captured.out == ""
+
+    def test_json_dominance_names_every_relation(self, tmp_path, capsys):
+        path = tmp_path / "crossing.json"
+        path.write_text(json.dumps(section6_with_crossing()))
+        argv = ("compare", str(path), "--format", "json", "--schedules", "cmss,rras,crossing")
+        assert run_cli(*argv) == 0
+        assert json.loads(capsys.readouterr().out)["dominance"] == {
+            "cmss vs rras": "dominated", "cmss vs crossing": "incomparable",
+            "rras vs crossing": "incomparable",
+        }
 
     def test_self_comparison_equal(self, capsys):
         assert run_cli("compare", scenario("section6-table"), "--schedules", "rras,rras") == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -6,12 +7,14 @@ import pytest
 
 from groupbuy.mechanism import (
     AllocationOutcome,
+    BidStep,
     BidTrace,
     RatioColumn,
     bid_steps,
     compute_bid_trace,
 )
 from groupbuy.numeric import EXACT, approx
+from groupbuy.scenario import load_scenario
 from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -30,6 +33,7 @@ from groupbuy.utility import (
 )
 
 from helpers import (
+    FLOAT_RANGE_SCENARIOS,
     divide_at_price,
     fixed_price_outcome,
     random_concave_utility,
@@ -274,6 +278,15 @@ class TestBidSteps:
         for args, message in bad:
             with pytest.raises(ValueError, match=message):
                 compute_bid_trace(*args)
+
+    def test_equal_infinite_ratios_leave_in_one_step(self):
+        # every ratio rounds to inf in the tolerance lane; eq(inf, inf) holds,
+        # so the first step removes all three (islice stops a loop that would not)
+        sc = load_scenario(FLOAT_RANGE_SCENARIOS["power-1.7e308"])
+        assert not sc.policy.exact
+        columns = [RatioColumn(sc.schedule, sc.policy, i, r) for i, r in enumerate(sc.reports)]
+        steps = list(itertools.islice(bid_steps(columns, sc.policy, full_mask(sc.n)), sc.n + 1))
+        assert steps == [BidStep(0b111, math.inf, 0b111)]
 
 
 class TestReferenceTable:

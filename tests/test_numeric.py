@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from groupbuy.numeric import (
     exact_str,
     integers_over_common_denominator,
     parse_number,
+    to_float,
 )
 
 from helpers import same_numbers
@@ -52,16 +54,36 @@ def near_pairs(draw):
     return a, b
 
 
-@given(near_pairs())
+INFINITY = st.sampled_from((math.inf, -math.inf))
+
+
+@st.composite
+def infinite_pairs(draw):
+    """(a, b): an infinity and another infinity or a float, in either order."""
+    pair = (draw(INFINITY), draw(st.one_of(INFINITY, st.floats(-2, 2))))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+def exact(v):
+    """``v`` as a Fraction, or as is if it has none (an infinity)."""
+    return F(v) if math.isfinite(v) else v
+
+
+@given(st.one_of(near_pairs(), infinite_pairs()))
 @example((0.3333333323333333, float(F(1, 3))))  # a + epsilon rounds to b, yet b - a exceeds epsilon
+@example((math.inf, math.inf))  # a NaN difference counts as 0: equal infinities are eq
+@example((-math.inf, -math.inf))
+@example((-math.inf, math.inf))
+@example((math.inf, 1.0))
 @settings(max_examples=300, deadline=None)
 def test_tolerance_comparisons_split_every_pair_three_ways(pair):
-    # Every comparison decides on the one difference less epsilon, so lt, eq
-    # and gt split each pair, le and ge are their unions, and is_positive is
-    # lt(0, v); as floats, as Fractions and mixed.
+    # Every comparison decides on the one difference less epsilon, a NaN
+    # difference counting as 0, so lt, eq and gt split each pair, le and ge
+    # are their unions, and is_positive is lt(0, v); as floats, as Fractions
+    # and mixed, infinities included.
     pol = approx()
     a, b = pair
-    for x, y in ((a, b), (F(a), F(b)), (a, F(b)), (F(a), b)):
+    for x, y in ((a, b), (exact(a), exact(b)), (a, exact(b)), (exact(a), b)):
         lt, eq, gt = pol.lt(x, y), pol.eq(x, y), pol.gt(x, y)
         assert lt + eq + gt == 1, (x, y)
         assert pol.le(x, y) == (lt or eq)
@@ -112,10 +134,37 @@ def test_ratio_is_the_lane_of_the_quotient_at_the_edges(u, y):
 @pytest.mark.parametrize("u,y", [(F(2 ** 1024 * 5, 3), F(5, 3)), (F(HALFWAY * 3, 7), F(3, 7))],
                          ids=["2**1024", "halfway"])
 def test_ratio_overflows_where_the_lane_does(u, y):
-    with pytest.raises(OverflowError):
-        approx().lane(u / y)
-    with pytest.raises(OverflowError):
-        approx().ratio(u, y)
+    # past the largest float both give inf, as float arithmetic rounds an overflow
+    assert approx().ratio(u, y) == approx().lane(u / y) == math.inf
+
+
+@pytest.mark.parametrize("v,expected", [
+    (F(LARGEST), 2.0 ** 1023 * (2 - 2.0 ** -52)),
+    (F(HALFWAY * 3 - 1, 3), 2.0 ** 1023 * (2 - 2.0 ** -52)),  # just below halfway
+    (HALFWAY, math.inf),  # halfway rounds to even, past the largest float
+    (-(2 ** 1024), -math.inf),
+    (F(-(10 ** 400), 3), -math.inf),
+    (F(1, 3), 1 / 3),
+    (0.1, 0.1),
+], ids=["largest", "below-halfway", "halfway", "-2**1024", "-1e400/3", "third", "float"])
+def test_to_float_is_an_infinity_past_the_largest_float(v, expected):
+    # as float arithmetic rounds an overflow: 2.0 ** 1023 * 2 is inf too
+    assert to_float(v) == expected
+
+
+@pytest.mark.parametrize("v", [
+    F(2, 3), F(-7), F(1, 10 ** 4300), F(-(10 ** 5000) - 7, 3), F(10 ** 4400), F(10 ** 4299 + 1, 10 ** 4299),
+], ids=["small", "int", "1e-4300", "5001-digit-numerator", "int-4401-digits", "4300-digit-terms"])
+def test_exact_str_renders_terms_of_any_length(v):
+    numerator, _, denominator = exact_str(v).partition("/")
+    assert F(Decimal(numerator)) / F(Decimal(denominator or "1")) == v
+    if max(abs(v.numerator), v.denominator) < 10 ** 4300:  # within str(int)'s limit: its text
+        assert exact_str(v) == str(v)
+
+
+@given(st.one_of(st.fractions(), st.integers(), st.floats(allow_nan=False, allow_infinity=False)))
+def test_exact_str_is_the_string_of_the_fraction(v):
+    assert exact_str(v) == str(F(v))
 
 
 def test_approx_requires_positive_epsilon():

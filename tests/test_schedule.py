@@ -44,6 +44,7 @@ from helpers import (
 )
 
 APPROX = approx()
+POWER = ReportClass("power", F(1, 8), F(1, 2))
 # a payment or resource share: a fraction in [0, 1], small denominators often
 # so that equal shares and equal ratios come up, or the int 0 or 1
 SHARE = st.one_of(st.fractions(0, 1, max_denominator=12), st.fractions(0, 1), st.sampled_from([0, 1]))
@@ -361,6 +362,33 @@ class TestMonotonicity:
         assert witness.utility.value_at(F(1)) == 1  # linear slope one
         _assert_witness_breaks_rule(spec_violation_table(), witness, EXACT)
 
+    @pytest.mark.parametrize("table,report_class,witness", [
+        # buyer 1 holds nothing in {0,1,2} but pays for it, and holds 1/2 of {1,2}
+        ("zero-share-in-b", CONCAVE, (1, 0b110, 0b111, F(1),
+                                      ((F(0), F(0)), (F(1), F(2))))),
+        ("zero-share-in-b", POWER, (1, 0b110, 0b111, F(1),
+                                    ((F(0), 0.0), (F(1, 2), 1.0), (F(1), 1.414213562373095)))),
+        # buyer 1 holds nothing in {1,2}, the first pair, which passes; the
+        # witness is the next pair's, buyer 0 on {0,2}
+        ("zero-share-in-a", CONCAVE, (0, 0b101, 0b111, F(3, 4),
+                                      ((F(0), F(0)), (F(1), F(1))))),
+        # both shares positive, the power family's extremal exponent k_max
+        ("spec", POWER, (0, 0b011, 0b111, 2.0907702751760278,
+                         ((F(0), F(0)), (F(1, 3), 0.5773502691896257),
+                          (F(2, 3), 0.816496580927726), (F(1), F(1))))),
+    ], ids=["x_b-zero-concave", "x_b-zero-power", "x_a-zero", "power"])
+    def test_degenerate_branch_witnesses(self, table, report_class, witness):
+        # one crafted exact table per branch of _pair_violation; the
+        # sampling oracle agrees that each table fails
+        sched = _DEGENERATE_TABLES[table]()
+        found = validate_monotonicity(sched, report_class=report_class)
+        buyer, subset_a, subset_b, constant, knots = witness
+        assert (found.buyer, found.subset_a, found.subset_b) == (buyer, subset_a, subset_b)
+        assert found.constant == constant and type(found.constant) is type(constant)
+        assert found.utility.knots == knots
+        _assert_witness_breaks_rule(sched, found, EXACT)
+        assert brute_force_monotonicity_check(sched, 2000, seed=0, report_class=report_class) is not None
+
     def test_witnesses_always_verify(self):
         # every emitted witness must break the rule by direct substitution
         for sched in (spec_violation_table(), _random_table(99), _random_table(7)):
@@ -512,6 +540,41 @@ class TestBruteForceOracle:
         assert _integer_shares(F(1, 2), 1, 0, F(1, 3)) == (1, 2, 2, 0, 1)
         assert _integer_shares(F(1, 2), F(1, 3), 0.25, F(1, 2)) is None
         assert _integer_shares(F(3, 2), F(1, 3), F(1, 4), F(1, 2)) is None
+
+
+def _singletons():
+    return {"0": ((1, 0, 0), (1, 0, 0)), "1": ((0, 1, 0), (0, 1, 0)), "2": ((0, 0, 1), (0, 0, 1))}
+
+
+def _zero_share_in_b_table():
+    """Buyer 1: no resource but a third of the payment in {0,1,2}, half of each in {1,2}."""
+    third, half = F(1, 3), F(1, 2)
+    return TableSchedule(3, {
+        "0,1,2": ((half, 0, half), (third,) * 3),
+        "1,2": ((0, half, half), (0, half, half)),
+        "0,2": ((half, 0, half), (half, 0, half)),
+        "0,1": ((half, half, 0), (half, half, 0)),
+        **_singletons(),
+    })
+
+
+def _zero_share_in_a_table():
+    """Buyer 1: a quarter of the resource in {0,1,2}, none of it but half the payment in {1,2}."""
+    quarter, half = F(1, 4), F(1, 2)
+    return TableSchedule(3, {
+        "0,1,2": ((quarter, quarter, half), (half, quarter, quarter)),
+        "1,2": ((0, 0, 1), (0, half, half)),
+        "0,2": ((half, 0, half), (half, 0, half)),
+        "0,1": ((half, half, 0), (half, half, 0)),
+        **_singletons(),
+    })
+
+
+_DEGENERATE_TABLES = {
+    "zero-share-in-b": _zero_share_in_b_table,
+    "zero-share-in-a": _zero_share_in_a_table,
+    "spec": spec_violation_table,
+}
 
 
 def _uniform(seed):

@@ -225,12 +225,12 @@ class TestClosedForms:
         assert form.value_at(F(1, 2)) == F(10 ** 400, 2)
         assert isinstance(form.value_at(F(1, 2)), F)
 
-    def test_huge_coefficient_fails_only_where_c_times_x_to_the_k_does(self):
+    def test_huge_coefficient_is_inf_only_off_the_rational_branch(self):
+        # c past the largest float: exact where x is 0 or 1, and inf where the
+        # value is a float, as float arithmetic rounds an overflow
         form = ClosedFormUtility.power(10 ** 400, F(1, 2))
         assert form.value_at(1) == 10 ** 400
-        for call in (lambda: form.value_at(F(1, 2)), lambda: 10 ** 400 * F(1, 2) ** F(1, 2)):
-            with pytest.raises(OverflowError):
-                call()
+        assert form.value_at(F(1, 2)) == math.inf
 
     @given(
         st.one_of(

@@ -26,6 +26,11 @@ own ``src/``:
   (``EPSILON_EDGE_SCENARIO`` of ``tests/helpers.py``), written into the
   same directory, so the lines show any change to the tolerance rule at
   its edge;
+* every command in each format on the valid files of
+  ``FLOAT_RANGE_SCENARIOS`` of ``tests/helpers.py`` but "power-1.7e308"
+  (``FLOAT_RANGE_FILES``: a bound past the largest float in each lane, and
+  a price whose exact string has 4,301 digits), written into the same
+  directory;
 * ``run`` in each format on bundled scenarios with one field misspelt, left
   out or of an unknown value (``BROKEN``), written into the same directory;
 * ``run`` in each format on files that are no scenario document at all
@@ -102,6 +107,7 @@ from helpers import (  # noqa: E402
     CRITERION_4_BUDGET,
     EPSILON_EDGE_SCENARIO,
     EXPLOIT_LEVELS,
+    FLOAT_RANGE_SCENARIOS,
     EXPLOIT_POWER_MENU,
     RANKED_SCENARIOS,
     VALIDATE_SCENARIOS,
@@ -140,6 +146,10 @@ MALFORMED = (
     ("4301-digits", b'{"fixed_price": ' + b"1" * 4301 + b"}"),
     ("2000-deep", b"[" * 2000 + b"]" * 2000),
 )
+
+# the FLOAT_RANGE_SCENARIOS files called; "power-1.7e308" is left out, since
+# a checkout whose tolerance rule splits no pair of equal infinities loops on it
+FLOAT_RANGE_FILES = ("knots-1.7e308", "knots-1.7e308-exact", "fixed-price-1e-4300")
 
 
 def bundled_scenarios():
@@ -246,6 +256,10 @@ def main(argv=None) -> int:
         path = Path(tmp) / "epsilon-edge.json"
         path.write_text(json.dumps(EPSILON_EDGE_SCENARIO), encoding="utf-8")
         report_calls(path, REPORTS, placeholders)
+        for name in FLOAT_RANGE_FILES:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(FLOAT_RANGE_SCENARIOS[name]), encoding="utf-8")
+            report_calls(path, COMMANDS, placeholders)
         for name, source, keys, field, replacement, value in BROKEN:
             document = json.loads(
                 Path(str(groupbuy.bundled_scenario_path(source))).read_text(encoding="utf-8")

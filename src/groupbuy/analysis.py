@@ -14,13 +14,13 @@ the 2^n outcomes is valued once by its true report.  Judge, once per auction
 config: the truthful winning set, then an outcome table of those values less
 the payments of the group run's own division at the threshold
 (:func:`groupbuy.mechanism.divide`), then each outcome compared with the
-truthful one once per buyer, as four flags: weak and strict preference, net
-at least as large and net strictly larger.  Search, once per coalition: a
-coalition judges every outcome by its members' flags before it scans; one
-that no outcome improves is certified and runs no profile.  The truthful
-profile and every deviant one of the others take one path: the engine's
-steps over the compiled columns (:func:`groupbuy.mechanism.bid_steps`), read
-up to the one that decides the auction through the group run's own rule
+truthful one once per buyer, as two flags: weak and strict preference.
+Search, once per coalition: a coalition judges every outcome by its members'
+flags before it scans; one that no outcome improves is certified and runs no
+profile.  The truthful profile and every deviant one of the others take one
+path: the engine's steps over the compiled columns
+(:func:`groupbuy.mechanism.bid_steps`), read up to the one that decides the
+auction through the group run's own rule
 (:func:`groupbuy.auction.decide_winning_set`).
 
 The scan keeps one compiled instance, the last: a call reuses it when its
@@ -43,18 +43,12 @@ from typing import Mapping, Sequence
 from .auction import AuctionConfig, decide_winning_set, run_group_participation
 from .mechanism import AllocationOutcome, BidTrace, RatioColumn, bid_steps, divide
 from .numeric import EXACT, Num, NumericPolicy, approx, integers_over_common_denominator, to_float
-from .schedule import ScheduleError, ShareSchedule, full_mask, members, nonempty_subsets, report_class_for
+from .schedule import ShareSchedule, check_cap, full_mask, members, nonempty_subsets, report_class_for
 from .utility import ClosedFormUtility, UtilityReport, sample_points, sample_report, validate_knots
 
 
 FUZZ_MAX_BUYERS = 3  # buyer-count limit of the deviation scans
 DEFAULT_BUDGET = 200_000  # profiles a scan may cover, unless told otherwise; also --budget's default
-
-
-def _check_fuzz_cap(n: int) -> None:
-    """A ScheduleError above the deviation scans' buyer-count limit."""
-    if n > FUZZ_MAX_BUYERS:
-        raise ScheduleError(f"deviation enumeration is capped at {FUZZ_MAX_BUYERS} buyers")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +180,7 @@ def report_menus(schedule: ShareSchedule) -> list:
     grid of knot lists.  Every entry lies in the class.  Above
     ``FUZZ_MAX_BUYERS`` it raises before enumerating any share point.
     """
-    _check_fuzz_cap(schedule.n)
+    check_cap(schedule.n, FUZZ_MAX_BUYERS, "deviation enumeration")
     report_class, _ = report_class_for(schedule)
     if report_class.kind == "power":
         lo, hi = report_class.k_min, report_class.k_max
@@ -328,9 +322,8 @@ def _judged(instance: _Instance, cfg: AuctionConfig, truthful: int) -> tuple:
 
     ``table[won]`` holds each buyer's :class:`PreferenceOutcome`: its compiled
     value less its payment when ``won`` buys at the lane's threshold.  Bit i
-    of the four masks in ``flags[won]`` says whether buyer i weakly prefers
-    that outcome to ``table[truthful]``, strictly prefers it, nets at least
-    as much there, and nets strictly more.
+    of the two masks in ``flags[won]`` says whether buyer i weakly prefers
+    that outcome to ``table[truthful]`` and whether it strictly prefers it.
     """
     schedule, policy = instance.schedule, instance.policy
     threshold = policy.lane(cfg.threshold)
@@ -346,18 +339,14 @@ def _judged(instance: _Instance, cfg: AuctionConfig, truthful: int) -> tuple:
     base_prefs = table[truthful]
     flags = []
     for row in table:
-        weak = strict = net_ge = net_gt = 0
+        weak = strict = 0
         for i, (after, before) in enumerate(zip(row, base_prefs)):
             bit = 1 << i
             if weakly_prefers(after, before, policy):
                 weak |= bit
             if strictly_prefers(after, before, policy):
                 strict |= bit
-            if policy.ge(after.net, before.net):
-                net_ge |= bit
-            if policy.gt(after.net, before.net):
-                net_gt |= bit
-        flags.append((weak, strict, net_ge, net_gt))
+        flags.append((weak, strict))
     return table, flags
 
 
@@ -397,7 +386,7 @@ def enumerate_coalition_deviations(
     instance.
     """
     n = schedule.n
-    _check_fuzz_cap(n)
+    check_cap(n, FUZZ_MAX_BUYERS, "deviation enumeration")
     if len(true_reports) != n:
         raise ValueError(f"{len(true_reports)} reports for a {n}-buyer schedule")
     if len(report_grid) != n:
@@ -434,12 +423,13 @@ def enumerate_coalition_deviations(
 
     def judge(mask, idxs, won):
         """(before, after, uses_tiebreak) if winning set ``won`` improves ``mask``, else None."""
-        weak, strict, net_ge, net_gt = flags[won]
+        weak, strict = flags[won]
         if weak & mask != mask or not strict & mask:
             return None
-        net_only = net_ge & mask == mask and net_gt & mask
         before = tuple(base_prefs[i] for i in idxs)
         after = tuple(table[won][i] for i in idxs)
+        nets = [(a.net, b.net) for a, b in zip(after, before)]
+        net_only = all(policy.ge(a, b) for a, b in nets) and any(policy.gt(a, b) for a, b in nets)
         return before, after, not net_only
 
     for mask in coalitions:
@@ -503,16 +493,13 @@ class ScheduleComparison:
 
 
 def _bid_vector_relation(u: Sequence[Num], v: Sequence[Num], policy: NumericPolicy) -> str:
-    length = max(len(u), len(v))
-    a = list(u) + [Fraction(0)] * (length - len(u))
-    b = list(v) + [Fraction(0)] * (length - len(v))
-    if all(policy.eq(x, y) for x, y in zip(a, b)):
-        return "equal"
-    if all(policy.ge(x, y) for x, y in zip(a, b)):
-        return "dominates"
-    if all(policy.le(x, y) for x, y in zip(a, b)):
-        return "dominated"
-    return "incomparable"
+    # equal is ge and le: lt, eq and gt split every pair three ways
+    pairs = list(itertools.zip_longest(u, v, fillvalue=Fraction(0)))
+    ge = all(policy.ge(x, y) for x, y in pairs)
+    le = all(policy.le(x, y) for x, y in pairs)
+    if ge:
+        return "equal" if le else "dominates"
+    return "dominated" if le else "incomparable"
 
 
 def compare_schedules(

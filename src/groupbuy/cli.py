@@ -42,6 +42,7 @@ from .auction import run_group_participation
 from .report import class_note, compare_report, fuzz_report, run_report, validate_report
 from .schedule import (
     ORACLE_MAX_BUYERS,
+    SPOT_CHECK_SAMPLES,
     ScheduleError,
     brute_force_monotonicity_check,
     report_class_for,
@@ -111,7 +112,7 @@ def cmd_validate_schedule(args) -> int:
     cross = validate_cross_monotonic(schedule, policy=policy)
     report_class, crossing = report_class_for(schedule)
     mono = validate_monotonicity(schedule, policy=policy, report_class=report_class)
-    samples = min(args.budget, 5000) if schedule.n <= ORACLE_MAX_BUYERS else None
+    samples = min(args.budget, SPOT_CHECK_SAMPLES) if schedule.n <= ORACLE_MAX_BUYERS else None
     spot = brute_force_monotonicity_check(
         schedule, samples=samples, seed=scenario.seed, policy=policy, report_class=report_class
     ) if samples else None

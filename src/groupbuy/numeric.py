@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -164,19 +165,40 @@ def to_float(v: Num) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+_DIGIT_RUN = re.compile(r"[\d_]+")
+
+
+def check_digits(numeral: str) -> None:
+    """The one digit rule: a ValueError when ``numeral`` holds a run of more than ``MAX_EXPONENT`` digits.
+
+    ``int()`` reads up to that many digits, underscores not counted, and a
+    ``Fraction`` string is read one run at a time (whole part, decimals,
+    denominator, exponent).  The error names the count and the limit, not the
+    value.
+    """
+    if len(numeral) > MAX_EXPONENT:  # a shorter numeral holds no longer run
+        digits = max((len(run) - run.count("_") for run in _DIGIT_RUN.findall(numeral)), default=0)
+        if digits > MAX_EXPONENT:
+            raise ValueError(f"integer of {digits} digits, beyond the limit of {MAX_EXPONENT}")
+
+
 def parse_number(value) -> Fraction:
     """Parse a scenario-file number: int, "p/q" string, or decimal string.
 
     Raw JSON floats are accepted and converted through their decimal repr, so
-    0.9 becomes 9/10 rather than the nearest binary float.  A decimal whose
-    exponent exceeds ``MAX_EXPONENT`` in magnitude is rejected before its
-    ``Fraction`` is built.  A number must convert to a finite float, since the
-    tolerance lane computes in floats.
+    0.9 becomes 9/10 rather than the nearest binary float.  A string past
+    :func:`check_digits`, or a decimal whose exponent exceeds ``MAX_EXPONENT``
+    in magnitude, is rejected before its ``Fraction`` is built.  A number must
+    convert to a finite float, since the tolerance lane computes in floats.
+    One nearer 0 than the least subnormal float (about 4.9e-324) converts to
+    0.0 and loads: it keeps its exact value, but decimal renderings show it,
+    and the tolerance lane computes with it, as 0.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, (float, str)):
         text = str(value).strip()
+        check_digits(text)
         _, e, exponent = text.lower().partition("e")
         try:
             beyond = bool(e) and abs(int(exponent)) > MAX_EXPONENT

@@ -27,8 +27,8 @@ def braces(mask: int) -> str:
     return "{" + subset_key(mask) + "}"
 
 
-def vec(values) -> str:
-    return "/".join(fmt(v) for v in values)
+def vec(values, show=fmt) -> str:
+    return "/".join(show(v) for v in values)
 
 
 def class_label(report_class) -> str:
@@ -183,16 +183,17 @@ def compare_report(comparison, price, policy: NumericPolicy):
     ]
     summary = "\n".join(outcomes + bids)
 
-    def rows():
+    def rows(show):
+        """Each step's fields, the numbers of its share vectors written by ``show``."""
         for run in comparison.runs:
             for j, step, subset, removed in _steps(run.trace):
                 pair = run.schedule.shares_for(step.subset)
-                yield (run.name, str(j), subset, vec(pair.resource), vec(pair.payment),
+                yield (run.name, str(j), subset, vec(pair.resource, show), vec(pair.payment, show),
                        decimal_str(step.max_payment), removed)
 
     def text():
         header = ("schedule", "step", "subset", "resource", "payment", "max_payment", "removed")
-        table = [header, *rows()]
+        table = [header, *rows(fmt)]
         widths = [max(len(r[c]) for r in table) for c in range(len(header))]
         lines = ["  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in table]
         return "\n".join(lines + [summary])
@@ -209,7 +210,7 @@ def compare_report(comparison, price, policy: NumericPolicy):
     def csv():
         lines = ["schedule,step,subset,resource_shares,payment_shares,beta,removed"]
         lines += [f'{_csv_field(name)},{j},"{subset}",{x},{y},{beta},"{removed}"'
-                  for name, j, subset, x, y, beta, removed in rows()]
+                  for name, j, subset, x, y, beta, removed in rows(decimal_str)]
         return "\n".join(lines)
 
     return summary, text, document, csv

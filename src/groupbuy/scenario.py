@@ -37,7 +37,7 @@ from importlib import resources
 from typing import Optional
 
 from .auction import GROUP_WINS, AuctionConfig
-from .numeric import DEFAULT_EPSILON, EXACT, MAX_EXPONENT, Num, NumericPolicy, approx, parse_number
+from .numeric import DEFAULT_EPSILON, EXACT, Num, NumericPolicy, approx, check_digits, parse_number
 from .schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -313,9 +313,8 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
-def _json_int(text: str) -> int:  # int(text), or past int()'s limit of MAX_EXPONENT digits an error naming it
-    if len(text.lstrip("-")) > MAX_EXPONENT:
-        raise ValueError(f"integer of {len(text.lstrip('-'))} digits, beyond the limit of {MAX_EXPONENT}")
+def _json_int(text: str) -> int:  # int(text), or past int()'s digit limit the error of check_digits
+    check_digits(text)
     return int(text)
 
 

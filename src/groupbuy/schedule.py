@@ -54,6 +54,7 @@ from .utility import (
 
 ENUMERATION_MAX_BUYERS = 12  # of every walk over all 2^n subsets: share_points and the validators
 ORACLE_MAX_BUYERS = 8  # of brute_force_monotonicity_check
+SPOT_CHECK_SAMPLES = 5000  # the most samples validate-schedule's spot check draws
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,12 @@ class ScheduleError(ValueError):
     pass
 
 
+def check_cap(n: int, cap: int, walk: str) -> None:
+    """The one refusal of a walk over all 2^n subsets: a ScheduleError when n exceeds its cap."""
+    if n > cap:
+        raise ScheduleError(f"{walk} capped at {cap} buyers")
+
+
 @dataclass(frozen=True)
 class SharePair:
     """Resource and payment share vectors bound to one subset."""
@@ -162,8 +169,7 @@ class ShareSchedule:
 
     def share_points(self, buyer: int) -> tuple:
         """Every positive resource share the buyer can receive, across every subset, sorted."""
-        if self.n > ENUMERATION_MAX_BUYERS:
-            raise ScheduleError(f"share-point enumeration is capped at {ENUMERATION_MAX_BUYERS} buyers")
+        check_cap(self.n, ENUMERATION_MAX_BUYERS, "share-point enumeration")
         bit = 1 << buyer
         points = {self.shares_for(mask).resource[buyer]
                   for mask in nonempty_subsets(full_mask(self.n)) if mask & bit}
@@ -310,8 +316,7 @@ class CrossMonotonicityWitness:
 
 def _deletion_pairs(schedule: ShareSchedule, check: str) -> Iterator[tuple]:
     """(buyer i, A, B, shares of A, shares of B) for every B and A = B minus one buyer, i in A."""
-    if schedule.n > ENUMERATION_MAX_BUYERS:
-        raise ScheduleError(f"{check} capped at {ENUMERATION_MAX_BUYERS} buyers")
+    check_cap(schedule.n, ENUMERATION_MAX_BUYERS, check)
     for b_mask in nonempty_subsets(full_mask(schedule.n)):
         if b_mask.bit_count() < 2:
             continue
@@ -433,6 +438,17 @@ def validate_monotonicity(
     reduction, not a published result; :func:`brute_force_monotonicity_check`
     is the independent sampling oracle kept alongside it.  One-step pairs
     suffice because the defining implication composes along nested chains.
+
+    In the exact lane and against the concave class the check collapses: it
+    passes exactly when every subset's payment shares equal its resource
+    shares and :func:`validate_cross_monotonic` passes.  By induction on |B|,
+    from the concave rules of :func:`_pair_violation`: a singleton holds and
+    pays 1.  Let y = x on every set smaller than B, let i in B pay
+    y_i(B) > 0, and let A = B minus one buyer hold i.  The rules force
+    y_i(A) > 0, so x_i(A) > 0, then x_i(B) > 0, and then y_i(B) <= x_i(B),
+    strictly when x_i(A) < x_i(B).  Both rows of B sum to 1, so y = x on B,
+    and x_i(A) >= x_i(B).  Conversely, with y = x and x_a >= x_b every rule
+    passes.
     """
     for i, a_mask, b_mask, pair_a, pair_b in _deletion_pairs(schedule, "monotonicity check"):
         found = _pair_violation(
@@ -570,8 +586,6 @@ def _breaking_constant(
     if window_hi > ratio_b:
         candidates.append((ratio_b + window_hi) / 2)
     for c in candidates:
-        if not c > 0:
-            continue
         premise = policy.lt(u_b, c * y_b)
         conclusion = policy.lt(u_a, c * y_a)
         if premise and not conclusion:
@@ -610,8 +624,7 @@ def brute_force_monotonicity_check(
     builds its subsets' member tuples once, at most 2^ORACLE_MAX_BUYERS of them.
     """
     n = schedule.n
-    if n > ORACLE_MAX_BUYERS:
-        raise ScheduleError(f"brute-force monotonicity oracle capped at {ORACLE_MAX_BUYERS} buyers")
+    check_cap(n, ORACLE_MAX_BUYERS, "brute-force monotonicity oracle")
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     masks = list(nonempty_subsets(full_mask(n)))

@@ -247,7 +247,7 @@ class TestCoalitions:
         # a limit like every other: ScheduleError, which the CLI maps to exit 2
         sched = EqualSplitSchedule(4)
         truth = [ClosedFormUtility.linear(1)] * 4
-        with pytest.raises(ScheduleError, match="deviation enumeration is capped at 3 buyers"):
+        with pytest.raises(ScheduleError, match="deviation enumeration capped at 3 buyers"):
             enumerate_coalition_deviations(truth, sched, AuctionConfig(), [[]] * 4)
 
     def test_equal_split_two_buyers_fully_enumerated(self):
@@ -397,6 +397,9 @@ class TestCoalitions:
         for reports in (truth[:1], truth + truth[:1]):
             with pytest.raises(ValueError, match=f"{len(reports)} reports for a 2-buyer schedule"):
                 enumerate_coalition_deviations(reports, sched, AuctionConfig(), grid)
+        for menus in (grid[:1], grid + grid[:1]):  # and one menu per buyer
+            with pytest.raises(ValueError, match="report grid must have one menu per buyer"):
+                enumerate_coalition_deviations(truth, sched, AuctionConfig(), menus)
 
     def test_three_buyer_coalition_sampling_respects_budget(self):
         sched = EqualSplitSchedule(3)

@@ -435,6 +435,13 @@ class TestRun:
         pytest.param({"fixed_price": "1e999999999"}, (),
                      "fixed_price: exponent beyond 4300 in magnitude: '1e999999999'",
                      id="fixed_price-1e999999999"),
+        # a run of digits past int()'s limit is named by its length, not repeated
+        pytest.param({"fixed_price": "1" * 4301}, (),
+                     "fixed_price: integer of 4301 digits, beyond the limit of 4300\n",
+                     id="fixed_price-4301-digits"),
+        pytest.param({"fixed_price": "0." + "1" * 4301}, (),
+                     "fixed_price: integer of 4301 digits, beyond the limit of 4300\n",
+                     id="fixed_price-4301-decimals"),
         # exact, but beyond any float: the tolerance lane could not compute with it
         pytest.param({"fixed_price": "1e400"}, (), "fixed_price: not a finite float: '1e400'",
                      id="fixed_price-1e400"),
@@ -795,7 +802,7 @@ class TestFuzz:
         }))
         assert run_cli("fuzz", str(path), "--budget", budget) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: deviation enumeration is capped at 3 buyers\n"
+        assert captured.err == "error: deviation enumeration capped at 3 buyers\n"
         assert captured.out == ""
 
     def test_clean_run_exit_0(self, capsys):
@@ -1024,7 +1031,8 @@ def test_package_root_exports_resolve_and_readme_one_liner_runs(capsys):
 
 # sha256 of stdout of every report format on the bundled scenarios, and of fuzz
 # on the exploitable fixture, recorded before the reports moved into one module.
-# Only example2's run json is recorded after, without its "auction" block.
+# Only example2's run json is recorded after, without its "auction" block, and
+# the three compare csv, whose share columns now show 15 significant digits.
 REPORT_DIGESTS = {
     ("example1", "run", "text"): "e120b574ed76c217bd0afd72b6d72832ff282f1543da26f96d113bf660aa1455",
     ("example1", "run", "json"): "10ddf46158c4a925157e873a6579bb4ee889dd3106cc12e06653aff742e5e90f",
@@ -1034,7 +1042,7 @@ REPORT_DIGESTS = {
     ("example1", "fuzz", "csv"): "a73632cb84605ce572fba33f816fea2b0a89cbd918d2c6da58e06ae5f6cbe9de",
     ("example1", "compare", "text"): "a82bc0287355376af26e749113523ca4d99f9a84dfdec287d3ee3287592e2b8d",
     ("example1", "compare", "json"): "c76ebfdf5ccd437add2496e4a5791a010476fcfe98b37ac1b463306bd490df31",
-    ("example1", "compare", "csv"): "9ceef6b7142653dad44758aeb7295b4b3637e76f42cd859291b124819e78ce9a",
+    ("example1", "compare", "csv"): "5a24e23d66d31af5fe6ac4ef91c106c8f11eb5e36b96cb344b9d6d15ab7ab764",
     ("example2", "run", "text"): "6e3ed93ac23ac2c5a08c4158c4444675c653a3bf933bc6da1c0abfd1c0e6ab41",
     ("example2", "run", "json"): "f74d368feb9c126f6fe60289be603de7ad1776f4b8cbd548a8cd0971e8845fdb",
     ("example2", "run", "csv"): "407b5cb32065929685a01429bdb8a2e04e8eac9cf8ab53f23d9394c3dd09d558",
@@ -1043,7 +1051,7 @@ REPORT_DIGESTS = {
     ("example2", "fuzz", "csv"): "a73632cb84605ce572fba33f816fea2b0a89cbd918d2c6da58e06ae5f6cbe9de",
     ("example2", "compare", "text"): "65b2cefa10e81696c4fcde87698c076be9efa552f22ae8ffe2679ee431339936",
     ("example2", "compare", "json"): "9df2b9a754b396cc1170a5aa8fb8cc9fdcf556c88537cde675336e81338c9aab",
-    ("example2", "compare", "csv"): "9ceef6b7142653dad44758aeb7295b4b3637e76f42cd859291b124819e78ce9a",
+    ("example2", "compare", "csv"): "5a24e23d66d31af5fe6ac4ef91c106c8f11eb5e36b96cb344b9d6d15ab7ab764",
     ("section6-table", "run", "text"): "e0f3aaa62dd5d092662a57de3521ebde866b911ebd3de6578d7126c196e20e4f",
     ("section6-table", "run", "json"): "61c38d867fe71cd952daf2845ebb3216f91ae1775a80ca37c8906edb9ed2f692",
     ("section6-table", "run", "csv"): "9ee795c89bcf627ffcf4d9c6850f5712f0d2a3cfbcdda9f094214f7985b09863",
@@ -1052,7 +1060,7 @@ REPORT_DIGESTS = {
     ("section6-table", "fuzz", "csv"): "a73632cb84605ce572fba33f816fea2b0a89cbd918d2c6da58e06ae5f6cbe9de",
     ("section6-table", "compare", "text"): "161b598ce7ec93d01c05d76ec63de8995bfd7f655e2600c53f1f72189ae64e71",
     ("section6-table", "compare", "json"): "381924f0bfb766e044dc52f26fd95c6332a2a2eca8431b8a74313843da591b72",
-    ("section6-table", "compare", "csv"): "0082644c6ed1315334d6ab81e16502c49658c0fec0db746521a8ab1259e7c456",
+    ("section6-table", "compare", "csv"): "9847721d9dbf16478612efb181a6fdade1e169426ab5dc544b62229ea5e5b0f3",
     ("exploitable", "fuzz", "text"): "ea9067e3534d08ca64b0f5bdf4c855a912ce7cb09d651dba633ccb3ab37a7414",
     ("exploitable", "fuzz", "json"): "596a200f87663ab4a7c69aa0e4838551a0b5befdd312278b7bfb1806dfe97ee1",
     ("exploitable", "fuzz", "csv"): "ab2dafff0a6b4fdb3e5ff8796965b03dbc0569719d6998b0fa41aac233c92c8c",

@@ -186,6 +186,13 @@ def test_parse_number(text, expected):
     assert parse_number(text) == expected
 
 
+def test_the_digit_rule_passes_4300_digits():
+    # int()'s own limit: these digits parse, and as a whole number they are past the float range
+    assert parse_number("0." + "1" * 4300) == F(int("1" * 4300), 10 ** 4300)
+    with pytest.raises(ValueError, match="^not a finite float"):
+        parse_number("1" * 4300)
+
+
 def test_parse_number_reads_floats_decimally():
     assert parse_number(0.1) == F(1, 10)
 

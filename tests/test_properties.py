@@ -36,6 +36,9 @@ Validators, in both lanes: relabelling the buyers of a three-buyer table keeps
 the pass or fail verdict of ``validate_monotonicity`` and of
 ``validate_cross_monotonic``, and the sampling oracle finds no witness on a
 relabelled table that the validator passes.
+In the exact lane, on random tables of 2 to 5 buyers, ``validate_monotonicity``
+against the concave class passes exactly when every payment row equals its
+resource row and ``validate_cross_monotonic`` passes.
 
 The tolerance rule at its edge, with a threshold a few epsilon and a few ulps
 off a bound: on a one-step trace the two tie policies decide apart exactly
@@ -606,6 +609,65 @@ def test_relabelling_buyers_keeps_the_validators_verdicts(table, perm, seed):
             assert (validate_monotonicity(moved, policy, cls) is None) == passes
             if passes:
                 assert brute_force_monotonicity_check(moved, 200, seed, policy, cls) is None
+
+
+def share_row(rng, mask, n):
+    """A random share row of ``mask``: draws in 0..5 over their sum, zeros
+    among them (the first member draws 1 when every member drew 0)."""
+    raw = [rng.randrange(0, 6) if mask >> i & 1 else 0 for i in range(n)]
+    if not any(raw):
+        raw[members(mask)[0]] = 1
+    return tuple(F(v, sum(raw)) for v in raw)
+
+
+def moved_share(rng, rows, masks):
+    """``rows``, with part of one member's share of a subset of two or more
+    members moved to another member, who may have held nothing there."""
+    m = rng.choice([m for m in masks if m.bit_count() > 1])
+    j = rng.choice([i for i in members(m) if rows[m][i] > 0])
+    i = rng.choice([i for i in members(m) if i != j])
+    delta = rows[m][j] * F(rng.randrange(1, 5), 4)
+    return {**rows, m: tuple(v + delta if k == i else v - delta if k == j else v for k, v in enumerate(rows[m]))}
+
+
+@st.composite
+def collapse_tables(draw):
+    """An exact table on 2 to 5 buyers.  Its resource rows are the ranked
+    rule's (zero shares among them) or proportional weights', both
+    cross-monotonic, the weights' with one share moved, or random rows; its
+    payment rows equal them, have one share moved, or are drawn independently."""
+    n = draw(st.integers(2, 5))
+    resource = draw(st.sampled_from(("ranked", "weights", "moved", "random")))
+    payment = draw(st.sampled_from(("equal", "moved", "independent")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    masks = list(nonempty_subsets(full_mask(n)))
+    if resource == "ranked":  # a zero base share leaves its holder nothing in most subsets
+        schedule = build_schedule("ranked", share_row(rng, full_mask(n), n), rng.sample(range(n), n))
+    else:
+        schedule = build_schedule("cmss", [rng.randrange(1, 10) for _ in range(n)], range(n))
+    if resource == "random":
+        xs = {m: share_row(rng, m, n) for m in masks}
+    else:
+        xs = {m: schedule.shares_for(m).resource for m in masks}
+    if resource == "moved":
+        xs = moved_share(rng, xs, masks)
+    if payment == "equal":
+        ys = xs
+    elif payment == "moved":
+        ys = moved_share(rng, xs, masks)
+    else:
+        ys = {m: share_row(rng, m, n) for m in masks}
+    return TableSchedule(n, {m: (xs[m], ys[m]) for m in masks})
+
+
+@given(collapse_tables())
+@settings(max_examples=300, deadline=None)
+def test_concave_monotonicity_is_cross_monotonicity_with_payment_equal_to_resource(schedule):
+    # the collapse proved in validate_monotonicity's docstring, in the exact lane
+    masks = nonempty_subsets(full_mask(schedule.n))
+    equal = all(schedule.shares_for(m).payment == schedule.shares_for(m).resource for m in masks)
+    rule = equal and validate_cross_monotonic(schedule) is None
+    assert (validate_monotonicity(schedule) is None) == rule
 
 
 def near(bound, epsilons, ulps):

@@ -14,6 +14,7 @@ from groupbuy.schedule import (
     _concave_sample_knots,
     _draw_concave_sample,
     _integer_shares,
+    _pair_violation,
     CrossMonotonicSchedule,
     EqualSplitSchedule,
     RankedSchedule,
@@ -91,6 +92,8 @@ class TestEqualSplit:
     def test_empty_set_rejected(self):
         with pytest.raises(ScheduleError):
             EqualSplitSchedule(3).shares_for(0)
+        with pytest.raises(ScheduleError, match="subset 0b1000 outside buyer range 0..2"):
+            EqualSplitSchedule(3).shares_for(0b1000)
 
     def test_share_points(self):
         assert EqualSplitSchedule(3).share_points(1) == (F(1, 3), F(1, 2), F(1))
@@ -372,11 +375,15 @@ class TestMonotonicity:
         # witness is the next pair's, buyer 0 on {0,2}
         ("zero-share-in-a", CONCAVE, (0, 0b101, 0b111, F(3, 4),
                                       ((F(0), F(0)), (F(1), F(1))))),
+        # buyer 1 holds nothing in {1,2} nor in {0,1,2} and pays in both, the
+        # first pair, which passes; the witness is the next pair's, buyer 2
+        ("zero-share-in-a-and-b", CONCAVE, (2, 0b110, 0b111, F(7, 4),
+                                            ((F(0), F(0)), (F(1), F(1))))),
         # both shares positive, the power family's extremal exponent k_max
         ("spec", POWER, (0, 0b011, 0b111, 2.0907702751760278,
                          ((F(0), F(0)), (F(1, 3), 0.5773502691896257),
                           (F(2, 3), 0.816496580927726), (F(1), F(1))))),
-    ], ids=["x_b-zero-concave", "x_b-zero-power", "x_a-zero", "power"])
+    ], ids=["x_b-zero-concave", "x_b-zero-power", "x_a-zero", "x_a-x_b-zero", "power"])
     def test_degenerate_branch_witnesses(self, table, report_class, witness):
         # one crafted exact table per branch of _pair_violation; the
         # sampling oracle agrees that each table fails
@@ -536,6 +543,20 @@ class TestBruteForceOracle:
             found = _breaking_constant(_uniform(0), knots, x_a, x_b, y_a, y_b, EXACT)
             assert (found is not None) == breaks == _concave_sample_breaks(shape, draw, *shares)
 
+    def test_no_sample_breaks_a_pair_without_shares(self):
+        # x_a = x_b = 0 with both payments positive: every utility is worth 0
+        # at both shares, so the pair passes in closed form and in every sample
+        x_a, x_b, y_a, y_b = F(0), F(0), F(1, 3), F(1, 2)
+        assert _pair_violation(x_a, x_b, y_a, y_b, EXACT, CONCAVE) is None
+        assert _pair_violation(x_a, x_b, y_a, y_b, EXACT, POWER) is None
+        shares = _integer_shares(x_a, x_b, y_a, y_b)
+        for shape in range(4):
+            for seed in range(25):
+                draw = _draw_concave_sample(random.Random(seed).getrandbits, shape)
+                knots = _concave_sample_knots(shape, draw, x_a, x_b)
+                assert _breaking_constant(_uniform(seed), knots, x_a, x_b, y_a, y_b, EXACT) is None
+                assert not _concave_sample_breaks(shape, draw, *shares)
+
     def test_integer_test_needs_rational_shares_in_range(self):
         assert _integer_shares(F(1, 2), 1, 0, F(1, 3)) == (1, 2, 2, 0, 1)
         assert _integer_shares(F(1, 2), F(1, 3), 0.25, F(1, 2)) is None
@@ -570,9 +591,22 @@ def _zero_share_in_a_table():
     })
 
 
+def _zero_share_in_a_and_b_table():
+    """Buyer 1: no resource but a share of the payment in {0,1,2} and in {1,2}."""
+    third, half = F(1, 3), F(1, 2)
+    return TableSchedule(3, {
+        "0,1,2": ((half, 0, half), (third,) * 3),
+        "1,2": ((0, 0, 1), (0, half, half)),
+        "0,2": ((half, 0, half), (half, 0, half)),
+        "0,1": ((half, half, 0), (half, half, 0)),
+        **_singletons(),
+    })
+
+
 _DEGENERATE_TABLES = {
     "zero-share-in-b": _zero_share_in_b_table,
     "zero-share-in-a": _zero_share_in_a_table,
+    "zero-share-in-a-and-b": _zero_share_in_a_and_b_table,
     "spec": spec_violation_table,
 }
 

@@ -47,6 +47,8 @@ class TestEvaluate:
     def test_domain_error(self, x):
         with pytest.raises(ValueError):
             linear_report().value_at(x)
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            ClosedFormUtility.linear(1).value_at(x)
 
     def test_knot_hits_return_the_stored_value(self):
         # a query equal to a knot, of whatever number type, gets the stored
@@ -216,6 +218,10 @@ class TestClosedForms:
             ClosedFormUtility.power(1, F(3, 2))
         with pytest.raises(ValueError):
             ClosedFormUtility.linear(-1)
+        with pytest.raises(ValueError, match="unknown utility kind 'cubic'"):
+            ClosedFormUtility("cubic", 1)
+        with pytest.raises(ValueError, match="log utility takes no exponent"):
+            ClosedFormUtility("log", 1, F(1, 2))
 
     @pytest.mark.parametrize(
         "form", [ClosedFormUtility.linear(10 ** 400), ClosedFormUtility.power(10 ** 400, 1)]

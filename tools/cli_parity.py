@@ -27,10 +27,9 @@ own ``src/``:
   same directory, so the lines show any change to the tolerance rule at
   its edge;
 * every command in each format on the valid files of
-  ``FLOAT_RANGE_SCENARIOS`` of ``tests/helpers.py`` but "power-1.7e308"
-  (``FLOAT_RANGE_FILES``: a bound past the largest float in each lane, and
-  a price whose exact string has 4,301 digits), written into the same
-  directory;
+  ``FLOAT_RANGE_SCENARIOS`` of ``tests/helpers.py`` (ratios that all round
+  to inf, a bound past the largest float in each lane, and a price whose
+  exact string has 4,301 digits), written into the same directory;
 * ``run`` in each format on bundled scenarios with one field misspelt, left
   out or of an unknown value (``BROKEN``), written into the same directory;
 * ``run`` in each format on files that are no scenario document at all
@@ -147,10 +146,6 @@ MALFORMED = (
     ("2000-deep", b"[" * 2000 + b"]" * 2000),
 )
 
-# the FLOAT_RANGE_SCENARIOS files called; "power-1.7e308" is left out, since
-# a checkout whose tolerance rule splits no pair of equal infinities loops on it
-FLOAT_RANGE_FILES = ("knots-1.7e308", "knots-1.7e308-exact", "fixed-price-1e-4300")
-
 
 def bundled_scenarios():
     folder = Path(str(groupbuy.bundled_scenario_path("example1"))).parent
@@ -256,9 +251,9 @@ def main(argv=None) -> int:
         path = Path(tmp) / "epsilon-edge.json"
         path.write_text(json.dumps(EPSILON_EDGE_SCENARIO), encoding="utf-8")
         report_calls(path, REPORTS, placeholders)
-        for name in FLOAT_RANGE_FILES:
+        for name, document in FLOAT_RANGE_SCENARIOS.items():
             path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(FLOAT_RANGE_SCENARIOS[name]), encoding="utf-8")
+            path.write_text(json.dumps(document), encoding="utf-8")
             report_calls(path, COMMANDS, placeholders)
         for name, source, keys, field, replacement, value in BROKEN:
             document = json.loads(

@@ -634,20 +634,21 @@ def moved_share(rng, rows, masks):
 def collapse_tables(draw):
     """An exact table on 2 to 5 buyers.  Its resource rows are the ranked
     rule's (zero shares among them) or proportional weights', both
-    cross-monotonic, the weights' with one share moved, or random rows; its
-    payment rows equal them, have one share moved, or are drawn independently."""
+    cross-monotonic, the ranked rule's with one share moved, or random rows;
+    its payment rows equal them, have one share moved, or are drawn
+    independently."""
     n = draw(st.integers(2, 5))
     resource = draw(st.sampled_from(("ranked", "weights", "moved", "random")))
     payment = draw(st.sampled_from(("equal", "moved", "independent")))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     masks = list(nonempty_subsets(full_mask(n)))
-    if resource == "ranked":  # a zero base share leaves its holder nothing in most subsets
-        schedule = build_schedule("ranked", share_row(rng, full_mask(n), n), rng.sample(range(n), n))
-    else:
-        schedule = build_schedule("cmss", [rng.randrange(1, 10) for _ in range(n)], range(n))
     if resource == "random":
         xs = {m: share_row(rng, m, n) for m in masks}
     else:
+        if resource != "weights":  # a zero base share leaves its holder nothing in most subsets
+            schedule = build_schedule("ranked", share_row(rng, full_mask(n), n), rng.sample(range(n), n))
+        else:
+            schedule = build_schedule("cmss", [rng.randrange(1, 10) for _ in range(n)], range(n))
         xs = {m: schedule.shares_for(m).resource for m in masks}
     if resource == "moved":
         xs = moved_share(rng, xs, masks)

@@ -403,14 +403,11 @@ def enumerate_coalition_deviations(
     table, flags = _judged(instance, cfg, truthful)
     base_prefs = table[truthful]
 
-    coalitions = sorted(
-        nonempty_subsets(everyone),
-        key=lambda m: (len(members(m)), m),
-    )
+    coalitions = sorted(nonempty_subsets(everyone), key=lambda m: (m.bit_count(), m))
     exhaustive = sum(
         math.prod(len(report_grid[i]) for i in members(mask))
         for mask in coalitions
-        if len(members(mask)) <= 2
+        if mask.bit_count() <= 2
     )
     if exhaustive > budget:
         raise BudgetError(exhaustive, budget)
@@ -428,9 +425,8 @@ def enumerate_coalition_deviations(
             return None
         before = tuple(base_prefs[i] for i in idxs)
         after = tuple(table[won][i] for i in idxs)
-        nets = [(a.net, b.net) for a, b in zip(after, before)]
-        net_only = all(policy.ge(a, b) for a, b in nets) and any(policy.gt(a, b) for a, b in nets)
-        return before, after, not net_only
+        # every member weakly prefers ``after``, so no net fell: net alone improves iff one rose
+        return before, after, not any(policy.gt(a.net, b.net) for a, b in zip(after, before))
 
     for mask in coalitions:
         idxs = members(mask)

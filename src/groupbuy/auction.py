@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 from .mechanism import AllocationOutcome, BidStep, BidTrace, compute_bid_trace, divide
-from .numeric import EXACT, Num, NumericPolicy, to_float
+from .numeric import EXACT, Num, NumericPolicy, quote, to_float
 from .schedule import ShareSchedule
 from .utility import UtilityReport
 
@@ -34,7 +34,7 @@ class AuctionConfig:
     def __post_init__(self):
         object.__setattr__(self, "competing_bids", tuple(self.competing_bids))
         if self.tie_policy not in (GROUP_WINS, GROUP_LOSES):
-            raise ValueError(f"unknown tie policy {self.tie_policy!r}")
+            raise ValueError(f"unknown tie policy {quote(self.tie_policy)}")
         for v in (self.reserve, *self.competing_bids):
             if not math.isfinite(to_float(v)) or v < 0:
                 raise ValueError("reserve and bids must be finite and non-negative")

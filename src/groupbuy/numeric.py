@@ -56,6 +56,7 @@ DEFAULT_EPSILON = 1e-9
 MAX_BUYERS = 32  # of every schedule, so a subset's largest payer holds at least 1/MAX_BUYERS
 MAX_EPSILON = 0.5 / MAX_BUYERS  # half that least share, so is_positive passes it
 MAX_EXPONENT = 4300  # of a parsed decimal, either sign: int() reads numerals of up to 4,300 digits
+QUOTE_MAX = 40  # the longest repr a refusal repeats in full
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,15 @@ def to_float(v: Num) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+def quote(value) -> str:
+    """A refusal's quote of a scenario-file value: its ``repr`` when at most
+    ``QUOTE_MAX`` characters, else the repr's first characters and the value's length."""
+    text = repr(value)
+    if len(text) <= QUOTE_MAX:
+        return text
+    return f"{text[:QUOTE_MAX // 2]}... ({len(str(value))} characters)"
+
+
 _DIGIT_RUN = re.compile(r"[\d_]+")
 
 
@@ -204,15 +214,15 @@ def parse_number(value) -> Fraction:
             beyond = bool(e) and abs(int(exponent)) > MAX_EXPONENT
             number = None if beyond else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse number {value!r}") from exc
+            raise ValueError(f"cannot parse number {quote(value)}") from exc
         if beyond:
-            raise ValueError(f"exponent beyond {MAX_EXPONENT} in magnitude: {value!r}")
+            raise ValueError(f"exponent beyond {MAX_EXPONENT} in magnitude: {quote(value)}")
     elif integers_over_common_denominator((value,)) is not None:
         number = Fraction(value)
     else:
-        raise ValueError(f"cannot parse number {value!r}")
+        raise ValueError(f"cannot parse number {quote(value)}")
     if not math.isfinite(to_float(number)):
-        raise ValueError(f"not a finite float: {value!r}")
+        raise ValueError(f"not a finite float: {quote(value)}")
     return number
 
 

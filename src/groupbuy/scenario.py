@@ -37,7 +37,7 @@ from importlib import resources
 from typing import Optional
 
 from .auction import GROUP_WINS, AuctionConfig
-from .numeric import DEFAULT_EPSILON, EXACT, Num, NumericPolicy, approx, check_digits, parse_number
+from .numeric import DEFAULT_EPSILON, EXACT, Num, NumericPolicy, approx, check_digits, parse_number, quote
 from .schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -106,11 +106,11 @@ def _read(stanza, name: str) -> dict:
     if "kind" in fields:
         kind, kinds = stanza.get("kind"), fields["kind"]
         if not (isinstance(kind, str) and kind in kinds):
-            raise ValueError(f'"kind" must be one of {", ".join(kinds)}, not {kind!r}')
+            raise ValueError(f'"kind" must be one of {", ".join(kinds)}, not {quote(kind)}')
         fields = {"kind": str, **kinds[kind]}
     for key, value in stanza.items():
         if key not in fields:
-            raise ValueError(f"unknown field {key!r}")
+            raise ValueError(f"unknown field {quote(key)}")
         if not isinstance(value, fields[key]):
             raise ValueError(f'"{key}" must be {_JSON_TYPES[fields[key]]}')
     for key in fields:
@@ -130,14 +130,20 @@ def _typed(value, kind: type, what: str, *args):
     return value
 
 
+def _knot(point) -> tuple:
+    """A knot [x, u] of a ``knots`` buyer as its two numbers."""
+    if len(_typed(point, list, 'each knot of "points"')) != 2:
+        raise ValueError(f'each knot of "points" must be a pair [x, u], not a list of {len(point)}')
+    return parse_number(point[0]), parse_number(point[1])
+
+
 def _parse_buyer(stanza, index: int):
     """A ``knots`` buyer as a UtilityReport, a closed form as its ClosedFormUtility."""
     with _malformed(f"buyer {index}"):
         stanza = _read(stanza, "buyer")
         kind = stanza["kind"]
         if kind == "knots":
-            knots = (_typed(p, list, 'each knot of "points"') for p in stanza["points"])
-            return UtilityReport(tuple((parse_number(x), parse_number(u)) for x, u in knots))
+            return UtilityReport(tuple(map(_knot, stanza["points"])))
         if kind == "linear":
             return ClosedFormUtility.linear(parse_number(stanza["c"]))
         if kind == "power":
@@ -152,7 +158,7 @@ def _parse_weight(text: str):
         return ClosedFormUtility.power(1, Fraction(1, 2))
     if text.startswith("power:"):
         return ClosedFormUtility.power(1, parse_number(text.split(":", 1)[1]))
-    raise ValueError(f"unknown weight function {text!r}")
+    raise ValueError(f"unknown weight function {quote(text)}")
 
 
 def _table_numbers():
@@ -219,7 +225,7 @@ def _irrational_input(reports, named_schedules) -> Optional[str]:
         return "a buyer has irrational values (power k<1 or log)"
     for name, sched in named_schedules.items():
         if isinstance(sched, RankedSchedule) and not sched.weight.rational:
-            return f"schedule {name!r} has irrational payment shares (weight exponent not 1)"
+            return f"schedule {quote(name)} has irrational payment shares (weight exponent not 1)"
     return None
 
 
@@ -252,11 +258,11 @@ def load_scenario(
             " rename it in \"schedules\""
         )
     for name, stanza in schedules.items():
-        named[name] = parse_schedule(stanza, n, f"schedule {name!r}")
+        named[name] = parse_schedule(stanza, n, f"schedule {quote(name)}")
     for name, sched in named.items():
         if sched.n != n:
             raise ScenarioError(
-                f"schedule {name!r} is for {sched.n} buyers but the scenario lists {n}"
+                f"schedule {quote(name)} is for {sched.n} buyers but the scenario lists {n}"
             )
 
     has_auction = "auction" in data
@@ -274,7 +280,7 @@ def load_scenario(
         stanza = _read(data.get("policy", {}), "policy")
         mode = stanza.get("mode")
         if mode not in (None, "exact", "approx"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise ValueError(f"unknown mode {quote(mode)}")
         if mode == "exact" and "epsilon" in stanza:
             raise ValueError('"mode": "exact" and an "epsilon" exclude each other')
         requested = EXACT if mode == "exact" else None  # the file's request
@@ -289,7 +295,7 @@ def load_scenario(
         with _malformed("seed"):
             seed = parse_number(data["seed"])
         if seed.denominator != 1:
-            raise ScenarioError(f"seed must be an integer, not {data['seed']!r}")
+            raise ScenarioError(f"seed must be an integer, not {quote(data['seed'])}")
 
     return Scenario(
         n=n,
@@ -308,7 +314,7 @@ def _unique_keys(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ScenarioError(f"duplicate key {key!r}")
+            raise ScenarioError(f"duplicate key {quote(key)}")
         obj[key] = value
     return obj
 

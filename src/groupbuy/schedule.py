@@ -38,7 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .numeric import EXACT, MAX_BUYERS, Num, NumericPolicy, integers_over_common_denominator, piecewise_value
+from .numeric import (
+    EXACT, MAX_BUYERS, Num, NumericPolicy, integers_over_common_denominator, piecewise_value, quote,
+)
 from .utility import (
     CONCAVE,
     GRAIN,
@@ -98,9 +100,12 @@ def parse_subset_key(text: str, n: int) -> int:
         return 0
     mask = 0
     for part in text.split(","):
-        i = int(part)
+        try:
+            i = int(part)
+        except ValueError:
+            raise ValueError(f"subset key {quote(text)}: {quote(part)} is no buyer index") from None
         if not 0 <= i < n:
-            raise ValueError(f"buyer index {i} outside 0..{n - 1}")
+            raise ValueError(f"buyer index {quote(i)} outside 0..{n - 1}")
         mask |= 1 << i
     return mask
 
@@ -154,14 +159,13 @@ class ShareSchedule:
         self._cache: dict = {}
 
     def shares_for(self, subset: int) -> SharePair:
-        if subset == 0:
-            raise ScheduleError("shares are undefined for the empty set")
-        if not is_subset(subset, full_mask(self.n)):
-            raise ScheduleError(f"subset {bin(subset)} outside buyer range 0..{self.n - 1}")
         pair = self._cache.get(subset)
-        if pair is None:
-            pair = self._compute(subset)
-            self._cache[subset] = pair
+        if pair is None:  # the cache holds only subsets that passed both checks
+            if subset == 0:
+                raise ScheduleError("shares are undefined for the empty set")
+            if not is_subset(subset, full_mask(self.n)):
+                raise ScheduleError(f"subset {bin(subset)} outside buyer range 0..{self.n - 1}")
+            pair = self._cache[subset] = self._compute(subset)
         return pair
 
     def _compute(self, subset: int) -> SharePair:
@@ -270,7 +274,7 @@ class RankedSchedule(ShareSchedule):
         super().__init__(n)
         for rank in order:
             if type(rank) is not int:  # not isinstance: True would pass as 1
-                raise ScheduleError(f"rank order entries must be ints, not {rank!r}")
+                raise ScheduleError(f"rank order entries must be ints, not {quote(rank)}")
         if sorted(order) != list(range(n)):
             raise ScheduleError("rank order must be a permutation of 0..n-1")
         _check_share_vector(base, full_mask(n), n, "base")
@@ -362,12 +366,8 @@ class MonotonicityWitness:
 # A report is built from one only when it is returned as a witness.
 
 
-def _zero_knots() -> tuple:
-    return ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
-
-
 def _linear_knots(slope: Num) -> tuple:
-    return ((Fraction(0), 0 * slope), (Fraction(1), slope))
+    return sample_knots(ClosedFormUtility.linear(slope), ())
 
 
 def _ramp_knots(x: Num, value: Num) -> tuple:
@@ -401,7 +401,7 @@ def _pair_violation(x_a, x_b, y_a, y_b, policy: NumericPolicy, report_class: Rep
     if not policy.is_positive(y_b):
         return None
     if not policy.is_positive(y_a):
-        return _zero_knots(), Fraction(1)
+        return _linear_knots(Fraction(0)), Fraction(1)
     if not policy.is_positive(x_b):
         if policy.is_positive(x_a):
             if report_class.kind == "power":
@@ -497,7 +497,7 @@ def _concave_sample_knots(shape: int, draw: Optional[int], x_a: Num, x_b: Num) -
     if shape == 2:
         pos = x_a if 0 < x_a < 1 else (x_b if 0 < x_b < 1 else Fraction(1, 2))
         return _ramp_knots(pos, U_MAX * Fraction(draw, GRAIN))
-    return _zero_knots()
+    return _linear_knots(Fraction(0))
 
 
 def _integer_shares(x_a: Num, x_b: Num, y_a: Num, y_b: Num) -> Optional[tuple]:
@@ -648,7 +648,7 @@ def brute_force_monotonicity_check(
         shape = trial % 4
         if report_class.kind == "power":
             if shape == 3:
-                knots = _zero_knots()
+                knots = _linear_knots(Fraction(0))
             else:
                 k = (k_hi, k_lo, k_lo + (k_hi - k_lo) * Fraction(_below(getrandbits, GRAIN), GRAIN))[shape]
                 scale = U_MAX * Fraction(1 + _below(getrandbits, GRAIN - 1), GRAIN)

@@ -22,7 +22,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .numeric import EXACT, Num, approx, integers_over_common_denominator, piecewise_value, to_float
@@ -149,13 +148,7 @@ class ClosedFormUtility:
             # c * x, not a bare c: rational x keeps the value rational
             return self.c * x
         # the float that c * x ** k computes through Fraction's mixed arithmetic
-        c, k = self._floats
-        return c * float(x) ** k
-
-    @cached_property
-    def _floats(self) -> tuple:
-        """(c, k) as floats, made on the first irrational value, not at construction."""
-        return to_float(self.c), to_float(self.k)
+        return to_float(self.c) * float(x) ** to_float(self.k)
 
 
 def sample_points(points: Iterable[Num]) -> list:

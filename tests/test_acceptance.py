@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole module is also part of the plain ``pytest`` run.
 """
 
+import itertools
 import json
 import math
 import random
@@ -31,9 +32,11 @@ from groupbuy.utility import ClosedFormUtility, sample_report
 
 from helpers import (
     CRITERION_4_BUDGET,
+    EXPLOIT_LEVELS,
     check_individual_consistency,
     criterion_4_scans,
     divide_at_price,
+    exploit_table,
     fixed_price_outcome,
     random_concave_utility,
     random_table,
@@ -307,11 +310,18 @@ def test_criterion_7_winning_set_stability():
     )
 
 
+CRITERION_8_PRICES = (F(1, 5), F(3, 5), F(1), F(7, 5), F(2))
+
+
 def test_criterion_8_removal_discipline_equivalence(tmp_path):
     # verified conjecture: sweeping out all unaffordable buyers at a fixed price
     # picks the same winning set as the bearable-payment path; counterexamples
-    # are archived, not failed
-    prices = (F(1, 5), F(3, 5), F(1), F(7, 5), F(2))
+    # are archived, not failed.  Under a monotone schedule it follows: a buyer
+    # who can pay in a set can pay in every larger one, so the union of two
+    # affordable sets is affordable, and there is one largest affordable set.
+    # Both paths drop only buyers who cannot pay in a set holding it, so
+    # neither drops one of its members, and both buy it.
+    prices = CRITERION_8_PRICES
     legs = []
     eq3 = EqualSplitSchedule(3)
     legs.append((eq3, concave_report_grid(eq3, levels=(0, F(1, 3), F(2, 3), 1))))
@@ -350,3 +360,23 @@ def test_criterion_8_removal_discipline_equivalence(tmp_path):
         f"{checked} profile/price pairs compared, {len(counterexamples)} counterexamples "
         f"({'archived' if counterexamples else 'none found'})",
     )
+
+
+def test_removal_disciplines_part_on_the_non_monotone_exploit_table():
+    # criterion 8's comparison where its argument fails: in exploit_table
+    # buyer 0 holds 1/3 of {0,1,2} but 2/3 of {0,1} at the same payment, so
+    # at 7/5 it cannot pay in the whole set and can once buyer 2 leaves.  The
+    # sweep drops buyers 0 and 2 at once, and buyer 1 alone cannot pay 7/5;
+    # the trace drops buyer 2 first, and {0,1} buys
+    sched = exploit_table()
+    grid = concave_report_grid(sched, levels=EXPLOIT_LEVELS)
+    assert [len(menu) for menu in grid] == [9, 10, 10]
+    differ = []
+    for picks in itertools.product(*(range(len(menu)) for menu in grid)):
+        reports = [menu[k] for menu, k in zip(grid, picks)]
+        for price in CRITERION_8_PRICES:
+            a = run_at_price(reports, sched, price).winning_set
+            b = fixed_price_outcome(reports, sched, price).winning_set
+            if a != b:
+                differ.append((picks, price, a, b))
+    assert differ == [((2, 9, 0), F(7, 5), 0b011, 0)]

@@ -10,7 +10,7 @@ import groupbuy
 from groupbuy.analysis import BudgetError, enumerate_coalition_deviations, report_menus
 from groupbuy.auction import AuctionConfig, run_group_participation
 from groupbuy.cli import main
-from groupbuy.numeric import EXACT, approx
+from groupbuy.numeric import EXACT, approx, quote
 from groupbuy.schedule import ShareSchedule
 from groupbuy.scenario import (
     ScenarioError,
@@ -220,15 +220,17 @@ class TestRun:
              ' "schedule": {"kind": "equal-split"}, "fixed_price": "1/2"}', "c"),
             ('{"buyers": [{"kind": "linear", "c": "1"}], "schedule": {"kind": "equal-split"},'
              ' "fixed_price": "1/2", "fixed_price": "1"}', "fixed_price"),
+            ('{"buyers": [{"kind": "linear", "c": "1"}], "schedule": {"kind": "equal-split"},'
+             ' "fixed_price": "1/2", "%s": 1, "%s": 2}' % (("k" * 4300,) * 2), "k" * 4300),
         ],
-        ids=["cmss-row", "buyer-field", "top-level"],
+        ids=["cmss-row", "buyer-field", "top-level", "long-key"],
     )
     def test_duplicate_json_keys_exit_2(self, tmp_path, capsys, text, key):
         path = tmp_path / "duplicate.json"
         path.write_text(text)
         assert run_cli("run", str(path)) == 2
         captured = capsys.readouterr()
-        assert f"duplicate key {key!r}" in captured.err
+        assert f"duplicate key {quote(key)}\n" in captured.err
         assert "payments" not in captured.out
 
     @pytest.mark.parametrize("name", ["power-1.7e308", "knots-1.7e308", "knots-1.7e308-exact"])
@@ -306,6 +308,28 @@ class TestRun:
 
     ROWS = {"0,1": ["1/2", "1/2"], "0": ["1", "0"], "1": ["0", "1"]}
     ENTRIES = {key: {"x": row, "y": row} for key, row in ROWS.items()}
+    # (id, overrides, the refusal up to its quote's first 20 characters): each
+    # refusal quotes a value of 4,300 characters
+    LONG_VALUES = [
+        ("fixed_price", {"fixed_price": "1" * 4300}, f"fixed_price: not a finite float: '{'1' * 19}"),
+        ("fixed_price_garbage", {"fixed_price": "x" * 4300},
+         f"fixed_price: cannot parse number '{'x' * 19}"),
+        ("schedule_kind", {"schedule": {"kind": "k" * 4300}},
+         f'schedule: "kind" must be one of equal-split, cmss, rras, table, not \'{"k" * 19}'),
+        ("top_level_field", {"q" * 4300: 1}, f"scenario: unknown field '{'q' * 19}"),
+        ("auction_field", {"auction": {"q" * 4300: 1}}, f"auction: unknown field '{'q' * 19}"),
+        ("policy_mode", {"policy": {"mode": "m" * 4300}}, f"policy: unknown mode '{'m' * 19}"),
+        ("seed", {"seed": "0." + "1" * 4298}, f"seed must be an integer, not '0.{'1' * 17}"),
+        ("rras_f", {"schedule": {"kind": "rras", "order": [0, 1], "base": ["1/2", "1/2"], "f": "w" * 4300}},
+         f"schedule: unknown weight function '{'w' * 19}"),
+        ("rras_order", {"schedule": {"kind": "rras", "order": ["r" * 4300, 0], "base": ["1/2", "1/2"]}},
+         f"schedule: rank order entries must be ints, not '{'r' * 19}"),
+        ("tie_policy", {"auction": {"tie_policy": "t" * 4300}}, f"auction: unknown tie policy '{'t' * 19}"),
+        ("schedules_name", {"schedules": {"n" * 4300: {"kind": "equal-split", "n": 2}}},
+         f"schedule '{'n' * 19}"),
+        ("cmss_key", {"schedule": {"kind": "cmss", "shares": {"9" * 4300: ["1/2", "1/2"], **ROWS}}},
+         f"schedule: buyer index {'9' * 20}"),
+    ]
 
     @pytest.mark.parametrize(
         "overrides,message",
@@ -330,6 +354,12 @@ class TestRun:
             ({"buyers": [{"kind": "knots", "points": [["0", "0"], "11"]},
                          {"kind": "linear", "c": "1"}]},
              'buyer 0: each knot of "points" must be a JSON array'),
+            ({"buyers": [{"kind": "knots", "points": [["0", "0", "1"], ["1", "1"]]},
+                         {"kind": "linear", "c": "1"}]},
+             'buyer 0: each knot of "points" must be a pair [x, u], not a list of 3'),
+            ({"buyers": [{"kind": "knots", "points": [["0", "0"], ["1"]]},
+                         {"kind": "linear", "c": "1"}]},
+             'buyer 0: each knot of "points" must be a pair [x, u], not a list of 1'),
             ({"schedule": {"kind": "cmss", "shares": []}},
              'schedule: "shares" must be a JSON object'),
             ({"schedule": {"kind": "cmss", "shares": dict(ROWS, **{"0": "10"})}},
@@ -358,7 +388,7 @@ class TestRun:
             ({"schedule": None}, "scenario: missing field 'schedule'"),
         ],
         ids=["competing_bids", "order", "order-float", "order-bool", "order-str", "base", "f",
-             "points", "knot", "shares", "share-row",
+             "points", "knot", "knot-of-3", "knot-of-1", "shares", "share-row",
              "entries", "x", "y",
              "missing-c", "missing-k", "missing-points", "missing-shares", "missing-base",
              "missing-entries", "missing-y", "missing-buyers", "missing-schedule"],
@@ -507,6 +537,14 @@ class TestRun:
         pytest.param({"schedules": {"r": {"kind": "rras", "order": [0, 1],
                                           "base": ["1/2", "1/2"], "f": "cube"}}}, (),
                      "schedule 'r': unknown weight function 'cube'", id="schedules_entry_f-cube"),
+        # a cmss key names buyer indices only
+        pytest.param({"schedule": {"kind": "cmss", "shares": {"0,x": ["1/2", "1/2"], **ROWS}}}, (),
+                     "schedule: subset key '0,x': 'x' is no buyer index", id="cmss_key-0,x"),
+        pytest.param({"schedule": {"kind": "cmss", "shares": {"0,,1": ["1/2", "1/2"], **ROWS}}}, (),
+                     "schedule: subset key '0,,1': '' is no buyer index", id="cmss_key-0,,1"),
+        # a value past 40 characters is quoted by its first 20 and its length
+        *[pytest.param(overrides, (), f"{start}... (4300 characters)", id=f"{name}-4300")
+          for name, overrides, start in LONG_VALUES],
     ])
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, overrides, flags, message):
         data = self.two_buyers(**overrides)
@@ -514,7 +552,9 @@ class TestRun:
             del data["fixed_price"]
         path = self.write(tmp_path, data)
         assert run_cli("run", path, *flags) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.replace(path, "")) < 200
 
     def test_raw_json_numbers_in_share_rows_run_like_strings(self, tmp_path, capsys):
         rows = {"0,1": [0.25, 0.75], "0": [1, 0], "1": [0, 1]}

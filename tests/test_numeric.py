@@ -18,6 +18,7 @@ from groupbuy.numeric import (
     exact_str,
     integers_over_common_denominator,
     parse_number,
+    quote,
     to_float,
 )
 
@@ -191,6 +192,17 @@ def test_the_digit_rule_passes_4300_digits():
     assert parse_number("0." + "1" * 4300) == F(int("1" * 4300), 10 ** 4300)
     with pytest.raises(ValueError, match="^not a finite float"):
         parse_number("1" * 4300)
+
+
+@pytest.mark.parametrize("value,quoted", [
+    ("abc", "'abc'"),
+    ("x" * 38, repr("x" * 38)),  # a repr of 40 characters is repeated in full
+    ("x" * 39, f"'{'x' * 19}... (39 characters)"),
+    (10 ** 50, f"{'1' + '0' * 19}... (51 characters)"),
+    ([1] * 20, "[1, 1, 1, 1, 1, 1, 1... (60 characters)"),
+])
+def test_quote_repeats_at_most_40_characters(value, quoted):
+    assert quote(value) == quoted
 
 
 def test_parse_number_reads_floats_decimally():

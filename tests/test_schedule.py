@@ -77,6 +77,9 @@ def test_mask_helpers():
     assert list(nonempty_subsets(0b11)) == [0b11, 0b10, 0b01]
     with pytest.raises(ValueError):
         parse_subset_key("5", 3)
+    for key, part in (("0,x", "'x'"), ("0,,1", "''")):
+        with pytest.raises(ValueError, match=f"^subset key '{key}': {part} is no buyer index$"):
+            parse_subset_key(key, 3)
 
 
 class TestEqualSplit:
@@ -97,6 +100,28 @@ class TestEqualSplit:
 
     def test_share_points(self):
         assert EqualSplitSchedule(3).share_points(1) == (F(1, 3), F(1, 2), F(1))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("make", [
+    lambda: EqualSplitSchedule(3),
+    lambda: CrossMonotonicSchedule(3, {subset_key(m): tuple(F(m >> i & 1, m.bit_count()) for i in range(3))
+                                       for m in range(1, 8)}),
+    lambda: RankedSchedule(ORDER, BASE),
+], ids=["equal-split", "table", "ranked"])
+def test_shares_for_refuses_the_empty_and_outside_subsets(make, warm):
+    # shares_for checks a subset only when it first computes it: a cache
+    # filled with every valid mask must still refuse the two invalid ones
+    sched = make()
+    if warm:
+        for mask in range(1, 8):
+            sched.shares_for(mask)
+    with pytest.raises(ScheduleError, match="^shares are undefined for the empty set$"):
+        sched.shares_for(0)
+    with pytest.raises(ScheduleError, match="^subset 0b1000 outside buyer range 0..2$"):
+        sched.shares_for(0b1000)
+    with pytest.raises(ScheduleError, match="^subset 0b1011 outside buyer range 0..2$"):
+        sched.shares_for(0b1011)
 
 
 # (schedule, buyer, its share points): each buyer named is a member of some
@@ -199,7 +224,9 @@ class TestRankedShares:
         ((1.0, 0.0, 2.0), "not 1.0"),
         ((True, False, 2), "not True"),
         (("1", "0", "2"), "not '1'"),
-    ], ids=["float", "bool", "str"])
+        # a long entry is quoted by its first characters and its length
+        (("9" * 4300, "0", "2"), r"not '9999999999999999999\.\.\. \(4300 characters\)$"),
+    ], ids=["float", "bool", "str", "long-str"])
     def test_ranks_must_be_ints(self, order, message):
         # 1.0 and True compare equal to 1, so the permutation check alone passes them
         with pytest.raises(ScheduleError, match=f"rank order entries must be ints, {message}"):

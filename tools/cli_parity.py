@@ -31,7 +31,9 @@ own ``src/``:
   to inf, a bound past the largest float in each lane, and a price whose
   exact string has 4,301 digits), written into the same directory;
 * ``run`` in each format on bundled scenarios with one field misspelt, left
-  out or of an unknown value (``BROKEN``), written into the same directory;
+  out or of an unknown value, a value or field name of 4,300 characters, or
+  a share row keyed by no subset (``BROKEN``), written into the same
+  directory;
 * ``run`` in each format on files that are no scenario document at all
   (``MALFORMED``: not UTF-8, a 4,301-digit JSON integer, arrays nested
   2,000 deep), written as raw bytes into the same directory;
@@ -137,6 +139,12 @@ BROKEN = (
     ("section6-table-no-base", "section6-table", ("schedule",), "base", None, None),
     ("section6-table-no-shares", "section6-table", ("schedules", "cmss"), "shares", None, None),
     ("section6-table-cube", "section6-table", ("schedules", "rras"), "f", "f", "cube"),
+    # values a refusal quotes by their first characters and length, and a key that is no subset
+    ("example1-fixed_price-4300", "example1", (), "fixed_price", "fixed_price", "1" * 4300),
+    ("section6-table-kind-4300", "section6-table", ("schedule",), "kind", "kind", "k" * 4300),
+    ("example2-field-4300", "example2", ("auction",), "tie_policy", "t" * 4300, "group_wins"),
+    ("section6-table-key-0,x", "section6-table", ("schedules", "cmss", "shares"), "0,1", "0,x",
+     ["3/4", "1/4", "0"]),
 )
 
 # (file name, raw bytes): a file that loading must reject before it reads any stanza

@@ -126,7 +126,8 @@ class NumericPolicy:
 
     def ratio(self, u: Num, y: Num) -> Num:
         """``lane(u / y)``, bit for bit, for ``y`` != 0; two ``Fraction``s
-        in the tolerance lane take one int true division (see the module notes)."""
+        in the tolerance lane take one int true division (see the module notes),
+        and two floats give their quotient as is."""
         if self.epsilon is None:
             return u / y
         if type(u) is Fraction and type(y) is Fraction:
@@ -134,6 +135,8 @@ class NumericPolicy:
                 return (u.numerator * y.denominator) / (u.denominator * y.numerator)
             except OverflowError:
                 pass
+        elif type(u) is float and type(y) is float:  # float division rounds an overflow to an infinity
+            return u / y
         return to_float(u / y)
 
 
@@ -149,13 +152,15 @@ def integers_over_common_denominator(values) -> Optional[tuple]:
 
     None unless every value is an ``int`` or a ``Fraction``.  Order, equality
     and chord-slope comparisons of the integers are those of the values, so
-    the exact lane can decide them on ints.
+    the exact lane can decide them on ints.  Each value is read by one
+    ``as_integer_ratio()``, which both types give in lowest terms.
     """
     for v in values:
         if type(v) is not Fraction and type(v) is not int:  # by type: a bool is no exact number
             return None
-    d = math.lcm(*[v.denominator for v in values])
-    return d, [v.numerator * (d // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in ratios])
+    return d, [p * (d // q) for p, q in ratios]
 
 
 def to_float(v: Num) -> float:
@@ -170,9 +175,18 @@ def quote(value) -> str:
     """A refusal's quote of a scenario-file value: its ``repr`` when at most
     ``QUOTE_MAX`` characters, else the repr's first characters and the value's length."""
     text = repr(value)
-    if len(text) <= QUOTE_MAX:
-        return text
-    return f"{text[:QUOTE_MAX // 2]}... ({len(str(value))} characters)"
+    return text if len(text) <= QUOTE_MAX else _clipped(text, len(str(value)))
+
+
+def quote_key(key) -> str:
+    """A loader label's quote of a subset key: the key in double quotes, its first
+    characters and its length inside them when it is longer than ``QUOTE_MAX``."""
+    text = str(key)
+    return f'"{text if len(text) <= QUOTE_MAX else _clipped(text, len(text))}"'
+
+
+def _clipped(text: str, length: int) -> str:
+    return f"{text[:QUOTE_MAX // 2]}... ({length} characters)"
 
 
 _DIGIT_RUN = re.compile(r"[\d_]+")

@@ -37,7 +37,9 @@ from importlib import resources
 from typing import Optional
 
 from .auction import GROUP_WINS, AuctionConfig
-from .numeric import DEFAULT_EPSILON, EXACT, Num, NumericPolicy, approx, check_digits, parse_number, quote
+from .numeric import (
+    DEFAULT_EPSILON, EXACT, Num, NumericPolicy, approx, check_digits, parse_number, quote, quote_key,
+)
 from .schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -119,14 +121,10 @@ def _read(stanza, name: str) -> dict:
     return stanza
 
 
-def _typed(value, kind: type, what: str, *args):
-    """``value`` if of JSON type ``kind``, else a ValueError naming ``what``.
-
-    For values nested in a field (a knot, a share row).  ``what`` is formatted
-    with ``args`` only on failure.
-    """
+def _typed(value, kind: type, what: str):
+    """``value`` if of JSON type ``kind``, else a ValueError naming ``what``; for a value in a field."""
     if not isinstance(value, kind):
-        raise ValueError(f"{what.format(*args)} must be {_JSON_TYPES[kind]}")
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}")
     return value
 
 
@@ -161,38 +159,53 @@ def _parse_weight(text: str):
     raise ValueError(f"unknown weight function {quote(text)}")
 
 
-def _table_numbers():
-    """``parse_number`` that parses each distinct string once.
+class _ParseCache(dict):
+    """``parse_number`` of each distinct string, parsed once on its first read.
 
     A share table repeats its numbers ("0" in every row, most shares in
-    several rows); Fractions are immutable, so the rows can share them.
+    several rows); Fractions are immutable, so the rows can share them.  Only
+    strings are kept, and no other value equals one.
     """
-    parsed = {}
 
-    def number(value):
-        if type(value) is not str:  # a list or dict is no key; parse_number names it
+    def __missing__(self, value):
+        if type(value) is not str:
             return parse_number(value)
-        if value not in parsed:
-            parsed[value] = parse_number(value)
-        return parsed[value]
+        number = self[value] = parse_number(value)
+        return number
 
-    return number
+
+def _numbers(row: list, parsed: _ParseCache, what: str, key) -> tuple:
+    """The numbers of a share row, read through ``parsed``.
+
+    Only a row that fails is read again, by ``parse_number`` within the label
+    ``what`` and the quoted ``key``, so its error names the first malformed
+    value as ``parse_number`` does (a JSON array or object fails the cache's
+    read as an unhashable key).
+    """
+    try:
+        return tuple(map(parsed.__getitem__, row))
+    except (ValueError, TypeError):
+        with _malformed(f"{what} {quote_key(key)}"):
+            return tuple(map(parse_number, row))
 
 
 def parse_schedule(stanza, n: int, label: str = "schedule") -> ShareSchedule:
-    """The schedule of a ``schedule`` stanza, or a ScenarioError naming ``label``."""
+    """The schedule of a ``schedule`` stanza, or a ScenarioError naming ``label``.
+
+    A share row and a table entry are labelled by their key, through
+    :func:`~groupbuy.numeric.quote_key`.
+    """
     with _malformed(label):
         stanza = _read(stanza, "schedule")
         kind = stanza["kind"]
         if kind == "equal-split":
             return EqualSplitSchedule(n)
         if kind == "cmss":
-            number = _table_numbers()
-            shares = {}
-            for key, vec in stanza["shares"].items():
-                row = _typed(vec, list, 'share row "{}"', key)
-                with _malformed(f'share row "{key}"'):
-                    shares[key] = tuple(map(number, row))
+            parsed, shares = _ParseCache(), {}
+            for key, row in stanza["shares"].items():
+                if not isinstance(row, list):
+                    raise ValueError(f"share row {quote_key(key)} must be {_JSON_TYPES[list]}")
+                shares[key] = _numbers(row, parsed, "share row", key)
             return CrossMonotonicSchedule(n, shares)
         if kind == "rras":
             return RankedSchedule(
@@ -200,12 +213,11 @@ def parse_schedule(stanza, n: int, label: str = "schedule") -> ShareSchedule:
                 [parse_number(b) for b in stanza["base"]],
                 _parse_weight(stanza.get("f", "identity")),
             )
-        number = _table_numbers()
-        entries = {}
+        parsed, entries = _ParseCache(), {}
         for key, cell in stanza["entries"].items():
-            with _malformed(f'entry "{key}"'):
+            with _malformed(f"entry {quote_key(key)}"):
                 cell = _read(cell, "table entry")
-                entries[key] = (tuple(map(number, cell["x"])), tuple(map(number, cell["y"])))
+            entries[key] = tuple(_numbers(cell[axis], parsed, "entry", key) for axis in ("x", "y"))
         return TableSchedule(n, entries)
 
 

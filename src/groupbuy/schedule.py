@@ -193,26 +193,46 @@ class TableSchedule(ShareSchedule):
     """Explicit share pairs for every non-empty subset; only sensible for small n.
 
     Validated exactly at construction, where a missing or twice-listed subset is
-    an error too.
+    an error too.  When ``entries`` lists exactly 2^n - 1 subsets, a canonical
+    key ("0,2", as :func:`subset_key` writes it) is looked up in a map of every
+    subset's key; any other key, and every key of a table of another size, is
+    read by :func:`parse_subset_key` (a str) or ``int`` (a mask).  Either way
+    the verdicts and their order are the same, and a short table at large n
+    fails without a walk over its 2^n subsets.
     """
 
     def __init__(self, n: int, entries: Mapping):
         super().__init__(n)
+        full = full_mask(n)
+        canonical = _canonical_keys(n) if len(entries) == full else {}
+        cache = self._cache
         for key, value in entries.items():
-            mask = parse_subset_key(key, n) if isinstance(key, str) else int(key)
-            if not 0 < mask <= full_mask(n):
-                raise ScheduleError(f"subset mask {mask} outside 1..{full_mask(n)}")
-            if mask in self._cache:  # "0,1" and "1,0" name the same subset
+            mask = canonical.get(key)
+            if mask is None:
+                mask = parse_subset_key(key, n) if isinstance(key, str) else int(key)
+                if not 0 < mask <= full:
+                    raise ScheduleError(f"subset mask {mask} outside 1..{full}")
+            if mask in cache:  # "0,1" and "1,0" name the same subset
                 raise ScheduleError(f"subset {{{subset_key(mask)}}} listed twice")
             xs, ys = value
             pair = SharePair(tuple(xs), tuple(ys))
             _check_share_vector(pair.resource, mask, n, "resource")
             if pair.payment is not pair.resource:  # payment = resource is checked once
                 _check_share_vector(pair.payment, mask, n, "payment")
-            self._cache[mask] = pair
-        missing = next((m for m in range(1, full_mask(n) + 1) if m not in self._cache), None)
-        if missing is not None:
+            cache[mask] = pair
+        if len(cache) < full:  # every mask lies in 1..full and is listed once
+            missing = next(m for m in range(1, full + 1) if m not in cache)
             raise ScheduleError(f"no shares defined for subset {{{subset_key(missing)}}}")
+
+
+def _canonical_keys(n: int) -> dict:
+    """:func:`subset_key` of each non-empty subset of n buyers -> its mask."""
+    keys = [""] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask  # the least member goes first, before the key of the rest
+        rest = keys[mask ^ low]
+        keys[mask] = f"{low.bit_length() - 1},{rest}" if rest else str(low.bit_length() - 1)
+    return {key: mask for mask, key in enumerate(keys) if mask}
 
 
 def CrossMonotonicSchedule(n: int, resource: Mapping) -> TableSchedule:
@@ -258,10 +278,14 @@ class RankedSchedule(ShareSchedule):
     share's weight and the zero of its type.  A subset's top-ranked member
     takes ``base[top]`` plus the base shares of everyone outside, and only
     that share is valued per subset; every other member keeps its base share
-    object and its base weight.  The weights are summed and divided in index
-    order.  A linear weight c*x with c = 1 on an all-``Fraction`` base sums
-    to exactly 1 in every subset, so its payment shares are the weights
-    themselves: dividing by 1 would change neither value nor type.
+    object and its base weight.  An all-``Fraction`` base is also kept as the
+    integers over its common denominator d, and the base sums to 1, so the top
+    share is the one ``Fraction(d - (the live others' integers), d)``: the same
+    value and type as the sum.  Any other base takes the sum itself.  The
+    weights are summed and divided in index order.  A linear weight c*x with
+    c = 1 on an all-``Fraction`` base sums to exactly 1 in every subset, so its
+    payment shares are the weights themselves: dividing by 1 would change
+    neither value nor type.
     """
 
     def __init__(
@@ -284,9 +308,11 @@ class RankedSchedule(ShareSchedule):
         self.weight = weight
         self._zeros = tuple(0 * b for b in self.base)
         self._weights = tuple(weight.value_at(b) for b in self.base)
+        fractions = all(type(b) is Fraction for b in self.base)
+        # (d, the base's integers over d) of an all-Fraction base, else None
+        self._ints = integers_over_common_denominator(self.base) if fractions else None
         # a linear weight 1*x on Fraction shares: each subset's weights sum to exactly 1
-        self._unit = (weight.rational and type(weight.c) in (int, Fraction) and weight.c == 1
-                      and all(type(b) is Fraction for b in self.base))
+        self._unit = weight.rational and type(weight.c) in (int, Fraction) and weight.c == 1 and fractions
 
     def _compute(self, subset: int) -> SharePair:
         live = members(subset)
@@ -296,8 +322,12 @@ class RankedSchedule(ShareSchedule):
         for i in live:
             resource[i], weights[i] = self.base[i], self._weights[i]
         # the top-ranked member also takes the base shares of everyone outside
-        outside = sum(b for i, b in enumerate(self.base) if not subset >> i & 1)
-        resource[top] = self.base[top] + outside
+        if self._ints is None:
+            outside = sum(b for i, b in enumerate(self.base) if not subset >> i & 1)
+            resource[top] = self.base[top] + outside
+        else:
+            d, ints = self._ints
+            resource[top] = Fraction(d - sum(ints[i] for i in live) + ints[top], d)
         weights[top] = self.weight.value_at(resource[top])
         if self._unit:  # the weights sum to exactly 1
             return SharePair(tuple(resource), tuple(0 if w is None else w for w in weights))

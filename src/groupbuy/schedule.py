@@ -193,18 +193,20 @@ class TableSchedule(ShareSchedule):
     """Explicit share pairs for every non-empty subset; only sensible for small n.
 
     Validated exactly at construction, where a missing or twice-listed subset is
-    an error too.  When ``entries`` lists exactly 2^n - 1 subsets, a canonical
-    key ("0,2", as :func:`subset_key` writes it) is looked up in a map of every
-    subset's key; any other key, and every key of a table of another size, is
-    read by :func:`parse_subset_key` (a str) or ``int`` (a mask).  Either way
-    the verdicts and their order are the same, and a short table at large n
-    fails without a walk over its 2^n subsets.
+    an error too.  When ``entries`` lists exactly 2^n - 1 subsets and its first
+    key is a str, a canonical key ("0,2", as :func:`subset_key` writes it) is
+    looked up in a map of every subset's key; any other key, and every key of
+    another table, is read by :func:`parse_subset_key` (a str) or ``int`` (a
+    mask).  Either way the verdicts and their order are the same, and a short
+    table at large n fails without a walk over its 2^n subsets.
     """
 
     def __init__(self, n: int, entries: Mapping):
         super().__init__(n)
         full = full_mask(n)
-        canonical = _canonical_keys(n) if len(entries) == full else {}
+        # only str keys can be canonical: a table of int masks makes no map
+        listed = len(entries) == full and isinstance(next(iter(entries)), str)
+        canonical = _canonical_keys(n) if listed else {}
         cache = self._cache
         for key, value in entries.items():
             mask = canonical.get(key)

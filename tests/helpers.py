@@ -30,12 +30,16 @@ from groupbuy.schedule import (
     CrossMonotonicSchedule,
     EqualSplitSchedule,
     RankedSchedule,
+    ScheduleError,
+    SharePair,
     ShareSchedule,
     TableSchedule,
     full_mask,
     members,
     nonempty_subsets,
+    parse_subset_key,
     sqrt_weight,
+    subset_key,
 )
 from groupbuy.utility import (
     ClosedFormUtility,
@@ -81,6 +85,52 @@ def same_numbers(a: Sequence, b: Sequence) -> bool:
         type(x) is type(y) and (x.hex() == y.hex() if type(x) is float else x == y)
         for x, y in zip(a, b)
     )
+
+
+def reference_table_shares(n: int, entries) -> dict:
+    """Reference for ``TableSchedule(n, entries)``: mask -> its SharePair, or the error it raises.
+
+    Every key is read by ``parse_subset_key`` (a str) or ``int`` (a mask),
+    every row is checked by :func:`reference_check_share_vector`, and the
+    masks 1..2^n - 1 are walked for the first one missing.
+    """
+    table = {}
+    for key, value in entries.items():
+        mask = parse_subset_key(key, n) if isinstance(key, str) else int(key)
+        if not 0 < mask <= full_mask(n):
+            raise ScheduleError(f"subset mask {mask} outside 1..{full_mask(n)}")
+        if mask in table:
+            raise ScheduleError(f"subset {{{subset_key(mask)}}} listed twice")
+        xs, ys = value
+        pair = SharePair(tuple(xs), tuple(ys))
+        reference_check_share_vector(pair.resource, mask, n, "resource")
+        if pair.payment is not pair.resource:
+            reference_check_share_vector(pair.payment, mask, n, "payment")
+        table[mask] = pair
+    missing = next((m for m in range(1, full_mask(n) + 1) if m not in table), None)
+    if missing is not None:
+        raise ScheduleError(f"no shares defined for subset {{{subset_key(missing)}}}")
+    return table
+
+
+def reference_check_share_vector(values: Sequence, subset: int, n: int, label: str) -> None:
+    """Reference for the check of one share row: its length, then entry by entry
+    its sign and support, then its sum, exact rows over their common denominator."""
+    if len(values) != n:
+        raise ScheduleError(f"{label} shares for {{{subset_key(subset)}}} must have {n} entries")
+    den, nums = 1, values
+    if all(type(v) is F or type(v) is int for v in values):
+        den = math.lcm(*[v.denominator for v in values])
+        nums = [v.numerator * (den // v.denominator) for v in values]
+    for i, v in enumerate(nums):
+        if v < 0:
+            raise ScheduleError(f"negative {label} share for buyer {i} in {{{subset_key(subset)}}}")
+        if v > 0 and not subset >> i & 1:
+            raise ScheduleError(
+                f"positive {label} share for buyer {i} outside subset {{{subset_key(subset)}}}"
+            )
+    if sum(nums) != den:
+        raise ScheduleError(f"{label} shares for {{{subset_key(subset)}}} sum to {sum(values)}, not 1")
 
 
 def renormalized_cmss(n, weights):
@@ -622,5 +672,40 @@ VALIDATE_SCENARIOS = {
         "buyers": [{"kind": "linear", "c": "1"}] * 13,
         "schedule": {"kind": "equal-split"},
         "fixed_price": "1/2",
+    },
+}
+
+
+def _renormalized_rows(weights: Sequence[int], key) -> dict:
+    """The rows of :func:`renormalized_cmss` as scenario strings, keyed by ``key(members)``."""
+    table = renormalized_cmss(len(weights), [F(w) for w in weights])
+    return {key(members(m)): [str(v) for v in table.shares_for(m).resource]
+            for m in range(1, 1 << len(weights))}
+
+
+def _mixed_key(idx: tuple) -> str:
+    """A subset key by the subset's size: canonical for 1 or 4 members, reversed for 2, spaced for 3."""
+    return (",".join(map(str, idx)), ",".join(map(str, reversed(idx))),
+            " " + ", ".join(map(str, idx)))[(len(idx) - 1) % 3]
+
+
+# Share tables keyed in three ways (canonical, members reversed, spaced), so
+# the loader reads some keys from its map of canonical keys and parses the
+# rest: a four-buyer cmss file, and a three-buyer table file whose payment
+# rows are not its resource rows, each against a rival bid of 3/5.
+KEYED_SCENARIOS = {
+    "cmss-mixed-keys": {
+        "buyers": [{"kind": "linear", "c": c} for c in ("1", "3/2", "2", "5/4")],
+        "schedule": {"kind": "cmss", "shares": _renormalized_rows((1, 2, 3, 4), _mixed_key)},
+        "auction": {"reserve": "0", "competing_bids": ["3/5"]},
+    },
+    "table-mixed-keys": {
+        "buyers": [{"kind": "linear", "c": c} for c in ("1", "3/2", "2")],
+        "schedule": {"kind": "table", "entries": {
+            key: {"x": x, "y": y}
+            for (key, x), y in zip(_renormalized_rows((1, 2, 2), _mixed_key).items(),
+                                   _renormalized_rows((2, 1, 1), _mixed_key).values())
+        }},
+        "auction": {"reserve": "0", "competing_bids": ["3/5"]},
     },
 }

@@ -492,6 +492,18 @@ class TestRun:
         # a raw JSON number in a share row takes parse_number's non-string path
         pytest.param({"schedule": {"kind": "cmss", "shares": dict(ROWS, **{"0,1": [0.5, True]})}},
                      (), 'schedule: share row "0,1": not a number: True', id="cmss_share-true"),
+        # a JSON array or object is no key of the rows' parse cache: parse_number names it
+        pytest.param({"schedule": {"kind": "cmss", "shares": dict(ROWS, **{"0,1": ["1/2", [1]]})}},
+                     (), 'schedule: share row "0,1": cannot parse number [1]', id="cmss_share-array"),
+        pytest.param({"schedule": {"kind": "cmss", "shares": dict(ROWS, **{"0,1": [{"a": "1"}]})}},
+                     (), 'schedule: share row "0,1": cannot parse number {\'a\': \'1\'}',
+                     id="cmss_share-object"),
+        pytest.param({"schedule": {"kind": "table", "entries": dict(
+            ENTRIES, **{"0,1": {"x": ["1/2", None], "y": ["1/2", [1]]}})}},
+                     (), 'schedule: entry "0,1": cannot parse number None', id="table_share-null"),
+        pytest.param({"schedule": {"kind": "table", "entries": dict(
+            ENTRIES, **{"0,1": {"x": ["1/2", "1/2"], "y": ["1/2", {}]}})}},
+                     (), 'schedule: entry "0,1": cannot parse number {}', id="table_share-object"),
         pytest.param({"fixed_price": "-1"}, (),
                      "fixed_price: reserve and bids must be finite and non-negative",
                      id="fixed_price-negative"),

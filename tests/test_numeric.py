@@ -19,6 +19,7 @@ from groupbuy.numeric import (
     integers_over_common_denominator,
     parse_number,
     quote,
+    quote_key,
     to_float,
 )
 
@@ -125,18 +126,32 @@ HALFWAY = 2 ** 1024 - 2 ** 970  # between it and 2**1024: rounds to even, past t
     (0.1, F(1, 3)),
     (F(1, 3), 0.7),
     (0.3, 0.7),
+    (1e-300, 1e10),  # a subnormal quotient of two floats
+    (5e-324, 3.0),  # below half the least subnormal: 0
 ], ids=["largest", "largest-exact", "halfway-subnormal", "subnormal", "underflow", "negative",
-        "int-zero", "ints", "fraction-int", "float-fraction", "fraction-float", "floats"])
+        "int-zero", "ints", "fraction-int", "float-fraction", "fraction-float", "floats",
+        "floats-subnormal", "floats-underflow"])
 def test_ratio_is_the_lane_of_the_quotient_at_the_edges(u, y):
     for policy in (EXACT, approx()):
         assert same_numbers([policy.ratio(u, y)], [policy.lane(u / y)])
 
 
-@pytest.mark.parametrize("u,y", [(F(2 ** 1024 * 5, 3), F(5, 3)), (F(HALFWAY * 3, 7), F(3, 7))],
-                         ids=["2**1024", "halfway"])
+@pytest.mark.parametrize("u,y", [
+    (F(2 ** 1024 * 5, 3), F(5, 3)), (F(HALFWAY * 3, 7), F(3, 7)), (1e308, 1e-10),
+], ids=["2**1024", "halfway", "floats"])
 def test_ratio_overflows_where_the_lane_does(u, y):
     # past the largest float both give inf, as float arithmetic rounds an overflow
     assert approx().ratio(u, y) == approx().lane(u / y) == math.inf
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(FINITE_FLOATS, FINITE_FLOATS.filter(bool))
+@settings(max_examples=300)
+def test_ratio_of_two_floats_is_their_quotient(u, y):
+    got = approx().ratio(u, y)
+    assert same_numbers([got], [approx().lane(u / y)]) and same_numbers([got], [u / y])
 
 
 @pytest.mark.parametrize("v,expected", [
@@ -205,6 +220,17 @@ def test_quote_repeats_at_most_40_characters(value, quoted):
     assert quote(value) == quoted
 
 
+@pytest.mark.parametrize("key,quoted", [
+    ("0,1", '"0,1"'),
+    ("x" * 40, f'"{"x" * 40}"'),  # a key of 40 characters is repeated in full
+    ("x" * 41, f'"{"x" * 20}... (41 characters)"'),
+    ("0," * 2150, f'"{"0," * 10}... (4300 characters)"'),
+    (3, '"3"'),
+])
+def test_quote_key_repeats_at_most_40_characters(key, quoted):
+    assert quote_key(key) == quoted
+
+
 def test_parse_number_reads_floats_decimally():
     assert parse_number(0.1) == F(1, 10)
 
@@ -248,6 +274,7 @@ TAGGED = st.one_of(
 
 @given(st.lists(TAGGED, max_size=6))
 @example([(F(1, 2), True), (3, True)])
+@example([(F(1, 2), True), (F(2, 3), True)])  # the least common denominator is no denominator
 @example([(F(1, 2), True), (0.5, False)])
 @example([(1, True), (True, False)])
 def test_integers_over_common_denominator_is_the_test_of_exactness(tagged):
@@ -257,7 +284,8 @@ def test_integers_over_common_denominator_is_the_test_of_exactness(tagged):
         assert got is None
         return
     d, ints = got
-    assert type(d) is int and d > 0 and all(type(v) is int for v in ints)
+    assert type(d) is int and d == math.lcm(*[F(v).denominator for v in values])
+    assert all(type(v) is int for v in ints)
     assert [F(v, d) for v in ints] == values
     for (a, u), (b, v) in itertools.product(zip(values, ints), repeat=2):
         assert (a < b, a == b) == (u < v, u == v)

@@ -137,6 +137,23 @@ class TestLoading:
             load_scenario_file(str(p))
 
 
+LONG_KEY = "0," * 2150  # 4,300 characters
+
+
+@pytest.mark.parametrize("schedule,label", [
+    ({"kind": "cmss", "shares": {LONG_KEY: ["1", "abc"]}}, "share row"),
+    ({"kind": "cmss", "shares": {LONG_KEY: "10"}}, "share row"),
+    ({"kind": "table", "entries": {LONG_KEY: {"x": ["1", "abc"], "y": ["1", "0"]}}}, "entry"),
+    ({"kind": "table", "entries": {LONG_KEY: {"x": ["1", "0"]}}}, "entry"),
+], ids=["share-row", "non-array-row", "table-entry", "table-entry-field"])
+def test_a_long_subset_key_is_quoted_by_its_first_characters(schedule, label):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(minimal(schedule=schedule))
+    message = str(err.value)
+    assert message.startswith(f'schedule: {label} "{"0," * 10}... (4300 characters)"'), message
+    assert len(message) < 120
+
+
 class TestSerialization:
     def test_number_encoding_exact_mode(self):
         enc = number_to_json(F(9, 20), EXACT)

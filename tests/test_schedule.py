@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from groupbuy.numeric import EXACT, approx
 from groupbuy.scenario import load_scenario
 from groupbuy.schedule import (
     _breaking_constant,
+    _canonical_keys,
     _concave_sample_breaks,
     _concave_sample_knots,
     _draw_concave_sample,
@@ -39,6 +41,7 @@ from helpers import (
     VALIDATE_SCENARIOS,
     exploit_table,
     reference_ranked_shares,
+    reference_table_shares,
     renormalized_cmss,
     rras_resource_table,
     same_numbers,
@@ -305,6 +308,139 @@ class TestShareInvariants:
         with pytest.raises(ScheduleError) as err:
             CrossMonotonicSchedule(2, {"0": (F(1), F(0)), "1": (F(0), F(1)), "0,1": row})
         assert str(err.value) == message
+
+
+# Random tables for the equivalence of TableSchedule's checks with the
+# per-key reference: every subset's rows, keyed in one of four ways, their
+# numbers of four types.  A faulty table also breaks rows, leaves subsets out,
+# lists them twice, and adds a key that names no subset.
+
+STRAY_KEYS = ("", "x", "0,x", "0,,1", "9", "-1", 0, 99)
+ROW_FAULTS = ("negative", "outside", "sum", "length")
+
+
+def _table_key(mask: int):
+    """A key of ``mask``: canonical, its members in any order, spaced, or the int mask."""
+    canonical = subset_key(mask)
+    return st.one_of(
+        st.just(canonical),
+        st.permutations(members(mask)).map(lambda order: ",".join(map(str, order))),
+        st.sampled_from((f" {canonical}", canonical.replace(",", ", "), f"{canonical} ")),
+        st.just(mask),
+    )
+
+
+def _typed_share(kind: str, v: F):
+    if kind == "float":
+        return float(v)
+    if kind == "int" and v.denominator == 1:
+        return int(v)
+    if kind == "bool" and v in (0, 1):
+        return bool(v)
+    return v
+
+
+@st.composite
+def _share_row(draw, mask: int, n: int, faulty: bool) -> tuple:
+    """A row of ``mask`` over draws in 1..5, perhaps broken, each share of a drawn type."""
+    raw = [draw(st.integers(1, 5)) if mask >> i & 1 else 0 for i in range(n)]
+    row = [F(v, sum(raw)) for v in raw]
+    fault = draw(st.sampled_from((None,) * 12 + ROW_FAULTS)) if faulty else None
+    j = draw(st.integers(0, n - 1))
+    if fault == "negative":
+        row[j] = -row[j] - F(1, 3)
+    elif fault == "outside" and mask != full_mask(n):
+        row[draw(st.sampled_from([i for i in range(n) if not mask >> i & 1]))] = F(1, 4)
+    elif fault == "sum":
+        row[j] += F(1, 6)
+    elif fault == "length":
+        row = row[:-1] if draw(st.booleans()) else row + [F(0)]
+    kinds = ("fraction", "int", "bool") + (("float",) if faulty else ())
+    return tuple(_typed_share(draw(st.sampled_from(kinds)), v) for v in row)
+
+
+@st.composite
+def drawn_tables(draw) -> tuple:
+    """(n, entries) for ``TableSchedule``, n in 1..4, the entries in a drawn order."""
+    n = draw(st.integers(1, 4))
+    full = full_mask(n)
+    faulty = draw(st.booleans())
+    # how often each subset is listed: once, or in a faulty table also none or twice
+    copies = {mask: draw(st.sampled_from((1,) * 12 + (0, 2))) if faulty else 1
+              for mask in range(1, full + 1)}
+    if faulty and full > 1 and draw(st.booleans()):  # one subset listed twice for another left out
+        a = draw(st.integers(1, full))
+        copies[a], copies[draw(st.integers(1, full).filter(lambda b: b != a))] = 0, 2
+    entries = []
+    for mask in range(1, full + 1):
+        for _ in range(copies[mask]):
+            resource = draw(_share_row(mask, n, faulty))
+            payment = resource if draw(st.booleans()) else draw(_share_row(mask, n, faulty))
+            entries.append((draw(_table_key(mask)), (resource, payment)))
+    if faulty and draw(st.integers(0, 4)) == 0:
+        row = draw(_share_row(draw(st.integers(1, full)), n, faulty))
+        entries.append((draw(st.sampled_from(STRAY_KEYS)), (row, row)))
+    order = draw(st.permutations(range(len(entries))))
+    return n, dict(entries[i] for i in order)
+
+
+class TestTableChecks:
+    @given(drawn_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_table_checks_are_the_reference(self, table):
+        # the same tables accepted with the same pairs, and the same refused
+        # with the same error, as when every key is parsed and every subset walked
+        n, entries = table
+        try:
+            want = reference_table_shares(n, entries)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                TableSchedule(n, entries)
+            assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+            return
+        sched = TableSchedule(n, entries)
+        for mask, pair in want.items():
+            got = sched.shares_for(mask)
+            assert same_numbers(got.resource, pair.resource), mask
+            assert same_numbers(got.payment, pair.payment), mask
+
+    def test_canonical_keys_are_the_subset_keys(self):
+        for n in range(1, 11):
+            assert _canonical_keys(n) == {subset_key(m): m for m in range(1, 1 << n)}
+
+    def test_a_short_table_at_32_buyers_is_refused_at_once(self):
+        # the map of canonical keys is built only for a table of 2^n - 1 entries
+        rows = {str(i): tuple(int(j == i) for j in range(32)) for i in range(3)}
+        start = time.perf_counter()
+        with pytest.raises(ScheduleError, match=r"^no shares defined for subset \{0,1\}$"):
+            TableSchedule(32, {key: (row, row) for key, row in rows.items()})
+        assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def ranked_bases(draw) -> tuple:
+    """(order, base): a rank order of 1..6 buyers, and a base of Fractions, or of
+    floats in sixteenths, which sum to exactly 1 as floats too."""
+    n = draw(st.integers(1, 6))
+    floats = draw(st.booleans())
+    total = 16 if floats else draw(st.integers(1, 30))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    base = tuple(float(F(p, total)) if floats else F(p, total) for p in parts)
+    return tuple(draw(st.permutations(range(n)))), base
+
+
+@given(ranked_bases(), st.sampled_from(list(RANKED_WEIGHTS.values())))
+@settings(max_examples=300, deadline=None)
+def test_ranked_shares_are_the_sum_of_the_departed_base_shares(drawn, weight):
+    # the top member's share is base[top] plus the base shares outside, in
+    # value and type; an all-Fraction base computes it over one denominator
+    order, base = drawn
+    sched = RankedSchedule(order, base, weight)
+    for mask in nonempty_subsets(full_mask(len(base))):
+        resource, payment = reference_ranked_shares(sched, mask)
+        pair = sched.shares_for(mask)
+        assert same_numbers(pair.resource, resource) and same_numbers(pair.payment, payment), mask
 
 
 class TestCrossMonotonic:

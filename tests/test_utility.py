@@ -257,7 +257,7 @@ class TestClosedForms:
         form = ClosedFormUtility.power(c, k)
         want = c * x ** k
         assert type(want) is float
-        for _ in range(2):  # the floats of c and k are made on the first call
+        for _ in range(2):  # value_at keeps no state: a second call gives the same float
             got = form.value_at(x)
             assert type(got) is float and got == want
 

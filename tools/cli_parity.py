@@ -15,6 +15,10 @@ own ``src/``:
 * ``validate-schedule`` and ``fuzz``, the latter in each format, on the
   ranked scenarios with power:1/3 and identity weights (``RANKED_SCENARIOS``
   of ``tests/helpers.py``), written into a temporary directory;
+* ``run`` in each format and ``validate-schedule`` on the share tables of
+  ``KEYED_SCENARIOS`` of ``tests/helpers.py`` (a cmss and a table file keyed
+  canonically, with members reversed, and with spaces), written into the same
+  directory, so the lines cover both ways a table key is read;
 * ``validate-schedule`` on the files of ``VALIDATE_SCENARIOS`` of
   ``tests/helpers.py``, written into the same directory: the failing tables
   (a cross-monotonicity witness, a two-buyer table with monotonicity and
@@ -31,9 +35,10 @@ own ``src/``:
   to inf, a bound past the largest float in each lane, and a price whose
   exact string has 4,301 digits), written into the same directory;
 * ``run`` in each format on bundled scenarios with one field misspelt, left
-  out or of an unknown value, a value or field name of 4,300 characters, or
-  a share row keyed by no subset (``BROKEN``), written into the same
-  directory;
+  out or of an unknown value, a value or field name of 4,300 characters, a
+  share row keyed by no subset, or a malformed share row or table entry
+  under a key of 4,300 characters, the entry in the table file of
+  ``KEYED_SCENARIOS`` (``BROKEN``), written into the same directory;
 * ``run`` in each format on files that are no scenario document at all
   (``MALFORMED``: not UTF-8, a 4,301-digit JSON integer, arrays nested
   2,000 deep), written as raw bytes into the same directory;
@@ -74,6 +79,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import functools
 import hashlib
 import io
@@ -110,6 +116,7 @@ from helpers import (  # noqa: E402
     EXPLOIT_LEVELS,
     FLOAT_RANGE_SCENARIOS,
     EXPLOIT_POWER_MENU,
+    KEYED_SCENARIOS,
     RANKED_SCENARIOS,
     VALIDATE_SCENARIOS,
     exploit_table,
@@ -128,8 +135,9 @@ TIE_POLICIES = (GROUP_WINS, GROUP_LOSES)
 COMMANDS = {"run": FORMATS, "validate-schedule": (None,), "fuzz": FORMATS, "compare": FORMATS}
 # the commands that take --out
 REPORTS = ("run", "fuzz", "compare")
-# (file name, bundled scenario, path to a stanza, field, field put in its place
-# or None, its value): a scenario with one broken field, which loading must reject
+# (file name, bundled scenario or name in KEYED_SCENARIOS, path to a stanza, field,
+# field put in its place or None, its value): a scenario with one broken field,
+# which loading must reject
 BROKEN = (
     ("example2-competing_bid", "example2", ("auction",), "competing_bids", "competing_bid",
      ["0.6"]),
@@ -145,6 +153,13 @@ BROKEN = (
     ("example2-field-4300", "example2", ("auction",), "tie_policy", "t" * 4300, "group_wins"),
     ("section6-table-key-0,x", "section6-table", ("schedules", "cmss", "shares"), "0,1", "0,x",
      ["3/4", "1/4", "0"]),
+    # a share row and a table entry of 4,300-character keys, labelled by their first characters
+    ("section6-table-row-key-4300", "section6-table", ("schedules", "cmss", "shares"), "0,1",
+     "0," * 2150, ["3/4", "x", "0"]),
+    ("section6-table-array-key-4300", "section6-table", ("schedules", "cmss", "shares"), "0,1",
+     "0," * 2150, "10"),
+    ("table-mixed-keys-entry-key-4300", "table-mixed-keys", ("schedule", "entries"), "1,0",
+     "0," * 2150, {"x": ["1/2", "x", "0"], "y": ["1/2", "1/2", "0"]}),
 )
 
 # (file name, raw bytes): a file that loading must reject before it reads any stanza
@@ -251,6 +266,7 @@ def main(argv=None) -> int:
                     print(f"{path.stem} {command} {fmt} --out "
                           f"exit={code} stdout={out} stderr={err} file={written}")
         for documents, commands in ((RANKED_SCENARIOS, ("validate-schedule", "fuzz")),
+                                    (KEYED_SCENARIOS, ("run", "validate-schedule")),
                                     (VALIDATE_SCENARIOS, ("validate-schedule",))):
             for name, document in documents.items():
                 path = Path(tmp) / f"{name}.json"
@@ -264,9 +280,9 @@ def main(argv=None) -> int:
             path.write_text(json.dumps(document), encoding="utf-8")
             report_calls(path, COMMANDS, placeholders)
         for name, source, keys, field, replacement, value in BROKEN:
-            document = json.loads(
-                Path(str(groupbuy.bundled_scenario_path(source))).read_text(encoding="utf-8")
-            )
+            document = (copy.deepcopy(KEYED_SCENARIOS[source]) if source in KEYED_SCENARIOS
+                        else json.loads(Path(str(groupbuy.bundled_scenario_path(source)))
+                                        .read_text(encoding="utf-8")))
             stanza = functools.reduce(operator.getitem, keys, document)
             del stanza[field]
             if replacement is not None:

@@ -48,8 +48,9 @@ from .utility import (
     ReportClass,
     UtilityReport,
     _below,
+    concave_knot_points,
+    concave_knots,
     random_concave_draws,
-    random_concave_knots,
     sample_knots,
 )
 
@@ -506,24 +507,33 @@ def _random_submask(rng: random.Random, mask_members: tuple) -> int:
 
 
 # Samples of the concave class.  Each is a shape (trial % 4: random concave,
-# linear, ramp, zero) and the one number drawn for it; its knot list is built
-# only for a sample the exact lane cannot reject in integers.
+# linear, ramp, zero) and what the oracle's own generator draws for it: a
+# random concave utility's slopes and scale, one per knot point of the pair,
+# or one scale; its knot list is built only for a sample the exact lane
+# cannot reject in integers.
 
 U_MAX = 2  # a sampled utility is worth at most this at x = 1
 
 
-def _draw_concave_sample(getrandbits, shape: int) -> Optional[int]:
-    """The seed of a random concave utility, the scale of a linear or ramp one, or None."""
+def _draw_concave_sample(getrandbits, shape: int, count: int):
+    """A sample's own draws from ``getrandbits``, by :func:`~groupbuy.utility._below`.
+
+    For a random concave utility on ``count`` knot points its
+    :func:`~groupbuy.utility.random_concave_draws`, (slopes, scale); for a
+    linear or ramp one its scale in 0..GRAIN; for the zero utility None, and
+    nothing is drawn.
+    """
     if shape == 0:
-        return _below(getrandbits, 2 ** 32)
+        return random_concave_draws(getrandbits, count)
     if shape in (1, 2):
         return _below(getrandbits, GRAIN + 1)
     return None
 
 
-def _concave_sample_knots(shape: int, draw: Optional[int], x_a: Num, x_b: Num) -> tuple:
+def _concave_sample_knots(shape: int, draw, x_a: Num, x_b: Num, points: Sequence) -> tuple:
+    """The sample's knot list; a random concave one has its knots at 0 and ``points``."""
     if shape == 0:
-        return random_concave_knots(draw, {x for x in (x_a, x_b) if 0 < x <= 1}, U_MAX)
+        return concave_knots(points, *draw, U_MAX)
     if shape == 1:
         return _linear_knots(U_MAX * Fraction(draw, GRAIN))
     if shape == 2:
@@ -548,10 +558,26 @@ def _integer_shares(x_a: Num, x_b: Num, y_a: Num, y_b: Num) -> Optional[tuple]:
     return xa, xb, d, *ys[1]
 
 
-def _sampled_pair(schedule: ShareSchedule, policy: NumericPolicy, i: int, a_mask: int, b_mask: int) -> tuple:
-    """(x_a, x_b, y_a, y_b, their :func:`_integer_shares` in the exact lane or None).
+def _exact_pair(x_a: Num, x_b: Num, y_a: Num, y_b: Num) -> Optional[tuple]:
+    """The :func:`_integer_shares` (X_a, X_b, D, Y_a, Y_b) and then their knot points, or None.
 
-    Empty when y_b is not positive.
+    The knot points are a random concave sample's in integers: X_a and X_b
+    where positive, and D, sorted, so D times the pair's knot points.
+    """
+    shares = _integer_shares(x_a, x_b, y_a, y_b)
+    if shares is None:
+        return None
+    xa, xb, d = shares[:3]
+    return (*shares, sorted({x for x in (xa, xb) if x > 0} | {d}))
+
+
+def _sampled_pair(schedule: ShareSchedule, policy: NumericPolicy, i: int, a_mask: int, b_mask: int) -> tuple:
+    """(x_a, x_b, y_a, y_b, knot points, :func:`_exact_pair` in the exact lane or None).
+
+    The knot points are where a random concave sample has its knots besides
+    0: the pair's shares in (0, 1] and 1, sorted
+    (:func:`~groupbuy.utility.concave_knot_points`); the sample draws one
+    slope per point.  Empty when y_b is not positive.
     """
     pair_a = schedule.shares_for(a_mask)
     pair_b = schedule.shares_for(b_mask)
@@ -559,24 +585,25 @@ def _sampled_pair(schedule: ShareSchedule, policy: NumericPolicy, i: int, a_mask
     x_b, y_b = pair_b.resource[i], pair_b.payment[i]
     if not policy.is_positive(y_b):
         return ()
-    return x_a, x_b, y_a, y_b, _integer_shares(x_a, x_b, y_a, y_b) if policy.exact else None
+    points = concave_knot_points(x for x in (x_a, x_b) if 0 < x <= 1)
+    return x_a, x_b, y_a, y_b, points, _exact_pair(x_a, x_b, y_a, y_b) if policy.exact else None
 
 
-def _concave_sample_breaks(shape: int, draw: Optional[int], xa, xb, d, ya, yb) -> bool:
+def _concave_sample_breaks(shape: int, draw, xa, xb, d, ya, yb, points) -> bool:
     """Whether the sample breaks the rule at the pair, decided in integers.
 
-    Takes the shares as :func:`_integer_shares` gives them, with yb > 0.  The
-    oracle's candidate constants find a break exactly when ya = 0 or
-    u(x_a)*y_b > u(x_b)*y_a, and the sign of that cross-product does not
-    depend on the shape's positive scale: a linear utility compares x, a ramp
-    min(x, knee), and a random concave one its slopes integrated up to x.  A
-    zero scale, like the zero utility, never breaks the rule.
+    Takes the sample's draws as :func:`_draw_concave_sample` gives them and
+    the pair as :func:`_exact_pair` does, with yb > 0.  The oracle's candidate
+    constants find a break exactly when ya = 0 or u(x_a)*y_b > u(x_b)*y_a,
+    and the sign of that cross-product does not depend on the shape's
+    positive scale: a linear utility compares x, a ramp min(x, knee), and a
+    random concave one its drawn slopes integrated up to x over the integer
+    knot points.  A zero scale, like the zero utility, never breaks the rule.
     """
     if ya <= 0:
         return True
     if shape == 0:
-        points = sorted({x for x in (xa, xb) if x > 0} | {d})
-        slopes, level = random_concave_draws(draw, len(points))
+        slopes, level = draw
         if level == 0:
             return False
         value, total, prev = {0: 0}, 0, 0
@@ -650,10 +677,14 @@ def brute_force_monotonicity_check(
     sqrt or power weights), the power class and the tolerance lane value every
     sample that way.
 
-    Every integer is drawn from ``rng.getrandbits`` by :func:`~groupbuy.utility._below`,
-    the rejection rule ``randrange`` and ``choice`` apply, so the stream is the one
-    those calls would draw; ``test_witnesses_are_pinned`` pins it.  Each call
-    builds its subsets' member tuples once, at most 2^ORACLE_MAX_BUYERS of them.
+    A call builds one generator, ``random.Random(seed)``, and every integer is
+    drawn from its ``getrandbits`` by :func:`~groupbuy.utility._below`, the
+    rejection rule ``randrange`` and ``choice`` apply, so the stream is the one
+    those calls would draw; ``test_witnesses_are_pinned`` pins it.  A random
+    concave sample draws its slopes, one per knot point of the pair, and its
+    scale from that stream too.  Each call builds its subsets' member tuples
+    once, at most 2^ORACLE_MAX_BUYERS of them, and each (buyer, A, B) pair's
+    shares and knot points once, when it is first drawn.
     """
     n = schedule.n
     check_cap(n, ORACLE_MAX_BUYERS, "brute-force monotonicity oracle")
@@ -675,7 +706,7 @@ def brute_force_monotonicity_check(
             pair = pairs[key] = _sampled_pair(schedule, policy, *key)
         if not pair:  # y_b is not positive: no utility falls below a zero bound
             continue
-        x_a, x_b, y_a, y_b, shares = pair
+        x_a, x_b, y_a, y_b, points, exact = pair
 
         shape = trial % 4
         if report_class.kind == "power":
@@ -686,9 +717,9 @@ def brute_force_monotonicity_check(
                 scale = U_MAX * Fraction(1 + _below(getrandbits, GRAIN - 1), GRAIN)
                 knots = _power_knots(k, x_a, x_b, scale)
         else:
-            draw = _draw_concave_sample(getrandbits, shape)
-            rejected = shares is not None and not _concave_sample_breaks(shape, draw, *shares)
-            knots = None if rejected else _concave_sample_knots(shape, draw, x_a, x_b)
+            draw = _draw_concave_sample(getrandbits, shape, len(points))
+            rejected = exact is not None and not _concave_sample_breaks(shape, draw, *exact)
+            knots = None if rejected else _concave_sample_knots(shape, draw, x_a, x_b, points)
         uniform = 1 + _below(getrandbits, GRAIN - 1)  # after the sample's own draws, rejected or not
         if knots is None:
             continue

@@ -187,34 +187,36 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def random_concave_draws(seed: int, count: int) -> tuple:
-    """What :func:`random_concave_knots` draws, in units of 1/GRAIN.
+def random_concave_draws(getrandbits, count: int) -> tuple:
+    """What a random concave utility on ``count`` points draws, in units of 1/GRAIN.
 
     Returns ``count`` slopes in 1..GRAIN-1, non-increasing, and the scale in
-    0..GRAIN.  Both come from the ``getrandbits`` of a fresh
-    ``random.Random(seed)`` by :func:`_below`, the rejection rule of
-    ``randrange``, so they are the numbers ``randrange(1, GRAIN)`` (per slope)
-    and then ``randrange(0, GRAIN + 1)`` would give; ``test_witnesses_are_pinned``
-    pins them.  Each call seeds its own generator, so the function is reentrant.
+    0..GRAIN, drawn from ``getrandbits`` by :func:`_below`, the rejection rule
+    of ``randrange``: the numbers ``randrange(1, GRAIN)`` (per slope) and then
+    ``randrange(0, GRAIN + 1)`` would give on the generator ``getrandbits``
+    belongs to, which is left in the state those calls leave.  The sampling
+    oracle passes its own generator's; :func:`random_concave_knots` a fresh
+    one's.
     """
-    getrandbits = random.Random(seed).getrandbits
-    slopes = sorted((1 + _below(getrandbits, GRAIN - 1) for _ in range(count)), reverse=True)
+    slopes = sorted([1 + _below(getrandbits, GRAIN - 1) for _ in range(count)], reverse=True)
     return slopes, _below(getrandbits, GRAIN + 1)
 
 
-def random_concave_knots(seed: int, points: Iterable[Num], u_max: Num) -> tuple:
-    """Deterministic-in-seed random admissible knot list on {0} | points.
-
-    Draws non-increasing positive rational slopes and integrates, then scales
-    so the top value lands in [0, u_max].  The point at x=1 is added when
-    missing since every report must extend to the whole resource.
-    """
-    if not u_max > 0:
-        raise ValueError("u_max must be positive")
+def concave_knot_points(points: Iterable[Num]) -> list:
+    """The given points with 1 added if absent, sorted: where a random concave utility has its knots besides 0."""
     xs = sorted(set(points) | {Fraction(1)})
     if any(not (0 < x <= 1) for x in xs):
         raise ValueError("points must lie in (0, 1]")
-    slopes, level = random_concave_draws(seed, len(xs))
+    return xs
+
+
+def concave_knots(xs: Sequence, slopes: Sequence, level: int, u_max: Num) -> tuple:
+    """The knot list on 0 and the sorted points ``xs`` of :func:`random_concave_draws`' numbers.
+
+    Integrates the slopes (one per point, over the gap below it; in units of
+    1/GRAIN), then scales so the value at the last point is ``level``/GRAIN
+    of ``u_max``.
+    """
     values = []
     total = Fraction(0)
     prev = Fraction(0)
@@ -226,6 +228,20 @@ def random_concave_knots(seed: int, points: Iterable[Num], u_max: Num) -> tuple:
     knots = [(Fraction(0), 0 * scale)]
     knots.extend((x, v * scale) for x, v in zip(xs, values))
     return tuple(knots)
+
+
+def random_concave_knots(seed: int, points: Iterable[Num], u_max: Num) -> tuple:
+    """Deterministic-in-seed random admissible knot list on {0} | points.
+
+    Draws non-increasing positive rational slopes from a fresh
+    ``random.Random(seed)`` and integrates them (:func:`concave_knots`), so
+    the top value lands in [0, u_max].  The point at x=1 is added when
+    missing since every report must extend to the whole resource.
+    """
+    if not u_max > 0:
+        raise ValueError("u_max must be positive")
+    xs = concave_knot_points(points)
+    return concave_knots(xs, *random_concave_draws(random.Random(seed).getrandbits, len(xs)), u_max)
 
 
 @dataclass(frozen=True)

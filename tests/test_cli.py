@@ -1132,7 +1132,10 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 # file and flags that take one of its paths, recorded before its lines moved
 # into the report module; "tiny-share" was recorded when the zero-share note
 # took the tolerance rule, and its note is the zero-share file's; both notes'
-# stderr digests were re-recorded when the note came to say what run prints
+# stderr digests were re-recorded when the note came to say what run prints;
+# the spot-check constants of "cross-witness", "two-buyer-witness" and
+# "planted-5" were re-recorded when the oracle came to draw its random
+# concave samples from its own stream
 VALIDATE_DIGESTS = {
     ("example1", ""): (0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
     ("example2", ""): (0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
@@ -1143,10 +1146,10 @@ VALIDATE_DIGESTS = {
     ("ranked-identity", ""): (
         0, "4327f5766177d0afd13625092ae14dfe149ef559866e6836f37df6426bc6fb27", EMPTY),
     ("cross-witness", ""): (
-        1, "9fc74c66810018567e1cf13bdcc14fa82604b5d831305c43580db7833f2ee2c5", EMPTY),
+        1, "4410f6f57f6c62140659f6749bdd0676beeab8e85f54dffb505884fb3501a94b", EMPTY),
     ("two-buyer-witness", ""): (
-        1, "0e72078223ab70fab1a30af458dea11c158692b17c33daf6d801efea3da89a76", EMPTY),
-    ("planted-5", ""): (1, "c11295c68388726dc821b3bedc6720bd50ec043d2a748dcccbc0ec3afaf803b0", EMPTY),
+        1, "917457f53728c0aa7ed32f59550f204646a83d8144a4ea924b7eefda503543ba", EMPTY),
+    ("planted-5", ""): (1, "1c42200c1cb46b86dd555f8cbbb1fc0d89c800a3d388890e6c0a001bc1cf4fd6", EMPTY),
     ("planted-77", ""): (
         1, "53d6bc677760783f9e9a14d82f95726eb235d35111824a6f943b9eeb64c0202d", EMPTY),
     ("zero-share", ""): (

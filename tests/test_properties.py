@@ -35,7 +35,10 @@ one c > 0 keeps every status and violating profile.
 Validators, in both lanes: relabelling the buyers of a three-buyer table keeps
 the pass or fail verdict of ``validate_monotonicity`` and of
 ``validate_cross_monotonic``, and the sampling oracle finds no witness on a
-relabelled table that the validator passes.
+relabelled table that the validator passes.  At 1,000 samples the oracle
+flags the validator-oracle benchmark's plant on equal-split, cmss and
+ranked-identity tables of 3 and 4 buyers, in every two-buyer subset, and
+flags none of those tables without it.
 In the exact lane, on random tables of 2 to 5 buyers, ``validate_monotonicity``
 against the concave class passes exactly when every payment row equals its
 resource row and ``validate_cross_monotonic`` passes.
@@ -609,6 +612,22 @@ def test_relabelling_buyers_keeps_the_validators_verdicts(table, perm, seed):
             assert (validate_monotonicity(moved, policy, cls) is None) == passes
             if passes:
                 assert brute_force_monotonicity_check(moved, 200, seed, policy, cls) is None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["equal-split", "cmss", "ranked"])
+def test_the_oracle_flags_the_benchmark_plant(kind, n):
+    # the validator-oracle benchmark's plant, the swap in one two-buyer
+    # subset, found at its 1,000 samples in every subset and flagged
+    # nowhere without it
+    rng = random.Random(f"{kind}:{n}")
+    for _ in range(20):
+        weights = [rng.randrange(1, 9) for _ in range(n)]
+        schedule = build_schedule(kind, weights, rng.sample(range(n), n))
+        seed = rng.randrange(2 ** 31)
+        assert brute_force_monotonicity_check(schedule, 1000, seed) is None
+        for victim in (m for m in range(1 << n) if m.bit_count() == 2):
+            assert brute_force_monotonicity_check(planted(schedule, victim, "swap"), 1000, seed) is not None
 
 
 def share_row(rng, mask, n):

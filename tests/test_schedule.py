@@ -15,6 +15,7 @@ from groupbuy.schedule import (
     _concave_sample_breaks,
     _concave_sample_knots,
     _draw_concave_sample,
+    _exact_pair,
     _integer_shares,
     _pair_violation,
     CrossMonotonicSchedule,
@@ -35,7 +36,9 @@ from groupbuy.schedule import (
     validate_cross_monotonic,
     validate_monotonicity,
 )
-from groupbuy.utility import CONCAVE, GRAIN, ClosedFormUtility, ReportClass, UtilityReport, _below
+from groupbuy.utility import (
+    CONCAVE, GRAIN, ClosedFormUtility, ReportClass, UtilityReport, _below, concave_knot_points,
+)
 
 from helpers import (
     VALIDATE_SCENARIOS,
@@ -611,19 +614,38 @@ class TestBruteForceOracle:
         with pytest.raises(ScheduleError):
             brute_force_monotonicity_check(EqualSplitSchedule(9), 10)
 
+    def test_a_check_builds_one_generator(self, monkeypatch):
+        # every sample, a random concave one too, draws from the call's own
+        # random.Random(seed); a second generator would be built per sample
+        table = renormalized_cmss(4, (F(3), F(1), F(4), F(2)))
+        built = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        assert brute_force_monotonicity_check(table, 1000, seed=3) is None
+        assert built == [(3,)]
+
     @pytest.mark.parametrize(
         "table,seed,report_class,policy,witness",
         [
-            # concave class, one case per sample shape: linear, ramp, random concave, zero
-            (99, 0, None, EXACT, (0, 0b011, 0b111, F(9498806057309, 7500000000000),
-                                  ((F(0), F(0)), (F(1), F(579363, 500000))))),
+            # concave class, one case per sample shape: linear, ramp, random
+            # concave, and zero on the zero-payment table, whose seed-4 witness
+            # is a linear one
+            (99, 0, None, EXACT, (1, 0b010, 0b011, F(6080531, 10000000),
+                                  ((F(0), F(0)), (F(1), F(388119, 500000))))),
             (99, 1, None, EXACT, (0, 0b101, 0b111, F(2368781287001, 937500000000),
                                   ((F(0), F(0)), (F(7, 16), F(729633, 500000)),
                                    (F(1), F(729633, 500000))))),
-            (99, 9, None, EXACT, (0, 0b001, 0b111, F(7394249918329, 5070715000000),
-                                  ((F(0), F(0)), (F(7, 18), F(176383416167, 253535750000)),
-                                   (F(1), F(433443, 250000))))),
-            ("zero-payment", 4, None, EXACT, (0, 0b011, 0b111, F(62223, 1000000),
+            (99, 9, None, EXACT, (0, 0b001, 0b111, F(23418014831083, 34058597500000),
+                                  ((F(0), F(0)), (F(7, 18), F(1143083176263, 3405859750000)),
+                                   (F(1), F(402301, 500000))))),
+            ("zero-payment", 4, None, EXACT, (1, 0b010, 0b011, F(2970699, 2000000),
+                                              ((F(0), F(0)), (F(1), F(990233, 500000))))),
+            ("zero-payment", 7, None, EXACT, (0, 0b011, 0b111, F(195721, 200000),
                                               ((F(0), F(0)), (F(1), F(0))))),
             # power family: exponent k_max, k_min and a random one in between
             (7, 3, "power", EXACT, (2, 0b100, 0b110, 0.43134879290525163,
@@ -637,27 +659,29 @@ class TestBruteForceOracle:
                                      ((F(0), F(0)), (F(3, 7), 0.11700449143359797),
                                       (F(1), F(2189, 12500))))),
             # float payment shares in the tolerance lane
-            ("ranked-sqrt", 3, None, APPROX, (1, 0b010, 0b011, 1.2849717828312,
-                                              ((F(0), F(0)), (F(1), F(152699, 100000))))),
+            ("ranked-sqrt", 3, None, APPROX, (1, 0b110, 0b111, 1.7591302308122923,
+                                              ((F(0), F(0)), (F(1), F(46999, 31250))))),
             # float payment shares in the exact lane, which values them in full
-            ("ranked-sqrt", 0, None, EXACT, (2, 0b100, 0b101, 0.4210998760896446,
-                                             ((F(0), F(0)), (F(1), F(125103, 250000))))),
-            ("ranked-sqrt", 1, None, EXACT, (1, 0b010, 0b011, 0.9153451672162272,
-                                             ((F(0), F(0)), (F(1), F(543873, 500000))))),
+            ("ranked-sqrt", 0, None, EXACT, (1, 0b010, 0b011, 0.6532092068457063,
+                                             ((F(0), F(0)), (F(1), F(388119, 500000))))),
+            ("ranked-sqrt", 1, None, EXACT, (1, 0b010, 0b011, 1.0212352070605126,
+                                             ((F(0), F(0)), (F(1, 4), F(371054141123, 1038428000000)),
+                                              (F(1), F(533123, 500000))))),
             ("ranked-sqrt", 2, None, EXACT, (2, 0b100, 0b110, 1.0693492445028745,
                                              ((F(0), F(0)), (F(1), F(317689, 250000))))),
-            ("ranked-sqrt", 3, None, EXACT, (1, 0b010, 0b011, 1.2849717828312,
-                                             ((F(0), F(0)), (F(1), F(152699, 100000))))),
-            ("ranked-power", 0, None, EXACT, (2, 0b100, 0b101, 0.40297237399708385,
-                                              ((F(0), F(0)), (F(1), F(125103, 250000))))),
-            ("ranked-power", 1, None, EXACT, (1, 0b010, 0b011, 0.8759414001379504,
-                                              ((F(0), F(0)), (F(1), F(543873, 500000))))),
+            ("ranked-sqrt", 3, None, EXACT, (1, 0b110, 0b111, 1.7591302308122923,
+                                             ((F(0), F(0)), (F(1), F(46999, 31250))))),
+            ("ranked-power", 0, None, EXACT, (1, 0b010, 0b011, 0.6250898652445352,
+                                              ((F(0), F(0)), (F(1), F(388119, 500000))))),
+            ("ranked-power", 1, None, EXACT, (1, 0b010, 0b011, 0.9694588926754821,
+                                              ((F(0), F(0)), (F(1, 4), F(371054141123, 1038428000000)),
+                                               (F(1), F(533123, 500000))))),
             ("ranked-power", 2, None, EXACT, (2, 0b100, 0b110, 1.0233159118706951,
                                               ((F(0), F(0)), (F(1), F(317689, 250000))))),
-            ("ranked-power", 3, None, EXACT, (1, 0b010, 0b011, 1.2296563339204638,
-                                              ((F(0), F(0)), (F(1), F(152699, 100000))))),
+            ("ranked-power", 3, None, EXACT, (1, 0b110, 0b111, 1.701917128211429,
+                                              ((F(0), F(0)), (F(1), F(46999, 31250))))),
         ],
-        ids=["linear", "ramp", "random-concave", "zero", "power-k-max", "power-k-min",
+        ids=["linear", "ramp", "random-concave", "zero", "zero-utility", "power-k-max", "power-k-min",
              "power-random-k", "float-shares"]
         + [f"float-shares-exact-{w}-{seed}" for w in ("sqrt", "power") for seed in range(4)],
     )
@@ -689,22 +713,28 @@ class TestBruteForceOracle:
     def test_integer_test_matches_the_candidate_check(self, x_a, x_b, y_a, y_b, shape, seed):
         # the exact lane rejects a sample in integers only where valuing it in
         # Fraction arithmetic would find no breaking constant either
-        draw = _draw_concave_sample(random.Random(seed).getrandbits, shape)
-        knots = _concave_sample_knots(shape, draw, x_a, x_b)
+        points = _knot_points(x_a, x_b)
+        draw = _draw_concave_sample(random.Random(seed).getrandbits, shape, len(points))
+        knots = _concave_sample_knots(shape, draw, x_a, x_b, points)
         found = _breaking_constant(_uniform(seed), knots, x_a, x_b, y_a, y_b, EXACT)
-        shares = _integer_shares(x_a, x_b, y_a, y_b)
-        assert _concave_sample_breaks(shape, draw, *shares) == (found is not None)
+        exact = _exact_pair(x_a, x_b, y_a, y_b)
+        assert _concave_sample_breaks(shape, draw, *exact) == (found is not None)
 
-    # (shape, a draw with a positive scale, one with scale 0); a random concave
-    # utility of seed 841178 on three points draws scale 0
+    # (shape, a draw with a positive scale, one with scale 0); for a random
+    # concave utility the two are seeds of the stream it is drawn from, and
+    # seed 841178 draws scale 0 on three points
     @pytest.mark.parametrize("shape,positive,zero", [(0, 1, 841178), (1, 1, 0), (2, 1, 0)])
     def test_integer_test_rejects_a_zero_scale(self, shape, positive, zero):
         x_a, x_b, y_a, y_b = F(1, 2), F(1, 3), F(1, 4), F(1, 2)
-        shares = _integer_shares(x_a, x_b, y_a, y_b)
+        points = _knot_points(x_a, x_b)
+        exact = _exact_pair(x_a, x_b, y_a, y_b)
         for draw, breaks in ((positive, True), (zero, False)):
-            knots = _concave_sample_knots(shape, draw, x_a, x_b)
+            if shape == 0:
+                draw = _draw_concave_sample(random.Random(draw).getrandbits, shape, len(points))
+                assert (draw[1] > 0) == breaks
+            knots = _concave_sample_knots(shape, draw, x_a, x_b, points)
             found = _breaking_constant(_uniform(0), knots, x_a, x_b, y_a, y_b, EXACT)
-            assert (found is not None) == breaks == _concave_sample_breaks(shape, draw, *shares)
+            assert (found is not None) == breaks == _concave_sample_breaks(shape, draw, *exact)
 
     def test_no_sample_breaks_a_pair_without_shares(self):
         # x_a = x_b = 0 with both payments positive: every utility is worth 0
@@ -712,13 +742,14 @@ class TestBruteForceOracle:
         x_a, x_b, y_a, y_b = F(0), F(0), F(1, 3), F(1, 2)
         assert _pair_violation(x_a, x_b, y_a, y_b, EXACT, CONCAVE) is None
         assert _pair_violation(x_a, x_b, y_a, y_b, EXACT, POWER) is None
-        shares = _integer_shares(x_a, x_b, y_a, y_b)
+        points = _knot_points(x_a, x_b)
+        exact = _exact_pair(x_a, x_b, y_a, y_b)
         for shape in range(4):
             for seed in range(25):
-                draw = _draw_concave_sample(random.Random(seed).getrandbits, shape)
-                knots = _concave_sample_knots(shape, draw, x_a, x_b)
+                draw = _draw_concave_sample(random.Random(seed).getrandbits, shape, len(points))
+                knots = _concave_sample_knots(shape, draw, x_a, x_b, points)
                 assert _breaking_constant(_uniform(seed), knots, x_a, x_b, y_a, y_b, EXACT) is None
-                assert not _concave_sample_breaks(shape, draw, *shares)
+                assert not _concave_sample_breaks(shape, draw, *exact)
 
     def test_integer_test_needs_rational_shares_in_range(self):
         assert _integer_shares(F(1, 2), 1, 0, F(1, 3)) == (1, 2, 2, 0, 1)
@@ -772,6 +803,11 @@ _DEGENERATE_TABLES = {
     "zero-share-in-a-and-b": _zero_share_in_a_and_b_table,
     "spec": spec_violation_table,
 }
+
+
+def _knot_points(x_a, x_b):
+    """Where a random concave sample at a pair with these resource shares has its knots besides 0."""
+    return concave_knot_points(x for x in (x_a, x_b) if 0 < x <= 1)
 
 
 def _uniform(seed):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupbuy.numeric import piecewise_value
+from groupbuy.schedule import U_MAX
 from groupbuy.utility import (
     CONCAVE,
     GRAIN,
@@ -16,6 +18,7 @@ from groupbuy.utility import (
     UtilityReport,
     _below,
     random_concave_draws,
+    random_concave_knots,
     sample_report,
     validate_knots,
 )
@@ -328,14 +331,26 @@ class TestDrawStream:
             assert ours.getstate() == theirs.getstate()
 
     def test_concave_draws_match_randrange(self):
-        def reference(seed, count):
-            rng = random.Random(seed)
+        def reference(rng, count):
             slopes = sorted((rng.randrange(1, GRAIN) for _ in range(count)), reverse=True)
             return slopes, rng.randrange(0, GRAIN + 1)
 
         for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for count in range(1, 7):  # several utilities in a row from one generator
+                assert random_concave_draws(ours.getrandbits, count) == reference(theirs, count)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_seeded_knots_are_pinned(self):
+        # random_concave_knots draws from a fresh random.Random(seed): the
+        # digest of its knots, recorded before the sampling oracle took its
+        # concave samples from its own stream, stays the same
+        digest = hashlib.sha256()
+        for seed in range(200):
             for count in range(1, 7):
-                assert random_concave_draws(seed, count) == reference(seed, count)
+                points = [F(k, count) for k in range(1, count + 1)]
+                digest.update(repr(random_concave_knots(seed, points, U_MAX)).encode())
+        assert digest.hexdigest() == "62dedf7ee716a6a94c93f63d40b61e993397e6ef7d16ddff6e394394738600a6"
 
 
 class TestClassProperties:

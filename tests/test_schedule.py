@@ -633,8 +633,8 @@ class TestBruteForceOracle:
         "table,seed,report_class,policy,witness",
         [
             # concave class, one case per sample shape: linear, ramp, random
-            # concave, and zero on the zero-payment table, whose seed-4 witness
-            # is a linear one
+            # concave and zero (seed 7 of the zero-payment table, whose seed-4
+            # case finds a linear witness)
             (99, 0, None, EXACT, (1, 0b010, 0b011, F(6080531, 10000000),
                                   ((F(0), F(0)), (F(1), F(388119, 500000))))),
             (99, 1, None, EXACT, (0, 0b101, 0b111, F(2368781287001, 937500000000),

@@ -24,9 +24,10 @@ criterion (a derived reduction, not published anywhere; see the function
 docstring), and :func:`brute_force_monotonicity_check` is its permanent
 sampling cross-check.  In the exact lane the oracle decides each sample of
 the concave class whose shares are all rational with one integer
-cross-multiplication, and builds the sample's knot list and ``Fraction``
-values only when that test finds a break; float shares, the power class and
-the tolerance lane value every sample in full.  Both ways draw the same random
+cross-multiplication over the pair's integers, and builds the sample's knot
+points, knot list and ``Fraction`` values only when that test finds a break;
+float shares, the power class and the tolerance lane value every sample in
+full, on knot points built once per pair.  Both ways draw the same random
 numbers, each sample's own and then its uniform candidate constant, and
 return the same witness.
 """
@@ -542,63 +543,45 @@ def _concave_sample_knots(shape: int, draw, x_a: Num, x_b: Num, points: Sequence
     return _linear_knots(Fraction(0))
 
 
-def _integer_shares(x_a: Num, x_b: Num, y_a: Num, y_b: Num) -> Optional[tuple]:
-    """(X_a, X_b, D, Y_a, Y_b) with x_a = X_a/D, x_b = X_b/D and Y_a : Y_b = y_a : y_b.
+def _pair_knot_points(x_a: Num, x_b: Num) -> list:
+    """Where a random concave sample at a pair has its knots besides 0: its x in (0, 1] and 1, sorted."""
+    return concave_knot_points(x for x in (x_a, x_b) if 0 < x <= 1)
 
-    None unless all four shares are exact (:func:`integers_over_common_denominator`)
-    and both x lie in [0, 1].
+
+def _pair_record(x_a: Num, x_b: Num, y_a: Num, y_b: Num, policy: NumericPolicy) -> tuple:
+    """What the oracle keeps of a (buyer, A, B) pair: (x_a, x_b, y_a, y_b, knot points, integers).
+
+    Empty when y_b is not positive.  A random concave sample draws one slope
+    per knot point.  In the exact lane, when all four shares are exact
+    (:func:`integers_over_common_denominator`) and both x lie in [0, 1], the
+    integers are (X_a, X_b, D, Y_a, Y_b) with x_a = X_a/D, x_b = X_b/D and
+    Y_a : Y_b = y_a : y_b, and the knot points are the ints D times the
+    pair's :func:`_pair_knot_points`; otherwise the integers are None and
+    the knot points are the pair's own.
     """
-    xs = integers_over_common_denominator((x_a, x_b))
-    ys = integers_over_common_denominator((y_a, y_b))
-    if xs is None or ys is None:
-        return None
-    d, (xa, xb) = xs
-    if not (0 <= xa <= d and 0 <= xb <= d):
-        return None
-    return xa, xb, d, *ys[1]
-
-
-def _exact_pair(x_a: Num, x_b: Num, y_a: Num, y_b: Num) -> Optional[tuple]:
-    """The :func:`_integer_shares` (X_a, X_b, D, Y_a, Y_b) and then their knot points, or None.
-
-    The knot points are a random concave sample's in integers: X_a and X_b
-    where positive, and D, sorted, so D times the pair's knot points.
-    """
-    shares = _integer_shares(x_a, x_b, y_a, y_b)
-    if shares is None:
-        return None
-    xa, xb, d = shares[:3]
-    return (*shares, sorted({x for x in (xa, xb) if x > 0} | {d}))
-
-
-def _sampled_pair(schedule: ShareSchedule, policy: NumericPolicy, i: int, a_mask: int, b_mask: int) -> tuple:
-    """(x_a, x_b, y_a, y_b, knot points, :func:`_exact_pair` in the exact lane or None).
-
-    The knot points are where a random concave sample has its knots besides
-    0: the pair's shares in (0, 1] and 1, sorted
-    (:func:`~groupbuy.utility.concave_knot_points`); the sample draws one
-    slope per point.  Empty when y_b is not positive.
-    """
-    pair_a = schedule.shares_for(a_mask)
-    pair_b = schedule.shares_for(b_mask)
-    x_a, y_a = pair_a.resource[i], pair_a.payment[i]
-    x_b, y_b = pair_b.resource[i], pair_b.payment[i]
     if not policy.is_positive(y_b):
         return ()
-    points = concave_knot_points(x for x in (x_a, x_b) if 0 < x <= 1)
-    return x_a, x_b, y_a, y_b, points, _exact_pair(x_a, x_b, y_a, y_b) if policy.exact else None
+    if policy.exact:
+        xs = integers_over_common_denominator((x_a, x_b))
+        ys = integers_over_common_denominator((y_a, y_b))
+        if xs is not None and ys is not None:
+            d, (xa, xb) = xs
+            if 0 <= xa <= d and 0 <= xb <= d:
+                return x_a, x_b, y_a, y_b, sorted({x for x in (xa, xb) if x > 0} | {d}), (xa, xb, d, *ys[1])
+    return x_a, x_b, y_a, y_b, _pair_knot_points(x_a, x_b), None
 
 
 def _concave_sample_breaks(shape: int, draw, xa, xb, d, ya, yb, points) -> bool:
     """Whether the sample breaks the rule at the pair, decided in integers.
 
-    Takes the sample's draws as :func:`_draw_concave_sample` gives them and
-    the pair as :func:`_exact_pair` does, with yb > 0.  The oracle's candidate
-    constants find a break exactly when ya = 0 or u(x_a)*y_b > u(x_b)*y_a,
-    and the sign of that cross-product does not depend on the shape's
-    positive scale: a linear utility compares x, a ramp min(x, knee), and a
-    random concave one its drawn slopes integrated up to x over the integer
-    knot points.  A zero scale, like the zero utility, never breaks the rule.
+    Takes the sample's draws as :func:`_draw_concave_sample` gives them, and
+    the pair's integers and then its integer knot points as :func:`_pair_record`
+    keeps them, with yb > 0.  The oracle's candidate constants find a break
+    exactly when ya = 0 or u(x_a)*y_b > u(x_b)*y_a, and the sign of that
+    cross-product does not depend on the shape's positive scale: a linear
+    utility compares x, a ramp min(x, knee), and a random concave one its
+    drawn slopes integrated up to x over the integer knot points.  A zero
+    scale, like the zero utility, never breaks the rule.
     """
     if ya <= 0:
         return True
@@ -684,7 +667,9 @@ def brute_force_monotonicity_check(
     concave sample draws its slopes, one per knot point of the pair, and its
     scale from that stream too.  Each call builds its subsets' member tuples
     once, at most 2^ORACLE_MAX_BUYERS of them, and each (buyer, A, B) pair's
-    shares and knot points once, when it is first drawn.
+    record (:func:`_pair_record`) once, when it is first drawn: its shares and
+    knot points, in the exact lane as integers.  There only a sample that
+    becomes a witness builds its knot points from the pair's shares.
     """
     n = schedule.n
     check_cap(n, ORACLE_MAX_BUYERS, "brute-force monotonicity oracle")
@@ -694,7 +679,7 @@ def brute_force_monotonicity_check(
     table = [members(m) for m in range(1 << n)]  # mask -> its members
     if report_class.kind == "power":
         k_lo, k_hi = Fraction(report_class.k_min), Fraction(report_class.k_max)
-    pairs = {}  # (buyer, A, B) -> _sampled_pair
+    pairs = {}  # (buyer, A, B) -> _pair_record
     for trial in range(samples):
         b_mask = masks[_below(getrandbits, len(masks))]
         a_mask = _random_submask(rng, table[b_mask])
@@ -703,10 +688,13 @@ def brute_force_monotonicity_check(
         key = (i, a_mask, b_mask)
         pair = pairs.get(key)
         if pair is None:
-            pair = pairs[key] = _sampled_pair(schedule, policy, *key)
+            in_a, in_b = schedule.shares_for(a_mask), schedule.shares_for(b_mask)
+            pair = pairs[key] = _pair_record(
+                in_a.resource[i], in_b.resource[i], in_a.payment[i], in_b.payment[i], policy
+            )
         if not pair:  # y_b is not positive: no utility falls below a zero bound
             continue
-        x_a, x_b, y_a, y_b, points, exact = pair
+        x_a, x_b, y_a, y_b, points, ints = pair
 
         shape = trial % 4
         if report_class.kind == "power":
@@ -718,8 +706,11 @@ def brute_force_monotonicity_check(
                 knots = _power_knots(k, x_a, x_b, scale)
         else:
             draw = _draw_concave_sample(getrandbits, shape, len(points))
-            rejected = exact is not None and not _concave_sample_breaks(shape, draw, *exact)
-            knots = None if rejected else _concave_sample_knots(shape, draw, x_a, x_b, points)
+            knots = None
+            if ints is None:
+                knots = _concave_sample_knots(shape, draw, x_a, x_b, points)
+            elif _concave_sample_breaks(shape, draw, *ints, points):  # a witness, on the shares' own points
+                knots = _concave_sample_knots(shape, draw, x_a, x_b, _pair_knot_points(x_a, x_b))
         uniform = 1 + _below(getrandbits, GRAIN - 1)  # after the sample's own draws, rejected or not
         if knots is None:
             continue

@@ -15,8 +15,8 @@ from groupbuy.schedule import (
     _concave_sample_breaks,
     _concave_sample_knots,
     _draw_concave_sample,
-    _exact_pair,
-    _integer_shares,
+    _pair_knot_points,
+    _pair_record,
     _pair_violation,
     CrossMonotonicSchedule,
     EqualSplitSchedule,
@@ -629,6 +629,44 @@ class TestBruteForceOracle:
         assert brute_force_monotonicity_check(table, 1000, seed=3) is None
         assert built == [(3,)]
 
+    def test_only_a_witness_builds_knot_points_in_the_exact_lane(self, monkeypatch):
+        # the exact lane keeps each pair's knot points as integers, so only a
+        # witness builds them from its shares; the tolerance lane builds them
+        # once per (buyer, A, B) pair, of which four buyers have 108
+        table = renormalized_cmss(4, (F(3), F(1), F(4), F(2)))
+        entries = {m: (table.shares_for(m).resource, table.shares_for(m).payment)
+                   for m in nonempty_subsets(full_mask(4))}
+        entries[0b0011] = ((F(2, 3), F(1, 3), 0, 0), (F(1, 3), F(2, 3), 0, 0))
+        calls = []
+
+        def counted(points):
+            calls.append(points)
+            return concave_knot_points(points)
+
+        monkeypatch.setattr("groupbuy.schedule.concave_knot_points", counted)
+        found = []
+        for sched, policy in ((table, EXACT), (TableSchedule(4, entries), EXACT), (table, APPROX)):
+            calls.clear()
+            witness = brute_force_monotonicity_check(sched, 1000, seed=3, policy=policy)
+            found.append((witness is not None, len(calls)))
+        assert found[:2] == [(False, 0), (True, 1)]
+        assert not found[2][0] and found[2][1] <= 108
+
+    def test_a_witness_keeps_the_types_of_its_shares(self):
+        # an exact-lane witness takes its knot points from the pair's shares,
+        # not from their integers over D: the int 1 of a singleton stays an int
+        table = TableSchedule(3, {
+            "0,1,2": ((F(1, 3),) * 3,) * 2,
+            "0,1": ((F(2, 3), F(1, 3), 0), (F(1, 3), F(2, 3), 0)),
+            "0,2": ((F(1, 2), 0, F(1, 2)),) * 2,
+            "1,2": ((0, F(1, 2), F(1, 2)),) * 2,
+            **_singletons(),
+        })
+        witness = brute_force_monotonicity_check(table, 1000, seed=1)
+        assert (witness.buyer, witness.subset_a, witness.subset_b) == (1, 0b010, 0b011)
+        assert [type(x) for x, _ in witness.utility.knots] == [F, F, int]
+        _assert_witness_breaks_rule(table, witness, EXACT)
+
     @pytest.mark.parametrize(
         "table,seed,report_class,policy,witness",
         [
@@ -713,12 +751,12 @@ class TestBruteForceOracle:
     def test_integer_test_matches_the_candidate_check(self, x_a, x_b, y_a, y_b, shape, seed):
         # the exact lane rejects a sample in integers only where valuing it in
         # Fraction arithmetic would find no breaking constant either
-        points = _knot_points(x_a, x_b)
+        points = _pair_knot_points(x_a, x_b)
         draw = _draw_concave_sample(random.Random(seed).getrandbits, shape, len(points))
         knots = _concave_sample_knots(shape, draw, x_a, x_b, points)
         found = _breaking_constant(_uniform(seed), knots, x_a, x_b, y_a, y_b, EXACT)
-        exact = _exact_pair(x_a, x_b, y_a, y_b)
-        assert _concave_sample_breaks(shape, draw, *exact) == (found is not None)
+        *_, int_points, ints = _pair_record(x_a, x_b, y_a, y_b, EXACT)
+        assert _concave_sample_breaks(shape, draw, *ints, int_points) == (found is not None)
 
     # (shape, a draw with a positive scale, one with scale 0); for a random
     # concave utility the two are seeds of the stream it is drawn from, and
@@ -726,15 +764,15 @@ class TestBruteForceOracle:
     @pytest.mark.parametrize("shape,positive,zero", [(0, 1, 841178), (1, 1, 0), (2, 1, 0)])
     def test_integer_test_rejects_a_zero_scale(self, shape, positive, zero):
         x_a, x_b, y_a, y_b = F(1, 2), F(1, 3), F(1, 4), F(1, 2)
-        points = _knot_points(x_a, x_b)
-        exact = _exact_pair(x_a, x_b, y_a, y_b)
+        points = _pair_knot_points(x_a, x_b)
+        *_, int_points, ints = _pair_record(x_a, x_b, y_a, y_b, EXACT)
         for draw, breaks in ((positive, True), (zero, False)):
             if shape == 0:
                 draw = _draw_concave_sample(random.Random(draw).getrandbits, shape, len(points))
                 assert (draw[1] > 0) == breaks
             knots = _concave_sample_knots(shape, draw, x_a, x_b, points)
             found = _breaking_constant(_uniform(0), knots, x_a, x_b, y_a, y_b, EXACT)
-            assert (found is not None) == breaks == _concave_sample_breaks(shape, draw, *exact)
+            assert (found is not None) == breaks == _concave_sample_breaks(shape, draw, *ints, int_points)
 
     def test_no_sample_breaks_a_pair_without_shares(self):
         # x_a = x_b = 0 with both payments positive: every utility is worth 0
@@ -742,19 +780,20 @@ class TestBruteForceOracle:
         x_a, x_b, y_a, y_b = F(0), F(0), F(1, 3), F(1, 2)
         assert _pair_violation(x_a, x_b, y_a, y_b, EXACT, CONCAVE) is None
         assert _pair_violation(x_a, x_b, y_a, y_b, EXACT, POWER) is None
-        points = _knot_points(x_a, x_b)
-        exact = _exact_pair(x_a, x_b, y_a, y_b)
+        points = _pair_knot_points(x_a, x_b)
+        *_, int_points, ints = _pair_record(x_a, x_b, y_a, y_b, EXACT)
         for shape in range(4):
             for seed in range(25):
                 draw = _draw_concave_sample(random.Random(seed).getrandbits, shape, len(points))
                 knots = _concave_sample_knots(shape, draw, x_a, x_b, points)
                 assert _breaking_constant(_uniform(seed), knots, x_a, x_b, y_a, y_b, EXACT) is None
-                assert not _concave_sample_breaks(shape, draw, *exact)
+                assert not _concave_sample_breaks(shape, draw, *ints, int_points)
 
     def test_integer_test_needs_rational_shares_in_range(self):
-        assert _integer_shares(F(1, 2), 1, 0, F(1, 3)) == (1, 2, 2, 0, 1)
-        assert _integer_shares(F(1, 2), F(1, 3), 0.25, F(1, 2)) is None
-        assert _integer_shares(F(3, 2), F(1, 3), F(1, 4), F(1, 2)) is None
+        *_, int_points, ints = _pair_record(F(1, 2), 1, 0, F(1, 3), EXACT)
+        assert (ints, int_points) == ((1, 2, 2, 0, 1), [1, 2])
+        assert _pair_record(F(1, 2), F(1, 3), 0.25, F(1, 2), EXACT)[-1] is None
+        assert _pair_record(F(3, 2), F(1, 3), F(1, 4), F(1, 2), EXACT)[-1] is None
 
 
 def _singletons():
@@ -803,11 +842,6 @@ _DEGENERATE_TABLES = {
     "zero-share-in-a-and-b": _zero_share_in_a_and_b_table,
     "spec": spec_violation_table,
 }
-
-
-def _knot_points(x_a, x_b):
-    """Where a random concave sample at a pair with these resource shares has its knots besides 0."""
-    return concave_knot_points(x for x in (x_a, x_b) if 0 < x <= 1)
 
 
 def _uniform(seed):

@@ -140,3 +140,17 @@ def test_scan_parity_without_benchmark_seeds():
     assert [line.split(" violations=")[1].split()[0] for line in lines] == (
         ["0"] * 14 + ["169"] * 4 + ["402", "395"] * 2
     )
+
+
+def test_oracle_parity_lines(monkeypatch):
+    # each table in each lane against the concave class and, for a ranked
+    # table, its power class; one seed of 200 samples keeps the test short
+    monkeypatch.setattr(cli_parity, "ORACLE_SEEDS", range(1))
+    monkeypatch.setattr(cli_parity, "ORACLE_SAMPLES", 200)
+    lines = list(cli_parity.oracle_lines())
+    classes = {"random0": [], "random1": [], "random2": [], "cmss": [], "ranked-sqrt": ["power:1/8-1/2"],
+               "ranked-power": ["power:1/12-1/3"], "ranked-sqrt-float": ["power:1/8-1/2"]}
+    assert [line.split(" witnesses=")[0] for line in lines] == [
+        f"oracle table={table} lane={lane} class={cls} found={int(cls == 'concave' and table != 'cmss')}"
+        for table, power in classes.items() for lane in ("exact", "approx") for cls in ("concave", *power)
+    ]

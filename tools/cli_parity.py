@@ -60,7 +60,15 @@ own ``src/``:
   the exact truthful trace, in each lane under each tie policy (a rival
   equal to a bound is a tie in both lanes, so these lines separate the two
   tie policies), and their group runs (``run_group_participation``) with a rival at each bound and
-  one step either side of it (1/1000 exact, epsilon/2 in ``approx()``).
+  one step either side of it (1/1000 exact, epsilon/2 in ``approx()``);
+* the sampling oracle (``brute_force_monotonicity_check``, ``ORACLE_SAMPLES``
+  samples) at seeds 0-3 on three seeded ``random_table`` tables, the monotone
+  four-buyer ``renormalized_cmss`` table of weights (3, 1, 4, 2), ranked sqrt
+  and power:1/3 tables on a ``Fraction`` base and a ranked sqrt table on the
+  float base (0.5, 0.3, 0.2), in each lane, against the concave class and,
+  where it differs, the table's own ``report_class_for`` class: the exact
+  lane's integer test, its float-share path, the tolerance lane and the
+  power class.
 
 A CLI call's line carries a label, the exit code, and the sha256 of stdout
 and of stderr, with the checkout root and the temporary directory replaced
@@ -110,6 +118,13 @@ from groupbuy.auction import (  # noqa: E402
 )
 from groupbuy.mechanism import compute_bid_trace  # noqa: E402
 from groupbuy.numeric import EXACT, approx  # noqa: E402
+from groupbuy.schedule import (  # noqa: E402
+    RankedSchedule,
+    brute_force_monotonicity_check,
+    report_class_for,
+    sqrt_weight,
+)
+from groupbuy.utility import CONCAVE, ClosedFormUtility  # noqa: E402
 from helpers import (  # noqa: E402
     CRITERION_4_BUDGET,
     EPSILON_EDGE_SCENARIO,
@@ -124,6 +139,7 @@ from helpers import (  # noqa: E402
     random_concave_utility,
     criterion_4_scans,
     random_table,
+    renormalized_cmss,
 )
 
 FORMATS = ("text", "json", "csv")
@@ -131,6 +147,8 @@ LANES = (("exact", EXACT), ("approx", approx()))
 # the step either side of a bound that the tie runs also put a rival at, per lane
 TIE_STEPS = {"exact": Fraction(1, 1000), "approx": approx().epsilon / 2}
 TIE_POLICIES = (GROUP_WINS, GROUP_LOSES)
+ORACLE_SAMPLES = 1000  # per oracle call, as the validator-oracle benchmark draws
+ORACLE_SEEDS = range(4)
 # the formats each command is called with; None calls it without --format
 COMMANDS = {"run": FORMATS, "validate-schedule": (None,), "fuzz": FORMATS, "compare": FORMATS}
 # the commands that take --out
@@ -244,6 +262,30 @@ def tie_tables():
     return tables
 
 
+def oracle_lines():
+    """A line per oracle table, lane and report class: the witnesses at each of ``ORACLE_SEEDS``."""
+    tables = [(f"random{k}", random_table(random.Random(k), 3)) for k in range(3)]
+    fractions = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    tables += [
+        ("cmss", renormalized_cmss(4, tuple(map(Fraction, (3, 1, 4, 2))))),
+        ("ranked-sqrt", RankedSchedule((0, 1, 2), fractions, sqrt_weight())),
+        ("ranked-power", RankedSchedule((0, 1, 2), fractions, ClosedFormUtility.power(1, Fraction(1, 3)))),
+        ("ranked-sqrt-float", RankedSchedule((0, 1, 2), (0.5, 0.3, 0.2), sqrt_weight())),
+    ]
+    for name, table in tables:
+        for lane, policy in LANES:
+            for report_class in dict.fromkeys((CONCAVE, report_class_for(table)[0])):
+                witnesses = [
+                    brute_force_monotonicity_check(table, ORACLE_SAMPLES, seed, policy, report_class)
+                    for seed in ORACLE_SEEDS
+                ]
+                found = sum(w is not None for w in witnesses)
+                label = f"oracle table={name} lane={lane} class={report_class.kind}"
+                if report_class.kind == "power":
+                    label += f":{report_class.k_min}-{report_class.k_max}"
+                yield f"{label} found={found} witnesses={repr_digest(witnesses)}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="1,9173",
@@ -319,6 +361,8 @@ def main(argv=None) -> int:
                 print(f"validator-oracle:{seed} item {item['id']} planted={item['planted']} "
                       f"witnesses={repr_digest(witnesses)}")
     for line in scan_lines():
+        print(line)
+    for line in oracle_lines():
         print(line)
     for name, table, truth in tie_tables():
         grid = concave_report_grid(table, levels=EXPLOIT_LEVELS)
